@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import GridMismatch, OutOfRange
-from .measure import CircleMeasure, _as_boundary, poisson
+from .measure import CircleMeasure, _as_boundary, nearest_node, poisson
 from .opuc import chi_grid_table, chi_table, eval_table
 from .schur import SchurParameters
 from .szego import entropy_profile, szego_boundary
@@ -65,21 +65,6 @@ class SandwichRow:
         """The upper half is only backed by theory when K_n <= 1."""
         return self.k_n <= 1.0
 
-    def to_csv_line(self) -> str:
-        cells = [str(self.n)] + [
-            format(float(v), ".12g")
-            for v in (
-                self.cesaro,
-                self.target,
-                self.lower,
-                self.upper,
-                self.k_n,
-                self.p_n,
-                self.f_n,
-            )
-        ]
-        return ",".join(cells)
-
 
 @dataclass(frozen=True)
 class ConvergenceTable:
@@ -89,15 +74,26 @@ class ConvergenceTable:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(row.to_csv_line() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            CSV_HEADER,
+            [
+                (r.n, r.cesaro, r.target, r.lower, r.upper, r.k_n, r.p_n, r.f_n)
+                for r in self.rows
+            ],
+        )
 
 
-def _grid_density_at(mu: CircleMeasure, xi0: complex) -> float:
-    angle = float(np.angle(xi0)) % (2.0 * np.pi)
-    j = int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
-    return float(mu.weight[j])
+def csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
+    """CSV with the given header line: ints as str, everything else .12g."""
+    lines = [header]
+    for row in rows:
+        lines.append(
+            ",".join(
+                str(v) if isinstance(v, int) else format(float(v), ".12g")
+                for v in row
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def mnt_sandwich(
@@ -122,7 +118,7 @@ def mnt_sandwich(
     return SandwichRow(
         n=n,
         cesaro=cesaro,
-        target=1.0 / max(_grid_density_at(mu, xi0), 1e-300),
+        target=1.0 / max(float(mu.weight[nearest_node(mu, xi0)]), 1e-300),
         lower=1.0 / prow.f_n,
         upper=upper,
         k_n=prow.k_n,
@@ -238,8 +234,7 @@ def szego_recovery_deviation(
     xi = _as_boundary(xi)
     if n < 1:
         raise OutOfRange("deviation order requires n >= 1")
-    angle = float(np.angle(xi)) % (2.0 * np.pi)
-    j = int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
+    j = nearest_node(mu, xi)
     node = mu.boundary_points[j]
     d_val = szego_boundary(mu)[j]
     _, phis = eval_table(params, node, n)

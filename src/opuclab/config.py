@@ -23,10 +23,11 @@ computation starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, OpuclabError
+from .families import check_spec
 
 EXPERIMENTS = (
     "mnt",
@@ -48,92 +49,15 @@ _CONFIG_KEYS = {
     "seed",
 }
 
+# Orders needed beyond max(n_list): kernel quotients use the (n+1)-st pair
+# and several checks are pinned at depth <= 32 regardless of the sweep.
+MIN_BUILD_DEPTH = 33
+
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
     return float(value)
-
-
-def _expect_keys(spec: dict, allowed: Tuple[str, ...], label: str) -> None:
-    extra = set(spec) - set(allowed)
-    if extra:
-        raise ConfigError(f"unexpected keys in {label}: {sorted(extra)}")
-    missing = set(allowed) - set(spec)
-    if missing:
-        raise ConfigError(f"missing keys in {label}: {sorted(missing)}")
-
-
-def _validate_base(spec: dict, label: str) -> dict:
-    """Validate an atom-free family spec (also the base of a mixed family)."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{label} must be an object with a 'name' key")
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if name == "lebesgue":
-        _expect_keys(spec, (), label)
-    elif name == "bernstein_szego":
-        _expect_keys(spec, ("r",), label)
-        r = _number(spec["r"], f"{label}.r")
-        if not 0.0 <= r < 1.0:
-            raise ConfigError(f"{label}.r = {r!r} outside [0, 1)")
-        spec["r"] = r
-    elif name == "geronimus":
-        _expect_keys(spec, ("a",), label)
-        a = _number(spec["a"], f"{label}.a")
-        if not 0.0 < a < 1.0:
-            raise ConfigError(f"{label}.a = {a!r} outside (0, 1)")
-        spec["a"] = a
-    elif name == "ell2":
-        _expect_keys(spec, ("c", "p"), label)
-        c = _number(spec["c"], f"{label}.c")
-        p = _number(spec["p"], f"{label}.p")
-        if not 0.0 <= c < 1.0:
-            raise ConfigError(f"{label}.c = {c!r} outside [0, 1)")
-        if p <= 0.0:
-            raise ConfigError(f"{label}.p = {p!r} must be positive")
-        spec["c"] = c
-        spec["p"] = p
-    else:
-        raise ConfigError(f"unknown family name {name!r} in {label}")
-    return dict({"name": name}, **spec)
-
-
-def _validate_family(family) -> dict:
-    if isinstance(family, dict) and family.get("name") == "mixed":
-        spec = dict(family)
-        spec.pop("name")
-        _expect_keys(spec, ("base", "atoms"), "family")
-        base = _validate_base(spec["base"], "family.base")
-        if base["name"] not in ("lebesgue", "bernstein_szego"):
-            raise ConfigError(
-                f"mixed base must be lebesgue or bernstein_szego,"
-                f" got {base['name']!r}"
-            )
-        atoms_in = spec["atoms"]
-        if not isinstance(atoms_in, (list, tuple)) or not atoms_in:
-            raise ConfigError("family.atoms must be a nonempty list")
-        atoms = []
-        for k, atom in enumerate(atoms_in):
-            if not isinstance(atom, dict):
-                raise ConfigError(f"family.atoms[{k}] must be an object")
-            _expect_keys(dict(atom), ("angle", "mass"), f"family.atoms[{k}]")
-            angle = _number(atom["angle"], f"family.atoms[{k}].angle")
-            mass = _number(atom["mass"], f"family.atoms[{k}].mass")
-            if not 0.0 <= angle < 6.283185307179587:
-                raise ConfigError(
-                    f"family.atoms[{k}].angle = {angle!r} outside [0, 2*pi)"
-                )
-            if mass <= 0.0:
-                raise ConfigError(
-                    f"family.atoms[{k}].mass = {mass!r} must be positive"
-                )
-            atoms.append({"angle": angle, "mass": mass})
-        total = sum(a["mass"] for a in atoms)
-        if total >= 1.0:
-            raise ConfigError(f"atom masses sum to {total!r}, need < 1")
-        return {"name": "mixed", "base": base, "atoms": atoms}
-    return _validate_base(family, "family")
 
 
 @dataclass(frozen=True)
@@ -150,8 +74,6 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", _validate_family(self.family))
-
         n = self.grid_size
         if not isinstance(n, int) or n < 256 or n & (n - 1) != 0:
             raise ConfigError(
@@ -176,6 +98,12 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "n_list", n_list)
 
+        try:
+            family = check_spec(self.family, n, self.build_depth)
+        except OpuclabError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "family", family)
+
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment = {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -199,6 +127,11 @@ class ExperimentConfig:
 
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed = {self.seed!r} must be an integer")
+
+    @property
+    def build_depth(self) -> int:
+        """Parameter depth the family is built to for this run."""
+        return max(MIN_BUILD_DEPTH, self.n_list[-1] + 1)
 
     def echo(self) -> dict:
         """The config as a JSON-ready dict, echoed into reports."""

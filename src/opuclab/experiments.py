@@ -36,19 +36,19 @@ from .asymptotics import (
     ConvergenceTable,
     cd_at_zero_residual,
     cmv_coefficients,
+    csv_text,
     sandwich_table,
     strong_cesaro_deviation,
     summability_condition,
 )
 from .config import ExperimentConfig
-from .errors import OpuclabError
 from .families import FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
-    CircleMeasure,
     fejer_mean,
     max_trusted_moment,
     moment,
+    nearest_node,
     poisson,
     poisson_log_weight,
     weighted_poisson,
@@ -81,10 +81,6 @@ from .szego import entropy, entropy_profile, szego_boundary, szego_interior
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 
-# Orders needed beyond max(n_list): kernel quotients use the (n+1)-st pair
-# and several checks are pinned at depth <= 32 regardless of the sweep.
-_MIN_BUILD_DEPTH = 33
-
 _TREND_SLACK = 1e-12
 
 
@@ -113,20 +109,49 @@ class Verdict:
         }
 
 
-def _within(name: str, residual: float, tol: float, detail: str) -> Verdict:
-    status = "pass" if residual <= tol else "fail"
-    return Verdict(name, status, float(residual), detail)
+# A check returns its status, residual and detail; suite_verdicts adds the
+# name it was registered under.
+Result = Tuple[str, Optional[float], str]
+
+# The checks of each suite as (name, check) pairs, in report order, which
+# is the order the @check decorators below run in.
+CHECKS: Dict[str, List[Tuple[str, Callable[["RunContext"], Result]]]] = {
+    suite: [] for suite in SUITE_NAMES
+}
 
 
-def _skip(name: str, detail: str) -> Verdict:
-    return Verdict(name, "skip", None, detail)
+def check(suite: str, name: str):
+    """Register the decorated function as the next check of ``suite``."""
+
+    def register(fn):
+        CHECKS[suite].append((name, fn))
+        return fn
+
+    return register
 
 
-def _guarded(name: str, check: Callable[[], Verdict]) -> Verdict:
+def _judged(ok: bool, residual: float, detail: str) -> Result:
+    return ("pass" if ok else "fail", float(residual), detail)
+
+
+def _within(residual: float, tol: float, detail: str) -> Result:
+    return _judged(residual <= tol, residual, detail)
+
+
+def _skip(detail: str) -> Result:
+    return ("skip", None, detail)
+
+
+def _failed(name: str, exc: Exception) -> Verdict:
+    return Verdict(name, "fail", None, f"{type(exc).__name__}: {exc}")
+
+
+def _guarded(name: str, run: Callable[[], Result]) -> Verdict:
     try:
-        return check()
+        status, residual, detail = run()
     except Exception as exc:  # computation errors become failed verdicts
-        return Verdict(name, "fail", None, f"{type(exc).__name__}: {exc}")
+        return _failed(name, exc)
+    return Verdict(name, status, residual, detail)
 
 
 def _nonincreasing_violation(values: Sequence[float]) -> float:
@@ -229,13 +254,13 @@ class RunContext:
 # -----------------------------------------------------------------------------
 # mnt suite: density recovery and the Cesaro sandwich
 # -----------------------------------------------------------------------------
-def _v_poisson_positivity(ctx: RunContext) -> Verdict:
+@check("mnt", "poisson_positivity")
+def _poisson_positivity(ctx: RunContext) -> Result:
     at_zero = abs(poisson(ctx.mu, 0.0) - 1.0)
     values = [poisson(ctx.mu, z) for z in ctx.interior_points(11, 32, 0.99)]
     low = min(values)
     residual = max(at_zero, 0.0 if low > 0.0 else 1.0)
     return _within(
-        "poisson_positivity",
         residual,
         1e-12,
         f"|P(mu,0) - 1| = {at_zero:.3g}; min over 32 interior points "
@@ -243,7 +268,8 @@ def _v_poisson_positivity(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_fejer_density_limit(ctx: RunContext) -> Verdict:
+@check("mnt", "fejer_density_limit")
+def _fejer_density_limit(ctx: RunContext) -> Result:
     n_top = min(256, max_trusted_moment(ctx.mu))
     n_values = [n for n in (16, 32, 64, 128, 256) if n <= n_top]
     worst_last = 0.0
@@ -261,18 +287,18 @@ def _v_fejer_density_limit(ctx: RunContext) -> Verdict:
         f"certified angles {_fmt_seq(ctx.certified)}; largest uphill step "
         f"{worst_uphill:.3g}"
     )
-    if worst_last <= 0.05 or worst_uphill <= _TREND_SLACK:
-        return Verdict("fejer_density_limit", "pass", float(worst_last), detail)
-    return Verdict("fejer_density_limit", "fail", float(worst_last), detail)
+    return _judged(
+        worst_last <= 0.05 or worst_uphill <= _TREND_SLACK, worst_last, detail
+    )
 
 
 _REFINEMENT_PROBES = (0.3, 0.5j, -0.7, 0.6 + 0.54j, -0.21 - 0.78j, 0.9)
 
 
-def _v_quadrature_refinement(ctx: RunContext) -> Verdict:
+@check("mnt", "quadrature_refinement")
+def _quadrature_refinement(ctx: RunContext) -> Result:
     if ctx.instance.kind == "geronimus":
         return _skip(
-            "quadrature_refinement",
             "arc-edge density is not smooth; doubling the grid moves its "
             "sampled mass at the 1e-5 level by construction",
         )
@@ -282,7 +308,6 @@ def _v_quadrature_refinement(ctx: RunContext) -> Verdict:
         for z in _REFINEMENT_PROBES
     )
     return _within(
-        "quadrature_refinement",
         residual,
         1e-10,
         f"max poisson change under grid doubling to {2 * ctx.mu.grid_size} "
@@ -290,7 +315,8 @@ def _v_quadrature_refinement(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_cesaro_sandwich(ctx: RunContext) -> Verdict:
+@check("mnt", "cesaro_sandwich")
+def _cesaro_sandwich(ctx: RunContext) -> Result:
     worst = 0.0
     judged = 0
     exempt = 0
@@ -303,11 +329,9 @@ def _v_cesaro_sandwich(ctx: RunContext) -> Verdict:
             worst = max(worst, row.lower - row.cesaro, row.cesaro - row.upper)
     if judged == 0:
         return _skip(
-            "cesaro_sandwich",
             f"no rows with K_n <= 1 at the certified angles ({exempt} exempt)",
         )
     return _within(
-        "cesaro_sandwich",
         worst,
         1e-9,
         f"worst bound violation over {judged} rows with K_n <= 1 "
@@ -315,7 +339,8 @@ def _v_cesaro_sandwich(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_fejer_lower_bound(ctx: RunContext) -> Verdict:
+@check("mnt", "fejer_lower_bound")
+def _fejer_lower_bound(ctx: RunContext) -> Result:
     worst = 0.0
     rows = 0
     for angle in ctx.certified:
@@ -323,7 +348,6 @@ def _v_fejer_lower_bound(ctx: RunContext) -> Verdict:
             rows += 1
             worst = max(worst, 1.0 / row.f_n - row.cesaro)
     return _within(
-        "fejer_lower_bound",
         worst,
         1e-9,
         f"worst (1/F_n - cesaro) over {rows} rows; this half of the "
@@ -334,17 +358,18 @@ def _v_fejer_lower_bound(ctx: RunContext) -> Verdict:
 # -----------------------------------------------------------------------------
 # entropy suite: outer function and entropy identities
 # -----------------------------------------------------------------------------
-def _v_entropy_nonnegative(ctx: RunContext) -> Verdict:
+@check("entropy", "entropy_nonnegative")
+def _entropy_nonnegative(ctx: RunContext) -> Result:
     low = min(entropy(ctx.mu, z) for z in ctx.interior_points(21, 24, 0.99))
     return _within(
-        "entropy_nonnegative",
         max(-low, 0.0),
         1e-10,
         f"min entropy over 24 interior points |z| <= 0.99 is {low:.3g}",
     )
 
 
-def _v_outer_consistency(ctx: RunContext) -> Verdict:
+@check("entropy", "outer_consistency")
+def _outer_consistency(ctx: RunContext) -> Result:
     residual = max(
         abs(
             2.0 * math.log(abs(szego_interior(ctx.mu, z)))
@@ -353,7 +378,6 @@ def _v_outer_consistency(ctx: RunContext) -> Verdict:
         for z in ctx.interior_points(22, 24, 0.99)
     )
     return _within(
-        "outer_consistency",
         residual,
         1e-10,
         "max |log|D(z)|^2 - P(log w, z)| over 24 interior points",
@@ -364,14 +388,15 @@ _RADIAL_GRID = 8192
 _RADII = (0.95, 0.99, 0.999)
 
 
-def _v_radial_limit(ctx: RunContext) -> Verdict:
+@check("entropy", "radial_limit")
+def _radial_limit(ctx: RunContext) -> Result:
     inst = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
     mu = inst.measure
     boundary = szego_boundary(mu)
     worst_last = 0.0
     worst_uphill = -math.inf
     for angle in ctx.certified:
-        node = int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
+        node = nearest_node(mu, complex(np.exp(1j * angle)))
         xi = complex(np.exp(2j * np.pi * node / mu.grid_size))
         devs = [abs(szego_interior(mu, r * xi) - boundary[node]) for r in _RADII]
         worst_last = max(worst_last, devs[-1])
@@ -381,18 +406,18 @@ def _v_radial_limit(ctx: RunContext) -> Verdict:
         f"{mu.grid_size}-point grid; largest uphill step along "
         f"r = {_RADII} is {worst_uphill:.3g}"
     )
-    if worst_last <= 1e-2 or worst_uphill <= _TREND_SLACK:
-        return Verdict("radial_limit", "pass", float(worst_last), detail)
-    return Verdict("radial_limit", "fail", float(worst_last), detail)
+    return _judged(
+        worst_last <= 1e-2 or worst_uphill <= _TREND_SLACK, worst_last, detail
+    )
 
 
-def _v_jensen_direction(ctx: RunContext) -> Verdict:
+@check("entropy", "jensen_direction")
+def _jensen_direction(ctx: RunContext) -> Result:
     slack = min(
         math.log(poisson(ctx.mu, z)) - poisson_log_weight(ctx.mu, z)
         for z in ctx.interior_points(23, 24, 0.99)
     )
     return _within(
-        "jensen_direction",
         max(-slack, 0.0),
         1e-12,
         f"min (log P(mu,z) - P(log w, z)) over 24 interior points is "
@@ -411,7 +436,8 @@ def _entropy_product_points():
             yield mag * complex(np.exp(1j * theta))
 
 
-def _v_entropy_product_identity(ctx: RunContext) -> Verdict:
+@check("entropy", "entropy_product_identity")
+def _entropy_product_identity(ctx: RunContext) -> Result:
     if ctx.finite_param:
         worst = 0.0
         for z in _entropy_product_points():
@@ -422,7 +448,6 @@ def _v_entropy_product_identity(ctx: RunContext) -> Verdict:
             )
             worst = max(worst, gap)
         return _within(
-            "entropy_product_identity",
             worst,
             1e-8,
             "max |entropy - log-product| over moduli "
@@ -446,7 +471,6 @@ def _v_entropy_product_identity(ctx: RunContext) -> Verdict:
         worst_uphill = max(worst_uphill, _nonincreasing_violation(gaps))
     residual = max(worst_overshoot, worst_uphill)
     return _within(
-        "entropy_product_identity",
         residual,
         1e-8,
         f"partial log-products: worst overshoot {worst_overshoot:.3g}, "
@@ -455,7 +479,8 @@ def _v_entropy_product_identity(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_schur_sum_bound(ctx: RunContext) -> Verdict:
+@check("entropy", "schur_sum_bound")
+def _schur_sum_bound(ctx: RunContext) -> Result:
     rng = ctx.rng(24)
     points = [0.0 + 0.0j] + [
         (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
@@ -474,14 +499,12 @@ def _v_schur_sum_bound(ctx: RunContext) -> Verdict:
             worst_eq = max(worst_eq, abs(lhs - rhs))
     if ctx.finite_param:
         return _within(
-            "schur_sum_bound",
             max(worst_excess, worst_eq),
             1e-10,
             f"13 points |z| <= 0.9: worst |lhs - rhs| = {worst_eq:.3g} "
             "(at most one parameter, so the bound is an identity)",
         )
     return _within(
-        "schur_sum_bound",
         worst_excess,
         1e-10,
         "13 points |z| <= 0.9: worst lhs - (exp(entropy) - 1) excess; "
@@ -492,7 +515,8 @@ def _v_schur_sum_bound(ctx: RunContext) -> Verdict:
 # -----------------------------------------------------------------------------
 # schur_identities suite: parameter routes and polynomial algebra
 # -----------------------------------------------------------------------------
-def _v_moment_hermitian(ctx: RunContext) -> Verdict:
+@check("schur_identities", "moment_hermitian")
+def _moment_hermitian(ctx: RunContext) -> Result:
     mu = ctx.mu
     k_top = min(32, max_trusted_moment(mu))
     worst = 0.0
@@ -503,18 +527,17 @@ def _v_moment_hermitian(ctx: RunContext) -> Verdict:
         )
         worst = max(worst, abs(moment(mu, k) - np.conj(direct)))
     return _within(
-        "moment_hermitian",
         worst,
         1e-12,
         f"max |c_k - conj(direct integral of xi^k)| for k <= {k_top}",
     )
 
 
-def _v_geronimus_consistency(ctx: RunContext) -> Verdict:
+@check("schur_identities", "geronimus_consistency")
+def _geronimus_consistency(ctx: RunContext) -> Result:
     _, cascade, levinson = ctx.routes()
     residual = float(np.max(np.abs(cascade - levinson)))
     return _within(
-        "geronimus_consistency",
         residual,
         1e-8,
         f"power-series cascade vs moment recursion, depth {len(cascade)}: "
@@ -523,11 +546,11 @@ def _v_geronimus_consistency(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_two_route_equality(ctx: RunContext) -> Verdict:
+@check("schur_identities", "two_route_equality")
+def _two_route_equality(ctx: RunContext) -> Result:
     stored, cascade, _ = ctx.routes()
     residual = float(np.max(np.abs(stored - cascade)))
     return _within(
-        "two_route_equality",
         residual,
         1e-6,
         f"construction roundtrip, depth {len(cascade)}: the parameters "
@@ -537,7 +560,8 @@ def _v_two_route_equality(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_iterate_contractivity(ctx: RunContext) -> Verdict:
+@check("schur_identities", "iterate_contractivity")
+def _iterate_contractivity(ctx: RunContext) -> Result:
     rng = ctx.rng(31)
     worst = 0.0
     for _ in range(12):
@@ -546,23 +570,21 @@ def _v_iterate_contractivity(ctx: RunContext) -> Verdict:
         f0 = schur_eval(ctx.mu, z)
         for k in range(n_eval + 1):
             worst = max(worst, abs(schur_iterate_eval(ctx.params, f0, z, k)))
-    status = "pass" if worst < 1.0 else "fail"
-    return Verdict(
-        "iterate_contractivity",
-        status,
-        float(worst),
+    return _judged(
+        worst < 1.0,
+        worst,
         "max |f_n(z)| over 12 points |z| <= 0.9, iterate depths within "
         "the noise horizon; must stay below 1",
     )
 
 
-def _v_szego_formula(ctx: RunContext) -> Verdict:
+@check("schur_identities", "szego_formula")
+def _szego_formula(ctx: RunContext) -> Result:
     if ctx.finite_param:
         residual = szego_formula_residual(
             ctx.mu, ctx.params, min(64, ctx.depth)
         )
         return _within(
-            "szego_formula",
             residual,
             1e-10,
             f"|mean log w - sum log(1 - |a_k|^2)| at depth "
@@ -573,7 +595,6 @@ def _v_szego_formula(ctx: RunContext) -> Verdict:
     ]
     uphill = _nonincreasing_violation(residuals)
     return _within(
-        "szego_formula",
         max(uphill, 0.0),
         _TREND_SLACK,
         f"residuals over n_list: {_fmt_seq(residuals)}; partial sums "
@@ -581,7 +602,8 @@ def _v_szego_formula(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_gram_orthonormality(ctx: RunContext) -> Verdict:
+@check("schur_identities", "gram_orthonormality")
+def _gram_orthonormality(ctx: RunContext) -> Result:
     mu = ctx.mu
     m = min(16, ctx.depth)
     phi_rows, _ = eval_grid_table(ctx.params, mu.boundary_points, m)
@@ -591,14 +613,14 @@ def _v_gram_orthonormality(ctx: RunContext) -> Verdict:
         gram += (phi_atoms * mu.atom_masses) @ phi_atoms.conj().T
     residual = float(np.max(np.abs(gram - np.eye(m + 1))))
     return _within(
-        "gram_orthonormality",
         residual,
         1e-8,
         f"max |Gram - I| for phi_0..phi_{m} under quadrature plus atoms",
     )
 
 
-def _v_phi_star_zero_free(ctx: RunContext) -> Verdict:
+@check("schur_identities", "phi_star_zero_free")
+def _phi_star_zero_free(ctx: RunContext) -> Result:
     rng = ctx.rng(33)
     n_top = min(32, ctx.depth)
     low = math.inf
@@ -610,17 +632,16 @@ def _v_phi_star_zero_free(ctx: RunContext) -> Verdict:
     for z in points:
         _, phis = eval_table(ctx.params, z, n_top)
         low = min(low, float(np.min(np.abs(phis))))
-    status = "pass" if low >= 1e-8 else "fail"
-    return Verdict(
-        "phi_star_zero_free",
-        status,
-        float(low),
+    return _judged(
+        low >= 1e-8,
+        low,
         f"min |phi_n*(z)| over radial-angular grid |z| <= 0.99, "
         f"n <= {n_top}; reflected polynomials have no disk zeros",
     )
 
 
-def _v_cd_three_route(ctx: RunContext) -> Verdict:
+@check("schur_identities", "cd_three_route")
+def _cd_three_route(ctx: RunContext) -> Result:
     rng = ctx.rng(34)
     n_top = max(min(32, ctx.depth - 1), 1)
     worst = 0.0
@@ -643,7 +664,6 @@ def _v_cd_three_route(ctx: RunContext) -> Verdict:
             abs(prefactor * direct - laurent) / scale,
         )
     return _within(
-        "cd_three_route",
         worst,
         1e-9,
         f"24 seeded boundary pairs, n <= {n_top}: direct sum vs "
@@ -651,7 +671,8 @@ def _v_cd_three_route(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_norm_telescoping(ctx: RunContext) -> Verdict:
+@check("schur_identities", "norm_telescoping")
+def _norm_telescoping(ctx: RunContext) -> Result:
     d = min(64, ctx.depth)
     moms = np.array([moment(ctx.mu, k) for k in range(d + 1)])
     table = monic_from_moments(moms, d)
@@ -659,7 +680,6 @@ def _v_norm_telescoping(ctx: RunContext) -> Verdict:
     target = 1.0 - np.abs(table.params.values[: len(ratios)]) ** 2
     residual = float(np.max(np.abs(ratios - target) / target))
     return _within(
-        "norm_telescoping",
         residual,
         1e-10,
         f"max relative |norm ratio - (1 - |a_n|^2)| in the moment "
@@ -670,7 +690,8 @@ def _v_norm_telescoping(ctx: RunContext) -> Verdict:
 # -----------------------------------------------------------------------------
 # summability suite: CMV Fourier analysis
 # -----------------------------------------------------------------------------
-def _v_weighted_poisson_identity(ctx: RunContext) -> Verdict:
+@check("summability", "weighted_poisson_identity")
+def _weighted_poisson_identity(ctx: RunContext) -> Result:
     ones = np.ones(ctx.mu.grid_size)
     atom_ones = np.ones(len(ctx.mu.atoms)) if ctx.mu.atoms else None
     residual = max(
@@ -678,7 +699,6 @@ def _v_weighted_poisson_identity(ctx: RunContext) -> Verdict:
         for z in ctx.interior_points(41, 8, 0.95)
     )
     return _within(
-        "weighted_poisson_identity",
         residual,
         1e-14,
         "max |P(1 dmu, z) - P(mu, z)| over 8 interior points",
@@ -696,7 +716,8 @@ def _cos_samples(ctx: RunContext):
     return samples, atom_values
 
 
-def _v_cmv_bessel(ctx: RunContext) -> Verdict:
+@check("summability", "cmv_bessel")
+def _cmv_bessel(ctx: RunContext) -> Result:
     samples, atom_values = _cos_samples(ctx)
     n_top = min(max(ctx.n_list), ctx.depth)
     coeffs = cmv_coefficients(ctx.mu, ctx.params, samples, n_top, atom_values)
@@ -706,7 +727,6 @@ def _v_cmv_bessel(ctx: RunContext) -> Verdict:
         mass * math.cos(angle) ** 2 for angle, mass in ctx.mu.atoms
     )
     return _within(
-        "cmv_bessel",
         max(total - norm_sq, 0.0),
         1e-8,
         f"sum of |<f, chi_j>|^2 for j <= {n_top} vs ||f||^2 = "
@@ -714,7 +734,8 @@ def _v_cmv_bessel(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_constant_deviation_zero(ctx: RunContext) -> Verdict:
+@check("summability", "constant_deviation_zero")
+def _constant_deviation_zero(ctx: RunContext) -> Result:
     ones = np.ones(ctx.mu.grid_size)
     atom_ones = np.ones(len(ctx.mu.atoms)) if ctx.mu.atoms else None
     n_top = min(max(ctx.n_list), ctx.depth)
@@ -731,7 +752,6 @@ def _v_constant_deviation_zero(ctx: RunContext) -> Verdict:
         for angle in ctx.certified
     )
     return _within(
-        "constant_deviation_zero",
         residual,
         1e-12,
         f"strong Cesaro deviation of f = 1 at n = {n_top}; constants are "
@@ -739,14 +759,14 @@ def _v_constant_deviation_zero(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_cd_at_zero_identity(ctx: RunContext) -> Verdict:
+@check("summability", "cd_at_zero_identity")
+def _cd_at_zero_identity(ctx: RunContext) -> Result:
     n_top = min(64, ctx.depth)
     residual = max(
         cd_at_zero_residual(ctx.params, complex(np.exp(1j * angle)), n_top)
         for angle in ctx.certified
     )
     return _within(
-        "cd_at_zero_identity",
         residual,
         1e-9,
         f"two-term telescoped kernel at the origin vs the direct sum, "
@@ -757,7 +777,8 @@ def _v_cd_at_zero_identity(ctx: RunContext) -> Verdict:
 # -----------------------------------------------------------------------------
 # scattering suite: recurrence solutions at the boundary
 # -----------------------------------------------------------------------------
-def _v_solution_space_closure(ctx: RunContext) -> Verdict:
+@check("scattering", "solution_space_closure")
+def _solution_space_closure(ctx: RunContext) -> Result:
     residual = 0.0
     for angle in ctx.certified:
         plus, minus = ctx.jost(angle)
@@ -767,7 +788,6 @@ def _v_solution_space_closure(ctx: RunContext) -> Verdict:
             jost_recurrence_residual(ctx.params, minus),
         )
     return _within(
-        "solution_space_closure",
         residual,
         1e-8,
         "max one-step recurrence residual of both boundary solutions at "
@@ -775,12 +795,12 @@ def _v_solution_space_closure(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_averaged_decay_trend(ctx: RunContext) -> Verdict:
+@check("scattering", "averaged_decay_trend")
+def _averaged_decay_trend(ctx: RunContext) -> Result:
     m = max(ctx.n_list)
     n_values = sorted({max(m // 4, 1), max(m // 2, 1), m})
     if len(n_values) < 2:
         return _skip(
-            "averaged_decay_trend",
             f"max configured n = {m} leaves no room for doubling steps",
         )
     worst = -math.inf
@@ -795,7 +815,6 @@ def _v_averaged_decay_trend(ctx: RunContext) -> Verdict:
             trends.append(devs)
             worst = max(worst, _nonincreasing_violation(devs))
     return _within(
-        "averaged_decay_trend",
         max(worst, 0.0),
         _TREND_SLACK,
         f"vanishing components averaged over n = {n_values}: worst "
@@ -804,7 +823,8 @@ def _v_averaged_decay_trend(ctx: RunContext) -> Verdict:
     )
 
 
-def _v_dual_involution(ctx: RunContext) -> Verdict:
+@check("scattering", "dual_involution")
+def _dual_involution(ctx: RunContext) -> Result:
     angle = ctx.certified[0]
     twice = dual_parameters(dual_parameters(ctx.params))
     n_top = min(64, max(ctx.n_list))
@@ -816,7 +836,6 @@ def _v_dual_involution(ctx: RunContext) -> Verdict:
         for a, b in zip(original, rebuilt)
     )
     return _within(
-        "dual_involution",
         residual,
         1e-12,
         "solutions rebuilt from twice-negated parameters vs originals; "
@@ -824,113 +843,15 @@ def _v_dual_involution(ctx: RunContext) -> Verdict:
     )
 
 
-# -----------------------------------------------------------------------------
-# Suite registry
-# -----------------------------------------------------------------------------
-SUITE_CHECKS: Dict[str, Tuple[Callable[[RunContext], Verdict], ...]] = {
-    "mnt": (
-        _v_poisson_positivity,
-        _v_fejer_density_limit,
-        _v_quadrature_refinement,
-        _v_cesaro_sandwich,
-        _v_fejer_lower_bound,
-    ),
-    "entropy": (
-        _v_entropy_nonnegative,
-        _v_outer_consistency,
-        _v_radial_limit,
-        _v_jensen_direction,
-        _v_entropy_product_identity,
-        _v_schur_sum_bound,
-    ),
-    "schur_identities": (
-        _v_moment_hermitian,
-        _v_geronimus_consistency,
-        _v_two_route_equality,
-        _v_iterate_contractivity,
-        _v_szego_formula,
-        _v_gram_orthonormality,
-        _v_phi_star_zero_free,
-        _v_cd_three_route,
-        _v_norm_telescoping,
-    ),
-    "summability": (
-        _v_weighted_poisson_identity,
-        _v_cmv_bessel,
-        _v_constant_deviation_zero,
-        _v_cd_at_zero_identity,
-    ),
-    "scattering": (
-        _v_solution_space_closure,
-        _v_averaged_decay_trend,
-        _v_dual_involution,
-    ),
-}
-
-_CHECK_NAMES = {
-    "mnt": (
-        "poisson_positivity",
-        "fejer_density_limit",
-        "quadrature_refinement",
-        "cesaro_sandwich",
-        "fejer_lower_bound",
-    ),
-    "entropy": (
-        "entropy_nonnegative",
-        "outer_consistency",
-        "radial_limit",
-        "jensen_direction",
-        "entropy_product_identity",
-        "schur_sum_bound",
-    ),
-    "schur_identities": (
-        "moment_hermitian",
-        "geronimus_consistency",
-        "two_route_equality",
-        "iterate_contractivity",
-        "szego_formula",
-        "gram_orthonormality",
-        "phi_star_zero_free",
-        "cd_three_route",
-        "norm_telescoping",
-    ),
-    "summability": (
-        "weighted_poisson_identity",
-        "cmv_bessel",
-        "constant_deviation_zero",
-        "cd_at_zero_identity",
-    ),
-    "scattering": (
-        "solution_space_closure",
-        "averaged_decay_trend",
-        "dual_involution",
-    ),
-}
-
-
 def suite_verdicts(ctx: RunContext, suite: str) -> List[Verdict]:
     return [
-        _guarded(name, lambda check=check: check(ctx))
-        for name, check in zip(_CHECK_NAMES[suite], SUITE_CHECKS[suite])
+        _guarded(name, lambda run=run: run(ctx)) for name, run in CHECKS[suite]
     ]
 
 
 # -----------------------------------------------------------------------------
 # CSV tables: one per suite per test point, n_list rows
 # -----------------------------------------------------------------------------
-def _csv(header: str, rows: Sequence[Sequence[float]]) -> str:
-    lines = [header]
-    for row in rows:
-        formatted = []
-        for value in row:
-            if isinstance(value, int):
-                formatted.append(str(value))
-            else:
-                formatted.append(format(value, ".12g"))
-        lines.append(",".join(formatted))
-    return "\n".join(lines) + "\n"
-
-
 def _mnt_table(ctx: RunContext, angle: float) -> str:
     return ctx.sandwich(angle).to_csv()
 
@@ -942,7 +863,7 @@ def _entropy_table(ctx: RunContext, angle: float) -> str:
         ctx.n_list,
         ctx.config.delta_grid_size,
     )
-    return _csv(
+    return csv_text(
         "n,K_n,P_n,F_n",
         [(row.n, row.k_n, row.p_n, row.f_n) for row in profile.rows],
     )
@@ -955,7 +876,7 @@ def _schur_table(ctx: RunContext, angle: float) -> str:
     for n in ctx.n_list:
         gap = float(gaps[min(n, len(gaps)) - 1])
         rows.append((n, szego_formula_residual(ctx.mu, ctx.params, n), gap))
-    return _csv("n,szego_residual,route_gap", rows)
+    return csv_text("n,szego_residual,route_gap", rows)
 
 
 def _summability_table(ctx: RunContext, angle: float) -> str:
@@ -974,7 +895,7 @@ def _summability_table(ctx: RunContext, angle: float) -> str:
         )
         lhs, rhs = summability_condition(ctx.mu, ctx.params, xi0, n)
         rows.append((n, deviation, lhs, rhs))
-    return _csv("n,strong_cesaro,condition_lhs,condition_rhs", rows)
+    return csv_text("n,strong_cesaro,condition_lhs,condition_rhs", rows)
 
 
 def _scattering_table(ctx: RunContext, angle: float) -> str:
@@ -996,7 +917,7 @@ def _scattering_table(ctx: RunContext, angle: float) -> str:
                 ),
             )
         )
-    return _csv("n,plus_deviation,minus_deviation,recurrence_residual", rows)
+    return csv_text("n,plus_deviation,minus_deviation,recurrence_residual", rows)
 
 
 _TABLE_BUILDERS: Dict[str, Callable[[RunContext, float], str]] = {
@@ -1057,14 +978,11 @@ def run_experiment(
     suite_report: Dict[str, dict] = {}
     family_meta: dict = {}
     try:
-        depth = max(_MIN_BUILD_DEPTH, max(config.n_list) + 1)
-        instance = build_family(config.family, config.grid_size, depth)
-    except Exception as exc:
-        verdicts.append(
-            Verdict(
-                "family_build", "fail", None, f"{type(exc).__name__}: {exc}"
-            )
+        instance = build_family(
+            config.family, config.grid_size, config.build_depth
         )
+    except Exception as exc:
+        verdicts.append(_failed("family_build", exc))
         suite_report["family_build"] = {
             "verdicts": [verdicts[0].to_json()],
             "tables": [],
@@ -1085,14 +1003,7 @@ def run_experiment(
                 try:
                     rendered = suite_tables(ctx, suite)
                 except Exception as exc:
-                    suite_list.append(
-                        Verdict(
-                            f"{suite}_tables",
-                            "fail",
-                            None,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                    suite_list.append(_failed(f"{suite}_tables", exc))
                 else:
                     tables.update(rendered)
                     filenames = list(rendered)

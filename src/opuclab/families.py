@@ -15,6 +15,14 @@ sampled without any series truncation error.  Every builder cross-validates
 its secondary representation against the primary one and raises
 FamilyValidationError on mismatch.
 
+Records
+-------
+``FAMILIES`` holds one :class:`Family` record per builtin: its arguments
+with their ranges, description, builder, whether it can be the base of a
+``mixed`` family, and its grid floor as a function of build depth.
+:func:`check_spec` validates a spec against its record; ``build_family``
+and config validation both call it, so the two cannot disagree.
+
 geronimus carries its essential support on an arc; the density is floored
 at a tiny positive level off the arc so grid logarithms stay finite, and
 the point mass at angle 0 is kept exact.
@@ -24,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FamilyValidationError, OutOfRange
-from .measure import CircleMeasure, build_measure
+from .measure import CircleMeasure, build_measure, check_atoms
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
 from .schur import SchurParameters
 
@@ -117,8 +125,6 @@ def bernstein_szego_family(
     r: float, grid_size: int = 4096, n_max: int = 64
 ) -> FamilyInstance:
     """Density (1 - r^2)/|1 - r xi|^2; parameters (r, 0, 0, ...)."""
-    if not 0.0 <= r < 1.0:
-        raise OutOfRange(f"r = {r!r} outside [0, 1)")
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     weight = (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * angles)) ** 2
     # the sampled density carries a geometric aliasing tail ~r^N in its
@@ -182,8 +188,6 @@ def geronimus_family(
     1 only up to quadrature error).  Parameters are extracted from the grid
     and cross-checked against the constant.
     """
-    if not 0.0 < a < 1.0:
-        raise OutOfRange(f"a = {a!r} outside (0, 1)")
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     weight = np.array([geronimus_density(a, t) for t in angles])
     weight = np.maximum(weight, ARC_FLOOR)
@@ -223,16 +227,7 @@ def ell2_family(
     the cut sequence has density 1/|phi_K|^2, sampled exactly on the grid.
     The roundtrip (grid back to parameters) must reproduce the inputs.
     """
-    if not 0.0 <= c < 1.0:
-        raise OutOfRange(f"c = {c!r} outside [0, 1)")
-    if p <= 0.0:
-        raise OutOfRange(f"decay exponent p = {p!r} must be positive")
     k_cut = n_max + TAIL_MARGIN
-    if grid_size < NODES_PER_PARAMETER * k_cut:
-        raise FamilyValidationError(
-            f"grid_size {grid_size} cannot resolve {k_cut} parameters; "
-            f"need at least {NODES_PER_PARAMETER * k_cut}"
-        )
     values = c / (np.arange(k_cut) + 1.0) ** p
     params = SchurParameters(values.astype(complex))
     weight = weight_from_parameters(params, grid_size)
@@ -266,29 +261,23 @@ def ell2_family(
 
 
 def mixed_family(
-    base_kind: str,
-    base_args: dict,
-    atoms: Sequence[Tuple[float, float]],
+    base: dict,
+    atoms: Sequence[dict],
     grid_size: int = 4096,
     n_max: int = 64,
 ) -> FamilyInstance:
     """Smooth base density scaled down plus explicit point masses.
 
-    The base must be atom-free (lebesgue or bernstein_szego); its weight is
-    scaled by 1 - sum(masses) so the total stays a probability measure.
+    The base must be atom-free (a family whose record sets mixed_base); its
+    weight is scaled by 1 - sum(masses) so the total stays a probability
+    measure.
     """
-    if base_kind not in ("lebesgue", "bernstein_szego"):
-        raise OutOfRange(
-            f"mixed base must be lebesgue or bernstein_szego, got {base_kind!r}"
-        )
-    atoms = tuple((float(t), float(m)) for t, m in atoms)
-    if not atoms:
-        raise OutOfRange("mixed family requires at least one atom")
-    total_mass = sum(m for _, m in atoms)
-    if not 0.0 < total_mass < 1.0:
-        raise OutOfRange(f"atom masses sum to {total_mass!r}, need (0, 1)")
-    base = _BUILDERS[base_kind](grid_size=grid_size, n_max=0, **base_args)
-    scale = 1.0 - total_mass
+    base_args = dict(base)
+    base = FAMILIES[base_args.pop("name")].builder(
+        grid_size=grid_size, n_max=0, **base_args
+    )
+    atoms = tuple((d["angle"], d["mass"]) for d in atoms)
+    scale = 1.0 - sum(m for _, m in atoms)
     mu = build_measure(scale * base.measure.weight, atoms=atoms)
     params = verblunsky_from_measure(mu, n_max)
 
@@ -302,15 +291,14 @@ def mixed_family(
         for t in (0.0, 1.0, np.pi)
         if all(abs(np.exp(1j * t) - np.exp(1j * ta)) > 0.3 for ta, _ in atoms)
     )
-    spec = {
-        "name": "mixed",
-        "base": dict({"name": base_kind}, **base_args),
-        "atoms": [{"angle": t, "mass": m} for t, m in atoms],
-    }
     return FamilyInstance(
         name=f"mixed({base.name};atoms=[{atom_bits}])",
         kind="mixed",
-        spec=spec,
+        spec={
+            "name": "mixed",
+            "base": base.spec,
+            "atoms": [{"angle": t, "mass": m} for t, m in atoms],
+        },
         measure=mu,
         params=params,
         density_at=density,
@@ -321,38 +309,189 @@ def mixed_family(
 
 
 # -----------------------------------------------------------------------------
-# Registry
+# Family records: arguments, ranges, builder and grid floor, stated once
 # -----------------------------------------------------------------------------
-_BUILDERS = {
-    "lebesgue": lebesgue_family,
-    "bernstein_szego": bernstein_szego_family,
-    "geronimus": geronimus_family,
-    "ell2": ell2_family,
-    "mixed": mixed_family,
-}
+@dataclass(frozen=True)
+class Arg:
+    """One family argument: its name, its rule as text, and the check.
 
-FAMILY_DESCRIPTIONS = {
-    "lebesgue": "unit weight, zero parameters",
-    "bernstein_szego": "density (1-r^2)/|1-r xi|^2, one parameter; args: r",
-    "geronimus": "constant parameters on an arc plus a point mass; args: a",
-    "ell2": "decaying parameters c/(n+1)^p, exact truncation; args: c, p",
-    "mixed": "scaled smooth base plus point masses; args: base, atoms",
+    ``check(value, label, grid_size)`` returns the normalized value or
+    raises an OpuclabError naming ``label``.
+    """
+
+    name: str
+    rule: str
+    check: Callable[[object, str, int], object]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One builtin family, read by validation, builders and the CLI.
+
+    ``min_grid(depth)`` is the smallest grid on which the family builds at
+    that parameter depth.
+    """
+
+    name: str
+    description: str
+    builder: Callable[..., FamilyInstance]
+    args: Tuple[Arg, ...] = ()
+    mixed_base: bool = False
+    min_grid: Callable[[int], int] = lambda depth: 0
+
+    @property
+    def summary(self) -> str:
+        return "; ".join([self.description] + [arg.rule for arg in self.args])
+
+
+def _number(value, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise OutOfRange(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
+def _interval(name: str, low: float, high: float, low_open: bool = False) -> Arg:
+    """A real argument in [low, high), or (low, high) with low_open."""
+    bounds = f"{'(' if low_open else '['}{low:g}, {high:g})"
+
+    def check(value, label: str, grid_size: int) -> float:
+        x = _number(value, label)
+        if not ((low < x if low_open else low <= x) and x < high):
+            raise OutOfRange(f"{label} = {x!r} outside {bounds}")
+        return x
+
+    return Arg(name, f"{name} in {bounds}", check)
+
+
+def _check_base(value, label: str, grid_size: int) -> dict:
+    base = check_spec(value, grid_size, 0, label)
+    if not FAMILIES[base["name"]].mixed_base:
+        raise OutOfRange(
+            f"{label} must be one of {_mixed_bases()}, got {base['name']!r}"
+        )
+    return base
+
+
+def _check_atoms(value, label: str, grid_size: int) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise OutOfRange(f"{label} must be a nonempty list")
+    pairs = []
+    for k, atom in enumerate(value):
+        where = f"{label}[{k}]"
+        if not isinstance(atom, dict):
+            raise OutOfRange(f"{where} must be an object")
+        _expect_keys(atom, ("angle", "mass"), where)
+        pairs.append(
+            (
+                _number(atom["angle"], f"{where}.angle"),
+                _number(atom["mass"], f"{where}.mass"),
+            )
+        )
+    atoms = check_atoms(pairs)
+    total = sum(m for _, m in atoms)
+    if total >= 1.0:
+        raise OutOfRange(f"atom masses sum to {total!r}, need < 1")
+    return [{"angle": t, "mass": m} for t, m in atoms]
+
+
+def _mixed_bases() -> Tuple[str, ...]:
+    return tuple(name for name, fam in FAMILIES.items() if fam.mixed_base)
+
+
+def _expect_keys(spec: dict, allowed: Sequence[str], label: str) -> None:
+    extra = set(spec) - set(allowed)
+    if extra:
+        raise OutOfRange(f"unexpected keys in {label}: {sorted(extra)}")
+    missing = set(allowed) - set(spec)
+    if missing:
+        raise OutOfRange(f"missing keys in {label}: {sorted(missing)}")
+
+
+FAMILIES: Dict[str, Family] = {
+    fam.name: fam
+    for fam in (
+        Family(
+            "lebesgue",
+            "unit weight, zero parameters",
+            lebesgue_family,
+            mixed_base=True,
+        ),
+        Family(
+            "bernstein_szego",
+            "density (1-r^2)/|1-r xi|^2, one parameter",
+            bernstein_szego_family,
+            (_interval("r", 0.0, 1.0),),
+            mixed_base=True,
+        ),
+        Family(
+            "geronimus",
+            "constant parameters on an arc plus a point mass",
+            geronimus_family,
+            (_interval("a", 0.0, 1.0, low_open=True),),
+        ),
+        Family(
+            "ell2",
+            "decaying parameters c/(n+1)^p, exact truncation",
+            ell2_family,
+            (
+                _interval("c", 0.0, 1.0),
+                _interval("p", 0.0, math.inf, low_open=True),
+            ),
+            min_grid=lambda depth: NODES_PER_PARAMETER * (depth + TAIL_MARGIN),
+        ),
+    )
 }
+FAMILIES["mixed"] = Family(
+    "mixed",
+    "scaled smooth base plus point masses",
+    mixed_family,
+    (
+        Arg("base", f"base: one of {', '.join(_mixed_bases())}", _check_base),
+        Arg(
+            "atoms",
+            "atoms: [{angle in [0, 2pi), mass > 0}, ...] at distinct angles, "
+            "masses sum < 1",
+            _check_atoms,
+        ),
+    ),
+)
+
+FAMILY_DESCRIPTIONS = {name: fam.summary for name, fam in FAMILIES.items()}
+
+
+def check_spec(spec, grid_size: int, depth: int, label: str = "family") -> dict:
+    """Validate a family spec against its record; returns it normalized.
+
+    Raises OutOfRange (or the atom errors of measure.check_atoms) for a
+    malformed spec and FamilyValidationError when ``grid_size`` is below
+    the family's grid floor at build depth ``depth``.
+    """
+    if not isinstance(spec, dict):
+        raise OutOfRange(f"{label} must be an object with a 'name' key")
+    args = dict(spec)
+    name = args.pop("name", None)
+    if name not in FAMILIES:
+        raise OutOfRange(
+            f"unknown family {name!r} in {label}; builtins: {sorted(FAMILIES)}"
+        )
+    family = FAMILIES[name]
+    _expect_keys(args, [arg.name for arg in family.args], label)
+    out = {"name": name}
+    for arg in family.args:
+        out[arg.name] = arg.check(args[arg.name], f"{label}.{arg.name}", grid_size)
+    floor = family.min_grid(depth)
+    if grid_size < floor:
+        raise FamilyValidationError(
+            f"grid_size {grid_size} cannot resolve {name} at build depth "
+            f"{depth}: it needs at least {floor} nodes, so grid_size "
+            f"{1 << (floor - 1).bit_length()} or more"
+        )
+    return out
 
 
 def build_family(spec: dict, grid_size: int, n_max: int) -> FamilyInstance:
     """Build a family from its config dictionary ({"name": ..., args...})."""
-    spec = dict(spec)
-    kind = spec.pop("name", None)
-    if kind not in _BUILDERS:
-        raise OutOfRange(
-            f"unknown family {kind!r}; builtins: {sorted(_BUILDERS)}"
-        )
-    if kind == "mixed":
-        base = dict(spec.pop("base"))
-        base_kind = base.pop("name")
-        atom_list = [(d["angle"], d["mass"]) for d in spec.pop("atoms")]
-        return mixed_family(
-            base_kind, base, atom_list, grid_size=grid_size, n_max=n_max
-        )
-    return _BUILDERS[kind](grid_size=grid_size, n_max=n_max, **spec)
+    args = check_spec(spec, grid_size, n_max)
+    return FAMILIES[args.pop("name")].builder(
+        grid_size=grid_size, n_max=n_max, **args
+    )

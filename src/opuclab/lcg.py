@@ -32,9 +32,6 @@ class Lcg:
         """Next value in [0, 1)."""
         return self.next_raw() / 2.0**64
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def angle(self) -> float:
         """Next angle in [0, 2*pi)."""
         return self.uniform() * 6.283185307179586

@@ -137,6 +137,24 @@ class CircleMeasure:
         return spec
 
 
+def check_atoms(
+    atoms: Sequence[Tuple[float, float]]
+) -> Tuple[Tuple[float, float], ...]:
+    """The atoms as float (angle, mass) pairs, or InvalidAtoms/NegativeInput.
+
+    Masses must be positive and angles pairwise distinct in [0, 2 pi).
+    """
+    atom_list = tuple((float(angle), float(mass)) for angle, mass in atoms)
+    for angle, mass in atom_list:
+        if mass <= 0:
+            raise NegativeInput(f"atom mass {mass!r} must be positive")
+        if not (0.0 <= angle < 2.0 * np.pi):
+            raise InvalidAtoms(f"atom angle {angle!r} outside [0, 2*pi)")
+    if len({a for a, _ in atom_list}) != len(atom_list):
+        raise InvalidAtoms("atom angles must be pairwise distinct")
+    return atom_list
+
+
 def build_measure(
     weight_samples: Sequence[float],
     atoms: Sequence[Tuple[float, float]] = (),
@@ -152,30 +170,25 @@ def build_measure(
         raise NonNormalizable("weight_samples must be a nonempty 1-d sequence")
     if np.any(w < 0):
         raise NegativeInput(f"negative density sample (min {w.min():g})")
-    atom_list = []
-    for angle, mass in atoms:
-        angle = float(angle)
-        mass = float(mass)
-        if mass <= 0:
-            raise NegativeInput(f"atom mass {mass!r} must be positive")
-        if not (0.0 <= angle < 2.0 * np.pi):
-            raise InvalidAtoms(f"atom angle {angle!r} outside [0, 2*pi)")
-        atom_list.append((angle, mass))
-    if len({a for a, _ in atom_list}) != len(atom_list):
-        raise InvalidAtoms("atom angles must be pairwise distinct")
-
+    atom_list = check_atoms(atoms)
     total = w.mean() + sum(m for _, m in atom_list)
     if total <= 0 or not np.isfinite(total):
         raise NonNormalizable("measure carries no finite positive mass")
     if normalize:
         w = w / total
-        atom_list = [(a, m / total) for a, m in atom_list]
-    return CircleMeasure(len(w), w, tuple(atom_list))
+        atom_list = tuple((a, m / total) for a, m in atom_list)
+    return CircleMeasure(len(w), w, atom_list)
 
 
 def lebesgue(grid_size: int = 4096) -> CircleMeasure:
     """Normalized Lebesgue measure on the circle."""
     return CircleMeasure(grid_size, np.ones(grid_size))
+
+
+def nearest_node(mu: CircleMeasure, xi: complex) -> int:
+    """Index of the grid node closest to the boundary point xi."""
+    angle = float(np.angle(xi)) % (2.0 * np.pi)
+    return int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
 
 
 def to_json_dict(mu: CircleMeasure, family: str | None = None) -> dict:

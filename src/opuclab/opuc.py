@@ -26,19 +26,17 @@ Extraction routes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .errors import NotOnBoundary, OutOfRange, PositivityLoss
+from .errors import OutOfRange, PositivityLoss
 from .measure import CircleMeasure, _as_boundary
 from .schur import ESCAPE_THRESHOLD, SchurParameters
-from .szego import szego_boundary
 
 # Transfer products accumulate in extended precision beyond this order.
 _DOUBLE_ORDER_LIMIT = 128
 
-# Monic tables hold O(n^2) coefficients; desk-scale cap.
+# Depth cap of both parameter-extraction routes; desk scale.
 N_MAX = 512
 
 # Near-diagonal switch for the Christoffel-Darboux quotients.
@@ -63,15 +61,11 @@ class MonicTable:
     polynomial, read off as the inner product of its reflection with 1.
     """
 
-    phi_rows: Tuple[np.ndarray, ...]
-    phi_star_rows: Tuple[np.ndarray, ...]
     norms_sq: np.ndarray
     params: SchurParameters
 
 
-def _work_dtype(n_max: int, requested=None):
-    if requested is not None:
-        return requested
+def _work_dtype(n_max: int):
     return np.clongdouble if n_max > _DOUBLE_ORDER_LIMIT else np.complex128
 
 
@@ -234,35 +228,11 @@ def cd_kernel_cmv(params: SchurParameters, xi: complex, z: complex, n: int) -> c
 
 
 # -----------------------------------------------------------------------------
-# Dual family and polynomial inequalities
+# Dual family and truncated measures
 # -----------------------------------------------------------------------------
 def dual_parameters(params: SchurParameters) -> SchurParameters:
     """Parameters of the dual measure (Schur function negated): {-a_n}."""
     return SchurParameters(-params.values)
-
-
-def mate_nevai_lower(
-    params: SchurParameters, xi: complex, r: float, n: int
-) -> tuple[float, float]:
-    """Radial lower bound for the zero-free polynomial phi_n*.
-
-    Returns (|phi_n*(r xi)|, ((1+r)/2)^n |phi_n*(xi)|); the first dominates
-    the second because all zeros of phi_n* lie outside the open disk.
-    """
-    xi = _as_boundary(xi)
-    if not 0.0 <= r <= 1.0:
-        raise OutOfRange(f"radius r = {r!r} outside [0, 1]")
-    inner = eval_pair(params, r * xi, n)
-    outer = eval_pair(params, xi, n)
-    return abs(inner.phi_star), ((1.0 + r) / 2.0) ** n * abs(outer.phi_star)
-
-
-def phi_star_l2_residual(mu: CircleMeasure, params: SchurParameters, n: int) -> float:
-    """Quadrature of |phi_n* - 1/D|^2 w over the grid (Szego convergence)."""
-    mu.require_szego()
-    _, phis = eval_grid_pair(params, mu.boundary_points, n)
-    inv_d = 1.0 / szego_boundary(mu)
-    return float(np.mean(np.abs(phis - inv_d) ** 2 * mu.weight))
 
 
 def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarray:
@@ -300,8 +270,6 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     cbar = np.conj(c)
     phi = np.array([1.0 + 0j], dtype=np.clongdouble)
     phis = np.array([1.0 + 0j], dtype=np.clongdouble)
-    phi_rows = [phi]
-    phis_rows = [phis]
     norms = np.zeros(n_max + 1)
     a_out = np.zeros(n_max, dtype=complex)
     for n in range(n_max + 1):
@@ -326,14 +294,7 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
         shifted = np.concatenate([[0.0], phi])
         phi = shifted - conj_a * np.concatenate([phis, [0.0]])
         phis = np.concatenate([phis, [0.0]]) - a * shifted
-        phi_rows.append(phi)
-        phis_rows.append(phis)
-    return MonicTable(
-        tuple(row.astype(complex) for row in phi_rows),
-        tuple(row.astype(complex) for row in phis_rows),
-        norms,
-        SchurParameters(a_out),
-    )
+    return MonicTable(norms, SchurParameters(a_out))
 
 
 def verblunsky_from_moments(moments: np.ndarray, n_max: int) -> SchurParameters:

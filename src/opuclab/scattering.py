@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .measure import CircleMeasure, _as_boundary
+from .measure import CircleMeasure, _as_boundary, nearest_node
 from .opuc import dual_parameters, eval_grid_table, eval_table
 from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
@@ -56,11 +56,6 @@ def dual_weight(mu: CircleMeasure) -> np.ndarray:
     return np.where(np.isfinite(v), v, 0.0)
 
 
-def dual_outer_boundary(mu: CircleMeasure) -> np.ndarray:
-    """Boundary outer function of the dual measure, D / F on the grid."""
-    return szego_boundary(mu) / herglotz_boundary(mu)
-
-
 @dataclass(frozen=True)
 class JostSolution:
     """One recursion solution pinned to a boundary point.
@@ -84,11 +79,6 @@ class JostSolution:
         return np.array([0.0, 1.0])
 
 
-def _nearest_node(mu: CircleMeasure, xi: complex) -> int:
-    angle = float(np.angle(xi)) % (2.0 * np.pi)
-    return int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
-
-
 def jost_solutions(
     mu: CircleMeasure, params: SchurParameters, xi: complex, n_max: int
 ) -> tuple[JostSolution, JostSolution]:
@@ -98,7 +88,7 @@ def jost_solutions(
     node; the polynomials are evaluated at that node too.
     """
     xi = _as_boundary(xi)
-    j = _nearest_node(mu, xi)
+    j = nearest_node(mu, xi)
     node = complex(mu.boundary_points[j])
     f_j = herglotz_boundary(mu)[j]
     if not np.isfinite(f_j):

@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from opuclab import experiments
 from opuclab.cli import main
+from opuclab.errors import FamilyValidationError
 
 CONFIG = {
     "family": {"name": "bernstein_szego", "r": 0.5},
@@ -90,14 +92,14 @@ def test_verify_reports_without_writing(runner, tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
-def test_verify_exits_one_on_failure(runner, tmp_path):
-    # the deep ell2 sweep cannot be resolved on this grid; the build
-    # failure must surface as a failing verdict and exit code 1
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        family={"name": "ell2", "c": 0.5, "p": 1.0},
-        n_list=[4, 128],
-    )
+def test_verify_exits_one_on_failure(runner, tmp_path, monkeypatch):
+    # a build failure that validation cannot foresee must surface as a
+    # failing verdict and exit code 1
+    def refuse(spec, grid_size, n_max):
+        raise FamilyValidationError("roundtrip off by 1 at depth 33")
+
+    monkeypatch.setattr(experiments, "build_family", refuse)
+    cfg = _write_config(tmp_path / "cfg.json")
     result = runner.invoke(main, ["verify", "--config", cfg])
     assert result.exit_code == 1
     assert "FAIL  family_build" in result.output

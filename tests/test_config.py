@@ -1,6 +1,7 @@
 """Config validation: every rejection path, the echo, file loading."""
 
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from opuclab.config import (
     load_config,
 )
 from opuclab.errors import ConfigError
+from opuclab.families import FAMILIES, build_family
 
 GOOD = {
     "family": {"name": "bernstein_szego", "r": 0.5},
@@ -67,6 +69,8 @@ def test_minimal_config_accepts_defaults():
         {"family": {"name": "vortex"}},
         {"family": "lebesgue"},
         {"extra_key": 1},
+        # below ell2's grid floor: 265 parameters need 14840 nodes
+        {"family": {"name": "ell2", "c": 0.5, "p": 1.0}, "n_list": [256]},
     ],
 )
 def test_rejections(overrides):
@@ -109,10 +113,52 @@ def test_mixed_family_validation():
          "atoms": [{"angle": 1.0, "mass": 0.6}, {"angle": 2.0, "mass": 0.6}]},
         {"name": "mixed", "base": {"name": "lebesgue"},
          "atoms": [{"angle": 2.0, "mass": 0.2, "label": "x"}]},
+        {"name": "mixed", "base": {"name": "lebesgue"},
+         "atoms": [{"angle": 2 * math.pi, "mass": 0.2}]},
+        {"name": "mixed", "base": {"name": "lebesgue"},
+         "atoms": [{"angle": 1.0, "mass": 0.2}, {"angle": 1.0, "mass": 0.1}]},
     ]
     for family in bad:
         with pytest.raises(ConfigError):
             config_from_dict(_variant(family=family))
+
+
+SPECS = {
+    "lebesgue": {"name": "lebesgue"},
+    "bernstein_szego": {"name": "bernstein_szego", "r": 0.5},
+    "geronimus": {"name": "geronimus", "a": 0.6},
+    "ell2": {"name": "ell2", "c": 0.5, "p": 1.0},
+    "mixed": {
+        "name": "mixed",
+        "base": {"name": "lebesgue"},
+        "atoms": [{"angle": 2.0, "mass": 0.2}],
+    },
+}
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_grid_floor_is_exact(name, n):
+    spec = SPECS[name]
+    depth = config_from_dict(
+        _variant(family=spec, grid_size=1 << 16, n_list=[n])
+    ).build_depth
+    floor = FAMILIES[name].min_grid(depth)
+    # the smallest power of two the other grid rules allow, raised to the
+    # smallest one at or above the family's floor
+    allowed = max(256, 16 * n)
+    grid = allowed
+    while grid < floor:
+        grid *= 2
+    cfg = config_from_dict(_variant(family=spec, grid_size=grid, n_list=[n]))
+    build_family(cfg.family, grid, cfg.build_depth)  # accepted, so it builds
+    if grid > allowed:  # only the floor refuses the next grid down, and
+        # the refusal names the grid it needs
+        needs = f"at least {floor} nodes, so grid_size {grid} or more"
+        with pytest.raises(ConfigError, match=needs):
+            config_from_dict(
+                _variant(family=spec, grid_size=grid // 2, n_list=[n])
+            )
 
 
 def test_echo_roundtrips_through_the_validator():

@@ -2,10 +2,12 @@
 
 import pytest
 
+from opuclab import experiments
 from opuclab.config import config_from_dict
+from opuclab.errors import FamilyValidationError
 from opuclab.experiments import (
+    CHECKS,
     SUITE_NAMES,
-    _CHECK_NAMES,
     run_experiment,
     write_outputs,
 )
@@ -24,9 +26,7 @@ def _config(**overrides):
 
 
 def test_check_names_are_unique_and_cover_all():
-    seen = []
-    for suite in SUITE_NAMES:
-        seen.extend(_CHECK_NAMES[suite])
+    seen = [name for suite in SUITE_NAMES for name, _ in CHECKS[suite]]
     assert len(seen) == len(set(seen)) == 27
     # 'all' runs every suite once, so every name appears exactly once
     outcome = run_experiment(_config(experiment="all"), with_tables=False)
@@ -37,7 +37,14 @@ def test_check_names_are_unique_and_cover_all():
 def test_mnt_run_passes_and_orders_verdicts():
     outcome = run_experiment(_config())
     assert not outcome.failed
-    assert tuple(v.name for v in outcome.verdicts) == _CHECK_NAMES["mnt"]
+    assert [v.name for v in outcome.verdicts] == [
+        "poisson_positivity",
+        "fejer_density_limit",
+        "quadrature_refinement",
+        "cesaro_sandwich",
+        "fejer_lower_bound",
+    ]
+    assert [v.name for v in outcome.verdicts] == [n for n, _ in CHECKS["mnt"]]
     assert all(v.status == "pass" for v in outcome.verdicts)
     assert outcome.report["summary"] == {"pass": 5, "fail": 0, "skip": 0}
     assert outcome.report["family"]["kind"] == "bernstein_szego"
@@ -71,12 +78,14 @@ def test_runs_are_deterministic():
     assert report_a == report_b
 
 
-def test_family_build_failure_is_a_verdict():
-    # depth 129 needs K = 137 parameters resolved, far beyond grid 4096
-    cfg = _config(
-        family={"name": "ell2", "c": 0.5, "p": 1.0}, n_list=[4, 128]
-    )
-    outcome = run_experiment(cfg)
+def test_family_build_failure_is_a_verdict(monkeypatch):
+    # validation refuses what it can foresee; a build that fails anyway
+    # must still surface as a single failing verdict
+    def refuse(spec, grid_size, n_max):
+        raise FamilyValidationError("roundtrip off by 1 at depth 33")
+
+    monkeypatch.setattr(experiments, "build_family", refuse)
+    outcome = run_experiment(_config())
     assert outcome.failed
     assert len(outcome.verdicts) == 1
     verdict = outcome.verdicts[0]
