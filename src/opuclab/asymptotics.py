@@ -17,6 +17,13 @@ to CSV with a fixed header for downstream tooling.
 The CMV half: Fourier coefficients against the chi basis, partial-sum
 strong Cesaro deviation at a point, the per-n boundedness condition that
 drives it, and the Cesaro recovery of 1/D by reflected polynomials.
+
+The coefficients take one streamed pass of the transfer recursion
+(``opuc.chi_sums``): each chi_k row over the grid is formed, contracted
+against f w and dropped, so memory is O(N) in the grid size rather than
+an (n+1) x N table, and a stack of functions shares the pass.  They
+depend on neither the test point nor n, so a caller can compute them once
+at its largest order and hand prefixes to ``partial_sum_deviation``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, nearest_node, poisson
-from .opuc import chi_grid_table, chi_table, eval_table
+from .opuc import chi_sums, chi_table, eval_table
 from .schur import SchurParameters
 from .szego import entropy_profile, szego_boundary
 
@@ -159,25 +166,48 @@ def cmv_coefficients(
     n_max: int,
     f_atom_values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fourier coefficients c_j = integral of f conj(chi_j) dmu, j <= n_max."""
+    """Fourier coefficients c_j = integral of f conj(chi_j) dmu, j <= n_max.
+
+    ``f_samples`` is one function on the grid, shape (N,), or a stack of
+    them, shape (m, N); ``f_atom_values`` then has shape (A,) or (m, A) for
+    the A atoms.  Returns shape (n_max+1,) or (m, n_max+1).  The grid nodes
+    and the atoms are the nodes of one quadrature, summed in one streamed
+    pass of the recursion.
+    """
     f = np.asarray(f_samples, dtype=complex)
-    if f.shape != mu.weight.shape:
+    if f.ndim not in (1, 2) or f.shape[-1:] != mu.weight.shape:
         raise GridMismatch(f"f has shape {f.shape}, grid expects {mu.weight.shape}")
-    table = chi_grid_table(params, mu.boundary_points, n_max)
-    coeffs = (np.conj(table) @ (f * mu.weight)) / mu.grid_size
+    nodes = mu.boundary_points
+    values = f * mu.weight
     if mu.atoms:
         if f_atom_values is None:
             raise GridMismatch("measure has atoms; f values at atoms required")
         fa = np.asarray(f_atom_values, dtype=complex)
-        if fa.shape != (len(mu.atoms),):
+        if fa.shape != f.shape[:-1] + (len(mu.atoms),):
             raise GridMismatch(
-                f"{len(mu.atoms)} atom values expected, got shape {fa.shape}"
+                f"{len(mu.atoms)} atom values expected per function, "
+                f"got shape {fa.shape}"
             )
-        for (angle, mass), f_val in zip(mu.atoms, fa):
-            coeffs += mass * f_val * np.conj(
-                chi_table(params, np.exp(1j * angle), n_max)
-            )
-    return coeffs
+        # atom terms are scaled by N so that the one division below leaves
+        # them as they were; exact when N is a power of two
+        nodes = np.concatenate([nodes, mu.atom_points])
+        values = np.concatenate(
+            [values, mu.grid_size * mu.atom_masses * fa], axis=-1
+        )
+    return chi_sums(params, nodes, values, n_max) / mu.grid_size
+
+
+def partial_sum_deviation(
+    coeffs: np.ndarray, params: SchurParameters, xi0: complex, f_at_xi0: complex
+) -> float:
+    """(1/n) sum_{k<n} |S_k(xi0) - f(xi0)| for given c_0..c_{n-1}.
+
+    S_k = sum_{j<=k} c_j chi_j(xi0) is the k-th CMV partial sum; the
+    coefficients may be a prefix of a longer precomputed vector.
+    """
+    chi_vals = chi_table(params, xi0, len(coeffs) - 1)
+    partial = np.cumsum(coeffs * chi_vals)
+    return float(np.mean(np.abs(partial - complex(f_at_xi0))))
 
 
 def strong_cesaro_deviation(
@@ -194,9 +224,7 @@ def strong_cesaro_deviation(
     if n < 1:
         raise OutOfRange("deviation order requires n >= 1")
     coeffs = cmv_coefficients(mu, params, f_samples, n - 1, f_atom_values)
-    chi_vals = chi_table(params, xi0, n - 1)
-    partial = np.cumsum(coeffs * chi_vals)
-    return float(np.mean(np.abs(partial - complex(f_at_xi0))))
+    return partial_sum_deviation(coeffs, params, xi0, f_at_xi0)
 
 
 def summability_condition(

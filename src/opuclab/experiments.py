@@ -37,12 +37,12 @@ from .asymptotics import (
     cd_at_zero_residual,
     cmv_coefficients,
     csv_text,
+    partial_sum_deviation,
     sandwich_table,
-    strong_cesaro_deviation,
     summability_condition,
 )
 from .config import ExperimentConfig
-from .families import FamilyInstance, build_family
+from .families import FAMILIES, FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
     fejer_mean,
@@ -57,6 +57,7 @@ from .opuc import (
     cd_kernel_cmv,
     cd_kernel_poly,
     cd_kernel_sum,
+    chi_table,
     dual_parameters,
     eval_grid_table,
     eval_table,
@@ -172,6 +173,7 @@ class RunContext:
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
         self.config = config
         self.instance = instance
+        self.family = FAMILIES[instance.kind]
         self.mu = instance.measure
         self.params = instance.params
         self.depth = instance.build_depth
@@ -186,6 +188,9 @@ class RunContext:
         self._jost: Dict[float, Tuple[JostSolution, JostSolution]] = {}
         self._rebuilt: Dict[int, FamilyInstance] = {}
         self._routes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # every CMV order the summability checks and tables read
+        self.cmv_top = min(max(self.n_list), self.depth)
+        self._cmv: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def rng(self, stream: int) -> Lcg:
         return Lcg(self.config.seed * 1_000_003 + stream)
@@ -240,6 +245,26 @@ class RunContext:
             self._routes = (self.params.values[:d], cascade, levinson)
         return self._routes
 
+    def cmv(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi.
+
+        Both come from one streamed pass over the grid; they depend on
+        neither the test point nor n, so the summability checks and tables
+        slice them.
+        """
+        if self._cmv is None:
+            mu = self.mu
+            f = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
+            atom_values = (
+                np.array([[1.0, math.cos(t)] for t, _ in mu.atoms]).T
+                if mu.atoms
+                else None
+            )
+            self._cmv = tuple(
+                cmv_coefficients(mu, self.params, f, self.cmv_top, atom_values)
+            )
+        return self._cmv
+
     def horizon(self, z: complex) -> int:
         """Safe pointwise-iterate depth at z, capped by the build depth."""
         if abs(z) < 1e-3:
@@ -248,7 +273,7 @@ class RunContext:
 
     @property
     def finite_param(self) -> bool:
-        return self.instance.kind in ("lebesgue", "bernstein_szego")
+        return self.family.finite_parameters
 
 
 # -----------------------------------------------------------------------------
@@ -297,11 +322,8 @@ _REFINEMENT_PROBES = (0.3, 0.5j, -0.7, 0.6 + 0.54j, -0.21 - 0.78j, 0.9)
 
 @check("mnt", "quadrature_refinement")
 def _quadrature_refinement(ctx: RunContext) -> Result:
-    if ctx.instance.kind == "geronimus":
-        return _skip(
-            "arc-edge density is not smooth; doubling the grid moves its "
-            "sampled mass at the 1e-5 level by construction",
-        )
+    if ctx.family.refinement_skip:
+        return _skip(ctx.family.refinement_skip)
     fine = ctx.rebuilt(2 * ctx.mu.grid_size)
     residual = max(
         abs(poisson(ctx.mu, z) - poisson(fine.measure, z))
@@ -705,49 +727,29 @@ def _weighted_poisson_identity(ctx: RunContext) -> Result:
     )
 
 
-def _cos_samples(ctx: RunContext):
-    angles = 2.0 * np.pi * np.arange(ctx.mu.grid_size) / ctx.mu.grid_size
-    samples = np.cos(angles)
-    atom_values = (
-        np.array([math.cos(angle) for angle, _ in ctx.mu.atoms])
-        if ctx.mu.atoms
-        else None
-    )
-    return samples, atom_values
-
-
 @check("summability", "cmv_bessel")
 def _cmv_bessel(ctx: RunContext) -> Result:
-    samples, atom_values = _cos_samples(ctx)
-    n_top = min(max(ctx.n_list), ctx.depth)
-    coeffs = cmv_coefficients(ctx.mu, ctx.params, samples, n_top, atom_values)
+    _, coeffs = ctx.cmv()
     total = float(np.sum(np.abs(coeffs) ** 2))
-    norm_sq = float(np.mean(samples**2 * ctx.mu.weight))
+    norm_sq = float(np.mean(np.cos(ctx.mu.angles) ** 2 * ctx.mu.weight))
     norm_sq += sum(
         mass * math.cos(angle) ** 2 for angle, mass in ctx.mu.atoms
     )
     return _within(
         max(total - norm_sq, 0.0),
         1e-8,
-        f"sum of |<f, chi_j>|^2 for j <= {n_top} vs ||f||^2 = "
+        f"sum of |<f, chi_j>|^2 for j <= {ctx.cmv_top} vs ||f||^2 = "
         f"{norm_sq:.6g} with f = Re xi",
     )
 
 
 @check("summability", "constant_deviation_zero")
 def _constant_deviation_zero(ctx: RunContext) -> Result:
-    ones = np.ones(ctx.mu.grid_size)
-    atom_ones = np.ones(len(ctx.mu.atoms)) if ctx.mu.atoms else None
-    n_top = min(max(ctx.n_list), ctx.depth)
+    ones, _ = ctx.cmv()
+    n_top = ctx.cmv_top
     residual = max(
-        strong_cesaro_deviation(
-            ctx.mu,
-            ctx.params,
-            ones,
-            complex(np.exp(1j * angle)),
-            1.0,
-            n_top,
-            f_atom_values=atom_ones,
+        partial_sum_deviation(
+            ones[:n_top], ctx.params, complex(np.exp(1j * angle)), 1.0
         )
         for angle in ctx.certified
     )
@@ -881,17 +883,11 @@ def _schur_table(ctx: RunContext, angle: float) -> str:
 
 def _summability_table(ctx: RunContext, angle: float) -> str:
     xi0 = complex(np.exp(1j * angle))
-    samples, atom_values = _cos_samples(ctx)
+    _, coeffs = ctx.cmv()
     rows = []
     for n in ctx.n_list:
-        deviation = strong_cesaro_deviation(
-            ctx.mu,
-            ctx.params,
-            samples,
-            xi0,
-            math.cos(angle),
-            n,
-            f_atom_values=atom_values,
+        deviation = partial_sum_deviation(
+            coeffs[:n], ctx.params, xi0, math.cos(angle)
         )
         lhs, rhs = summability_condition(ctx.mu, ctx.params, xi0, n)
         rows.append((n, deviation, lhs, rhs))

@@ -72,11 +72,11 @@ def _work_dtype(n_max: int):
 # -----------------------------------------------------------------------------
 # Transfer-matrix evaluation
 # -----------------------------------------------------------------------------
-def _run_transfer(params: SchurParameters, zs: np.ndarray, n_max: int, keep_all: bool):
-    """Apply n_max transfer steps over an array of points.
+def _transfer_steps(params: SchurParameters, zs: np.ndarray, n_max: int):
+    """Yield (phi_k, phi*_k) over an array of points for k = 0..n_max.
 
-    Returns (phi, phi_star) as (n_max+1, len(zs)) tables when keep_all,
-    else the final row pair.
+    Rows are in the work dtype; each step makes fresh arrays, so a caller
+    may keep any row it is handed.
     """
     if n_max > len(params):
         raise OutOfRange(
@@ -85,24 +85,35 @@ def _run_transfer(params: SchurParameters, zs: np.ndarray, n_max: int, keep_all:
     dtype = _work_dtype(n_max)
     zs = np.asarray(zs, dtype=dtype)
     a = params.values.astype(dtype)
-    rho = np.sqrt(1.0 - np.abs(a) ** 2).astype(dtype)
+    # numpy divides x by r + 0i as x * (1/r), so multiplying by the
+    # reciprocal gives the same values without two divisions per point
+    inv_rho = 1.0 / np.sqrt(1.0 - np.abs(a) ** 2).astype(dtype)
     phi = np.ones_like(zs)
     phis = np.ones_like(zs)
-    if keep_all:
-        tab = np.zeros((n_max + 1, len(zs)), dtype=dtype)
-        tabs = np.zeros((n_max + 1, len(zs)), dtype=dtype)
-        tab[0] = phi
-        tabs[0] = phis
+    yield phi, phis
     for k in range(n_max):
         zphi = zs * phi
-        phi, phis = (zphi - np.conj(a[k]) * phis) / rho[k], (
+        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
             phis - a[k] * zphi
-        ) / rho[k]
-        if keep_all:
-            tab[k + 1] = phi
-            tabs[k + 1] = phis
+        ) * inv_rho[k]
+        yield phi, phis
+
+
+def _run_transfer(params: SchurParameters, zs: np.ndarray, n_max: int, keep_all: bool):
+    """Apply n_max transfer steps over an array of points.
+
+    Returns (phi, phi_star) as (n_max+1, len(zs)) tables when keep_all,
+    else the final row pair.
+    """
     if keep_all:
-        return tab.astype(complex), tabs.astype(complex)
+        tab = np.empty((n_max + 1, len(zs)), dtype=complex)
+        tabs = np.empty((n_max + 1, len(zs)), dtype=complex)
+    for k, (phi, phis) in enumerate(_transfer_steps(params, zs, n_max)):
+        if keep_all:
+            tab[k] = phi
+            tabs[k] = phis
+    if keep_all:
+        return tab, tabs
     return phi.astype(complex), phis.astype(complex)
 
 
@@ -131,18 +142,21 @@ def eval_grid_pair(params: SchurParameters, zs: np.ndarray, n: int):
 # -----------------------------------------------------------------------------
 # CMV basis
 # -----------------------------------------------------------------------------
-def _chi_from_tables(tab, tabs, xi_col):
-    """CMV values chi_0..chi_{n_max} from polynomial tables on |xi| = 1.
+def _chi_rows(params: SchurParameters, xis: np.ndarray, n_max: int):
+    """Yield chi_k over boundary points for k = 0..n_max, in the work dtype.
 
-    chi_{2k} = conj(xi)^k phi*_{2k}, chi_{2k+1} = conj(xi)^k phi_{2k+1}.
+    chi_{2k} = conj(xi)^k phi*_{2k}, chi_{2k+1} = conj(xi)^k phi_{2k+1}; the
+    phase conj(xi)^k is a running product.
     """
-    n_rows = tab.shape[0]
-    ks = np.arange(n_rows) // 2
-    pref = np.conj(xi_col)[None, :] ** ks[:, None]
-    out = np.where(
-        (np.arange(n_rows) % 2 == 0)[:, None], tabs, tab
-    )
-    return pref * out
+    step = np.conj(np.asarray(xis, dtype=_work_dtype(n_max)))
+    phase = np.ones_like(step)
+    for k, (phi, phis) in enumerate(_transfer_steps(params, xis, n_max)):
+        if k % 2:
+            yield phase * phi
+        else:
+            if k:
+                phase = phase * step
+            yield phase * phis
 
 
 def chi(params: SchurParameters, xi: complex, n: int) -> complex:
@@ -157,15 +171,24 @@ def chi(params: SchurParameters, xi: complex, n: int) -> complex:
 def chi_table(params: SchurParameters, xi: complex, n_max: int) -> np.ndarray:
     """chi_0(xi) .. chi_{n_max}(xi) at one boundary point."""
     xi = _as_boundary(xi)
-    tab, tabs = eval_grid_table(params, np.array([xi]), n_max)
-    return _chi_from_tables(tab, tabs, np.array([xi]))[:, 0]
+    rows = _chi_rows(params, np.array([xi]), n_max)
+    return np.array([row[0] for row in rows], dtype=complex)
 
 
-def chi_grid_table(params: SchurParameters, xis: np.ndarray, n_max: int) -> np.ndarray:
-    """CMV table over an array of boundary points; shape (n_max+1, len)."""
-    xis = np.asarray(xis, dtype=complex)
-    tab, tabs = eval_grid_table(params, xis, n_max)
-    return _chi_from_tables(tab, tabs, xis)
+def chi_sums(
+    params: SchurParameters, xis: np.ndarray, values: np.ndarray, n_max: int
+) -> np.ndarray:
+    """sum_j values[..., j] conj(chi_k(xis[j])) for k = 0..n_max.
+
+    One streamed pass of the transfer recursion: no (n_max+1, len(xis))
+    table is formed, so memory is O(values.size) plus a few rows.  Returns
+    shape values.shape[:-1] + (n_max + 1,).
+    """
+    values = np.asarray(values, dtype=complex)
+    out = np.empty(values.shape[:-1] + (n_max + 1,), dtype=complex)
+    for k, row in enumerate(_chi_rows(params, xis, n_max)):
+        out[..., k] = values @ np.conj(row.astype(complex))
+    return out
 
 
 # -----------------------------------------------------------------------------

@@ -90,3 +90,33 @@ def cd_kernel_bruteforce(params, xi: complex, z: complex, n: int) -> complex:
             for k in range(n + 1)
         )
     )
+
+
+def cmv_coefficients_dense(
+    mu: CircleMeasure, params, f_samples, n_max: int, f_atom_values=None
+):
+    """Integrals of f conj(chi_k) dmu, k <= n_max, from explicit chi tables.
+
+    Builds the whole (n_max+1, N) table with chi_k = conj(xi)**(k//2) times
+    phi*_k (k even) or phi_k (k odd), each power taken directly, and
+    contracts it with one matmul; atoms add mass * f * conj(chi) at their
+    points.  ``f_samples`` may be one function (N,) or a stack (m, N).
+    The polynomial values come from the table route (eval_grid_table);
+    the phases, the parity split and the contraction are independent of
+    the streamed pass under test.
+    """
+    from opuclab.opuc import eval_grid_table
+
+    orders = np.arange(n_max + 1)[:, None]
+
+    def table(points):
+        phi, phi_star = eval_grid_table(params, points, n_max)
+        basis = np.where(orders % 2 == 0, phi_star, phi)
+        return basis * np.conj(points)[None, :] ** (orders // 2)
+
+    f = np.asarray(f_samples, dtype=complex)
+    coeffs = (f * mu.weight) @ np.conj(table(mu.boundary_points)).T / mu.grid_size
+    if mu.atoms:
+        fa = np.asarray(f_atom_values, dtype=complex)
+        coeffs = coeffs + (fa * mu.atom_masses) @ np.conj(table(mu.atom_points)).T
+    return coeffs

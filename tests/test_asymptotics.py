@@ -1,5 +1,7 @@
 """Cesaro rate bounds, CMV Bessel sums, and recovery deviations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from opuclab.asymptotics import (
     szego_recovery_deviation,
 )
 from opuclab.errors import OutOfRange
+from opuclab.families import build_family
+from oracles import cmv_coefficients_dense
 
 
 def _cos_samples(mu):
@@ -102,6 +106,44 @@ def test_cmv_bessel_inequality(mixed_atom):
         m * np.cos(a) for a, m in mu.atoms
     )
     assert abs(coeffs[0] - want0) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [64, 200])  # complex128, then extended
+def test_streamed_cmv_coefficients_match_dense_table(
+    bs_half, geronimus6, mixed_atom, n_max
+):
+    for inst in (bs_half, geronimus6, mixed_atom):
+        mu = inst.measure
+        grid, atoms = _cos_samples(mu)
+        wave = np.exp(1j * mu.angles) * np.sin(3.0 * mu.angles)
+        wave_atoms = np.array(
+            [np.exp(1j * a) * np.sin(3.0 * a) for a, _ in mu.atoms]
+        )
+        stacked = np.stack([grid, wave])
+        stacked_atoms = np.stack([atoms, wave_atoms])
+        want = cmv_coefficients_dense(
+            mu, inst.params, stacked, n_max, stacked_atoms
+        )
+        got = cmv_coefficients(mu, inst.params, stacked, n_max, stacked_atoms)
+        assert got.shape == (2, n_max + 1)
+        assert np.max(np.abs(got - want)) < 1e-13, inst.name
+        single = cmv_coefficients(mu, inst.params, wave, n_max, wave_atoms)
+        assert single.shape == (n_max + 1,)
+        assert np.max(np.abs(single - want[1])) < 1e-13, inst.name
+
+
+def test_cmv_coefficients_memory_is_linear_in_the_grid():
+    # a table of every order over this grid takes about 800 MB
+    inst = build_family({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 256)
+    mu = inst.measure
+    stacked = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
+    tracemalloc.start()
+    try:
+        cmv_coefficients(mu, inst.params, stacked, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_summability_condition_pair(bs_half):

@@ -1,8 +1,16 @@
 """Verdict engine: suite wiring, reports, tables, failure surfacing."""
 
+import math
+
+import numpy as np
 import pytest
 
-from opuclab import experiments
+from opuclab import asymptotics, experiments
+from opuclab.asymptotics import (
+    csv_text,
+    strong_cesaro_deviation,
+    summability_condition,
+)
 from opuclab.config import config_from_dict
 from opuclab.errors import FamilyValidationError
 from opuclab.experiments import (
@@ -11,6 +19,13 @@ from opuclab.experiments import (
     run_experiment,
     write_outputs,
 )
+from opuclab.families import build_family
+
+MIXED = {
+    "name": "mixed",
+    "base": {"name": "bernstein_szego", "r": 0.3},
+    "atoms": [{"angle": 2.0, "mass": 0.2}],
+}
 
 
 def _config(**overrides):
@@ -119,3 +134,53 @@ def test_verdict_to_json_shape():
     outcome = run_experiment(_config(), with_tables=False)
     entry = outcome.verdicts[0].to_json()
     assert set(entry) == {"name", "status", "residual", "detail"}
+
+
+def test_summability_run_makes_one_coefficient_pass(monkeypatch):
+    orders = []
+    streamed = asymptotics.chi_sums
+
+    def counted(params, xis, values, n_max):
+        orders.append(n_max)
+        return streamed(params, xis, values, n_max)
+
+    monkeypatch.setattr(asymptotics, "chi_sums", counted)
+    cfg = _config(
+        family=MIXED,
+        experiment="summability",
+        n_list=[4, 16, 64, 200],
+        test_points=[0.0, 2.5],
+    )
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    assert len(outcome.tables) == 2
+    assert orders == [200]
+
+
+def test_summability_table_matches_the_public_functions():
+    cfg = _config(
+        family=MIXED,
+        experiment="summability",
+        n_list=[4, 16, 64, 200],
+        test_points=[0.0, 2.5],
+    )
+    outcome = run_experiment(cfg)
+    inst = build_family(cfg.family, cfg.grid_size, cfg.build_depth)
+    mu = inst.measure
+    samples = np.cos(mu.angles)
+    atom_values = np.array([math.cos(t) for t, _ in mu.atoms])
+    for filename, angle in (("summability.csv", 0.0), ("summability_2.csv", 2.5)):
+        xi0 = complex(np.exp(1j * angle))
+        rows = [
+            (
+                n,
+                strong_cesaro_deviation(
+                    mu, inst.params, samples, xi0, math.cos(angle), n,
+                    f_atom_values=atom_values,
+                ),
+                *summability_condition(mu, inst.params, xi0, n),
+            )
+            for n in cfg.n_list
+        ]
+        want = csv_text("n,strong_cesaro,condition_lhs,condition_rhs", rows)
+        assert outcome.tables[filename] == want
