@@ -70,8 +70,8 @@ class TaylorSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        # Extended-precision coefficients are kept as they are: the
-        # cascade's accuracy is set by its input dtype.
+        # Extended-precision coefficients are kept as they are: the mpmath
+        # escalation of the cascade reads them exactly.
         c = np.asarray(self.coeffs)
         if not np.issubdtype(c.dtype, np.complexfloating):
             c = c.astype(complex)
@@ -132,7 +132,9 @@ def series_div(num: np.ndarray, den: np.ndarray, n_out: int | None = None) -> np
 
     Worked in extended precision: the quotient feeds the parameter
     cascade, whose own error control assumes its input is accurate to
-    the last double-precision digit.
+    the last double-precision digit.  With this and its input
+    (``caratheodory_series``) in double, geronimus(0.6) fails
+    geronimus_consistency at 2.2e-8 (bound 1e-8).
     """
     num = np.asarray(num, dtype=np.clongdouble)
     den = np.asarray(den, dtype=np.clongdouble)
@@ -155,6 +157,7 @@ def series_div(num: np.ndarray, den: np.ndarray, n_out: int | None = None) -> np
 # -----------------------------------------------------------------------------
 def caratheodory_series(moments: np.ndarray) -> TaylorSeries:
     """Herglotz-integral Taylor coefficients (1, 2c_1, 2c_2, ...)."""
+    # extended: this feeds series_div, whose docstring has the measurement
     c = np.asarray(moments, dtype=np.clongdouble)
     if abs(c[0] - 1.0) > 1e-10:
         raise BadNormalization(f"c_0 = {complex(c[0])!r}, moments must be normalized")
@@ -205,12 +208,12 @@ def schur_eval(mu: CircleMeasure, z: complex) -> complex:
 # Series cascade (parameter extraction)
 # -----------------------------------------------------------------------------
 def _cascade_double(coeffs: np.ndarray, n_max: int):
-    """Machine-precision cascade; returns (params, digit_loss, escape_step).
+    """Double-precision cascade; returns (params, digit_loss, escape_step).
 
-    Runs in extended precision so that the cascade's own roundoff sits
-    below the double-precision rounding of its input.
+    An extended input is rounded to complex128, which moved no verdict;
+    the mpmath escalation reads it unrounded.
     """
-    f = np.array(coeffs, dtype=np.clongdouble)
+    f = np.array(coeffs, dtype=complex)
     out = np.zeros(n_max, dtype=complex)
     loss = 0.0
     for step in range(n_max):
@@ -223,7 +226,7 @@ def _cascade_double(coeffs: np.ndarray, n_max: int):
         m = len(f)
         den = -np.conj(f[0]) * f
         den[0] += 1.0
-        q = np.zeros(m, dtype=np.clongdouble)
+        q = np.zeros(m, dtype=complex)
         for k in range(1, m):
             q[k] = (f[k] - np.dot(q[1:k], den[k - 1:0:-1])) / den[0]
         f = q[1:]
@@ -231,7 +234,7 @@ def _cascade_double(coeffs: np.ndarray, n_max: int):
 
 
 def _mp_from_extended(value) -> "mp.mpc":
-    """Exact conversion of a (possibly extended-precision) complex scalar."""
+    """Exact conversion of a complex scalar, extended-precision ones included."""
     hi = complex(value)
     lo = complex(value - np.clongdouble(hi))
     return mp.mpc(hi) + mp.mpc(lo)

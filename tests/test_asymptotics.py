@@ -18,6 +18,7 @@ from opuclab.asymptotics import (
 )
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
+from opuclab.opuc import eval_grid_table
 from oracles import cmv_coefficients_dense
 
 
@@ -108,7 +109,7 @@ def test_cmv_bessel_inequality(mixed_atom):
     assert abs(coeffs[0] - want0) < 1e-12
 
 
-@pytest.mark.parametrize("n_max", [64, 200])  # complex128, then extended
+@pytest.mark.parametrize("n_max", [64, 200])  # a shallow and a deep order
 def test_streamed_cmv_coefficients_match_dense_table(
     bs_half, geronimus6, mixed_atom, n_max
 ):
@@ -130,6 +131,23 @@ def test_streamed_cmv_coefficients_match_dense_table(
         single = cmv_coefficients(mu, inst.params, wave, n_max, wave_atoms)
         assert single.shape == (n_max + 1,)
         assert np.max(np.abs(single - want[1])) < 1e-13, inst.name
+        # a function's coefficients do not depend on what it is stacked with
+        assert np.array_equal(single, got[1]), inst.name
+
+
+def test_deeper_passes_extend_shallower_ones_bitwise(geronimus6, mixed_atom):
+    # RunContext.cmv() computes once at the deepest order and slices
+    for inst in (geronimus6, mixed_atom):
+        mu = inst.measure
+        grid, atoms = _cos_samples(mu)
+        deep = cmv_coefficients(mu, inst.params, grid, 200, atoms)
+        shallow = cmv_coefficients(mu, inst.params, grid, 64, atoms)
+        assert np.array_equal(deep[:65], shallow), inst.name
+        for deep_tab, tab in zip(
+            eval_grid_table(inst.params, mu.boundary_points, 200),
+            eval_grid_table(inst.params, mu.boundary_points, 128),
+        ):
+            assert np.array_equal(deep_tab[:129], tab), inst.name
 
 
 def test_cmv_coefficients_memory_is_linear_in_the_grid():

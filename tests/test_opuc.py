@@ -1,10 +1,14 @@
 """Transfer-matrix evaluation, moment recursion, CD kernels, dual parameters."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import opuclab
 from opuclab.errors import OutOfRange, PositivityLoss
 from opuclab.measure import build_measure, moment
 from opuclab.opuc import (
@@ -82,6 +86,34 @@ def test_extraction_routes_agree(all_families):
         moms = np.array([moment(inst.measure, k) for k in range(d + 1)])
         levinson = verblunsky_from_moments(moms, d).values
         assert np.max(np.abs(cascade - levinson)) < 1e-9, inst.name
+
+
+def test_extended_precision_only_where_it_buys_digits():
+    # the three extraction steps keep long double because a double copy of
+    # each fails a test or loses digits (README, "Precision");
+    # _mp_from_extended reads their output exactly.  A new site needs the
+    # same evidence.
+    kept = {
+        "monic_from_moments",
+        "verblunsky_from_measure",
+        "series_div",
+        "caratheodory_series",
+        "_mp_from_extended",
+    }
+    package = Path(opuclab.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("longdouble", "clongdouble"):
+                found.add(owner.get(node, f"{path.name} at module level"))
+    assert found == kept
 
 
 def test_atom_insertion_route(mixed_atom):
