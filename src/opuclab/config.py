@@ -23,11 +23,13 @@ computation starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ConfigError, OpuclabError
-from .families import check_spec
+from .families import FAMILIES, check_spec
+from .measure import atom_on_nearest_node
 
 EXPERIMENTS = (
     "mnt",
@@ -57,6 +59,8 @@ MIN_BUILD_DEPTH = 33
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {value!r}")
     return float(value)
 
 
@@ -115,6 +119,15 @@ class ExperimentConfig:
             )
             if not points:
                 raise ConfigError("test_points, when given, must be nonempty")
+            atom_angles = FAMILIES[family["name"]].atom_angles(family)
+            for t in points:
+                atom = atom_on_nearest_node(n, atom_angles, t)
+                if atom is not None:
+                    raise ConfigError(
+                        f"test point {t!r} snaps to a grid node that carries "
+                        f"the atom at angle {atom!r}; the boundary data there "
+                        "are undefined, so move the point off the atom"
+                    )
             object.__setattr__(self, "test_points", points)
 
         if not isinstance(self.output_path, str) or not self.output_path:

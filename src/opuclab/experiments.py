@@ -281,9 +281,9 @@ class RunContext:
 # -----------------------------------------------------------------------------
 @check("mnt", "poisson_positivity")
 def _poisson_positivity(ctx: RunContext) -> Result:
-    at_zero = abs(poisson(ctx.mu, 0.0) - 1.0)
-    values = [poisson(ctx.mu, z) for z in ctx.interior_points(11, 32, 0.99)]
-    low = min(values)
+    values = poisson(ctx.mu, [0.0] + ctx.interior_points(11, 32, 0.99))
+    at_zero = abs(values[0] - 1.0)
+    low = np.min(values[1:])
     residual = max(at_zero, 0.0 if low > 0.0 else 1.0)
     return _within(
         residual,
@@ -325,9 +325,11 @@ def _quadrature_refinement(ctx: RunContext) -> Result:
     if ctx.family.refinement_skip:
         return _skip(ctx.family.refinement_skip)
     fine = ctx.rebuilt(2 * ctx.mu.grid_size)
-    residual = max(
-        abs(poisson(ctx.mu, z) - poisson(fine.measure, z))
-        for z in _REFINEMENT_PROBES
+    residual = np.max(
+        np.abs(
+            poisson(ctx.mu, _REFINEMENT_PROBES)
+            - poisson(fine.measure, _REFINEMENT_PROBES)
+        )
     )
     return _within(
         residual,
@@ -382,7 +384,7 @@ def _fejer_lower_bound(ctx: RunContext) -> Result:
 # -----------------------------------------------------------------------------
 @check("entropy", "entropy_nonnegative")
 def _entropy_nonnegative(ctx: RunContext) -> Result:
-    low = min(entropy(ctx.mu, z) for z in ctx.interior_points(21, 24, 0.99))
+    low = np.min(entropy(ctx.mu, ctx.interior_points(21, 24, 0.99)))
     return _within(
         max(-low, 0.0),
         1e-10,
@@ -392,12 +394,10 @@ def _entropy_nonnegative(ctx: RunContext) -> Result:
 
 @check("entropy", "outer_consistency")
 def _outer_consistency(ctx: RunContext) -> Result:
+    points = ctx.interior_points(22, 24, 0.99)
     residual = max(
-        abs(
-            2.0 * math.log(abs(szego_interior(ctx.mu, z)))
-            - poisson_log_weight(ctx.mu, z)
-        )
-        for z in ctx.interior_points(22, 24, 0.99)
+        abs(2.0 * math.log(abs(szego_interior(ctx.mu, z))) - p_log)
+        for z, p_log in zip(points, poisson_log_weight(ctx.mu, points))
     )
     return _within(
         residual,
@@ -435,9 +435,12 @@ def _radial_limit(ctx: RunContext) -> Result:
 
 @check("entropy", "jensen_direction")
 def _jensen_direction(ctx: RunContext) -> Result:
+    points = ctx.interior_points(23, 24, 0.99)
     slack = min(
-        math.log(poisson(ctx.mu, z)) - poisson_log_weight(ctx.mu, z)
-        for z in ctx.interior_points(23, 24, 0.99)
+        math.log(p_mu) - p_log
+        for p_mu, p_log in zip(
+            poisson(ctx.mu, points), poisson_log_weight(ctx.mu, points)
+        )
     )
     return _within(
         max(-slack, 0.0),
@@ -460,14 +463,14 @@ def _entropy_product_points():
 
 @check("entropy", "entropy_product_identity")
 def _entropy_product_identity(ctx: RunContext) -> Result:
+    points = list(_entropy_product_points())
+    entropies = entropy(ctx.mu, points)
     if ctx.finite_param:
         worst = 0.0
-        for z in _entropy_product_points():
+        for z, k_value in zip(points, entropies):
             n_eval = min(8, ctx.horizon(z))
             f0 = schur_eval(ctx.mu, z)
-            gap = abs(
-                entropy(ctx.mu, z) - entropy_product(ctx.params, z, f0, n_eval)
-            )
+            gap = abs(k_value - entropy_product(ctx.params, z, f0, n_eval))
             worst = max(worst, gap)
         return _within(
             worst,
@@ -481,11 +484,10 @@ def _entropy_product_identity(ctx: RunContext) -> Result:
     # never overshoot.  Depth is capped by the pointwise noise horizon.
     worst_overshoot = 0.0
     worst_uphill = -math.inf
-    for z in _entropy_product_points():
+    for z, k_value in zip(points, entropies):
         h = ctx.horizon(z)
         n_grid = [n for n in (2, 4, 8, 16, 32, 64, 128, 256) if n <= h] or [h]
         f0 = schur_eval(ctx.mu, z)
-        k_value = entropy(ctx.mu, z)
         gaps = [
             k_value - entropy_product(ctx.params, z, f0, n) for n in n_grid
         ]
@@ -510,11 +512,11 @@ def _schur_sum_bound(ctx: RunContext) -> Result:
     ]
     worst_excess = 0.0
     worst_eq = 0.0
-    for z in points:
+    for z, k_value in zip(points, entropy(ctx.mu, points)):
         n_eval = min(8, ctx.horizon(z)) if ctx.finite_param else min(ctx.horizon(z), 64)
         f0 = schur_eval(ctx.mu, z)
         lhs, rhs = schur_sum_bound(
-            ctx.params, z, f0, n_eval, entropy_value=entropy(ctx.mu, z)
+            ctx.params, z, f0, n_eval, entropy_value=k_value
         )
         worst_excess = max(worst_excess, lhs - rhs)
         if ctx.finite_param:
@@ -541,9 +543,10 @@ def _schur_sum_bound(ctx: RunContext) -> Result:
 def _moment_hermitian(ctx: RunContext) -> Result:
     mu = ctx.mu
     k_top = min(32, max_trusted_moment(mu))
+    points = mu.boundary_points
     worst = 0.0
     for k in range(k_top + 1):
-        direct = complex(np.mean(mu.weight * mu.boundary_points**k))
+        direct = complex(np.mean(mu.weight * points**k))
         direct += sum(
             mass * complex(np.exp(1j * k * angle)) for angle, mass in mu.atoms
         )
@@ -716,9 +719,12 @@ def _norm_telescoping(ctx: RunContext) -> Result:
 def _weighted_poisson_identity(ctx: RunContext) -> Result:
     ones = np.ones(ctx.mu.grid_size)
     atom_ones = np.ones(len(ctx.mu.atoms)) if ctx.mu.atoms else None
-    residual = max(
-        abs(weighted_poisson(ctx.mu, ones, z, atom_ones) - poisson(ctx.mu, z))
-        for z in ctx.interior_points(41, 8, 0.95)
+    points = ctx.interior_points(41, 8, 0.95)
+    residual = np.max(
+        np.abs(
+            weighted_poisson(ctx.mu, ones, points, atom_ones)
+            - poisson(ctx.mu, points)
+        )
     )
     return _within(
         residual,

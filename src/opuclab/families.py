@@ -25,7 +25,7 @@ and config validation both call it, so the two cannot disagree.
 
 geronimus carries its essential support on an arc; the density is floored
 at a tiny positive level off the arc so grid logarithms stay finite, and
-the point mass at angle 0 is kept exact.
+the point mass at ``GERONIMUS_ATOM_ANGLE`` is kept exact.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ ARC_FLOOR = 2e-8
 # Extra parameters beyond the requested depth for parameter-first families,
 # so tail-sensitive identities see an exact cutoff.
 TAIL_MARGIN = 8
+
+# Angle of the geronimus family's point mass.
+GERONIMUS_ATOM_ANGLE = 0.0
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def geronimus_density(a: float, theta: float) -> float:
 def geronimus_family(
     a: float, grid_size: int = 4096, n_max: int = 32
 ) -> FamilyInstance:
-    """Constant parameters a_n = a: arc density plus a mass point at angle 0.
+    """Constant parameters a_n = a: arc density plus a mass point.
 
     The sampled density is floored at ARC_FLOOR off the arc and the whole
     measure renormalized (the closed forms for the two pieces integrate to
@@ -192,7 +195,9 @@ def geronimus_family(
     weight = np.array([geronimus_density(a, t) for t in angles])
     weight = np.maximum(weight, ARC_FLOOR)
     mass = 2.0 * a / (1.0 + a)
-    mu = build_measure(weight, atoms=((0.0, mass),), normalize=True)
+    mu = build_measure(
+        weight, atoms=((GERONIMUS_ATOM_ANGLE, mass),), normalize=True
+    )
     params = verblunsky_from_measure(mu, n_max)
     depth = min(conditioning_horizon(params, n_max), 16, n_max)
     # The sampled arc density carries edge-singularity aliasing ~N^(-3/2),
@@ -332,7 +337,8 @@ class Family:
     that parameter depth.  ``finite_parameters`` marks families whose
     parameters vanish after the first few, so product and sum identities
     close exactly; ``refinement_skip``, when set, says why doubling the
-    grid moves the family's quadrature beyond roundoff.
+    grid moves the family's quadrature beyond roundoff.  ``atom_angles(spec)``
+    gives the angles of the point masses a valid spec builds.
     """
 
     name: str
@@ -343,6 +349,7 @@ class Family:
     min_grid: Callable[[int], int] = lambda depth: 0
     finite_parameters: bool = False
     refinement_skip: str = ""
+    atom_angles: Callable[[dict], Tuple[float, ...]] = lambda spec: ()
 
     @property
     def summary(self) -> str:
@@ -439,6 +446,7 @@ FAMILIES: Dict[str, Family] = {
                 "arc-edge density is not smooth; doubling the grid moves its "
                 "sampled mass at the 1e-5 level by construction"
             ),
+            atom_angles=lambda spec: (GERONIMUS_ATOM_ANGLE,),
         ),
         Family(
             "ell2",
@@ -465,6 +473,7 @@ FAMILIES["mixed"] = Family(
             _check_atoms,
         ),
     ),
+    atom_angles=lambda spec: tuple(atom["angle"] for atom in spec["atoms"]),
 )
 
 FAMILY_DESCRIPTIONS = {name: fam.summary for name, fam in FAMILIES.items()}

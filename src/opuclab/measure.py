@@ -185,10 +185,29 @@ def lebesgue(grid_size: int = 4096) -> CircleMeasure:
     return CircleMeasure(grid_size, np.ones(grid_size))
 
 
+def _node_index(grid_size: int, xi: complex) -> int:
+    angle = float(np.angle(xi)) % (2.0 * np.pi)
+    return int(round(angle * grid_size / (2.0 * np.pi))) % grid_size
+
+
 def nearest_node(mu: CircleMeasure, xi: complex) -> int:
     """Index of the grid node closest to the boundary point xi."""
-    angle = float(np.angle(xi)) % (2.0 * np.pi)
-    return int(round(angle * mu.grid_size / (2.0 * np.pi))) % mu.grid_size
+    return _node_index(mu.grid_size, xi)
+
+
+def atom_on_nearest_node(
+    grid_size: int, atom_angles: Sequence[float], angle: float
+) -> float | None:
+    """The atom angle whose point is the grid node nearest ``angle``, if any.
+
+    The boundary data that live on the grid (the Herglotz transform and the
+    Jost solutions built from it) divide by zero at such a node.  Nodes and
+    atoms are evaluated as ``CircleMeasure.boundary_points`` and
+    ``atom_points`` evaluate them, so "is" means bitwise equal.
+    """
+    j = _node_index(grid_size, _as_boundary(np.exp(1j * angle)))
+    node = np.exp(1j * (2.0 * np.pi * j / grid_size))
+    return next((a for a in atom_angles if np.exp(1j * a) == node), None)
 
 
 def to_json_dict(mu: CircleMeasure, family: str | None = None) -> dict:
@@ -225,46 +244,82 @@ def _check_interior(z: complex) -> complex:
     return z
 
 
+def _interior_points(z) -> list:
+    """One interior point or a 1-d array of them, as a list of complex."""
+    if np.ndim(z) == 0:
+        return [_check_interior(z)]
+    if np.ndim(z) != 1:
+        raise OutOfRange("interior points must be one point or a 1-d array")
+    return [_check_interior(v) for v in z]
+
+
 def _poisson_kernel(points: np.ndarray, z: complex) -> np.ndarray:
     """(1 - |z|^2) / |1 - conj(xi) z|^2 at the given unimodular points."""
     return (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(points) * z) ** 2
 
 
-def poisson(mu: CircleMeasure, z: complex) -> float:
-    """Harmonic extension P(mu, z) of the measure into the disk."""
-    z = _check_interior(z)
-    value = float(np.mean(mu.weight * _poisson_kernel(mu.boundary_points, z)))
-    if mu.atoms:
-        value += float(np.sum(mu.atom_masses * _poisson_kernel(mu.atom_points, z)))
-    return value
+def _poisson_means(mu: CircleMeasure, zs: list, rows: Sequence) -> np.ndarray:
+    """Poisson extensions of several densities at the interior points zs.
+
+    ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
+    is the grid mean of grid_row * P(., zs[j]) plus, unless atom_row is
+    None, the sum of atom_row * P(., zs[j]) over the atoms.  One kernel per
+    point serves every row, and the loop over points keeps memory O(N).
+    """
+    points = mu.boundary_points
+    atom_points = mu.atom_points
+    out = np.empty((len(rows), len(zs)))
+    for j, z in enumerate(zs):
+        kernel = _poisson_kernel(points, z)
+        atom_kernel = _poisson_kernel(atom_points, z) if mu.atoms else None
+        for i, (grid_row, atom_row) in enumerate(rows):
+            out[i, j] = np.mean(grid_row * kernel)
+            if atom_row is not None:
+                out[i, j] += np.sum(atom_row * atom_kernel)
+    return out
 
 
-def poisson_log_weight(mu: CircleMeasure, z: complex) -> float:
+def _one_or_many(z, values: np.ndarray):
+    """A float for a single point z, else the array of values."""
+    return float(values[0]) if np.ndim(z) == 0 else values
+
+
+def poisson(mu: CircleMeasure, z) -> float | np.ndarray:
+    """Harmonic extension P(mu, z) of the measure into the disk.
+
+    ``z`` is one interior point (returns a float) or a 1-d array of them
+    (returns an array); the same holds for every extension below.
+    """
+    zs = _interior_points(z)
+    masses = mu.atom_masses if mu.atoms else None
+    return _one_or_many(z, _poisson_means(mu, zs, [(mu.weight, masses)])[0])
+
+
+def poisson_log_weight(mu: CircleMeasure, z) -> float | np.ndarray:
     """Harmonic extension P(log w, z) of the log-density.
 
     Atoms are invisible here: log w only sees the absolutely continuous part.
     """
     mu.require_szego()
-    z = _check_interior(z)
-    return float(
-        np.mean(np.log(mu.weight) * _poisson_kernel(mu.boundary_points, z))
-    )
+    zs = _interior_points(z)
+    rows = [(np.log(mu.weight), None)]
+    return _one_or_many(z, _poisson_means(mu, zs, rows)[0])
 
 
 def weighted_poisson(
     mu: CircleMeasure,
     g_samples: Sequence[float],
-    z: complex,
+    z,
     g_atom_values: Sequence[float] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """P(g dmu, z) for nonnegative g given by grid samples plus atom values."""
-    z = _check_interior(z)
+    zs = _interior_points(z)
     g = np.asarray(g_samples, dtype=float)
     if g.shape != mu.weight.shape:
         raise GridMismatch(f"g has shape {g.shape}, grid expects {mu.weight.shape}")
     if np.any(g < 0):
         raise NegativeInput("weighted_poisson requires g >= 0")
-    value = float(np.mean(g * mu.weight * _poisson_kernel(mu.boundary_points, z)))
+    atom_row = None
     if mu.atoms:
         if g_atom_values is None:
             raise GridMismatch("measure has atoms; g values at atoms required")
@@ -273,10 +328,9 @@ def weighted_poisson(
             raise GridMismatch(
                 f"{len(mu.atoms)} atom values expected, got shape {ga.shape}"
             )
-        value += float(
-            np.sum(mu.atom_masses * ga * _poisson_kernel(mu.atom_points, z))
-        )
-    return value
+        atom_row = mu.atom_masses * ga
+    rows = [(g * mu.weight, atom_row)]
+    return _one_or_many(z, _poisson_means(mu, zs, rows)[0])
 
 
 # -----------------------------------------------------------------------------

@@ -39,9 +39,10 @@ from .measure import (
     CircleMeasure,
     _as_boundary,
     _check_interior,
+    _interior_points,
+    _one_or_many,
+    _poisson_means,
     fejer_mean,
-    poisson,
-    poisson_log_weight,
 )
 
 # Entropy values this far below zero are attributed to cancellation between
@@ -106,22 +107,31 @@ def outer_boundary(weight: np.ndarray) -> np.ndarray:
     return np.exp(u + 1j * harmonic_conjugate(u))
 
 
-def _entropy_raw(mu: CircleMeasure, z: complex) -> float:
-    """log P(mu, z) - P(log w, z) with no sign policing (profile internal)."""
-    return float(np.log(poisson(mu, z)) - poisson_log_weight(mu, z))
+def _entropy_terms(mu: CircleMeasure, zs: list) -> Tuple[np.ndarray, np.ndarray]:
+    """P(mu, z) and log P(mu, z) - P(log w, z) over the interior points zs,
+    with no sign policing; one Poisson kernel per point serves both."""
+    mu.require_szego()
+    masses = mu.atom_masses if mu.atoms else None
+    p_mu, p_log = _poisson_means(
+        mu, zs, [(mu.weight, masses), (np.log(mu.weight), None)]
+    )
+    return p_mu, np.log(p_mu) - p_log
 
 
-def entropy(mu: CircleMeasure, z: complex) -> float:
-    """Pointwise entropy log P(mu, z) - P(log w, z), >= 0 up to roundoff."""
-    value = _entropy_raw(mu, z)
-    if value < 0.0:
-        if value < -_ENTROPY_ROUNDOFF:
-            raise EntropyNegative(
-                f"entropy {value:.6g} at z = {z!r} below the roundoff floor; "
-                "the point may be unresolved by the grid"
-            )
-        value = 0.0
-    return value
+def entropy(mu: CircleMeasure, z) -> float | np.ndarray:
+    """Pointwise entropy log P(mu, z) - P(log w, z), >= 0 up to roundoff.
+
+    ``z`` is one interior point (returns a float) or a 1-d array of them.
+    """
+    zs = _interior_points(z)
+    _, values = _entropy_terms(mu, zs)
+    low = np.flatnonzero(values < -_ENTROPY_ROUNDOFF)
+    if low.size:
+        raise EntropyNegative(
+            f"entropy {values[low[0]]:.6g} at z = {zs[low[0]]!r} below the "
+            "roundoff floor; the point may be unresolved by the grid"
+        )
+    return _one_or_many(z, np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,8 @@ def entropy_profile(
     [1e-4, 1 - 1e-4]; K_n is the max of the entropy and P_n the min of the
     Poisson extension over the deltas the grid actually resolves
     (N * delta / n >= 8).  Small negative entropy excursions at
-    barely-resolved points are clipped to zero.
+    barely-resolved points are clipped to zero.  One Poisson kernel per
+    delta gives both extensions, and its P(mu, z) also gives P_n.
     """
     mu.require_szego()
     xi0 = _as_boundary(xi0)
@@ -178,16 +189,14 @@ def entropy_profile(
                 f"no resolved delta for n = {n} at grid_size {mu.grid_size}; "
                 "enlarge the grid"
             )
-        k_n = -np.inf
-        p_n = np.inf
-        for d in deltas[trusted]:
-            z = (1.0 - d / n) * xi0
-            value = _entropy_raw(mu, z)
-            if value < -_PROFILE_ROUNDOFF:
-                raise EntropyNegative(
-                    f"entropy {value:.6g} at resolved z = {z!r}"
-                )
-            k_n = max(k_n, max(value, 0.0))
-            p_n = min(p_n, poisson(mu, z))
+        zs = _interior_points((1.0 - deltas[trusted] / n) * xi0)
+        p_mu, values = _entropy_terms(mu, zs)
+        low = np.flatnonzero(values < -_PROFILE_ROUNDOFF)
+        if low.size:
+            raise EntropyNegative(
+                f"entropy {values[low[0]]:.6g} at resolved z = {zs[low[0]]!r}"
+            )
+        k_n = np.max(np.maximum(values, 0.0))
+        p_n = np.min(p_mu)
         rows.append(ProfileRow(n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
     return EntropyProfile(xi0, tuple(rows), deltas)

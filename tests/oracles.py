@@ -120,3 +120,41 @@ def cmv_coefficients_dense(
         fa = np.asarray(f_atom_values, dtype=complex)
         coeffs = coeffs + (fa * mu.atom_masses) @ np.conj(table(mu.atom_points)).T
     return coeffs
+
+
+def entropy_profile_per_delta(
+    mu: CircleMeasure, xi0: complex, n_list, delta_grid_size: int
+):
+    """(n, K_n, P_n, F_n) rows with one pair of extensions per delta.
+
+    The profile by its definition, one delta at a time: for each n and
+    each resolved delta it evaluates the Poisson kernel at
+    z = (1 - delta/n) xi0 once for P(mu, z) and again for P(log w, z), and
+    folds the running max of the clipped entropy and the running min of
+    P(mu, z).  Rows are plain tuples; the Fejer column comes from the
+    package's ``fejer_mean``.
+    """
+    from opuclab.measure import fejer_mean
+
+    points = np.exp(1j * (2.0 * np.pi * np.arange(mu.grid_size) / mu.grid_size))
+    atom_points = np.exp(1j * np.array([a for a, _ in mu.atoms]))
+    masses = np.array([m for _, m in mu.atoms])
+
+    def kernel(at, z):
+        return (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(at) * z) ** 2
+
+    deltas = np.geomspace(1e-4, 1.0 - 1e-4, delta_grid_size)
+    rows = []
+    for n in n_list:
+        k_n = -np.inf
+        p_n = np.inf
+        for d in deltas[deltas / n >= 8.0 / mu.grid_size]:
+            z = complex((1.0 - d / n) * xi0)
+            p_mu = float(np.mean(mu.weight * kernel(points, z)))
+            if mu.atoms:
+                p_mu += float(np.sum(masses * kernel(atom_points, z)))
+            p_log = float(np.mean(np.log(mu.weight) * kernel(points, z)))
+            k_n = max(k_n, max(float(np.log(p_mu) - p_log), 0.0))
+            p_n = min(p_n, p_mu)
+        rows.append((n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
+    return rows

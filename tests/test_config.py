@@ -71,6 +71,22 @@ def test_minimal_config_accepts_defaults():
         {"extra_key": 1},
         # below ell2's grid floor: 265 parameters need 14840 nodes
         {"family": {"name": "ell2", "c": 0.5, "p": 1.0}, "n_list": [256]},
+        {"test_points": [float("nan")]},
+        # test points whose nearest grid node carries an atom
+        {
+            "family": {"name": "geronimus", "a": 0.6},
+            "experiment": "all",
+            "test_points": [0.0, 1.3, 3.0],
+        },
+        {
+            "family": {
+                "name": "mixed",
+                "base": {"name": "lebesgue"},
+                "atoms": [{"angle": 0.0, "mass": 0.2}],
+            },
+            "experiment": "scattering",
+            "test_points": [1.3, 2 * math.pi],
+        },
     ],
 )
 def test_rejections(overrides):
@@ -100,6 +116,12 @@ def test_mixed_family_validation():
     }
     cfg = config_from_dict(_variant(family=good))
     assert cfg.family["atoms"][0]["mass"] == 0.2
+    # an atom off the grid nodes leaves the test point at its angle valid
+    off_node = dict(good, atoms=[{"angle": 1.3, "mass": 0.2}])
+    cfg = config_from_dict(
+        _variant(family=off_node, experiment="all", test_points=[1.3])
+    )
+    assert cfg.test_points == (1.3,)
 
     bad = [
         {"name": "mixed", "base": {"name": "geronimus", "a": 0.5},

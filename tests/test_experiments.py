@@ -20,6 +20,7 @@ from opuclab.experiments import (
     write_outputs,
 )
 from opuclab.families import build_family
+from opuclab.measure import CircleMeasure
 
 MIXED = {
     "name": "mixed",
@@ -155,6 +156,27 @@ def test_summability_run_makes_one_coefficient_pass(monkeypatch):
     assert not outcome.failed
     assert len(outcome.tables) == 2
     assert orders == [200]
+
+
+def test_mnt_run_evaluates_the_grid_once_per_batch(monkeypatch):
+    reads = []
+    evaluate = CircleMeasure.boundary_points.fget
+
+    def counted(mu):
+        reads.append(mu.grid_size)
+        return evaluate(mu)
+
+    monkeypatch.setattr(CircleMeasure, "boundary_points", property(counted))
+    cfg = _config(
+        family=MIXED,
+        grid_size=16384,
+        n_list=[4, 16, 64, 256],
+        delta_grid_size=256,
+    )
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    # one read per batch of interior points; one per point would be ~4200
+    assert len(reads) < 100, len(reads)
 
 
 def test_summability_table_matches_the_public_functions():

@@ -28,6 +28,7 @@ from opuclab.measure import (
     to_json_dict,
     weighted_poisson,
 )
+from opuclab.szego import entropy
 
 from oracles import poisson_kernel_direct
 
@@ -80,6 +81,35 @@ def test_weighted_poisson_constant_reduces_to_poisson(mixed_atom):
         assert abs(
             weighted_poisson(mu, ones, z, atom_ones) - poisson(mu, z)
         ) < 1e-14
+
+
+_POINTS = [0.0, 0.3, -0.5j, 0.6 + 0.3j, -0.2 - 0.85j, 0.9 * np.exp(2.1j)]
+
+
+@pytest.mark.parametrize("family", ["mixed_atom", "geronimus6"])
+def test_array_points_match_one_point_calls_bitwise(family, request):
+    mu = request.getfixturevalue(family).measure
+    g = 1.0 + np.cos(mu.angles) ** 2
+    g_atoms = 1.0 + np.cos([a for a, _ in mu.atoms]) ** 2
+    extensions = (
+        poisson,
+        poisson_log_weight,
+        entropy,
+        lambda mu, z: weighted_poisson(mu, g, z, g_atoms),
+    )
+    for extend in extensions:
+        batch = extend(mu, np.array(_POINTS))
+        single = np.array([extend(mu, z) for z in _POINTS])
+        assert batch.shape == (len(_POINTS),)
+        assert np.array_equal(batch, single)
+        assert isinstance(extend(mu, _POINTS[1]), float)
+
+
+def test_array_points_are_checked_one_by_one(bs_half):
+    with pytest.raises(BoundaryPoint):
+        poisson(bs_half.measure, np.array([0.2, 1.0]))
+    with pytest.raises(OutOfRange):
+        poisson(bs_half.measure, np.zeros((2, 2)))
 
 
 def test_weighted_poisson_guards(mixed_atom):

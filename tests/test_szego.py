@@ -1,9 +1,12 @@
 """Outer function, entropy, and the boundary profile."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from opuclab.errors import OutOfRange
+from opuclab.families import build_family
 from opuclab.measure import lebesgue, poisson, poisson_log_weight
 from opuclab.szego import (
     entropy,
@@ -11,6 +14,8 @@ from opuclab.szego import (
     szego_boundary,
     szego_interior,
 )
+
+from oracles import entropy_profile_per_delta
 
 
 def test_outer_function_closed_form(bs_half):
@@ -94,3 +99,25 @@ def test_entropy_profile_rows(bs_half):
 def test_entropy_profile_needs_resolved_radii(bs_half):
     with pytest.raises(OutOfRange):
         entropy_profile(bs_half.measure, 1.0 + 0j, (100_000,), 64)
+
+
+@pytest.mark.parametrize("family", ["bs_half", "mixed_atom"])
+def test_entropy_profile_matches_per_delta_oracle_bitwise(family, request):
+    mu = request.getfixturevalue(family).measure
+    for angle in (0.0, 2.0, np.pi):
+        xi0 = complex(np.exp(1j * angle))
+        profile = entropy_profile(mu, xi0, (4, 16, 64, 256), 96)
+        rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
+        assert rows == entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96)
+
+
+def test_entropy_profile_memory_is_linear_in_the_grid():
+    # one kernel per delta: a (delta x N) kernel matrix would take 67 MB
+    mu = build_family({"name": "bernstein_szego", "r": 0.5}, 32768, 4).measure
+    tracemalloc.start()
+    try:
+        entropy_profile(mu, 1.0 + 0j, (4, 64, 256), 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
