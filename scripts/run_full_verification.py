@@ -35,7 +35,7 @@ def main() -> int:
             "experiment": "all",
             "seed": 1,
         })
-        outcome = run_experiment(config, with_tables=False)
+        outcome = run_experiment(config)
         counts = outcome.report["summary"]
         name = outcome.report["family"].get("name", family["name"])
         print(f"== {name} (grid {grid_size})")

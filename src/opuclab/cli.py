@@ -7,9 +7,9 @@ Usage:
     opuclab families
 
 ``run`` writes the CSV tables and report.json and prints one line per
-invariant verdict; ``verify`` prints the verdicts without touching the
-filesystem.  Both exit 0 when nothing failed, 1 on failed verdicts, and
-2 on a bad config.
+invariant verdict; ``verify`` runs the same checks and tables and prints
+the verdicts without touching the filesystem.  Both exit 0 when nothing
+failed, 1 on failed verdicts, and 2 on a bad config.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def run(config_path: str, out_dir: str | None) -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, help="JSON config path")
 def verify(config_path: str) -> None:
-    """Run the invariant checks only; no files are written."""
+    """Run the experiment as ``run`` does, tables included; write no files."""
     config = _load(config_path)
-    outcome = run_experiment(config, with_tables=False)
+    outcome = run_experiment(config)
     _echo_verdicts(outcome)
     sys.exit(1 if outcome.failed else 0)
 

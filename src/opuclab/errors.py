@@ -47,12 +47,8 @@ class NotSzego(OpuclabError):
     """Operation needs log-integrable density but a sample sits below w_floor."""
 
 
-class BadNormalization(OpuclabError):
-    """Moment sequence does not describe a probability measure (c_0 != 1)."""
-
-
 class DivisionBlowup(OpuclabError):
-    """Power-series division hit a vanishing constant term."""
+    """A Schur-function denominator vanished at 0 or at the requested point."""
 
 
 class NearZeroArgument(OpuclabError):

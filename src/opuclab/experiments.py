@@ -47,7 +47,7 @@ from .lcg import Lcg
 from .measure import (
     fejer_mean,
     max_trusted_moment,
-    moment,
+    moments,
     nearest_node,
     poisson,
     poisson_log_weight,
@@ -240,8 +240,7 @@ class RunContext:
         if self._routes is None:
             d = min(64, self.depth)
             cascade = schur_parameters_from_measure(self.mu, d).values
-            moms = np.array([moment(self.mu, k) for k in range(d + 1)])
-            levinson = verblunsky_from_moments(moms, d).values
+            levinson = verblunsky_from_moments(moments(self.mu, d), d).values
             self._routes = (self.params.values[:d], cascade, levinson)
         return self._routes
 
@@ -544,13 +543,14 @@ def _moment_hermitian(ctx: RunContext) -> Result:
     mu = ctx.mu
     k_top = min(32, max_trusted_moment(mu))
     points = mu.boundary_points
+    c = moments(mu, k_top)
     worst = 0.0
     for k in range(k_top + 1):
         direct = complex(np.mean(mu.weight * points**k))
         direct += sum(
             mass * complex(np.exp(1j * k * angle)) for angle, mass in mu.atoms
         )
-        worst = max(worst, abs(moment(mu, k) - np.conj(direct)))
+        worst = max(worst, abs(c[k] - np.conj(direct)))
     return _within(
         worst,
         1e-12,
@@ -699,8 +699,7 @@ def _cd_three_route(ctx: RunContext) -> Result:
 @check("schur_identities", "norm_telescoping")
 def _norm_telescoping(ctx: RunContext) -> Result:
     d = min(64, ctx.depth)
-    moms = np.array([moment(ctx.mu, k) for k in range(d + 1)])
-    table = monic_from_moments(moms, d)
+    table = monic_from_moments(moments(ctx.mu, d), d)
     ratios = table.norms_sq[1:] / table.norms_sq[:-1]
     target = 1.0 - np.abs(table.params.values[: len(ratios)]) ** 2
     residual = float(np.max(np.abs(ratios - target) / target))
@@ -969,10 +968,11 @@ def _selected_suites(experiment: str) -> Tuple[str, ...]:
     return SUITE_NAMES if experiment == "all" else (experiment,)
 
 
-def run_experiment(
-    config: ExperimentConfig, with_tables: bool = True
-) -> ExperimentOutcome:
-    """Build the family, run the selected suites, assemble the report."""
+def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
+    """Build the family, run the selected suites and render their tables.
+
+    A table that raises becomes the failed verdict ``{suite}_tables``.
+    """
     started = time.perf_counter()
     suites = _selected_suites(config.experiment)
     verdicts: List[Verdict] = []
@@ -1001,14 +1001,13 @@ def run_experiment(
         for suite in suites:
             suite_list = suite_verdicts(ctx, suite)
             filenames: List[str] = []
-            if with_tables:
-                try:
-                    rendered = suite_tables(ctx, suite)
-                except Exception as exc:
-                    suite_list.append(_failed(f"{suite}_tables", exc))
-                else:
-                    tables.update(rendered)
-                    filenames = list(rendered)
+            try:
+                rendered = suite_tables(ctx, suite)
+            except Exception as exc:
+                suite_list.append(_failed(f"{suite}_tables", exc))
+            else:
+                tables.update(rendered)
+                filenames = list(rendered)
             verdicts.extend(suite_list)
             suite_report[suite] = {
                 "verdicts": [v.to_json() for v in suite_list],

@@ -265,6 +265,14 @@ def ell2_family(
     )
 
 
+def _widest_gap_midpoint(angles: Sequence[float]) -> float:
+    """Midpoint of the widest arc between consecutive angles on the circle."""
+    ordered = sorted(angles)
+    ends = ordered[1:] + [ordered[0] + 2.0 * np.pi]
+    width, start = max((end - start, start) for start, end in zip(ordered, ends))
+    return (start + width / 2.0) % (2.0 * np.pi)
+
+
 def mixed_family(
     base: dict,
     atoms: Sequence[dict],
@@ -295,7 +303,7 @@ def mixed_family(
         t
         for t in (0.0, 1.0, np.pi)
         if all(abs(np.exp(1j * t) - np.exp(1j * ta)) > 0.3 for ta, _ in atoms)
-    )
+    ) or (_widest_gap_midpoint([t for t, _ in atoms]),)
     return FamilyInstance(
         name=f"mixed({base.name};atoms=[{atom_bits}])",
         kind="mixed",
@@ -307,7 +315,7 @@ def mixed_family(
         measure=mu,
         params=params,
         density_at=density,
-        test_angles=safe_angles or (0.0,),
+        test_angles=safe_angles,
         route="measure-first",
         build_depth=n_max,
     )

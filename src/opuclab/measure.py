@@ -341,19 +341,25 @@ def max_trusted_moment(mu: CircleMeasure) -> int:
     return mu.grid_size // 8
 
 
+def moments(mu: CircleMeasure, k_max: int) -> np.ndarray:
+    """Trigonometric moments c_0..c_{k_max}, c_k = integral of conj(xi)^k dmu."""
+    if k_max < 0:
+        raise OutOfRange("moment order must be >= 0; use conj for negative k")
+    if k_max > max_trusted_moment(mu):
+        raise AliasRisk(
+            f"moment order {k_max} beyond trusted band N/8 = "
+            f"{max_trusted_moment(mu)}; enlarge grid_size"
+        )
+    values = mu._spectrum()[: k_max + 1].copy()
+    k = np.arange(k_max + 1)
+    for angle, mass in mu.atoms:
+        values += mass * np.exp(-1j * k * angle)
+    return values
+
+
 def moment(mu: CircleMeasure, k: int) -> complex:
     """Trigonometric moment c_k = integral of conj(xi)^k dmu."""
-    if k < 0:
-        raise OutOfRange("moment order must be >= 0; use conj for negative k")
-    if k > max_trusted_moment(mu):
-        raise AliasRisk(
-            f"moment order {k} beyond trusted band N/8 = {max_trusted_moment(mu)}; "
-            "enlarge grid_size"
-        )
-    value = complex(mu._spectrum()[k])
-    for angle, mass in mu.atoms:
-        value += mass * np.exp(-1j * k * angle)
-    return value
+    return complex(moments(mu, k)[k])
 
 
 def fejer_mean(mu: CircleMeasure, xi0: complex, n: int) -> float:
@@ -366,9 +372,10 @@ def fejer_mean(mu: CircleMeasure, xi0: complex, n: int) -> float:
     xi0 = _as_boundary(xi0)
     if n < 1:
         raise OutOfRange("Fejer mean order requires n >= 1")
+    c = moments(mu, n - 1).tolist()
     value = 1.0
     for d in range(1, n):
-        value += 2.0 * (1.0 - d / n) * (xi0**d * moment(mu, d)).real
+        value += 2.0 * (1.0 - d / n) * (xi0**d * c[d]).real
     return float(value)
 
 

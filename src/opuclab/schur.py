@@ -1,17 +1,23 @@
 """Schur functions on the disk and the parameter sequence a_n = f_n(0).
 
-Pipeline: trigonometric moments feed the Herglotz integral
+Pipeline: trigonometric moments c_k feed the Herglotz integral
 
     F(z) = 1 + 2 sum_{k>=1} c_k z^k,      f(z) = (F(z) - 1) / (z (F(z) + 1)),
 
 and the Schur algorithm peels one contractive iterate per step,
 
-    f_{n+1}(z) = (1/z) (f_n(z) - a_n) / (1 - conj(a_n) f_n(z)),  a_n = f_n(0),
+    f_{n+1}(z) = (1/z) (f_n(z) - a_n) / (1 - conj(a_n) f_n(z)),  a_n = f_n(0).
 
-carried here both on truncated Taylor series (the parameter-extraction
-route) and pointwise (the identity-verification route).  The same a_n drive
-the orthogonal-polynomial recursion elsewhere; the equality of the two
-extraction routes is a tested invariant, not an assumption.
+For the parameter-extraction route f is carried as a quotient u/v of
+truncated Taylor series read straight off the moments, u_j = c_{j+1} and
+v_j = c_j, so no series is ever divided: one step is
+
+    a = u_0 / v_0,   v <- v - conj(a) u,   u <- (u - a v) / z,
+
+which costs O(len(u)) (Schur's algorithm in generator form).  The
+identity-verification route runs the same recursion pointwise.  The same
+a_n drive the orthogonal-polynomial recursion elsewhere; the equality of
+the two extraction routes is a tested invariant, not an assumption.
 
 Precision policy
 ----------------
@@ -20,7 +26,8 @@ One series-cascade step amplifies coefficient error by roughly
 double precision after a few dozen steps.  The extraction first runs in
 doubles while accumulating the decimal-digit loss estimate; when the
 estimate crosses a safety margin the cascade is redone in mpmath with
-working precision sized to the estimate.
+working precision sized to the estimate, starting from the same double
+moments, which mp.mpc converts exactly.
 """
 
 from __future__ import annotations
@@ -30,10 +37,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
-    BadNormalization,
     ContractivityLoss,
     DegenerateDenominator,
     DivisionBlowup,
@@ -42,7 +47,7 @@ from .errors import (
     OutOfRange,
     ParameterEscape,
 )
-from .measure import CircleMeasure, _check_interior, moment
+from .measure import CircleMeasure, _check_interior, moment, moments
 
 # Modulus at which a parameter is declared escaped (degenerate measure).
 ESCAPE_THRESHOLD = 1.0 - 1e-12
@@ -58,38 +63,6 @@ Z_MIN = 1e-3
 # Accumulated decimal-digit loss beyond which the double-precision cascade
 # is rerun in mpmath.
 _SAFE_DIGIT_LOSS = 4.0
-
-
-# -----------------------------------------------------------------------------
-# Series carrier
-# -----------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Truncated power series; index = power."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        # Extended-precision coefficients are kept as they are: the mpmath
-        # escalation of the cascade reads them exactly.
-        c = np.asarray(self.coeffs)
-        if not np.issubdtype(c.dtype, np.complexfloating):
-            c = c.astype(complex)
-        if c.ndim != 1 or len(c) == 0:
-            raise OutOfRange("TaylorSeries needs a nonempty 1-d coefficient array")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __call__(self, z: complex) -> complex:
-        return complex(npp.polyval(complex(z), self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -127,57 +100,9 @@ class SchurParameters:
         return SchurParameters(self.values[:n])
 
 
-def series_div(num: np.ndarray, den: np.ndarray, n_out: int | None = None) -> np.ndarray:
-    """Leading coefficients of num/den by the triangular recursion.
-
-    Worked in extended precision: the quotient feeds the parameter
-    cascade, whose own error control assumes its input is accurate to
-    the last double-precision digit.  With this and its input
-    (``caratheodory_series``) in double, geronimus(0.6) fails
-    geronimus_consistency at 2.2e-8 (bound 1e-8).
-    """
-    num = np.asarray(num, dtype=np.clongdouble)
-    den = np.asarray(den, dtype=np.clongdouble)
-    if abs(den[0]) < 1e-12:
-        raise DivisionBlowup(f"denominator constant term {den[0]!r} too small")
-    if n_out is None:
-        n_out = min(len(num), len(den))
-    q = np.zeros(n_out, dtype=np.clongdouble)
-    for k in range(n_out):
-        acc = num[k] if k < len(num) else 0.0
-        j_max = min(k, len(den) - 1)
-        if j_max >= 1:
-            acc = acc - np.dot(q[k - j_max:k], den[j_max:0:-1])
-        q[k] = acc / den[0]
-    return q
-
-
 # -----------------------------------------------------------------------------
-# Measure -> Caratheodory -> Schur
+# Pointwise Herglotz and Schur functions
 # -----------------------------------------------------------------------------
-def caratheodory_series(moments: np.ndarray) -> TaylorSeries:
-    """Herglotz-integral Taylor coefficients (1, 2c_1, 2c_2, ...)."""
-    # extended: this feeds series_div, whose docstring has the measurement
-    c = np.asarray(moments, dtype=np.clongdouble)
-    if abs(c[0] - 1.0) > 1e-10:
-        raise BadNormalization(f"c_0 = {complex(c[0])!r}, moments must be normalized")
-    out = 2.0 * c
-    out[0] = 1.0
-    return TaylorSeries(out)
-
-
-def schur_series(F: TaylorSeries) -> TaylorSeries:
-    """Schur function series f from z f = (F - 1)/(F + 1); order drops by 1."""
-    if abs(F.coeffs[0] - 1.0) > 1e-10:
-        raise BadNormalization(f"F_0 = {F.coeffs[0]!r}, expected 1")
-    num = F.coeffs.copy()
-    num[0] = 0.0
-    den = F.coeffs.copy()
-    den[0] = den[0] + 1.0
-    g = series_div(num, den, len(F.coeffs))
-    return TaylorSeries(g[1:])
-
-
 def caratheodory_eval(mu: CircleMeasure, z: complex) -> complex:
     """Herglotz integral of mu at an interior point, by quadrature.
 
@@ -207,87 +132,70 @@ def schur_eval(mu: CircleMeasure, z: complex) -> complex:
 # -----------------------------------------------------------------------------
 # Series cascade (parameter extraction)
 # -----------------------------------------------------------------------------
-def _cascade_double(coeffs: np.ndarray, n_max: int):
-    """Double-precision cascade; returns (params, digit_loss, escape_step).
+def _cascade(u: list, v: list, n_max: int):
+    """Schur steps on f = u/v in place; returns (params, digit_loss, escape_step).
 
-    An extended input is rounded to complex128, which moved no verdict;
-    the mpmath escalation reads it unrounded.
+    Runs unchanged on lists of complex or of mp.mpc.  One step takes
+    a = u_0/v_0, then v <- v - conj(a) u and u <- (u - a v)/z, which is
+    O(len(u)) work; both lists lose their last entry.
     """
-    f = np.array(coeffs, dtype=complex)
     out = np.zeros(n_max, dtype=complex)
     loss = 0.0
     for step in range(n_max):
-        a = complex(f[0])
+        a = u[0] / v[0]
+        out[step] = complex(a)
         mag = abs(a)
         if mag >= ESCAPE_THRESHOLD:
             return out, loss, step
         loss += math.log10((1.0 + mag) / (1.0 - mag))
-        out[step] = a
-        m = len(f)
-        den = -np.conj(f[0]) * f
-        den[0] += 1.0
-        q = np.zeros(m, dtype=complex)
-        for k in range(1, m):
-            q[k] = (f[k] - np.dot(q[1:k], den[k - 1:0:-1])) / den[0]
-        f = q[1:]
+        ac = a.conjugate()
+        for k in range(len(u) - 1):
+            v[k] -= ac * u[k]
+            u[k] = u[k + 1] - a * v[k + 1]
+        u.pop()
+        v.pop()
     return out, loss, None
 
 
-def _mp_from_extended(value) -> "mp.mpc":
-    """Exact conversion of a complex scalar, extended-precision ones included."""
-    hi = complex(value)
-    lo = complex(value - np.clongdouble(hi))
-    return mp.mpc(hi) + mp.mpc(lo)
-
-
-def _cascade_mp(coeffs: np.ndarray, n_max: int, dps: int):
-    """Arbitrary-precision cascade; returns (params, digit_loss)."""
+def _cascade_mp(u, v, n_max: int, dps: int):
+    """The cascade in mpmath at ``dps`` digits; returns (params, digit_loss)."""
     with mp.workdps(dps):
-        f = [_mp_from_extended(c) for c in coeffs]
-        out = np.zeros(n_max, dtype=complex)
-        loss = 0.0
-        for step in range(n_max):
-            a = f[0]
-            mag = abs(a)
-            if mag >= ESCAPE_THRESHOLD:
-                raise ParameterEscape(
-                    f"|a_{step}| = {float(mag):.15g} at the escape threshold; "
-                    "measure is finitely supported or numerically degenerate"
-                )
-            loss += float(mp.log10((1 + mag) / (1 - mag)))
-            out[step] = complex(a)
-            m = len(f)
-            ac = mp.conj(a)
-            den = [1 - ac * f[0]] + [-ac * fk for fk in f[1:]]
-            q = [mp.mpc(0)] * m
-            for k in range(1, m):
-                acc = f[k]
-                for j in range(1, k):
-                    acc -= q[j] * den[k - j]
-                q[k] = acc / den[0]
-            f = q[1:]
-    return out, loss
+        params, loss, step = _cascade(
+            [mp.mpc(x) for x in u], [mp.mpc(x) for x in v], n_max
+        )
+    if step is not None:
+        raise ParameterEscape(
+            f"|a_{step}| = {abs(params[step]):.15g} at the escape threshold; "
+            "measure is finitely supported or numerically degenerate"
+        )
+    return params, loss
 
 
-def schur_parameters_from_series(f: TaylorSeries, n_max: int) -> SchurParameters:
-    """Extract a_0..a_{n_max-1} by the series Schur algorithm.
+def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
+    """Extract a_0..a_{n_max-1} from the Taylor coefficients of f = u/v.
 
-    One coefficient of accuracy is consumed per step, so f must carry at
-    least n_max + 1 coefficients; ask for SERIES_GUARD extra moment orders
-    when building f.  Escalates to mpmath when the conditioning estimate
-    says doubles are not enough.
+    One coefficient of accuracy is consumed per step, so u and v must
+    carry at least n_max + 1 coefficients each; ask for SERIES_GUARD extra
+    moment orders when building them.  Escalates to mpmath when the
+    conditioning estimate says doubles are not enough.
     """
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise OutOfRange("u and v must be 1-d coefficient arrays of one length")
     if n_max < 0:
         raise OutOfRange("n_max must be nonnegative")
-    if n_max > f.order:
+    if n_max >= len(u):
         raise OutOfRange(
-            f"n_max = {n_max} exceeds series order {f.order}; "
+            f"n_max = {n_max} exceeds series order {len(u) - 1}; "
             "the cascade consumes one coefficient per step"
         )
     if n_max == 0:
         return SchurParameters(np.zeros(0, dtype=complex))
+    if abs(v[0]) < 1e-12:
+        raise DivisionBlowup(f"denominator constant term {v[0]!r} too small")
 
-    params, loss, escape_step = _cascade_double(f.coeffs, n_max)
+    params, loss, escape_step = _cascade(u.tolist(), v.tolist(), n_max)
     if escape_step is None and loss <= _SAFE_DIGIT_LOSS:
         return SchurParameters(params)
 
@@ -298,7 +206,7 @@ def schur_parameters_from_series(f: TaylorSeries, n_max: int) -> SchurParameters
     if escape_step is not None:
         dps += n_max
     for _ in range(2):
-        params, loss_mp = _cascade_mp(f.coeffs, n_max, dps)
+        params, loss_mp = _cascade_mp(u, v, n_max, dps)
         needed = 21 + int(math.ceil(loss_mp))
         if dps >= needed:
             return SchurParameters(params)
@@ -307,9 +215,9 @@ def schur_parameters_from_series(f: TaylorSeries, n_max: int) -> SchurParameters
 
 
 def schur_parameters_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
-    """Moments -> Herglotz series -> Schur cascade, with the guard applied."""
-    c = np.array([moment(mu, k) for k in range(n_max + SERIES_GUARD + 1)])
-    return schur_parameters_from_series(schur_series(caratheodory_series(c)), n_max)
+    """Moments c_0..c_{n_max+SERIES_GUARD} -> f = u/v -> Schur cascade."""
+    c = moments(mu, n_max + SERIES_GUARD)
+    return schur_parameters_from_series(c[1:], c[:-1], n_max)
 
 
 # -----------------------------------------------------------------------------

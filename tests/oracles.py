@@ -1,8 +1,8 @@
 """Independent slow-path references the fast implementations are tested against.
 
 Everything here works directly from definitions: dense Gram-Schmidt in
-L^2(mu) instead of any recursion, full polynomial multiplication instead
-of triangular division, plain quadrature sums instead of kernel algebra.
+L^2(mu) instead of any recursion, plain quadrature sums instead of kernel
+algebra.
 Agreement between these and the package routines is evidence, not
 tautology, because no code is shared beyond the measure container.
 """
@@ -61,14 +61,6 @@ def gram_schmidt_verblunsky(mu: CircleMeasure, n_max: int) -> np.ndarray:
     return np.array(
         [-np.conj(monic_coeffs[n + 1][0]) for n in range(n_max)]
     )
-
-
-def poly_long_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Plain convolution product of two coefficient arrays."""
-    out = np.zeros(len(p) + len(q) - 1, dtype=complex)
-    for i, pi in enumerate(p):
-        out[i : i + len(q)] += pi * np.asarray(q, dtype=complex)
-    return out
 
 
 def poisson_kernel_direct(xi: complex, z: complex) -> float:

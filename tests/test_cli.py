@@ -106,6 +106,20 @@ def test_verify_exits_one_on_failure(runner, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+def test_verify_exits_one_on_a_failing_table(runner, tmp_path, monkeypatch):
+    # verify renders the tables as run does, so a table that raises fails
+    # the run; it still writes nothing
+    def broken(ctx, angle):
+        raise ZeroDivisionError("table row")
+
+    monkeypatch.setitem(experiments._TABLE_BUILDERS, "mnt", broken)
+    cfg = _write_config(tmp_path / "cfg.json")
+    result = runner.invoke(main, ["verify", "--config", cfg])
+    assert result.exit_code == 1
+    assert "FAIL  mnt_tables" in result.output
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def test_bad_config_exits_two(runner, tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", grid_size=1000)
     result = runner.invoke(main, ["run", "--config", cfg])

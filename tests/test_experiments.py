@@ -45,7 +45,7 @@ def test_check_names_are_unique_and_cover_all():
     seen = [name for suite in SUITE_NAMES for name, _ in CHECKS[suite]]
     assert len(seen) == len(set(seen)) == 27
     # 'all' runs every suite once, so every name appears exactly once
-    outcome = run_experiment(_config(experiment="all"), with_tables=False)
+    outcome = run_experiment(_config(experiment="all"))
     names = [v.name for v in outcome.verdicts]
     assert sorted(names) == sorted(seen)
 
@@ -75,10 +75,36 @@ def test_tables_follow_the_sweep_points():
     assert outcome.report["suites"]["mnt"]["tables"] == ["mnt.csv", "mnt_2.csv"]
 
 
-def test_without_tables_nothing_is_rendered():
-    outcome = run_experiment(_config(), with_tables=False)
+def test_a_failing_table_is_a_verdict(monkeypatch):
+    def broken(ctx, angle):
+        raise ZeroDivisionError("table row")
+
+    monkeypatch.setitem(experiments._TABLE_BUILDERS, "mnt", broken)
+    outcome = run_experiment(_config())
+    assert outcome.failed
+    verdict = outcome.verdicts[-1]
+    assert (verdict.name, verdict.status) == ("mnt_tables", "fail")
+    assert verdict.detail == "ZeroDivisionError: table row"
     assert outcome.tables == {}
     assert outcome.report["suites"]["mnt"]["tables"] == []
+
+
+def test_mixed_atoms_on_the_default_angles_pass_scattering():
+    # atoms near 0, 1 and pi leave no default angle free; the certified
+    # angle is then the midpoint of the widest gap between atoms
+    family = {
+        "name": "mixed",
+        "base": {"name": "lebesgue"},
+        "atoms": [
+            {"angle": 0.0, "mass": 0.1},
+            {"angle": 1.0, "mass": 0.1},
+            {"angle": math.pi, "mass": 0.1},
+        ],
+    }
+    outcome = run_experiment(_config(family=family, experiment="scattering"))
+    assert outcome.report["family"]["certified_angles"] == [1.5 * math.pi]
+    assert [v.status for v in outcome.verdicts] == ["pass"] * 3
+    assert set(outcome.tables) == {"scattering.csv"}
 
 
 def test_runs_are_deterministic():
@@ -116,7 +142,7 @@ def test_family_build_failure_is_a_verdict(monkeypatch):
 
 def test_geronimus_refinement_skips():
     cfg = _config(family={"name": "geronimus", "a": 0.6})
-    outcome = run_experiment(cfg, with_tables=False)
+    outcome = run_experiment(cfg)
     by_name = {v.name: v for v in outcome.verdicts}
     assert by_name["quadrature_refinement"].status == "skip"
     assert not outcome.failed  # skips do not fail a run
@@ -132,7 +158,7 @@ def test_write_outputs(tmp_path):
 
 
 def test_verdict_to_json_shape():
-    outcome = run_experiment(_config(), with_tables=False)
+    outcome = run_experiment(_config())
     entry = outcome.verdicts[0].to_json()
     assert set(entry) == {"name", "status", "residual", "detail"}
 

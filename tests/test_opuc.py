@@ -89,17 +89,10 @@ def test_extraction_routes_agree(all_families):
 
 
 def test_extended_precision_only_where_it_buys_digits():
-    # the three extraction steps keep long double because a double copy of
-    # each fails a test or loses digits (README, "Precision");
-    # _mp_from_extended reads their output exactly.  A new site needs the
-    # same evidence.
-    kept = {
-        "monic_from_moments",
-        "verblunsky_from_measure",
-        "series_div",
-        "caratheodory_series",
-        "_mp_from_extended",
-    }
+    # the two extraction steps keep long double because a double copy of
+    # each fails a test or loses digits (README, "Precision").  A new site
+    # needs the same evidence.
+    kept = {"monic_from_moments", "verblunsky_from_measure"}
     package = Path(opuclab.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

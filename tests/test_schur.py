@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opuclab.errors import (
-    BadNormalization,
     ContractivityLoss,
+    DivisionBlowup,
     NearZeroArgument,
+    NonNormalizable,
     OutOfRange,
     ParameterEscape,
 )
+from opuclab.measure import CircleMeasure, moments
 from opuclab.schur import (
+    SERIES_GUARD,
     SchurParameters,
-    TaylorSeries,
-    caratheodory_series,
+    _cascade,
+    _cascade_mp,
     entropy_product,
     iterate_noise_horizon,
     khrushchev_rhs,
@@ -25,13 +28,9 @@ from opuclab.schur import (
     schur_iterate_eval,
     schur_parameters_from_measure,
     schur_parameters_from_series,
-    schur_series,
     schur_sum_bound,
-    series_div,
     szego_formula_residual,
 )
-
-from oracles import poly_long_multiply
 
 
 def test_schur_function_is_constant_for_bernstein_szego(bs_half):
@@ -45,54 +44,47 @@ def test_cascade_recovers_single_parameter(bs_half):
     assert np.max(np.abs(params.values[1:])) < 1e-8
 
 
-def test_series_div_against_long_multiplication():
-    num = np.array([1.0, -0.3 + 0.1j, 0.2, 0.05j, -0.07])
-    den = np.array([2.0, 0.5, -0.25j, 0.125])
-    q = series_div(num, den, 5)
-    back = poly_long_multiply(q, den)[:5]
-    assert np.max(np.abs(back - num)) < 1e-14
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=6,
-    ),
-    st.lists(
-        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=6,
-    ),
-)
-def test_series_div_roundtrip_property(num, den):
-    den = [1.0 + 0j] + den  # keep the constant term away from zero
-    n_out = min(len(num), len(den))
-    q = series_div(np.array(num), np.array(den), n_out)
-    back = poly_long_multiply(q, np.array(den))[:n_out]
-    scale = max(1.0, max(abs(c) for c in num))
-    assert np.max(np.abs(back - np.array(num)[:n_out])) < 1e-9 * scale
-
-
-def test_caratheodory_series_requires_unit_mass():
-    with pytest.raises(BadNormalization):
-        caratheodory_series(np.array([0.9, 0.1]))
+def test_measure_mass_must_be_one():
+    # the cascade reads c_0 = 1 off the measure: CircleMeasure refuses any
+    # other total mass
+    with pytest.raises(NonNormalizable):
+        CircleMeasure(4, np.full(4, 0.9))
+    with pytest.raises(NonNormalizable):
+        CircleMeasure(4, np.full(4, 0.9), ((1.0, 0.2),))
 
 
 def test_cascade_escape_on_unimodular_start():
     # |f(0)| = 1 means the measure degenerates to a point mass
-    f = TaylorSeries(np.array([1.0 + 0j, 0.0, 0.0, 0.0]))
+    u = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
+    v = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
     with pytest.raises(ParameterEscape):
-        schur_parameters_from_series(f, 3)
+        schur_parameters_from_series(u, v, 3)
 
 
-def test_schur_series_drops_one_order():
-    c = np.array([1.0, 0.5, 0.25, 0.125])
-    f = schur_series(caratheodory_series(c))
-    assert f.order == 2
-    # moments of the constant-1/2 Schur function give f = 1/2 identically
-    assert np.max(np.abs(f.coeffs - np.array([0.5, 0.0, 0.0]))) < 1e-14
+def test_series_pair_reads_the_moments():
+    # moments (1/2)^k of bernstein_szego(1/2): u = c[1:], v = c[:-1] is
+    # f = 1/2, whose parameters are 1/2, 0, 0, ...
+    c = 0.5 ** np.arange(6)
+    params = schur_parameters_from_series(c[1:], c[:-1], 4)
+    assert np.max(np.abs(params.values - [0.5, 0.0, 0.0, 0.0])) < 1e-15
+
+
+def test_series_pair_guards():
+    c = 0.5 ** np.arange(6)
+    with pytest.raises(OutOfRange):
+        schur_parameters_from_series(c[1:], c[:-1], 5)  # order is 4
+    with pytest.raises(OutOfRange):
+        schur_parameters_from_series(c[1:], c[:-2], 2)
+    with pytest.raises(DivisionBlowup):
+        schur_parameters_from_series(c[1:], np.zeros(5), 2)
+
+
+def test_cascade_precisions_agree(bs_half):
+    c = moments(bs_half.measure, 64 + SERIES_GUARD)
+    double, _, escape_step = _cascade(c[1:].tolist(), c[:-1].tolist(), 64)
+    extended, _ = _cascade_mp(c[1:], c[:-1], 64, 40)
+    assert escape_step is None
+    assert np.max(np.abs(double - extended)) < 1e-13
 
 
 def test_szego_formula_exact_for_finite_parameter_families(leb, bs_half):
