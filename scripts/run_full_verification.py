@@ -1,10 +1,14 @@
 """Every invariant suite on every builtin family, one line per verdict.
 
-The grid per family follows the resolution notes in the README: 4096
-suffices except for ell2, whose order-n quantities at n = 64 want a
-comfortable margin over the 56-nodes-per-parameter floor.
+Besides one config per family it runs bernstein_szego near its radius
+limit (r = 0.9) and a mixed measure with three atoms on a Lebesgue base,
+so atom handling with several atoms is covered.  The grid per family
+follows the resolution notes in the README: 4096 suffices except for
+ell2, whose order-n quantities at n = 64 want a comfortable margin over
+the 56-nodes-per-parameter floor.
 """
 
+import math
 import sys
 
 from opuclab import config_from_dict, run_experiment
@@ -19,6 +23,19 @@ FAMILIES = [
             "name": "mixed",
             "base": {"name": "bernstein_szego", "r": 0.3},
             "atoms": [{"angle": 2.0, "mass": 0.2}],
+        },
+        4096,
+    ),
+    ({"name": "bernstein_szego", "r": 0.9}, 4096),
+    (
+        {
+            "name": "mixed",
+            "base": {"name": "lebesgue"},
+            "atoms": [
+                {"angle": 0.0, "mass": 0.1},
+                {"angle": 1.0, "mass": 0.1},
+                {"angle": math.pi, "mass": 0.1},
+            ],
         },
         4096,
     ),

@@ -170,15 +170,13 @@ def cmv_coefficients(
 
     ``f_samples`` is one function on the grid, shape (N,), or a stack of
     them, shape (m, N); ``f_atom_values`` then has shape (A,) or (m, A) for
-    the A atoms.  Returns shape (n_max+1,) or (m, n_max+1).  The grid nodes
-    and the atoms are the nodes of one quadrature, summed in one streamed
-    pass of the recursion.
+    the A atoms.  Returns shape (n_max+1,) or (m, n_max+1).  The sums run
+    over the nodes of ``mu.quadrature()`` in one streamed pass of the
+    recursion.
     """
     f = np.asarray(f_samples, dtype=complex)
     if f.ndim not in (1, 2) or f.shape[-1:] != mu.weight.shape:
         raise GridMismatch(f"f has shape {f.shape}, grid expects {mu.weight.shape}")
-    nodes = mu.boundary_points
-    values = f * mu.weight
     if mu.atoms:
         if f_atom_values is None:
             raise GridMismatch("measure has atoms; f values at atoms required")
@@ -188,13 +186,9 @@ def cmv_coefficients(
                 f"{len(mu.atoms)} atom values expected per function, "
                 f"got shape {fa.shape}"
             )
-        # atom terms are scaled by N so that the one division below leaves
-        # them as they were; exact when N is a power of two
-        nodes = np.concatenate([nodes, mu.atom_points])
-        values = np.concatenate(
-            [values, mu.grid_size * mu.atom_masses * fa], axis=-1
-        )
-    return chi_sums(params, nodes, values, n_max) / mu.grid_size
+        f = np.concatenate([f, fa], axis=-1)
+    nodes, weights = mu.quadrature()
+    return chi_sums(params, nodes, f * weights, n_max)
 
 
 def partial_sum_deviation(

@@ -78,7 +78,7 @@ from .schur import (
     szego_formula_residual,
     iterate_noise_horizon,
 )
-from .szego import entropy, entropy_profile, szego_boundary, szego_interior
+from .szego import entropy, szego_boundary, szego_interior
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 
@@ -395,8 +395,11 @@ def _entropy_nonnegative(ctx: RunContext) -> Result:
 def _outer_consistency(ctx: RunContext) -> Result:
     points = ctx.interior_points(22, 24, 0.99)
     residual = max(
-        abs(2.0 * math.log(abs(szego_interior(ctx.mu, z))) - p_log)
-        for z, p_log in zip(points, poisson_log_weight(ctx.mu, points))
+        abs(2.0 * math.log(abs(d_value)) - p_log)
+        for d_value, p_log in zip(
+            szego_interior(ctx.mu, points).tolist(),
+            poisson_log_weight(ctx.mu, points),
+        )
     )
     return _within(
         residual,
@@ -414,12 +417,17 @@ def _radial_limit(ctx: RunContext) -> Result:
     inst = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
     mu = inst.measure
     boundary = szego_boundary(mu)
+    indices = [nearest_node(mu, complex(np.exp(1j * a))) for a in ctx.certified]
+    points = [
+        r * complex(np.exp(2j * np.pi * node / mu.grid_size))
+        for node in indices
+        for r in _RADII
+    ]
+    interior = szego_interior(mu, points).reshape(len(indices), len(_RADII))
     worst_last = 0.0
     worst_uphill = -math.inf
-    for angle in ctx.certified:
-        node = nearest_node(mu, complex(np.exp(1j * angle)))
-        xi = complex(np.exp(2j * np.pi * node / mu.grid_size))
-        devs = [abs(szego_interior(mu, r * xi) - boundary[node]) for r in _RADII]
+    for node, values in zip(indices, interior):
+        devs = [abs(value - boundary[node]) for value in values.tolist()]
         worst_last = max(worst_last, devs[-1])
         worst_uphill = max(worst_uphill, _nonincreasing_violation(devs))
     detail = (
@@ -464,11 +472,11 @@ def _entropy_product_points():
 def _entropy_product_identity(ctx: RunContext) -> Result:
     points = list(_entropy_product_points())
     entropies = entropy(ctx.mu, points)
+    f_values = schur_eval(ctx.mu, points).tolist()
     if ctx.finite_param:
         worst = 0.0
-        for z, k_value in zip(points, entropies):
+        for z, k_value, f0 in zip(points, entropies, f_values):
             n_eval = min(8, ctx.horizon(z))
-            f0 = schur_eval(ctx.mu, z)
             gap = abs(k_value - entropy_product(ctx.params, z, f0, n_eval))
             worst = max(worst, gap)
         return _within(
@@ -483,10 +491,9 @@ def _entropy_product_identity(ctx: RunContext) -> Result:
     # never overshoot.  Depth is capped by the pointwise noise horizon.
     worst_overshoot = 0.0
     worst_uphill = -math.inf
-    for z, k_value in zip(points, entropies):
+    for z, k_value, f0 in zip(points, entropies, f_values):
         h = ctx.horizon(z)
         n_grid = [n for n in (2, 4, 8, 16, 32, 64, 128, 256) if n <= h] or [h]
-        f0 = schur_eval(ctx.mu, z)
         gaps = [
             k_value - entropy_product(ctx.params, z, f0, n) for n in n_grid
         ]
@@ -511,9 +518,9 @@ def _schur_sum_bound(ctx: RunContext) -> Result:
     ]
     worst_excess = 0.0
     worst_eq = 0.0
-    for z, k_value in zip(points, entropy(ctx.mu, points)):
+    f_values = schur_eval(ctx.mu, points).tolist()
+    for z, k_value, f0 in zip(points, entropy(ctx.mu, points), f_values):
         n_eval = min(8, ctx.horizon(z)) if ctx.finite_param else min(ctx.horizon(z), 64)
-        f0 = schur_eval(ctx.mu, z)
         lhs, rhs = schur_sum_bound(
             ctx.params, z, f0, n_eval, entropy_value=k_value
         )
@@ -542,14 +549,11 @@ def _schur_sum_bound(ctx: RunContext) -> Result:
 def _moment_hermitian(ctx: RunContext) -> Result:
     mu = ctx.mu
     k_top = min(32, max_trusted_moment(mu))
-    points = mu.boundary_points
+    nodes, weights = mu.quadrature()
     c = moments(mu, k_top)
     worst = 0.0
     for k in range(k_top + 1):
-        direct = complex(np.mean(mu.weight * points**k))
-        direct += sum(
-            mass * complex(np.exp(1j * k * angle)) for angle, mass in mu.atoms
-        )
+        direct = complex(np.sum(weights * nodes**k))
         worst = max(worst, abs(c[k] - np.conj(direct)))
     return _within(
         worst,
@@ -588,11 +592,13 @@ def _two_route_equality(ctx: RunContext) -> Result:
 @check("schur_identities", "iterate_contractivity")
 def _iterate_contractivity(ctx: RunContext) -> Result:
     rng = ctx.rng(31)
+    points = [
+        (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
+        for _ in range(12)
+    ]
     worst = 0.0
-    for _ in range(12):
-        z = (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
+    for z, f0 in zip(points, schur_eval(ctx.mu, points).tolist()):
         n_eval = min(16, ctx.horizon(z))
-        f0 = schur_eval(ctx.mu, z)
         for k in range(n_eval + 1):
             worst = max(worst, abs(schur_iterate_eval(ctx.params, f0, z, k)))
     return _judged(
@@ -629,13 +635,10 @@ def _szego_formula(ctx: RunContext) -> Result:
 
 @check("schur_identities", "gram_orthonormality")
 def _gram_orthonormality(ctx: RunContext) -> Result:
-    mu = ctx.mu
     m = min(16, ctx.depth)
-    phi_rows, _ = eval_grid_table(ctx.params, mu.boundary_points, m)
-    gram = (phi_rows * mu.weight) @ phi_rows.conj().T / mu.grid_size
-    if mu.atoms:
-        phi_atoms, _ = eval_grid_table(ctx.params, mu.atom_points, m)
-        gram += (phi_atoms * mu.atom_masses) @ phi_atoms.conj().T
+    nodes, weights = ctx.mu.quadrature()
+    phi_rows = eval_grid_table(ctx.params, nodes, m)[0]
+    gram = (phi_rows * weights) @ phi_rows.conj().T
     residual = float(np.max(np.abs(gram - np.eye(m + 1))))
     return _within(
         residual,
@@ -736,10 +739,8 @@ def _weighted_poisson_identity(ctx: RunContext) -> Result:
 def _cmv_bessel(ctx: RunContext) -> Result:
     _, coeffs = ctx.cmv()
     total = float(np.sum(np.abs(coeffs) ** 2))
-    norm_sq = float(np.mean(np.cos(ctx.mu.angles) ** 2 * ctx.mu.weight))
-    norm_sq += sum(
-        mass * math.cos(angle) ** 2 for angle, mass in ctx.mu.atoms
-    )
+    nodes, weights = ctx.mu.quadrature()
+    norm_sq = float(np.sum(nodes.real**2 * weights))
     return _within(
         max(total - norm_sq, 0.0),
         1e-8,
@@ -864,15 +865,9 @@ def _mnt_table(ctx: RunContext, angle: float) -> str:
 
 
 def _entropy_table(ctx: RunContext, angle: float) -> str:
-    profile = entropy_profile(
-        ctx.mu,
-        complex(np.exp(1j * angle)),
-        ctx.n_list,
-        ctx.config.delta_grid_size,
-    )
     return csv_text(
         "n,K_n,P_n,F_n",
-        [(row.n, row.k_n, row.p_n, row.f_n) for row in profile.rows],
+        [(row.n, row.k_n, row.p_n, row.f_n) for row in ctx.sandwich(angle).rows],
     )
 
 

@@ -8,11 +8,14 @@ continuous parts, which are out of scope.
 
 Quadrature policy
 -----------------
-All grid integrals use the periodic trapezoid rule (a plain mean over the
-equispaced samples), which is spectrally accurate for smooth periodic
-integrands.  Atom contributions are always added in closed form and never
-smeared onto the grid.  Trigonometric moments of sampled data alias above
-N/8, so moment orders beyond that raise :class:`~opuclab.errors.AliasRisk`.
+The measure is one quadrature rule, ``CircleMeasure.quadrature()``: the N
+grid nodes with weights w_j / N (the periodic trapezoid rule, spectrally
+accurate for smooth periodic integrands), then the atom points with their
+masses, which are exact and never smeared onto the grid.  For the
+power-of-two N that configs allow, w_j / N is exact, so a sum over the
+grid part equals the grid mean bitwise.  Trigonometric moments of sampled
+data alias above N/8, so moment orders beyond that raise
+:class:`~opuclab.errors.AliasRisk`.
 """
 
 from __future__ import annotations
@@ -109,6 +112,16 @@ class CircleMeasure:
     @property
     def atom_masses(self) -> np.ndarray:
         return np.array([m for _, m in self.atoms])
+
+    def quadrature(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights) with integral of f dmu = sum of weights * f(nodes).
+
+        The grid points with weights w_j / N, then the atom points with
+        their masses; computed on each call, like ``boundary_points``.
+        """
+        nodes = np.concatenate([self.boundary_points, self.atom_points])
+        weights = np.concatenate([self.weight / self.grid_size, self.atom_masses])
+        return nodes, weights
 
     @property
     def total_mass(self) -> float:
@@ -258,30 +271,41 @@ def _poisson_kernel(points: np.ndarray, z: complex) -> np.ndarray:
     return (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(points) * z) ** 2
 
 
-def _poisson_means(mu: CircleMeasure, zs: list, rows: Sequence) -> np.ndarray:
-    """Poisson extensions of several densities at the interior points zs.
+def _schwarz_kernel(points: np.ndarray, z: complex) -> np.ndarray:
+    """(xi + z) / (xi - z) at the given unimodular points; its real part is
+    the Poisson kernel."""
+    return (points + z) / (points - z)
+
+
+def _poisson_means(
+    mu: CircleMeasure, zs: list, rows: Sequence, kernel=_poisson_kernel
+) -> np.ndarray:
+    """Kernel extensions of several densities at the interior points zs.
 
     ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
-    is the grid mean of grid_row * P(., zs[j]) plus, unless atom_row is
-    None, the sum of atom_row * P(., zs[j]) over the atoms.  One kernel per
-    point serves every row, and the loop over points keeps memory O(N).
+    is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
+    is None, the sum of atom_row * kernel(., zs[j]) over the atoms.  The
+    kernel is ``_poisson_kernel`` (real result) or ``_schwarz_kernel``
+    (complex result).  One kernel per point serves every row, and the loop
+    over points keeps memory O(N).
     """
     points = mu.boundary_points
     atom_points = mu.atom_points
-    out = np.empty((len(rows), len(zs)))
+    dtype = complex if kernel is _schwarz_kernel else float
+    out = np.empty((len(rows), len(zs)), dtype=dtype)
     for j, z in enumerate(zs):
-        kernel = _poisson_kernel(points, z)
-        atom_kernel = _poisson_kernel(atom_points, z) if mu.atoms else None
+        kernel_row = kernel(points, z)
+        atom_kernel = kernel(atom_points, z) if mu.atoms else None
         for i, (grid_row, atom_row) in enumerate(rows):
-            out[i, j] = np.mean(grid_row * kernel)
+            out[i, j] = np.mean(grid_row * kernel_row)
             if atom_row is not None:
                 out[i, j] += np.sum(atom_row * atom_kernel)
     return out
 
 
 def _one_or_many(z, values: np.ndarray):
-    """A float for a single point z, else the array of values."""
-    return float(values[0]) if np.ndim(z) == 0 else values
+    """A Python scalar for a single point z, else the array of values."""
+    return values[0].item() if np.ndim(z) == 0 else values
 
 
 def poisson(mu: CircleMeasure, z) -> float | np.ndarray:

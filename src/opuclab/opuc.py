@@ -16,12 +16,11 @@ Extraction routes
   coefficients with inner products read from the moment sequence.  Fine for
   tame measures; coefficient growth makes it ill-conditioned when the
   parameters do not decay.
-* ``verblunsky_from_measure`` runs the same recursion on grid *values* of
-  the density part (where huge polynomial values are multiplied by tiny
-  weights instead of cancelling symbolically), then accounts for each atom
-  exactly through the rank-one kernel update of the orthogonal family.
-  Its value-space recursion keeps extended-precision intermediates; the
-  atom updates, like the transfer recursion, run in complex128.
+* ``verblunsky_from_measure`` runs the same recursion on *values* at the
+  nodes of ``CircleMeasure.quadrature()``, grid points and atoms alike
+  (huge polynomial values are multiplied by tiny weights instead of
+  cancelling symbolically).  It keeps extended-precision intermediates;
+  the transfer recursion runs in complex128.
 """
 
 from __future__ import annotations
@@ -324,72 +323,39 @@ def verblunsky_from_moments(moments: np.ndarray, n_max: int) -> SchurParameters:
 
 
 # -----------------------------------------------------------------------------
-# Parameter extraction, route A': grid values plus exact atoms
+# Parameter extraction, route A': values at the quadrature nodes
 # -----------------------------------------------------------------------------
-def _insert_mass(a_values: np.ndarray, m: float, xi0: complex) -> np.ndarray:
-    """Parameters after adding mass m (relative to a unit-mass base) at xi0.
-
-    The perturbed monic polynomial evaluates at zero through the base
-    family's reproducing kernel:
-
-        Phi'_{n+1}(0) = Phi_{n+1}(0)
-            - m Phi_{n+1}(xi0) K_n(0, xi0) / (1 + m K_n(xi0, xi0)),
-
-    with K_n(z, xi) = sum_{k<=n} phi_k(z) conj(phi_k(xi)) and
-    a'_n = -conj(Phi'_{n+1}(0)).  All base evaluations at xi0 follow the
-    dominant transfer direction, so the update is forward stable.
-    """
-    params = SchurParameters(a_values)
-    norm = np.cumprod(params.rho)
-    out = np.zeros(len(params), dtype=complex)
-    k_xx = 0.0
-    k_0x = 0j
-    steps = _transfer_steps(params, np.array([0.0, xi0]), len(params))
-    for n, (phi, _) in enumerate(steps):
-        if n:
-            # phi = phi_n at (0, xi0); the kernels still stop at order n - 1
-            phi0_new = norm[n - 1] * (phi[0] - m * phi[1] * k_0x / (1.0 + m * k_xx))
-            out[n - 1] = -np.conj(phi0_new)
-        k_xx += abs(phi[1]) ** 2
-        k_0x += phi[0] * np.conj(phi[1])
-    return out
-
-
 def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
-    """a_0..a_{n_max-1} by the value-space recursion plus exact atom updates.
+    """a_0..a_{n_max-1} by the monic recursion on values at the nodes.
 
-    The density part runs the monic recursion on grid values, where the
+    The measure is the discrete measure of ``mu.quadrature()``, grid nodes
+    and atoms alike, so num = sum q z phi and den = sum q phi* are exact
+    inner products and atoms need no separate update.  In value space the
     huge polynomial values over low-weight regions are damped by the weight
-    instead of cancelling in coefficient space.  Atoms are then folded in
-    one at a time through the rank-one kernel update, each relative to the
-    mass accumulated so far.
+    instead of cancelling in coefficient space.
     """
     if n_max > N_MAX:
         raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")
     # Extended precision: in double, geronimus(0.6) gram_orthonormality goes
     # from 8.7e-14 to 2.8e-10 and constant_deviation_zero to 1.4e-14.
-    w = mu.weight.astype(np.longdouble)
-    xi = mu.boundary_points.astype(np.clongdouble)
+    xi, q = mu.quadrature()
+    xi = xi.astype(np.clongdouble)
+    q = q.astype(np.longdouble)
     phi = np.ones_like(xi)
     phis = np.ones_like(xi)
     values = np.zeros(n_max, dtype=complex)
     for n in range(n_max):
         zphi = xi * phi
-        num = np.mean(zphi * w)
-        den = np.mean(phis * w)
+        num = np.sum(zphi * q)
+        den = np.sum(phis * q)
         if abs(den) < 1e-300:
             raise PositivityLoss(f"vanishing norm inner product at degree {n}")
         a = np.conj(num / den)
         if abs(a) >= ESCAPE_THRESHOLD:
             raise PositivityLoss(
                 f"|a_{n}| = {abs(complex(a)):.15g} at the escape threshold; "
-                "grid measure appears degenerate at this depth"
+                "discrete measure appears degenerate at this depth"
             )
         values[n] = complex(a)
         phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
-
-    mass = float(mu.weight.mean())
-    for angle, atom_mass in mu.atoms:
-        values = _insert_mass(values, atom_mass / mass, np.exp(1j * angle))
-        mass += atom_mass
     return SchurParameters(values)

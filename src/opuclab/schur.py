@@ -47,7 +47,15 @@ from .errors import (
     OutOfRange,
     ParameterEscape,
 )
-from .measure import CircleMeasure, _check_interior, moment, moments
+from .measure import (
+    CircleMeasure,
+    _interior_points,
+    _one_or_many,
+    _poisson_means,
+    _schwarz_kernel,
+    moment,
+    moments,
+)
 
 # Modulus at which a parameter is declared escaped (degenerate measure).
 ESCAPE_THRESHOLD = 1.0 - 1e-12
@@ -103,30 +111,34 @@ class SchurParameters:
 # -----------------------------------------------------------------------------
 # Pointwise Herglotz and Schur functions
 # -----------------------------------------------------------------------------
-def caratheodory_eval(mu: CircleMeasure, z: complex) -> complex:
-    """Herglotz integral of mu at an interior point, by quadrature.
+def caratheodory_eval(mu: CircleMeasure, z) -> complex | np.ndarray:
+    """Herglotz integral of mu at interior points, by quadrature.
 
     Accurate pointwise companion to the truncated series: no truncation
-    tail to manage at |z| close to 1.
+    tail to manage at |z| close to 1.  ``z`` is one interior point
+    (returns a complex) or a 1-d array of them (returns an array).
     """
-    z = _check_interior(z)
-    xi = mu.boundary_points
-    value = complex(np.mean(mu.weight * (xi + z) / (xi - z)))
-    for angle, mass in mu.atoms:
-        p = np.exp(1j * angle)
-        value += mass * (p + z) / (p - z)
-    return value
+    zs = _interior_points(z)
+    rows = [(mu.weight, mu.atom_masses if mu.atoms else None)]
+    return _one_or_many(z, _poisson_means(mu, zs, rows, _schwarz_kernel)[0])
 
 
-def schur_eval(mu: CircleMeasure, z: complex) -> complex:
-    """Schur function of mu at an interior point, by quadrature."""
-    z = complex(z)
-    if abs(z) < 1e-12:
-        return moment(mu, 1)
-    F = caratheodory_eval(mu, z)
-    if abs(F + 1.0) < 1e-12:
+def schur_eval(mu: CircleMeasure, z) -> complex | np.ndarray:
+    """Schur function of mu at interior points, by quadrature.
+
+    One point or a 1-d array of them, as for ``caratheodory_eval``; a
+    point with |z| < 1e-12 reads f(0) = c_1 instead of dividing by z.
+    """
+    zs = np.array(_interior_points(z), dtype=complex)
+    away = np.abs(zs) >= 1e-12
+    values = np.empty(len(zs), dtype=complex)
+    if not away.all():
+        values[~away] = moment(mu, 1)
+    F = caratheodory_eval(mu, zs[away])
+    if np.any(np.abs(F + 1.0) < 1e-12):
         raise DivisionBlowup("Herglotz value at -1; measure degenerate at z")
-    return (F - 1.0) / (z * (F + 1.0))
+    values[away] = (F - 1.0) / (zs[away] * (F + 1.0))
+    return _one_or_many(z, values)
 
 
 # -----------------------------------------------------------------------------

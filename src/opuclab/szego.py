@@ -38,10 +38,10 @@ from .errors import EntropyNegative, OutOfRange
 from .measure import (
     CircleMeasure,
     _as_boundary,
-    _check_interior,
     _interior_points,
     _one_or_many,
     _poisson_means,
+    _schwarz_kernel,
     fejer_mean,
 )
 
@@ -60,17 +60,18 @@ _PROFILE_ROUNDOFF = 0.05
 _DELTA_MIN = 1e-4
 
 
-def szego_interior(mu: CircleMeasure, z: complex) -> complex:
-    """Outer function D(z) at an interior point, via the Schwarz kernel.
+def szego_interior(mu: CircleMeasure, z) -> complex | np.ndarray:
+    """Outer function D(z) at interior points, via the Schwarz kernel.
 
     D(z) = exp( (1/2) * mean over grid of (xi + z)/(xi - z) * log w(xi) ).
-    Atoms do not contribute.  D(0) is real positive.
+    Atoms do not contribute.  D(0) is real positive.  ``z`` is one
+    interior point (returns a complex) or a 1-d array of them.
     """
     mu.require_szego()
-    z = _check_interior(z)
-    xi = mu.boundary_points
-    schwarz = (xi + z) / (xi - z)
-    return complex(np.exp(0.5 * np.mean(schwarz * np.log(mu.weight))))
+    zs = _interior_points(z)
+    rows = [(np.log(mu.weight), None)]
+    means = _poisson_means(mu, zs, rows, _schwarz_kernel)[0]
+    return _one_or_many(z, np.exp(0.5 * means))
 
 
 def szego_boundary(mu: CircleMeasure) -> np.ndarray:

@@ -184,7 +184,8 @@ def test_summability_run_makes_one_coefficient_pass(monkeypatch):
     assert orders == [200]
 
 
-def test_mnt_run_evaluates_the_grid_once_per_batch(monkeypatch):
+def _grid_reads(monkeypatch, cfg):
+    """Run cfg; return the outcome and how often the grid was evaluated."""
     reads = []
     evaluate = CircleMeasure.boundary_points.fget
 
@@ -193,16 +194,34 @@ def test_mnt_run_evaluates_the_grid_once_per_batch(monkeypatch):
         return evaluate(mu)
 
     monkeypatch.setattr(CircleMeasure, "boundary_points", property(counted))
+    return run_experiment(cfg), len(reads)
+
+
+def test_mnt_run_evaluates_the_grid_once_per_batch(monkeypatch):
     cfg = _config(
         family=MIXED,
         grid_size=16384,
         n_list=[4, 16, 64, 256],
         delta_grid_size=256,
     )
-    outcome = run_experiment(cfg)
+    outcome, reads = _grid_reads(monkeypatch, cfg)
     assert not outcome.failed
     # one read per batch of interior points; one per point would be ~4200
-    assert len(reads) < 100, len(reads)
+    assert reads < 100, reads
+
+
+def test_all_run_evaluates_the_grid_once_per_batch(monkeypatch):
+    cfg = _config(
+        family={"name": "ell2", "c": 0.5, "p": 1.0},
+        grid_size=8192,
+        n_list=[4, 16, 64],
+        experiment="all",
+    )
+    outcome, reads = _grid_reads(monkeypatch, cfg)
+    assert not outcome.failed
+    # Herglotz and outer-function values read the grid once per batch;
+    # once per interior point is 120 reads
+    assert reads < 60, reads
 
 
 def test_summability_table_matches_the_public_functions():

@@ -28,7 +28,8 @@ from opuclab.measure import (
     to_json_dict,
     weighted_poisson,
 )
-from opuclab.szego import entropy
+from opuclab.schur import schur_eval
+from opuclab.szego import entropy, szego_interior
 
 from oracles import poisson_kernel_direct
 
@@ -92,17 +93,19 @@ def test_array_points_match_one_point_calls_bitwise(family, request):
     g = 1.0 + np.cos(mu.angles) ** 2
     g_atoms = 1.0 + np.cos([a for a, _ in mu.atoms]) ** 2
     extensions = (
-        poisson,
-        poisson_log_weight,
-        entropy,
-        lambda mu, z: weighted_poisson(mu, g, z, g_atoms),
+        (poisson, float),
+        (poisson_log_weight, float),
+        (entropy, float),
+        (lambda mu, z: weighted_poisson(mu, g, z, g_atoms), float),
+        (schur_eval, complex),
+        (szego_interior, complex),
     )
-    for extend in extensions:
+    for extend, scalar in extensions:
         batch = extend(mu, np.array(_POINTS))
         single = np.array([extend(mu, z) for z in _POINTS])
         assert batch.shape == (len(_POINTS),)
         assert np.array_equal(batch, single)
-        assert isinstance(extend(mu, _POINTS[1]), float)
+        assert isinstance(extend(mu, _POINTS[1]), scalar)
 
 
 def test_array_points_are_checked_one_by_one(bs_half):

@@ -115,6 +115,17 @@ def test_atom_insertion_route(mixed_atom):
     assert np.max(np.abs(direct.values - cascade.values)) < 1e-9
 
 
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("theta", [0.0, 2.0, 4.0])
+def test_single_atom_on_lebesgue_closed_form(t, theta):
+    # (1 - t) dm + t delta at e^{i theta}: a_n = t e^{-i(n+1) theta} / (1 + n t)
+    mu = build_measure(np.full(4096, 1.0 - t), [(theta, t)])
+    n = np.arange(64)
+    exact = t * np.exp(-1j * (n + 1) * theta) / (1.0 + n * t)
+    a = verblunsky_from_measure(mu, 64).values
+    assert np.max(np.abs(a - exact)) < 1e-13
+
+
 def test_dual_parameters_negate_and_involute(bs_half):
     dual = dual_parameters(bs_half.params)
     assert np.array_equal(dual.values, -bs_half.params.values)
