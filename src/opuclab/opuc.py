@@ -329,7 +329,7 @@ def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
     """a_0..a_{n_max-1} by the monic recursion on values at the nodes.
 
     The measure is the discrete measure of ``mu.quadrature()``, grid nodes
-    and atoms alike, so num = sum q z phi and den = sum q phi* are exact
+    and atoms alike, so num = sum q z phi and den = sum q phi* are its
     inner products and atoms need no separate update.  In value space the
     huge polynomial values over low-weight regions are damped by the weight
     instead of cancelling in coefficient space.
