@@ -39,7 +39,7 @@ import numpy as np
 from .errors import FamilyValidationError, OutOfRange
 from .measure import CircleMeasure, build_measure, check_atoms
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
-from .schur import SchurParameters
+from .schur import SchurParameters, digit_loss
 
 # Parameter-first reconstruction needs the grid to resolve the rational
 # density 1/|phi_K|^2; empirically 56 nodes per parameter keeps the
@@ -92,7 +92,7 @@ def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
     loss = 0.0
     n = 0
     for a in np.abs(params.values[:cap]):
-        loss += math.log10((1.0 + a) / max(1.0 - a, 1e-300))
+        loss += digit_loss(a)
         if loss > 6.5:
             break
         n += 1

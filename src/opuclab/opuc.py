@@ -19,19 +19,21 @@ Extraction routes
 * ``verblunsky_from_measure`` runs the same recursion on *values* at the
   nodes of ``CircleMeasure.quadrature()``, grid points and atoms alike
   (huge polynomial values are multiplied by tiny weights instead of
-  cancelling symbolically).  It keeps extended-precision intermediates;
-  the transfer recursion runs in complex128.
+  cancelling symbolically).  It runs in complex128 and is redone in
+  extended precision when its digit-loss estimate passes 4 digits; the
+  transfer recursion runs in complex128.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRange, PositivityLoss
 from .measure import CircleMeasure, _as_boundary
-from .schur import ESCAPE_THRESHOLD, SchurParameters
+from .schur import _SAFE_DIGIT_LOSS, ESCAPE_THRESHOLD, SchurParameters, digit_loss
 
 # Depth cap of both parameter-extraction routes; desk scale.
 N_MAX = 512
@@ -325,25 +327,18 @@ def verblunsky_from_moments(moments: np.ndarray, n_max: int) -> SchurParameters:
 # -----------------------------------------------------------------------------
 # Parameter extraction, route A': values at the quadrature nodes
 # -----------------------------------------------------------------------------
-def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
-    """a_0..a_{n_max-1} by the monic recursion on values at the nodes.
+def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int, max_loss: float):
+    """The monic recursion on values at nodes ``xi`` with weights ``q``.
 
-    The measure is the discrete measure of ``mu.quadrature()``, grid nodes
-    and atoms alike, so num = sum q z phi and den = sum q phi* are its
-    inner products and atoms need no separate update.  In value space the
-    huge polynomial values over low-weight regions are damped by the weight
-    instead of cancelling in coefficient space.
+    Runs in the dtype of the arrays it gets.  Returns a_0..a_{n_max-1} as
+    complex128, or None once the digit-loss estimate of the parameters
+    found so far passes ``max_loss``; raises PositivityLoss when the norm
+    vanishes or a parameter reaches the escape threshold.
     """
-    if n_max > N_MAX:
-        raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")
-    # Extended precision: in double, geronimus(0.6) gram_orthonormality goes
-    # from 8.7e-14 to 2.8e-10 and constant_deviation_zero to 1.4e-14.
-    xi, q = mu.quadrature()
-    xi = xi.astype(np.clongdouble)
-    q = q.astype(np.longdouble)
     phi = np.ones_like(xi)
     phis = np.ones_like(xi)
     values = np.zeros(n_max, dtype=complex)
+    loss = 0.0
     for n in range(n_max):
         zphi = xi * phi
         num = np.sum(zphi * q)
@@ -356,6 +351,39 @@ def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
                 f"|a_{n}| = {abs(complex(a)):.15g} at the escape threshold; "
                 "discrete measure appears degenerate at this depth"
             )
+        loss += digit_loss(abs(a))
+        if loss > max_loss:
+            return None
         values[n] = complex(a)
         phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
+    return values
+
+
+def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
+    """a_0..a_{n_max-1} by the monic recursion on values at the nodes.
+
+    The measure is the discrete measure of ``mu.quadrature()``, grid nodes
+    and atoms alike, so num = sum q z phi and den = sum q phi* are its
+    inner products and atoms need no separate update.  In value space the
+    huge polynomial values over low-weight regions are damped by the weight
+    instead of cancelling in coefficient space.
+
+    The recursion runs in double while the parameters' digit-loss estimate
+    stays within the Schur cascade's ``_SAFE_DIGIT_LOSS``; otherwise, or
+    when the double pass escapes or loses the norm, it is redone in
+    extended precision, which alone decides whether to raise.
+    """
+    if n_max > N_MAX:
+        raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")
+    xi, q = mu.quadrature()
+    try:
+        values = _value_recursion(xi, q, n_max, _SAFE_DIGIT_LOSS)
+    except PositivityLoss:
+        values = None
+    if values is None:
+        # Extended precision: in double, geronimus(0.6) gram_orthonormality
+        # goes from 8.7e-14 to 2.8e-10 and constant_deviation_zero to 1.4e-14.
+        values = _value_recursion(
+            xi.astype(np.clongdouble), q.astype(np.longdouble), n_max, math.inf
+        )
     return SchurParameters(values)

@@ -69,8 +69,13 @@ SERIES_GUARD = 8
 Z_MIN = 1e-3
 
 # Accumulated decimal-digit loss beyond which the double-precision cascade
-# is rerun in mpmath.
+# is rerun in mpmath (and the value-space recursion in extended precision).
 _SAFE_DIGIT_LOSS = 4.0
+
+
+def digit_loss(mag: float) -> float:
+    """Decimal digits one Schur step at |a| = mag costs: log10((1+|a|)/(1-|a|))."""
+    return math.log10((1.0 + mag) / max(1.0 - mag, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def _cascade(u: list, v: list, n_max: int):
         mag = abs(a)
         if mag >= ESCAPE_THRESHOLD:
             return out, loss, step
-        loss += math.log10((1.0 + mag) / (1.0 - mag))
+        loss += digit_loss(mag)
         ac = a.conjugate()
         for k in range(len(u) - 1):
             v[k] -= ac * u[k]

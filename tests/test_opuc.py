@@ -1,6 +1,7 @@
 """Transfer-matrix evaluation, moment recursion, CD kernels, dual parameters."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import opuclab
+from opuclab import opuc
 from opuclab.errors import OutOfRange, PositivityLoss
+from opuclab.families import build_family
 from opuclab.measure import build_measure, moment
 from opuclab.opuc import (
     cd_kernel_cmv,
@@ -107,6 +110,84 @@ def test_extended_precision_only_where_it_buys_digits():
             if name in ("longdouble", "clongdouble"):
                 found.add(owner.get(node, f"{path.name} at module level"))
     assert found == kept
+
+
+def _recursion_dtypes(monkeypatch):
+    """A list that records the dtype of each value-space recursion pass."""
+    dtypes = []
+    recursion = opuc._value_recursion
+
+    def spy(xi, *args):
+        dtypes.append(xi.dtype.type)
+        return recursion(xi, *args)
+
+    monkeypatch.setattr(opuc, "_value_recursion", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size, depth",
+    [
+        # mixed-mnt-quadrature measure, digit loss 3.87
+        (
+            {
+                "name": "mixed",
+                "base": {"name": "bernstein_szego", "r": 0.3},
+                "atoms": [{"angle": 2.0, "mass": 0.2}],
+            },
+            16384,
+            257,
+        ),
+        # loss 2.71
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 257),
+        # loss 1.28
+        ({"name": "bernstein_szego", "r": 0.9}, 4096, 65),
+        # three atoms on lebesgue, loss 3.03
+        (
+            {
+                "name": "mixed",
+                "base": {"name": "lebesgue"},
+                "atoms": [
+                    {"angle": 0.0, "mass": 0.1},
+                    {"angle": 1.0, "mass": 0.1},
+                    {"angle": math.pi, "mass": 0.1},
+                ],
+            },
+            4096,
+            65,
+        ),
+    ],
+    ids=["mixed-mnt-quadrature", "ell2", "bernstein_szego-0.9", "mixed-three-atoms"],
+)
+def test_value_recursion_stays_in_double_within_four_digits(
+    monkeypatch, spec, grid_size, depth
+):
+    mu = build_family(spec, grid_size, depth).measure
+    xi, q = mu.quadrature()
+    extended = opuc._value_recursion(
+        xi.astype(np.clongdouble), q.astype(np.longdouble), depth, math.inf
+    )
+    dtypes = _recursion_dtypes(monkeypatch)
+    params = verblunsky_from_measure(mu, depth)
+    assert dtypes == [np.complex128]
+    assert np.max(np.abs(params.values - extended)) < 1e-14
+
+
+def test_value_recursion_goes_extended_past_four_digits(monkeypatch, geronimus6):
+    dtypes = _recursion_dtypes(monkeypatch)
+    verblunsky_from_measure(geronimus6.measure, 65)
+    assert dtypes == [np.complex128, np.clongdouble]
+
+
+def test_value_recursion_escape_survives_the_double_pass(monkeypatch):
+    # three atoms carry all but 1e-13 of the mass, so a_2 escapes
+    mu = build_measure(
+        np.full(1024, 1e-13), [(0.0, 0.4), (2.0, 0.3), (4.0, 0.3 - 1e-13)]
+    )
+    dtypes = _recursion_dtypes(monkeypatch)
+    with pytest.raises(PositivityLoss, match=r"\|a_2\|"):
+        verblunsky_from_measure(mu, 8)
+    assert dtypes == [np.complex128, np.clongdouble]
 
 
 def test_atom_insertion_route(mixed_atom):
