@@ -11,9 +11,10 @@ Measure-first families (lebesgue, bernstein_szego, geronimus, mixed) sample
 a closed-form weight and extract parameters from the grid.  Parameter-first
 families (ell2) realize their truncation exactly: the measure with
 parameters (a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is
-sampled without any series truncation error.  Every builder cross-validates
-its secondary representation against the primary one and raises
-FamilyValidationError on mismatch.
+sampled without any series truncation error: one FFT of phi_K's K+1
+coefficients gives its values at the grid nodes.  Every builder
+cross-validates its secondary representation against the primary one and
+raises FamilyValidationError on mismatch.
 
 Records
 -------

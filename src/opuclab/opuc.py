@@ -22,6 +22,16 @@ Extraction routes
   cancelling symbolically).  It runs in complex128 and is redone in
   extended precision when its digit-loss estimate passes 4 digits; the
   transfer recursion runs in complex128.
+
+Reconstruction
+--------------
+``weight_from_parameters`` samples 1/|phi_K|^2 on the N-th roots of unity.
+It runs the transfer recursion above on the Taylor coefficients of phi_K
+(multiplying by z shifts them one place) and evaluates phi_K at all N nodes
+with one FFT, O(K^2 + N log N) instead of K steps at every node.  Its
+relative error is about 10^(digit loss) * eps, the conditioning of phi_K
+itself.  Everything else evaluates polynomials pointwise by the transfer
+recursion.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ N_MAX = 512
 
 # Near-diagonal switch for the Christoffel-Darboux quotients.
 _CD_DIAGONAL = 1e-8
+
+# |phi| whose square is a normal finite double, so 1/|phi|^2 is positive and finite.
+_MODULUS_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -261,10 +274,37 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
 
     Such a truncation has the rational density 1/|phi_K|^2; sampling it is
     the reconstruction route for parameter-first families.
+
+    The transfer recursion runs on the K+1 Taylor coefficients of phi_K
+    (z is a shift by one place), and one length-N FFT of them gives phi_K
+    at the N-th roots of unity.  Coefficients past degree N-1 fold onto
+    degree k mod N, which is exact on the grid because xi^N = 1 there.
+    Raises PositivityLoss at a node where |phi_K|^2 underflows to 0 or
+    overflows, so that 1/|phi_K|^2 would not be a positive double.
     """
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    phi, _ = eval_grid_pair(params, np.exp(1j * angles), len(params))
-    return 1.0 / np.abs(phi) ** 2
+    k_cut = len(params)
+    a = params.values
+    inv_rho = 1.0 / params.rho
+    phi = np.zeros(k_cut + 1, dtype=complex)
+    phi[0] = 1.0
+    phis = phi.copy()
+    for k in range(k_cut):
+        # z phi_k; phi_k has degree k < k_cut, so nothing is shifted out
+        zphi = np.concatenate(([0.0], phi[:-1]))
+        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
+            phis - a[k] * zphi
+        ) * inv_rho[k]
+    folded = np.pad(phi, (0, -len(phi) % grid_size))
+    coeffs = folded.reshape(-1, grid_size).sum(axis=0)
+    modulus = np.abs(grid_size * np.fft.ifft(coeffs))
+    in_range = (modulus > _MODULUS_RANGE[0]) & (modulus < _MODULUS_RANGE[1])
+    if not np.all(in_range):
+        node = int(np.argmin(in_range))
+        raise PositivityLoss(
+            f"|phi_{k_cut}| = {modulus[node]:.3g} at grid node {node} of "
+            f"{grid_size}: the density 1/|phi_K|^2 is not a positive double there"
+        )
+    return 1.0 / modulus**2
 
 
 # -----------------------------------------------------------------------------

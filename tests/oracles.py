@@ -84,6 +84,25 @@ def cd_kernel_bruteforce(params, xi: complex, z: complex, n: int) -> complex:
     )
 
 
+def phi_at_node_mp(values, node: int, grid_size: int, dps: int = 40) -> complex:
+    """phi_K(e^{2 pi i node/N}), K = len(values), by the transfer recursion in mpmath.
+
+    Each double parameter converts to mpmath exactly, so the only error is
+    the working precision of ``dps`` digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = mpmath.expjpi(mpmath.mpf(2 * int(node)) / grid_size)
+        phi = phis = mpmath.mpc(1)
+        for value in values:
+            a = mpmath.mpc(complex(value))
+            rho = mpmath.sqrt(1 - abs(a) ** 2)
+            zphi = z * phi
+            phi, phis = (zphi - mpmath.conj(a) * phis) / rho, (phis - a * zphi) / rho
+        return complex(phi)
+
+
 def cmv_coefficients_dense(
     mu: CircleMeasure, params, f_samples, n_max: int, f_atom_values=None
 ):

@@ -1,6 +1,7 @@
 """Verdict engine: suite wiring, reports, tables, failure surfacing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def test_family_build_failure_is_a_verdict(monkeypatch):
         "family_build": {"verdicts": [verdict.to_json()], "tables": []}
     }
     assert outcome.report["family"] == {}
+
+
+def test_density_out_of_double_range_fails_the_build_quietly():
+    # validation accepts ell2(0.9, 0.3) at depth 257, but its 57 digits of
+    # loss underflow |phi_K| at a grid node: a refusal, not a 1/0 warning
+    cfg = _config(
+        family={"name": "ell2", "c": 0.9, "p": 0.3},
+        grid_size=32768,
+        n_list=[256],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = run_experiment(cfg)
+    assert caught == []
+    [verdict] = outcome.verdicts
+    assert verdict.name == "family_build"
+    assert verdict.status == "fail"
+    assert "PositivityLoss" in verdict.detail
+    assert "at grid node" in verdict.detail
 
 
 def test_geronimus_refinement_skips():
