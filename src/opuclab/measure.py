@@ -266,15 +266,28 @@ def _interior_points(z) -> list:
     return [_check_interior(v) for v in z]
 
 
-def _poisson_kernel(points: np.ndarray, z: complex) -> np.ndarray:
-    """(1 - |z|^2) / |1 - conj(xi) z|^2 at the given unimodular points."""
-    return (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(points) * z) ** 2
+def _poisson_kernel(
+    conj_points: np.ndarray, z: complex, out=None, scratch=None
+) -> np.ndarray:
+    """(1 - |z|^2) / |1 - conj(xi) z|^2 at unimodular points xi, given
+    conj(xi).  ``out`` (real) and ``scratch`` (complex) are optional
+    buffers of the points' length; the result is ``out`` when given."""
+    w = np.multiply(conj_points, z, out=scratch)
+    np.subtract(1.0, w, out=w)
+    kernel = np.abs(w, out=out)
+    np.square(kernel, out=kernel)
+    return np.divide(1.0 - abs(z) ** 2, kernel, out=kernel)
 
 
-def _schwarz_kernel(points: np.ndarray, z: complex) -> np.ndarray:
+def _schwarz_kernel(
+    points: np.ndarray, z: complex, out=None, scratch=None
+) -> np.ndarray:
     """(xi + z) / (xi - z) at the given unimodular points; its real part is
-    the Poisson kernel."""
-    return (points + z) / (points - z)
+    the Poisson kernel.  ``out`` and ``scratch`` are optional complex
+    buffers of the points' length; the result is ``out`` when given."""
+    w = np.subtract(points, z, out=scratch)
+    kernel = np.add(points, z, out=out)
+    return np.divide(kernel, w, out=kernel)
 
 
 def _poisson_means(
@@ -286,18 +299,32 @@ def _poisson_means(
     is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
     is None, the sum of atom_row * kernel(., zs[j]) over the atoms.  The
     kernel is ``_poisson_kernel`` (real result) or ``_schwarz_kernel``
-    (complex result).  One kernel per point serves every row, and the loop
-    over points keeps memory O(N).
+    (complex result).  One kernel per point serves every row.
+
+    The grid work runs in three node-sized buffers allocated once per
+    call (a complex scratch, the kernel and the row product), so memory
+    stays O(N) and no array is allocated per point.  Every value is
+    bitwise the one-kernel-per-point form: the same operations in the same
+    order, and the grid mean is ``np.add.reduce`` divided by N, as in
+    ``np.mean``.
     """
-    points = mu.boundary_points
-    atom_points = mu.atom_points
-    dtype = complex if kernel is _schwarz_kernel else float
+    points, atom_points = mu.boundary_points, mu.atom_points
+    if kernel is _poisson_kernel:
+        points, atom_points = np.conj(points), np.conj(atom_points)
+        dtype = float
+    else:
+        dtype = complex
+    grid_size = len(points)
+    scratch = np.empty(grid_size, dtype=complex)
+    kernel_row = np.empty(grid_size, dtype=dtype)
+    product = np.empty(grid_size, dtype=dtype)
     out = np.empty((len(rows), len(zs)), dtype=dtype)
     for j, z in enumerate(zs):
-        kernel_row = kernel(points, z)
+        kernel(points, z, out=kernel_row, scratch=scratch)
         atom_kernel = kernel(atom_points, z) if mu.atoms else None
         for i, (grid_row, atom_row) in enumerate(rows):
-            out[i, j] = np.mean(grid_row * kernel_row)
+            np.multiply(grid_row, kernel_row, out=product)
+            out[i, j] = np.add.reduce(product) / grid_size
             if atom_row is not None:
                 out[i, j] += np.sum(atom_row * atom_kernel)
     return out

@@ -280,7 +280,9 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
     at the N-th roots of unity.  Coefficients past degree N-1 fold onto
     degree k mod N, which is exact on the grid because xi^N = 1 there.
     Raises PositivityLoss at a node where |phi_K|^2 underflows to 0 or
-    overflows, so that 1/|phi_K|^2 would not be a positive double.
+    overflows, so that 1/|phi_K|^2 would not be a positive double, and at
+    the first order k whose coefficients reach modulus sqrt(max double),
+    before any of them can overflow.
     """
     k_cut = len(params)
     a = params.values
@@ -294,6 +296,15 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
         phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
             phis - a[k] * zphi
         ) * inv_rho[k]
+        # phi* holds the same moduli, reversed; a step grows them by at
+        # most 2 / rho < 2e6 (|a| < ESCAPE_THRESHOLD), so below this bound
+        # the next step and the FFT stay finite
+        top = np.abs(phi).max()
+        if not top < _MODULUS_RANGE[1]:
+            raise PositivityLoss(
+                f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
+                "its square leaves the finite double range"
+            )
     folded = np.pad(phi, (0, -len(phi) % grid_size))
     coeffs = folded.reshape(-1, grid_size).sum(axis=0)
     modulus = np.abs(grid_size * np.fft.ifft(coeffs))
@@ -374,15 +385,24 @@ def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int, max_loss: float)
     complex128, or None once the digit-loss estimate of the parameters
     found so far passes ``max_loss``; raises PositivityLoss when the norm
     vanishes or a parameter reaches the escape threshold.
+
+    The steps run in five node-sized buffers allocated once per call: phi
+    and its next step (swapped each step), phi* (updated in place), z phi
+    and a product scratch.  The parameters are bitwise those of the form
+    that allocates fresh arrays every step: the same operations in the
+    same order, with ``np.sum`` (pairwise) for the inner products.
     """
     phi = np.ones_like(xi)
     phis = np.ones_like(xi)
+    zphi = np.empty_like(xi)
+    product = np.empty_like(xi)
+    phi_next = np.empty_like(xi)
     values = np.zeros(n_max, dtype=complex)
     loss = 0.0
     for n in range(n_max):
-        zphi = xi * phi
-        num = np.sum(zphi * q)
-        den = np.sum(phis * q)
+        np.multiply(xi, phi, out=zphi)
+        num = np.sum(np.multiply(zphi, q, out=product))
+        den = np.sum(np.multiply(phis, q, out=product))
         if abs(den) < 1e-300:
             raise PositivityLoss(f"vanishing norm inner product at degree {n}")
         a = np.conj(num / den)
@@ -395,7 +415,10 @@ def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int, max_loss: float)
         if loss > max_loss:
             return None
         values[n] = complex(a)
-        phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
+        # phi <- z phi - conj(a) phi*,  phi* <- phi* - a z phi
+        np.subtract(zphi, np.multiply(np.conj(a), phis, out=product), out=phi_next)
+        np.subtract(phis, np.multiply(a, zphi, out=product), out=phis)
+        phi, phi_next = phi_next, phi
     return values
 
 

@@ -5,6 +5,9 @@ L^2(mu) instead of any recursion, plain quadrature sums instead of kernel
 algebra.
 Agreement between these and the package routines is evidence, not
 tautology, because no code is shared beyond the measure container.
+The bitwise references (``value_recursion_fresh_arrays``,
+``entropy_profile_per_delta``) instead restate a fast routine in its plain
+array form, to show that its buffers change no bit.
 """
 
 from __future__ import annotations
@@ -101,6 +104,41 @@ def phi_at_node_mp(values, node: int, grid_size: int, dps: int = 40) -> complex:
             zphi = z * phi
             phi, phis = (zphi - mpmath.conj(a) * phis) / rho, (phis - a * zphi) / rho
         return complex(phi)
+
+
+def value_recursion_fresh_arrays(xi, q, n_max: int, max_loss: float):
+    """The value-space recursion with fresh arrays at every step.
+
+    The reference form of ``opuc._value_recursion``: the same operations in
+    the same order, but every product and every new phi, phi* is a new
+    array, so a buffer reused too early or swapped a step late shows as a
+    bitwise difference.  Same returns and raises.
+    """
+    from opuclab.errors import PositivityLoss
+    from opuclab.schur import ESCAPE_THRESHOLD, digit_loss
+
+    phi = np.ones_like(xi)
+    phis = np.ones_like(xi)
+    values = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    for n in range(n_max):
+        zphi = xi * phi
+        num = np.sum(zphi * q)
+        den = np.sum(phis * q)
+        if abs(den) < 1e-300:
+            raise PositivityLoss(f"vanishing norm inner product at degree {n}")
+        a = np.conj(num / den)
+        if abs(a) >= ESCAPE_THRESHOLD:
+            raise PositivityLoss(
+                f"|a_{n}| = {abs(complex(a)):.15g} at the escape threshold; "
+                "discrete measure appears degenerate at this depth"
+            )
+        loss += digit_loss(abs(a))
+        if loss > max_loss:
+            return None
+        values[n] = complex(a)
+        phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
+    return values
 
 
 def cmv_coefficients_dense(

@@ -160,6 +160,25 @@ def test_density_out_of_double_range_fails_the_build_quietly():
     assert "at grid node" in verdict.detail
 
 
+def test_coefficients_out_of_double_range_fail_the_build_quietly():
+    # validation accepts ell2(0.9999999, 0.001) at depth 257, but the
+    # coefficients of phi_K grow past any double: the build is refused at
+    # the order where they leave the range, before an overflow warning
+    cfg = _config(
+        family={"name": "ell2", "c": 0.9999999, "p": 0.001},
+        grid_size=32768,
+        n_list=[256],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = run_experiment(cfg)
+    assert caught == []
+    [verdict] = outcome.verdicts
+    assert verdict.name == "family_build"
+    assert verdict.status == "fail"
+    assert "PositivityLoss: phi_113 has a coefficient" in verdict.detail
+
+
 def test_geronimus_refinement_skips():
     cfg = _config(family={"name": "geronimus", "a": 0.6})
     outcome = run_experiment(cfg)

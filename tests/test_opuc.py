@@ -29,9 +29,18 @@ from opuclab.opuc import (
     verblunsky_from_moments,
     weight_from_parameters,
 )
-from opuclab.schur import SchurParameters, schur_parameters_from_measure
+from opuclab.schur import (
+    _SAFE_DIGIT_LOSS,
+    SchurParameters,
+    schur_parameters_from_measure,
+)
 
-from oracles import cd_kernel_bruteforce, gram_schmidt_verblunsky, phi_at_node_mp
+from oracles import (
+    cd_kernel_bruteforce,
+    gram_schmidt_verblunsky,
+    phi_at_node_mp,
+    value_recursion_fresh_arrays,
+)
 
 
 def test_first_polynomial_closed_form(bs_half):
@@ -189,6 +198,68 @@ def test_value_recursion_escape_survives_the_double_pass(monkeypatch):
     with pytest.raises(PositivityLoss, match=r"\|a_2\|"):
         verblunsky_from_measure(mu, 8)
     assert dtypes == [np.complex128, np.clongdouble]
+
+
+def _recursion_outcome(recursion, xi, q, n_max, max_loss):
+    """("values", their bytes), ("none", None) or ("raises", the message)."""
+    try:
+        values = recursion(xi, q, n_max, max_loss)
+    except PositivityLoss as exc:
+        return "raises", str(exc)
+    return ("none", None) if values is None else ("values", values.tobytes())
+
+
+_MIXED_ATOM = {
+    "name": "mixed",
+    "base": {"name": "bernstein_szego", "r": 0.3},
+    "atoms": [{"angle": 2.0, "mass": 0.2}],
+}
+_ELL2 = {"name": "ell2", "c": 0.5, "p": 1.0}
+_GERONIMUS = {"name": "geronimus", "a": 0.6}
+
+
+def _escaping_measure(*_):
+    # three atoms carry all but 1e-13 of the mass, so a_2 escapes
+    atoms = [(0.0, 0.4), (2.0, 0.3), (4.0, 0.3 - 1e-13)]
+    return build_measure(np.full(1024, 1e-13), atoms)
+
+
+def _family_measure(spec, grid_size, depth):
+    return build_family(spec, grid_size, depth).measure
+
+
+@pytest.mark.parametrize(
+    "measure, args, extended, max_loss, expected",
+    [
+        (_family_measure, (_MIXED_ATOM, 16384, 257), False, _SAFE_DIGIT_LOSS, "values"),
+        (_family_measure, (_ELL2, 32768, 257), False, _SAFE_DIGIT_LOSS, "values"),
+        (_family_measure, (_GERONIMUS, 4096, 65), True, math.inf, "values"),
+        # the double pass stops at the four-digit gate
+        (_family_measure, (_GERONIMUS, 4096, 65), False, _SAFE_DIGIT_LOSS, "none"),
+        # a_2 escapes in both passes
+        (_escaping_measure, (None, 1024, 8), False, _SAFE_DIGIT_LOSS, "raises"),
+        (_escaping_measure, (None, 1024, 8), True, math.inf, "raises"),
+    ],
+    ids=[
+        "mixed-mnt-quadrature",
+        "ell2",
+        "geronimus-extended",
+        "geronimus-gate",
+        "escape-double",
+        "escape-extended",
+    ],
+)
+def test_value_recursion_matches_fresh_array_form_bitwise(
+    measure, args, extended, max_loss, expected
+):
+    depth = args[2]
+    xi, q = measure(*args).quadrature()
+    if extended:
+        xi, q = xi.astype(np.clongdouble), q.astype(np.longdouble)
+    fast = _recursion_outcome(opuc._value_recursion, xi, q, depth, max_loss)
+    fresh = _recursion_outcome(value_recursion_fresh_arrays, xi, q, depth, max_loss)
+    assert fresh[0] == expected
+    assert fast == fresh
 
 
 def test_atom_insertion_route(mixed_atom):
