@@ -45,6 +45,7 @@ from .config import ExperimentConfig
 from .families import FAMILIES, FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
+    CircleMeasure,
     fejer_mean,
     max_trusted_moment,
     moments,
@@ -186,7 +187,7 @@ class RunContext:
         )
         self._sandwich: Dict[float, ConvergenceTable] = {}
         self._jost: Dict[float, Tuple[JostSolution, JostSolution]] = {}
-        self._rebuilt: Dict[int, FamilyInstance] = {}
+        self._rebuilt: Dict[int, CircleMeasure] = {}
         self._routes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # every CMV order the summability checks and tables read
         self.cmv_top = min(max(self.n_list), self.depth)
@@ -224,11 +225,11 @@ class RunContext:
             )
         return self._jost[angle]
 
-    def rebuilt(self, grid_size: int) -> FamilyInstance:
+    def rebuilt(self, grid_size: int) -> CircleMeasure:
         if grid_size == self.mu.grid_size:
-            return self.instance
+            return self.mu
         if grid_size not in self._rebuilt:
-            self._rebuilt[grid_size] = self.instance.rebuild(grid_size)
+            self._rebuilt[grid_size] = self.instance.measure_on(grid_size)
         return self._rebuilt[grid_size]
 
     def routes(self):
@@ -327,7 +328,7 @@ def _quadrature_refinement(ctx: RunContext) -> Result:
     residual = np.max(
         np.abs(
             poisson(ctx.mu, _REFINEMENT_PROBES)
-            - poisson(fine.measure, _REFINEMENT_PROBES)
+            - poisson(fine, _REFINEMENT_PROBES)
         )
     )
     return _within(
@@ -414,8 +415,7 @@ _RADII = (0.95, 0.99, 0.999)
 
 @check("entropy", "radial_limit")
 def _radial_limit(ctx: RunContext) -> Result:
-    inst = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
-    mu = inst.measure
+    mu = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
     boundary = szego_boundary(mu)
     indices = [nearest_node(mu, complex(np.exp(1j * a))) for a in ctx.certified]
     points = [

@@ -1,9 +1,13 @@
 """Builtin measure families with certified closed forms.
 
-Each builder returns a FamilyInstance carrying the grid measure, the
-parameter sequence, a closed-form density callable for oracle checks, and
-boundary angles certified as continuity points of the density (safe for
-density-recovery sweeps).
+Each family is built in two steps.  Its record's ``measure`` samples the
+measure on a grid; its ``builder`` extracts the parameters from that
+measure, certifies them, and returns the family's name, parameters, a
+closed-form density callable for oracle checks, and boundary angles
+certified as continuity points of the density (safe for density-recovery
+sweeps).  :func:`build_family` runs both steps into one FamilyInstance;
+refinement checks run only the first, through
+:meth:`FamilyInstance.measure_on`.
 
 Routes
 ------
@@ -19,10 +23,11 @@ raises FamilyValidationError on mismatch.
 Records
 -------
 ``FAMILIES`` holds one :class:`Family` record per builtin: its arguments
-with their ranges, description, builder, whether it can be the base of a
-``mixed`` family, and its grid floor as a function of build depth.
-:func:`check_spec` validates a spec against its record; ``build_family``
-and config validation both call it, so the two cannot disagree.
+with their ranges, description, sampler and builder, route, whether it
+can be the base of a ``mixed`` family, and its grid floor as a function
+of build depth.  :func:`check_spec` validates a spec against its record;
+``build_family`` and config validation both call it, so the two cannot
+disagree.
 
 geronimus carries its essential support on an arc; the density is floored
 at a tiny positive level off the arc so grid logarithms stay finite, and
@@ -65,21 +70,32 @@ class FamilyInstance:
     """One built family: measure, parameters, and its certified facts."""
 
     name: str
-    kind: str
     spec: dict
     measure: CircleMeasure
     params: SchurParameters
     density_at: Callable[[float], float]
     test_angles: Tuple[float, ...]
-    route: str
     # The n_max the builder was called with.  len(params) can exceed it
-    # (ell2 stores its truncation tail), so rebuilds must not derive the
+    # (ell2 stores its truncation tail), so refinements must not derive the
     # depth from the parameter count or the family itself would change.
     build_depth: int
 
-    def rebuild(self, grid_size: int) -> "FamilyInstance":
-        """Same family on a different grid (for refinement checks)."""
-        return build_family(self.spec, grid_size, self.build_depth)
+    @property
+    def kind(self) -> str:
+        return self.spec["name"]
+
+    @property
+    def route(self) -> str:
+        return FAMILIES[self.kind].route
+
+    def measure_on(self, grid_size: int) -> CircleMeasure:
+        """This family's measure on another grid, sampled only (no extraction)."""
+        family, args = _record(self.spec)
+        return family.measure(grid_size, self.build_depth, **args)
+
+
+# What a builder certifies: name, parameters, density, certified angles.
+Facts = Tuple[str, SchurParameters, Callable[[float], float], Tuple[float, ...]]
 
 
 def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
@@ -101,40 +117,35 @@ def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
 
 
 # -----------------------------------------------------------------------------
-# Builders
+# Samplers measure(grid_size, depth, **args) and builders
+# builder(mu, n_max, **args) -> Facts
 # -----------------------------------------------------------------------------
-def lebesgue_family(grid_size: int = 4096, n_max: int = 64) -> FamilyInstance:
+def _lebesgue_measure(grid_size: int, depth: int) -> CircleMeasure:
+    return build_measure(np.ones(grid_size))
+
+
+def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
     """Normalized arc length: unit weight, zero parameters."""
-    mu = build_measure(np.ones(grid_size))
     params = verblunsky_from_measure(mu, n_max)
     worst = float(np.max(np.abs(params.values))) if n_max else 0.0
     if worst > 1e-10:
         raise FamilyValidationError(
             f"lebesgue extraction returned |a| up to {worst:.3g}"
         )
-    return FamilyInstance(
-        name="lebesgue",
-        kind="lebesgue",
-        spec={"name": "lebesgue"},
-        measure=mu,
-        params=params,
-        density_at=lambda theta: 1.0,
-        test_angles=(0.0, 2.0),
-        route="measure-first",
-        build_depth=n_max,
-    )
+    return "lebesgue", params, lambda theta: 1.0, (0.0, 2.0)
 
 
-def bernstein_szego_family(
-    r: float, grid_size: int = 4096, n_max: int = 64
-) -> FamilyInstance:
-    """Density (1 - r^2)/|1 - r xi|^2; parameters (r, 0, 0, ...)."""
+def _bernstein_szego_measure(grid_size: int, depth: int, r: float) -> CircleMeasure:
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     weight = (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * angles)) ** 2
     # the sampled density carries a geometric aliasing tail ~r^N in its
     # quadrature mass; parameters are scale-invariant, so renormalizing
     # is exact and keeps small grids with r near 1 constructible
-    mu = build_measure(weight, normalize=True)
+    return build_measure(weight, normalize=True)
+
+
+def _bernstein_szego_facts(mu: CircleMeasure, n_max: int, r: float) -> Facts:
+    """Density (1 - r^2)/|1 - r xi|^2; parameters (r, 0, 0, ...)."""
     params = verblunsky_from_measure(mu, n_max)
     gap = abs(complex(params.values[0]) - r) if n_max else 0.0
     tail = float(np.max(np.abs(params.values[1:]))) if n_max > 1 else 0.0
@@ -147,17 +158,7 @@ def bernstein_szego_family(
     def density(theta: float) -> float:
         return (1.0 - r * r) / abs(1.0 - r * np.exp(1j * theta)) ** 2
 
-    return FamilyInstance(
-        name=f"bernstein_szego(r={r:g})",
-        kind="bernstein_szego",
-        spec={"name": "bernstein_szego", "r": float(r)},
-        measure=mu,
-        params=params,
-        density_at=density,
-        test_angles=(0.0, np.pi),
-        route="measure-first",
-        build_depth=n_max,
-    )
+    return f"bernstein_szego(r={r:g})", params, density, (0.0, np.pi)
 
 
 def _geronimus_schur_value(a: float, z: complex) -> complex:
@@ -182,88 +183,71 @@ def geronimus_density(a: float, theta: float) -> float:
     return max((1.0 - abs(f) ** 2) / den, 0.0)
 
 
-def geronimus_family(
-    a: float, grid_size: int = 4096, n_max: int = 32
-) -> FamilyInstance:
-    """Constant parameters a_n = a: arc density plus a mass point.
+def _geronimus_measure(grid_size: int, depth: int, a: float) -> CircleMeasure:
+    """Arc density floored at ARC_FLOOR plus the exact mass point.
 
-    The sampled density is floored at ARC_FLOOR off the arc and the whole
-    measure renormalized (the closed forms for the two pieces integrate to
-    1 only up to quadrature error).  Parameters are extracted from the grid
-    and cross-checked against the constant.
+    The whole measure is renormalized: the closed forms for the two pieces
+    integrate to 1 only up to quadrature error.
     """
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     weight = np.array([geronimus_density(a, t) for t in angles])
     weight = np.maximum(weight, ARC_FLOOR)
     mass = 2.0 * a / (1.0 + a)
-    mu = build_measure(
+    return build_measure(
         weight, atoms=((GERONIMUS_ATOM_ANGLE, mass),), normalize=True
     )
+
+
+def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
+    """Constant parameters a_n = a: extracted, cross-checked against a."""
     params = verblunsky_from_measure(mu, n_max)
     depth = min(conditioning_horizon(params, n_max), 16, n_max)
     # The sampled arc density carries edge-singularity aliasing ~N^(-3/2),
     # so the grid measure's true parameters sit about there off the ideal
     # constant; the tolerance tracks that, not extractor accuracy.
-    drift_tol = 50.0 * grid_size ** -1.5
+    drift_tol = 50.0 * mu.grid_size ** -1.5
     gap = float(np.max(np.abs(params.values[:depth] - a)))
     if gap > drift_tol:
         raise FamilyValidationError(
             f"geronimus({a}) extraction off the constant by {gap:.3g} "
             f"within depth {depth} (allowed {drift_tol:.3g})"
         )
-    return FamilyInstance(
-        name=f"geronimus(a={a:g})",
-        kind="geronimus",
-        spec={"name": "geronimus", "a": float(a)},
-        measure=mu,
-        params=params,
-        density_at=lambda theta: geronimus_density(a, theta),
-        test_angles=(np.pi,),
-        route="measure-first",
-        build_depth=n_max,
-    )
+    name = f"geronimus(a={a:g})"
+    return name, params, lambda theta: geronimus_density(a, theta), (np.pi,)
 
 
-def ell2_family(
-    c: float, p: float, grid_size: int = 4096, n_max: int = 64
-) -> FamilyInstance:
-    """Decaying parameters a_n = c/(n+1)^p, realized by exact truncation.
+def _ell2_parameters(c: float, p: float, depth: int) -> SchurParameters:
+    """a_n = c/(n+1)^p cut at K = depth + TAIL_MARGIN."""
+    values = c / (np.arange(depth + TAIL_MARGIN) + 1.0) ** p
+    return SchurParameters(values.astype(complex))
 
-    The stored sequence is cut at K = n_max + TAIL_MARGIN; the measure of
-    the cut sequence has density 1/|phi_K|^2, sampled exactly on the grid.
-    The roundtrip (grid back to parameters) must reproduce the inputs.
-    """
-    k_cut = n_max + TAIL_MARGIN
-    values = c / (np.arange(k_cut) + 1.0) ** p
-    params = SchurParameters(values.astype(complex))
-    weight = weight_from_parameters(params, grid_size)
+
+def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasure:
+    """The measure of the cut sequence: density 1/|phi_K|^2, sampled exactly."""
+    weight = weight_from_parameters(_ell2_parameters(c, p, depth), grid_size)
     # The rational density has geometric Fourier decay set by its slowest
     # zero; for slowly decaying parameters the grid mean misses exact unit
     # mass by ~1e-9.  Parameters are scale-invariant, so renormalizing is
     # exact for the roundtrip.
-    mu = build_measure(weight, normalize=True)
+    return build_measure(weight, normalize=True)
+
+
+def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
+    """a_n = c/(n+1)^p by exact truncation; the grid roundtrip reproduces them."""
+    params = _ell2_parameters(c, p, n_max)
     depth = min(64, n_max)
     back = verblunsky_from_measure(mu, depth)
-    gap = float(np.max(np.abs(back.values - values[:depth])))
+    gap = float(np.max(np.abs(back.values - params.values[:depth])))
     if gap > 1e-6:
         raise FamilyValidationError(
             f"ell2({c},{p}) roundtrip off by {gap:.3g} at depth {depth}"
         )
 
     def density(theta: float) -> float:
-        return 1.0 / abs(eval_pair(params, np.exp(1j * theta), k_cut).phi) ** 2
+        phi = eval_pair(params, np.exp(1j * theta), len(params)).phi
+        return 1.0 / abs(phi) ** 2
 
-    return FamilyInstance(
-        name=f"ell2(c={c:g},p={p:g})",
-        kind="ell2",
-        spec={"name": "ell2", "c": float(c), "p": float(p)},
-        measure=mu,
-        params=params,
-        density_at=density,
-        test_angles=(0.0, np.pi),
-        route="parameter-first",
-        build_depth=n_max,
-    )
+    return f"ell2(c={c:g},p={p:g})", params, density, (0.0, np.pi)
 
 
 def _widest_gap_midpoint(angles: Sequence[float]) -> float:
@@ -274,56 +258,47 @@ def _widest_gap_midpoint(angles: Sequence[float]) -> float:
     return (start + width / 2.0) % (2.0 * np.pi)
 
 
-def mixed_family(
-    base: dict,
-    atoms: Sequence[dict],
-    grid_size: int = 4096,
-    n_max: int = 64,
-) -> FamilyInstance:
+def _mixed_measure(
+    grid_size: int, depth: int, base: dict, atoms: Sequence[dict]
+) -> CircleMeasure:
+    """The base weight scaled by 1 - sum(masses), plus the point masses."""
+    family, args = _record(base)
+    pairs = tuple((atom["angle"], atom["mass"]) for atom in atoms)
+    scale = 1.0 - sum(m for _, m in pairs)
+    weight = family.measure(grid_size, 0, **args).weight
+    return build_measure(scale * weight, atoms=pairs)
+
+
+def _mixed_facts(
+    mu: CircleMeasure, n_max: int, base: dict, atoms: Sequence[dict]
+) -> Facts:
     """Smooth base density scaled down plus explicit point masses.
 
     The base must be atom-free (a family whose record sets mixed_base); its
     weight is scaled by 1 - sum(masses) so the total stays a probability
     measure.
     """
-    base_args = dict(base)
-    base = FAMILIES[base_args.pop("name")].builder(
-        grid_size=grid_size, n_max=0, **base_args
-    )
-    atoms = tuple((d["angle"], d["mass"]) for d in atoms)
-    scale = 1.0 - sum(m for _, m in atoms)
-    mu = build_measure(scale * base.measure.weight, atoms=atoms)
+    family, args = _record(base)
+    base_mu = family.measure(mu.grid_size, 0, **args)
+    base_name, _, base_density, _ = family.builder(base_mu, 0, **args)
     params = verblunsky_from_measure(mu, n_max)
-
-    atom_bits = ",".join(f"({t:g},{m:g})" for t, m in atoms)
+    pairs = tuple((atom["angle"], atom["mass"]) for atom in atoms)
+    scale = 1.0 - sum(m for _, m in pairs)
+    atom_bits = ",".join(f"({t:g},{m:g})" for t, m in pairs)
 
     def density(theta: float) -> float:
-        return scale * base.density_at(theta)
+        return scale * base_density(theta)
 
     safe_angles = tuple(
         t
         for t in (0.0, 1.0, np.pi)
-        if all(abs(np.exp(1j * t) - np.exp(1j * ta)) > 0.3 for ta, _ in atoms)
-    ) or (_widest_gap_midpoint([t for t, _ in atoms]),)
-    return FamilyInstance(
-        name=f"mixed({base.name};atoms=[{atom_bits}])",
-        kind="mixed",
-        spec={
-            "name": "mixed",
-            "base": base.spec,
-            "atoms": [{"angle": t, "mass": m} for t, m in atoms],
-        },
-        measure=mu,
-        params=params,
-        density_at=density,
-        test_angles=safe_angles,
-        route="measure-first",
-        build_depth=n_max,
-    )
+        if all(abs(np.exp(1j * t) - np.exp(1j * ta)) > 0.3 for ta, _ in pairs)
+    ) or (_widest_gap_midpoint([t for t, _ in pairs]),)
+    return f"mixed({base_name};atoms=[{atom_bits}])", params, density, safe_angles
 
 
 # -----------------------------------------------------------------------------
-# Family records: arguments, ranges, builder and grid floor, stated once
+# Family records: arguments, ranges, sampler, builder and grid floor, stated once
 # -----------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Arg:
@@ -342,6 +317,10 @@ class Arg:
 class Family:
     """One builtin family, read by validation, builders and the CLI.
 
+    ``measure(grid_size, depth, **args)`` samples the family's measure;
+    ``builder(mu, n_max, **args)`` extracts and certifies its parameters
+    from that measure and returns the family's :data:`Facts`.  ``route``
+    names the primary representation, measure or parameters (see Routes).
     ``min_grid(depth)`` is the smallest grid on which the family builds at
     that parameter depth.  ``finite_parameters`` marks families whose
     parameters vanish after the first few, so product and sum identities
@@ -352,8 +331,10 @@ class Family:
 
     name: str
     description: str
-    builder: Callable[..., FamilyInstance]
+    measure: Callable[..., CircleMeasure]
+    builder: Callable[..., Facts]
     args: Tuple[Arg, ...] = ()
+    route: str = "measure-first"
     mixed_base: bool = False
     min_grid: Callable[[int], int] = lambda depth: 0
     finite_parameters: bool = False
@@ -434,14 +415,16 @@ FAMILIES: Dict[str, Family] = {
         Family(
             "lebesgue",
             "unit weight, zero parameters",
-            lebesgue_family,
+            _lebesgue_measure,
+            _lebesgue_facts,
             mixed_base=True,
             finite_parameters=True,
         ),
         Family(
             "bernstein_szego",
             "density (1-r^2)/|1-r xi|^2, one parameter",
-            bernstein_szego_family,
+            _bernstein_szego_measure,
+            _bernstein_szego_facts,
             (_interval("r", 0.0, 1.0),),
             mixed_base=True,
             finite_parameters=True,
@@ -449,7 +432,8 @@ FAMILIES: Dict[str, Family] = {
         Family(
             "geronimus",
             "constant parameters on an arc plus a point mass",
-            geronimus_family,
+            _geronimus_measure,
+            _geronimus_facts,
             (_interval("a", 0.0, 1.0, low_open=True),),
             refinement_skip=(
                 "arc-edge density is not smooth; doubling the grid moves its "
@@ -460,11 +444,13 @@ FAMILIES: Dict[str, Family] = {
         Family(
             "ell2",
             "decaying parameters c/(n+1)^p, exact truncation",
-            ell2_family,
+            _ell2_measure,
+            _ell2_facts,
             (
                 _interval("c", 0.0, 1.0),
                 _interval("p", 0.0, math.inf, low_open=True),
             ),
+            route="parameter-first",
             min_grid=lambda depth: NODES_PER_PARAMETER * (depth + TAIL_MARGIN),
         ),
     )
@@ -472,7 +458,8 @@ FAMILIES: Dict[str, Family] = {
 FAMILIES["mixed"] = Family(
     "mixed",
     "scaled smooth base plus point masses",
-    mixed_family,
+    _mixed_measure,
+    _mixed_facts,
     (
         Arg("base", f"base: one of {', '.join(_mixed_bases())}", _check_base),
         Arg(
@@ -518,9 +505,18 @@ def check_spec(spec, grid_size: int, depth: int, label: str = "family") -> dict:
     return out
 
 
+def _record(spec: dict) -> Tuple[Family, dict]:
+    """A normalized spec's family record and the arguments it passes."""
+    args = dict(spec)
+    return FAMILIES[args.pop("name")], args
+
+
 def build_family(spec: dict, grid_size: int, n_max: int) -> FamilyInstance:
     """Build a family from its config dictionary ({"name": ..., args...})."""
-    args = check_spec(spec, grid_size, n_max)
-    return FAMILIES[args.pop("name")].builder(
-        grid_size=grid_size, n_max=n_max, **args
+    spec = check_spec(spec, grid_size, n_max)
+    family, args = _record(spec)
+    mu = family.measure(grid_size, n_max, **args)
+    name, params, density_at, test_angles = family.builder(mu, n_max, **args)
+    return FamilyInstance(
+        name, spec, mu, params, density_at, test_angles, build_depth=n_max
     )

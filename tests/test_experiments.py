@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opuclab import asymptotics, experiments
+from opuclab import asymptotics, experiments, families
 from opuclab.asymptotics import (
     csv_text,
     strong_cesaro_deviation,
@@ -290,3 +290,38 @@ def test_summability_table_matches_the_public_functions():
         ]
         want = csv_text("n,strong_cesaro,condition_lhs,condition_rhs", rows)
         assert outcome.tables[filename] == want
+
+
+@pytest.mark.parametrize(
+    "overrides, refinement",
+    [
+        (
+            {"family": MIXED, "grid_size": 1024, "experiment": "mnt"},
+            "quadrature_refinement",
+        ),
+        (
+            {"family": {"name": "geronimus", "a": 0.6}, "experiment": "entropy"},
+            "radial_limit",
+        ),
+    ],
+)
+def test_refinement_checks_extract_no_parameters(
+    monkeypatch, overrides, refinement
+):
+    # quadrature_refinement (2N grid) and radial_limit (8192 grid) read a
+    # measure only, so a run extracts exactly what its family build does
+    calls = []
+    extract = families.verblunsky_from_measure
+
+    def counted(mu, n_max):
+        calls.append(mu.grid_size)
+        return extract(mu, n_max)
+
+    monkeypatch.setattr(families, "verblunsky_from_measure", counted)
+    cfg = _config(**overrides)
+    build_family(cfg.family, cfg.grid_size, cfg.build_depth)
+    built = list(calls)
+    calls.clear()
+    outcome = run_experiment(cfg)
+    assert {v.name: v.status for v in outcome.verdicts}[refinement] == "pass"
+    assert calls == built

@@ -1,4 +1,4 @@
-"""Builtin family builders: parameters, densities, gates, rebuilds."""
+"""Builtin family builders: parameters, densities, gates, refinements."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from opuclab.families import (
     build_family,
     conditioning_horizon,
 )
-from opuclab.measure import poisson
 from opuclab.schur import SchurParameters
 
 
@@ -78,18 +77,38 @@ def test_density_at_matches_grid(all_families):
         assert max(ratios) - min(ratios) < 1e-12, inst.name
 
 
-def test_rebuild_preserves_the_family(ell2_half):
-    # the rebuild must keep the truncation order; deriving it from the
-    # stored parameter count (which carries a tail margin) would silently
-    # change the measure by ~1e-3, far above the ~1e-8 quadrature shift
-    # between the two grid resolutions
-    fine = ell2_half.rebuild(2 * ell2_half.measure.grid_size)
-    assert fine.build_depth == ell2_half.build_depth
-    assert np.array_equal(fine.params.values, ell2_half.params.values)
-    for z in (0.3, -0.5j, 0.6 + 0.54j):
-        assert abs(
-            poisson(fine.measure, z) - poisson(ell2_half.measure, z)
-        ) < 1e-7
+@pytest.mark.parametrize("refined", ["double", "radial"])
+def test_measure_on_matches_a_fresh_build(all_families, refined):
+    # refinement checks sample only the measure; it must be bitwise the
+    # measure a full build on that grid gives, at the build depth (ell2's
+    # truncation order, not its stored parameter count with the tail)
+    for inst in all_families:
+        n = inst.measure.grid_size
+        grid = 2 * n if refined == "double" else max(8192, n)
+        fine = inst.measure_on(grid)
+        built = build_family(inst.spec, grid, inst.build_depth).measure
+        assert np.array_equal(fine.weight, built.weight), inst.name
+        assert fine.atoms == built.atoms, inst.name
+
+
+# Accepted grids on which the off-arc floor, not the grid, sets the drift
+# of the early parameters past the builder's tolerance.
+_DRIFT_FAILS = {(0.6, 16384), (0.9, 8192), (0.9, 16384)}
+_DRIFT = pytest.mark.xfail(
+    raises=FamilyValidationError, reason="off-arc floor drift, ROADMAP item 1"
+)
+
+
+@pytest.mark.parametrize(
+    "a, grid_size",
+    [
+        pytest.param(a, n, marks=[_DRIFT] if (a, n) in _DRIFT_FAILS else [])
+        for a in (0.3, 0.6, 0.9)
+        for n in (4096, 8192, 16384)
+    ],
+)
+def test_geronimus_builds_on_every_grid(a, grid_size):
+    build_family({"name": "geronimus", "a": a}, grid_size, 17)
 
 
 def test_builder_gates():

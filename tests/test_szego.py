@@ -42,8 +42,8 @@ def test_boundary_modulus_is_weight(bs_half):
 
 def test_radial_limit_approaches_boundary(bs_half):
     # radius 0.999 needs N(1 - r) well past the grid's resolution band,
-    # so evaluate on a refined rebuild of the same family
-    mu = bs_half.rebuild(8192).measure
+    # so evaluate on the same family's measure on a refined grid
+    mu = bs_half.measure_on(8192)
     boundary = szego_boundary(mu)
     node = 0
     xi = 1.0 + 0j
