@@ -248,9 +248,9 @@ class RunContext:
     def cmv(self) -> Tuple[np.ndarray, np.ndarray]:
         """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi.
 
-        Both come from one streamed pass over the grid; they depend on
-        neither the test point nor n, so the summability checks and tables
-        slice them.
+        Both come from one ``cmv_coefficients`` call at the deepest order;
+        they depend on neither the test point nor n, so the summability
+        checks and tables slice them.
         """
         if self._cmv is None:
             mu = self.mu

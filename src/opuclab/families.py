@@ -279,8 +279,10 @@ def _mixed_facts(
     measure.
     """
     family, args = _record(base)
-    base_mu = family.measure(mu.grid_size, 0, **args)
-    base_name, _, base_density, _ = family.builder(base_mu, 0, **args)
+    # at depth 0 a builder extracts and checks nothing, so the base's name
+    # and density do not depend on the measure it is handed: the mixed one
+    # serves, and the base is not sampled a second time
+    base_name, _, base_density, _ = family.builder(mu, 0, **args)
     params = verblunsky_from_measure(mu, n_max)
     pairs = tuple((atom["angle"], atom["mass"]) for atom in atoms)
     scale = 1.0 - sum(m for _, m in pairs)

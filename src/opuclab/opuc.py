@@ -23,15 +23,20 @@ Extraction routes
   extended precision when its digit-loss estimate passes 4 digits; the
   transfer recursion runs in complex128.
 
-Reconstruction
---------------
-``weight_from_parameters`` samples 1/|phi_K|^2 on the N-th roots of unity.
-It runs the transfer recursion above on the Taylor coefficients of phi_K
-(multiplying by z shifts them one place) and evaluates phi_K at all N nodes
-with one FFT, O(K^2 + N log N) instead of K steps at every node.  Its
-relative error is about 10^(digit loss) * eps, the conditioning of phi_K
-itself.  Everything else evaluates polynomials pointwise by the transfer
-recursion.
+Coefficient space
+-----------------
+``_coefficient_steps`` runs the transfer recursion above on the Taylor
+coefficients of phi_k (multiplying by z shifts them one place).  On the
+N-th roots of unity one length-N FFT then stands in for k steps at every
+node, O(k^2 + N log N) instead of O(kN), at a relative error of about
+10^(digit loss) * eps, the conditioning of phi_k's coefficients:
+
+* ``weight_from_parameters`` samples 1/|phi_K|^2, the reconstruction route
+  of parameter-first families;
+* ``chi_sums_fft`` integrates functions against the CMV basis, behind the
+  digit-loss gate of ``asymptotics.cmv_coefficients``.
+
+Everything else evaluates polynomials pointwise by the transfer recursion.
 """
 
 from __future__ import annotations
@@ -104,6 +109,43 @@ def _transfer_steps(params: SchurParameters, zs: np.ndarray, n_max: int):
         phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
             phis - a[k] * zphi
         ) * inv_rho[k]
+        yield phi, phis
+
+
+def _coefficient_steps(params: SchurParameters, n_max: int):
+    """Yield the Taylor coefficients of (phi_k, phi*_k) for k = 0..n_max.
+
+    The transfer recursion on coefficients: multiplying by z shifts them
+    one place.  Each array holds n_max + 1 coefficients, zero past degree
+    k, and is fresh at every step.  Raises PositivityLoss at the first
+    order k whose coefficients reach modulus sqrt(max double), before any
+    of them can overflow.
+    """
+    if n_max > len(params):
+        raise OutOfRange(
+            f"n = {n_max} exceeds stored parameter count {len(params)}"
+        )
+    a = params.values
+    inv_rho = 1.0 / params.rho
+    phi = np.zeros(n_max + 1, dtype=complex)
+    phi[0] = 1.0
+    phis = phi.copy()
+    yield phi, phis
+    for k in range(n_max):
+        # z phi_k; phi_k has degree k < n_max, so nothing is shifted out
+        zphi = np.concatenate(([0.0], phi[:-1]))
+        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
+            phis - a[k] * zphi
+        ) * inv_rho[k]
+        # phi* holds the same moduli, reversed; a step grows them by at
+        # most 2 / rho < 2e6 (|a| < ESCAPE_THRESHOLD), so below this bound
+        # the next step and an FFT of them stay finite
+        top = np.abs(phi).max()
+        if not top < _MODULUS_RANGE[1]:
+            raise PositivityLoss(
+                f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
+                "its square leaves the finite double range"
+            )
         yield phi, phis
 
 
@@ -202,6 +244,52 @@ def chi_sums(
     return out.reshape(values.shape[:-1] + (n_max + 1,))
 
 
+def chi_sums_fft(
+    params: SchurParameters,
+    grid_values: np.ndarray,
+    atom_points: np.ndarray,
+    atom_values: np.ndarray,
+    n_max: int,
+) -> np.ndarray:
+    """``chi_sums`` over the N-th roots of unity and a few atoms, by FFT.
+
+    ``grid_values[..., j]`` sits at exp(2 pi i j / N) and
+    ``atom_values[..., a]`` at ``atom_points[a]``.  On the circle
+    chi_k = z^-h phi*_k (k even) or z^-h phi_k (k odd), h = k // 2, so
+    with p_k the Taylor coefficients of that polynomial and
+    F_m = sum_j values_j conj(xi_j)^m the k-th sum is
+    sum_i conj(p_{k,i}) F_{i-h}.  On the grid F_m is entry m mod N of one
+    length-N FFT of the values, exact because xi^N = 1 there; the atoms
+    add their terms pointwise.  O(n_max^2 + N log N) instead of the
+    O(n_max N) of ``chi_sums``, but the coefficients of phi_k cancel in
+    the sum, so its error grows with the parameters' digit loss (see
+    ``asymptotics.cmv_coefficients`` for the gate).  Each function gets
+    its own FFT, spectrum and dot products, so stacking functions does
+    not change their sums, and a deeper n_max does not change the
+    shallower ones.
+    """
+    grid_values = np.asarray(grid_values, dtype=complex)
+    grid_size = grid_values.shape[-1]
+    funcs = grid_values.reshape(-1, grid_size)
+    atom_funcs = np.asarray(atom_values, dtype=complex).reshape(len(funcs), -1)
+    # F_m for m = -low .. n_max - low, the exponents i - h that occur
+    low = n_max // 2
+    exponents = np.arange(-low, n_max - low + 1)
+    atom_powers = [np.conj(x) ** exponents for x in atom_points]
+    spectra = []
+    for g, g_atoms in zip(funcs, atom_funcs):
+        spectrum = np.fft.fft(g)[exponents % grid_size]
+        for powers, v in zip(atom_powers, g_atoms):
+            spectrum += v * powers
+        spectra.append(spectrum)
+    out = np.empty((len(funcs), n_max + 1), dtype=complex)
+    for k, (phi, phis) in enumerate(_coefficient_steps(params, n_max)):
+        coeffs = np.conj((phi if k % 2 else phis)[: k + 1])
+        start = low - k // 2
+        out[:, k] = [coeffs @ s[start : start + k + 1] for s in spectra]
+    return out.reshape(grid_values.shape[:-1] + (n_max + 1,))
+
+
 # -----------------------------------------------------------------------------
 # Christoffel-Darboux kernels
 # -----------------------------------------------------------------------------
@@ -275,36 +363,17 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
     Such a truncation has the rational density 1/|phi_K|^2; sampling it is
     the reconstruction route for parameter-first families.
 
-    The transfer recursion runs on the K+1 Taylor coefficients of phi_K
-    (z is a shift by one place), and one length-N FFT of them gives phi_K
-    at the N-th roots of unity.  Coefficients past degree N-1 fold onto
-    degree k mod N, which is exact on the grid because xi^N = 1 there.
-    Raises PositivityLoss at a node where |phi_K|^2 underflows to 0 or
-    overflows, so that 1/|phi_K|^2 would not be a positive double, and at
-    the first order k whose coefficients reach modulus sqrt(max double),
-    before any of them can overflow.
+    The K+1 Taylor coefficients of phi_K come from ``_coefficient_steps``,
+    and one length-N FFT of them gives phi_K at the N-th roots of unity.
+    Coefficients past degree N-1 fold onto degree k mod N, which is exact
+    on the grid because xi^N = 1 there.  Raises PositivityLoss at a node
+    where |phi_K|^2 underflows to 0 or overflows, so that 1/|phi_K|^2
+    would not be a positive double, and wherever ``_coefficient_steps``
+    does.
     """
     k_cut = len(params)
-    a = params.values
-    inv_rho = 1.0 / params.rho
-    phi = np.zeros(k_cut + 1, dtype=complex)
-    phi[0] = 1.0
-    phis = phi.copy()
-    for k in range(k_cut):
-        # z phi_k; phi_k has degree k < k_cut, so nothing is shifted out
-        zphi = np.concatenate(([0.0], phi[:-1]))
-        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
-            phis - a[k] * zphi
-        ) * inv_rho[k]
-        # phi* holds the same moduli, reversed; a step grows them by at
-        # most 2 / rho < 2e6 (|a| < ESCAPE_THRESHOLD), so below this bound
-        # the next step and the FFT stay finite
-        top = np.abs(phi).max()
-        if not top < _MODULUS_RANGE[1]:
-            raise PositivityLoss(
-                f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
-                "its square leaves the finite double range"
-            )
+    for phi, _ in _coefficient_steps(params, k_cut):
+        pass  # phi ends as phi_K
     folded = np.pad(phi, (0, -len(phi) % grid_size))
     coeffs = folded.reshape(-1, grid_size).sum(axis=0)
     modulus = np.abs(grid_size * np.fft.ifft(coeffs))

@@ -171,6 +171,46 @@ def cmv_coefficients_dense(
     return coeffs
 
 
+def cmv_coefficients_mp(
+    mu: CircleMeasure, params, f_samples, n_max: int, f_atom_values=None, dps=40
+):
+    """Integrals of f conj(chi_k) dmu, k <= n_max, summed at ``dps`` digits.
+
+    The quadrature of ``mu.quadrature()`` with its double nodes, weights and
+    f values taken as exact: at each node the transfer recursion runs in
+    mpmath from the double parameters, chi_k is formed by its definition
+    and the sum accumulates at ``dps`` digits.  Pure Python, about 30 us
+    per node and order.
+    """
+    import mpmath
+
+    nodes, weights = mu.quadrature()
+    fa = np.zeros(0) if f_atom_values is None else np.asarray(f_atom_values)
+    values = np.concatenate([np.asarray(f_samples), fa]) * weights
+    with mpmath.workdps(dps):
+        a = [mpmath.mpc(complex(x)) for x in params.values[:n_max]]
+        conj_a = [mpmath.conj(x) for x in a]
+        inv_rho = [1 / mpmath.sqrt(1 - abs(x) ** 2) for x in a]
+        # sums of conj(f q) chi_k; conjugated once at the end
+        sums = [mpmath.mpc(0)] * (n_max + 1)
+        for z, v in zip(nodes, values):
+            z = mpmath.mpc(complex(z))
+            phase = mpmath.mpc(complex(np.conj(v)))  # conj(f q) conj(z)^(k//2)
+            phi = phis = mpmath.mpc(1)
+            sums[0] += phase
+            for k in range(n_max):
+                zphi = z * phi
+                phi, phis = (zphi - conj_a[k] * phis) * inv_rho[k], (
+                    phis - a[k] * zphi
+                ) * inv_rho[k]
+                if k % 2:
+                    phase *= mpmath.conj(z)
+                    sums[k + 1] += phase * phis
+                else:
+                    sums[k + 1] += phase * phi
+        return np.array([complex(mpmath.conj(c)) for c in sums])
+
+
 def entropy_profile_per_delta(
     mu: CircleMeasure, xi0: complex, n_list, delta_grid_size: int
 ):

@@ -18,8 +18,8 @@ from opuclab.asymptotics import (
 )
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
-from opuclab.opuc import eval_grid_table
-from oracles import cmv_coefficients_dense
+from opuclab.opuc import chi_sums, chi_sums_fft, eval_grid_table
+from oracles import cmv_coefficients_dense, cmv_coefficients_mp
 
 
 def _cos_samples(mu):
@@ -162,6 +162,76 @@ def test_cmv_coefficients_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32e6, peak
+
+
+def test_streamed_coefficient_pass_memory_is_linear_in_the_grid():
+    # the route behind the digit-loss gate, on the grid and order above
+    inst = build_family({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 256)
+    mu = inst.measure
+    stacked = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
+    tracemalloc.start()
+    try:
+        nodes, weights = mu.quadrature()
+        chi_sums(inst.params, nodes, stacked * weights, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+# Grids small enough for the pure-Python oracle (about 0.2 s a case); ell2
+# needs 56 nodes per parameter.  The route is the one cmv_coefficients
+# takes: geronimus(0.6) loses 11.6 digits over these 32 parameters.
+_ORACLE_CASES = [
+    ({"name": "lebesgue"}, 128, 32, "fft"),
+    ({"name": "bernstein_szego", "r": 0.5}, 128, 32, "fft"),
+    ({"name": "geronimus", "a": 0.6}, 128, 32, "streamed"),
+    ({"name": "ell2", "c": 0.5, "p": 1.0}, 1024, 8, "fft"),
+    (
+        {
+            "name": "mixed",
+            "base": {"name": "bernstein_szego", "r": 0.3},
+            "atoms": [{"angle": 2.0, "mass": 0.2}],
+        },
+        128,
+        32,
+        "fft",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size, n_max, route",
+    _ORACLE_CASES,
+    ids=[case[0]["name"] for case in _ORACLE_CASES],
+)
+def test_coefficient_routes_match_a_40_digit_sum(spec, grid_size, n_max, route):
+    inst = build_family(spec, grid_size, n_max)
+    mu = inst.measure
+    f = np.cos(mu.angles) + 1j * np.sin(3.0 * mu.angles)
+    fa = np.array([np.cos(t) + 1j * np.sin(3.0 * t) for t, _ in mu.atoms])
+    want = cmv_coefficients_mp(mu, inst.params, f, n_max, fa)
+    nodes, weights = mu.quadrature()
+    streamed = chi_sums(
+        inst.params, nodes, np.concatenate([f, fa]) * weights, n_max
+    )
+    fft = chi_sums_fft(
+        inst.params,
+        f * (mu.weight / mu.grid_size),
+        mu.atom_points,
+        fa * mu.atom_masses,
+        n_max,
+    )
+    assert np.max(np.abs(streamed - want)) < 1e-14, inst.name
+    got = cmv_coefficients(mu, inst.params, f, n_max, fa)
+    if route == "fft":
+        assert np.max(np.abs(fft - want)) < 1e-14, inst.name
+        assert np.array_equal(got, fft), inst.name
+    else:
+        # the gate is needed: phi_k's coefficients cancel where its values
+        # do not, so the coefficient route loses what the parameters lose
+        assert np.max(np.abs(fft - want)) > 1e-13, inst.name
+        assert np.array_equal(got, streamed), inst.name
 
 
 def test_summability_condition_pair(bs_half):

@@ -204,13 +204,13 @@ def test_verdict_to_json_shape():
 
 def test_summability_run_makes_one_coefficient_pass(monkeypatch):
     orders = []
-    streamed = asymptotics.chi_sums
+    coefficients = experiments.cmv_coefficients
 
-    def counted(params, xis, values, n_max):
+    def counted(mu, params, f_samples, n_max, f_atom_values=None):
         orders.append(n_max)
-        return streamed(params, xis, values, n_max)
+        return coefficients(mu, params, f_samples, n_max, f_atom_values)
 
-    monkeypatch.setattr(asymptotics, "chi_sums", counted)
+    monkeypatch.setattr(experiments, "cmv_coefficients", counted)
     cfg = _config(
         family=MIXED,
         experiment="summability",
@@ -221,6 +221,58 @@ def test_summability_run_makes_one_coefficient_pass(monkeypatch):
     assert not outcome.failed
     assert len(outcome.tables) == 2
     assert orders == [200]
+
+
+@pytest.mark.parametrize(
+    "family, grid_size, route",
+    [
+        (MIXED, 4096, "chi_sums_fft"),
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 16384, "chi_sums_fft"),
+        # 13.5 digits of loss over 64 parameters: past the gate
+        ({"name": "geronimus", "a": 0.6}, 4096, "chi_sums"),
+    ],
+    ids=["mixed", "ell2", "geronimus"],
+)
+def test_summability_run_takes_the_gated_route(
+    monkeypatch, family, grid_size, route
+):
+    taken = []
+
+    def recorded(name):
+        run = getattr(asymptotics, name)
+
+        def wrapper(*args):
+            taken.append(name)
+            return run(*args)
+
+        return wrapper
+
+    for name in ("chi_sums", "chi_sums_fft"):
+        monkeypatch.setattr(asymptotics, name, recorded(name))
+    cfg = _config(
+        family=family,
+        grid_size=grid_size,
+        experiment="summability",
+        n_list=[4, 16, 64],
+    )
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    assert taken == [route]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="geronimus(0.3) Jost averages rise 1.95e-6 from n = 4 to 16",
+)
+def test_geronimus_short_sweep_passes_averaged_decay_trend():
+    cfg = _config(
+        family={"name": "geronimus", "a": 0.3}, experiment="all", n_list=[4, 16]
+    )
+    by_name = {v.name: v for v in run_experiment(cfg).verdicts}
+    assert by_name["averaged_decay_trend"].status == "pass", by_name[
+        "averaged_decay_trend"
+    ].detail
 
 
 def _grid_reads(monkeypatch, cfg):

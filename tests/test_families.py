@@ -1,8 +1,11 @@
 """Builtin family builders: parameters, densities, gates, refinements."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from opuclab import families
 from opuclab.errors import FamilyValidationError, OutOfRange
 from opuclab.families import (
     FAMILY_DESCRIPTIONS,
@@ -109,6 +112,29 @@ _DRIFT = pytest.mark.xfail(
 )
 def test_geronimus_builds_on_every_grid(a, grid_size):
     build_family({"name": "geronimus", "a": a}, grid_size, 17)
+
+
+def test_mixed_samples_its_base_once(monkeypatch):
+    grids = []
+    base = families.FAMILIES["bernstein_szego"]
+
+    def counted(grid_size, depth, **args):
+        grids.append(grid_size)
+        return base.measure(grid_size, depth, **args)
+
+    monkeypatch.setitem(
+        families.FAMILIES, "bernstein_szego", replace(base, measure=counted)
+    )
+    spec = {
+        "name": "mixed",
+        "base": {"name": "bernstein_szego", "r": 0.3},
+        "atoms": [{"angle": 2.0, "mass": 0.2}],
+    }
+    inst = build_family(spec, 1024, 16)
+    assert grids == [1024]
+    assert inst.name == "mixed(bernstein_szego(r=0.3);atoms=[(2,0.2)])"
+    want = 0.8 * (1.0 - 0.09) / abs(1.0 - 0.3 * np.exp(1j)) ** 2
+    assert abs(inst.density_at(1.0) - want) < 1e-15
 
 
 def test_builder_gates():
