@@ -52,6 +52,7 @@ from .measure import (
     nearest_node,
     poisson,
     poisson_log_weight,
+    poisson_route,
     weighted_poisson,
 )
 from .opuc import (
@@ -351,15 +352,17 @@ def _cesaro_sandwich(ctx: RunContext) -> Result:
                 continue
             judged += 1
             worst = max(worst, row.lower - row.cesaro, row.cesaro - row.upper)
+    route = f"Poisson means: {poisson_route(ctx.mu)}"
     if judged == 0:
         return _skip(
-            f"no rows with K_n <= 1 at the certified angles ({exempt} exempt)",
+            f"no rows with K_n <= 1 at the certified angles ({exempt} exempt); "
+            f"{route}",
         )
     return _within(
         worst,
         1e-9,
         f"worst bound violation over {judged} rows with K_n <= 1 "
-        f"({exempt} exempt) at certified angles",
+        f"({exempt} exempt) at certified angles; {route}",
     )
 
 

@@ -16,12 +16,28 @@ power-of-two N that configs allow, w_j / N is exact, so a sum over the
 grid part equals the grid mean bitwise.  Trigonometric moments of sampled
 data alias above N/8, so moment orders beyond that raise
 :class:`~opuclab.errors.AliasRisk`.
+
+The interior extensions (``poisson``, ``poisson_log_weight``,
+``weighted_poisson`` and the Schwarz-kernel means behind the outer and
+Herglotz functions) are grid means of a row against a kernel at z, plus
+the atom terms.  On the grid these means have a closed form: with c_k the
+DFT of the row (``np.fft.fft(row) / N``), the mean against
+(xi + z)/(xi - z) is 2 S(z) / (1 - z^N) - c_0, S(z) = sum_{k<N} c_k z^k,
+and the Poisson mean is its real part; 1/(1 - z^N) carries the aliasing
+(Trefethen and Weideman, SIAM Review 2014; Henrici, Applied and
+Computational Complex Analysis, Vol. 3, Ch. 13).  A row's band K is one
+more than the last k <= N/2 with |c_k| above the FFT noise floor
+eps * max|row|.  When every row of a call has K <= N/8
+(``max_trusted_moment``), S is summed over k < K and k > N - K only, O(K)
+per point; otherwise the direct kernel sums all N nodes, O(N) per point.
+The bands of w and log w are cached on the measure as O(K) numbers (a
+wide band keeps only K), and ``poisson_route`` names the route taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -141,10 +157,12 @@ class CircleMeasure:
 
     def _spectrum(self) -> np.ndarray:
         """Cached DFT of the weight samples, scaled so entry k is the grid
-        quadrature of w(theta) e^{-ik theta}."""
+        quadrature of w(theta) e^{-ik theta}, for the orders k <= N/8 that
+        ``moments`` trusts; the rest is not kept."""
         spec = self._spectrum_cache.get("fft")
         if spec is None:
             spec = np.fft.fft(self.weight) / self.grid_size
+            spec = spec[: max_trusted_moment(self) + 1].copy()
             spec.flags.writeable = False
             self._spectrum_cache["fft"] = spec
         return spec
@@ -290,16 +308,113 @@ def _schwarz_kernel(
     return np.divide(kernel, w, out=kernel)
 
 
-def _poisson_means(
-    mu: CircleMeasure, zs: list, rows: Sequence, kernel=_poisson_kernel
-) -> np.ndarray:
-    """Kernel extensions of several densities at the interior points zs.
+class _Band(NamedTuple):
+    """Where a real grid row's DFT c_k (``np.fft.fft(row) / N``) carries
+    weight.
 
-    ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
-    is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
-    is None, the sum of atom_row * kernel(., zs[j]) over the atoms.  The
-    kernel is ``_poisson_kernel`` (real result) or ``_schwarz_kernel``
-    (complex result).  One kernel per point serves every row.
+    ``width`` is K, one more than the last k <= N/2 with |c_k| above the
+    FFT noise floor eps * max|row|.  A narrow band (K <= N/8) keeps
+    ``low`` = c_0..c_{K-1}; c_{N-K+1}..c_{N-1} are their conjugates in
+    reverse, since the row is real.  A wide band keeps only K (``low`` is
+    None), so no record holds O(N) numbers.
+    """
+
+    width: int
+    low: np.ndarray | None
+
+
+def _row_band(row: np.ndarray, max_width: int) -> _Band:
+    """The band of one real grid row, from a transient real FFT; narrow
+    when K is at most ``max_width``."""
+    half = np.fft.rfft(row) / len(row)
+    floor = np.finfo(float).eps * np.max(np.abs(row))
+    above = np.flatnonzero(np.abs(half) > floor)
+    width = int(above[-1]) + 1 if above.size else 1
+    return _Band(width, half[:width].copy() if width <= max_width else None)
+
+
+def _grid_row(mu: CircleMeasure, row) -> np.ndarray:
+    """The samples of a grid row given as an array or by name."""
+    if not isinstance(row, str):
+        return row
+    if row == "weight":
+        return mu.weight
+    if row == "log_weight":
+        return np.log(mu.weight)
+    raise ValueError(f"unknown grid row {row!r}")
+
+
+def _band(mu: CircleMeasure, row) -> _Band:
+    """The band of a grid row.  The measure's own rows come by name, so
+    that their bands are cached on it (log w needs an FFT of its own); an
+    array row gets a transient FFT on each call."""
+    if not isinstance(row, str):
+        return _row_band(row, max_trusted_moment(mu))
+    key = ("band", row)
+    if key not in mu._spectrum_cache:
+        row_samples = _grid_row(mu, row)
+        mu._spectrum_cache[key] = _row_band(row_samples, max_trusted_moment(mu))
+    return mu._spectrum_cache[key]
+
+
+def _horner(coefficients: np.ndarray, z: np.ndarray):
+    """Real and imaginary parts of sum_k coefficients[i, k] z^k, for every
+    row i of coefficients at every point of z, as arrays (rows, points).
+
+    Real arithmetic throughout: numpy's complex multiply takes different
+    loops (fused or not) for different array lengths, while each real
+    operation rounds once, so a point's value is the same in any batch.
+    """
+    x, y = z.real, z.imag
+    re = np.zeros((len(coefficients), len(z)))
+    im = np.zeros((len(coefficients), len(z)))
+    for column in coefficients.T[::-1]:
+        re, im = (
+            re * x - im * y + column.real[:, None],
+            re * y + im * x + column.imag[:, None],
+        )
+    return re, im
+
+
+def _spectral_means(
+    mu: CircleMeasure, zs: list, bands: Sequence[_Band], kernel
+) -> np.ndarray:
+    """Kernel grid means of band-limited rows, in closed form.
+
+    With c_k the DFT of a row, the grid mean of row * (xi + z)/(xi - z) is
+    2 S(z) / (1 - z^N) - c_0 with S(z) = sum_{k<N} c_k z^k; 1/(1 - z^N)
+    carries the aliasing, and the Poisson mean is the real part.  S is
+    summed over the two bands only, by Horner at all points at once: k < K,
+    and k > N - K as z^(N-K+1) times a polynomial of degree K - 2.
+    """
+    z = np.array(zs, dtype=complex)
+    grid_size = mu.grid_size
+    # rows 2i and 2i + 1: row i's low band and c_{N-K+1}..c_{N-1}, the
+    # conjugates of c_{K-1}..c_1, zero-padded at the top
+    coefficients = np.zeros((2 * len(bands), max(b.width for b in bands)), complex)
+    for i, band in enumerate(bands):
+        coefficients[2 * i, : band.width] = band.low
+        coefficients[2 * i + 1, : band.width - 1] = np.conj(band.low[:0:-1])
+    re, im = _horner(coefficients, z)
+    shift = np.power(z, [[grid_size - b.width + 1] for b in bands])
+    alias = 1.0 - np.power(z, grid_size)
+    sr = re[::2] + (shift.real * re[1::2] - shift.imag * im[1::2])
+    si = im[::2] + (shift.real * im[1::2] + shift.imag * re[1::2])
+    size = alias.real * alias.real + alias.imag * alias.imag
+    c0 = np.array([band.low[0] for band in bands])[:, None]
+    real = 2.0 * (sr * alias.real + si * alias.imag) / size - c0.real
+    if kernel is _poisson_kernel:
+        return real
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = 2.0 * (si * alias.real - sr * alias.imag) / size - c0.imag
+    return out
+
+
+def _direct_means(
+    mu: CircleMeasure, zs: list, grid_rows: Sequence[np.ndarray], kernel
+) -> np.ndarray:
+    """Grid means of each row times kernel(., z), one kernel per point.
 
     The grid work runs in three node-sized buffers allocated once per
     call (a complex scratch, the kernel and the row product), so memory
@@ -308,9 +423,9 @@ def _poisson_means(
     order, and the grid mean is ``np.add.reduce`` divided by N, as in
     ``np.mean``.
     """
-    points, atom_points = mu.boundary_points, mu.atom_points
+    points = mu.boundary_points
     if kernel is _poisson_kernel:
-        points, atom_points = np.conj(points), np.conj(atom_points)
+        points = np.conj(points)
         dtype = float
     else:
         dtype = complex
@@ -318,16 +433,69 @@ def _poisson_means(
     scratch = np.empty(grid_size, dtype=complex)
     kernel_row = np.empty(grid_size, dtype=dtype)
     product = np.empty(grid_size, dtype=dtype)
-    out = np.empty((len(rows), len(zs)), dtype=dtype)
+    out = np.empty((len(grid_rows), len(zs)), dtype=dtype)
     for j, z in enumerate(zs):
         kernel(points, z, out=kernel_row, scratch=scratch)
-        atom_kernel = kernel(atom_points, z) if mu.atoms else None
-        for i, (grid_row, atom_row) in enumerate(rows):
+        for i, grid_row in enumerate(grid_rows):
             np.multiply(grid_row, kernel_row, out=product)
             out[i, j] = np.add.reduce(product) / grid_size
-            if atom_row is not None:
-                out[i, j] += np.sum(atom_row * atom_kernel)
     return out
+
+
+def _poisson_means(
+    mu: CircleMeasure, zs: list, rows: Sequence, kernel=_poisson_kernel
+) -> np.ndarray:
+    """Kernel extensions of several densities at the interior points zs.
+
+    ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
+    is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
+    is None, the sum of atom_row * kernel(., zs[j]) over the atoms.  A
+    grid_row is a real array of N samples or the name of one of the
+    measure's own rows, "weight" or "log_weight".  The kernel is
+    ``_poisson_kernel`` (real result) or ``_schwarz_kernel`` (complex
+    result).
+
+    The grid means take one of two routes, gated once here: in closed form
+    (``_spectral_means``, O(K) per point) when every row's band K is at
+    most ``max_trusted_moment`` = N/8, else by the direct kernel
+    (``_direct_means``, O(N) per point).  The atom terms are added
+    afterwards with one atom kernel per point on both routes.
+    """
+    bands = [_band(mu, grid_row) for grid_row, _ in rows]
+    if all(band.low is not None for band in bands):
+        out = _spectral_means(mu, zs, bands, kernel)
+    else:
+        grid_rows = [_grid_row(mu, grid_row) for grid_row, _ in rows]
+        out = _direct_means(mu, zs, grid_rows, kernel)
+    atom_rows = [(i, row) for i, (_, row) in enumerate(rows) if row is not None]
+    if atom_rows:
+        atom_points = mu.atom_points
+        if kernel is _poisson_kernel:
+            atom_points = np.conj(atom_points)
+        for j, z in enumerate(zs):
+            atom_kernel = kernel(atom_points, z)
+            for i, atom_row in atom_rows:
+                out[i, j] += np.add.reduce(atom_row * atom_kernel)
+    return out
+
+
+def poisson_route(mu: CircleMeasure) -> str:
+    """Which route the Poisson means of w and log w take, and their bands.
+
+    For example "spectral, band 30/28 of N = 16384" or "direct, w band
+    12500 > N/8"; log w is left out for a measure outside the Szego class.
+    """
+    labels = ("w", "log w") if mu.is_szego else ("w",)
+    bands = [_band(mu, name) for name in ("weight", "log_weight")[: len(labels)]]
+    wide = [
+        f"{label} band {band.width} > N/8"
+        for label, band in zip(labels, bands)
+        if band.low is None
+    ]
+    if wide:
+        return "direct, " + ", ".join(wide)
+    widths = "/".join(str(band.width) for band in bands)
+    return f"spectral, band {widths} of N = {mu.grid_size}"
 
 
 def _one_or_many(z, values: np.ndarray):
@@ -343,7 +511,7 @@ def poisson(mu: CircleMeasure, z) -> float | np.ndarray:
     """
     zs = _interior_points(z)
     masses = mu.atom_masses if mu.atoms else None
-    return _one_or_many(z, _poisson_means(mu, zs, [(mu.weight, masses)])[0])
+    return _one_or_many(z, _poisson_means(mu, zs, [("weight", masses)])[0])
 
 
 def poisson_log_weight(mu: CircleMeasure, z) -> float | np.ndarray:
@@ -353,8 +521,7 @@ def poisson_log_weight(mu: CircleMeasure, z) -> float | np.ndarray:
     """
     mu.require_szego()
     zs = _interior_points(z)
-    rows = [(np.log(mu.weight), None)]
-    return _one_or_many(z, _poisson_means(mu, zs, rows)[0])
+    return _one_or_many(z, _poisson_means(mu, zs, [("log_weight", None)])[0])
 
 
 def weighted_poisson(

@@ -124,7 +124,7 @@ def caratheodory_eval(mu: CircleMeasure, z) -> complex | np.ndarray:
     (returns a complex) or a 1-d array of them (returns an array).
     """
     zs = _interior_points(z)
-    rows = [(mu.weight, mu.atom_masses if mu.atoms else None)]
+    rows = [("weight", mu.atom_masses if mu.atoms else None)]
     return _one_or_many(z, _poisson_means(mu, zs, rows, _schwarz_kernel)[0])
 
 

@@ -24,7 +24,11 @@ or the nearest sample dominates the sum and both extensions degrade
 together (the entropy then comes out violently negative).  Profile extrema
 therefore ignore delta values that put z closer to the boundary than the
 grid resolves; the public ``entropy`` keeps its strict nonnegativity
-assertion and is meant for resolved points.
+assertion and is meant for resolved points.  The guard holds on both
+Poisson routes (see :mod:`opuclab.measure`): the closed-form route sums
+the same grid quadrature as the direct kernel, only with fewer rounding
+errors, so it resolves no more than the grid does, and the profile rows
+keep their meaning.
 """
 
 from __future__ import annotations
@@ -69,8 +73,7 @@ def szego_interior(mu: CircleMeasure, z) -> complex | np.ndarray:
     """
     mu.require_szego()
     zs = _interior_points(z)
-    rows = [(np.log(mu.weight), None)]
-    means = _poisson_means(mu, zs, rows, _schwarz_kernel)[0]
+    means = _poisson_means(mu, zs, [("log_weight", None)], _schwarz_kernel)[0]
     return _one_or_many(z, np.exp(0.5 * means))
 
 
@@ -114,7 +117,7 @@ def _entropy_terms(mu: CircleMeasure, zs: list) -> Tuple[np.ndarray, np.ndarray]
     mu.require_szego()
     masses = mu.atom_masses if mu.atoms else None
     p_mu, p_log = _poisson_means(
-        mu, zs, [(mu.weight, masses), (np.log(mu.weight), None)]
+        mu, zs, [("weight", masses), ("log_weight", None)]
     )
     return p_mu, np.log(p_mu) - p_log
 

@@ -7,7 +7,8 @@ Agreement between these and the package routines is evidence, not
 tautology, because no code is shared beyond the measure container.
 The bitwise references (``value_recursion_fresh_arrays``,
 ``entropy_profile_per_delta``) instead restate a fast routine in its plain
-array form, to show that its buffers change no bit.
+array form, to show that its buffers change no bit; the profile reference
+is also the roundoff-level oracle of the spectral Poisson route.
 """
 
 from __future__ import annotations
@@ -212,16 +213,17 @@ def cmv_coefficients_mp(
 
 
 def entropy_profile_per_delta(
-    mu: CircleMeasure, xi0: complex, n_list, delta_grid_size: int
+    mu: CircleMeasure, xi0: complex, n_list, delta_grid_size: int, terms=None
 ):
     """(n, K_n, P_n, F_n) rows with one pair of extensions per delta.
 
     The profile by its definition, one delta at a time: for each n and
-    each resolved delta it evaluates the Poisson kernel at
-    z = (1 - delta/n) xi0 once for P(mu, z) and again for P(log w, z), and
-    folds the running max of the clipped entropy and the running min of
-    P(mu, z).  Rows are plain tuples; the Fejer column comes from the
-    package's ``fejer_mean``.
+    each resolved delta it takes P(mu, z) and the entropy at
+    z = (1 - delta/n) xi0 from ``terms(z)``, and folds the running max of
+    the clipped entropy and the running min of P(mu, z).  By default
+    ``terms`` evaluates the Poisson kernel once for P(mu, z) and again for
+    P(log w, z), in plain arrays.  Rows are plain tuples; the Fejer column
+    comes from the package's ``fejer_mean``.
     """
     from opuclab.measure import fejer_mean
 
@@ -232,18 +234,59 @@ def entropy_profile_per_delta(
     def kernel(at, z):
         return (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(at) * z) ** 2
 
+    def plain_terms(z):
+        p_mu = float(np.mean(mu.weight * kernel(points, z)))
+        if mu.atoms:
+            p_mu += float(np.sum(masses * kernel(atom_points, z)))
+        p_log = float(np.mean(np.log(mu.weight) * kernel(points, z)))
+        return p_mu, float(np.log(p_mu) - p_log)
+
+    terms = terms or plain_terms
     deltas = np.geomspace(1e-4, 1.0 - 1e-4, delta_grid_size)
     rows = []
     for n in n_list:
         k_n = -np.inf
         p_n = np.inf
         for d in deltas[deltas / n >= 8.0 / mu.grid_size]:
-            z = complex((1.0 - d / n) * xi0)
-            p_mu = float(np.mean(mu.weight * kernel(points, z)))
-            if mu.atoms:
-                p_mu += float(np.sum(masses * kernel(atom_points, z)))
-            p_log = float(np.mean(np.log(mu.weight) * kernel(points, z)))
-            k_n = max(k_n, max(float(np.log(p_mu) - p_log), 0.0))
+            p_mu, value = terms(complex((1.0 - d / n) * xi0))
+            k_n = max(k_n, max(value, 0.0))
             p_n = min(p_n, p_mu)
         rows.append((n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
     return rows
+
+
+def poisson_means_mp(mu: CircleMeasure, zs, dps: int = 40):
+    """P(w, z), P(log w, z) and the Schwarz-kernel mean of log w at each z.
+
+    The grid part of the quadrature summed at ``dps`` digits: the nodes
+    are the exact e^{2 pi i j/N} at ``dps`` digits, and the double samples
+    w_j and log w_j (as ``np.log`` gives them) are taken as exact.  Atoms
+    are left out.  Pure Python, about 40 us per node and point.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        angles = [2 * mpmath.pi * j / mu.grid_size for j in range(mu.grid_size)]
+        nodes = [(mpmath.cos(t), mpmath.sin(t)) for t in angles]
+        rows = [
+            (mpmath.mpf(float(w)), mpmath.mpf(float(lw)))
+            for w, lw in zip(mu.weight, np.log(mu.weight))
+        ]
+        out = []
+        for z in zs:
+            zr, zi = mpmath.mpf(complex(z).real), mpmath.mpf(complex(z).imag)
+            scale = 1 - zr * zr - zi * zi
+            p_w = p_log = q_log = mpmath.mpf(0)
+            for (xr, xi), (w, lw) in zip(nodes, rows):
+                dr, di = xr - zr, xi - zi
+                inv = 1 / (dr * dr + di * di)
+                kernel = scale * inv
+                p_w += w * kernel
+                p_log += lw * kernel
+                q_log += lw * 2 * (zi * xr - zr * xi) * inv
+            n = mu.grid_size
+            out.append((p_w / n, p_log / n, mpmath.mpc(p_log, q_log) / n))
+        return [
+            (float(p_w), float(p_log), complex(schwarz))
+            for p_w, p_log, schwarz in out
+        ]

@@ -1,12 +1,14 @@
 """Measure container, Poisson extensions, moments, Fejer means."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuclab import measure
 from opuclab.errors import (
     AliasRisk,
     BoundaryPoint,
@@ -25,13 +27,15 @@ from opuclab.measure import (
     moment,
     poisson,
     poisson_log_weight,
+    poisson_route,
     to_json_dict,
     weighted_poisson,
 )
+from opuclab.families import build_family
 from opuclab.schur import schur_eval
-from opuclab.szego import entropy, szego_interior
+from opuclab.szego import entropy, entropy_profile, szego_interior
 
-from oracles import poisson_kernel_direct
+from oracles import entropy_profile_per_delta, poisson_kernel_direct, poisson_means_mp
 
 
 def test_lebesgue_poisson_is_one():
@@ -126,6 +130,108 @@ def test_weighted_poisson_guards(mixed_atom):
         weighted_poisson(mu, np.ones(mu.grid_size), 0.1)
 
 
+@pytest.mark.parametrize(
+    "family, route",
+    [
+        ("mixed_atom", "spectral"),
+        ("bs_half", "spectral"),
+        ("ell2_half", "direct"),
+        ("geronimus6", "direct"),
+    ],
+)
+def test_poisson_means_take_the_route_the_band_gates(
+    family, route, request, monkeypatch
+):
+    mu = request.getfixturevalue(family).measure
+    assert poisson_route(mu).split(",")[0] == route
+    other = "_direct_means" if route == "spectral" else "_spectral_means"
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran on {family}")
+
+    monkeypatch.setattr(measure, other, refuse)
+    points = np.array(_POINTS)
+    for extend in (poisson, poisson_log_weight, entropy, schur_eval, szego_interior):
+        extend(mu, points)
+
+
+@pytest.mark.parametrize("family", ["ell2_half", "geronimus6"])
+def test_direct_route_is_the_plain_kernel_bitwise(family, request):
+    mu = request.getfixturevalue(family).measure
+    points = mu.boundary_points
+    log_w = np.log(mu.weight)
+    masses = mu.atom_masses if mu.atoms else np.zeros(0)
+    for z in _POINTS:
+        z = complex(z)
+        kernel = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(points) * z) ** 2
+        atom_kernel = (1.0 - abs(z) ** 2) / np.abs(
+            1.0 - np.conj(mu.atom_points) * z
+        ) ** 2
+        p_mu = float(np.mean(mu.weight * kernel))
+        if mu.atoms:
+            p_mu += float(np.sum(masses * atom_kernel))
+        schwarz = np.mean(log_w * ((points + z) / (points - z)))
+        assert poisson(mu, z) == p_mu
+        assert poisson_log_weight(mu, z) == float(np.mean(log_w * kernel))
+        assert szego_interior(mu, z) == complex(np.exp(0.5 * schwarz))
+    xi0 = complex(np.exp(2.0j))
+    profile = entropy_profile(mu, xi0, (4, 64), 48)
+    rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
+    assert rows == entropy_profile_per_delta(mu, xi0, (4, 64), 48)
+
+
+def test_spectral_route_sums_the_quadrature_to_roundoff():
+    # At N(1 - |z|) = 8, the least-resolved points the entropy profile
+    # uses, against a 40-digit sum of the same quadrature: the closed form
+    # keeps 1e-14, while the direct kernel's 1 - conj(xi) z loses
+    # log2(N/8) bits there and misses it on the same points.
+    mu = build_family({"name": "bernstein_szego", "r": 0.3}, 16384, 8).measure
+    assert poisson_route(mu).startswith("spectral")
+    grid_size = mu.grid_size
+    zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (3.0, 5.5)]
+    exact = np.array(poisson_means_mp(mu, zs))
+    p_w, p_log, outer = exact[:, 0].real, exact[:, 1].real, np.exp(0.5 * exact[:, 2])
+
+    def worst(values, reference):
+        return np.max(np.abs(values - reference) / np.abs(reference))
+
+    points = np.array(zs)
+    assert worst(poisson(mu, points), p_w) < 1e-14
+    assert worst(poisson_log_weight(mu, points), p_log) < 1e-14
+    assert worst(szego_interior(mu, points), outer) < 1e-14
+    log_w = np.log(mu.weight)
+    direct = measure._direct_means(mu, zs, [mu.weight, log_w], measure._poisson_kernel)
+    direct_outer = np.exp(
+        0.5 * measure._direct_means(mu, zs, [log_w], measure._schwarz_kernel)[0]
+    )
+    assert worst(direct[0], p_w) > 1e-14
+    assert worst(direct[1], p_log) > 1e-14
+    assert worst(direct_outer, outer) > 1e-14
+
+
+def test_poisson_cache_keeps_no_node_sized_array(ell2_half):
+    # the band records hold O(K) numbers, and none for a wide band: on a
+    # 65536-node ell2 measure (direct route) the calls leave less than one
+    # float row behind
+    mu = ell2_half.measure_on(65536)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        poisson(mu, np.array(_POINTS))
+        entropy_profile(mu, 1.0 + 0j, (4, 64), 32)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cached = [
+        part
+        for value in mu._spectrum_cache.values()
+        for part in (value if isinstance(value, tuple) else (value,))
+        if isinstance(part, np.ndarray)
+    ]
+    assert cached and all(part.size < mu.grid_size for part in cached)
+    assert kept < 8 * mu.grid_size, kept
+
+
 def test_moments_of_bernstein_szego(bs_half):
     # Schur function is the constant 1/2, so c_k = (1/2)^k
     for k in range(8):
@@ -212,8 +318,6 @@ def test_build_measure_normalize_rescales():
     arg=st.floats(min_value=0.0, max_value=6.283),
 )
 def test_poisson_positive_on_random_inputs(r, mag, arg):
-    from opuclab.families import build_family
-
     inst = build_family({"name": "bernstein_szego", "r": r}, 256, 4)
     z = mag * complex(np.exp(1j * arg))
     assert poisson(inst.measure, z) > 0.0

@@ -9,6 +9,7 @@ from opuclab.errors import OutOfRange
 from opuclab.families import build_family
 from opuclab.measure import lebesgue, poisson, poisson_log_weight
 from opuclab.szego import (
+    _entropy_terms,
     entropy,
     entropy_profile,
     szego_boundary,
@@ -102,13 +103,41 @@ def test_entropy_profile_needs_resolved_radii(bs_half):
 
 
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom"])
-def test_entropy_profile_matches_per_delta_oracle_bitwise(family, request):
+def test_entropy_profile_matches_per_delta_oracle(family, request):
+    # Both families take the spectral route, which sums the grid quadrature
+    # in closed form; the oracle's plain kernel loses up to log2(N/8) bits
+    # in 1 - conj(xi) z at resolved points.  So the two agree to N eps:
+    # relative to P_n, and to max(1, K_n) for K_n, a difference of two
+    # extensions of size about 1 or more.
     mu = request.getfixturevalue(family).measure
+    tol = mu.grid_size * np.finfo(float).eps
+    for angle in (0.0, 2.0, np.pi):
+        xi0 = complex(np.exp(1j * angle))
+        profile = entropy_profile(mu, xi0, (4, 16, 64, 256), 96)
+        oracle = entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96)
+        for row, (n, k_n, p_n, f_n) in zip(profile.rows, oracle, strict=True):
+            assert (row.n, row.f_n) == (n, f_n)
+            assert abs(row.p_n - p_n) <= tol * p_n
+            assert abs(row.k_n - k_n) <= tol * max(1.0, k_n)
+
+
+@pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6"])
+def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
+    # one batch of deltas per n changes no bit against one _entropy_terms
+    # call per delta, on the spectral route (bs_half, mixed_atom) and on
+    # the direct one (geronimus6)
+    mu = request.getfixturevalue(family).measure
+
+    def terms(z):
+        p_mu, value = _entropy_terms(mu, [z])
+        return float(p_mu[0]), float(value[0])
+
     for angle in (0.0, 2.0, np.pi):
         xi0 = complex(np.exp(1j * angle))
         profile = entropy_profile(mu, xi0, (4, 16, 64, 256), 96)
         rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
-        assert rows == entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96)
+        oracle = entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96, terms)
+        assert rows == oracle
 
 
 def test_entropy_profile_memory_is_linear_in_the_grid():
