@@ -46,6 +46,7 @@ from .families import FAMILIES, FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
     CircleMeasure,
+    _as_boundary,
     fejer_mean,
     max_trusted_moment,
     moments,
@@ -56,13 +57,11 @@ from .measure import (
     weighted_poisson,
 )
 from .opuc import (
-    cd_kernel_cmv,
-    cd_kernel_poly,
-    cd_kernel_sum,
-    chi_table,
+    PolynomialPair,
+    cd_laurent,
+    cd_quotient,
     dual_parameters,
     eval_grid_table,
-    eval_table,
     monic_from_moments,
     verblunsky_from_moments,
 )
@@ -162,6 +161,11 @@ def _nonincreasing_violation(values: Sequence[float]) -> float:
     return max(
         [b - a for a, b in zip(values, values[1:])] or [0.0], default=0.0
     )
+
+
+def _shortfall(value: float) -> float:
+    """How far value lies below 0; +0.0, never -0.0, when it does not."""
+    return 0.0 if value >= 0.0 else -value
 
 
 def _fmt_seq(values: Sequence[float]) -> str:
@@ -389,7 +393,7 @@ def _fejer_lower_bound(ctx: RunContext) -> Result:
 def _entropy_nonnegative(ctx: RunContext) -> Result:
     low = np.min(entropy(ctx.mu, ctx.interior_points(21, 24, 0.99)))
     return _within(
-        max(-low, 0.0),
+        _shortfall(low),
         1e-10,
         f"min entropy over 24 interior points |z| <= 0.99 is {low:.3g}",
     )
@@ -453,7 +457,7 @@ def _jensen_direction(ctx: RunContext) -> Result:
         )
     )
     return _within(
-        max(-slack, 0.0),
+        _shortfall(slack),
         1e-12,
         f"min (log P(mu,z) - P(log w, z)) over 24 interior points is "
         f"{slack:.3g}; must be >= 0",
@@ -654,15 +658,13 @@ def _gram_orthonormality(ctx: RunContext) -> Result:
 def _phi_star_zero_free(ctx: RunContext) -> Result:
     rng = ctx.rng(33)
     n_top = min(32, ctx.depth)
-    low = math.inf
     points = [0.0 + 0.0j]
     for _ in range(16):
         theta = rng.angle()
         for r in (0.3, 0.6, 0.9, 0.99):
             points.append(r * complex(np.exp(1j * theta)))
-    for z in points:
-        _, phis = eval_table(ctx.params, z, n_top)
-        low = min(low, float(np.min(np.abs(phis))))
+    _, phis = eval_grid_table(ctx.params, np.array(points), n_top)
+    low = float(np.min(np.abs(phis)))
     return _judged(
         low >= 1e-8,
         low,
@@ -675,18 +677,31 @@ def _phi_star_zero_free(ctx: RunContext) -> Result:
 def _cd_three_route(ctx: RunContext) -> Result:
     rng = ctx.rng(34)
     n_top = max(min(32, ctx.depth - 1), 1)
-    worst = 0.0
-    pairs = 0
-    while pairs < 24:
+    draws = []
+    while len(draws) < 24:
         xi = complex(np.exp(1j * rng.angle()))
         z = complex(np.exp(1j * rng.angle()))
         if abs(1.0 - np.conj(xi) * z) < 0.1:
             continue
-        n = 1 + rng.next_raw() % n_top
-        pairs += 1
-        direct = cd_kernel_sum(ctx.params, xi, z, n)
-        quotient = cd_kernel_poly(ctx.params, xi, z, n)
-        laurent = cd_kernel_cmv(ctx.params, xi, z, n)
+        draws.append((xi, z, 1 + rng.next_raw() % n_top))
+    # Columns 4p..4p+3 hold pair p's xi and z, then xi/|xi| and z/|z|,
+    # where the Laurent form evaluates chi.
+    points = [
+        w for xi, z, _ in draws for w in (xi, z, _as_boundary(xi), _as_boundary(z))
+    ]
+    phi, phis = eval_grid_table(ctx.params, np.array(points), n_top + 1)
+
+    def pair(column: int, n: int) -> PolynomialPair:
+        return PolynomialPair(
+            n, complex(phi[n, column]), complex(phis[n, column]), points[column]
+        )
+
+    worst = 0.0
+    for p, (xi, z, n) in enumerate(draws):
+        j = 4 * p
+        direct = complex(np.sum(np.conj(phi[: n + 1, j]) * phi[: n + 1, j + 1]))
+        quotient = cd_quotient(pair(j, n + 1), pair(j + 1, n + 1))
+        laurent = cd_laurent(pair(j + 2, n + 1), pair(j + 3, n + 1))
         prefactor = (xi * np.conj(z)) ** (n // 2)
         scale = max(1.0, abs(direct))
         worst = max(

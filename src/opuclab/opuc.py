@@ -36,7 +36,12 @@ node, O(k^2 + N log N) instead of O(kN), at a relative error of about
 * ``chi_sums_fft`` integrates functions against the CMV basis, behind the
   digit-loss gate of ``asymptotics.cmv_coefficients``.
 
-Everything else evaluates polynomials pointwise by the transfer recursion.
+Everything else evaluates polynomials by the transfer recursion, one pass
+over an array of points.  A column of ``eval_grid_table`` is bitwise the
+one-point table at that point, so checks that sample many points draw
+them all first and read every value from one table; ``cd_quotient`` and
+``cd_laurent`` close the Christoffel-Darboux formulas on values read that
+way, for those checks and for ``cd_kernel_poly`` and ``cd_kernel_cmv``.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ def _transfer_steps(params: SchurParameters, zs: np.ndarray, n_max: int):
         )
     zs = np.asarray(zs, dtype=complex)
     a = params.values
+    conj_a = np.conj(a)
     # numpy divides x by r + 0i as x * (1/r), so multiplying by the
     # reciprocal gives the same values without two divisions per point
     inv_rho = 1.0 / params.rho
@@ -106,7 +112,7 @@ def _transfer_steps(params: SchurParameters, zs: np.ndarray, n_max: int):
     yield phi, phis
     for k in range(n_max):
         zphi = zs * phi
-        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
+        phi, phis = (zphi - conj_a[k] * phis) * inv_rho[k], (
             phis - a[k] * zphi
         ) * inv_rho[k]
         yield phi, phis
@@ -209,13 +215,15 @@ def _chi_rows(params: SchurParameters, xis: np.ndarray, n_max: int):
             yield phase * phis
 
 
+def _chi_from_pair(pair: PolynomialPair) -> complex:
+    """chi_n(xi) from (phi_n(xi), phi*_n(xi)), n = pair.n, xi = pair.z."""
+    pref = np.conj(pair.z) ** (pair.n // 2)
+    return complex(pref * (pair.phi_star if pair.n % 2 == 0 else pair.phi))
+
+
 def chi(params: SchurParameters, xi: complex, n: int) -> complex:
     """CMV basis value chi_n(xi) on the boundary."""
-    xi = _as_boundary(xi)
-    pair = eval_pair(params, xi, n)
-    k = n // 2
-    pref = np.conj(xi) ** k
-    return complex(pref * (pair.phi_star if n % 2 == 0 else pair.phi))
+    return _chi_from_pair(eval_pair(params, _as_boundary(xi), n))
 
 
 def chi_table(params: SchurParameters, xi: complex, n_max: int) -> np.ndarray:
@@ -300,53 +308,71 @@ def cd_kernel_sum(params: SchurParameters, xi: complex, z: complex, n: int) -> c
     return complex(np.sum(np.conj(pxi) * pz))
 
 
-def cd_kernel_poly(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
-    """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z).
-
-    Evaluated through the two-term quotient
+def cd_quotient(px: PolynomialPair, pz: PolynomialPair) -> complex:
+    """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z) as
 
         (phi*_{n+1}(z) conj(phi*_{n+1}(xi)) - phi_{n+1}(z) conj(phi_{n+1}(xi)))
-        / (1 - conj(xi) z),
+        / (1 - conj(xi) z)
 
-    falling back to direct summation when the denominator degenerates.
+    from the order-(n+1) pairs ``px`` at xi and ``pz`` at z.  No diagonal
+    fallback: the caller keeps 1 - conj(xi) z away from 0.
     """
-    xi = complex(xi)
-    z = complex(z)
-    den = 1.0 - np.conj(xi) * z
-    if abs(den) < _CD_DIAGONAL:
-        return cd_kernel_sum(params, xi, z, n)
-    px = eval_pair(params, xi, n + 1)
-    pz = eval_pair(params, z, n + 1)
+    den = 1.0 - np.conj(px.z) * pz.z
     num = pz.phi_star * np.conj(px.phi_star) - pz.phi * np.conj(px.phi)
     return complex(num / den)
 
 
-def cd_kernel_cmv(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
+def cd_laurent(px: PolynomialPair, pz: PolynomialPair) -> complex:
     """Laurent-space kernel sum_{k<=n} conj(chi_k(xi)) chi_k(z), |xi|=|z|=1.
 
-    Two-term form with a parity split:
+    Two-term form with a parity split, from the order-(n+1) pairs ``px``
+    at xi and ``pz`` at z:
 
         n even: (z conj(chi_{n+1}(z) xi) chi_{n+1}(xi)
                  - chi_{n+1}(z) conj(chi_{n+1}(xi))) / (1 - conj(xi) z)
         n odd:  (z chi_{n+1}(z) conj(xi chi_{n+1}(xi))
                  - z conj(chi_{n+1}(z) xi) chi_{n+1}(xi)) / (1 - conj(xi) z)
 
-    and equals (xi conj(z))^floor(n/2) times the polynomial kernel there.
+    It equals (xi conj(z))^floor(n/2) times the polynomial kernel there.
+    No diagonal fallback: the caller keeps 1 - conj(xi) z away from 0.
     """
-    xi = _as_boundary(xi)
-    z = _as_boundary(z)
+    n, xi, z = px.n - 1, px.z, pz.z
     den = 1.0 - np.conj(xi) * z
-    if abs(den) < _CD_DIAGONAL:
-        cx = chi_table(params, xi, n)
-        cz = cx if z == xi else chi_table(params, z, n)
-        return complex(np.sum(np.conj(cx) * cz))
-    cx = chi(params, xi, n + 1)
-    cz = chi(params, z, n + 1)
+    cx = _chi_from_pair(px)
+    cz = _chi_from_pair(pz)
     if n % 2 == 0:
         num = z * np.conj(cz * xi) * cx - cz * np.conj(cx)
     else:
         num = z * cz * np.conj(xi * cx) - z * np.conj(cz * xi) * cx
     return complex(num / den)
+
+
+def cd_kernel_poly(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
+    """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z).
+
+    Evaluated by ``cd_quotient``, falling back to direct summation when
+    its denominator 1 - conj(xi) z degenerates.
+    """
+    xi = complex(xi)
+    z = complex(z)
+    if abs(1.0 - np.conj(xi) * z) < _CD_DIAGONAL:
+        return cd_kernel_sum(params, xi, z, n)
+    return cd_quotient(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
+
+
+def cd_kernel_cmv(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
+    """Laurent-space kernel sum_{k<=n} conj(chi_k(xi)) chi_k(z), |xi|=|z|=1.
+
+    Evaluated by ``cd_laurent`` at xi/|xi| and z/|z|, falling back to
+    direct summation of chi tables when 1 - conj(xi) z degenerates.
+    """
+    xi = _as_boundary(xi)
+    z = _as_boundary(z)
+    if abs(1.0 - np.conj(xi) * z) < _CD_DIAGONAL:
+        cx = chi_table(params, xi, n)
+        cz = cx if z == xi else chi_table(params, z, n)
+        return complex(np.sum(np.conj(cx) * cz))
+    return cd_laurent(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
 
 
 # -----------------------------------------------------------------------------

@@ -8,10 +8,15 @@ tautology, because no code is shared beyond the measure container.
 The bitwise references (``value_recursion_fresh_arrays``,
 ``entropy_profile_per_delta``) instead restate a fast routine in its plain
 array form, to show that its buffers change no bit; the profile reference
-is also the roundoff-level oracle of the spectral Poisson route.
+is also the roundoff-level oracle of the spectral Poisson route.  In the
+same way ``phi_star_zero_free_per_point`` and ``cd_three_route_per_point``
+restate two sampled checks with one transfer pass per point, to show that
+evaluating all the points in one table changes no bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -290,3 +295,65 @@ def poisson_means_mp(mu: CircleMeasure, zs, dps: int = 40):
             (float(p_w), float(p_log), complex(schwarz))
             for p_w, p_log, schwarz in out
         ]
+
+
+def phi_star_zero_free_per_point(ctx):
+    """``experiments._phi_star_zero_free`` with one transfer pass per point."""
+    from opuclab.experiments import _judged
+    from opuclab.opuc import eval_table
+
+    rng = ctx.rng(33)
+    n_top = min(32, ctx.depth)
+    low = math.inf
+    points = [0.0 + 0.0j]
+    for _ in range(16):
+        theta = rng.angle()
+        for r in (0.3, 0.6, 0.9, 0.99):
+            points.append(r * complex(np.exp(1j * theta)))
+    for z in points:
+        _, phis = eval_table(ctx.params, z, n_top)
+        low = min(low, float(np.min(np.abs(phis))))
+    return _judged(
+        low >= 1e-8,
+        low,
+        f"min |phi_n*(z)| over radial-angular grid |z| <= 0.99, "
+        f"n <= {n_top}; reflected polynomials have no disk zeros",
+    )
+
+
+def cd_three_route_per_point(ctx):
+    """``experiments._cd_three_route`` by the one-point kernel functions.
+
+    Each pair takes ``opuc.cd_kernel_sum``, ``cd_kernel_poly`` and
+    ``cd_kernel_cmv``, so every kernel value costs its own transfer passes.
+    """
+    from opuclab.experiments import _within
+    from opuclab.opuc import cd_kernel_cmv, cd_kernel_poly, cd_kernel_sum
+
+    rng = ctx.rng(34)
+    n_top = max(min(32, ctx.depth - 1), 1)
+    worst = 0.0
+    pairs = 0
+    while pairs < 24:
+        xi = complex(np.exp(1j * rng.angle()))
+        z = complex(np.exp(1j * rng.angle()))
+        if abs(1.0 - np.conj(xi) * z) < 0.1:
+            continue
+        n = 1 + rng.next_raw() % n_top
+        pairs += 1
+        direct = cd_kernel_sum(ctx.params, xi, z, n)
+        quotient = cd_kernel_poly(ctx.params, xi, z, n)
+        laurent = cd_kernel_cmv(ctx.params, xi, z, n)
+        prefactor = (xi * np.conj(z)) ** (n // 2)
+        scale = max(1.0, abs(direct))
+        worst = max(
+            worst,
+            abs(direct - quotient) / scale,
+            abs(prefactor * direct - laurent) / scale,
+        )
+    return _within(
+        worst,
+        1e-9,
+        f"24 seeded boundary pairs, n <= {n_top}: direct sum vs "
+        "quotient form vs Laurent form with its parity prefactor",
+    )

@@ -1,12 +1,13 @@
 """Verdict engine: suite wiring, reports, tables, failure surfacing."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from opuclab import asymptotics, experiments, families
+from opuclab import asymptotics, experiments, families, opuc
 from opuclab.asymptotics import (
     csv_text,
     strong_cesaro_deviation,
@@ -22,6 +23,8 @@ from opuclab.experiments import (
 )
 from opuclab.families import build_family
 from opuclab.measure import CircleMeasure
+
+from oracles import cd_three_route_per_point, phi_star_zero_free_per_point
 
 MIXED = {
     "name": "mixed",
@@ -377,3 +380,61 @@ def test_refinement_checks_extract_no_parameters(
     outcome = run_experiment(cfg)
     assert {v.name: v.status for v in outcome.verdicts}[refinement] == "pass"
     assert calls == built
+
+
+def test_no_residual_is_negative_zero():
+    # max(-x, 0.0) gave -0.0 for x = +0.0, and report.json printed it
+    cfg = _config(family={"name": "lebesgue"}, experiment="all", seed=1)
+    residuals = {
+        v.name: v.residual
+        for v in run_experiment(cfg).verdicts
+        if v.residual is not None
+    }
+    assert residuals["entropy_nonnegative"] == 0.0
+    assert residuals["jensen_direction"] == 0.0
+    negative = [
+        name for name, r in residuals.items() if math.copysign(1.0, r) < 0.0
+    ]
+    assert negative == []
+
+
+_SAMPLED_CHECKS = dict(CHECKS["schur_identities"])
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("phi_star_zero_free", phi_star_zero_free_per_point),
+        ("cd_three_route", cd_three_route_per_point),
+    ],
+    ids=["phi_star_zero_free", "cd_three_route"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("family", ["ell2_half", "geronimus6", "mixed_atom"])
+def test_sampled_checks_match_their_per_point_form_bitwise(
+    name, oracle, seed, family, request
+):
+    ctx = experiments.RunContext(_config(seed=seed), request.getfixturevalue(family))
+    status, residual, detail = _SAMPLED_CHECKS[name](ctx)
+    want_status, want_residual, want_detail = oracle(ctx)
+    assert (status, detail) == (want_status, want_detail)
+    assert struct.pack("<d", residual) == struct.pack("<d", want_residual)
+
+
+@pytest.mark.parametrize(
+    "name, points", [("phi_star_zero_free", 65), ("cd_three_route", 96)]
+)
+def test_sampled_checks_make_one_transfer_pass(monkeypatch, geronimus6, name, points):
+    passes = []
+    run = opuc._run_transfer
+
+    def counted(params, zs, n_max, keep_all):
+        passes.append(len(zs))
+        return run(params, zs, n_max, keep_all)
+
+    monkeypatch.setattr(opuc, "_run_transfer", counted)
+    status, _, _ = _SAMPLED_CHECKS[name](
+        experiments.RunContext(_config(seed=1), geronimus6)
+    )
+    assert status == "pass"
+    assert passes == [points]

@@ -13,7 +13,7 @@ import opuclab
 from opuclab import opuc
 from opuclab.errors import OutOfRange, PositivityLoss
 from opuclab.families import build_family
-from opuclab.measure import build_measure, moment
+from opuclab.measure import _as_boundary, build_measure, moment
 from opuclab.opuc import (
     cd_kernel_cmv,
     cd_kernel_poly,
@@ -22,6 +22,7 @@ from opuclab.opuc import (
     chi_table,
     dual_parameters,
     eval_grid_pair,
+    eval_grid_table,
     eval_pair,
     eval_table,
     monic_from_moments,
@@ -371,6 +372,52 @@ def test_weight_agrees_with_pointwise_transfer(values):
     params = SchurParameters(np.array(values, dtype=complex))
     w = weight_from_parameters(params, 4096)
     assert np.max(np.abs(w / _transfer_weight(params, 4096) - 1.0)) < 1e-12
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=complex).tobytes()
+
+
+_POINT = st.tuples(
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["ell2_half", "geronimus6", "mixed_atom"]),
+    drawn=st.lists(_POINT, min_size=1, max_size=12),
+    n=st.integers(min_value=0, max_value=33),
+    extra=st.integers(min_value=1, max_value=8),
+)
+def test_table_columns_are_one_point_tables_bitwise(
+    ell2_half, geronimus6, mixed_atom, family, drawn, n, extra
+):
+    # the sampled checks read every point from one table
+    params = {
+        "ell2_half": ell2_half,
+        "geronimus6": geronimus6,
+        "mixed_atom": mixed_atom,
+    }[family].params
+    zs = np.array(
+        [
+            _as_boundary(complex(np.exp(1j * t))) if boundary else r * np.exp(1j * t)
+            for boundary, r, t in drawn
+        ],
+        dtype=complex,
+    )
+    phi, phis = eval_grid_table(params, zs, n)
+    for j, z in enumerate(zs):
+        one_phi, one_phis = eval_table(params, complex(z), n)
+        assert _bits(phi[:, j]) == _bits(one_phi)
+        assert _bits(phis[:, j]) == _bits(one_phis)
+        pair = eval_pair(params, complex(z), n)
+        assert _bits([pair.phi, pair.phi_star]) == _bits([phi[n, j], phis[n, j]])
+    deep_phi, deep_phis = eval_grid_table(params, zs, n + extra)
+    assert _bits(deep_phi[: n + 1]) == _bits(phi)
+    assert _bits(deep_phis[: n + 1]) == _bits(phis)
 
 
 def test_phi_star_nonvanishing_inside(geronimus6):
