@@ -11,8 +11,11 @@ for every finite n by scale-localized extension extrema,
 
 where the upper half needs the entropy hypothesis K_n <= 1 and the lower
 half is a pure variational fact (the normalized Fejer polynomial competes
-in the Christoffel minimum) and needs nothing.  Rows of the sweep serialize
-to CSV with a fixed header for downstream tooling.
+in the Christoffel minimum) and needs nothing.  The rows of a sweep come
+from one entropy profile over every n and one transfer table at xi0 to the
+largest n: row n reads the table's first n orders, which are bitwise the
+order-(n-1) table.  Rows serialize to CSV with a fixed header for
+downstream tooling.
 
 The CMV half: Fourier coefficients against the chi basis, partial-sum
 strong Cesaro deviation at a point, the per-n boundedness condition that
@@ -31,13 +34,13 @@ compute them once at its largest order and hand prefixes to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import GridMismatch, OutOfRange
-from .measure import CircleMeasure, _as_boundary, nearest_node, poisson
+from .measure import CircleMeasure, _as_boundary, poisson, snap
 from .opuc import chi_sums, chi_sums_fft, chi_table, eval_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
 from .szego import entropy_profile, szego_boundary
@@ -78,10 +81,9 @@ class SandwichRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Sandwich rows over an n sweep plus reproducibility metadata."""
+    """Sandwich rows over an n sweep."""
 
     rows: Tuple[SandwichRow, ...]
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         return csv_text(
@@ -113,28 +115,8 @@ def mnt_sandwich(
     n: int,
     delta_grid_size: int = 64,
 ) -> SandwichRow:
-    """One sandwich row: Cesaro mean against 1/F_n and 1/P_n + 64 K_n^(1/4)/P_n.
-
-    The target column records 1/w at the nearest grid sample, a diagnostic
-    only; nothing is asserted against it.
-    """
-    xi0 = _as_boundary(xi0)
-    profile = entropy_profile(mu, xi0, [n], delta_grid_size)
-    prow = profile.rows[0]
-    cesaro = cesaro_phi_sq(params, xi0, n)
-    upper = (
-        1.0 + SANDWICH_RATE_CONSTANT * prow.k_n ** 0.25
-    ) / prow.p_n
-    return SandwichRow(
-        n=n,
-        cesaro=cesaro,
-        target=1.0 / max(float(mu.weight[nearest_node(mu, xi0)]), 1e-300),
-        lower=1.0 / prow.f_n,
-        upper=upper,
-        k_n=prow.k_n,
-        p_n=prow.p_n,
-        f_n=prow.f_n,
-    )
+    """One sandwich row: the one-row case of ``sandwich_table``."""
+    return sandwich_table(mu, params, xi0, [n], delta_grid_size).rows[0]
 
 
 def sandwich_table(
@@ -143,20 +125,35 @@ def sandwich_table(
     xi0: complex,
     n_list: Sequence[int],
     delta_grid_size: int = 64,
-    family_label: str = "",
 ) -> ConvergenceTable:
-    """Sandwich rows for every n in the sweep, with metadata recorded."""
+    """Sandwich rows for every n in the sweep: the Cesaro mean against
+    1/F_n and 1/P_n + 64 K_n^(1/4)/P_n.
+
+    One ``entropy_profile`` over n_list gives (K_n, P_n, F_n), and one
+    transfer table to order max(n_list) - 1 gives every Cesaro mean.  The
+    target column records 1/w at the grid node ``snap`` picks for xi0, a
+    diagnostic only; nothing is asserted against it.
+    """
     xi0 = _as_boundary(xi0)
-    rows = tuple(
-        mnt_sandwich(mu, params, xi0, n, delta_grid_size) for n in n_list
+    profile = entropy_profile(mu, xi0, n_list, delta_grid_size)
+    phi, _ = eval_table(params, xi0, max(n_list, default=1) - 1)
+    j, _ = snap(mu.grid_size, xi0)
+    target = 1.0 / max(float(mu.weight[j]), 1e-300)
+    return ConvergenceTable(
+        tuple(
+            SandwichRow(
+                n=row.n,
+                cesaro=float(np.mean(np.abs(phi[: row.n]) ** 2)),
+                target=target,
+                lower=1.0 / row.f_n,
+                upper=(1.0 + SANDWICH_RATE_CONSTANT * row.k_n ** 0.25) / row.p_n,
+                k_n=row.k_n,
+                p_n=row.p_n,
+                f_n=row.f_n,
+            )
+            for row in profile.rows
+        )
     )
-    metadata = {
-        "xi0_angle": float(np.angle(xi0)) % (2.0 * np.pi),
-        "family": family_label,
-        "grid_size": mu.grid_size,
-        "delta_grid": [1e-4, 1.0 - 1e-4, delta_grid_size],
-    }
-    return ConvergenceTable(rows, metadata)
 
 
 # -----------------------------------------------------------------------------
@@ -281,8 +278,7 @@ def szego_recovery_deviation(
     xi = _as_boundary(xi)
     if n < 1:
         raise OutOfRange("deviation order requires n >= 1")
-    j = nearest_node(mu, xi)
-    node = mu.boundary_points[j]
+    j, node = snap(mu.grid_size, xi)
     d_val = szego_boundary(mu)[j]
     _, phis = eval_table(params, node, n)
     return float(np.mean(np.abs(phis[1:] * d_val - 1.0) ** 2))

@@ -27,18 +27,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .errors import ConfigError, OpuclabError
 from .families import FAMILIES, check_spec
-from .measure import atom_on_nearest_node
+from .measure import snap
 
-EXPERIMENTS = (
-    "mnt",
-    "entropy",
-    "schur_identities",
-    "summability",
-    "scattering",
-    "all",
-)
+SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
+EXPERIMENTS = SUITE_NAMES + ("all",)
 
 _CONFIG_KEYS = {
     "family",
@@ -119,9 +115,14 @@ class ExperimentConfig:
             )
             if not points:
                 raise ConfigError("test_points, when given, must be nonempty")
+            # F and the Jost solutions divide by zero at a node that is
+            # bitwise an atom's point (as atom_points evaluates it)
             atom_angles = FAMILIES[family["name"]].atom_angles(family)
             for t in points:
-                atom = atom_on_nearest_node(n, atom_angles, t)
+                _, node = snap(n, np.exp(1j * t))
+                atom = next(
+                    (a for a in atom_angles if np.exp(1j * a) == node), None
+                )
                 if atom is not None:
                     raise ConfigError(
                         f"test point {t!r} snaps to a grid node that carries "

@@ -41,7 +41,7 @@ from .asymptotics import (
     sandwich_table,
     summability_condition,
 )
-from .config import ExperimentConfig
+from .config import SUITE_NAMES, ExperimentConfig
 from .families import FAMILIES, FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
@@ -50,25 +50,26 @@ from .measure import (
     fejer_mean,
     max_trusted_moment,
     moments,
-    nearest_node,
     poisson,
     poisson_log_weight,
     poisson_route,
+    snap,
     weighted_poisson,
 )
 from .opuc import (
+    MonicTable,
     PolynomialPair,
     cd_laurent,
     cd_quotient,
     dual_parameters,
     eval_grid_table,
     monic_from_moments,
-    verblunsky_from_moments,
 )
 from .scattering import (
     JostSolution,
     jost_recurrence_residual,
     jost_solutions,
+    jost_step_defects,
 )
 from .schur import (
     entropy_product,
@@ -80,8 +81,6 @@ from .schur import (
     iterate_noise_horizon,
 )
 from .szego import entropy, szego_boundary, szego_interior
-
-SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 
 _TREND_SLACK = 1e-12
 
@@ -194,6 +193,7 @@ class RunContext:
         self._jost: Dict[float, Tuple[JostSolution, JostSolution]] = {}
         self._rebuilt: Dict[int, CircleMeasure] = {}
         self._routes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._moment_table: Optional[MonicTable] = None
         # every CMV order the summability checks and tables read
         self.cmv_top = min(max(self.n_list), self.depth)
         self._cmv: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -216,7 +216,6 @@ class RunContext:
                 complex(np.exp(1j * angle)),
                 self.n_list,
                 self.config.delta_grid_size,
-                family_label=self.instance.name,
             )
         return self._sandwich[angle]
 
@@ -241,14 +240,23 @@ class RunContext:
         """Parameter sequences by the three extraction routes, depth <= 64.
 
         Returns (stored, cascade, levinson): the instance parameters, the
-        power-series cascade from the measure, and the moment recursion.
+        power-series cascade from the measure, and the moment recursion's
+        parameters.
         """
         if self._routes is None:
             d = min(64, self.depth)
             cascade = schur_parameters_from_measure(self.mu, d).values
-            levinson = verblunsky_from_moments(moments(self.mu, d), d).values
+            levinson = self.moment_table().params.values
             self._routes = (self.params.values[:d], cascade, levinson)
         return self._routes
+
+    def moment_table(self) -> MonicTable:
+        """The moment recursion at depth min(64, depth), as ``routes`` and
+        ``norm_telescoping`` read it."""
+        if self._moment_table is None:
+            d = min(64, self.depth)
+            self._moment_table = monic_from_moments(moments(self.mu, d), d)
+        return self._moment_table
 
     def cmv(self) -> Tuple[np.ndarray, np.ndarray]:
         """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi.
@@ -424,17 +432,13 @@ _RADII = (0.95, 0.99, 0.999)
 def _radial_limit(ctx: RunContext) -> Result:
     mu = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
     boundary = szego_boundary(mu)
-    indices = [nearest_node(mu, complex(np.exp(1j * a))) for a in ctx.certified]
-    points = [
-        r * complex(np.exp(2j * np.pi * node / mu.grid_size))
-        for node in indices
-        for r in _RADII
-    ]
-    interior = szego_interior(mu, points).reshape(len(indices), len(_RADII))
+    snapped = [snap(mu.grid_size, complex(np.exp(1j * a))) for a in ctx.certified]
+    points = [r * node for _, node in snapped for r in _RADII]
+    interior = szego_interior(mu, points).reshape(len(snapped), len(_RADII))
     worst_last = 0.0
     worst_uphill = -math.inf
-    for node, values in zip(indices, interior):
-        devs = [abs(value - boundary[node]) for value in values.tolist()]
+    for (j, _), values in zip(snapped, interior):
+        devs = [abs(value - boundary[j]) for value in values.tolist()]
         worst_last = max(worst_last, devs[-1])
         worst_uphill = max(worst_uphill, _nonincreasing_violation(devs))
     detail = (
@@ -719,8 +723,8 @@ def _cd_three_route(ctx: RunContext) -> Result:
 
 @check("schur_identities", "norm_telescoping")
 def _norm_telescoping(ctx: RunContext) -> Result:
-    d = min(64, ctx.depth)
-    table = monic_from_moments(moments(ctx.mu, d), d)
+    table = ctx.moment_table()
+    d = len(table.params)
     ratios = table.norms_sq[1:] / table.norms_sq[:-1]
     target = 1.0 - np.abs(table.params.values[: len(ratios)]) ** 2
     residual = float(np.max(np.abs(ratios - target) / target))
@@ -914,23 +918,17 @@ def _summability_table(ctx: RunContext, angle: float) -> str:
 
 def _scattering_table(ctx: RunContext, angle: float) -> str:
     plus, minus = ctx.jost(angle)
-    rows = []
-    for n in ctx.n_list:
-        clipped_plus = JostSolution(plus.xi, plus.side, plus.entries[: n + 1])
-        clipped_minus = JostSolution(
-            minus.xi, minus.side, minus.entries[: n + 1]
+    # the solution clipped to n + 1 entries has the first n step defects
+    defects = [jost_step_defects(ctx.params, sol) for sol in (plus, minus)]
+    rows = [
+        (
+            n,
+            float(np.mean(np.abs(plus.entries[:n, 1]))),
+            float(np.mean(np.abs(minus.entries[:n, 0]))),
+            max([0.0, *defects[0][:n], *defects[1][:n]]),
         )
-        rows.append(
-            (
-                n,
-                float(np.mean(np.abs(plus.entries[:n, 1]))),
-                float(np.mean(np.abs(minus.entries[:n, 0]))),
-                max(
-                    jost_recurrence_residual(ctx.params, clipped_plus),
-                    jost_recurrence_residual(ctx.params, clipped_minus),
-                ),
-            )
-        )
+        for n in ctx.n_list
+    ]
     return csv_text("n,plus_deviation,minus_deviation,recurrence_residual", rows)
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import FamilyValidationError, OutOfRange
-from .measure import CircleMeasure, build_measure, check_atoms
+from .measure import CircleMeasure, build_measure, check_atoms, grid_angles
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
 from .schur import SchurParameters, digit_loss
 
@@ -136,7 +136,7 @@ def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
 
 
 def _bernstein_szego_measure(grid_size: int, depth: int, r: float) -> CircleMeasure:
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    angles = grid_angles(grid_size)
     weight = (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * angles)) ** 2
     # the sampled density carries a geometric aliasing tail ~r^N in its
     # quadrature mass; parameters are scale-invariant, so renormalizing
@@ -189,7 +189,7 @@ def _geronimus_measure(grid_size: int, depth: int, a: float) -> CircleMeasure:
     The whole measure is renormalized: the closed forms for the two pieces
     integrate to 1 only up to quadrature error.
     """
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    angles = grid_angles(grid_size)
     weight = np.array([geronimus_density(a, t) for t in angles])
     weight = np.maximum(weight, ARC_FLOOR)
     mass = 2.0 * a / (1.0 + a)

@@ -32,6 +32,13 @@ eps * max|row|.  When every row of a call has K <= N/8
 per point; otherwise the direct kernel sums all N nodes, O(N) per point.
 The bands of w and log w are cached on the measure as O(K) numbers (a
 wide band keeps only K), and ``poisson_route`` names the route taken.
+
+Grid
+----
+``grid_angles`` states theta_j = 2 pi j / N once.  Data that live on the
+grid (w, the outer function D, the Herglotz transform F) are read at a
+test point's nearest node, which ``snap`` alone picks: it returns j and
+the point bitwise ``boundary_points[j]``, without the other N - 1 nodes.
 """
 
 from __future__ import annotations
@@ -114,7 +121,7 @@ class CircleMeasure:
     @property
     def angles(self) -> np.ndarray:
         """Grid angles theta_j."""
-        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
+        return grid_angles(self.grid_size)
 
     @property
     def boundary_points(self) -> np.ndarray:
@@ -216,29 +223,23 @@ def lebesgue(grid_size: int = 4096) -> CircleMeasure:
     return CircleMeasure(grid_size, np.ones(grid_size))
 
 
-def _node_index(grid_size: int, xi: complex) -> int:
-    angle = float(np.angle(xi)) % (2.0 * np.pi)
-    return int(round(angle * grid_size / (2.0 * np.pi))) % grid_size
+def grid_angles(grid_size: int, nodes=None) -> np.ndarray:
+    """Grid angles theta_j = 2 pi j / N at the node indices ``nodes`` (an
+    int or an array of them), at all N nodes by default."""
+    j = np.arange(grid_size) if nodes is None else np.asarray(nodes)
+    return 2.0 * np.pi * j / grid_size
 
 
-def nearest_node(mu: CircleMeasure, xi: complex) -> int:
-    """Index of the grid node closest to the boundary point xi."""
-    return _node_index(mu.grid_size, xi)
+def snap(grid_size: int, xi: complex) -> Tuple[int, complex]:
+    """The grid node nearest the boundary point xi, as (j, e^{i theta_j}).
 
-
-def atom_on_nearest_node(
-    grid_size: int, atom_angles: Sequence[float], angle: float
-) -> float | None:
-    """The atom angle whose point is the grid node nearest ``angle``, if any.
-
-    The boundary data that live on the grid (the Herglotz transform and the
-    Jost solutions built from it) divide by zero at such a node.  Nodes and
-    atoms are evaluated as ``CircleMeasure.boundary_points`` and
-    ``atom_points`` evaluate them, so "is" means bitwise equal.
+    The point is bitwise ``CircleMeasure.boundary_points[j]``: each
+    element of an array operation rounds as the scalar operation does.
+    Angles just below 2 pi wrap to node 0.
     """
-    j = _node_index(grid_size, _as_boundary(np.exp(1j * angle)))
-    node = np.exp(1j * (2.0 * np.pi * j / grid_size))
-    return next((a for a in atom_angles if np.exp(1j * a) == node), None)
+    angle = float(np.angle(xi)) % (2.0 * np.pi)
+    j = int(round(angle * grid_size / (2.0 * np.pi))) % grid_size
+    return j, complex(np.exp(1j * grid_angles(grid_size, j)))
 
 
 def to_json_dict(mu: CircleMeasure, family: str | None = None) -> dict:

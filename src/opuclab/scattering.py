@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .measure import CircleMeasure, _as_boundary, nearest_node
+from .measure import CircleMeasure, _as_boundary, snap
 from .opuc import dual_parameters, eval_grid_table, eval_table
 from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
@@ -40,8 +40,13 @@ def herglotz_boundary(mu: CircleMeasure) -> np.ndarray:
     |xi_a - xi|^2.  At a node hit by an atom the value is non-finite and
     callers must mask it.
     """
-    f = mu.weight + 1j * harmonic_conjugate(mu.weight)
-    xi = mu.boundary_points
+    return _herglotz_at(mu, slice(None), mu.boundary_points)
+
+
+def _herglotz_at(mu: CircleMeasure, nodes: slice, xi: np.ndarray) -> np.ndarray:
+    """F at the grid nodes ``nodes``, whose points are xi; elementwise, so
+    a one-node slice gets that node's bits of ``herglotz_boundary``."""
+    f = (mu.weight + 1j * harmonic_conjugate(mu.weight))[nodes]
     for angle, mass in mu.atoms:
         xi_a = np.exp(1j * angle)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,12 +90,12 @@ def jost_solutions(
     """Both scattering solutions at the grid node nearest xi.
 
     The boundary data D and F live on the grid, so xi snaps to its closest
-    node; the polynomials are evaluated at that node too.
+    node; the polynomials are evaluated at that node too.  F is taken at
+    that node alone, bitwise ``herglotz_boundary(mu)[j]``.
     """
     xi = _as_boundary(xi)
-    j = nearest_node(mu, xi)
-    node = complex(mu.boundary_points[j])
-    f_j = herglotz_boundary(mu)[j]
+    j, node = snap(mu.grid_size, xi)
+    f_j = _herglotz_at(mu, slice(j, j + 1), np.array([node]))[0]
     if not np.isfinite(f_j):
         raise OutOfRange(
             f"evaluation node at angle {np.angle(node):.6g} carries an atom"
@@ -105,20 +110,21 @@ def jost_solutions(
     return JostSolution(node, "+", plus), JostSolution(node, "-", minus)
 
 
-def jost_recurrence_residual(params: SchurParameters, sol: JostSolution) -> float:
-    """Worst one-step defect of a solution under the transfer recursion.
+def jost_step_defects(params: SchurParameters, sol: JostSolution) -> np.ndarray:
+    """One-step defects of a solution under the transfer recursion.
 
-    For each n the predicted next entry is
+    For each n < min(sol.n_max, len(params)) the predicted next entry is
 
         ( (xi x_n - conj(a_n) y_n) / rho_n, (y_n - a_n xi x_n) / rho_n )
 
-    and the defect is measured relative to max(1, ||entry_n||).
+    and defect n is its distance from entry n + 1 relative to
+    max(1, ||entry_n||).
     """
     n_steps = min(sol.n_max, len(params))
     xi = sol.xi
     a = params.values
     rho = params.rho
-    worst = 0.0
+    defects = np.empty(n_steps)
     for n in range(n_steps):
         x, y = sol.entries[n]
         pred = np.array(
@@ -126,8 +132,14 @@ def jost_recurrence_residual(params: SchurParameters, sol: JostSolution) -> floa
         )
         defect = float(np.linalg.norm(sol.entries[n + 1] - pred))
         scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
-        worst = max(worst, defect / scale)
-    return worst
+        defects[n] = defect / scale
+    return defects
+
+
+def jost_recurrence_residual(params: SchurParameters, sol: JostSolution) -> float:
+    """Worst one-step defect of a solution (``jost_step_defects``), 0 for
+    a solution with no steps."""
+    return max([0.0, *jost_step_defects(params, sol).tolist()])
 
 
 def averaged_jost_deviation(sol: JostSolution, n: int) -> float:

@@ -331,16 +331,14 @@ def schur_sum_bound(
     z: complex,
     f_value: complex,
     n: int,
-    entropy_value: float | None = None,
+    entropy_value: float,
 ) -> tuple[float, float]:
     """Partial sum (1-|z|^2) sum_{k<n} |f_k|^2/(1-|f_k|^2) vs exp(entropy)-1.
 
-    The right side exponentiates ``entropy_value`` when the caller supplies
-    one (e.g. the quadrature entropy of the measure, robust at any depth);
-    otherwise it falls back to the product form over the full stored
-    parameter range.  Either way the caller can assert lhs <= rhs for every
-    partial n within the iterate noise horizon (pointwise iteration
-    amplifies evaluation noise by 1/|z| per step).
+    The right side exponentiates ``entropy_value``, for example the
+    quadrature entropy of the measure, robust at any depth.  The caller can
+    assert lhs <= rhs for every partial n within the iterate noise horizon
+    (pointwise iteration amplifies evaluation noise by 1/|z| per step).
     """
     z = complex(z)
     if abs(z) < 1e-12:
@@ -352,8 +350,6 @@ def schur_sum_bound(
         iterates = _pointwise_iterates(params, f_value, z, max(n - 1, 0))[:n]
         mags = np.abs(iterates) ** 2
         lhs = float((1.0 - abs(z) ** 2) * np.sum(mags / (1.0 - mags)))
-    if entropy_value is None:
-        entropy_value = entropy_product(params, z, f_value, len(params))
     return lhs, math.expm1(entropy_value)
 
 

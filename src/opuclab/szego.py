@@ -156,12 +156,6 @@ class EntropyProfile:
     rows: Tuple[ProfileRow, ...]
     delta_grid: np.ndarray
 
-    def row(self, n: int) -> ProfileRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise OutOfRange(f"no profile row for n = {n}")
-
 
 def entropy_profile(
     mu: CircleMeasure,

@@ -11,7 +11,9 @@ array form, to show that its buffers change no bit; the profile reference
 is also the roundoff-level oracle of the spectral Poisson route.  In the
 same way ``phi_star_zero_free_per_point`` and ``cd_three_route_per_point``
 restate two sampled checks with one transfer pass per point, to show that
-evaluating all the points in one table changes no bit.
+evaluating all the points in one table changes no bit, and
+``sandwich_rows_per_n`` and ``scattering_rows_per_n`` restate two CSV
+tables with one evaluation per n, boundary data read off the whole grid.
 """
 
 from __future__ import annotations
@@ -357,3 +359,94 @@ def cd_three_route_per_point(ctx):
         f"24 seeded boundary pairs, n <= {n_top}: direct sum vs "
         "quotient form vs Laurent form with its parity prefactor",
     )
+
+
+def _nearest_grid_node(mu: CircleMeasure, xi: complex) -> int:
+    """Index of the grid point closest to xi, by distance to every node."""
+    return int(np.argmin(np.abs(mu.boundary_points - xi)))
+
+
+def sandwich_rows_per_n(mu: CircleMeasure, params, xi0, n_list, delta_grid_size):
+    """``asymptotics.sandwich_table`` rows with one profile and one transfer
+    table per n, and the target read at the nearest grid point."""
+    from opuclab.asymptotics import SANDWICH_RATE_CONSTANT, SandwichRow
+    from opuclab.measure import _as_boundary
+    from opuclab.opuc import eval_table
+    from opuclab.szego import entropy_profile
+
+    xi0 = _as_boundary(xi0)
+    target = 1.0 / max(float(mu.weight[_nearest_grid_node(mu, xi0)]), 1e-300)
+    rows = []
+    for n in n_list:
+        prow = entropy_profile(mu, xi0, [n], delta_grid_size).rows[0]
+        phi, _ = eval_table(params, xi0, n - 1)
+        rows.append(
+            SandwichRow(
+                n=n,
+                cesaro=float(np.mean(np.abs(phi) ** 2)),
+                target=target,
+                lower=1.0 / prow.f_n,
+                upper=(1.0 + SANDWICH_RATE_CONSTANT * prow.k_n ** 0.25) / prow.p_n,
+                k_n=prow.k_n,
+                p_n=prow.p_n,
+                f_n=prow.f_n,
+            )
+        )
+    return rows
+
+
+def _recurrence_residual_loop(params, sol) -> float:
+    """Worst relative one-step defect of a Jost solution, one step at a time."""
+    xi = sol.xi
+    a = params.values
+    rho = params.rho
+    worst = 0.0
+    for n in range(min(sol.n_max, len(params))):
+        x, y = sol.entries[n]
+        pred = np.array(
+            [(xi * x - np.conj(a[n]) * y) / rho[n], (y - a[n] * xi * x) / rho[n]]
+        )
+        defect = float(np.linalg.norm(sol.entries[n + 1] - pred))
+        scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
+        worst = max(worst, defect / scale)
+    return worst
+
+
+def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):
+    """Rows of ``experiments._scattering_table`` at the grid node nearest xi.
+
+    The Jost solutions take F and D from the whole grid
+    (``herglotz_boundary(mu)[j]``, ``szego_boundary(mu)[j]``) at the node
+    ``boundary_points[j]``, and each n re-runs the recurrence residual on
+    the solutions clipped to n + 1 entries.
+    """
+    from opuclab.opuc import dual_parameters, eval_table
+    from opuclab.scattering import JostSolution, herglotz_boundary
+    from opuclab.szego import szego_boundary
+
+    j = _nearest_grid_node(mu, xi)
+    node = complex(mu.boundary_points[j])
+    f_j = herglotz_boundary(mu)[j]
+    d_j = szego_boundary(mu)[j]
+    n_max = max(n_list)
+    phi, phis = eval_table(params, node, n_max)
+    psi, psis = eval_table(dual_parameters(params), node, n_max)
+    base = np.stack([psi, -psis], axis=1)
+    poly = np.stack([phi, phis], axis=1)
+    plus = 0.5 / d_j * (base + f_j * poly)
+    minus = -0.5 / np.conj(d_j) * (base - np.conj(f_j) * poly)
+    rows = []
+    for n in n_list:
+        residual = max(
+            _recurrence_residual_loop(params, JostSolution(node, "+", plus[: n + 1])),
+            _recurrence_residual_loop(params, JostSolution(node, "-", minus[: n + 1])),
+        )
+        rows.append(
+            (
+                n,
+                float(np.mean(np.abs(plus[:n, 1]))),
+                float(np.mean(np.abs(minus[:n, 0]))),
+                residual,
+            )
+        )
+    return rows

@@ -16,10 +16,11 @@ from opuclab.asymptotics import (
     summability_condition,
     szego_recovery_deviation,
 )
+from opuclab import asymptotics, opuc
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
 from opuclab.opuc import chi_sums, chi_sums_fft, eval_grid_table
-from oracles import cmv_coefficients_dense, cmv_coefficients_mp
+from oracles import cmv_coefficients_dense, cmv_coefficients_mp, sandwich_rows_per_n
 
 
 def _cos_samples(mu):
@@ -42,10 +43,7 @@ def test_cesaro_exact_partial_bernstein_szego(bs_half):
 
 def test_sandwich_rows_bound_the_mean(bs_half, leb):
     for inst in (bs_half, leb):
-        table = sandwich_table(
-            inst.measure, inst.params, 1.0, (4, 16, 64, 256),
-            family_label=inst.name,
-        )
+        table = sandwich_table(inst.measure, inst.params, 1.0, (4, 16, 64, 256))
         for row in table.rows:
             assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
             if row.hypothesis_met:
@@ -267,11 +265,31 @@ def test_cd_at_zero_residual(bs_half, geronimus6):
             assert cd_at_zero_residual(inst.params, complex(xi), 24) < 1e-9
 
 
-def test_sandwich_metadata_records_the_setup(bs_half):
-    table = sandwich_table(
-        bs_half.measure, bs_half.params, 1.0, (4, 16), family_label="bs"
-    )
-    assert table.metadata["family"] == "bs"
-    assert table.metadata["xi0_angle"] == 0.0
-    assert table.metadata["grid_size"] == bs_half.measure.grid_size
-    assert len(table.rows) == 2
+@pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
+def test_sandwich_table_matches_its_per_n_form_bitwise(family, request):
+    inst = request.getfixturevalue(family)
+    mu = inst.measure
+    n_list = (4, 16, 64, 256)
+    for angle in (*inst.test_angles, 2.5):
+        xi0 = complex(np.exp(1j * angle))
+        want = sandwich_rows_per_n(mu, inst.params, xi0, n_list, 48)
+        table = sandwich_table(mu, inst.params, xi0, n_list, 48)
+        assert list(table.rows) == want, (family, angle)
+        assert mnt_sandwich(mu, inst.params, xi0, 16, 48) == want[1]
+
+
+def test_sandwich_table_takes_one_profile_and_one_transfer_pass(
+    monkeypatch, bs_half
+):
+    calls = []
+    for module, name in ((asymptotics, "entropy_profile"), (opuc, "_run_transfer")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    table = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
+    assert len(table.rows) == 4
+    assert sorted(calls) == ["_run_transfer", "entropy_profile"]

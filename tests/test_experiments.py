@@ -24,7 +24,11 @@ from opuclab.experiments import (
 from opuclab.families import build_family
 from opuclab.measure import CircleMeasure
 
-from oracles import cd_three_route_per_point, phi_star_zero_free_per_point
+from oracles import (
+    cd_three_route_per_point,
+    phi_star_zero_free_per_point,
+    scattering_rows_per_n,
+)
 
 MIXED = {
     "name": "mixed",
@@ -438,3 +442,16 @@ def test_sampled_checks_make_one_transfer_pass(monkeypatch, geronimus6, name, po
     )
     assert status == "pass"
     assert passes == [points]
+
+
+@pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
+def test_scattering_table_matches_its_per_n_form_bitwise(family, request, monkeypatch):
+    inst = request.getfixturevalue(family)
+    ctx = experiments.RunContext(_config(n_list=[4, 16, 64, 200]), inst)
+    # the rows as the table hands them to the CSV writer, before formatting
+    monkeypatch.setattr(experiments, "csv_text", lambda header, rows: rows)
+    for angle in (*inst.test_angles, 2.5):
+        want = scattering_rows_per_n(
+            inst.measure, inst.params, complex(np.exp(1j * angle)), ctx.n_list
+        )
+        assert experiments._scattering_table(ctx, angle) == want, (family, angle)

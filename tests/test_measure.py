@@ -28,6 +28,7 @@ from opuclab.measure import (
     poisson,
     poisson_log_weight,
     poisson_route,
+    snap,
     to_json_dict,
     weighted_poisson,
 )
@@ -325,3 +326,23 @@ def test_poisson_positive_on_random_inputs(r, mag, arg):
     assert poisson_log_weight(inst.measure, z) <= np.log(
         poisson(inst.measure, z)
     ) + 1e-12
+
+
+@pytest.mark.parametrize("grid_size", [256, 4096, 65536])
+def test_snap_returns_each_node_and_its_boundary_point_bitwise(grid_size):
+    points = lebesgue(grid_size).boundary_points
+    snapped = [snap(grid_size, xi) for xi in points]
+    assert [j for j, _ in snapped] == list(range(grid_size))
+    nodes = np.array([node for _, node in snapped])
+    assert nodes.tobytes() == points.tobytes()
+
+
+def test_snap_wraps_below_two_pi_and_takes_negative_angles():
+    n = 4096
+    step = 2.0 * np.pi / n
+    assert snap(n, np.exp(1j * (2.0 * np.pi - 1e-12))) == (0, 1.0 + 0.0j)
+    assert snap(n, np.exp(-1e-13j))[0] == 0
+    assert snap(n, np.exp(-1j * 3.2 * step))[0] == n - 3
+    assert snap(n, np.exp(1j * (-np.pi + 0.4 * step)))[0] == n // 2
+    j, node = snap(n, np.exp(-2.5j))
+    assert node == lebesgue(n).boundary_points[j]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opuclab.errors import OutOfRange
+from opuclab.measure import CircleMeasure
 from opuclab.opuc import dual_parameters
 from opuclab.scattering import (
     averaged_jost_deviation,
@@ -76,3 +77,18 @@ def test_lebesgue_jost_solutions_are_free(leb):
     for n in (0, 16, 64):
         assert np.allclose(plus.entries[n], plus.target(n), atol=1e-12)
         assert np.allclose(minus.entries[n], minus.target(n), atol=1e-12)
+
+
+def test_jost_solutions_read_no_grid_points(monkeypatch, mixed_atom):
+    # F and D are read at the snapped node; the N grid points are not formed
+    reads = []
+    evaluate = CircleMeasure.boundary_points.fget
+
+    def counted(mu):
+        reads.append(mu.grid_size)
+        return evaluate(mu)
+
+    monkeypatch.setattr(CircleMeasure, "boundary_points", property(counted))
+    plus, _ = jost_solutions(mixed_atom.measure, mixed_atom.params, np.exp(2.5j), 64)
+    assert reads == []
+    assert plus.n_max == 64
