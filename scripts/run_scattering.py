@@ -1,8 +1,10 @@
 """Scattering experiment on the square-summable decay family.
 
-The deep sweep needs the fine grid: resolving the order-264 truncation
-behind ell2(0.5, 1) at n up to 256 takes 16384 nodes.  The averaged
-deviation columns in the CSV should shrink as n doubles.
+The deep sweep needs the fine grid: the order-264 truncation behind
+ell2(0.5, 1) at n up to 256 builds on 16384 nodes, which resolve this
+suite.  They do not resolve every suite: ``all`` at that depth fails
+three verdicts on 16384 nodes and passes on 32768 (README, Grid sizes).
+The averaged deviation columns in the CSV should shrink as n doubles.
 """
 
 import sys

@@ -67,7 +67,6 @@ from .opuc import (
 )
 from .scattering import (
     JostSolution,
-    jost_recurrence_residual,
     jost_solutions,
     jost_step_defects,
 )
@@ -191,6 +190,7 @@ class RunContext:
         )
         self._sandwich: Dict[float, ConvergenceTable] = {}
         self._jost: Dict[float, Tuple[JostSolution, JostSolution]] = {}
+        self._jost_defects: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._rebuilt: Dict[int, CircleMeasure] = {}
         self._routes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._moment_table: Optional[MonicTable] = None
@@ -228,6 +228,15 @@ class RunContext:
                 max(self.n_list),
             )
         return self._jost[angle]
+
+    def jost_defects(self, angle: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-step recurrence defects of the two ``jost(angle)`` solutions,
+        as ``solution_space_closure`` and the scattering table read them."""
+        if angle not in self._jost_defects:
+            self._jost_defects[angle] = tuple(
+                jost_step_defects(self.params, sol) for sol in self.jost(angle)
+            )
+        return self._jost_defects[angle]
 
     def rebuilt(self, grid_size: int) -> CircleMeasure:
         if grid_size == self.mu.grid_size:
@@ -811,12 +820,8 @@ def _cd_at_zero_identity(ctx: RunContext) -> Result:
 def _solution_space_closure(ctx: RunContext) -> Result:
     residual = 0.0
     for angle in ctx.certified:
-        plus, minus = ctx.jost(angle)
-        residual = max(
-            residual,
-            jost_recurrence_residual(ctx.params, plus),
-            jost_recurrence_residual(ctx.params, minus),
-        )
+        plus, minus = ctx.jost_defects(angle)
+        residual = max([residual, *plus.tolist(), *minus.tolist()])
     return _within(
         residual,
         1e-8,
@@ -919,7 +924,7 @@ def _summability_table(ctx: RunContext, angle: float) -> str:
 def _scattering_table(ctx: RunContext, angle: float) -> str:
     plus, minus = ctx.jost(angle)
     # the solution clipped to n + 1 entries has the first n step defects
-    defects = [jost_step_defects(ctx.params, sol) for sol in (plus, minus)]
+    defects = ctx.jost_defects(angle)
     rows = [
         (
             n,

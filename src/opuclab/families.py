@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FamilyValidationError, OutOfRange
 from .measure import CircleMeasure, build_measure, check_atoms, grid_angles
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
-from .schur import SchurParameters, digit_loss
+from .schur import BUILD_DIGIT_LOSS, SchurParameters, digit_loss
 
 # Parameter-first reconstruction needs the grid to resolve the rational
 # density 1/|phi_K|^2; empirically 56 nodes per parameter keeps the
@@ -216,7 +216,7 @@ def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
     return name, params, lambda theta: geronimus_density(a, theta), (np.pi,)
 
 
-def _ell2_parameters(c: float, p: float, depth: int) -> SchurParameters:
+def _ell2_parameters(depth: int, c: float, p: float) -> SchurParameters:
     """a_n = c/(n+1)^p cut at K = depth + TAIL_MARGIN."""
     values = c / (np.arange(depth + TAIL_MARGIN) + 1.0) ** p
     return SchurParameters(values.astype(complex))
@@ -224,7 +224,7 @@ def _ell2_parameters(c: float, p: float, depth: int) -> SchurParameters:
 
 def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasure:
     """The measure of the cut sequence: density 1/|phi_K|^2, sampled exactly."""
-    weight = weight_from_parameters(_ell2_parameters(c, p, depth), grid_size)
+    weight = weight_from_parameters(_ell2_parameters(depth, c, p), grid_size)
     # The rational density has geometric Fourier decay set by its slowest
     # zero; for slowly decaying parameters the grid mean misses exact unit
     # mass by ~1e-9.  Parameters are scale-invariant, so renormalizing is
@@ -234,7 +234,7 @@ def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasu
 
 def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
     """a_n = c/(n+1)^p by exact truncation; the grid roundtrip reproduces them."""
-    params = _ell2_parameters(c, p, n_max)
+    params = _ell2_parameters(n_max, c, p)
     depth = min(64, n_max)
     back = verblunsky_from_measure(mu, depth)
     gap = float(np.max(np.abs(back.values - params.values[:depth])))
@@ -321,10 +321,12 @@ class Family:
 
     ``measure(grid_size, depth, **args)`` samples the family's measure;
     ``builder(mu, n_max, **args)`` extracts and certifies its parameters
-    from that measure and returns the family's :data:`Facts`.  ``route``
-    names the primary representation, measure or parameters (see Routes).
-    ``min_grid(depth)`` is the smallest grid on which the family builds at
-    that parameter depth.  ``finite_parameters`` marks families whose
+    from that measure and returns the family's :data:`Facts`.  A
+    parameter-first family (see Routes) sets ``parameters(depth, **args)``,
+    the parameters its measure is sampled from; validation refuses it when
+    they lose more than ``schur.BUILD_DIGIT_LOSS`` digits.  ``min_grid(depth)``
+    is the smallest grid on which the family builds at that parameter
+    depth.  ``finite_parameters`` marks families whose
     parameters vanish after the first few, so product and sum identities
     close exactly; ``refinement_skip``, when set, says why doubling the
     grid moves the family's quadrature beyond roundoff.  ``atom_angles(spec)``
@@ -336,12 +338,17 @@ class Family:
     measure: Callable[..., CircleMeasure]
     builder: Callable[..., Facts]
     args: Tuple[Arg, ...] = ()
-    route: str = "measure-first"
+    parameters: Optional[Callable[..., SchurParameters]] = None
     mixed_base: bool = False
     min_grid: Callable[[int], int] = lambda depth: 0
     finite_parameters: bool = False
     refinement_skip: str = ""
     atom_angles: Callable[[dict], Tuple[float, ...]] = lambda spec: ()
+
+    @property
+    def route(self) -> str:
+        """The primary representation: "parameter-first" or "measure-first"."""
+        return "measure-first" if self.parameters is None else "parameter-first"
 
     @property
     def summary(self) -> str:
@@ -452,7 +459,7 @@ FAMILIES: Dict[str, Family] = {
                 _interval("c", 0.0, 1.0),
                 _interval("p", 0.0, math.inf, low_open=True),
             ),
-            route="parameter-first",
+            parameters=_ell2_parameters,
             min_grid=lambda depth: NODES_PER_PARAMETER * (depth + TAIL_MARGIN),
         ),
     )
@@ -482,7 +489,9 @@ def check_spec(spec, grid_size: int, depth: int, label: str = "family") -> dict:
 
     Raises OutOfRange (or the atom errors of measure.check_atoms) for a
     malformed spec and FamilyValidationError when ``grid_size`` is below
-    the family's grid floor at build depth ``depth``.
+    the family's grid floor at build depth ``depth``, or when the
+    parameters of a parameter-first family lose more than
+    ``BUILD_DIGIT_LOSS`` digits there.
     """
     if not isinstance(spec, dict):
         raise OutOfRange(f"{label} must be an object with a 'name' key")
@@ -504,6 +513,15 @@ def check_spec(spec, grid_size: int, depth: int, label: str = "family") -> dict:
             f"{depth}: it needs at least {floor} nodes, so grid_size "
             f"{1 << (floor - 1).bit_length()} or more"
         )
+    if family.parameters is not None:
+        params = family.parameters(depth, **_record(out)[1])
+        loss = sum(digit_loss(float(mag)) for mag in np.abs(params.values))
+        if loss > BUILD_DIGIT_LOSS:
+            raise FamilyValidationError(
+                f"{name} parameters lose {loss:.3g} digits over {len(params)} "
+                f"terms at build depth {depth}; past {BUILD_DIGIT_LOSS:g} its "
+                "density 1/|phi_K|^2 does not reproduce them in double"
+            )
     return out
 
 

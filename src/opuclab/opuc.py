@@ -15,13 +15,16 @@ Extraction routes
 * ``verblunsky_from_moments`` runs the monic recursion on Taylor
   coefficients with inner products read from the moment sequence.  Fine for
   tame measures; coefficient growth makes it ill-conditioned when the
-  parameters do not decay.
+  parameters do not decay, so it follows the series cascade's precision
+  rule (``schur._escalate``): past 4 digits of loss, or where the double
+  pass breaks down, it is redone in fixed point in Python integers.
 * ``verblunsky_from_measure`` runs the same recursion on *values* at the
   nodes of ``CircleMeasure.quadrature()``, grid points and atoms alike
   (huge polynomial values are multiplied by tiny weights instead of
   cancelling symbolically).  It runs in complex128 and is redone in
-  extended precision when its digit-loss estimate passes 4 digits; the
-  transfer recursion runs in complex128.
+  ``long double`` when its digit-loss estimate passes 4 digits, the one
+  extended-precision pass in the package; the transfer recursion runs in
+  complex128.
 
 Coefficient space
 -----------------
@@ -47,13 +50,22 @@ way, for those checks and for ``cd_kernel_poly`` and ``cd_kernel_cmv``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRange, PositivityLoss
 from .measure import CircleMeasure, _as_boundary
-from .schur import _SAFE_DIGIT_LOSS, ESCAPE_THRESHOLD, SchurParameters, digit_loss
+from .schur import (
+    _SAFE_DIGIT_LOSS,
+    ESCAPE_THRESHOLD,
+    Fixed,
+    SchurParameters,
+    _escalate,
+    digit_loss,
+    fixed_bits,
+)
 
 # Depth cap of both parameter-extraction routes; desk scale.
 N_MAX = 512
@@ -416,6 +428,64 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
 # -----------------------------------------------------------------------------
 # Parameter extraction, route A: moment coefficients
 # -----------------------------------------------------------------------------
+def _monic_steps(moments: np.ndarray, n_max: int, number):
+    """The monic recursion on moments in the arithmetic of ``number``.
+
+    ``number`` converts a complex double: ``complex`` for the double pass,
+    a ``schur.Fixed`` constructor for the exact one.  Returns (MonicTable,
+    digit_loss, None), or (None, digit_loss, reason) at the first degree
+    whose norm is not positive or whose parameter reaches the escape
+    threshold, the loss summed up to there.
+    """
+    cbar = [number(x).conjugate() for x in moments]
+    cbar_next = cbar[1:]
+    zero = number(0.0)
+    phi = [number(1.0)]
+    phis = [number(1.0)]
+    norms = np.zeros(n_max + 1)
+    a_out = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    for n in range(n_max + 1):
+        den = sum(map(operator.mul, phis, cbar), zero)
+        value = complex(den)
+        if value.real <= 0.0 or abs(value.imag) > 1e-8 * max(value.real, 1.0):
+            return None, loss, (
+                f"norm inner product {value!r} at degree {n}; "
+                "moment sequence is not positive definite"
+            )
+        norms[n] = value.real
+        if n == n_max:
+            break
+        conj_a = sum(map(operator.mul, phi, cbar_next), zero) / den
+        a = conj_a.conjugate()
+        a_out[n] = complex(a)
+        if abs(a_out[n]) >= ESCAPE_THRESHOLD:
+            return None, loss, (
+                f"|a_{n}| = {abs(a_out[n]):.15g} at the escape threshold; "
+                "input appears finitely supported"
+            )
+        loss += digit_loss(abs(a_out[n]))
+        # phi <- z phi - conj(a) phi*,  phi* <- phi* - a z phi
+        shifted = [zero, *phi]
+        phis.append(zero)
+        phi = [h - conj_a * x for h, x in zip(shifted, phis)]
+        phis = [x - a * h for h, x in zip(shifted, phis)]
+    return MonicTable(norms, SchurParameters(a_out)), loss, None
+
+
+def _monic_exact(moments: np.ndarray, n_max: int, dps: int):
+    """The monic recursion in fixed point carrying ``dps`` digits.
+
+    Returns (MonicTable, digit_loss); raises PositivityLoss where the
+    recursion breaks down.
+    """
+    bits = fixed_bits(dps)
+    table, loss, reason = _monic_steps(moments, n_max, lambda x: Fixed.of(x, bits))
+    if reason is not None:
+        raise PositivityLoss(reason)
+    return table, loss
+
+
 def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     """Monic recursion on Taylor coefficients with moment inner products.
 
@@ -423,46 +493,22 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     conj(a_n) = <z Phi_n, 1> / <Phi_n*, 1>, and <Phi_n*, 1> doubles as the
     running squared norm.
     """
-    # Worked in extended precision: the recursion loses a digit per few
-    # steps on slowly decaying parameters, and the series route it is
-    # checked against escalates to exact arithmetic, so the gap between
-    # the two is set by the roundoff here.  In double, geronimus(0.6) has a
-    # depth-24 gap of 2.9e-9 (test bound 1e-9) and norm_telescoping 4.2e-11.
-    c = np.asarray(moments, dtype=np.clongdouble)
+    c = np.asarray(moments, dtype=complex)
     if n_max > N_MAX:
         raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")
     if len(c) < n_max + 1:
         raise OutOfRange(
             f"{len(c)} moments cannot support n_max = {n_max} (need n_max + 1)"
         )
-    cbar = np.conj(c)
-    phi = np.array([1.0 + 0j], dtype=np.clongdouble)
-    phis = np.array([1.0 + 0j], dtype=np.clongdouble)
-    norms = np.zeros(n_max + 1)
-    a_out = np.zeros(n_max, dtype=complex)
-    for n in range(n_max + 1):
-        den = np.dot(phis, cbar[: n + 1])
-        if den.real <= 0.0 or abs(den.imag) > 1e-8 * max(den.real, 1.0):
-            raise PositivityLoss(
-                f"norm inner product {den!r} at degree {n}; "
-                "moment sequence is not positive definite"
-            )
-        norms[n] = den.real
-        if n == n_max:
-            break
-        num = np.dot(phi, cbar[1 : n + 2])
-        conj_a = num / den
-        a = np.conj(conj_a)
-        if abs(a) >= ESCAPE_THRESHOLD:
-            raise PositivityLoss(
-                f"|a_{n}| = {abs(a):.15g} at the escape threshold; "
-                "input appears finitely supported"
-            )
-        a_out[n] = a
-        shifted = np.concatenate([[0.0], phi])
-        phi = shifted - conj_a * np.concatenate([phis, [0.0]])
-        phis = np.concatenate([phis, [0.0]]) - a * shifted
-    return MonicTable(norms, SchurParameters(a_out))
+    # The recursion loses a digit per few steps on slowly decaying
+    # parameters, so past the cascade's digit-loss gate it is redone in
+    # fixed point, which alone decides whether to raise.  In double alone,
+    # geronimus(0.6) has a depth-24 gap of 3.5e-9 to the series route (test
+    # bound 1e-9) and a depth-64 norm_telescoping of 1.7e-10 (bound 1e-10).
+    table, loss, _ = _monic_steps(c, n_max, complex)
+    return _escalate(
+        table, loss, table is not None, n_max, lambda dps: _monic_exact(c, n_max, dps)
+    )
 
 
 def verblunsky_from_moments(moments: np.ndarray, n_max: int) -> SchurParameters:

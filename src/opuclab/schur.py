@@ -23,11 +23,14 @@ Precision policy
 ----------------
 One series-cascade step amplifies coefficient error by roughly
 (1 + |a_n|) / (1 - |a_n|), so slowly-decaying parameter sequences overwhelm
-double precision after a few dozen steps.  The extraction first runs in
-doubles while accumulating the decimal-digit loss estimate; when the
-estimate crosses a safety margin the cascade is redone in mpmath with
-working precision sized to the estimate, starting from the same double
-moments, which mp.mpc converts exactly.
+double precision after a few dozen steps.  Both O(n^2) extraction routes,
+this cascade and the moment recursion of ``opuc.monic_from_moments``,
+follow one rule (``_escalate``): run in double while summing the
+decimal-digit loss estimate; when the sum passes ``_SAFE_DIGIT_LOSS`` or
+the double pass escapes, redo the route in fixed point: ``Fixed`` numbers,
+Python integers with P fractional bits sized from the estimate.  The
+double inputs convert to them exactly down to 2^-P, and each result
+converts back to the nearest double.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -68,9 +70,17 @@ SERIES_GUARD = 8
 # Pointwise iterates divide by z; below this the series route must be used.
 Z_MIN = 1e-3
 
-# Accumulated decimal-digit loss beyond which the double-precision cascade
-# is rerun in mpmath (and the value-space recursion in extended precision).
+# Accumulated decimal-digit loss beyond which a double-precision extraction
+# is redone with more precision: the cascade and the moment recursion in
+# fixed point (``_escalate``), the value-space recursion in extended
+# precision.
 _SAFE_DIGIT_LOSS = 4.0
+
+# Digit loss beyond which a parameter-first family cannot be built from its
+# parameters in double.  Measured over 60 ell2 configs (c from 0.3 to 0.99,
+# p from 0.2 to 2, 4096 to 32768 nodes): every one that builds loses at most
+# 2.86 digits and every one losing 3.13 or more fails its roundtrip.
+BUILD_DIGIT_LOSS = 3.0
 
 
 def digit_loss(mag: float) -> float:
@@ -147,12 +157,108 @@ def schur_eval(mu: CircleMeasure, z) -> complex | np.ndarray:
 
 
 # -----------------------------------------------------------------------------
+# Escalation of the O(n^2) extraction routes to fixed point
+# -----------------------------------------------------------------------------
+def fixed_bits(dps: int) -> int:
+    """Fractional bits P that carry ``dps`` decimal digits, 8 of them spare."""
+    return math.ceil(dps * math.log2(10.0)) + 8
+
+
+class Fixed:
+    """A complex number held as integer multiples of 2^-bits, re + i im.
+
+    The arithmetic of the exact passes: +, -, * and / floor to 2^-bits,
+    and ``conjugate``, ``abs`` and ``complex`` work as on a complex, so a
+    recursion written for complex numbers runs on it unchanged.
+    ``complex(x)`` is the complex double nearest x, since int / int rounds
+    correctly however large 2^bits is.
+    """
+
+    __slots__ = ("re", "im", "bits")
+
+    def __init__(self, re: int, im: int, bits: int):
+        self.re, self.im, self.bits = re, im, bits
+
+    @classmethod
+    def of(cls, value: complex, bits: int) -> "Fixed":
+        """A complex double, exact down to 2^-bits and floored below.
+
+        ``float.as_integer_ratio`` gives each part as m / 2^e, so no double
+        times 2^bits is formed: past 1023 bits that product would overflow.
+        """
+        value = complex(value)
+        parts = []
+        for part in (value.real, value.imag):
+            num, den = part.as_integer_ratio()
+            parts.append((num << bits) // den)
+        return cls(parts[0], parts[1], bits)
+
+    def __add__(self, other: "Fixed") -> "Fixed":
+        return Fixed(self.re + other.re, self.im + other.im, self.bits)
+
+    def __sub__(self, other: "Fixed") -> "Fixed":
+        return Fixed(self.re - other.re, self.im - other.im, self.bits)
+
+    def __mul__(self, other: "Fixed") -> "Fixed":
+        re, im, bits = self.re, self.im, self.bits
+        return Fixed(
+            (re * other.re - im * other.im) >> bits,
+            (re * other.im + im * other.re) >> bits,
+            bits,
+        )
+
+    def __truediv__(self, other: "Fixed") -> "Fixed":
+        re, im, bits = self.re, self.im, self.bits
+        size = other.re * other.re + other.im * other.im
+        return Fixed(
+            ((re * other.re + im * other.im) << bits) // size,
+            ((im * other.re - re * other.im) << bits) // size,
+            bits,
+        )
+
+    def conjugate(self) -> "Fixed":
+        return Fixed(self.re, -self.im, self.bits)
+
+    def __complex__(self) -> complex:
+        one = 1 << self.bits
+        return complex(self.re / one, self.im / one)
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
+
+
+def _escalate(double_result, loss: float, finished: bool, n_max: int, exact_pass):
+    """The precision rule of the series cascade and the moment recursion.
+
+    ``double_result`` and its digit-loss sum ``loss`` come from the route's
+    double pass, which escaped or lost positivity unless ``finished``.  A
+    finished pass within ``_SAFE_DIGIT_LOSS`` stands.  Otherwise
+    ``exact_pass(dps)`` redoes the route in fixed point and returns (result,
+    its digit loss), with dps = 25 + ceil(loss), plus n_max of headroom when
+    the double pass never finished.  When the exact pass's own loss leaves
+    fewer than 21 spare digits, it is redone once with 10 more than that.
+    """
+    if finished and loss <= _SAFE_DIGIT_LOSS:
+        return double_result
+    dps = 25 + math.ceil(loss)
+    if not finished:
+        dps += n_max
+    for _ in range(2):
+        result, loss_exact = exact_pass(dps)
+        needed = 21 + math.ceil(loss_exact)
+        if dps >= needed:
+            return result
+        dps = needed + 10
+    return result
+
+
+# -----------------------------------------------------------------------------
 # Series cascade (parameter extraction)
 # -----------------------------------------------------------------------------
 def _cascade(u: list, v: list, n_max: int):
     """Schur steps on f = u/v in place; returns (params, digit_loss, escape_step).
 
-    Runs unchanged on lists of complex or of mp.mpc.  One step takes
+    Runs unchanged on lists of complex or of ``Fixed``.  One step takes
     a = u_0/v_0, then v <- v - conj(a) u and u <- (u - a v)/z, which is
     O(len(u)) work; both lists lose their last entry.
     """
@@ -175,11 +281,15 @@ def _cascade(u: list, v: list, n_max: int):
 
 
 def _cascade_mp(u, v, n_max: int, dps: int):
-    """The cascade in mpmath at ``dps`` digits; returns (params, digit_loss)."""
-    with mp.workdps(dps):
-        params, loss, step = _cascade(
-            [mp.mpc(x) for x in u], [mp.mpc(x) for x in v], n_max
-        )
+    """The cascade in fixed point carrying ``dps`` digits; returns (params, digit_loss).
+
+    Keeps the name and signature that ``perfbench/layers.py`` wraps to
+    read ``dps``.
+    """
+    bits = fixed_bits(dps)
+    params, loss, step = _cascade(
+        [Fixed.of(x, bits) for x in u], [Fixed.of(x, bits) for x in v], n_max
+    )
     if step is not None:
         raise ParameterEscape(
             f"|a_{step}| = {abs(params[step]):.15g} at the escape threshold; "
@@ -193,8 +303,8 @@ def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
 
     One coefficient of accuracy is consumed per step, so u and v must
     carry at least n_max + 1 coefficients each; ask for SERIES_GUARD extra
-    moment orders when building them.  Escalates to mpmath when the
-    conditioning estimate says doubles are not enough.
+    moment orders when building them.  Escalates to fixed point when the
+    conditioning estimate says doubles are not enough (``_escalate``).
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -213,22 +323,15 @@ def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
         raise DivisionBlowup(f"denominator constant term {v[0]!r} too small")
 
     params, loss, escape_step = _cascade(u.tolist(), v.tolist(), n_max)
-    if escape_step is None and loss <= _SAFE_DIGIT_LOSS:
-        return SchurParameters(params)
-
-    # Conditioning beyond doubles (or a suspect escape): redo at precision
-    # sized by the digit-loss estimate, with headroom when the double pass
-    # never finished.
-    dps = 25 + int(math.ceil(loss))
-    if escape_step is not None:
-        dps += n_max
-    for _ in range(2):
-        params, loss_mp = _cascade_mp(u, v, n_max, dps)
-        needed = 21 + int(math.ceil(loss_mp))
-        if dps >= needed:
-            return SchurParameters(params)
-        dps = needed + 10
-    return SchurParameters(params)
+    return SchurParameters(
+        _escalate(
+            params,
+            loss,
+            escape_step is None,
+            n_max,
+            lambda dps: _cascade_mp(u, v, n_max, dps),
+        )
+    )
 
 
 def schur_parameters_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:

@@ -14,6 +14,9 @@ restate two sampled checks with one transfer pass per point, to show that
 evaluating all the points in one table changes no bit, and
 ``sandwich_rows_per_n`` and ``scattering_rows_per_n`` restate two CSV
 tables with one evaluation per n, boundary data read off the whole grid.
+``cascade_mp`` and ``monic_from_moments_mp`` run the two O(n^2)
+extraction routes in mpmath floating point, the references of their
+fixed-point passes.
 """
 
 from __future__ import annotations
@@ -112,6 +115,71 @@ def phi_at_node_mp(values, node: int, grid_size: int, dps: int = 40) -> complex:
             zphi = z * phi
             phi, phis = (zphi - mpmath.conj(a) * phis) / rho, (phis - a * zphi) / rho
         return complex(phi)
+
+
+def cascade_mp(u, v, n_max: int, dps: int):
+    """The Schur cascade on f = u/v in mpmath at ``dps`` digits.
+
+    The reference of ``schur._cascade_mp``: each complex double converts to
+    mpmath exactly, and one step takes a = u_0/v_0, v <- v - conj(a) u,
+    u <- (u - a v)/z in mpmath arithmetic.  Returns (params, digit loss) and
+    raises ParameterEscape at the same threshold.
+    """
+    import mpmath
+
+    from opuclab.errors import ParameterEscape
+    from opuclab.schur import ESCAPE_THRESHOLD, digit_loss
+
+    out = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    with mpmath.workdps(dps):
+        u = [mpmath.mpc(complex(x)) for x in u]
+        v = [mpmath.mpc(complex(x)) for x in v]
+        for step in range(n_max):
+            a = u[0] / v[0]
+            out[step] = complex(a)
+            mag = abs(a)
+            if mag >= ESCAPE_THRESHOLD:
+                raise ParameterEscape(
+                    f"|a_{step}| = {abs(out[step]):.15g} at the escape threshold; "
+                    "measure is finitely supported or numerically degenerate"
+                )
+            loss += digit_loss(mag)
+            u, v = (
+                [x - a * y for x, y in zip(u[1:], v[1:])],
+                [y - mpmath.conj(a) * x for x, y in zip(u[:-1], v[:-1])],
+            )
+    return out, loss
+
+
+def monic_from_moments_mp(c, n_max: int, dps: int = 60):
+    """(parameters, squared norms) of the monic moment recursion in mpmath.
+
+    The reference of ``opuc.monic_from_moments``: the same recursion, with
+    conj(a_n) = <z Phi_n, 1> / <Phi_n*, 1> and <Phi_n*, 1> the squared norm,
+    run at ``dps`` digits from the double moments taken as exact.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        cbar = [mpmath.conj(mpmath.mpc(complex(x))) for x in c]
+        phi = [mpmath.mpc(1)]
+        phis = [mpmath.mpc(1)]
+        params = []
+        norms = []
+        for n in range(n_max + 1):
+            den = mpmath.fsum(x * y for x, y in zip(phis, cbar[: n + 1]))
+            norms.append(float(den.real))
+            if n == n_max:
+                break
+            conj_a = mpmath.fsum(x * y for x, y in zip(phi, cbar[1 : n + 2])) / den
+            a = mpmath.conj(conj_a)
+            params.append(complex(a))
+            shifted = [mpmath.mpc(0)] + phi
+            phis = phis + [mpmath.mpc(0)]
+            phi = [x - conj_a * y for x, y in zip(shifted, phis)]
+            phis = [y - a * x for x, y in zip(shifted, phis)]
+    return np.array(params, dtype=complex), np.array(norms)
 
 
 def value_recursion_fresh_arrays(xi, q, n_max: int, max_loss: float):

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import opuclab
 from opuclab import experiments
 from opuclab.cli import main
 from opuclab.errors import FamilyValidationError
@@ -130,3 +135,26 @@ def test_bad_config_exits_two(runner, tmp_path):
         main, ["run", "--config", str(tmp_path / "nope.json")]
     )
     assert result.exit_code == 2
+
+
+def test_a_run_imports_no_mpmath():
+    # geronimus escalates its series cascade and its moment recursion to
+    # fixed point; a fresh interpreter runs it and never imports mpmath
+    script = (
+        "import sys\n"
+        "from opuclab import config_from_dict, run_experiment\n"
+        "config = config_from_dict({'family': {'name': 'geronimus', 'a': 0.6}, "
+        "'grid_size': 4096, 'n_list': [4, 16, 64], 'experiment': 'all'})\n"
+        "print(run_experiment(config).report['summary'])\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(opuclab.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "False"

@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from opuclab import asymptotics, experiments, families, opuc
+from opuclab import asymptotics, experiments, families, opuc, scattering
 from opuclab.asymptotics import (
     csv_text,
     strong_cesaro_deviation,
     summability_condition,
 )
 from opuclab.config import config_from_dict
-from opuclab.errors import FamilyValidationError
+from opuclab.errors import ConfigError, FamilyValidationError, PositivityLoss
 from opuclab.experiments import (
     CHECKS,
     SUITE_NAMES,
@@ -148,42 +148,34 @@ def test_family_build_failure_is_a_verdict(monkeypatch):
     assert outcome.report["family"] == {}
 
 
-def test_density_out_of_double_range_fails_the_build_quietly():
-    # validation accepts ell2(0.9, 0.3) at depth 257, but its 57 digits of
-    # loss underflow |phi_K| at a grid node: a refusal, not a 1/0 warning
-    cfg = _config(
-        family={"name": "ell2", "c": 0.9, "p": 0.3},
-        grid_size=32768,
-        n_list=[256],
-    )
+def _refused_and_quiet(c, p, message):
+    """Validation refuses ell2(c, p) at depth 257 on 32768 nodes, and
+    sampling its density anyway raises PositivityLoss with ``message``
+    and no numpy warning."""
+    with pytest.raises(ConfigError, match="past 3 its density"):
+        _config(
+            family={"name": "ell2", "c": c, "p": p}, grid_size=32768, n_list=[256]
+        )
+    params = families.FAMILIES["ell2"].parameters(257, c=c, p=p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcome = run_experiment(cfg)
+        with pytest.raises(PositivityLoss, match=message):
+            opuc.weight_from_parameters(params, 32768)
     assert caught == []
-    [verdict] = outcome.verdicts
-    assert verdict.name == "family_build"
-    assert verdict.status == "fail"
-    assert "PositivityLoss" in verdict.detail
-    assert "at grid node" in verdict.detail
+
+
+def test_density_out_of_double_range_fails_the_build_quietly():
+    # ell2(0.9, 0.3) at depth 257 loses 57 digits, so validation refuses it
+    # (exit 2); its density underflows |phi_K| at a grid node, which is a
+    # PositivityLoss, not a 1/0 warning
+    _refused_and_quiet(0.9, 0.3, "at grid node")
 
 
 def test_coefficients_out_of_double_range_fail_the_build_quietly():
-    # validation accepts ell2(0.9999999, 0.001) at depth 257, but the
-    # coefficients of phi_K grow past any double: the build is refused at
-    # the order where they leave the range, before an overflow warning
-    cfg = _config(
-        family={"name": "ell2", "c": 0.9999999, "p": 0.001},
-        grid_size=32768,
-        n_list=[256],
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = run_experiment(cfg)
-    assert caught == []
-    [verdict] = outcome.verdicts
-    assert verdict.name == "family_build"
-    assert verdict.status == "fail"
-    assert "PositivityLoss: phi_113 has a coefficient" in verdict.detail
+    # ell2(0.9999999, 0.001) at depth 257 is refused too; the coefficients
+    # of its phi_K grow past any double, and sampling stops at the order
+    # where they leave the range, before an overflow warning
+    _refused_and_quiet(0.9999999, 0.001, "phi_113 has a coefficient")
 
 
 def test_geronimus_refinement_skips():
@@ -455,3 +447,23 @@ def test_scattering_table_matches_its_per_n_form_bitwise(family, request, monkey
             inst.measure, inst.params, complex(np.exp(1j * angle)), ctx.n_list
         )
         assert experiments._scattering_table(ctx, angle) == want, (family, angle)
+
+
+def test_jost_step_defects_run_once_per_solution(monkeypatch, bs_half):
+    # with the default test points, solution_space_closure and the
+    # scattering table read the same solutions, so their defects are shared
+    solutions = []
+    step_defects = experiments.jost_step_defects
+
+    def counted(params, sol):
+        solutions.append(sol)
+        return step_defects(params, sol)
+
+    # both names, so that a residual taken through scattering counts too
+    monkeypatch.setattr(experiments, "jost_step_defects", counted)
+    monkeypatch.setattr(scattering, "jost_step_defects", counted)
+    ctx = experiments.RunContext(_config(experiment="scattering"), bs_half)
+    experiments.suite_verdicts(ctx, "scattering")
+    experiments.suite_tables(ctx, "scattering")
+    assert len(solutions) == 2 * len(bs_half.test_angles)
+    assert len({id(sol) for sol in solutions}) == len(solutions)

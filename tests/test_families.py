@@ -148,6 +148,14 @@ def test_builder_gates():
         build_family({"name": "no_such_family"}, 256, 4)
 
 
+def test_ell2_validation_refuses_past_three_digits():
+    # ell2(0.5, 1) at depth 257 loses 2.7 digits and builds; ell2(0.7, 1)
+    # at depth 65 loses 3.13 and fails its roundtrip, so it is refused
+    families.check_spec({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 257)
+    with pytest.raises(FamilyValidationError, match="lose 3.13 digits"):
+        families.check_spec({"name": "ell2", "c": 0.7, "p": 1.0}, 4096, 65)
+
+
 def test_descriptions_cover_builders():
     for name in ("lebesgue", "bernstein_szego", "geronimus", "ell2", "mixed"):
         assert name in FAMILY_DESCRIPTIONS

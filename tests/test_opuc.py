@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import opuclab
 from opuclab import opuc
 from opuclab.errors import OutOfRange, PositivityLoss
-from opuclab.families import build_family
-from opuclab.measure import _as_boundary, build_measure, moment
+from opuclab.families import FAMILIES, build_family
+from opuclab.measure import _as_boundary, build_measure, moment, moments
 from opuclab.opuc import (
     cd_kernel_cmv,
     cd_kernel_poly,
@@ -39,6 +39,7 @@ from opuclab.schur import (
 from oracles import (
     cd_kernel_bruteforce,
     gram_schmidt_verblunsky,
+    monic_from_moments_mp,
     phi_at_node_mp,
     value_recursion_fresh_arrays,
 )
@@ -102,15 +103,60 @@ def test_extraction_routes_agree(all_families):
         assert np.max(np.abs(cascade - levinson)) < 1e-9, inst.name
 
 
+@pytest.mark.parametrize("a", [0.6, 0.9])
+def test_moment_route_matches_a_60_digit_recursion(a):
+    c = moments(FAMILIES["geronimus"].measure(4096, 65, a=a), 64)
+    table = monic_from_moments(c, 64)
+    params, norms = monic_from_moments_mp(c, 64)
+    assert np.max(np.abs(table.params.values - params)) < 1e-15
+    assert np.max(np.abs(table.norms_sq - norms) / norms) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size, exact_passes",
+    [
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 0),
+        ({"name": "bernstein_szego", "r": 0.9}, 4096, 0),
+        ({"name": "geronimus", "a": 0.6}, 4096, 1),
+    ],
+    ids=["ell2", "bernstein_szego-0.9", "geronimus"],
+)
+def test_moment_route_goes_exact_only_past_four_digits(
+    monkeypatch, spec, grid_size, exact_passes
+):
+    family = FAMILIES[spec["name"]]
+    args = {key: value for key, value in spec.items() if key != "name"}
+    c = moments(family.measure(grid_size, 257, **args), 64)
+    passes = []
+    exact = opuc._monic_exact
+
+    def spy(*call):
+        passes.append(call)
+        return exact(*call)
+
+    monkeypatch.setattr(opuc, "_monic_exact", spy)
+    monic_from_moments(c, 64)
+    assert len(passes) == exact_passes
+
+
 def test_extended_precision_only_where_it_buys_digits():
-    # the two extraction steps keep long double because a double copy of
-    # each fails a test or loses digits (README, "Precision").  A new site
-    # needs the same evidence.
-    kept = {"monic_from_moments", "verblunsky_from_measure"}
+    # the value-space extraction keeps long double because a double copy
+    # of it fails a test (README, "Precision"); the cascade and the moment
+    # recursion escalate to fixed point in Python integers, so no module
+    # imports mpmath.  A new site needs the same evidence.
+    kept = {"verblunsky_from_measure"}
     package = Path(opuclab.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "mpmath" for m in modules), path.name
         owner = {}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,12 +1,15 @@
 """Schur functions, the parameter cascade, and the entropy product."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuclab import schur
 from opuclab.errors import (
     ContractivityLoss,
     DivisionBlowup,
@@ -15,13 +18,16 @@ from opuclab.errors import (
     OutOfRange,
     ParameterEscape,
 )
+from opuclab.families import FAMILIES
 from opuclab.measure import CircleMeasure, moments
 from opuclab.schur import (
     SERIES_GUARD,
+    Fixed,
     SchurParameters,
     _cascade,
     _cascade_mp,
     entropy_product,
+    fixed_bits,
     iterate_noise_horizon,
     khrushchev_rhs,
     schur_eval,
@@ -31,6 +37,8 @@ from opuclab.schur import (
     schur_sum_bound,
     szego_formula_residual,
 )
+
+from oracles import cascade_mp
 
 
 def test_schur_function_is_constant_for_bernstein_szego(bs_half):
@@ -85,6 +93,89 @@ def test_cascade_precisions_agree(bs_half):
     extended, _ = _cascade_mp(c[1:], c[:-1], 64, 40)
     assert escape_step is None
     assert np.max(np.abs(double - extended)) < 1e-13
+
+
+def _series_of(params, length):
+    """u, v with u/v the Schur function of parameters ``params`` then 0, 0, ...
+
+    Inverse Schur steps f_k = (a_k + z f_{k+1}) / (1 + conj(a_k) z f_{k+1})
+    from f_K = 0 = 0/1, on polynomials of degree at most K < length.
+    """
+    u = np.zeros(length, dtype=complex)
+    v = np.zeros(length, dtype=complex)
+    v[0] = 1.0
+    for a in reversed(params):
+        zu = np.concatenate([[0.0], u[:-1]])
+        u, v = a * v + zu, v + np.conj(a) * zu
+    return u, v
+
+
+@contextlib.contextmanager
+def _recorded_escalations():
+    """Yields a list of (u, v, n_max, dps, params), one per fixed-point cascade."""
+    calls = []
+    exact = schur._cascade_mp
+
+    def spy(u, v, n_max, dps):
+        params, loss = exact(u, v, n_max, dps)
+        calls.append((u, v, n_max, dps, params))
+        return params, loss
+
+    with mock.patch.object(schur, "_cascade_mp", spy):
+        yield calls
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
+def test_escalated_cascade_matches_mpmath_bitwise(a):
+    mu = FAMILIES["geronimus"].measure(4096, 65, a=a)
+    with _recorded_escalations() as calls:
+        params = schur_parameters_from_measure(mu, 64)
+    [(u, v, n_max, dps, exact)] = calls
+    assert np.array_equal(params.values, exact)
+    assert np.array_equal(exact, cascade_mp(u, v, n_max, dps)[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    c=st.floats(0.7, 0.9),
+    p=st.floats(0.4, 0.7),
+    theta=st.floats(0.1, 3.0),
+)
+def test_escalated_cascade_matches_mpmath_on_slow_decay(c, p, theta):
+    # a_k = c e^{i k theta} / (k+1)^p: 48 steps lose 5 to 14 digits, the
+    # range of the builtin families (geronimus loses 11 to 15 by depth 64).
+    # Fixed point holds each part of a parameter to 2^-P absolutely and
+    # mpmath relative to that part, so a part at roundoff size (the
+    # imaginary part of e^{i pi k}) can round to a neighbouring double,
+    # though both are within about 1e-21 of exact; these phases keep both
+    # parts of every parameter far from roundoff size.
+    k = np.arange(48 + SERIES_GUARD)
+    u, v = _series_of(c * np.exp(1j * theta * k) / (k + 1.0) ** p, len(k) + 1)
+    with _recorded_escalations() as calls:
+        schur_parameters_from_series(u, v, 48)
+    assert calls
+    for u, v, n_max, dps, exact in calls:
+        assert np.array_equal(exact, cascade_mp(u, v, n_max, dps)[0])
+
+
+def test_escaped_double_pass_escalates_past_the_double_range():
+    # |a_3| is 1.1e-12 below 1: the double pass escapes there and the
+    # fixed-point pass does not, at dps 25 + ceil(loss) + n_max, so 2^P
+    # is beyond any double
+    u, v = _series_of([0.95, 0.8, 0.95, 1.0 - 1.1e-12, 0.5], 300)
+    assert _cascade(u.tolist(), v.tolist(), 299)[2] == 3
+    with _recorded_escalations() as calls:
+        params = schur_parameters_from_series(u, v, 299)
+    [(_, _, _, dps, exact)] = calls
+    assert fixed_bits(dps) > 1023
+    assert np.array_equal(params.values, exact)
+    assert np.array_equal(exact, cascade_mp(u, v, 299, dps)[0])
+
+
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_fixed_point_holds_every_double_exactly(x):
+    # 2^-1074 is the least double, so past 1074 bits no input is floored
+    assert complex(Fixed.of(x, fixed_bits(330))) == x
 
 
 def test_szego_formula_exact_for_finite_parameter_families(leb, bs_half):
