@@ -136,12 +136,6 @@ def jost_step_defects(params: SchurParameters, sol: JostSolution) -> np.ndarray:
     return defects
 
 
-def jost_recurrence_residual(params: SchurParameters, sol: JostSolution) -> float:
-    """Worst one-step defect of a solution (``jost_step_defects``), 0 for
-    a solution with no steps."""
-    return max([0.0, *jost_step_defects(params, sol).tolist()])
-
-
 def averaged_jost_deviation(sol: JostSolution, n: int) -> float:
     """(1/n) sum_{k<n} of the distance from entry k to its free target."""
     if n < 1 or n > sol.n_max + 1:

@@ -70,10 +70,8 @@ SERIES_GUARD = 8
 # Pointwise iterates divide by z; below this the series route must be used.
 Z_MIN = 1e-3
 
-# Accumulated decimal-digit loss beyond which a double-precision extraction
-# is redone with more precision: the cascade and the moment recursion in
-# fixed point (``_escalate``), the value-space recursion in extended
-# precision.
+# Accumulated decimal-digit loss beyond which the cascade and the moment
+# recursion are redone in fixed point (``_escalate``).
 _SAFE_DIGIT_LOSS = 4.0
 
 # Digit loss beyond which a parameter-first family cannot be built from its

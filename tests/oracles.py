@@ -182,7 +182,7 @@ def monic_from_moments_mp(c, n_max: int, dps: int = 60):
     return np.array(params, dtype=complex), np.array(norms)
 
 
-def value_recursion_fresh_arrays(xi, q, n_max: int, max_loss: float):
+def value_recursion_fresh_arrays(xi, q, n_max: int):
     """The value-space recursion with fresh arrays at every step.
 
     The reference form of ``opuc._value_recursion``: the same operations in
@@ -191,12 +191,11 @@ def value_recursion_fresh_arrays(xi, q, n_max: int, max_loss: float):
     bitwise difference.  Same returns and raises.
     """
     from opuclab.errors import PositivityLoss
-    from opuclab.schur import ESCAPE_THRESHOLD, digit_loss
+    from opuclab.schur import ESCAPE_THRESHOLD
 
     phi = np.ones_like(xi)
     phis = np.ones_like(xi)
     values = np.zeros(n_max, dtype=complex)
-    loss = 0.0
     for n in range(n_max):
         zphi = xi * phi
         num = np.sum(zphi * q)
@@ -209,9 +208,6 @@ def value_recursion_fresh_arrays(xi, q, n_max: int, max_loss: float):
                 f"|a_{n}| = {abs(complex(a)):.15g} at the escape threshold; "
                 "discrete measure appears degenerate at this depth"
             )
-        loss += digit_loss(abs(a))
-        if loss > max_loss:
-            return None
         values[n] = complex(a)
         phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
     return values

@@ -33,8 +33,8 @@ from opuclab.opuc import (
 from opuclab.scattering import (
     averaged_jost_deviation,
     duality_identity_residual,
-    jost_recurrence_residual,
     jost_solutions,
+    jost_step_defects,
 )
 from opuclab.schur import (
     entropy_product,
@@ -246,8 +246,11 @@ def test_criterion_09_scattering(ell2_half):
     xi = complex(np.exp(1j * ell2_half.test_angles[1]))
     plus, minus = jost_solutions(ell2_half.measure, ell2_half.params, xi, 256)
     res = max(
-        jost_recurrence_residual(ell2_half.params, plus),
-        jost_recurrence_residual(ell2_half.params, minus),
+        [
+            0.0,
+            *jost_step_defects(ell2_half.params, plus),
+            *jost_step_defects(ell2_half.params, minus),
+        ]
     )
     assert res <= 1e-8
 

@@ -186,6 +186,18 @@ def test_geronimus_refinement_skips():
     assert not outcome.failed  # skips do not fail a run
 
 
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
+def test_geronimus_passes_all_to_depth_64(a):
+    # geronimus(0.9) has the thinnest margin of the builtins:
+    # gram_orthonormality reads about 8.8e-10 against its 1e-8 bound
+    cfg = _config(
+        family={"name": "geronimus", "a": a}, experiment="all", n_list=[4, 16, 64]
+    )
+    outcome = run_experiment(cfg)
+    failed = {v.name: v.residual for v in outcome.verdicts if v.failed}
+    assert not failed
+
+
 def test_write_outputs(tmp_path):
     outcome = run_experiment(_config(test_points=[0.0]))
     names = write_outputs(outcome, tmp_path)

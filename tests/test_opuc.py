@@ -30,11 +30,7 @@ from opuclab.opuc import (
     verblunsky_from_moments,
     weight_from_parameters,
 )
-from opuclab.schur import (
-    _SAFE_DIGIT_LOSS,
-    SchurParameters,
-    schur_parameters_from_measure,
-)
+from opuclab.schur import SchurParameters, schur_parameters_from_measure
 
 from oracles import (
     cd_kernel_bruteforce,
@@ -140,11 +136,12 @@ def test_moment_route_goes_exact_only_past_four_digits(
 
 
 def test_extended_precision_only_where_it_buys_digits():
-    # the value-space extraction keeps long double because a double copy
-    # of it fails a test (README, "Precision"); the cascade and the moment
-    # recursion escalate to fixed point in Python integers, so no module
-    # imports mpmath.  A new site needs the same evidence.
-    kept = {"verblunsky_from_measure"}
+    # the cascade and the moment recursion escalate to fixed point in
+    # Python integers, so no module imports mpmath, and the value-space
+    # extraction runs once in double because no test or verdict needs more
+    # (README, "Precision").  A long double site needs a failing double
+    # copy as evidence.
+    kept = set()
     package = Path(opuclab.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -222,7 +219,7 @@ def test_value_recursion_stays_in_double_within_four_digits(
     mu = build_family(spec, grid_size, depth).measure
     xi, q = mu.quadrature()
     extended = opuc._value_recursion(
-        xi.astype(np.clongdouble), q.astype(np.longdouble), depth, math.inf
+        xi.astype(np.clongdouble), q.astype(np.longdouble), depth
     )
     dtypes = _recursion_dtypes(monkeypatch)
     params = verblunsky_from_measure(mu, depth)
@@ -230,30 +227,32 @@ def test_value_recursion_stays_in_double_within_four_digits(
     assert np.max(np.abs(params.values - extended)) < 1e-14
 
 
-def test_value_recursion_goes_extended_past_four_digits(monkeypatch, geronimus6):
+def test_value_recursion_runs_once_in_double_past_four_digits(monkeypatch, geronimus6):
+    # geronimus(0.6) loses 13.5 digits by depth 64
     dtypes = _recursion_dtypes(monkeypatch)
     verblunsky_from_measure(geronimus6.measure, 65)
-    assert dtypes == [np.complex128, np.clongdouble]
+    assert dtypes == [np.complex128]
 
 
 def test_value_recursion_escape_survives_the_double_pass(monkeypatch):
-    # three atoms carry all but 1e-13 of the mass, so a_2 escapes
+    # three atoms carry all but 1e-13 of the mass, so a_2 escapes, and the
+    # one double pass raises it
     mu = build_measure(
         np.full(1024, 1e-13), [(0.0, 0.4), (2.0, 0.3), (4.0, 0.3 - 1e-13)]
     )
     dtypes = _recursion_dtypes(monkeypatch)
     with pytest.raises(PositivityLoss, match=r"\|a_2\|"):
         verblunsky_from_measure(mu, 8)
-    assert dtypes == [np.complex128, np.clongdouble]
+    assert dtypes == [np.complex128]
 
 
-def _recursion_outcome(recursion, xi, q, n_max, max_loss):
-    """("values", their bytes), ("none", None) or ("raises", the message)."""
+def _recursion_outcome(recursion, xi, q, n_max):
+    """("values", their bytes) or ("raises", the message)."""
     try:
-        values = recursion(xi, q, n_max, max_loss)
+        values = recursion(xi, q, n_max)
     except PositivityLoss as exc:
         return "raises", str(exc)
-    return ("none", None) if values is None else ("values", values.tobytes())
+    return "values", values.tobytes()
 
 
 _MIXED_ATOM = {
@@ -276,35 +275,33 @@ def _family_measure(spec, grid_size, depth):
 
 
 @pytest.mark.parametrize(
-    "measure, args, extended, max_loss, expected",
+    "measure, args, extended, expected",
     [
-        (_family_measure, (_MIXED_ATOM, 16384, 257), False, _SAFE_DIGIT_LOSS, "values"),
-        (_family_measure, (_ELL2, 32768, 257), False, _SAFE_DIGIT_LOSS, "values"),
-        (_family_measure, (_GERONIMUS, 4096, 65), True, math.inf, "values"),
-        # the double pass stops at the four-digit gate
-        (_family_measure, (_GERONIMUS, 4096, 65), False, _SAFE_DIGIT_LOSS, "none"),
-        # a_2 escapes in both passes
-        (_escaping_measure, (None, 1024, 8), False, _SAFE_DIGIT_LOSS, "raises"),
-        (_escaping_measure, (None, 1024, 8), True, math.inf, "raises"),
+        (_family_measure, (_MIXED_ATOM, 16384, 257), False, "values"),
+        (_family_measure, (_ELL2, 32768, 257), False, "values"),
+        # the recursion runs in the dtype it is given
+        (_family_measure, (_GERONIMUS, 4096, 65), True, "values"),
+        # a_2 escapes in either dtype
+        (_escaping_measure, (None, 1024, 8), False, "raises"),
+        (_escaping_measure, (None, 1024, 8), True, "raises"),
     ],
     ids=[
         "mixed-mnt-quadrature",
         "ell2",
         "geronimus-extended",
-        "geronimus-gate",
         "escape-double",
         "escape-extended",
     ],
 )
 def test_value_recursion_matches_fresh_array_form_bitwise(
-    measure, args, extended, max_loss, expected
+    measure, args, extended, expected
 ):
     depth = args[2]
     xi, q = measure(*args).quadrature()
     if extended:
         xi, q = xi.astype(np.clongdouble), q.astype(np.longdouble)
-    fast = _recursion_outcome(opuc._value_recursion, xi, q, depth, max_loss)
-    fresh = _recursion_outcome(value_recursion_fresh_arrays, xi, q, depth, max_loss)
+    fast = _recursion_outcome(opuc._value_recursion, xi, q, depth)
+    fresh = _recursion_outcome(value_recursion_fresh_arrays, xi, q, depth)
     assert fresh[0] == expected
     assert fast == fresh
 
