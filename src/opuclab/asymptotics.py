@@ -11,11 +11,13 @@ for every finite n by scale-localized extension extrema,
 
 where the upper half needs the entropy hypothesis K_n <= 1 and the lower
 half is a pure variational fact (the normalized Fejer polynomial competes
-in the Christoffel minimum) and needs nothing.  The rows of a sweep come
-from one entropy profile over every n and one transfer table at xi0 to the
-largest n: row n reads the table's first n orders, which are bitwise the
-order-(n-1) table.  Rows serialize to CSV with a fixed header for
-downstream tooling.
+in the Christoffel minimum) and needs nothing.  Every sweep evaluates
+once and reads its rows by prefix, since a prefix of one pass is bitwise
+the shorter pass: the sandwich takes one entropy profile over every n and
+one transfer table at xi0 to the largest n, and the summability sweep one
+``chi_table`` to the largest n and one Poisson call over its points
+(``summability_conditions``).  Rows serialize to CSV with a fixed header
+for downstream tooling.
 
 The CMV half: Fourier coefficients against the chi basis, partial-sum
 strong Cesaro deviation at a point, the per-n boundedness condition that
@@ -27,9 +29,8 @@ Taylor coefficients of phi_k (``opuc.chi_sums_fft``), or one streamed
 pass of the transfer recursion over the nodes (``opuc.chi_sums``), where
 each chi_k row is formed, contracted against f w and dropped.  Neither
 forms an (n+1) x N table, so memory is O(N) in the grid size.  The
-coefficients depend on neither the test point nor n, so a caller can
-compute them once at its largest order and hand prefixes to
-``partial_sum_deviation``.
+coefficients depend on neither the test point nor n, so a caller computes
+them once at its largest order.
 """
 
 from __future__ import annotations
@@ -214,14 +215,13 @@ def cmv_coefficients(
 
 
 def partial_sum_deviation(
-    coeffs: np.ndarray, params: SchurParameters, xi0: complex, f_at_xi0: complex
+    coeffs: np.ndarray, chi_vals: np.ndarray, f_at_xi0: complex
 ) -> float:
-    """(1/n) sum_{k<n} |S_k(xi0) - f(xi0)| for given c_0..c_{n-1}.
+    """(1/n) sum_{k<n} |S_k(xi0) - f(xi0)| from c_0..c_{n-1} and
+    chi_0(xi0)..chi_{n-1}(xi0), either of them prefixes of longer ones.
 
-    S_k = sum_{j<=k} c_j chi_j(xi0) is the k-th CMV partial sum; the
-    coefficients may be a prefix of a longer precomputed vector.
+    S_k = sum_{j<=k} c_j chi_j(xi0) is the k-th CMV partial sum.
     """
-    chi_vals = chi_table(params, xi0, len(coeffs) - 1)
     partial = np.cumsum(coeffs * chi_vals)
     return float(np.mean(np.abs(partial - complex(f_at_xi0))))
 
@@ -240,7 +240,7 @@ def strong_cesaro_deviation(
     if n < 1:
         raise OutOfRange("deviation order requires n >= 1")
     coeffs = cmv_coefficients(mu, params, f_samples, n - 1, f_atom_values)
-    return partial_sum_deviation(coeffs, params, xi0, f_at_xi0)
+    return partial_sum_deviation(coeffs, chi_table(params, xi0, n - 1), f_at_xi0)
 
 
 def summability_condition(
@@ -250,15 +250,27 @@ def summability_condition(
 
     Returns lhs = (1/n) sum_{k<=n} |chi_k(xi0)|^2 and
     rhs_unit = 1/P(mu, (1 - 1/n) xi0); the empirical constant for a sweep
-    is the sup of lhs/rhs_unit over the tested n.
+    is the sup of lhs/rhs_unit over the tested n.  The one-n case of
+    ``summability_conditions``.
     """
     xi0 = _as_boundary(xi0)
-    if n < 1:
+    return summability_conditions(mu, chi_table(params, xi0, n), xi0, [n])[0]
+
+
+def summability_conditions(
+    mu: CircleMeasure, chi_vals: np.ndarray, xi0: complex, n_list: Sequence[int]
+) -> list[tuple[float, float]]:
+    """``summability_condition`` at every n of a sweep: lhs n reads
+    chi_0(xi0)..chi_n(xi0) off ``chi_table(params, xi0, max(n_list))``, and
+    one ``poisson`` call gives every rhs."""
+    xi0 = _as_boundary(xi0)
+    if min(n_list) < 1:
         raise OutOfRange("condition order requires n >= 1")
-    chi_vals = chi_table(params, xi0, n)
-    lhs = float(np.sum(np.abs(chi_vals) ** 2) / n)
-    z_n = (1.0 - 1.0 / n) * xi0
-    return lhs, 1.0 / poisson(mu, z_n)
+    p_mu = poisson(mu, np.array([(1.0 - 1.0 / n) * xi0 for n in n_list]))
+    return [
+        (float(np.sum(np.abs(chi_vals[: n + 1]) ** 2) / n), 1.0 / float(p))
+        for n, p in zip(n_list, p_mu)
+    ]
 
 
 # -----------------------------------------------------------------------------

@@ -24,10 +24,11 @@ points.  Randomized sweeps draw from the seeded generator in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ from .asymptotics import (
     csv_text,
     partial_sum_deviation,
     sandwich_table,
-    summability_condition,
+    summability_conditions,
 )
 from .config import SUITE_NAMES, ExperimentConfig
 from .families import FAMILIES, FamilyInstance, build_family
@@ -61,6 +62,7 @@ from .opuc import (
     PolynomialPair,
     cd_laurent,
     cd_quotient,
+    chi_table,
     dual_parameters,
     eval_grid_table,
     monic_from_moments,
@@ -71,9 +73,9 @@ from .scattering import (
     jost_step_defects,
 )
 from .schur import (
-    entropy_product,
+    _pointwise_iterates,
+    entropy_products,
     schur_eval,
-    schur_iterate_eval,
     schur_parameters_from_measure,
     schur_sum_bound,
     szego_formula_residual,
@@ -101,12 +103,7 @@ class Verdict:
         return self.status == "fail"
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "residual": self.residual,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # A check returns its status, residual and detail; suite_verdicts adds the
@@ -173,6 +170,20 @@ def _fmt_seq(values: Sequence[float]) -> str:
 # -----------------------------------------------------------------------------
 # Run context: one built family plus caches shared between checks and tables
 # -----------------------------------------------------------------------------
+def _cached(method):
+    """The context's one memo rule: method(ctx, *args) runs once per args,
+    and later calls read ``ctx._memo``."""
+
+    @functools.wraps(method)
+    def read(ctx: "RunContext", *args):
+        key = (method.__name__, *args)
+        if key not in ctx._memo:
+            ctx._memo[key] = method(ctx, *args)
+        return ctx._memo[key]
+
+    return read
+
+
 class RunContext:
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
         self.config = config
@@ -188,15 +199,9 @@ class RunContext:
             if config.test_points is not None
             else instance.test_angles
         )
-        self._sandwich: Dict[float, ConvergenceTable] = {}
-        self._jost: Dict[float, Tuple[JostSolution, JostSolution]] = {}
-        self._jost_defects: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
-        self._rebuilt: Dict[int, CircleMeasure] = {}
-        self._routes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._moment_table: Optional[MonicTable] = None
         # every CMV order the summability checks and tables read
         self.cmv_top = min(max(self.n_list), self.depth)
-        self._cmv: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._memo: dict = {}
 
     def rng(self, stream: int) -> Lcg:
         return Lcg(self.config.seed * 1_000_003 + stream)
@@ -208,84 +213,68 @@ class RunContext:
             for _ in range(count)
         ]
 
+    @_cached
     def sandwich(self, angle: float) -> ConvergenceTable:
-        if angle not in self._sandwich:
-            self._sandwich[angle] = sandwich_table(
-                self.mu,
-                self.params,
-                complex(np.exp(1j * angle)),
-                self.n_list,
-                self.config.delta_grid_size,
-            )
-        return self._sandwich[angle]
+        return sandwich_table(
+            self.mu,
+            self.params,
+            complex(np.exp(1j * angle)),
+            self.n_list,
+            self.config.delta_grid_size,
+        )
 
+    @_cached
     def jost(self, angle: float) -> Tuple[JostSolution, JostSolution]:
-        if angle not in self._jost:
-            self._jost[angle] = jost_solutions(
-                self.mu,
-                self.params,
-                complex(np.exp(1j * angle)),
-                max(self.n_list),
-            )
-        return self._jost[angle]
+        xi = complex(np.exp(1j * angle))
+        return jost_solutions(self.mu, self.params, xi, max(self.n_list))
 
+    @_cached
     def jost_defects(self, angle: float) -> Tuple[np.ndarray, np.ndarray]:
         """Per-step recurrence defects of the two ``jost(angle)`` solutions,
         as ``solution_space_closure`` and the scattering table read them."""
-        if angle not in self._jost_defects:
-            self._jost_defects[angle] = tuple(
-                jost_step_defects(self.params, sol) for sol in self.jost(angle)
-            )
-        return self._jost_defects[angle]
+        return tuple(jost_step_defects(self.params, sol) for sol in self.jost(angle))
 
+    @_cached
+    def chi(self, angle: float) -> np.ndarray:
+        """chi_0..chi_{max(n_list)} at the angle, read by prefix like ``cmv``."""
+        return chi_table(self.params, complex(np.exp(1j * angle)), max(self.n_list))
+
+    @_cached
     def rebuilt(self, grid_size: int) -> CircleMeasure:
         if grid_size == self.mu.grid_size:
             return self.mu
-        if grid_size not in self._rebuilt:
-            self._rebuilt[grid_size] = self.instance.measure_on(grid_size)
-        return self._rebuilt[grid_size]
+        return self.instance.measure_on(grid_size)
 
+    @_cached
     def routes(self):
-        """Parameter sequences by the three extraction routes, depth <= 64.
+        """(stored, cascade, levinson): the parameters to depth min(64,
+        depth) as the builder stored them, by the power-series cascade from
+        the measure, and by the moment recursion."""
+        d = min(64, self.depth)
+        cascade = schur_parameters_from_measure(self.mu, d).values
+        levinson = self.moment_table().params.values
+        return (self.params.values[:d], cascade, levinson)
 
-        Returns (stored, cascade, levinson): the instance parameters, the
-        power-series cascade from the measure, and the moment recursion's
-        parameters.
-        """
-        if self._routes is None:
-            d = min(64, self.depth)
-            cascade = schur_parameters_from_measure(self.mu, d).values
-            levinson = self.moment_table().params.values
-            self._routes = (self.params.values[:d], cascade, levinson)
-        return self._routes
-
+    @_cached
     def moment_table(self) -> MonicTable:
         """The moment recursion at depth min(64, depth), as ``routes`` and
         ``norm_telescoping`` read it."""
-        if self._moment_table is None:
-            d = min(64, self.depth)
-            self._moment_table = monic_from_moments(moments(self.mu, d), d)
-        return self._moment_table
+        d = min(64, self.depth)
+        return monic_from_moments(moments(self.mu, d), d)
 
+    @_cached
     def cmv(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi.
-
-        Both come from one ``cmv_coefficients`` call at the deepest order;
-        they depend on neither the test point nor n, so the summability
-        checks and tables slice them.
-        """
-        if self._cmv is None:
-            mu = self.mu
-            f = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
-            atom_values = (
-                np.array([[1.0, math.cos(t)] for t, _ in mu.atoms]).T
-                if mu.atoms
-                else None
-            )
-            self._cmv = tuple(
-                cmv_coefficients(mu, self.params, f, self.cmv_top, atom_values)
-            )
-        return self._cmv
+        """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi, from
+        one ``cmv_coefficients`` call, which summability checks and tables
+        read by prefix."""
+        mu = self.mu
+        f = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
+        atom_values = (
+            np.array([[1.0, math.cos(t)] for t, _ in mu.atoms]).T
+            if mu.atoms
+            else None
+        )
+        return tuple(cmv_coefficients(mu, self.params, f, self.cmv_top, atom_values))
 
     def horizon(self, z: complex) -> int:
         """Safe pointwise-iterate depth at z, capped by the build depth."""
@@ -479,28 +468,31 @@ def _jensen_direction(ctx: RunContext) -> Result:
 
 _EQ_MODULI = (0.0, 0.3, 0.6, 0.9)
 _EQ_ANGLES = tuple(2.0 * math.pi * j / 8.0 for j in range(8))
-
-
-def _entropy_product_points():
-    yield 0.0 + 0.0j
-    for mag in _EQ_MODULI[1:]:
-        for theta in _EQ_ANGLES:
-            yield mag * complex(np.exp(1j * theta))
+_EQ_POINTS = [0.0 + 0.0j] + [
+    mag * complex(np.exp(1j * theta)) for mag in _EQ_MODULI[1:] for theta in _EQ_ANGLES
+]
 
 
 @check("entropy", "entropy_product_identity")
 def _entropy_product_identity(ctx: RunContext) -> Result:
-    points = list(_entropy_product_points())
-    entropies = entropy(ctx.mu, points)
-    f_values = schur_eval(ctx.mu, points).tolist()
+    entropies = entropy(ctx.mu, _EQ_POINTS)
+    f_values = schur_eval(ctx.mu, _EQ_POINTS).tolist()
+    worst_gap = worst_overshoot = 0.0
+    worst_uphill = -math.inf
+    for z, k_value, f0 in zip(_EQ_POINTS, entropies, f_values):
+        h = ctx.horizon(z)
+        if ctx.finite_param:
+            n_grid = [min(8, h)]
+        else:
+            n_grid = [n for n in (2, 4, 8, 16, 32, 64, 128, 256) if n <= h] or [h]
+        products = entropy_products(ctx.params, z, f0, n_grid)
+        gaps = [k_value - product for product in products]
+        worst_gap = max(worst_gap, abs(gaps[-1]))
+        worst_overshoot = max(worst_overshoot, -min(gaps))
+        worst_uphill = max(worst_uphill, _nonincreasing_violation(gaps))
     if ctx.finite_param:
-        worst = 0.0
-        for z, k_value, f0 in zip(points, entropies, f_values):
-            n_eval = min(8, ctx.horizon(z))
-            gap = abs(k_value - entropy_product(ctx.params, z, f0, n_eval))
-            worst = max(worst, gap)
         return _within(
-            worst,
+            worst_gap,
             1e-8,
             "max |entropy - log-product| over moduli "
             f"{_EQ_MODULI} x 8 angles; the parameter tail vanishes, so "
@@ -509,19 +501,8 @@ def _entropy_product_identity(ctx: RunContext) -> Result:
     # Infinite-parameter families: the partial log-products increase toward
     # the entropy (every factor is >= 1), so the gap must shrink with n and
     # never overshoot.  Depth is capped by the pointwise noise horizon.
-    worst_overshoot = 0.0
-    worst_uphill = -math.inf
-    for z, k_value, f0 in zip(points, entropies, f_values):
-        h = ctx.horizon(z)
-        n_grid = [n for n in (2, 4, 8, 16, 32, 64, 128, 256) if n <= h] or [h]
-        gaps = [
-            k_value - entropy_product(ctx.params, z, f0, n) for n in n_grid
-        ]
-        worst_overshoot = max(worst_overshoot, -min(gaps))
-        worst_uphill = max(worst_uphill, _nonincreasing_violation(gaps))
-    residual = max(worst_overshoot, worst_uphill)
     return _within(
-        residual,
+        max(worst_overshoot, worst_uphill),
         1e-8,
         f"partial log-products: worst overshoot {worst_overshoot:.3g}, "
         f"worst uphill gap step {worst_uphill:.3g} over moduli "
@@ -619,8 +600,8 @@ def _iterate_contractivity(ctx: RunContext) -> Result:
     worst = 0.0
     for z, f0 in zip(points, schur_eval(ctx.mu, points).tolist()):
         n_eval = min(16, ctx.horizon(z))
-        for k in range(n_eval + 1):
-            worst = max(worst, abs(schur_iterate_eval(ctx.params, f0, z, k)))
+        for f_k in _pointwise_iterates(ctx.params, f0, z, n_eval):
+            worst = max(worst, abs(f_k))
     return _judged(
         worst < 1.0,
         worst,
@@ -785,9 +766,7 @@ def _constant_deviation_zero(ctx: RunContext) -> Result:
     ones, _ = ctx.cmv()
     n_top = ctx.cmv_top
     residual = max(
-        partial_sum_deviation(
-            ones[:n_top], ctx.params, complex(np.exp(1j * angle)), 1.0
-        )
+        partial_sum_deviation(ones[:n_top], ctx.chi(angle)[:n_top], 1.0)
         for angle in ctx.certified
     )
     return _within(
@@ -863,12 +842,11 @@ def _dual_involution(ctx: RunContext) -> Result:
     angle = ctx.certified[0]
     twice = dual_parameters(dual_parameters(ctx.params))
     n_top = min(64, max(ctx.n_list))
-    xi = complex(np.exp(1j * angle))
-    original = jost_solutions(ctx.mu, ctx.params, xi, n_top)
-    rebuilt = jost_solutions(ctx.mu, twice, xi, n_top)
+    rebuilt = jost_solutions(ctx.mu, twice, complex(np.exp(1j * angle)), n_top)
+    # the solutions to n_top are the first n_top + 1 entries of jost(angle)
     residual = max(
-        float(np.max(np.abs(a.entries - b.entries)))
-        for a, b in zip(original, rebuilt)
+        float(np.max(np.abs(a.entries[: n_top + 1] - b.entries)))
+        for a, b in zip(ctx.jost(angle), rebuilt)
     )
     return _within(
         residual,
@@ -909,15 +887,16 @@ def _schur_table(ctx: RunContext, angle: float) -> str:
 
 
 def _summability_table(ctx: RunContext, angle: float) -> str:
-    xi0 = complex(np.exp(1j * angle))
     _, coeffs = ctx.cmv()
-    rows = []
-    for n in ctx.n_list:
-        deviation = partial_sum_deviation(
-            coeffs[:n], ctx.params, xi0, math.cos(angle)
-        )
-        lhs, rhs = summability_condition(ctx.mu, ctx.params, xi0, n)
-        rows.append((n, deviation, lhs, rhs))
+    chi_vals = ctx.chi(angle)
+    conditions = summability_conditions(
+        ctx.mu, chi_vals, complex(np.exp(1j * angle)), ctx.n_list
+    )
+    f_at_xi0 = math.cos(angle)
+    rows = [
+        (n, partial_sum_deviation(coeffs[:n], chi_vals[:n], f_at_xi0), lhs, rhs)
+        for n, (lhs, rhs) in zip(ctx.n_list, conditions)
+    ]
     return csv_text("n,strong_cesaro,condition_lhs,condition_rhs", rows)
 
 
@@ -980,17 +959,13 @@ class ExperimentOutcome:
         return any(v.failed for v in self.verdicts)
 
 
-def _selected_suites(experiment: str) -> Tuple[str, ...]:
-    return SUITE_NAMES if experiment == "all" else (experiment,)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     """Build the family, run the selected suites and render their tables.
 
     A table that raises becomes the failed verdict ``{suite}_tables``.
     """
     started = time.perf_counter()
-    suites = _selected_suites(config.experiment)
+    suites = SUITE_NAMES if config.experiment == "all" else (config.experiment,)
     verdicts: List[Verdict] = []
     tables: Dict[str, str] = {}
     suite_report: Dict[str, dict] = {}

@@ -20,18 +20,15 @@ data alias above N/8, so moment orders beyond that raise
 The interior extensions (``poisson``, ``poisson_log_weight``,
 ``weighted_poisson`` and the Schwarz-kernel means behind the outer and
 Herglotz functions) are grid means of a row against a kernel at z, plus
-the atom terms.  On the grid these means have a closed form: with c_k the
-DFT of the row (``np.fft.fft(row) / N``), the mean against
-(xi + z)/(xi - z) is 2 S(z) / (1 - z^N) - c_0, S(z) = sum_{k<N} c_k z^k,
-and the Poisson mean is its real part; 1/(1 - z^N) carries the aliasing
-(Trefethen and Weideman, SIAM Review 2014; Henrici, Applied and
-Computational Complex Analysis, Vol. 3, Ch. 13).  A row's band K is one
-more than the last k <= N/2 with |c_k| above the FFT noise floor
-eps * max|row|.  When every row of a call has K <= N/8
-(``max_trusted_moment``), S is summed over k < K and k > N - K only, O(K)
-per point; otherwise the direct kernel sums all N nodes, O(N) per point.
-The bands of w and log w are cached on the measure as O(K) numbers (a
-wide band keeps only K), and ``poisson_route`` names the route taken.
+the atom terms, over a batch of points at a time (``_poisson_means``).
+The grid means have a closed form in the row's DFT, summed over its band
+K in O(K) per point when every row of a call has K <= N/8
+(``_spectral_means``; Trefethen and Weideman, SIAM Review 2014; Henrici,
+Applied and Computational Complex Analysis, Vol. 3, Ch. 13); otherwise
+the direct kernel sums all N nodes, O(N) per point (``_direct_means``).
+The bands of w and log w are cached on the measure as O(K) numbers
+(``_Band``), and ``poisson_route`` names the route taken.  One kernel
+call over every (point, atom) pair gives the atom terms of the batch.
 
 Grid
 ----
@@ -286,24 +283,27 @@ def _interior_points(z) -> list:
 
 
 def _poisson_kernel(
-    conj_points: np.ndarray, z: complex, out=None, scratch=None
+    conj_points: np.ndarray, z, out=None, scratch=None
 ) -> np.ndarray:
     """(1 - |z|^2) / |1 - conj(xi) z|^2 at unimodular points xi, given
-    conj(xi).  ``out`` (real) and ``scratch`` (complex) are optional
-    buffers of the points' length; the result is ``out`` when given."""
+    conj(xi); ``z`` is one point or an array paired with them.  1 - |z|^2
+    rounds as Python's ``1 - abs(z) ** 2`` (libm hypot and pow) in both
+    cases.  ``out`` (real) and ``scratch`` (complex) are optional buffers
+    of the points' length; the result is ``out`` when given."""
     w = np.multiply(conj_points, z, out=scratch)
     np.subtract(1.0, w, out=w)
     kernel = np.abs(w, out=out)
     np.square(kernel, out=kernel)
-    return np.divide(1.0 - abs(z) ** 2, kernel, out=kernel)
+    size = 1.0 - np.float_power(np.hypot(z.real, z.imag), 2.0)
+    return np.divide(size, kernel, out=kernel)
 
 
 def _schwarz_kernel(
-    points: np.ndarray, z: complex, out=None, scratch=None
+    points: np.ndarray, z, out=None, scratch=None
 ) -> np.ndarray:
     """(xi + z) / (xi - z) at the given unimodular points; its real part is
-    the Poisson kernel.  ``out`` and ``scratch`` are optional complex
-    buffers of the points' length; the result is ``out`` when given."""
+    the Poisson kernel.  ``z``, ``out`` and ``scratch`` are as for
+    ``_poisson_kernel``, with ``out`` complex too."""
     w = np.subtract(points, z, out=scratch)
     kernel = np.add(points, z, out=out)
     return np.divide(kernel, w, out=kernel)
@@ -459,8 +459,10 @@ def _poisson_means(
     The grid means take one of two routes, gated once here: in closed form
     (``_spectral_means``, O(K) per point) when every row's band K is at
     most ``max_trusted_moment`` = N/8, else by the direct kernel
-    (``_direct_means``, O(N) per point).  The atom terms are added
-    afterwards with one atom kernel per point on both routes.
+    (``_direct_means``, O(N) per point).  One kernel call over the flat
+    (point, atom) pairs gives every atom term, in the multiply loop a
+    one-point call takes; each point sums its atoms in order and adds that
+    sum to its grid mean, so its value is its one-point value.
     """
     bands = [_band(mu, grid_row) for grid_row, _ in rows]
     if all(band.low is not None for band in bands):
@@ -473,10 +475,11 @@ def _poisson_means(
         atom_points = mu.atom_points
         if kernel is _poisson_kernel:
             atom_points = np.conj(atom_points)
-        for j, z in enumerate(zs):
-            atom_kernel = kernel(atom_points, z)
-            for i, atom_row in atom_rows:
-                out[i, j] += np.add.reduce(atom_row * atom_kernel)
+        count = len(atom_points)
+        pairs = np.repeat(np.array(zs, dtype=complex), count)
+        atom_kernel = kernel(np.tile(atom_points, len(zs)), pairs).reshape(-1, count)
+        for i, atom_row in atom_rows:
+            out[i] += np.add.reduce(atom_row * atom_kernel, axis=1)
     return out
 
 

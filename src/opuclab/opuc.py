@@ -106,10 +106,7 @@ def _transfer_steps(params: SchurParameters, zs: np.ndarray, n_max: int):
     of any deeper one; each step makes fresh arrays, so a caller may keep
     any row it is handed.
     """
-    if n_max > len(params):
-        raise OutOfRange(
-            f"n = {n_max} exceeds stored parameter count {len(params)}"
-        )
+    params.require_depth(n_max)
     zs = np.asarray(zs, dtype=complex)
     a = params.values
     conj_a = np.conj(a)
@@ -136,10 +133,7 @@ def _coefficient_steps(params: SchurParameters, n_max: int):
     order k whose coefficients reach modulus sqrt(max double), before any
     of them can overflow.
     """
-    if n_max > len(params):
-        raise OutOfRange(
-            f"n = {n_max} exceeds stored parameter count {len(params)}"
-        )
+    params.require_depth(n_max)
     a = params.values
     inv_rho = 1.0 / params.rho
     phi = np.zeros(n_max + 1, dtype=complex)

@@ -35,8 +35,10 @@ converts back to the nearest double.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -119,6 +121,11 @@ class SchurParameters:
 
     def truncated(self, n: int) -> "SchurParameters":
         return SchurParameters(self.values[:n])
+
+    def require_depth(self, n: int) -> None:
+        """Raise OutOfRange unless a_0..a_{n-1} are stored."""
+        if n > len(self):
+            raise OutOfRange(f"n = {n} exceeds stored parameter count {len(self)}")
 
 
 # -----------------------------------------------------------------------------
@@ -343,34 +350,32 @@ def schur_parameters_from_measure(mu: CircleMeasure, n_max: int) -> SchurParamet
 # -----------------------------------------------------------------------------
 def _pointwise_iterates(
     params: SchurParameters, f_value: complex, z: complex, n: int
-) -> np.ndarray:
-    """f_0(z) .. f_n(z) by the pointwise recursion; f_0(z) supplied."""
-    if n > len(params):
-        raise OutOfRange(f"n = {n} exceeds stored parameter count {len(params)}")
+) -> Iterator[complex]:
+    """Yield f_0(z) .. f_n(z) by the pointwise recursion, f_0(z) supplied;
+    lazily, so a prefix read never meets a later ContractivityLoss."""
+    params.require_depth(n)
     z = complex(z)
     if abs(z) < Z_MIN:
         raise NearZeroArgument(
             f"|z| = {abs(z):.3g} below {Z_MIN:g}; pointwise recursion divides by z"
         )
-    out = np.zeros(n + 1, dtype=complex)
     f = complex(f_value)
     for k in range(n + 1):
         if abs(f) >= 1.0 + 1e-10:
             raise ContractivityLoss(
                 f"|f_{k}(z)| = {abs(f):.15g} > 1 at z = {z!r}"
             )
-        out[k] = f
+        yield f
         if k < n:
             a = params[k]
             f = (f - a) / (z * (1.0 - np.conj(a) * f))
-    return out
 
 
 def schur_iterate_eval(
     params: SchurParameters, f_value: complex, z: complex, n: int
 ) -> complex:
     """f_n(z) from f(z) by n pointwise steps of the recursion."""
-    return complex(_pointwise_iterates(params, f_value, z, n)[n])
+    return list(_pointwise_iterates(params, f_value, z, n))[n]
 
 
 def iterate_noise_horizon(z: complex, budget: float = 1e-10) -> int:
@@ -392,8 +397,7 @@ def szego_formula_residual(mu: CircleMeasure, params: SchurParameters, n: int) -
     n passes them; decreases toward 0 along n for square-summable tails.
     """
     mu.require_szego()
-    if n > len(params):
-        raise OutOfRange(f"n = {n} exceeds stored parameter count {len(params)}")
+    params.require_depth(n)
     lhs = float(np.mean(np.log(mu.weight)))
     rhs = float(np.sum(np.log1p(-np.abs(params.values[:n]) ** 2)))
     return abs(lhs - rhs)
@@ -406,25 +410,40 @@ def entropy_product(
 
         log prod_{k<n} (1 - |z f_k(z)|^2) / (1 - |f_k(z)|^2).
 
-    Every factor is >= 1 because |z| < 1.  At z = 0 the iterate values
-    collapse to the parameters themselves and the product needs no
-    pointwise recursion.
+    Every factor is >= 1 because |z| < 1.  The one-n case of
+    ``entropy_products``.
+    """
+    return entropy_products(params, z, f_value, [n])[0]
+
+
+def entropy_products(
+    params: SchurParameters, z: complex, f_value: complex, n_list: Sequence[int]
+) -> List[float]:
+    """``entropy_product`` at every n of a sweep, in order.
+
+    One pointwise pass to the deepest n, read by prefix, so each n fails as
+    its own call would.  At z = 0 the iterate values collapse to the
+    parameters themselves and the product needs no pointwise recursion.
     """
     z = complex(z)
     if abs(z) < 1e-12:
-        if n > len(params):
-            raise OutOfRange(f"n = {n} exceeds stored parameter count {len(params)}")
-        return float(-np.sum(np.log1p(-np.abs(params.values[:n]) ** 2)))
-    iterates = _pointwise_iterates(params, f_value, z, max(n - 1, 0))[:n]
-    num = 1.0 - np.abs(z * iterates) ** 2
-    den = 1.0 - np.abs(iterates) ** 2
-    factors = num / den
-    if factors.min() < 1.0 - 1e-12:
-        k = int(factors.argmin())
-        raise IdentityCheckFailed(
-            f"product factor {factors[k]:.15g} < 1 at step {k}, z = {z!r}"
-        )
-    return float(np.sum(np.log(factors)))
+        params.require_depth(max(n_list))
+        return [
+            float(-np.sum(np.log1p(-np.abs(params.values[:n]) ** 2))) for n in n_list
+        ]
+    steps = _pointwise_iterates(params, f_value, z, max(max(n_list) - 1, 0))
+    read, out = [], []
+    for n in n_list:
+        read += itertools.islice(steps, max(n, 1, len(read)) - len(read))
+        iterates = np.array(read[:n], dtype=complex)
+        factors = (1.0 - np.abs(z * iterates) ** 2) / (1.0 - np.abs(iterates) ** 2)
+        if factors.min() < 1.0 - 1e-12:
+            k = int(factors.argmin())
+            raise IdentityCheckFailed(
+                f"product factor {factors[k]:.15g} < 1 at step {k}, z = {z!r}"
+            )
+        out.append(float(np.sum(np.log(factors))))
+    return out
 
 
 def schur_sum_bound(
@@ -442,15 +461,13 @@ def schur_sum_bound(
     (pointwise iteration amplifies evaluation noise by 1/|z| per step).
     """
     z = complex(z)
-    if abs(z) < 1e-12:
-        if n > len(params):
-            raise OutOfRange(f"n = {n} exceeds stored parameter count {len(params)}")
-        mags = np.abs(params.values[:n]) ** 2
-        lhs = float(np.sum(mags / (1.0 - mags)))
+    if abs(z) < 1e-12:  # f_k(0) = a_k, and 1 - |z|^2 rounds to 1
+        params.require_depth(n)
+        iterates = params.values[:n]
     else:
-        iterates = _pointwise_iterates(params, f_value, z, max(n - 1, 0))[:n]
-        mags = np.abs(iterates) ** 2
-        lhs = float((1.0 - abs(z) ** 2) * np.sum(mags / (1.0 - mags)))
+        iterates = list(_pointwise_iterates(params, f_value, z, max(n - 1, 0)))[:n]
+    mags = np.abs(np.array(iterates, dtype=complex)) ** 2
+    lhs = float((1.0 - abs(z) ** 2) * np.sum(mags / (1.0 - mags)))
     return lhs, math.expm1(entropy_value)
 
 

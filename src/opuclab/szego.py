@@ -78,9 +78,15 @@ def szego_interior(mu: CircleMeasure, z) -> complex | np.ndarray:
 
 
 def szego_boundary(mu: CircleMeasure) -> np.ndarray:
-    """Nontangential boundary values of D on the grid, via FFT conjugation."""
+    """Nontangential boundary values of D on the grid, via FFT conjugation.
+
+    Writes u = (1/2) log w and builds its harmonic conjugate v; exp(u + i v)
+    then satisfies |D|^2 = w exactly at every grid point and D(0) =
+    exp(mean u) > 0.
+    """
     mu.require_szego()
-    return outer_boundary(mu.weight)
+    u = 0.5 * np.log(mu.weight)
+    return np.exp(u + 1j * harmonic_conjugate(u))
 
 
 def harmonic_conjugate(samples: np.ndarray) -> np.ndarray:
@@ -97,18 +103,6 @@ def harmonic_conjugate(samples: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         multiplier[n // 2] = 0.0
     return np.fft.ifft(multiplier * s_hat).real
-
-
-def outer_boundary(weight: np.ndarray) -> np.ndarray:
-    """Boundary values of the outer function with modulus squared = weight.
-
-    Writes u = (1/2) log weight and builds its harmonic conjugate v;
-    exp(u + i v) then satisfies |D|^2 = weight exactly at every grid point
-    and D(0) = exp(mean u) > 0.
-    """
-    weight = np.asarray(weight, dtype=float)
-    u = 0.5 * np.log(weight)
-    return np.exp(u + 1j * harmonic_conjugate(u))
 
 
 def _entropy_terms(mu: CircleMeasure, zs: list) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,15 +163,17 @@ def entropy_profile(
     [1e-4, 1 - 1e-4]; K_n is the max of the entropy and P_n the min of the
     Poisson extension over the deltas the grid actually resolves
     (N * delta / n >= 8).  Small negative entropy excursions at
-    barely-resolved points are clipped to zero.  One Poisson kernel per
-    delta gives both extensions, and its P(mu, z) also gives P_n.
+    barely-resolved points are clipped to zero.  Every n is checked
+    first; then one ``_entropy_terms`` call over the points of all n gives
+    both extensions, and row n reads its own slice.
     """
     mu.require_szego()
     xi0 = _as_boundary(xi0)
     if delta_grid_size < 2:
         raise OutOfRange("delta_grid_size must be at least 2")
     deltas = np.geomspace(_DELTA_MIN, 1.0 - _DELTA_MIN, delta_grid_size)
-    rows = []
+    zs = []
+    ends = []
     for n in n_list:
         if n < 1:
             raise OutOfRange(f"profile order n = {n} must be >= 1")
@@ -187,14 +183,17 @@ def entropy_profile(
                 f"no resolved delta for n = {n} at grid_size {mu.grid_size}; "
                 "enlarge the grid"
             )
-        zs = _interior_points((1.0 - deltas[trusted] / n) * xi0)
-        p_mu, values = _entropy_terms(mu, zs)
-        low = np.flatnonzero(values < -_PROFILE_ROUNDOFF)
+        zs += _interior_points((1.0 - deltas[trusted] / n) * xi0)
+        ends.append(len(zs))
+    p_mu, values = _entropy_terms(mu, zs)
+    rows = []
+    for n, part in zip(n_list, np.split(np.arange(len(zs)), ends[:-1])):
+        low = part[values[part] < -_PROFILE_ROUNDOFF]
         if low.size:
             raise EntropyNegative(
                 f"entropy {values[low[0]]:.6g} at resolved z = {zs[low[0]]!r}"
             )
-        k_n = np.max(np.maximum(values, 0.0))
-        p_n = np.min(p_mu)
+        k_n = np.max(np.maximum(values[part], 0.0))
+        p_n = np.min(p_mu[part])
         rows.append(ProfileRow(n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
     return EntropyProfile(xi0, tuple(rows), deltas)

@@ -46,5 +46,23 @@ def mixed_atom():
 
 
 @pytest.fixture(scope="session")
+def mixed_three_atoms():
+    # three atoms off the grid nodes, so each point sums three atom terms
+    return build_family(
+        {
+            "name": "mixed",
+            "base": {"name": "lebesgue"},
+            "atoms": [
+                {"angle": 0.5, "mass": 0.1},
+                {"angle": 2.2, "mass": 0.15},
+                {"angle": 4.4, "mass": 0.05},
+            ],
+        },
+        4096,
+        DEPTH,
+    )
+
+
+@pytest.fixture(scope="session")
 def all_families(leb, bs_half, geronimus6, ell2_half, mixed_atom):
     return (leb, bs_half, geronimus6, ell2_half, mixed_atom)

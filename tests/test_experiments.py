@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opuclab import asymptotics, experiments, families, opuc, scattering
+from opuclab import asymptotics, experiments, families, opuc, scattering, schur
 from opuclab.asymptotics import (
     csv_text,
     strong_cesaro_deviation,
@@ -355,6 +355,61 @@ def test_summability_table_matches_the_public_functions():
         assert outcome.tables[filename] == want
 
 
+def test_summability_run_makes_one_chi_table_per_test_point(monkeypatch):
+    # the partial sums and the condition's lhs read prefixes of one table
+    # per point, and one Poisson call per swept point gives every rhs
+    tables = []
+    rhs_batches = []
+    table = opuc.chi_table
+    extend = asymptotics.poisson
+
+    def counted_table(params, xi, n_max):
+        tables.append(n_max)
+        return table(params, xi, n_max)
+
+    def counted_poisson(mu, z):
+        rhs_batches.append(np.size(z))
+        return extend(mu, z)
+
+    for module in (experiments, asymptotics):
+        monkeypatch.setattr(module, "chi_table", counted_table, raising=False)
+    monkeypatch.setattr(asymptotics, "poisson", counted_poisson)
+    cfg = _config(
+        family=MIXED,
+        experiment="summability",
+        n_list=[4, 16, 64, 200],
+        test_points=[0.0, 2.5],
+    )
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    angles = {*cfg.test_points, *outcome.report["family"]["certified_angles"]}
+    assert tables == [200] * len(angles)
+    assert rhs_batches == [len(cfg.n_list)] * len(cfg.test_points)
+
+
+@pytest.mark.parametrize(
+    "name, passes", [("iterate_contractivity", 12), ("entropy_product_identity", 24)]
+)
+def test_schur_checks_make_one_iterate_pass_per_point(
+    monkeypatch, geronimus6, name, passes
+):
+    # each point's iterates come from one pass to its deepest n; the origin
+    # of entropy_product_identity reads the parameters instead
+    points = []
+    iterate = schur._pointwise_iterates
+
+    def counted(params, f_value, z, n):
+        points.append(z)
+        return iterate(params, f_value, z, n)
+
+    monkeypatch.setattr(schur, "_pointwise_iterates", counted)
+    monkeypatch.setattr(experiments, "_pointwise_iterates", counted, raising=False)
+    check = dict(CHECKS["entropy"] + CHECKS["schur_identities"])[name]
+    status, _, _ = check(experiments.RunContext(_config(seed=1), geronimus6))
+    assert status == "pass"
+    assert len(points) == len(set(points)) == passes
+
+
 @pytest.mark.parametrize(
     "overrides, refinement",
     [
@@ -459,6 +514,27 @@ def test_scattering_table_matches_its_per_n_form_bitwise(family, request, monkey
             inst.measure, inst.params, complex(np.exp(1j * angle)), ctx.n_list
         )
         assert experiments._scattering_table(ctx, angle) == want, (family, angle)
+
+
+def test_dual_involution_solves_only_the_twice_negated_parameters(
+    monkeypatch, bs_half
+):
+    # the original solutions are a prefix of the run's own jost(angle)
+    solved = []
+    solve = experiments.jost_solutions
+
+    def counted(mu, params, xi, n_max):
+        solved.append(n_max)
+        return solve(mu, params, xi, n_max)
+
+    monkeypatch.setattr(experiments, "jost_solutions", counted)
+    ctx = experiments.RunContext(
+        _config(experiment="scattering", n_list=[4, 16, 128]), bs_half
+    )
+    verdicts = experiments.suite_verdicts(ctx, "scattering")
+    assert {v.name: v.status for v in verdicts}["dual_involution"] == "pass"
+    # one pair per certified angle to max(n_list), one to min(64, max(n_list))
+    assert sorted(solved) == [64] + [128] * len(bs_half.test_angles)
 
 
 def test_jost_step_defects_run_once_per_solution(monkeypatch, bs_half):

@@ -92,7 +92,7 @@ def test_weighted_poisson_constant_reduces_to_poisson(mixed_atom):
 _POINTS = [0.0, 0.3, -0.5j, 0.6 + 0.3j, -0.2 - 0.85j, 0.9 * np.exp(2.1j)]
 
 
-@pytest.mark.parametrize("family", ["mixed_atom", "geronimus6"])
+@pytest.mark.parametrize("family", ["mixed_atom", "mixed_three_atoms", "geronimus6"])
 def test_array_points_match_one_point_calls_bitwise(family, request):
     mu = request.getfixturevalue(family).measure
     g = 1.0 + np.cos(mu.angles) ** 2

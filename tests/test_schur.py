@@ -13,6 +13,7 @@ from opuclab import schur
 from opuclab.errors import (
     ContractivityLoss,
     DivisionBlowup,
+    IdentityCheckFailed,
     NearZeroArgument,
     NonNormalizable,
     OutOfRange,
@@ -27,6 +28,7 @@ from opuclab.schur import (
     _cascade,
     _cascade_mp,
     entropy_product,
+    entropy_products,
     fixed_bits,
     iterate_noise_horizon,
     khrushchev_rhs,
@@ -190,6 +192,20 @@ def test_entropy_product_closed_form(bs_half):
         f0 = schur_eval(bs_half.measure, z)
         got = entropy_product(bs_half.params, z, f0, 8)
         assert abs(got - expected) < 1e-10
+
+
+def test_entropy_products_fail_where_their_own_pass_would():
+    # with zero parameters f_k = f_0 / z^k: |f_0| sits just above 1, so the
+    # factor at step 0 fails, and |f_5| passes 1 + 1e-10; a sweep that read
+    # to its deepest n first would raise ContractivityLoss instead
+    params = SchurParameters(np.zeros(16))
+    z, f0 = 1.0 - 1e-11, 1.0 + 0.5e-10
+    with pytest.raises(IdentityCheckFailed, match="at step 0"):
+        entropy_product(params, z, f0, 1)
+    with pytest.raises(IdentityCheckFailed, match="at step 0"):
+        entropy_products(params, z, f0, [1, 16])
+    with pytest.raises(ContractivityLoss, match="f_5"):
+        entropy_product(params, z, f0, 16)
 
 
 def test_sum_bound_is_equality_for_one_parameter(bs_half):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opuclab import szego
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
 from opuclab.measure import lebesgue, poisson, poisson_log_weight
@@ -121,11 +122,13 @@ def test_entropy_profile_matches_per_delta_oracle(family, request):
             assert abs(row.k_n - k_n) <= tol * max(1.0, k_n)
 
 
-@pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6"])
+@pytest.mark.parametrize(
+    "family", ["bs_half", "mixed_atom", "mixed_three_atoms", "geronimus6"]
+)
 def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
-    # one batch of deltas per n changes no bit against one _entropy_terms
-    # call per delta, on the spectral route (bs_half, mixed_atom) and on
-    # the direct one (geronimus6)
+    # one batch over the deltas of every n changes no bit against one
+    # _entropy_terms call per delta, on the spectral route (bs_half and the
+    # mixed families, one atom or three) and on the direct one (geronimus6)
     mu = request.getfixturevalue(family).measure
 
     def terms(z):
@@ -138,6 +141,21 @@ def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
         rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
         oracle = entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96, terms)
         assert rows == oracle
+
+
+def test_entropy_profile_makes_one_poisson_pass(monkeypatch, mixed_three_atoms):
+    # every row reads its slice of one batch of points over all n
+    batches = []
+    means = szego._poisson_means
+
+    def counted(mu, zs, rows, *kernel):
+        batches.append(len(zs))
+        return means(mu, zs, rows, *kernel)
+
+    monkeypatch.setattr(szego, "_poisson_means", counted)
+    profile = entropy_profile(mixed_three_atoms.measure, np.exp(2.5j), (4, 16, 64), 32)
+    assert [row.n for row in profile.rows] == [4, 16, 64]
+    assert len(batches) == 1
 
 
 def test_entropy_profile_memory_is_linear_in_the_grid():
