@@ -182,9 +182,9 @@ def cmv_coefficients(
     * otherwise in one streamed pass of the transfer recursion over the
       nodes (``opuc.chi_sums``), O(nN).  The coefficients of phi_k cancel
       where its values do not: for f = Re xi on geronimus(0.6), 4096
-      nodes, n = 64 (13.5 digits), the coefficient route is off a 40-digit
-      sum of the same quadrature by 1.3e-12 and the streamed one by
-      4.5e-17.
+      nodes, n = 64 (15.2 digits), the coefficient route is off a 40-digit
+      sum of the same quadrature by 7.0e-12 and the streamed one by
+      1.1e-16.
 
     Memory is O(N) on both routes.
     """

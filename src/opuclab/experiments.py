@@ -79,6 +79,7 @@ from .schur import (
     schur_parameters_from_measure,
     schur_sum_bound,
     szego_formula_residual,
+    szego_formula_residuals,
     iterate_noise_horizon,
 )
 from .szego import entropy, szego_boundary, szego_interior
@@ -613,18 +614,14 @@ def _iterate_contractivity(ctx: RunContext) -> Result:
 @check("schur_identities", "szego_formula")
 def _szego_formula(ctx: RunContext) -> Result:
     if ctx.finite_param:
-        residual = szego_formula_residual(
-            ctx.mu, ctx.params, min(64, ctx.depth)
-        )
+        residual = szego_formula_residual(ctx.mu, ctx.params, min(64, ctx.depth))
         return _within(
             residual,
             1e-10,
             f"|mean log w - sum log(1 - |a_k|^2)| at depth "
             f"{min(64, ctx.depth)}; the tail vanishes",
         )
-    residuals = [
-        szego_formula_residual(ctx.mu, ctx.params, n) for n in ctx.n_list
-    ]
+    residuals = szego_formula_residuals(ctx.mu, ctx.params, ctx.n_list)
     uphill = _nonincreasing_violation(residuals)
     return _within(
         max(uphill, 0.0),
@@ -879,10 +876,9 @@ def _entropy_table(ctx: RunContext, angle: float) -> str:
 def _schur_table(ctx: RunContext, angle: float) -> str:
     stored, cascade, _ = ctx.routes()
     gaps = np.maximum.accumulate(np.abs(stored - cascade))
-    rows = []
-    for n in ctx.n_list:
-        gap = float(gaps[min(n, len(gaps)) - 1])
-        rows.append((n, szego_formula_residual(ctx.mu, ctx.params, n), gap))
+    route_gaps = gaps[np.minimum(ctx.n_list, len(gaps)) - 1].tolist()
+    residuals = szego_formula_residuals(ctx.mu, ctx.params, ctx.n_list)
+    rows = list(zip(ctx.n_list, residuals, route_gaps))
     return csv_text("n,szego_residual,route_gap", rows)
 
 

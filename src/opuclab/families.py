@@ -12,13 +12,15 @@ refinement checks run only the first, through
 Routes
 ------
 Measure-first families (lebesgue, bernstein_szego, geronimus, mixed) sample
-a closed-form weight and extract parameters from the grid.  Parameter-first
-families (ell2) realize their truncation exactly: the measure with
-parameters (a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is
-sampled without any series truncation error: one FFT of phi_K's K+1
-coefficients gives its values at the grid nodes.  Every builder
-cross-validates its secondary representation against the primary one and
-raises FamilyValidationError on mismatch.
+a closed-form weight and extract parameters from the grid.  Each closed form
+is stated once, as a numpy function of the angle: the sampler evaluates it
+over the whole grid in one array pass, and the density oracle at one angle.
+Parameter-first families (ell2) realize their truncation exactly: the
+measure with parameters (a_0..a_{K-1}, 0, 0, ...) has density
+1/|phi_K|^2, which is sampled without any series truncation error: one FFT
+of phi_K's K+1 coefficients gives its values at the grid nodes.  Every
+builder cross-validates its secondary representation against the primary
+one and raises FamilyValidationError on mismatch.
 
 Records
 -------
@@ -38,12 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FamilyValidationError, OutOfRange
-from .measure import CircleMeasure, build_measure, check_atoms, grid_angles
+from .measure import CircleMeasure, build_measure, check_atoms, grid_angles, lebesgue
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
 from .schur import BUILD_DIGIT_LOSS, SchurParameters, digit_loss
 
@@ -52,10 +55,12 @@ from .schur import BUILD_DIGIT_LOSS, SchurParameters, digit_loss
 # roundtrip at the 1e-9 level.
 NODES_PER_PARAMETER = 56
 
-# Off-arc density floor for arc-supported families.  Large enough that
-# log w stays in a comfortable range, small enough not to move parameters
-# at the validated depth.
-ARC_FLOOR = 2e-8
+# Off-arc density floor for arc-supported families, so log w stays finite.
+# It trades the drift of the early parameters, which wants it small (2e-8
+# fails to build geronimus 0.6 and 0.9 on fine grids), against the closing
+# of the Szego product and the norm recursion at the run's depth, which
+# want it large (1e-10 fails norm_telescoping on geronimus(0.9)).
+ARC_FLOOR = 1e-9
 
 # Extra parameters beyond the requested depth for parameter-first families,
 # so tail-sensitive identities see an exact cutoff.
@@ -106,14 +111,8 @@ def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
     moments, agreement at 1e-8 survives about 6.5 decimal digits of
     amplification.
     """
-    loss = 0.0
-    n = 0
-    for a in np.abs(params.values[:cap]):
-        loss += digit_loss(a)
-        if loss > 6.5:
-            break
-        n += 1
-    return max(n, 1)
+    losses = np.cumsum([digit_loss(mag) for mag in np.abs(params.values[:cap])])
+    return max(int(np.searchsorted(losses, 6.5, side="right")), 1)
 
 
 # -----------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
 # builder(mu, n_max, **args) -> Facts
 # -----------------------------------------------------------------------------
 def _lebesgue_measure(grid_size: int, depth: int) -> CircleMeasure:
-    return build_measure(np.ones(grid_size))
+    return lebesgue(grid_size)
 
 
 def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
@@ -135,9 +134,13 @@ def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
     return "lebesgue", params, lambda theta: 1.0, (0.0, 2.0)
 
 
+def bernstein_szego_density(r: float, theta):
+    """(1 - r^2)/|1 - r e^{i theta}|^2 at an angle or an array of them."""
+    return (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * theta)) ** 2
+
+
 def _bernstein_szego_measure(grid_size: int, depth: int, r: float) -> CircleMeasure:
-    angles = grid_angles(grid_size)
-    weight = (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * angles)) ** 2
+    weight = bernstein_szego_density(r, grid_angles(grid_size))
     # the sampled density carries a geometric aliasing tail ~r^N in its
     # quadrature mass; parameters are scale-invariant, so renormalizing
     # is exact and keeps small grids with r near 1 constructible
@@ -154,48 +157,44 @@ def _bernstein_szego_facts(mu: CircleMeasure, n_max: int, r: float) -> Facts:
             f"bernstein_szego({r}) extraction off closed form: "
             f"|a_0 - r| = {gap:.3g}, tail max = {tail:.3g}"
         )
-
-    def density(theta: float) -> float:
-        return (1.0 - r * r) / abs(1.0 - r * np.exp(1j * theta)) ** 2
-
+    density = partial(bernstein_szego_density, r)
     return f"bernstein_szego(r={r:g})", params, density, (0.0, np.pi)
 
 
-def _geronimus_schur_value(a: float, z: complex) -> complex:
-    """Closed-form fixed point of the parameter shift with a_n = a."""
+def _geronimus_schur_value(a: float, z):
+    """Closed-form fixed point of the parameter shift with a_n = a, at a
+    point or an array of them: the contractive root of a z f^2 - (z - 1) f
+    - a = 0, the "+" root where both are; a scalar for a scalar z."""
+    z = np.asarray(z, dtype=complex)
     disc = np.sqrt((z - 1.0) ** 2 + 4.0 * a * a * z)
-    for sign in (1.0, -1.0):
-        f = ((z - 1.0) + sign * disc) / (2.0 * a * z)
-        if abs(f) <= 1.0 + 1e-12:
-            return complex(f)
-    raise FamilyValidationError(
-        f"no contractive branch at z = {z!r} for a = {a}"
-    )
+    plus, minus = (((z - 1.0) + sign * disc) / (2.0 * a * z) for sign in (1.0, -1.0))
+    f = np.where(np.abs(plus) <= 1.0 + 1e-12, plus, minus)
+    bad = z[np.abs(f) > 1.0 + 1e-12]
+    if bad.size:
+        raise FamilyValidationError(
+            f"no contractive branch at z = {complex(bad[0])!r} for a = {a}"
+        )
+    return f[()]
 
 
-def geronimus_density(a: float, theta: float) -> float:
-    """Arc density of the constant-parameter family (0 off the arc)."""
+def geronimus_density(a: float, theta):
+    """Arc density of the constant-parameter family (0 off the arc), at an
+    angle or an array of them."""
     z = np.exp(1j * theta)
     f = _geronimus_schur_value(a, z)
-    den = abs(1.0 - z * f) ** 2
-    if den < 1e-14:
-        return 0.0
-    return max((1.0 - abs(f) ** 2) / den, 0.0)
+    den = np.abs(1.0 - z * f) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(den < 1e-14, 0.0, (1.0 - np.abs(f) ** 2) / den)
+    return np.maximum(w, 0.0)
 
 
 def _geronimus_measure(grid_size: int, depth: int, a: float) -> CircleMeasure:
-    """Arc density floored at ARC_FLOOR plus the exact mass point.
-
-    The whole measure is renormalized: the closed forms for the two pieces
-    integrate to 1 only up to quadrature error.
-    """
-    angles = grid_angles(grid_size)
-    weight = np.array([geronimus_density(a, t) for t in angles])
-    weight = np.maximum(weight, ARC_FLOOR)
+    """Arc density floored at ARC_FLOOR plus the exact mass point, the whole
+    renormalized: the closed forms for the two pieces integrate to 1 only
+    up to quadrature error."""
+    weight = np.maximum(geronimus_density(a, grid_angles(grid_size)), ARC_FLOOR)
     mass = 2.0 * a / (1.0 + a)
-    return build_measure(
-        weight, atoms=((GERONIMUS_ATOM_ANGLE, mass),), normalize=True
-    )
+    return build_measure(weight, atoms=((GERONIMUS_ATOM_ANGLE, mass),), normalize=True)
 
 
 def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
@@ -212,8 +211,7 @@ def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
             f"geronimus({a}) extraction off the constant by {gap:.3g} "
             f"within depth {depth} (allowed {drift_tol:.3g})"
         )
-    name = f"geronimus(a={a:g})"
-    return name, params, lambda theta: geronimus_density(a, theta), (np.pi,)
+    return f"geronimus(a={a:g})", params, partial(geronimus_density, a), (np.pi,)
 
 
 def _ell2_parameters(depth: int, c: float, p: float) -> SchurParameters:
@@ -393,10 +391,7 @@ def _check_atoms(value, label: str, grid_size: int) -> list:
             raise OutOfRange(f"{where} must be an object")
         _expect_keys(atom, ("angle", "mass"), where)
         pairs.append(
-            (
-                _number(atom["angle"], f"{where}.angle"),
-                _number(atom["mass"], f"{where}.mass"),
-            )
+            tuple(_number(atom[key], f"{where}.{key}") for key in ("angle", "mass"))
         )
     atoms = check_atoms(pairs)
     total = sum(m for _, m in atoms)

@@ -181,7 +181,7 @@ def check_atoms(
     """
     atom_list = tuple((float(angle), float(mass)) for angle, mass in atoms)
     for angle, mass in atom_list:
-        if mass <= 0:
+        if not mass > 0:
             raise NegativeInput(f"atom mass {mass!r} must be positive")
         if not (0.0 <= angle < 2.0 * np.pi):
             raise InvalidAtoms(f"atom angle {angle!r} outside [0, 2*pi)")

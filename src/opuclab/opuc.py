@@ -494,8 +494,8 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     # The recursion loses a digit per few steps on slowly decaying
     # parameters, so past the cascade's digit-loss gate it is redone in
     # fixed point, which alone decides whether to raise.  In double alone,
-    # geronimus(0.6) has a depth-24 gap of 3.5e-9 to the series route (test
-    # bound 1e-9) and a depth-64 norm_telescoping of 1.7e-10 (bound 1e-10).
+    # geronimus(0.6) has a depth-24 gap of 1.4e-8 to the series route (test
+    # bound 1e-9) and a depth-64 norm_telescoping of 1.0e-9 (bound 1e-10).
     table, loss, _ = _monic_steps(c, n_max, complex)
     return _escalate(
         table, loss, table is not None, n_max, lambda dps: _monic_exact(c, n_max, dps)
@@ -559,9 +559,9 @@ def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
     instead of cancelling in coefficient space.
 
     One pass in complex128, whatever the parameters' digit loss: the
-    thinnest margin among the builtins, geronimus(0.9) on 4096 nodes, reads
-    ``gram_orthonormality`` 8.8e-10 against its 1e-8 bound, and a
-    ``long double`` pass moved no verdict (README, "Precision").
+    thinnest margin among the builtins, geronimus(0.9) on 8192 nodes, reads
+    ``gram_orthonormality`` 6.7e-9 against its 1e-8 bound (README,
+    "Precision", for the 36-config sweep).
     """
     if n_max > N_MAX:
         raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")

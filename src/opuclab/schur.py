@@ -391,16 +391,24 @@ def iterate_noise_horizon(z: complex, budget: float = 1e-10) -> int:
 
 
 def szego_formula_residual(mu: CircleMeasure, params: SchurParameters, n: int) -> float:
-    """|mean(log w) - sum_{k<n} log(1 - |a_k|^2)|.
+    """The one-n case of ``szego_formula_residuals``."""
+    return szego_formula_residuals(mu, params, [n])[0]
+
+
+def szego_formula_residuals(
+    mu: CircleMeasure, params: SchurParameters, n_list: Sequence[int]
+) -> List[float]:
+    """|mean(log w) - sum_{k<n} log(1 - |a_k|^2)| at every n of a sweep.
 
     Vanishes exactly for weights with finitely many nonzero parameters once
     n passes them; decreases toward 0 along n for square-summable tails.
+    One grid mean of log w serves every n; each n sums its own prefix.
     """
     mu.require_szego()
-    params.require_depth(n)
+    params.require_depth(max(n_list))
     lhs = float(np.mean(np.log(mu.weight)))
-    rhs = float(np.sum(np.log1p(-np.abs(params.values[:n]) ** 2)))
-    return abs(lhs - rhs)
+    terms = np.log1p(-np.abs(params.values[: max(n_list)]) ** 2)
+    return [abs(lhs - float(np.sum(terms[:n]))) for n in n_list]
 
 
 def entropy_product(

@@ -16,7 +16,8 @@ evaluating all the points in one table changes no bit, and
 tables with one evaluation per n, boundary data read off the whole grid.
 ``cascade_mp`` and ``monic_from_moments_mp`` run the two O(n^2)
 extraction routes in mpmath floating point, the references of their
-fixed-point passes.
+fixed-point passes; ``geronimus_density_mp`` is the geronimus closed form
+at 40 digits, the reference of the array density.
 """
 
 from __future__ import annotations
@@ -115,6 +116,26 @@ def phi_at_node_mp(values, node: int, grid_size: int, dps: int = 40) -> complex:
             zphi = z * phi
             phi, phis = (zphi - mpmath.conj(a) * phis) / rho, (phis - a * zphi) / rho
         return complex(phi)
+
+
+def geronimus_density_mp(a: float, node: int, grid_size: int, dps: int = 40) -> float:
+    """The constant-parameter family's arc density at e^{2 pi i node/N} in mpmath.
+
+    Solves a z f^2 - (z - 1) f - a = 0 at ``dps`` digits and keeps the root
+    of smaller modulus (the two moduli multiply to 1/|z| = 1, and off the
+    arc both are 1, where the density is 0); w = (1 - |f|^2)/|1 - z f|^2.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = mpmath.expjpi(mpmath.mpf(2 * int(node)) / grid_size)
+        a = mpmath.mpf(a)
+        disc = mpmath.sqrt((z - 1) ** 2 + 4 * a * a * z)
+        f = min(((z - 1) + disc) / (2 * a * z), ((z - 1) - disc) / (2 * a * z), key=abs)
+        den = abs(1 - z * f) ** 2
+        if den < mpmath.mpf(10) ** (-dps // 2):
+            return 0.0
+        return float(max((1 - abs(f) ** 2) / den, 0))
 
 
 def cascade_mp(u, v, n_max: int, dps: int):

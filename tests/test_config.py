@@ -132,6 +132,8 @@ def test_mixed_family_validation():
         {"name": "mixed", "base": {"name": "lebesgue"},
          "atoms": [{"angle": 2.0, "mass": 0.0}]},
         {"name": "mixed", "base": {"name": "lebesgue"},
+         "atoms": [{"angle": 2.0, "mass": math.nan}]},
+        {"name": "mixed", "base": {"name": "lebesgue"},
          "atoms": [{"angle": 1.0, "mass": 0.6}, {"angle": 2.0, "mass": 0.6}]},
         {"name": "mixed", "base": {"name": "lebesgue"},
          "atoms": [{"angle": 2.0, "mass": 0.2, "label": "x"}]},

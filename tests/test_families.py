@@ -12,7 +12,9 @@ from opuclab.families import (
     build_family,
     conditioning_horizon,
 )
+from opuclab.measure import grid_angles
 from opuclab.schur import SchurParameters
+from oracles import geronimus_density_mp
 
 
 def test_lebesgue_parameters_vanish(leb):
@@ -94,24 +96,21 @@ def test_measure_on_matches_a_fresh_build(all_families, refined):
         assert fine.atoms == built.atoms, inst.name
 
 
-# Accepted grids on which the off-arc floor, not the grid, sets the drift
-# of the early parameters past the builder's tolerance.
-_DRIFT_FAILS = {(0.6, 16384), (0.9, 8192), (0.9, 16384)}
-_DRIFT = pytest.mark.xfail(
-    raises=FamilyValidationError, reason="off-arc floor drift, ROADMAP item 1"
-)
-
-
 @pytest.mark.parametrize(
     "a, grid_size",
-    [
-        pytest.param(a, n, marks=[_DRIFT] if (a, n) in _DRIFT_FAILS else [])
-        for a in (0.3, 0.6, 0.9)
-        for n in (4096, 8192, 16384)
-    ],
+    [(a, n) for a in (0.3, 0.6, 0.9) for n in (4096, 8192, 16384, 32768)],
 )
 def test_geronimus_builds_on_every_grid(a, grid_size):
     build_family({"name": "geronimus", "a": a}, grid_size, 17)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
+def test_geronimus_density_matches_mpmath(a):
+    # the one array pass over the grid against the closed form at 40 digits
+    grid_size = 4096
+    got = families.geronimus_density(a, grid_angles(grid_size))
+    want = np.array([geronimus_density_mp(a, j, grid_size) for j in range(grid_size)])
+    assert np.max(np.abs(got - want)) < 5e-11
 
 
 def test_mixed_samples_its_base_once(monkeypatch):
