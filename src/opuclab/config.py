@@ -23,41 +23,21 @@ computation starts.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, OpuclabError
-from .families import FAMILIES, check_spec
+from .families import FAMILIES, check_number, check_spec
 from .measure import snap
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 EXPERIMENTS = SUITE_NAMES + ("all",)
 
-_CONFIG_KEYS = {
-    "family",
-    "grid_size",
-    "n_list",
-    "test_points",
-    "experiment",
-    "output_path",
-    "delta_grid_size",
-    "seed",
-}
-
 # Orders needed beyond max(n_list): kernel quotients use the (n+1)-st pair
 # and several checks are pinned at depth <= 32 regardless of the sweep.
 MIN_BUILD_DEPTH = 33
-
-
-def _number(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{label} must be finite, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -100,6 +80,9 @@ class ExperimentConfig:
 
         try:
             family = check_spec(self.family, n, self.build_depth)
+            points = tuple(
+                check_number(t, "test_points entry") for t in self.test_points or ()
+            )
         except OpuclabError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "family", family)
@@ -110,9 +93,6 @@ class ExperimentConfig:
             )
 
         if self.test_points is not None:
-            points = tuple(
-                _number(t, "test_points entry") for t in self.test_points
-            )
             if not points:
                 raise ConfigError("test_points, when given, must be nonempty")
             # F and the Jost solutions divide by zero at a node that is
@@ -161,6 +141,9 @@ class ExperimentConfig:
             "delta_grid_size": self.delta_grid_size,
             "seed": self.seed,
         }
+
+
+_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -214,6 +214,14 @@ class RunContext:
             for _ in range(count)
         ]
 
+    def annulus_points(self, stream: int, count: int):
+        """``count`` points (0.1 + 0.8 u) e^{i theta}, drawn in order."""
+        rng = self.rng(stream)
+        return [
+            (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
+            for _ in range(count)
+        ]
+
     @_cached
     def sandwich(self, angle: float) -> ConvergenceTable:
         return sandwich_table(
@@ -225,9 +233,16 @@ class RunContext:
         )
 
     @_cached
+    def _jost_batch(self, angles: Tuple[float, ...]) -> dict:
+        xis = np.array([complex(np.exp(1j * angle)) for angle in angles])
+        pairs = jost_solutions(self.mu, self.params, xis, max(self.n_list))
+        return dict(zip(angles, pairs))
+
     def jost(self, angle: float) -> Tuple[JostSolution, JostSolution]:
-        xi = complex(np.exp(1j * angle))
-        return jost_solutions(self.mu, self.params, xi, max(self.n_list))
+        """The two solutions at the angle.  Every angle the run reads,
+        certified and swept, is solved in one batch; any other alone."""
+        read = tuple(dict.fromkeys((*self.certified, *self.sweep_angles)))
+        return self._jost_batch(read if angle in read else (angle,))[angle]
 
     @_cached
     def jost_defects(self, angle: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -513,11 +528,7 @@ def _entropy_product_identity(ctx: RunContext) -> Result:
 
 @check("entropy", "schur_sum_bound")
 def _schur_sum_bound(ctx: RunContext) -> Result:
-    rng = ctx.rng(24)
-    points = [0.0 + 0.0j] + [
-        (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
-        for _ in range(12)
-    ]
+    points = [0.0 + 0.0j] + ctx.annulus_points(24, 12)
     worst_excess = 0.0
     worst_eq = 0.0
     f_values = schur_eval(ctx.mu, points).tolist()
@@ -593,11 +604,7 @@ def _two_route_equality(ctx: RunContext) -> Result:
 
 @check("schur_identities", "iterate_contractivity")
 def _iterate_contractivity(ctx: RunContext) -> Result:
-    rng = ctx.rng(31)
-    points = [
-        (0.1 + 0.8 * rng.uniform()) * complex(np.exp(1j * rng.angle()))
-        for _ in range(12)
-    ]
+    points = ctx.annulus_points(31, 12)
     worst = 0.0
     for z, f0 in zip(points, schur_eval(ctx.mu, points).tolist()):
         n_eval = min(16, ctx.horizon(z))
@@ -817,12 +824,8 @@ def _averaged_decay_trend(ctx: RunContext) -> Result:
     worst = -math.inf
     trends = []
     for angle in ctx.certified:
-        plus, minus = ctx.jost(angle)
-        for sol, col in ((plus, 1), (minus, 0)):
-            devs = [
-                float(np.mean(np.abs(sol.entries[:n, col])))
-                for n in n_values
-            ]
+        for sol in ctx.jost(angle):
+            devs = [sol.vanishing_mean(n) for n in n_values]
             trends.append(devs)
             worst = max(worst, _nonincreasing_violation(devs))
     return _within(
@@ -897,16 +900,11 @@ def _summability_table(ctx: RunContext, angle: float) -> str:
 
 
 def _scattering_table(ctx: RunContext, angle: float) -> str:
-    plus, minus = ctx.jost(angle)
+    solutions = ctx.jost(angle)
     # the solution clipped to n + 1 entries has the first n step defects
-    defects = ctx.jost_defects(angle)
+    plus, minus = ctx.jost_defects(angle)
     rows = [
-        (
-            n,
-            float(np.mean(np.abs(plus.entries[:n, 1]))),
-            float(np.mean(np.abs(minus.entries[:n, 0]))),
-            max([0.0, *defects[0][:n], *defects[1][:n]]),
-        )
+        (n, *[s.vanishing_mean(n) for s in solutions], max([0.0, *plus[:n], *minus[:n]]))
         for n in ctx.n_list
     ]
     return csv_text("n,plus_deviation,minus_deviation,recurrence_residual", rows)
@@ -1000,11 +998,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                 "verdicts": [v.to_json() for v in suite_list],
                 "tables": filenames,
             }
-    counts = {
-        "pass": sum(v.status == "pass" for v in verdicts),
-        "fail": sum(v.status == "fail" for v in verdicts),
-        "skip": sum(v.status == "skip" for v in verdicts),
-    }
+    counts = {s: sum(v.status == s for v in verdicts) for s in ("pass", "fail", "skip")}
     report = {
         "schema": 1,
         "config": config.echo(),

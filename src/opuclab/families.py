@@ -353,9 +353,11 @@ class Family:
         return "; ".join([self.description] + [arg.rule for arg in self.args])
 
 
-def _number(value, label: str) -> float:
+def check_number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OutOfRange(f"{label} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise OutOfRange(f"{label} must be finite, got {value!r}")
     return float(value)
 
 
@@ -364,7 +366,7 @@ def _interval(name: str, low: float, high: float, low_open: bool = False) -> Arg
     bounds = f"{'(' if low_open else '['}{low:g}, {high:g})"
 
     def check(value, label: str, grid_size: int) -> float:
-        x = _number(value, label)
+        x = check_number(value, label)
         if not ((low < x if low_open else low <= x) and x < high):
             raise OutOfRange(f"{label} = {x!r} outside {bounds}")
         return x
@@ -391,7 +393,7 @@ def _check_atoms(value, label: str, grid_size: int) -> list:
             raise OutOfRange(f"{where} must be an object")
         _expect_keys(atom, ("angle", "mass"), where)
         pairs.append(
-            tuple(_number(atom[key], f"{where}.{key}") for key in ("angle", "mass"))
+            tuple(check_number(atom[key], f"{where}.{key}") for key in ("angle", "mass"))
         )
     atoms = check_atoms(pairs)
     total = sum(m for _, m in atoms)

@@ -16,7 +16,8 @@ The scattering combinations
 
 solve the same one-step recursion as (phi_n, phi_n*) by construction, and
 for decaying parameters they track the free solutions (xi^n, 0) and (0, 1)
-in averaged norm.
+in averaged norm.  ``jost_solutions`` reads D and F once per call, for
+any number of points; ``jost_step_defects`` checks all steps at once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .measure import CircleMeasure, _as_boundary, snap
-from .opuc import dual_parameters, eval_grid_table, eval_table
+from .opuc import dual_parameters, eval_grid_table
 from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
 
@@ -43,9 +44,9 @@ def herglotz_boundary(mu: CircleMeasure) -> np.ndarray:
     return _herglotz_at(mu, slice(None), mu.boundary_points)
 
 
-def _herglotz_at(mu: CircleMeasure, nodes: slice, xi: np.ndarray) -> np.ndarray:
-    """F at the grid nodes ``nodes``, whose points are xi; elementwise, so
-    a one-node slice gets that node's bits of ``herglotz_boundary``."""
+def _herglotz_at(mu: CircleMeasure, nodes, xi: np.ndarray) -> np.ndarray:
+    """F at the grid nodes ``nodes`` (a slice or index array), whose points
+    are xi; elementwise, so each node gets its bits of herglotz_boundary."""
     f = (mu.weight + 1j * harmonic_conjugate(mu.weight))[nodes]
     for angle, mass in mu.atoms:
         xi_a = np.exp(1j * angle)
@@ -78,36 +79,62 @@ class JostSolution:
     def n_max(self) -> int:
         return self.entries.shape[0] - 1
 
-    def target(self, n: int) -> np.ndarray:
+    def target(self, n) -> np.ndarray:
+        """The free solution at step n, or its rows at an array of steps."""
+        zero = np.zeros(np.shape(n))
         if self.side == "+":
-            return np.array([self.xi**n, 0.0])
-        return np.array([0.0, 1.0])
+            return np.stack([self.xi ** np.asarray(n), zero], axis=-1)
+        return np.stack([zero, zero + 1.0], axis=-1)
+
+    def vanishing_mean(self, n: int) -> float:
+        """Mean modulus of the component the target holds at zero, k < n."""
+        return float(np.mean(np.abs(self.entries[:n, int(self.side == "+")])))
 
 
-def jost_solutions(
-    mu: CircleMeasure, params: SchurParameters, xi: complex, n_max: int
-) -> tuple[JostSolution, JostSolution]:
-    """Both scattering solutions at the grid node nearest xi.
+def jost_solutions(mu: CircleMeasure, params: SchurParameters, xi, n_max: int):
+    """Both scattering solutions at the grid node nearest xi, where the grid
+    data D and F and the polynomials are read.
 
-    The boundary data D and F live on the grid, so xi snaps to its closest
-    node; the polynomials are evaluated at that node too.  F is taken at
-    that node alone, bitwise ``herglotz_boundary(mu)[j]``.
+    ``xi`` is one boundary point (returns the pair) or a 1-d array of them
+    (returns a list of pairs).  A call takes D and F once and one transfer
+    table per parameter set; each pair is bitwise its one-point call.  An
+    atom at any node raises OutOfRange for the whole call.
     """
-    xi = _as_boundary(xi)
-    j, node = snap(mu.grid_size, xi)
-    f_j = _herglotz_at(mu, slice(j, j + 1), np.array([node]))[0]
-    if not np.isfinite(f_j):
-        raise OutOfRange(
-            f"evaluation node at angle {np.angle(node):.6g} carries an atom"
-        )
-    d_j = szego_boundary(mu)[j]
-    phi, phis = eval_table(params, node, n_max)
-    psi, psis = eval_table(dual_parameters(params), node, n_max)
-    base = np.stack([psi, -psis], axis=1)
-    poly = np.stack([phi, phis], axis=1)
-    plus = 0.5 / d_j * (base + f_j * poly)
-    minus = -0.5 / np.conj(d_j) * (base - np.conj(f_j) * poly)
-    return JostSolution(node, "+", plus), JostSolution(node, "-", minus)
+    points = [_as_boundary(v) for v in np.atleast_1d(xi)]
+    j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
+    f = _herglotz_at(mu, j, nodes)
+    if not np.isfinite(f).all():
+        angle = np.angle(nodes[~np.isfinite(f)][0])
+        raise OutOfRange(f"evaluation node at angle {angle:.6g} carries an atom")
+    d, f = szego_boundary(mu)[j, None, None], f[:, None, None]
+    phi, phis = eval_grid_table(params, nodes, n_max)
+    psi, psis = eval_grid_table(dual_parameters(params), nodes, n_max)
+    base = np.stack([psi.T, -psis.T], axis=-1)
+    poly = np.stack([phi.T, phis.T], axis=-1)
+    plus = 0.5 / d * (base + f * poly)
+    minus = -0.5 / np.conj(d) * (base - np.conj(f) * poly)
+    pairs = [
+        (JostSolution(node, "+", p), JostSolution(node, "-", m))
+        for node, p, m in zip(nodes.tolist(), plus, minus)
+    ]
+    return pairs[0] if np.ndim(xi) == 0 else pairs
+
+
+def _scalar_product(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as numpy rounds a scalar complex product:
+    each real product alone, where the array multiply fuses them."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex (k, 2) array, bitwise:
+    the same two real dot products, one stacked matmul each."""
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(squares[:, 0, 0])
 
 
 def jost_step_defects(params: SchurParameters, sol: JostSolution) -> np.ndarray:
@@ -118,32 +145,26 @@ def jost_step_defects(params: SchurParameters, sol: JostSolution) -> np.ndarray:
         ( (xi x_n - conj(a_n) y_n) / rho_n, (y_n - a_n xi x_n) / rho_n )
 
     and defect n is its distance from entry n + 1 relative to
-    max(1, ||entry_n||).
+    max(1, ||entry_n||); bitwise the per-step scalar form, whose products
+    and norms ``_scalar_product`` and ``_row_norms`` round alike.
     """
     n_steps = min(sol.n_max, len(params))
-    xi = sol.xi
-    a = params.values
-    rho = params.rho
-    defects = np.empty(n_steps)
-    for n in range(n_steps):
-        x, y = sol.entries[n]
-        pred = np.array(
-            [(xi * x - np.conj(a[n]) * y) / rho[n], (y - a[n] * xi * x) / rho[n]]
-        )
-        defect = float(np.linalg.norm(sol.entries[n + 1] - pred))
-        scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
-        defects[n] = defect / scale
-    return defects
+    a, rho = params.values[:n_steps], params.rho[:n_steps]
+    x, y = sol.entries[:n_steps].T
+    first = _scalar_product(sol.xi, x) - _scalar_product(np.conj(a), y)
+    second = y - _scalar_product(_scalar_product(a, sol.xi), x)
+    pred = np.stack([first, second], axis=1) / rho[:, None]
+    defects = _row_norms(sol.entries[1 : n_steps + 1] - pred)
+    return defects / np.fmax(1.0, _row_norms(sol.entries[:n_steps]))
 
 
 def averaged_jost_deviation(sol: JostSolution, n: int) -> float:
     """(1/n) sum_{k<n} of the distance from entry k to its free target."""
     if n < 1 or n > sol.n_max + 1:
         raise OutOfRange(f"average over n = {n} entries unavailable")
-    total = 0.0
-    for k in range(n):
-        total += float(np.linalg.norm(sol.entries[k] - sol.target(k)))
-    return total / n
+    deviations = _row_norms(sol.entries[:n] - sol.target(np.arange(n)))
+    # a running sum, added in step order
+    return float(np.cumsum(deviations)[-1]) / n
 
 
 def duality_identity_residual(
@@ -162,8 +183,8 @@ def duality_identity_residual(
 
     f_grid = herglotz_boundary(mu)
     mask = np.isfinite(f_grid)
-    d_mu = szego_boundary(mu)[mask]
-    d_nu = (szego_boundary(mu) / f_grid)[mask]
+    d_grid = szego_boundary(mu)
+    d_mu, d_nu = d_grid[mask], (d_grid / f_grid)[mask]
     outer_resid = float(
         np.max(np.abs(np.real(1.0 / (d_mu * np.conj(d_nu))) - 1.0))
     )

@@ -13,7 +13,9 @@ same way ``phi_star_zero_free_per_point`` and ``cd_three_route_per_point``
 restate two sampled checks with one transfer pass per point, to show that
 evaluating all the points in one table changes no bit, and
 ``sandwich_rows_per_n`` and ``scattering_rows_per_n`` restate two CSV
-tables with one evaluation per n, boundary data read off the whole grid.
+tables with one evaluation per n, boundary data read off the whole grid,
+and ``jost_step_defects_loop`` takes the recurrence defects one step at a
+time.
 ``cascade_mp`` and ``monic_from_moments_mp`` run the two O(n^2)
 extraction routes in mpmath floating point, the references of their
 fixed-point passes; ``geronimus_density_mp`` is the geronimus closed form
@@ -495,6 +497,26 @@ def _recurrence_residual_loop(params, sol) -> float:
         scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
         worst = max(worst, defect / scale)
     return worst
+
+
+def jost_step_defects_loop(params, sol) -> np.ndarray:
+    """Per-step relative one-step defects of a Jost solution, one step at a
+    time with scalar complex products and one ``np.linalg.norm`` per
+    vector: the reference of the array form."""
+    n_steps = min(sol.n_max, len(params))
+    xi = sol.xi
+    a = params.values
+    rho = params.rho
+    defects = np.empty(n_steps)
+    for n in range(n_steps):
+        x, y = sol.entries[n]
+        pred = np.array(
+            [(xi * x - np.conj(a[n]) * y) / rho[n], (y - a[n] * xi * x) / rho[n]]
+        )
+        defect = float(np.linalg.norm(sol.entries[n + 1] - pred))
+        scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
+        defects[n] = defect / scale
+    return defects
 
 
 def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):

@@ -72,6 +72,9 @@ def test_minimal_config_accepts_defaults():
         # below ell2's grid floor: 265 parameters need 14840 nodes
         {"family": {"name": "ell2", "c": 0.5, "p": 1.0}, "n_list": [256]},
         {"test_points": [float("nan")]},
+        # non-finite family arguments
+        {"family": {"name": "bernstein_szego", "r": math.nan}},
+        {"family": {"name": "ell2", "c": 0.5, "p": math.inf}},
         # test points whose nearest grid node carries an atom
         {
             "family": {"name": "geronimus", "a": 0.6},

@@ -524,7 +524,7 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(
     solve = experiments.jost_solutions
 
     def counted(mu, params, xi, n_max):
-        solved.append(n_max)
+        solved.append((np.size(xi), n_max))
         return solve(mu, params, xi, n_max)
 
     monkeypatch.setattr(experiments, "jost_solutions", counted)
@@ -533,8 +533,36 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(
     )
     verdicts = experiments.suite_verdicts(ctx, "scattering")
     assert {v.name: v.status for v in verdicts}["dual_involution"] == "pass"
-    # one pair per certified angle to max(n_list), one to min(64, max(n_list))
-    assert sorted(solved) == [64] + [128] * len(bs_half.test_angles)
+    # one batched call over the certified angles to max(n_list), and the
+    # involution's own one-point call to min(64, max(n_list))
+    assert sorted(solved) == [(1, 64), (len(bs_half.test_angles), 128)]
+
+
+def test_scattering_run_solves_its_angles_in_one_call(monkeypatch, bs_half):
+    # test points off the certified set join the certified angles in one
+    # batched solve; dual_involution makes the only other call
+    points = [1.0, 2.5]
+    calls = []
+    solve = experiments.jost_solutions
+
+    def counted(mu, params, xi, n_max):
+        calls.append(np.size(xi))
+        return solve(mu, params, xi, n_max)
+
+    monkeypatch.setattr(experiments, "jost_solutions", counted)
+    ctx = experiments.RunContext(
+        _config(experiment="scattering", test_points=points), bs_half
+    )
+    assert not set(points) & set(bs_half.test_angles)
+    experiments.suite_verdicts(ctx, "scattering")
+    experiments.suite_tables(ctx, "scattering")
+    assert calls == [len(bs_half.test_angles) + len(points), 1]
+    for angle in (*bs_half.test_angles, *points):
+        alone = solve(bs_half.measure, bs_half.params, np.exp(1j * angle), 16)
+        for got, want in zip(ctx.jost(angle), alone):
+            assert np.array_equal(got.entries, want.entries), angle
+    # reading the solutions again solves nothing
+    assert len(calls) == 2
 
 
 def test_jost_step_defects_run_once_per_solution(monkeypatch, bs_half):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opuclab.errors import OutOfRange
+from opuclab.families import build_family
 from opuclab.measure import CircleMeasure
 from opuclab.opuc import dual_parameters
 from opuclab.scattering import (
@@ -14,6 +15,14 @@ from opuclab.scattering import (
     jost_solutions,
     jost_step_defects,
 )
+
+from oracles import jost_step_defects_loop
+
+FAMILIES = ["leb", "bs_half", "geronimus6", "ell2_half", "mixed_atom"]
+
+
+def _angles(inst):
+    return (*inst.test_angles, 2.5, 5.9)
 
 
 def test_jost_solutions_satisfy_the_recursion(ell2_half):
@@ -90,5 +99,60 @@ def test_jost_solutions_read_no_grid_points(monkeypatch, mixed_atom):
 
     monkeypatch.setattr(CircleMeasure, "boundary_points", property(counted))
     plus, _ = jost_solutions(mixed_atom.measure, mixed_atom.params, np.exp(2.5j), 64)
+    pairs = jost_solutions(
+        mixed_atom.measure, mixed_atom.params, np.exp([2.5j, 5.9j, 1.0j]), 64
+    )
     assert reads == []
     assert plus.n_max == 64
+    assert [minus.n_max for _, minus in pairs] == [64, 64, 64]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_jost_solutions_on_an_array_are_the_one_point_calls_bitwise(
+    family, request
+):
+    inst = request.getfixturevalue(family)
+    angles = _angles(inst)
+    pairs = jost_solutions(
+        inst.measure, inst.params, np.exp(1j * np.array(angles)), 64
+    )
+    assert len(pairs) == len(angles)
+    for angle, pair in zip(angles, pairs):
+        one = jost_solutions(inst.measure, inst.params, np.exp(1j * angle), 64)
+        for got, want in zip(pair, one):
+            assert got.side == want.side
+            assert got.xi == want.xi
+            assert np.array_equal(got.entries, want.entries), (family, angle)
+        # the node is the grid point nearest the angle
+        j = round(angle % (2 * np.pi) * inst.measure.grid_size / (2 * np.pi))
+        assert pair[0].xi == inst.measure.boundary_points[j % inst.measure.grid_size]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_jost_step_defects_are_the_per_step_loop_bitwise(family, request):
+    inst = request.getfixturevalue(family)
+    n_max = 256 if family == "ell2_half" else 64
+    angles = _angles(inst)
+    pairs = jost_solutions(
+        inst.measure, inst.params, np.exp(1j * np.array(angles)), n_max
+    )
+    for angle, pair in zip(angles, pairs):
+        for sol in pair:
+            got = jost_step_defects(inst.params, sol)
+            want = jost_step_defects_loop(inst.params, sol)
+            assert got.shape == want.shape == (n_max,)
+            assert np.array_equal(got, want), (family, angle, sol.side)
+
+
+def test_jost_solutions_refuse_an_atom_node_for_the_whole_call():
+    inst = build_family(
+        {
+            "name": "mixed",
+            "base": {"name": "lebesgue"},
+            "atoms": [{"angle": 0.0, "mass": 0.2}],
+        },
+        256,
+        8,
+    )
+    with pytest.raises(OutOfRange, match="carries an atom"):
+        jost_solutions(inst.measure, inst.params, np.exp([2.5j, 0j]), 8)
