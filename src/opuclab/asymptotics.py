@@ -20,8 +20,8 @@ one transfer table at xi0 to the largest n, and the summability sweep one
 for downstream tooling.
 
 The CMV half: Fourier coefficients against the chi basis, partial-sum
-strong Cesaro deviation at a point, the per-n boundedness condition that
-drives it, and the Cesaro recovery of 1/D by reflected polynomials.
+strong Cesaro deviation at a point, and the per-n boundedness condition
+that drives it.
 
 The coefficients take one of two routes, gated by the parameters' digit
 loss (see ``cmv_coefficients``): one FFT of f w per function and the
@@ -42,23 +42,14 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, poisson, snap
-from .opuc import chi_sums, chi_sums_fft, chi_table, eval_table
+from .opuc import chi_sums, chi_sums_fft, eval_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
-from .szego import entropy_profile, szego_boundary
+from .szego import entropy_profile
 
 # Rate-bound constant multiplying K_n^{1/4} in the sandwich upper half.
 SANDWICH_RATE_CONSTANT = 64.0
 
 CSV_HEADER = "n,cesaro,target,lower,upper,K_n,P_n,F_n"
-
-
-def cesaro_phi_sq(params: SchurParameters, xi0: complex, n: int) -> float:
-    """(1/n) sum_{k<n} |phi_k(xi0)|^2, streamed through the transfer steps."""
-    xi0 = _as_boundary(xi0)
-    if n < 1:
-        raise OutOfRange("Cesaro order requires n >= 1")
-    phi, _ = eval_table(params, xi0, n - 1)
-    return float(np.mean(np.abs(phi) ** 2))
 
 
 @dataclass(frozen=True)
@@ -107,17 +98,6 @@ def csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def mnt_sandwich(
-    mu: CircleMeasure,
-    params: SchurParameters,
-    xi0: complex,
-    n: int,
-    delta_grid_size: int = 64,
-) -> SandwichRow:
-    """One sandwich row: the one-row case of ``sandwich_table``."""
-    return sandwich_table(mu, params, xi0, [n], delta_grid_size).rows[0]
 
 
 def sandwich_table(
@@ -226,43 +206,16 @@ def partial_sum_deviation(
     return float(np.mean(np.abs(partial - complex(f_at_xi0))))
 
 
-def strong_cesaro_deviation(
-    mu: CircleMeasure,
-    params: SchurParameters,
-    f_samples: np.ndarray,
-    xi0: complex,
-    f_at_xi0: complex,
-    n: int,
-    f_atom_values: np.ndarray | None = None,
-) -> float:
-    """(1/n) sum_{k<n} |S_k(f, xi0) - f(xi0)| for CMV partial sums S_k."""
-    xi0 = _as_boundary(xi0)
-    if n < 1:
-        raise OutOfRange("deviation order requires n >= 1")
-    coeffs = cmv_coefficients(mu, params, f_samples, n - 1, f_atom_values)
-    return partial_sum_deviation(coeffs, chi_table(params, xi0, n - 1), f_at_xi0)
-
-
-def summability_condition(
-    mu: CircleMeasure, params: SchurParameters, xi0: complex, n: int
-) -> tuple[float, float]:
-    """Per-n boundedness pair behind strong Cesaro summability.
-
-    Returns lhs = (1/n) sum_{k<=n} |chi_k(xi0)|^2 and
-    rhs_unit = 1/P(mu, (1 - 1/n) xi0); the empirical constant for a sweep
-    is the sup of lhs/rhs_unit over the tested n.  The one-n case of
-    ``summability_conditions``.
-    """
-    xi0 = _as_boundary(xi0)
-    return summability_conditions(mu, chi_table(params, xi0, n), xi0, [n])[0]
-
-
 def summability_conditions(
     mu: CircleMeasure, chi_vals: np.ndarray, xi0: complex, n_list: Sequence[int]
 ) -> list[tuple[float, float]]:
-    """``summability_condition`` at every n of a sweep: lhs n reads
-    chi_0(xi0)..chi_n(xi0) off ``chi_table(params, xi0, max(n_list))``, and
-    one ``poisson`` call gives every rhs."""
+    """Per-n boundedness pairs behind strong Cesaro summability.
+
+    At each n of the sweep, lhs = (1/n) sum_{k<=n} |chi_k(xi0)|^2, read off
+    ``chi_vals = chi_table(params, xi0, max(n_list))`` by prefix, and
+    rhs_unit = 1/P(mu, (1 - 1/n) xi0), all from one ``poisson`` call; the
+    empirical constant of a sweep is the sup of lhs/rhs_unit.
+    """
     xi0 = _as_boundary(xi0)
     if min(n_list) < 1:
         raise OutOfRange("condition order requires n >= 1")
@@ -271,29 +224,6 @@ def summability_conditions(
         (float(np.sum(np.abs(chi_vals[: n + 1]) ** 2) / n), 1.0 / float(p))
         for n, p in zip(n_list, p_mu)
     ]
-
-
-# -----------------------------------------------------------------------------
-# Cesaro recovery of the inverse outer function
-# -----------------------------------------------------------------------------
-def szego_recovery_deviation(
-    mu: CircleMeasure, params: SchurParameters, xi: complex, n: int
-) -> float:
-    """(1/n) sum over 1 <= k <= n of |phi_k*(xi) D(xi) - 1|^2 at a grid node.
-
-    The product tends to 1 in Cesaro mean for Szego measures; the boundary
-    outer values live on the grid, so xi snaps to its closest node.  The
-    k = 0 term is skipped: phi_0* = 1 carries no recursion information and
-    D(xi) - 1 alone would pollute the mean.
-    """
-    mu.require_szego()
-    xi = _as_boundary(xi)
-    if n < 1:
-        raise OutOfRange("deviation order requires n >= 1")
-    j, node = snap(mu.grid_size, xi)
-    d_val = szego_boundary(mu)[j]
-    _, phis = eval_table(params, node, n)
-    return float(np.mean(np.abs(phis[1:] * d_val - 1.0) ** 2))
 
 
 def cd_at_zero_residual(params: SchurParameters, xi: complex, n: int) -> float:

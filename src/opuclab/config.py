@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, OpuclabError
 from .families import FAMILIES, check_number, check_spec
-from .measure import snap
+from .measure import max_trusted_moment, snap
+from .opuc import N_MAX
+from .schur import SERIES_GUARD
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 EXPERIMENTS = SUITE_NAMES + ("all",)
@@ -38,6 +40,10 @@ EXPERIMENTS = SUITE_NAMES + ("all",)
 # Orders needed beyond max(n_list): kernel quotients use the (n+1)-st pair
 # and several checks are pinned at depth <= 32 regardless of the sweep.
 MIN_BUILD_DEPTH = 33
+
+# Depth of the schur_identities parameter routes (capped by the build
+# depth); the series cascade reads SERIES_GUARD moments beyond it.
+ROUTE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,20 @@ class ExperimentConfig:
                 "clear of the quadrature aliasing band"
             )
         object.__setattr__(self, "n_list", n_list)
+        if self.build_depth > N_MAX:
+            raise ConfigError(
+                f"max n_list entry {n_list[-1]} needs build depth "
+                f"{self.build_depth}, beyond the parameter cap opuc.N_MAX = "
+                f"{N_MAX}"
+            )
+
+        if self.test_points is not None and not isinstance(
+            self.test_points, (list, tuple)
+        ):
+            raise ConfigError(
+                f"test_points = {self.test_points!r} must be a list of angles "
+                "or null"
+            )
 
         try:
             family = check_spec(self.family, n, self.build_depth)
@@ -91,6 +111,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment = {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        if self.experiment in ("schur_identities", "all"):
+            order = min(ROUTE_DEPTH, self.build_depth) + SERIES_GUARD
+            if order > max_trusted_moment(n):
+                raise ConfigError(
+                    f"experiment {self.experiment!r} reads moments to order "
+                    f"{order} (route depth + SERIES_GUARD {SERIES_GUARD}), "
+                    f"beyond the trusted band grid_size/8 = "
+                    f"{max_trusted_moment(n)}; raise grid_size"
+                )
 
         if self.test_points is not None:
             if not points:

@@ -67,10 +67,6 @@ class PositivityLoss(OpuclabError):
     """Moment data lost positive-definiteness during orthogonalization."""
 
 
-class DegenerateDenominator(OpuclabError):
-    """A closed-form denominator vanished at the requested point."""
-
-
 class OutOfRange(OpuclabError):
     """Index beyond the stored coefficient range."""
 

@@ -42,7 +42,7 @@ from .asymptotics import (
     sandwich_table,
     summability_conditions,
 )
-from .config import SUITE_NAMES, ExperimentConfig
+from .config import ROUTE_DEPTH, SUITE_NAMES, ExperimentConfig
 from .families import FAMILIES, FamilyInstance, build_family
 from .lcg import Lcg
 from .measure import (
@@ -78,7 +78,6 @@ from .schur import (
     schur_eval,
     schur_parameters_from_measure,
     schur_sum_bound,
-    szego_formula_residual,
     szego_formula_residuals,
     iterate_noise_horizon,
 )
@@ -263,19 +262,19 @@ class RunContext:
 
     @_cached
     def routes(self):
-        """(stored, cascade, levinson): the parameters to depth min(64,
-        depth) as the builder stored them, by the power-series cascade from
-        the measure, and by the moment recursion."""
-        d = min(64, self.depth)
+        """(stored, cascade, levinson): the parameters to depth
+        min(ROUTE_DEPTH, depth) as the builder stored them, by the
+        power-series cascade from the measure, and by the moment recursion."""
+        d = min(ROUTE_DEPTH, self.depth)
         cascade = schur_parameters_from_measure(self.mu, d).values
         levinson = self.moment_table().params.values
         return (self.params.values[:d], cascade, levinson)
 
     @_cached
     def moment_table(self) -> MonicTable:
-        """The moment recursion at depth min(64, depth), as ``routes`` and
-        ``norm_telescoping`` read it."""
-        d = min(64, self.depth)
+        """The moment recursion at depth min(ROUTE_DEPTH, depth), as
+        ``routes`` and ``norm_telescoping`` read it."""
+        d = min(ROUTE_DEPTH, self.depth)
         return monic_from_moments(moments(self.mu, d), d)
 
     @_cached
@@ -322,7 +321,7 @@ def _poisson_positivity(ctx: RunContext) -> Result:
 
 @check("mnt", "fejer_density_limit")
 def _fejer_density_limit(ctx: RunContext) -> Result:
-    n_top = min(256, max_trusted_moment(ctx.mu))
+    n_top = min(256, max_trusted_moment(ctx.mu.grid_size))
     n_values = [n for n in (16, 32, 64, 128, 256) if n <= n_top]
     worst_last = 0.0
     worst_uphill = -math.inf
@@ -561,13 +560,15 @@ def _schur_sum_bound(ctx: RunContext) -> Result:
 @check("schur_identities", "moment_hermitian")
 def _moment_hermitian(ctx: RunContext) -> Result:
     mu = ctx.mu
-    k_top = min(32, max_trusted_moment(mu))
+    k_top = min(32, max_trusted_moment(mu.grid_size))
     nodes, weights = mu.quadrature()
     c = moments(mu, k_top)
+    power = np.ones_like(nodes)  # nodes**k, as a running product
     worst = 0.0
     for k in range(k_top + 1):
-        direct = complex(np.sum(weights * nodes**k))
+        direct = complex(np.sum(weights * power))
         worst = max(worst, abs(c[k] - np.conj(direct)))
+        power *= nodes
     return _within(
         worst,
         1e-12,
@@ -621,12 +622,13 @@ def _iterate_contractivity(ctx: RunContext) -> Result:
 @check("schur_identities", "szego_formula")
 def _szego_formula(ctx: RunContext) -> Result:
     if ctx.finite_param:
-        residual = szego_formula_residual(ctx.mu, ctx.params, min(64, ctx.depth))
+        depth = min(64, ctx.depth)
+        (residual,) = szego_formula_residuals(ctx.mu, ctx.params, [depth])
         return _within(
             residual,
             1e-10,
-            f"|mean log w - sum log(1 - |a_k|^2)| at depth "
-            f"{min(64, ctx.depth)}; the tail vanishes",
+            f"|mean log w - sum log(1 - |a_k|^2)| at depth {depth}; "
+            "the tail vanishes",
         )
     residuals = szego_formula_residuals(ctx.mu, ctx.params, ctx.n_list)
     uphill = _nonincreasing_violation(residuals)

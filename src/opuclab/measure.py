@@ -166,7 +166,7 @@ class CircleMeasure:
         spec = self._spectrum_cache.get("fft")
         if spec is None:
             spec = np.fft.fft(self.weight) / self.grid_size
-            spec = spec[: max_trusted_moment(self) + 1].copy()
+            spec = spec[: max_trusted_moment(self.grid_size) + 1].copy()
             spec.flags.writeable = False
             self._spectrum_cache["fft"] = spec
         return spec
@@ -237,30 +237,6 @@ def snap(grid_size: int, xi: complex) -> Tuple[int, complex]:
     angle = float(np.angle(xi)) % (2.0 * np.pi)
     j = int(round(angle * grid_size / (2.0 * np.pi))) % grid_size
     return j, complex(np.exp(1j * grid_angles(grid_size, j)))
-
-
-def to_json_dict(mu: CircleMeasure, family: str | None = None) -> dict:
-    """Plain-JSON form: grid_size, weight samples, atoms, optional label."""
-    out = {
-        "grid_size": mu.grid_size,
-        "weight": [float(v) for v in mu.weight],
-        "atoms": [{"angle": a, "mass": m} for a, m in mu.atoms],
-    }
-    if family is not None:
-        out["family"] = family
-    return out
-
-
-def from_json_dict(data: dict) -> CircleMeasure:
-    """Rebuild a measure from its JSON form (inverse of to_json_dict)."""
-    weight = np.asarray(data["weight"], dtype=float)
-    if len(weight) != int(data["grid_size"]):
-        raise GridMismatch(
-            f"grid_size {data['grid_size']} does not match "
-            f"{len(weight)} weight samples"
-        )
-    atoms = tuple((d["angle"], d["mass"]) for d in data.get("atoms", ()))
-    return build_measure(weight, atoms=atoms)
 
 
 # -----------------------------------------------------------------------------
@@ -350,11 +326,13 @@ def _band(mu: CircleMeasure, row) -> _Band:
     that their bands are cached on it (log w needs an FFT of its own); an
     array row gets a transient FFT on each call."""
     if not isinstance(row, str):
-        return _row_band(row, max_trusted_moment(mu))
+        return _row_band(row, max_trusted_moment(mu.grid_size))
     key = ("band", row)
     if key not in mu._spectrum_cache:
         row_samples = _grid_row(mu, row)
-        mu._spectrum_cache[key] = _row_band(row_samples, max_trusted_moment(mu))
+        mu._spectrum_cache[key] = _row_band(
+            row_samples, max_trusted_moment(mu.grid_size)
+        )
     return mu._spectrum_cache[key]
 
 
@@ -558,19 +536,19 @@ def weighted_poisson(
 # -----------------------------------------------------------------------------
 # Moments and Fejer means
 # -----------------------------------------------------------------------------
-def max_trusted_moment(mu: CircleMeasure) -> int:
-    """Largest moment order the grid can deliver without aliasing risk."""
-    return mu.grid_size // 8
+def max_trusted_moment(grid_size: int) -> int:
+    """Largest moment order a grid of this size delivers without aliasing risk."""
+    return grid_size // 8
 
 
 def moments(mu: CircleMeasure, k_max: int) -> np.ndarray:
     """Trigonometric moments c_0..c_{k_max}, c_k = integral of conj(xi)^k dmu."""
     if k_max < 0:
         raise OutOfRange("moment order must be >= 0; use conj for negative k")
-    if k_max > max_trusted_moment(mu):
+    if k_max > max_trusted_moment(mu.grid_size):
         raise AliasRisk(
             f"moment order {k_max} beyond trusted band N/8 = "
-            f"{max_trusted_moment(mu)}; enlarge grid_size"
+            f"{max_trusted_moment(mu.grid_size)}; enlarge grid_size"
         )
     values = mu._spectrum()[: k_max + 1].copy()
     k = np.arange(k_max + 1)
@@ -600,22 +578,3 @@ def fejer_mean(mu: CircleMeasure, xi0: complex, n: int) -> float:
         value += 2.0 * (1.0 - d / n) * (xi0**d * c[d]).real
     return float(value)
 
-
-def interval_ratio(mu: CircleMeasure, xi0: complex, eps: float) -> float:
-    """Singular-to-Lebesgue mass ratio on the chord window |xi - xi0| < eps.
-
-    Used to certify test points: a vanishing ratio at the tested scales is
-    the checkable proxy for the density point hypothesis.
-    """
-    xi0 = _as_boundary(xi0)
-    spacing = 2.0 * np.pi / mu.grid_size
-    if eps <= spacing:
-        raise OutOfRange(f"eps = {eps:g} must exceed the grid spacing {spacing:g}")
-    if not mu.atoms:
-        return 0.0
-    singular = float(
-        np.sum(mu.atom_masses[np.abs(mu.atom_points - xi0) < eps])
-    )
-    # normalized length of the arc where the chord distance stays below eps
-    arc = 2.0 * np.arcsin(min(eps, 2.0) / 2.0) / np.pi
-    return singular / arc

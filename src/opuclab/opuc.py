@@ -12,7 +12,7 @@ reproduce it, and their mutual agreement is a tested invariant.
 
 Extraction routes
 -----------------
-* ``verblunsky_from_moments`` runs the monic recursion on Taylor
+* ``monic_from_moments`` runs the monic recursion on Taylor
   coefficients with inner products read from the moment sequence.  Fine for
   tame measures; coefficient growth makes it ill-conditioned when the
   parameters do not decay, so it follows the series cascade's precision
@@ -42,7 +42,7 @@ over an array of points.  A column of ``eval_grid_table`` is bitwise the
 one-point table at that point, so checks that sample many points draw
 them all first and read every value from one table; ``cd_quotient`` and
 ``cd_laurent`` close the Christoffel-Darboux formulas on values read that
-way, for those checks and for ``cd_kernel_poly`` and ``cd_kernel_cmv``.
+way.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ from .schur import (
 
 # Depth cap of both parameter-extraction routes; desk scale.
 N_MAX = 512
-
-# Near-diagonal switch for the Christoffel-Darboux quotients.
-_CD_DIAGONAL = 1e-8
 
 # |phi| whose square is a normal finite double, so 1/|phi|^2 is positive and finite.
 _MODULUS_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
@@ -193,11 +190,6 @@ def eval_grid_table(params: SchurParameters, zs: np.ndarray, n_max: int):
     return _run_transfer(params, zs, n_max, keep_all=True)
 
 
-def eval_grid_pair(params: SchurParameters, zs: np.ndarray, n: int):
-    """Order-n values over an array of points, O(len) memory."""
-    return _run_transfer(params, zs, n, keep_all=False)
-
-
 # -----------------------------------------------------------------------------
 # CMV basis
 # -----------------------------------------------------------------------------
@@ -222,11 +214,6 @@ def _chi_from_pair(pair: PolynomialPair) -> complex:
     """chi_n(xi) from (phi_n(xi), phi*_n(xi)), n = pair.n, xi = pair.z."""
     pref = np.conj(pair.z) ** (pair.n // 2)
     return complex(pref * (pair.phi_star if pair.n % 2 == 0 else pair.phi))
-
-
-def chi(params: SchurParameters, xi: complex, n: int) -> complex:
-    """CMV basis value chi_n(xi) on the boundary."""
-    return _chi_from_pair(eval_pair(params, _as_boundary(xi), n))
 
 
 def chi_table(params: SchurParameters, xi: complex, n_max: int) -> np.ndarray:
@@ -304,13 +291,6 @@ def chi_sums_fft(
 # -----------------------------------------------------------------------------
 # Christoffel-Darboux kernels
 # -----------------------------------------------------------------------------
-def cd_kernel_sum(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
-    """Direct reproducing-kernel sum over polynomial orders 0..n."""
-    pxi, _ = eval_table(params, xi, n)
-    pz, _ = eval_table(params, z, n)
-    return complex(np.sum(np.conj(pxi) * pz))
-
-
 def cd_quotient(px: PolynomialPair, pz: PolynomialPair) -> complex:
     """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z) as
 
@@ -348,34 +328,6 @@ def cd_laurent(px: PolynomialPair, pz: PolynomialPair) -> complex:
     else:
         num = z * cz * np.conj(xi * cx) - z * np.conj(cz * xi) * cx
     return complex(num / den)
-
-
-def cd_kernel_poly(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
-    """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z).
-
-    Evaluated by ``cd_quotient``, falling back to direct summation when
-    its denominator 1 - conj(xi) z degenerates.
-    """
-    xi = complex(xi)
-    z = complex(z)
-    if abs(1.0 - np.conj(xi) * z) < _CD_DIAGONAL:
-        return cd_kernel_sum(params, xi, z, n)
-    return cd_quotient(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
-
-
-def cd_kernel_cmv(params: SchurParameters, xi: complex, z: complex, n: int) -> complex:
-    """Laurent-space kernel sum_{k<=n} conj(chi_k(xi)) chi_k(z), |xi|=|z|=1.
-
-    Evaluated by ``cd_laurent`` at xi/|xi| and z/|z|, falling back to
-    direct summation of chi tables when 1 - conj(xi) z degenerates.
-    """
-    xi = _as_boundary(xi)
-    z = _as_boundary(z)
-    if abs(1.0 - np.conj(xi) * z) < _CD_DIAGONAL:
-        cx = chi_table(params, xi, n)
-        cz = cx if z == xi else chi_table(params, z, n)
-        return complex(np.sum(np.conj(cx) * cz))
-    return cd_laurent(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
 
 
 # -----------------------------------------------------------------------------
@@ -500,11 +452,6 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     return _escalate(
         table, loss, table is not None, n_max, lambda dps: _monic_exact(c, n_max, dps)
     )
-
-
-def verblunsky_from_moments(moments: np.ndarray, n_max: int) -> SchurParameters:
-    """a_0..a_{n_max-1} from the moment-coefficient recursion."""
-    return monic_from_moments(moments, n_max).params
 
 
 # -----------------------------------------------------------------------------

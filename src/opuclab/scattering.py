@@ -33,33 +33,22 @@ from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
 
 
-def herglotz_boundary(mu: CircleMeasure) -> np.ndarray:
-    """Boundary values of the Herglotz transform on the grid.
-
-    F = w + i (conjugate function of w + atom terms); each atom at xi_a with
-    mass m contributes the purely imaginary 2 i m Im(xi conj(xi_a)) /
-    |xi_a - xi|^2.  At a node hit by an atom the value is non-finite and
-    callers must mask it.
-    """
-    return _herglotz_at(mu, slice(None), mu.boundary_points)
-
-
 def _herglotz_at(mu: CircleMeasure, nodes, xi: np.ndarray) -> np.ndarray:
-    """F at the grid nodes ``nodes`` (a slice or index array), whose points
-    are xi; elementwise, so each node gets its bits of herglotz_boundary."""
+    """Boundary values of the Herglotz transform at the grid nodes
+    ``nodes`` (a slice or index array), whose points are xi.
+
+    F = w + i (conjugate function of w + atom terms); each atom at xi_a
+    with mass m contributes the purely imaginary
+    2 i m Im(xi conj(xi_a)) / |xi_a - xi|^2.  Elementwise, so a node gets
+    the same bits whatever else is read with it.  At a node hit by an atom
+    the value is non-finite and callers must mask it.
+    """
     f = (mu.weight + 1j * harmonic_conjugate(mu.weight))[nodes]
     for angle, mass in mu.atoms:
         xi_a = np.exp(1j * angle)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = f + 2j * mass * np.imag(xi * np.conj(xi_a)) / np.abs(xi_a - xi) ** 2
     return f
-
-
-def dual_weight(mu: CircleMeasure) -> np.ndarray:
-    """Density grid of the dual measure, v = w / |F|^2 (zero at atom nodes)."""
-    with np.errstate(invalid="ignore"):
-        v = mu.weight / np.abs(herglotz_boundary(mu)) ** 2
-    return np.where(np.isfinite(v), v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,13 +67,6 @@ class JostSolution:
     @property
     def n_max(self) -> int:
         return self.entries.shape[0] - 1
-
-    def target(self, n) -> np.ndarray:
-        """The free solution at step n, or its rows at an array of steps."""
-        zero = np.zeros(np.shape(n))
-        if self.side == "+":
-            return np.stack([self.xi ** np.asarray(n), zero], axis=-1)
-        return np.stack([zero, zero + 1.0], axis=-1)
 
     def vanishing_mean(self, n: int) -> float:
         """Mean modulus of the component the target holds at zero, k < n."""
@@ -157,35 +139,3 @@ def jost_step_defects(params: SchurParameters, sol: JostSolution) -> np.ndarray:
     defects = _row_norms(sol.entries[1 : n_steps + 1] - pred)
     return defects / np.fmax(1.0, _row_norms(sol.entries[:n_steps]))
 
-
-def averaged_jost_deviation(sol: JostSolution, n: int) -> float:
-    """(1/n) sum_{k<n} of the distance from entry k to its free target."""
-    if n < 1 or n > sol.n_max + 1:
-        raise OutOfRange(f"average over n = {n} entries unavailable")
-    deviations = _row_norms(sol.entries[:n] - sol.target(np.arange(n)))
-    # a running sum, added in step order
-    return float(np.cumsum(deviations)[-1]) / n
-
-
-def duality_identity_residual(
-    mu: CircleMeasure, params: SchurParameters, n_check: int = 32
-) -> float:
-    """Max defect of the pairing identities between a family and its dual.
-
-    Checks Re(phi_n*(xi) conj(psi_n*(xi))) = 1 over the grid for all
-    n <= n_check, and Re(1 / (D_mu conj(D_nu))) = 1 over the nodes where
-    the Herglotz values are finite.
-    """
-    grid = mu.boundary_points
-    _, phis = eval_grid_table(params, grid, n_check)
-    _, psis = eval_grid_table(dual_parameters(params), grid, n_check)
-    poly_resid = float(np.max(np.abs(np.real(phis * np.conj(psis)) - 1.0)))
-
-    f_grid = herglotz_boundary(mu)
-    mask = np.isfinite(f_grid)
-    d_grid = szego_boundary(mu)
-    d_mu, d_nu = d_grid[mask], (d_grid / f_grid)[mask]
-    outer_resid = float(
-        np.max(np.abs(np.real(1.0 / (d_mu * np.conj(d_nu))) - 1.0))
-    )
-    return max(poly_resid, outer_resid)

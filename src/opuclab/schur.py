@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     ContractivityLoss,
-    DegenerateDenominator,
     DivisionBlowup,
     IdentityCheckFailed,
     NearZeroArgument,
@@ -118,9 +117,6 @@ class SchurParameters:
 
     def __getitem__(self, n: int) -> complex:
         return complex(self.values[n])
-
-    def truncated(self, n: int) -> "SchurParameters":
-        return SchurParameters(self.values[:n])
 
     def require_depth(self, n: int) -> None:
         """Raise OutOfRange unless a_0..a_{n-1} are stored."""
@@ -371,13 +367,6 @@ def _pointwise_iterates(
             f = (f - a) / (z * (1.0 - np.conj(a) * f))
 
 
-def schur_iterate_eval(
-    params: SchurParameters, f_value: complex, z: complex, n: int
-) -> complex:
-    """f_n(z) from f(z) by n pointwise steps of the recursion."""
-    return list(_pointwise_iterates(params, f_value, z, n))[n]
-
-
 def iterate_noise_horizon(z: complex, budget: float = 1e-10) -> int:
     """Largest safe pointwise iterate count at z.
 
@@ -388,11 +377,6 @@ def iterate_noise_horizon(z: complex, budget: float = 1e-10) -> int:
     if r >= 0.95:
         return 10_000
     return max(int(math.log(budget / 1e-15) / math.log(1.0 / r)), 1)
-
-
-def szego_formula_residual(mu: CircleMeasure, params: SchurParameters, n: int) -> float:
-    """The one-n case of ``szego_formula_residuals``."""
-    return szego_formula_residuals(mu, params, [n])[0]
 
 
 def szego_formula_residuals(
@@ -411,27 +395,17 @@ def szego_formula_residuals(
     return [abs(lhs - float(np.sum(terms[:n]))) for n in n_list]
 
 
-def entropy_product(
-    params: SchurParameters, z: complex, f_value: complex, n: int
-) -> float:
-    """Partial product form of the entropy:
-
-        log prod_{k<n} (1 - |z f_k(z)|^2) / (1 - |f_k(z)|^2).
-
-    Every factor is >= 1 because |z| < 1.  The one-n case of
-    ``entropy_products``.
-    """
-    return entropy_products(params, z, f_value, [n])[0]
-
-
 def entropy_products(
     params: SchurParameters, z: complex, f_value: complex, n_list: Sequence[int]
 ) -> List[float]:
-    """``entropy_product`` at every n of a sweep, in order.
+    """Partial product form of the entropy at every n of a sweep, in order:
 
-    One pointwise pass to the deepest n, read by prefix, so each n fails as
-    its own call would.  At z = 0 the iterate values collapse to the
-    parameters themselves and the product needs no pointwise recursion.
+        log prod_{k<n} (1 - |z f_k(z)|^2) / (1 - |f_k(z)|^2).
+
+    Every factor is >= 1 because |z| < 1.  One pointwise pass to the
+    deepest n, read by prefix, so each n fails as a pass to that n alone
+    would.  At z = 0 the iterate values collapse to the parameters
+    themselves and the product needs no pointwise recursion.
     """
     z = complex(z)
     if abs(z) < 1e-12:
@@ -478,25 +452,3 @@ def schur_sum_bound(
     lhs = float((1.0 - abs(z) ** 2) * np.sum(mags / (1.0 - mags)))
     return lhs, math.expm1(entropy_value)
 
-
-def khrushchev_rhs(
-    params: SchurParameters, z: complex, f_value: complex, n: int
-) -> float:
-    """(1 - |z b_n f_n|^2)/|1 - z b_n f_n|^2 with b_n = phi_n/phi_n*.
-
-    Equals the Poisson average of |phi_n*|^2 against the measure; the
-    quadrature of that average is the oracle this is checked against.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0 - 1e-12:
-        raise OutOfRange(f"|z| = {abs(z):.12g} must be interior")
-    if abs(z) < 1e-12:
-        return 1.0
-    from .opuc import eval_pair
-
-    pair = eval_pair(params, z, n)
-    f_n = schur_iterate_eval(params, f_value, z, n)
-    t = z * (pair.phi / pair.phi_star) * f_n
-    if abs(1.0 - t) < 1e-12:
-        raise DegenerateDenominator(f"1 - z b_n f_n = {1.0 - t!r} at z = {z!r}")
-    return float((1.0 - abs(t) ** 2) / abs(1.0 - t) ** 2)

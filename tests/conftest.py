@@ -63,6 +63,27 @@ def mixed_three_atoms():
     )
 
 
+@pytest.fixture()
+def spy(monkeypatch):
+    """spy(read, owner, name, *also): ``owner.name`` runs as before, but each
+    call first appends ``read(*args, **kwargs)`` to the list spy returns.  The modules
+    in ``also`` bound the same function by name and get the same wrapper."""
+
+    def install(read, owner, name, *also):
+        original = getattr(owner, name)
+        record = []
+
+        def recorded(*args, **kwargs):
+            record.append(read(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        for module in (owner, *also):
+            monkeypatch.setattr(module, name, recorded)
+        return record
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def all_families(leb, bs_half, geronimus6, ell2_half, mixed_atom):
     return (leb, bs_half, geronimus6, ell2_half, mixed_atom)

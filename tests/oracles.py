@@ -20,6 +20,14 @@ time.
 extraction routes in mpmath floating point, the references of their
 fixed-point passes; ``geronimus_density_mp`` is the geronimus closed form
 at 40 digits, the reference of the array density.
+
+The last group states OPUC identities that no verdict checks (Simon,
+*Orthogonal Polynomials on the Unit Circle*, Part 1): Khrushchev's
+formula (``khrushchev_rhs``), the pairing of a measure with its dual
+(``duality_identity_residual``), the averaged approach of the Jost
+solutions to their free targets (``averaged_jost_deviation``) and the
+Cesaro recovery of 1/D by reflected polynomials
+(``szego_recovery_deviation``).  The tests hold them to frozen bounds.
 """
 
 from __future__ import annotations
@@ -83,6 +91,28 @@ def gram_schmidt_verblunsky(mu: CircleMeasure, n_max: int) -> np.ndarray:
 def poisson_kernel_direct(xi: complex, z: complex) -> float:
     """(1 - |z|^2)/|xi - z|^2 from the definition."""
     return (1.0 - abs(z) ** 2) / abs(xi - z) ** 2
+
+
+def cd_kernel_routes(params, xi: complex, z: complex, n: int):
+    """(direct, quotient, laurent): the Christoffel-Darboux kernel of order
+    n at boundary points (xi, z) by its three routes, one point at a time.
+
+    direct sums conj(phi_k(xi)) phi_k(z) over two one-point tables;
+    quotient is ``opuc.cd_quotient`` on the order-(n+1) pairs at xi and z,
+    and laurent ``opuc.cd_laurent`` on those at xi/|xi| and z/|z|.  Neither
+    form has a diagonal fallback, so the caller keeps 1 - conj(xi) z away
+    from 0.
+    """
+    from opuclab.measure import _as_boundary
+    from opuclab.opuc import cd_laurent, cd_quotient, eval_pair, eval_table
+
+    pxi, _ = eval_table(params, xi, n)
+    pz, _ = eval_table(params, z, n)
+    direct = complex(np.sum(np.conj(pxi) * pz))
+    quotient = cd_quotient(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
+    xi, z = _as_boundary(xi), _as_boundary(z)
+    laurent = cd_laurent(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
+    return direct, quotient, laurent
 
 
 def cd_kernel_bruteforce(params, xi: complex, z: complex, n: int) -> complex:
@@ -411,13 +441,9 @@ def phi_star_zero_free_per_point(ctx):
 
 
 def cd_three_route_per_point(ctx):
-    """``experiments._cd_three_route`` by the one-point kernel functions.
-
-    Each pair takes ``opuc.cd_kernel_sum``, ``cd_kernel_poly`` and
-    ``cd_kernel_cmv``, so every kernel value costs its own transfer passes.
-    """
+    """``experiments._cd_three_route`` by ``cd_kernel_routes``, so every
+    kernel value costs its own transfer passes."""
     from opuclab.experiments import _within
-    from opuclab.opuc import cd_kernel_cmv, cd_kernel_poly, cd_kernel_sum
 
     rng = ctx.rng(34)
     n_top = max(min(32, ctx.depth - 1), 1)
@@ -430,9 +456,7 @@ def cd_three_route_per_point(ctx):
             continue
         n = 1 + rng.next_raw() % n_top
         pairs += 1
-        direct = cd_kernel_sum(ctx.params, xi, z, n)
-        quotient = cd_kernel_poly(ctx.params, xi, z, n)
-        laurent = cd_kernel_cmv(ctx.params, xi, z, n)
+        direct, quotient, laurent = cd_kernel_routes(ctx.params, xi, z, n)
         prefactor = (xi * np.conj(z)) ** (n // 2)
         scale = max(1.0, abs(direct))
         worst = max(
@@ -482,23 +506,6 @@ def sandwich_rows_per_n(mu: CircleMeasure, params, xi0, n_list, delta_grid_size)
     return rows
 
 
-def _recurrence_residual_loop(params, sol) -> float:
-    """Worst relative one-step defect of a Jost solution, one step at a time."""
-    xi = sol.xi
-    a = params.values
-    rho = params.rho
-    worst = 0.0
-    for n in range(min(sol.n_max, len(params))):
-        x, y = sol.entries[n]
-        pred = np.array(
-            [(xi * x - np.conj(a[n]) * y) / rho[n], (y - a[n] * xi * x) / rho[n]]
-        )
-        defect = float(np.linalg.norm(sol.entries[n + 1] - pred))
-        scale = max(1.0, float(np.linalg.norm(sol.entries[n])))
-        worst = max(worst, defect / scale)
-    return worst
-
-
 def jost_step_defects_loop(params, sol) -> np.ndarray:
     """Per-step relative one-step defects of a Jost solution, one step at a
     time with scalar complex products and one ``np.linalg.norm`` per
@@ -528,7 +535,7 @@ def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):
     the solutions clipped to n + 1 entries.
     """
     from opuclab.opuc import dual_parameters, eval_table
-    from opuclab.scattering import JostSolution, herglotz_boundary
+    from opuclab.scattering import JostSolution
     from opuclab.szego import szego_boundary
 
     j = _nearest_grid_node(mu, xi)
@@ -545,8 +552,9 @@ def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):
     rows = []
     for n in n_list:
         residual = max(
-            _recurrence_residual_loop(params, JostSolution(node, "+", plus[: n + 1])),
-            _recurrence_residual_loop(params, JostSolution(node, "-", minus[: n + 1])),
+            0.0,
+            *jost_step_defects_loop(params, JostSolution(node, "+", plus[: n + 1])),
+            *jost_step_defects_loop(params, JostSolution(node, "-", minus[: n + 1])),
         )
         rows.append(
             (
@@ -557,3 +565,109 @@ def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):
             )
         )
     return rows
+
+
+def herglotz_boundary(mu: CircleMeasure) -> np.ndarray:
+    """Boundary values of the Herglotz transform at every grid node, by
+    ``scattering._herglotz_at``; non-finite at a node hit by an atom."""
+    from opuclab.scattering import _herglotz_at
+
+    return _herglotz_at(mu, slice(None), mu.boundary_points)
+
+
+def schur_iterate_eval(params, f_value: complex, z: complex, n: int) -> complex:
+    """f_n(z) from f(z) by n pointwise steps of the Schur recursion."""
+    from opuclab.schur import _pointwise_iterates
+
+    return list(_pointwise_iterates(params, f_value, z, n))[n]
+
+
+def khrushchev_rhs(params, z: complex, f_value: complex, n: int) -> float:
+    """(1 - |z b_n f_n|^2)/|1 - z b_n f_n|^2 with b_n = phi_n/phi_n*.
+
+    Khrushchev's formula: this equals the Poisson average of |phi_n*|^2
+    against the measure, whose quadrature the tests compare it with.
+    """
+    from opuclab.errors import DivisionBlowup, OutOfRange
+    from opuclab.opuc import eval_pair
+
+    z = complex(z)
+    if abs(z) >= 1.0 - 1e-12:
+        raise OutOfRange(f"|z| = {abs(z):.12g} must be interior")
+    if abs(z) < 1e-12:
+        return 1.0
+    pair = eval_pair(params, z, n)
+    f_n = schur_iterate_eval(params, f_value, z, n)
+    t = z * (pair.phi / pair.phi_star) * f_n
+    if abs(1.0 - t) < 1e-12:
+        raise DivisionBlowup(f"1 - z b_n f_n = {1.0 - t!r} at z = {z!r}")
+    return float((1.0 - abs(t) ** 2) / abs(1.0 - t) ** 2)
+
+
+def duality_identity_residual(mu: CircleMeasure, params, n_check: int = 32) -> float:
+    """Max defect of the pairing identities between a family and its dual.
+
+    Checks Re(phi_n*(xi) conj(psi_n*(xi))) = 1 over the grid for all
+    n <= n_check, and Re(1 / (D_mu conj(D_nu))) = 1 over the nodes where
+    the Herglotz values are finite, with D_nu = D_mu / F.
+    """
+    from opuclab.opuc import dual_parameters, eval_grid_table
+    from opuclab.szego import szego_boundary
+
+    grid = mu.boundary_points
+    _, phis = eval_grid_table(params, grid, n_check)
+    _, psis = eval_grid_table(dual_parameters(params), grid, n_check)
+    poly_resid = float(np.max(np.abs(np.real(phis * np.conj(psis)) - 1.0)))
+
+    f_grid = herglotz_boundary(mu)
+    mask = np.isfinite(f_grid)
+    d_grid = szego_boundary(mu)
+    d_mu, d_nu = d_grid[mask], (d_grid / f_grid)[mask]
+    outer_resid = float(
+        np.max(np.abs(np.real(1.0 / (d_mu * np.conj(d_nu))) - 1.0))
+    )
+    return max(poly_resid, outer_resid)
+
+
+def jost_target(sol, n) -> np.ndarray:
+    """The free solution a Jost solution tracks, at step n or at an array
+    of steps: (xi^n, 0) on the "+" side, (0, 1) on the "-" side."""
+    zero = np.zeros(np.shape(n))
+    if sol.side == "+":
+        return np.stack([sol.xi ** np.asarray(n), zero], axis=-1)
+    return np.stack([zero, zero + 1.0], axis=-1)
+
+
+def averaged_jost_deviation(sol, n: int) -> float:
+    """(1/n) sum_{k<n} of the distance from entry k to its free target."""
+    from opuclab.errors import OutOfRange
+    from opuclab.scattering import _row_norms
+
+    if n < 1 or n > sol.n_max + 1:
+        raise OutOfRange(f"average over n = {n} entries unavailable")
+    deviations = _row_norms(sol.entries[:n] - jost_target(sol, np.arange(n)))
+    # a running sum, added in step order
+    return float(np.cumsum(deviations)[-1]) / n
+
+
+def szego_recovery_deviation(mu: CircleMeasure, params, xi: complex, n: int) -> float:
+    """(1/n) sum over 1 <= k <= n of |phi_k*(xi) D(xi) - 1|^2 at a grid node.
+
+    The product tends to 1 in Cesaro mean for Szego measures; the boundary
+    outer values live on the grid, so xi snaps to its closest node.  The
+    k = 0 term is skipped: phi_0* = 1 carries no recursion information and
+    D(xi) - 1 alone would pollute the mean.
+    """
+    from opuclab.errors import OutOfRange
+    from opuclab.measure import _as_boundary, snap
+    from opuclab.opuc import eval_table
+    from opuclab.szego import szego_boundary
+
+    mu.require_szego()
+    xi = _as_boundary(xi)
+    if n < 1:
+        raise OutOfRange("deviation order requires n >= 1")
+    j, node = snap(mu.grid_size, xi)
+    d_val = szego_boundary(mu)[j]
+    _, phis = eval_table(params, node, n)
+    return float(np.mean(np.abs(phis[1:] * d_val - 1.0) ** 2))

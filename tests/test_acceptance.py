@@ -11,49 +11,41 @@ import numpy as np
 
 from opuclab.asymptotics import (
     cd_at_zero_residual,
-    cesaro_phi_sq,
-    mnt_sandwich,
+    cmv_coefficients,
+    partial_sum_deviation,
     sandwich_table,
-    strong_cesaro_deviation,
-    summability_condition,
-    szego_recovery_deviation,
+    summability_conditions,
 )
 from opuclab.config import config_from_dict
 from opuclab.experiments import run_experiment, write_outputs
 from opuclab.lcg import Lcg
 from opuclab.measure import moment, weighted_poisson
-from opuclab.opuc import (
-    cd_kernel_cmv,
-    cd_kernel_poly,
-    cd_kernel_sum,
-    eval_grid_pair,
-    eval_pair,
-    verblunsky_from_moments,
-)
-from opuclab.scattering import (
-    averaged_jost_deviation,
-    duality_identity_residual,
-    jost_solutions,
-    jost_step_defects,
-)
+from opuclab.opuc import chi_table, eval_grid_table, eval_pair, monic_from_moments
+from opuclab.scattering import jost_solutions, jost_step_defects
 from opuclab.schur import (
-    entropy_product,
+    entropy_products,
     iterate_noise_horizon,
-    khrushchev_rhs,
     schur_eval,
     schur_parameters_from_measure,
     schur_sum_bound,
-    szego_formula_residual,
+    szego_formula_residuals,
 )
 from opuclab.szego import entropy
 
-from oracles import gram_schmidt_verblunsky
+from oracles import (
+    averaged_jost_deviation,
+    cd_kernel_routes,
+    duality_identity_residual,
+    gram_schmidt_verblunsky,
+    khrushchev_rhs,
+    szego_recovery_deviation,
+)
 
 
 def _both_routes(mu, depth):
     cascade = schur_parameters_from_measure(mu, depth).values
     moments = np.array([moment(mu, k) for k in range(depth + 1)])
-    levinson = verblunsky_from_moments(moments, depth).values
+    levinson = monic_from_moments(moments, depth).params.values
     return cascade, levinson
 
 
@@ -77,13 +69,10 @@ def test_criterion_01_closed_form_parameters(bs_half, all_families):
 
 def test_criterion_02_szego_formula(leb, bs_half, ell2_half):
     for inst in (leb, bs_half):
-        for n in (1, 16, 64):
-            res = szego_formula_residual(inst.measure, inst.params, n)
+        residuals = szego_formula_residuals(inst.measure, inst.params, (1, 16, 64))
+        for n, res in zip((1, 16, 64), residuals):
             assert res <= 1e-10, (inst.name, n)
-    trend = [
-        szego_formula_residual(ell2_half.measure, ell2_half.params, n)
-        for n in (16, 64, 256)
-    ]
+    trend = szego_formula_residuals(ell2_half.measure, ell2_half.params, (16, 64, 256))
     assert all(b < a for a, b in zip(trend, trend[1:])), trend
     print(f"criterion 02 PASS  ell2 residual trend {trend}")
 
@@ -103,7 +92,7 @@ def test_criterion_03_entropy_identity(bs_half, all_families):
         # already exact at any depth; it still must stay inside the
         # pointwise-iteration noise horizon (amplification 1/|z| per step)
         depth = 64 if z == 0 else min(64, iterate_noise_horizon(z))
-        prod = entropy_product(params, z, schur_eval(mu, z), depth)
+        (prod,) = entropy_products(params, z, schur_eval(mu, z), [depth])
         worst = max(worst, abs(ent - prod))
         assert abs(ent - prod) <= 1e-8, z
 
@@ -139,13 +128,13 @@ def test_criterion_04_khrushchev_formula(all_families):
         assert iterate_noise_horizon(z) >= n
         for inst in all_families:
             mu, params = inst.measure, inst.params
-            _, phis_grid = eval_grid_pair(params, mu.boundary_points, n)
+            _, phis_grid = eval_grid_table(params, mu.boundary_points, n)
             g_atoms = [
                 abs(eval_pair(params, complex(np.exp(1j * a)), n).phi_star) ** 2
                 for a, _ in mu.atoms
             ]
             lhs = weighted_poisson(
-                mu, np.abs(phis_grid) ** 2, z, g_atoms or None
+                mu, np.abs(phis_grid[n]) ** 2, z, g_atoms or None
             )
             rhs = khrushchev_rhs(params, z, schur_eval(mu, z), n)
             worst = max(worst, abs(lhs - rhs))
@@ -165,9 +154,7 @@ def test_criterion_05_cd_kernel_routes(geronimus6, ell2_half):
                 continue  # quotient forms degenerate on the diagonal
             pairs += 1
             n = 1 + rng.next_raw() % 32
-            direct = cd_kernel_sum(inst.params, xi, z, n)
-            quotient = cd_kernel_poly(inst.params, xi, z, n)
-            laurent = cd_kernel_cmv(inst.params, xi, z, n)
+            direct, quotient, laurent = cd_kernel_routes(inst.params, xi, z, n)
             rescaled = laurent / (xi * np.conj(z)) ** (n // 2)
             scale = max(abs(direct), 1.0)
             rel = max(
@@ -179,25 +166,22 @@ def test_criterion_05_cd_kernel_routes(geronimus6, ell2_half):
 
 
 def test_criterion_06_cesaro_sandwich(bs_half, all_families):
-    value = cesaro_phi_sq(bs_half.params, 1.0, 256)
-    assert abs(value - 1.0 / 3.0) <= 5e-3
-    for n in (4, 16, 64, 256):
-        exact = (1.0 + (n - 1) / 3.0) / n
-        assert abs(cesaro_phi_sq(bs_half.params, 1.0, n) - exact) <= 1e-10
-
     table = sandwich_table(
         bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256)
     )
+    value = table.rows[-1].cesaro
+    assert abs(value - 1.0 / 3.0) <= 5e-3
     for row in table.rows:
+        exact = (1.0 + (row.n - 1) / 3.0) / row.n
+        assert abs(row.cesaro - exact) <= 1e-10, row.n
         assert row.cesaro >= row.lower - 1e-12, row.n
         if row.hypothesis_met:
             assert row.cesaro <= row.upper + 1e-12, row.n
 
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for n in (4, 32, 128):
-            row = mnt_sandwich(inst.measure, inst.params, xi0, n)
-            assert row.cesaro >= row.lower - 1e-12, (inst.name, n)
+        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32, 128)).rows:
+            assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
     print(f"criterion 06 PASS  cesaro(256) = {value:.6f}")
 
 
@@ -206,10 +190,13 @@ def test_criterion_07_strong_cesaro(leb, bs_half):
     for inst in (leb, bs_half):
         mu = inst.measure
         angles = 2.0 * np.pi * np.arange(mu.grid_size) / mu.grid_size
+        # c_0..c_255 and chi_0(1)..chi_255(1), read by prefix for each n
+        coeffs = cmv_coefficients(
+            mu, inst.params, np.stack([np.cos(angles), np.ones(mu.grid_size)]), 255
+        )
+        chi_vals = chi_table(inst.params, 1.0, 255)
         devs = [
-            strong_cesaro_deviation(
-                mu, inst.params, np.cos(angles).astype(complex), 1.0, 1.0, n
-            )
+            partial_sum_deviation(coeffs[0, :n], chi_vals[:n], 1.0)
             for n in (32, 64, 128, 256)
         ]
         assert all(b < a for a, b in zip(devs, devs[1:])), (inst.name, devs)
@@ -218,8 +205,7 @@ def test_criterion_07_strong_cesaro(leb, bs_half):
 
         # a constant has every partial sum equal to it; the deviation is
         # zero to the last double-precision digit of the quadrature
-        ones = np.ones(mu.grid_size, dtype=complex)
-        const = strong_cesaro_deviation(mu, inst.params, ones, 1.0, 1.0, 256)
+        const = partial_sum_deviation(coeffs[1], chi_vals, 1.0)
         assert const <= 1e-13, inst.name
     print(f"criterion 07 PASS  deviation drop factors {drops}")
 
@@ -229,10 +215,10 @@ def test_criterion_08_summability_constant(leb, bs_half, mixed_atom):
     for inst in (leb, bs_half, mixed_atom):
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
         ratios = [
-            (lambda pair: pair[0] / pair[1])(
-                summability_condition(inst.measure, inst.params, xi0, n)
+            lhs / rhs_unit
+            for lhs, rhs_unit in summability_conditions(
+                inst.measure, chi_table(inst.params, xi0, 256), xi0, (4, 16, 64, 256)
             )
-            for n in (4, 16, 64, 256)
         ]
         constants[inst.kind] = max(ratios)
         assert all(np.isfinite(ratios))

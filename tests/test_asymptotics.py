@@ -8,19 +8,21 @@ import pytest
 from opuclab.asymptotics import (
     CSV_HEADER,
     cd_at_zero_residual,
-    cesaro_phi_sq,
     cmv_coefficients,
-    mnt_sandwich,
+    partial_sum_deviation,
     sandwich_table,
-    strong_cesaro_deviation,
-    summability_condition,
-    szego_recovery_deviation,
+    summability_conditions,
 )
 from opuclab import asymptotics, opuc
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
-from opuclab.opuc import chi_sums, chi_sums_fft, eval_grid_table
-from oracles import cmv_coefficients_dense, cmv_coefficients_mp, sandwich_rows_per_n
+from opuclab.opuc import chi_sums, chi_sums_fft, chi_table, eval_grid_table
+from oracles import (
+    cmv_coefficients_dense,
+    cmv_coefficients_mp,
+    sandwich_rows_per_n,
+    szego_recovery_deviation,
+)
 
 
 def _cos_samples(mu):
@@ -33,12 +35,12 @@ def _cos_samples(mu):
 def test_cesaro_exact_partial_bernstein_szego(bs_half):
     # a_0 = 1/2, a_n = 0 afterwards gives |phi_k(1)|^2 = 1/3 for k >= 1,
     # so the running mean is (1 + (n - 1)/3)/n exactly
-    for n in (1, 4, 16, 64, 256):
-        got = cesaro_phi_sq(bs_half.params, 1.0, n)
-        want = (1.0 + (n - 1) / 3.0) / n
-        assert abs(got - want) < 1e-10, n
+    mu, params = bs_half.measure, bs_half.params
+    for row in sandwich_table(mu, params, 1.0, (1, 4, 16, 64, 256)).rows:
+        want = (1.0 + (row.n - 1) / 3.0) / row.n
+        assert abs(row.cesaro - want) < 1e-10, row.n
     with pytest.raises(OutOfRange):
-        cesaro_phi_sq(bs_half.params, 1.0, 0)
+        sandwich_table(mu, params, 1.0, [0])
 
 
 def test_sandwich_rows_bound_the_mean(bs_half, leb):
@@ -55,14 +57,13 @@ def test_sandwich_lower_bound_every_family(all_families):
     # the lower rail 1/F_n needs no smallness hypothesis at all
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for n in (4, 32):
-            row = mnt_sandwich(inst.measure, inst.params, xi0, n)
+        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32)).rows:
             assert row.cesaro >= row.lower - 1e-12, inst.name
             assert abs(row.lower * row.f_n - 1.0) < 1e-12
 
 
 def test_sandwich_target_is_reciprocal_density(bs_half):
-    row = mnt_sandwich(bs_half.measure, bs_half.params, 1.0, 16)
+    row = sandwich_table(bs_half.measure, bs_half.params, 1.0, [16]).rows[0]
     assert abs(row.target - 1.0 / 3.0) < 1e-12
     assert abs(row.cesaro - (1.0 + 15.0 / 3.0) / 16.0) < 1e-10
 
@@ -72,9 +73,8 @@ def test_strong_cesaro_constant_function_is_exact(leb, bs_half):
         mu = inst.measure
         ones = np.ones(mu.grid_size, dtype=complex)
         atom_ones = np.ones(len(mu.atoms), dtype=complex)
-        dev = strong_cesaro_deviation(
-            mu, inst.params, ones, 1.0, 1.0, 64, f_atom_values=atom_ones
-        )
+        coeffs = cmv_coefficients(mu, inst.params, ones, 63, atom_ones)
+        dev = partial_sum_deviation(coeffs, chi_table(inst.params, 1.0, 63), 1.0)
         assert dev < 1e-12, inst.name
 
 
@@ -82,10 +82,10 @@ def test_strong_cesaro_decreases_for_smooth_data(leb, bs_half):
     for inst in (leb, bs_half):
         mu = inst.measure
         grid, atoms = _cos_samples(mu)
+        coeffs = cmv_coefficients(mu, inst.params, grid, 255, atoms)
+        chi_vals = chi_table(inst.params, 1.0, 255)
         devs = [
-            strong_cesaro_deviation(
-                mu, inst.params, grid, 1.0, 1.0, n, f_atom_values=atoms
-            )
+            partial_sum_deviation(coeffs[:n], chi_vals[:n], 1.0)
             for n in (32, 64, 128, 256)
         ]
         assert all(b < a for a, b in zip(devs, devs[1:])), (inst.name, devs)
@@ -233,10 +233,9 @@ def test_coefficient_routes_match_a_40_digit_sum(spec, grid_size, n_max, route):
 
 
 def test_summability_condition_pair(bs_half):
+    chi_vals = chi_table(bs_half.params, 1.0, 256)
     for n in (8, 64, 256):
-        lhs, rhs_unit = summability_condition(
-            bs_half.measure, bs_half.params, 1.0, n
-        )
+        ((lhs, rhs_unit),) = summability_conditions(bs_half.measure, chi_vals, 1.0, [n])
         assert lhs > 0.0 and rhs_unit > 0.0
         assert lhs / rhs_unit < 10.0, n
 
@@ -275,21 +274,12 @@ def test_sandwich_table_matches_its_per_n_form_bitwise(family, request):
         want = sandwich_rows_per_n(mu, inst.params, xi0, n_list, 48)
         table = sandwich_table(mu, inst.params, xi0, n_list, 48)
         assert list(table.rows) == want, (family, angle)
-        assert mnt_sandwich(mu, inst.params, xi0, 16, 48) == want[1]
+        assert sandwich_table(mu, inst.params, xi0, [16], 48).rows[0] == want[1]
 
 
-def test_sandwich_table_takes_one_profile_and_one_transfer_pass(
-    monkeypatch, bs_half
-):
-    calls = []
-    for module, name in ((asymptotics, "entropy_profile"), (opuc, "_run_transfer")):
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+def test_sandwich_table_takes_one_profile_and_one_transfer_pass(spy, bs_half):
+    profiles = spy(lambda *args: args, asymptotics, "entropy_profile")
+    passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")
     table = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
     assert len(table.rows) == 4
-    assert sorted(calls) == ["_run_transfer", "entropy_profile"]
+    assert (len(profiles), len(passes)) == (1, 1)

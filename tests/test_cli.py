@@ -137,6 +137,24 @@ def test_bad_config_exits_two(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"test_points": 5}, "test_points = 5 must be a list"),
+        ({"grid_size": 8192, "n_list": [512]}, "N_MAX"),
+        ({"grid_size": 256, "experiment": "schur_identities"}, "SERIES_GUARD"),
+        ({"grid_size": 256, "experiment": "all"}, "SERIES_GUARD"),
+    ],
+    ids=["test_points", "n_max", "schur_identities_256", "all_256"],
+)
+def test_configs_that_cannot_run_exit_two(runner, tmp_path, overrides, reason):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    result = runner.invoke(main, ["verify", "--config", cfg])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert reason in result.output
+
+
 def test_a_run_imports_no_mpmath():
     # geronimus escalates its series cascade and its moment recursion to
     # fixed point; a fresh interpreter runs it and never imports mpmath

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from opuclab import opuc
 from opuclab.config import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -90,11 +91,27 @@ def test_minimal_config_accepts_defaults():
             "experiment": "scattering",
             "test_points": [1.3, 2 * math.pi],
         },
+        # test_points that is not a list
+        {"test_points": 5},
+        {"test_points": 1.5},
+        # passes grid_size/16, but build depth 513 exceeds opuc.N_MAX
+        {"grid_size": 8192, "n_list": [512]},
+        # the parameter routes read moment order 33 + SERIES_GUARD > 256/8
+        {"grid_size": 256, "experiment": "schur_identities"},
+        {"grid_size": 256, "experiment": "all"},
     ],
 )
 def test_rejections(overrides):
     with pytest.raises(ConfigError):
         config_from_dict(_variant(**overrides))
+
+
+def test_refusals_at_the_extraction_limits_stop_there():
+    # n = 511 builds to depth N_MAX; on 256 nodes only the parameter-route
+    # suites read moments past N/8
+    config_from_dict(_variant(grid_size=8192, n_list=[opuc.N_MAX - 1]))
+    for name in ("mnt", "entropy", "summability", "scattering"):
+        config_from_dict(_variant(grid_size=256, experiment=name))
 
 
 @pytest.mark.parametrize("missing", ["family", "n_list", "experiment"])

@@ -9,9 +9,10 @@ import pytest
 
 from opuclab import asymptotics, experiments, families, opuc, scattering, schur
 from opuclab.asymptotics import (
+    cmv_coefficients,
     csv_text,
-    strong_cesaro_deviation,
-    summability_condition,
+    partial_sum_deviation,
+    summability_conditions,
 )
 from opuclab.config import config_from_dict
 from opuclab.errors import ConfigError, FamilyValidationError, PositivityLoss
@@ -213,15 +214,8 @@ def test_verdict_to_json_shape():
     assert set(entry) == {"name", "status", "residual", "detail"}
 
 
-def test_summability_run_makes_one_coefficient_pass(monkeypatch):
-    orders = []
-    coefficients = experiments.cmv_coefficients
-
-    def counted(mu, params, f_samples, n_max, f_atom_values=None):
-        orders.append(n_max)
-        return coefficients(mu, params, f_samples, n_max, f_atom_values)
-
-    monkeypatch.setattr(experiments, "cmv_coefficients", counted)
+def test_summability_run_makes_one_coefficient_pass(spy):
+    orders = spy(lambda *args: args[3], experiments, "cmv_coefficients")
     cfg = _config(
         family=MIXED,
         experiment="summability",
@@ -343,11 +337,14 @@ def test_summability_table_matches_the_public_functions():
         rows = [
             (
                 n,
-                strong_cesaro_deviation(
-                    mu, inst.params, samples, xi0, math.cos(angle), n,
-                    f_atom_values=atom_values,
+                partial_sum_deviation(
+                    cmv_coefficients(mu, inst.params, samples, n - 1, atom_values),
+                    opuc.chi_table(inst.params, xi0, n - 1),
+                    math.cos(angle),
                 ),
-                *summability_condition(mu, inst.params, xi0, n),
+                *summability_conditions(
+                    mu, opuc.chi_table(inst.params, xi0, n), xi0, [n]
+                )[0],
             )
             for n in cfg.n_list
         ]
@@ -355,25 +352,11 @@ def test_summability_table_matches_the_public_functions():
         assert outcome.tables[filename] == want
 
 
-def test_summability_run_makes_one_chi_table_per_test_point(monkeypatch):
+def test_summability_run_makes_one_chi_table_per_test_point(spy):
     # the partial sums and the condition's lhs read prefixes of one table
     # per point, and one Poisson call per swept point gives every rhs
-    tables = []
-    rhs_batches = []
-    table = opuc.chi_table
-    extend = asymptotics.poisson
-
-    def counted_table(params, xi, n_max):
-        tables.append(n_max)
-        return table(params, xi, n_max)
-
-    def counted_poisson(mu, z):
-        rhs_batches.append(np.size(z))
-        return extend(mu, z)
-
-    for module in (experiments, asymptotics):
-        monkeypatch.setattr(module, "chi_table", counted_table, raising=False)
-    monkeypatch.setattr(asymptotics, "poisson", counted_poisson)
+    tables = spy(lambda params, xi, n_max: n_max, experiments, "chi_table")
+    rhs_batches = spy(lambda mu, z: np.size(z), asymptotics, "poisson")
     cfg = _config(
         family=MIXED,
         experiment="summability",
@@ -390,20 +373,12 @@ def test_summability_run_makes_one_chi_table_per_test_point(monkeypatch):
 @pytest.mark.parametrize(
     "name, passes", [("iterate_contractivity", 12), ("entropy_product_identity", 24)]
 )
-def test_schur_checks_make_one_iterate_pass_per_point(
-    monkeypatch, geronimus6, name, passes
-):
+def test_schur_checks_make_one_iterate_pass_per_point(spy, geronimus6, name, passes):
     # each point's iterates come from one pass to its deepest n; the origin
     # of entropy_product_identity reads the parameters instead
-    points = []
-    iterate = schur._pointwise_iterates
-
-    def counted(params, f_value, z, n):
-        points.append(z)
-        return iterate(params, f_value, z, n)
-
-    monkeypatch.setattr(schur, "_pointwise_iterates", counted)
-    monkeypatch.setattr(experiments, "_pointwise_iterates", counted, raising=False)
+    points = spy(
+        lambda params, f_value, z, n: z, schur, "_pointwise_iterates", experiments
+    )
     check = dict(CHECKS["entropy"] + CHECKS["schur_identities"])[name]
     status, _, _ = check(experiments.RunContext(_config(seed=1), geronimus6))
     assert status == "pass"
@@ -423,19 +398,12 @@ def test_schur_checks_make_one_iterate_pass_per_point(
         ),
     ],
 )
-def test_refinement_checks_extract_no_parameters(
-    monkeypatch, overrides, refinement
-):
+def test_refinement_checks_extract_no_parameters(spy, overrides, refinement):
     # quadrature_refinement (2N grid) and radial_limit (8192 grid) read a
     # measure only, so a run extracts exactly what its family build does
-    calls = []
-    extract = families.verblunsky_from_measure
-
-    def counted(mu, n_max):
-        calls.append(mu.grid_size)
-        return extract(mu, n_max)
-
-    monkeypatch.setattr(families, "verblunsky_from_measure", counted)
+    calls = spy(
+        lambda mu, n_max: mu.grid_size, families, "verblunsky_from_measure"
+    )
     cfg = _config(**overrides)
     build_family(cfg.family, cfg.grid_size, cfg.build_depth)
     built = list(calls)
@@ -487,15 +455,8 @@ def test_sampled_checks_match_their_per_point_form_bitwise(
 @pytest.mark.parametrize(
     "name, points", [("phi_star_zero_free", 65), ("cd_three_route", 96)]
 )
-def test_sampled_checks_make_one_transfer_pass(monkeypatch, geronimus6, name, points):
-    passes = []
-    run = opuc._run_transfer
-
-    def counted(params, zs, n_max, keep_all):
-        passes.append(len(zs))
-        return run(params, zs, n_max, keep_all)
-
-    monkeypatch.setattr(opuc, "_run_transfer", counted)
+def test_sampled_checks_make_one_transfer_pass(spy, geronimus6, name, points):
+    passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")
     status, _, _ = _SAMPLED_CHECKS[name](
         experiments.RunContext(_config(seed=1), geronimus6)
     )
@@ -516,18 +477,13 @@ def test_scattering_table_matches_its_per_n_form_bitwise(family, request, monkey
         assert experiments._scattering_table(ctx, angle) == want, (family, angle)
 
 
-def test_dual_involution_solves_only_the_twice_negated_parameters(
-    monkeypatch, bs_half
-):
+def test_dual_involution_solves_only_the_twice_negated_parameters(spy, bs_half):
     # the original solutions are a prefix of the run's own jost(angle)
-    solved = []
-    solve = experiments.jost_solutions
-
-    def counted(mu, params, xi, n_max):
-        solved.append((np.size(xi), n_max))
-        return solve(mu, params, xi, n_max)
-
-    monkeypatch.setattr(experiments, "jost_solutions", counted)
+    solved = spy(
+        lambda mu, params, xi, n_max: (np.size(xi), n_max),
+        experiments,
+        "jost_solutions",
+    )
     ctx = experiments.RunContext(
         _config(experiment="scattering", n_list=[4, 16, 128]), bs_half
     )
@@ -538,18 +494,12 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(
     assert sorted(solved) == [(1, 64), (len(bs_half.test_angles), 128)]
 
 
-def test_scattering_run_solves_its_angles_in_one_call(monkeypatch, bs_half):
+def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
     # test points off the certified set join the certified angles in one
     # batched solve; dual_involution makes the only other call
     points = [1.0, 2.5]
-    calls = []
     solve = experiments.jost_solutions
-
-    def counted(mu, params, xi, n_max):
-        calls.append(np.size(xi))
-        return solve(mu, params, xi, n_max)
-
-    monkeypatch.setattr(experiments, "jost_solutions", counted)
+    calls = spy(lambda *args: np.size(args[2]), experiments, "jost_solutions")
     ctx = experiments.RunContext(
         _config(experiment="scattering", test_points=points), bs_half
     )
@@ -565,19 +515,13 @@ def test_scattering_run_solves_its_angles_in_one_call(monkeypatch, bs_half):
     assert len(calls) == 2
 
 
-def test_jost_step_defects_run_once_per_solution(monkeypatch, bs_half):
+def test_jost_step_defects_run_once_per_solution(spy, bs_half):
     # with the default test points, solution_space_closure and the
-    # scattering table read the same solutions, so their defects are shared
-    solutions = []
-    step_defects = experiments.jost_step_defects
-
-    def counted(params, sol):
-        solutions.append(sol)
-        return step_defects(params, sol)
-
+    # scattering table read the same solutions, so their defects are shared;
     # both names, so that a residual taken through scattering counts too
-    monkeypatch.setattr(experiments, "jost_step_defects", counted)
-    monkeypatch.setattr(scattering, "jost_step_defects", counted)
+    solutions = spy(
+        lambda params, sol: sol, experiments, "jost_step_defects", scattering
+    )
     ctx = experiments.RunContext(_config(experiment="scattering"), bs_half)
     experiments.suite_verdicts(ctx, "scattering")
     experiments.suite_tables(ctx, "scattering")

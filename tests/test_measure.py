@@ -1,6 +1,5 @@
 """Measure container, Poisson extensions, moments, Fejer means."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -20,8 +19,6 @@ from opuclab.errors import (
 from opuclab.measure import (
     build_measure,
     fejer_mean,
-    from_json_dict,
-    interval_ratio,
     lebesgue,
     max_trusted_moment,
     moment,
@@ -29,7 +26,6 @@ from opuclab.measure import (
     poisson_log_weight,
     poisson_route,
     snap,
-    to_json_dict,
     weighted_poisson,
 )
 from opuclab.families import build_family
@@ -251,7 +247,7 @@ def test_moment_is_conjugate_of_direct_integral(mixed_atom):
 
 def test_moment_guards():
     mu = lebesgue(256)
-    assert max_trusted_moment(mu) == 32
+    assert max_trusted_moment(mu.grid_size) == 32
     with pytest.raises(AliasRisk):
         moment(mu, 33)
     with pytest.raises(OutOfRange):
@@ -270,28 +266,6 @@ def test_fejer_mean_positive_small_orders(mixed_atom):
     mu = mixed_atom.measure
     for n in (1, 2, 3, 7):
         assert fejer_mean(mu, np.exp(0.7j), n) > 0.0
-
-
-def test_interval_ratio_counts_atom_mass(mixed_atom):
-    mu = mixed_atom.measure
-    xi0 = complex(np.exp(2.0j))
-    eps = 0.05
-    expected = 0.2 / (2.0 * np.arcsin(eps / 2.0) / np.pi)
-    assert abs(interval_ratio(mu, xi0, eps) - expected) < 1e-12
-    # away from the atom nothing singular is caught
-    assert interval_ratio(mu, 1.0 + 0j, eps) == 0.0
-
-
-def test_json_roundtrip(mixed_atom):
-    mu = mixed_atom.measure
-    data = to_json_dict(mu)
-    json.dumps(data)  # must be serializable as-is
-    back = from_json_dict(data)
-    assert back.grid_size == mu.grid_size
-    assert np.max(np.abs(back.weight - mu.weight)) < 1e-15
-    assert len(back.atoms) == len(mu.atoms)
-    for (a1, m1), (a2, m2) in zip(back.atoms, mu.atoms):
-        assert abs(a1 - a2) < 1e-15 and abs(m1 - m2) < 1e-15
 
 
 def test_build_measure_validation():

@@ -15,25 +15,22 @@ from opuclab.errors import OutOfRange, PositivityLoss
 from opuclab.families import FAMILIES, build_family
 from opuclab.measure import _as_boundary, build_measure, moment, moments
 from opuclab.opuc import (
-    cd_kernel_cmv,
-    cd_kernel_poly,
-    cd_kernel_sum,
-    chi,
+    _chi_from_pair,
+    cd_quotient,
     chi_table,
     dual_parameters,
-    eval_grid_pair,
     eval_grid_table,
     eval_pair,
     eval_table,
     monic_from_moments,
     verblunsky_from_measure,
-    verblunsky_from_moments,
     weight_from_parameters,
 )
 from opuclab.schur import SchurParameters, schur_parameters_from_measure
 
 from oracles import (
     cd_kernel_bruteforce,
+    cd_kernel_routes,
     gram_schmidt_verblunsky,
     monic_from_moments_mp,
     phi_at_node_mp,
@@ -95,7 +92,7 @@ def test_extraction_routes_agree(all_families):
         d = 24
         cascade = schur_parameters_from_measure(inst.measure, d).values
         moms = np.array([moment(inst.measure, k) for k in range(d + 1)])
-        levinson = verblunsky_from_moments(moms, d).values
+        levinson = monic_from_moments(moms, d).params.values
         assert np.max(np.abs(cascade - levinson)) < 1e-9, inst.name
 
 
@@ -118,19 +115,12 @@ def test_moment_route_matches_a_60_digit_recursion(a):
     ids=["ell2", "bernstein_szego-0.9", "geronimus"],
 )
 def test_moment_route_goes_exact_only_past_four_digits(
-    monkeypatch, spec, grid_size, exact_passes
+    spy, spec, grid_size, exact_passes
 ):
     family = FAMILIES[spec["name"]]
     args = {key: value for key, value in spec.items() if key != "name"}
     c = moments(family.measure(grid_size, 257, **args), 64)
-    passes = []
-    exact = opuc._monic_exact
-
-    def spy(*call):
-        passes.append(call)
-        return exact(*call)
-
-    monkeypatch.setattr(opuc, "_monic_exact", spy)
+    passes = spy(lambda *call: call, opuc, "_monic_exact")
     monic_from_moments(c, 64)
     assert len(passes) == exact_passes
 
@@ -166,17 +156,9 @@ def test_extended_precision_only_where_it_buys_digits():
     assert found == kept
 
 
-def _recursion_dtypes(monkeypatch):
+def _recursion_dtypes(spy):
     """A list that records the dtype of each value-space recursion pass."""
-    dtypes = []
-    recursion = opuc._value_recursion
-
-    def spy(xi, *args):
-        dtypes.append(xi.dtype.type)
-        return recursion(xi, *args)
-
-    monkeypatch.setattr(opuc, "_value_recursion", spy)
-    return dtypes
+    return spy(lambda xi, *args: xi.dtype.type, opuc, "_value_recursion")
 
 
 @pytest.mark.parametrize(
@@ -214,33 +196,33 @@ def _recursion_dtypes(monkeypatch):
     ids=["mixed-mnt-quadrature", "ell2", "bernstein_szego-0.9", "mixed-three-atoms"],
 )
 def test_value_recursion_stays_in_double_within_four_digits(
-    monkeypatch, spec, grid_size, depth
+    spy, spec, grid_size, depth
 ):
     mu = build_family(spec, grid_size, depth).measure
     xi, q = mu.quadrature()
     extended = opuc._value_recursion(
         xi.astype(np.clongdouble), q.astype(np.longdouble), depth
     )
-    dtypes = _recursion_dtypes(monkeypatch)
+    dtypes = _recursion_dtypes(spy)
     params = verblunsky_from_measure(mu, depth)
     assert dtypes == [np.complex128]
     assert np.max(np.abs(params.values - extended)) < 1e-14
 
 
-def test_value_recursion_runs_once_in_double_past_four_digits(monkeypatch, geronimus6):
+def test_value_recursion_runs_once_in_double_past_four_digits(spy, geronimus6):
     # geronimus(0.6) loses 13.5 digits by depth 64
-    dtypes = _recursion_dtypes(monkeypatch)
+    dtypes = _recursion_dtypes(spy)
     verblunsky_from_measure(geronimus6.measure, 65)
     assert dtypes == [np.complex128]
 
 
-def test_value_recursion_escape_survives_the_double_pass(monkeypatch):
+def test_value_recursion_escape_survives_the_double_pass(spy):
     # three atoms carry all but 1e-13 of the mass, so a_2 escapes, and the
     # one double pass raises it
     mu = build_measure(
         np.full(1024, 1e-13), [(0.0, 0.4), (2.0, 0.3), (4.0, 0.3 - 1e-13)]
     )
-    dtypes = _recursion_dtypes(monkeypatch)
+    dtypes = _recursion_dtypes(spy)
     with pytest.raises(PositivityLoss, match=r"\|a_2\|"):
         verblunsky_from_measure(mu, 8)
     assert dtypes == [np.complex128]
@@ -332,10 +314,15 @@ def test_dual_parameters_negate_and_involute(bs_half):
 
 def test_cd_kernel_routes_interior(geronimus6):
     # quotient form against the brute-force sum at interior points
+    params = geronimus6.params
     for xi, z, n in ((0.5 + 0.1j, 0.3, 5), (0.7j, -0.4, 9)):
-        direct = cd_kernel_bruteforce(geronimus6.params, xi, z, n)
-        assert abs(cd_kernel_sum(geronimus6.params, xi, z, n) - direct) < 1e-9
-        assert abs(cd_kernel_poly(geronimus6.params, xi, z, n) - direct) < 1e-8
+        direct = cd_kernel_bruteforce(params, xi, z, n)
+        pxi, _ = eval_table(params, xi, n)
+        pz, _ = eval_table(params, z, n)
+        assert abs(complex(np.sum(np.conj(pxi) * pz)) - direct) < 1e-9
+        pairs = (eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
+        quotient = cd_quotient(*pairs)
+        assert abs(quotient - direct) < 1e-8
 
 
 def test_cd_kernel_routes_boundary(mixed_atom):
@@ -347,9 +334,7 @@ def test_cd_kernel_routes_boundary(mixed_atom):
         if abs(1.0 - np.conj(xi) * z) < 0.1:
             continue
         n = int(rng.integers(1, 24))
-        direct = cd_kernel_sum(mixed_atom.params, xi, z, n)
-        quotient = cd_kernel_poly(mixed_atom.params, xi, z, n)
-        laurent = cd_kernel_cmv(mixed_atom.params, xi, z, n)
+        direct, quotient, laurent = cd_kernel_routes(mixed_atom.params, xi, z, n)
         prefactor = (xi * np.conj(z)) ** (n // 2)
         scale = max(1.0, abs(direct))
         assert abs(direct - quotient) / scale < 1e-9
@@ -360,14 +345,14 @@ def test_cmv_basis_interleaves_polynomials(bs_half):
     xi = complex(np.exp(0.9j))
     values = chi_table(bs_half.params, xi, 9)
     for j in range(10):
-        assert abs(chi(bs_half.params, xi, j) - values[j]) < 1e-12
+        assert abs(_chi_from_pair(eval_pair(bs_half.params, xi, j)) - values[j]) < 1e-12
     # chi_0 is the constant 1; chi_1 is phi_1
     assert abs(values[0] - 1.0) < 1e-12
     assert abs(values[1] - eval_pair(bs_half.params, xi, 1).phi) < 1e-12
 
 
 def test_weight_reconstruction_matches_density(bs_half):
-    w = weight_from_parameters(bs_half.params.truncated(8), 512)
+    w = weight_from_parameters(SchurParameters(bs_half.params.values[:8]), 512)
     angles = 2.0 * np.pi * np.arange(512) / 512
     target = np.array([bs_half.density_at(t) for t in angles])
     assert np.max(np.abs(w - target)) < 1e-10
@@ -376,8 +361,8 @@ def test_weight_reconstruction_matches_density(bs_half):
 def _transfer_weight(params, grid_size):
     """1/|phi_K|^2 on the grid by K transfer steps at every node."""
     nodes = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    phi, _ = eval_grid_pair(params, nodes, len(params))
-    return 1.0 / np.abs(phi) ** 2
+    phi, _ = eval_grid_table(params, nodes, len(params))
+    return 1.0 / np.abs(phi[-1]) ** 2
 
 
 def test_weight_folds_coefficients_on_a_coarse_grid():

@@ -27,20 +27,17 @@ from opuclab.schur import (
     SchurParameters,
     _cascade,
     _cascade_mp,
-    entropy_product,
     entropy_products,
     fixed_bits,
     iterate_noise_horizon,
-    khrushchev_rhs,
     schur_eval,
-    schur_iterate_eval,
     schur_parameters_from_measure,
     schur_parameters_from_series,
     schur_sum_bound,
-    szego_formula_residual,
+    szego_formula_residuals,
 )
 
-from oracles import cascade_mp
+from oracles import cascade_mp, khrushchev_rhs, schur_iterate_eval
 
 
 def test_schur_function_is_constant_for_bernstein_szego(bs_half):
@@ -182,8 +179,8 @@ def test_fixed_point_holds_every_double_exactly(x):
 
 
 def test_szego_formula_exact_for_finite_parameter_families(leb, bs_half):
-    assert szego_formula_residual(leb.measure, leb.params, 64) < 1e-10
-    assert szego_formula_residual(bs_half.measure, bs_half.params, 64) < 1e-10
+    assert szego_formula_residuals(leb.measure, leb.params, [64])[0] < 1e-10
+    assert szego_formula_residuals(bs_half.measure, bs_half.params, [64])[0] < 1e-10
 
 
 def test_entropy_product_closed_form(bs_half):
@@ -191,7 +188,7 @@ def test_entropy_product_closed_form(bs_half):
     for z in (0.0, 0.3, 0.5, 0.8j):
         expected = math.log((1.0 - 0.25 * abs(z) ** 2) / 0.75)
         f0 = schur_eval(bs_half.measure, z)
-        got = entropy_product(bs_half.params, z, f0, 8)
+        (got,) = entropy_products(bs_half.params, z, f0, [8])
         assert abs(got - expected) < 1e-10
 
 
@@ -202,11 +199,11 @@ def test_entropy_products_fail_where_their_own_pass_would():
     params = SchurParameters(np.zeros(16))
     z, f0 = 1.0 - 1e-11, 1.0 + 0.5e-10
     with pytest.raises(IdentityCheckFailed, match="at step 0"):
-        entropy_product(params, z, f0, 1)
+        entropy_products(params, z, f0, [1])
     with pytest.raises(IdentityCheckFailed, match="at step 0"):
         entropy_products(params, z, f0, [1, 16])
     with pytest.raises(ContractivityLoss, match="f_5"):
-        entropy_product(params, z, f0, 16)
+        entropy_products(params, z, f0, [16])
 
 
 def test_sum_bound_is_equality_for_one_parameter(bs_half):
@@ -242,14 +239,14 @@ def test_sum_bound_never_exceeds_entropy_side(geronimus6):
 
 def test_khrushchev_rhs_against_poisson_quadrature(bs_half):
     from opuclab.measure import weighted_poisson
-    from opuclab.opuc import eval_grid_pair
+    from opuclab.opuc import eval_grid_table
 
     mu = bs_half.measure
     for n, z in ((2, 0.5), (6, 0.5 - 0.4j), (16, 0.8j)):
         f0 = schur_eval(mu, z)
         rhs = khrushchev_rhs(bs_half.params, z, f0, n)
-        _, phis = eval_grid_pair(bs_half.params, mu.boundary_points, n)
-        lhs = weighted_poisson(mu, np.abs(phis) ** 2, z)
+        _, phis = eval_grid_table(bs_half.params, mu.boundary_points, n)
+        lhs = weighted_poisson(mu, np.abs(phis[n]) ** 2, z)
         assert abs(lhs - rhs) < 1e-6
 
 

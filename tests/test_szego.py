@@ -143,16 +143,9 @@ def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
         assert rows == oracle
 
 
-def test_entropy_profile_makes_one_poisson_pass(monkeypatch, mixed_three_atoms):
+def test_entropy_profile_makes_one_poisson_pass(spy, mixed_three_atoms):
     # every row reads its slice of one batch of points over all n
-    batches = []
-    means = szego._poisson_means
-
-    def counted(mu, zs, rows, *kernel):
-        batches.append(len(zs))
-        return means(mu, zs, rows, *kernel)
-
-    monkeypatch.setattr(szego, "_poisson_means", counted)
+    batches = spy(lambda mu, zs, *rest: len(zs), szego, "_poisson_means")
     profile = entropy_profile(mixed_three_atoms.measure, np.exp(2.5j), (4, 16, 64), 32)
     assert [row.n for row in profile.rows] == [4, 16, 64]
     assert len(batches) == 1
