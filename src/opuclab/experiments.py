@@ -73,6 +73,7 @@ from .scattering import (
     jost_step_defects,
 )
 from .schur import (
+    Z_MIN,
     _pointwise_iterates,
     entropy_products,
     schur_eval,
@@ -206,7 +207,15 @@ class RunContext:
     def rng(self, stream: int) -> Lcg:
         return Lcg(self.config.seed * 1_000_003 + stream)
 
+    def interior_radius(self, radius: float) -> float:
+        """The radius, capped at 10^(-16/N) so that r^N <= 1e-16: the grid's
+        Poisson weights at z sum to 1 + 2 Re(z^N / (1 - z^N)), and the
+        discrete measure keeps positivity and Jensen only to about 2 |z|^N."""
+        return min(radius, 10.0 ** (-16.0 / self.mu.grid_size))
+
     def interior_points(self, stream: int, count: int, radius: float):
+        """``count`` points drawn in the disk of ``interior_radius(radius)``."""
+        radius = self.interior_radius(radius)
         rng = self.rng(stream)
         return [
             radius * math.sqrt(rng.uniform()) * complex(np.exp(1j * rng.angle()))
@@ -293,7 +302,7 @@ class RunContext:
 
     def horizon(self, z: complex) -> int:
         """Safe pointwise-iterate depth at z, capped by the build depth."""
-        if abs(z) < 1e-3:
+        if abs(z) < Z_MIN:
             return self.depth
         return min(iterate_noise_horizon(z), self.depth)
 
@@ -315,7 +324,7 @@ def _poisson_positivity(ctx: RunContext) -> Result:
         residual,
         1e-12,
         f"|P(mu,0) - 1| = {at_zero:.3g}; min over 32 interior points "
-        f"|z| <= 0.99 is {low:.6g} (must stay positive)",
+        f"|z| <= {ctx.interior_radius(0.99):g} is {low:.6g} (must stay positive)",
     )
 
 
@@ -416,7 +425,8 @@ def _entropy_nonnegative(ctx: RunContext) -> Result:
     return _within(
         _shortfall(low),
         1e-10,
-        f"min entropy over 24 interior points |z| <= 0.99 is {low:.3g}",
+        f"min entropy over 24 interior points "
+        f"|z| <= {ctx.interior_radius(0.99):g} is {low:.3g}",
     )
 
 

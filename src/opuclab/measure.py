@@ -21,14 +21,15 @@ The interior extensions (``poisson``, ``poisson_log_weight``,
 ``weighted_poisson`` and the Schwarz-kernel means behind the outer and
 Herglotz functions) are grid means of a row against a kernel at z, plus
 the atom terms, over a batch of points at a time (``_poisson_means``).
-The grid means have a closed form in the row's DFT, summed over its band
-K in O(K) per point when every row of a call has K <= N/8
-(``_spectral_means``; Trefethen and Weideman, SIAM Review 2014; Henrici,
-Applied and Computational Complex Analysis, Vol. 3, Ch. 13); otherwise
-the direct kernel sums all N nodes, O(N) per point (``_direct_means``).
-The bands of w and log w are cached on the measure as O(K) numbers
-(``_Band``), and ``poisson_route`` names the route taken.  One kernel
-call over every (point, atom) pair gives the atom terms of the batch.
+The grid means have one route, a closed form in the row's DFT band
+(``_grid_means``; Trefethen and Weideman, SIAM Review 2014; Henrici,
+Applied and Computational Complex Analysis, Vol. 3, Ch. 13), exact for
+the grid quadrature at any band width K.  A point reads a term c_k z^k
+only while |z|^k >= ``_TERM_CUT``, so it costs O(min(K, log(cut) /
+log|z|)).  Bands of at most N/8 coefficients are cached on the measure;
+wider ones come from a transient FFT, and ``poisson_route`` reports the
+widths.  One kernel call over every (point, atom) pair gives the atom
+terms of the batch.
 
 Grid
 ----
@@ -41,7 +42,7 @@ the point bitwise ``boundary_points[j]``, without the other N - 1 nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +72,15 @@ BOUNDARY_EXCLUSION = 1e-12
 _BOUNDARY_TOL = 1e-9
 
 _NORMALIZATION_TOL = 1e-12
+
+# A point reads the term c_k z^k of a closed-form grid mean only while
+# |z|^k is at least this, so it costs O(min(K, log(cut) / log|z|)) for a
+# band of K coefficients: about 4100 terms at |z| = 0.99.  The sum runs
+# over blocks of at most _BLOCK exponents, for chunks of points that hold
+# at most _WORK terms of a row.
+_TERM_CUT = 1e-18
+_BLOCK = 512
+_WORK = 16384
 
 
 def _as_boundary(xi0: complex) -> complex:
@@ -258,167 +268,140 @@ def _interior_points(z) -> list:
     return [_check_interior(v) for v in z]
 
 
-def _poisson_kernel(
-    conj_points: np.ndarray, z, out=None, scratch=None
-) -> np.ndarray:
+def _poisson_kernel(conj_points: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(1 - |z|^2) / |1 - conj(xi) z|^2 at unimodular points xi, given
-    conj(xi); ``z`` is one point or an array paired with them.  1 - |z|^2
-    rounds as Python's ``1 - abs(z) ** 2`` (libm hypot and pow) in both
-    cases.  ``out`` (real) and ``scratch`` (complex) are optional buffers
-    of the points' length; the result is ``out`` when given."""
-    w = np.multiply(conj_points, z, out=scratch)
-    np.subtract(1.0, w, out=w)
-    kernel = np.abs(w, out=out)
-    np.square(kernel, out=kernel)
+    conj(xi), with z an array paired with them.  1 - |z|^2 rounds as
+    Python's ``1 - abs(z) ** 2`` (libm hypot and pow)."""
+    kernel = np.square(np.abs(1.0 - conj_points * z))
     size = 1.0 - np.float_power(np.hypot(z.real, z.imag), 2.0)
-    return np.divide(size, kernel, out=kernel)
+    return size / kernel
 
 
-def _schwarz_kernel(
-    points: np.ndarray, z, out=None, scratch=None
-) -> np.ndarray:
-    """(xi + z) / (xi - z) at the given unimodular points; its real part is
-    the Poisson kernel.  ``z``, ``out`` and ``scratch`` are as for
-    ``_poisson_kernel``, with ``out`` complex too."""
-    w = np.subtract(points, z, out=scratch)
-    kernel = np.add(points, z, out=out)
-    return np.divide(kernel, w, out=kernel)
+def _schwarz_kernel(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(xi + z) / (xi - z) at the given unimodular points, paired with z as
+    for ``_poisson_kernel``; its real part is the Poisson kernel."""
+    return (points + z) / (points - z)
 
 
-class _Band(NamedTuple):
-    """Where a real grid row's DFT c_k (``np.fft.fft(row) / N``) carries
-    weight.
+def _band(mu: CircleMeasure, row) -> np.ndarray:
+    """The band c_0..c_{K-1} of a real grid row's DFT, ``np.fft.rfft(row)
+    / N``: K is one more than the last k <= N/2 with |c_k| above the FFT
+    noise floor eps * max|row|, and c_{N-k} = conj(c_k) as the row is real.
 
-    ``width`` is K, one more than the last k <= N/2 with |c_k| above the
-    FFT noise floor eps * max|row|.  A narrow band (K <= N/8) keeps
-    ``low`` = c_0..c_{K-1}; c_{N-K+1}..c_{N-1} are their conjugates in
-    reverse, since the row is real.  A wide band keeps only K (``low`` is
-    None), so no record holds O(N) numbers.
+    A row is an array of N samples or the name of one of the measure's
+    own, "weight" or "log_weight".  The band of a named row is cached on
+    the measure when it has at most N/8 coefficients (log w needs an FFT
+    of its own); a wider band, or an array row's, comes from a transient
+    FFT on each call, so no record holds O(N) numbers.
     """
-
-    width: int
-    low: np.ndarray | None
-
-
-def _row_band(row: np.ndarray, max_width: int) -> _Band:
-    """The band of one real grid row, from a transient real FFT; narrow
-    when K is at most ``max_width``."""
-    half = np.fft.rfft(row) / len(row)
-    floor = np.finfo(float).eps * np.max(np.abs(row))
+    key = ("band", row) if isinstance(row, str) else None
+    if key in mu._spectrum_cache:
+        return mu._spectrum_cache[key]
+    if key is None:
+        samples = row
+    else:
+        samples = np.log(mu.weight) if row == "log_weight" else mu.weight
+    half = np.fft.rfft(samples) / len(samples)
+    floor = np.finfo(float).eps * np.max(np.abs(samples))
     above = np.flatnonzero(np.abs(half) > floor)
-    width = int(above[-1]) + 1 if above.size else 1
-    return _Band(width, half[:width].copy() if width <= max_width else None)
+    band = half[: int(above[-1]) + 1 if above.size else 1]
+    if key is not None and len(band) <= max_trusted_moment(mu.grid_size):
+        band = band.copy()
+        band.flags.writeable = False
+        mu._spectrum_cache[key] = band
+    return band
 
 
-def _grid_row(mu: CircleMeasure, row) -> np.ndarray:
-    """The samples of a grid row given as an array or by name."""
-    if not isinstance(row, str):
-        return row
-    if row == "weight":
-        return mu.weight
-    if row == "log_weight":
-        return np.log(mu.weight)
-    raise ValueError(f"unknown grid row {row!r}")
-
-
-def _band(mu: CircleMeasure, row) -> _Band:
-    """The band of a grid row.  The measure's own rows come by name, so
-    that their bands are cached on it (log w needs an FFT of its own); an
-    array row gets a transient FFT on each call."""
-    if not isinstance(row, str):
-        return _row_band(row, max_trusted_moment(mu.grid_size))
-    key = ("band", row)
-    if key not in mu._spectrum_cache:
-        row_samples = _grid_row(mu, row)
-        mu._spectrum_cache[key] = _row_band(
-            row_samples, max_trusted_moment(mu.grid_size)
-        )
-    return mu._spectrum_cache[key]
-
-
-def _horner(coefficients: np.ndarray, z: np.ndarray):
-    """Real and imaginary parts of sum_k coefficients[i, k] z^k, for every
-    row i of coefficients at every point of z, as arrays (rows, points).
-
-    Real arithmetic throughout: numpy's complex multiply takes different
-    loops (fused or not) for different array lengths, while each real
-    operation rounds once, so a point's value is the same in any batch.
-    """
-    x, y = z.real, z.imag
-    re = np.zeros((len(coefficients), len(z)))
-    im = np.zeros((len(coefficients), len(z)))
-    for column in coefficients.T[::-1]:
-        re, im = (
-            re * x - im * y + column.real[:, None],
-            re * y + im * x + column.imag[:, None],
-        )
+def _powers(z: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of z^0..z^(width - 1) at the points z, as
+    (points, width) arrays, by doubling: z^s..z^(2s - 1) is z^s times
+    z^0..z^(s - 1)."""
+    re, im = np.ones((len(z), width)), np.zeros((len(z), width))
+    sr, si, s = z.real[:, None], z.imag[:, None], 1
+    while s < width:
+        n = min(s, width - s)
+        re[:, s : s + n] = re[:, :n] * sr - im[:, :n] * si
+        im[:, s : s + n] = re[:, :n] * si + im[:, :n] * sr
+        sr, si, s = sr * sr - si * si, 2.0 * sr * si, 2 * s
     return re, im
 
 
-def _spectral_means(
-    mu: CircleMeasure, zs: list, bands: Sequence[_Band], kernel
+def _grid_means(
+    mu: CircleMeasure, zs: list, bands: Sequence[np.ndarray], kernel
 ) -> np.ndarray:
-    """Kernel grid means of band-limited rows, in closed form.
+    """Kernel grid means of real rows, given their bands, in closed form.
 
     With c_k the DFT of a row, the grid mean of row * (xi + z)/(xi - z) is
     2 S(z) / (1 - z^N) - c_0 with S(z) = sum_{k<N} c_k z^k; 1/(1 - z^N)
-    carries the aliasing, and the Poisson mean is the real part.  S is
-    summed over the two bands only, by Horner at all points at once: k < K,
-    and k > N - K as z^(N-K+1) times a polynomial of degree K - 2.
+    carries the aliasing, and the Poisson mean is the real part.  The
+    nonzero c_k are c_0..c_{K-1} and c_{N-k} = conj(c_k), the Nyquist term
+    counted once: one run of exponents, or two for K <= N/2.  S runs over
+    blocks of each run, and a point reads no term past its reach.  Every
+    product is real arithmetic, rounding once, and a block is one
+    ``np.add.reduce`` along a last axis of a length the bands fix, so a
+    point's value is the same in any batch.
     """
-    z = np.array(zs, dtype=complex)
+    points = np.array(zs, dtype=complex)
     grid_size = mu.grid_size
-    # rows 2i and 2i + 1: row i's low band and c_{N-K+1}..c_{N-1}, the
-    # conjugates of c_{K-1}..c_1, zero-padded at the top
-    coefficients = np.zeros((2 * len(bands), max(b.width for b in bands)), complex)
-    for i, band in enumerate(bands):
-        coefficients[2 * i, : band.width] = band.low
-        coefficients[2 * i + 1, : band.width - 1] = np.conj(band.low[:0:-1])
-    re, im = _horner(coefficients, z)
-    shift = np.power(z, [[grid_size - b.width + 1] for b in bands])
-    alias = 1.0 - np.power(z, grid_size)
-    sr = re[::2] + (shift.real * re[1::2] - shift.imag * im[1::2])
-    si = im[::2] + (shift.real * im[1::2] + shift.imag * re[1::2])
+    low = max(len(band) for band in bands)
+    top = grid_size - low + 1
+    runs = [(0, low), (top, grid_size)] if top > low else [(0, grid_size)]
+    k = np.concatenate([np.arange(a, b) for a, b in runs])
+    fold = np.minimum(k, grid_size - k)
+    coefficients = np.zeros((len(bands), len(k)), dtype=complex)
+    for row, band in zip(coefficients, bands):
+        inside = fold < len(band)
+        row[inside] = band[fold[inside]]
+    np.conjugate(coefficients, out=coefficients, where=k > grid_size // 2)
+    cr, ci = coefficients.real[:, None], coefficients.imag[:, None]
+    # (first exponent, first column, width) of each block; widths double
+    # from _BLOCK / 8 up to _BLOCK along a run, so a point of short reach
+    # reads a short block
+    blocks, column = [], 0
+    for a, b in runs:
+        s = a
+        while s < b:
+            w = min(_BLOCK, max(_BLOCK // 8, s - a), b - s)
+            blocks.append((s, column, w))
+            s, column = s + w, column + w
+    starts = np.array([start for start, _, _ in blocks])
+    # a point reads the terms with |z|^k >= _TERM_CUT, at most N of them;
+    # sorted by reach, each block a chunk reads is read by a prefix of it
+    with np.errstate(divide="ignore"):
+        reach = np.log(_TERM_CUT) / np.log(np.abs(points))
+    reach = np.minimum(np.floor(reach), grid_size - 1).astype(int) + 1
+    order = np.argsort(-reach, kind="stable")
+    z, reach = points[order], reach[order]
+    sums = np.zeros((2, len(bands), len(zs)))
+    chunk = max(1, _WORK // max(w for _, _, w in blocks))
+    for first in range(0, len(zs), chunk):
+        ends = reach[first : first + chunk]
+        widest = max(w for start, _, w in blocks if start < ends[0])
+        base_re, base_im = _powers(z[first : first + chunk], widest)
+        counts = np.count_nonzero(ends > starts[:, None], axis=1)
+        for (start, column, w), count in zip(blocks, counts):
+            if count == 0:
+                break
+            pr, pi = base_re[:count, :w], base_im[:count, :w]
+            if ends[count - 1] < start + w:
+                live = np.arange(start, start + w) < ends[:count, None]
+                pr, pi = pr * live, pi * live
+            cb_re, cb_im = cr[..., column : column + w], ci[..., column : column + w]
+            # the block's sum over z^0..z^(w - 1), then times z^start
+            tr = np.add.reduce(cb_re * pr - cb_im * pi, axis=-1)
+            ti = np.add.reduce(cb_re * pi + cb_im * pr, axis=-1)
+            lanes = slice(first, first + count)
+            shift = np.power(z[lanes], start)
+            sums[0, :, lanes] += tr * shift.real - ti * shift.imag
+            sums[1, :, lanes] += tr * shift.imag + ti * shift.real
+    sr, si = sums[..., np.argsort(order)]
+    alias = 1.0 - np.power(points, grid_size)
     size = alias.real * alias.real + alias.imag * alias.imag
-    c0 = np.array([band.low[0] for band in bands])[:, None]
+    c0 = np.array([band[0] for band in bands])[:, None]
     real = 2.0 * (sr * alias.real + si * alias.imag) / size - c0.real
     if kernel is _poisson_kernel:
         return real
-    out = np.empty(real.shape, dtype=complex)
-    out.real = real
-    out.imag = 2.0 * (si * alias.real - sr * alias.imag) / size - c0.imag
-    return out
-
-
-def _direct_means(
-    mu: CircleMeasure, zs: list, grid_rows: Sequence[np.ndarray], kernel
-) -> np.ndarray:
-    """Grid means of each row times kernel(., z), one kernel per point.
-
-    The grid work runs in three node-sized buffers allocated once per
-    call (a complex scratch, the kernel and the row product), so memory
-    stays O(N) and no array is allocated per point.  Every value is
-    bitwise the one-kernel-per-point form: the same operations in the same
-    order, and the grid mean is ``np.add.reduce`` divided by N, as in
-    ``np.mean``.
-    """
-    points = mu.boundary_points
-    if kernel is _poisson_kernel:
-        points = np.conj(points)
-        dtype = float
-    else:
-        dtype = complex
-    grid_size = len(points)
-    scratch = np.empty(grid_size, dtype=complex)
-    kernel_row = np.empty(grid_size, dtype=dtype)
-    product = np.empty(grid_size, dtype=dtype)
-    out = np.empty((len(grid_rows), len(zs)), dtype=dtype)
-    for j, z in enumerate(zs):
-        kernel(points, z, out=kernel_row, scratch=scratch)
-        for i, grid_row in enumerate(grid_rows):
-            np.multiply(grid_row, kernel_row, out=product)
-            out[i, j] = np.add.reduce(product) / grid_size
-    return out
+    return real + 1j * (2.0 * (si * alias.real - sr * alias.imag) / size - c0.imag)
 
 
 def _poisson_means(
@@ -428,26 +411,18 @@ def _poisson_means(
 
     ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
     is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
-    is None, the sum of atom_row * kernel(., zs[j]) over the atoms.  A
-    grid_row is a real array of N samples or the name of one of the
-    measure's own rows, "weight" or "log_weight".  The kernel is
-    ``_poisson_kernel`` (real result) or ``_schwarz_kernel`` (complex
-    result).
+    is None, the sum of atom_row * kernel(., zs[j]) over the atoms; a
+    grid_row is as for ``_band``.  The kernel is ``_poisson_kernel`` (real
+    result) or ``_schwarz_kernel`` (complex result).
 
-    The grid means take one of two routes, gated once here: in closed form
-    (``_spectral_means``, O(K) per point) when every row's band K is at
-    most ``max_trusted_moment`` = N/8, else by the direct kernel
-    (``_direct_means``, O(N) per point).  One kernel call over the flat
-    (point, atom) pairs gives every atom term, in the multiply loop a
-    one-point call takes; each point sums its atoms in order and adds that
-    sum to its grid mean, so its value is its one-point value.
+    The grid means come in closed form (``_grid_means``).  One kernel call
+    over the flat (point, atom) pairs gives every atom term, in the
+    multiply loop a one-point call takes; each point sums its atoms in
+    order and adds that sum to its grid mean, so its value is its
+    one-point value.
     """
     bands = [_band(mu, grid_row) for grid_row, _ in rows]
-    if all(band.low is not None for band in bands):
-        out = _spectral_means(mu, zs, bands, kernel)
-    else:
-        grid_rows = [_grid_row(mu, grid_row) for grid_row, _ in rows]
-        out = _direct_means(mu, zs, grid_rows, kernel)
+    out = _grid_means(mu, zs, bands, kernel)
     atom_rows = [(i, row) for i, (_, row) in enumerate(rows) if row is not None]
     if atom_rows:
         atom_points = mu.atom_points
@@ -462,22 +437,12 @@ def _poisson_means(
 
 
 def poisson_route(mu: CircleMeasure) -> str:
-    """Which route the Poisson means of w and log w take, and their bands.
-
-    For example "spectral, band 30/28 of N = 16384" or "direct, w band
-    12500 > N/8"; log w is left out for a measure outside the Szego class.
-    """
-    labels = ("w", "log w") if mu.is_szego else ("w",)
-    bands = [_band(mu, name) for name in ("weight", "log_weight")[: len(labels)]]
-    wide = [
-        f"{label} band {band.width} > N/8"
-        for label, band in zip(labels, bands)
-        if band.low is None
-    ]
-    if wide:
-        return "direct, " + ", ".join(wide)
-    widths = "/".join(str(band.width) for band in bands)
-    return f"spectral, band {widths} of N = {mu.grid_size}"
+    """The DFT band widths K of w and log w behind the Poisson means, for
+    example "band 30/28 of N = 16384"; log w is left out for a measure
+    outside the Szego class."""
+    names = ("weight", "log_weight") if mu.is_szego else ("weight",)
+    widths = "/".join(str(len(_band(mu, name))) for name in names)
+    return f"band {widths} of N = {mu.grid_size}"
 
 
 def _one_or_many(z, values: np.ndarray):

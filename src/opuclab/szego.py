@@ -24,11 +24,10 @@ or the nearest sample dominates the sum and both extensions degrade
 together (the entropy then comes out violently negative).  Profile extrema
 therefore ignore delta values that put z closer to the boundary than the
 grid resolves; the public ``entropy`` keeps its strict nonnegativity
-assertion and is meant for resolved points.  The guard holds on both
-Poisson routes (see :mod:`opuclab.measure`): the closed-form route sums
-the same grid quadrature as the direct kernel, only with fewer rounding
-errors, so it resolves no more than the grid does, and the profile rows
-keep their meaning.
+assertion and is meant for resolved points.  The closed form behind the
+Poisson means (see :mod:`opuclab.measure`) sums the grid quadrature
+exactly, up to rounding, so it resolves no more than the grid does, and
+the profile rows keep their meaning.
 """
 
 from __future__ import annotations

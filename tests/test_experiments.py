@@ -265,6 +265,30 @@ def test_summability_run_takes_the_gated_route(
     assert taken == [route]
 
 
+@pytest.mark.parametrize(
+    "family, grid_size, experiment, seed",
+    [
+        ({"name": "lebesgue"}, 512, "all", 7),
+        ({"name": "lebesgue"}, 1024, "all", 7),
+        ({"name": "bernstein_szego", "r": 0.5}, 256, "entropy", 0),
+        ({"name": "lebesgue"}, 256, "entropy", 0),
+        (MIXED, 256, "entropy", 0),
+    ],
+    ids=lambda value: value["name"] if isinstance(value, dict) else str(value),
+)
+def test_interior_checks_sample_where_the_grid_resolves(
+    family, grid_size, experiment, seed
+):
+    # the grid's Poisson weights at z sum to 1 + 2 Re(z^N / (1 - z^N)); at
+    # |z| = 0.99 that tail is 6e-3 on 512 nodes, enough to break positivity
+    # and Jensen for the discrete measure, so the sampled radius is capped
+    cfg = _config(
+        family=family, grid_size=grid_size, experiment=experiment, seed=seed
+    )
+    failed = [(v.name, v.detail) for v in run_experiment(cfg).verdicts if v.failed]
+    assert failed == []
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

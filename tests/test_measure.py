@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuclab import measure
 from opuclab.errors import (
     AliasRisk,
     BoundaryPoint,
@@ -88,9 +87,22 @@ def test_weighted_poisson_constant_reduces_to_poisson(mixed_atom):
 _POINTS = [0.0, 0.3, -0.5j, 0.6 + 0.3j, -0.2 - 0.85j, 0.9 * np.exp(2.1j)]
 
 
-@pytest.mark.parametrize("family", ["mixed_atom", "mixed_three_atoms", "geronimus6"])
+def _edge_points(grid_size: int, count: int = 8) -> list:
+    """Seeded points with N(1 - |z|) near 8, which read every exponent of
+    the closed form, and at |z| = 0.999."""
+    rng = np.random.default_rng(22)
+    radii = np.concatenate(
+        [1.0 - rng.uniform(7.5, 8.5, count) / grid_size, np.full(count, 0.999)]
+    )
+    return list(radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * count)))
+
+
+@pytest.mark.parametrize(
+    "family", ["mixed_atom", "mixed_three_atoms", "geronimus6", "ell2_half"]
+)
 def test_array_points_match_one_point_calls_bitwise(family, request):
     mu = request.getfixturevalue(family).measure
+    points = _POINTS + _edge_points(mu.grid_size)
     g = 1.0 + np.cos(mu.angles) ** 2
     g_atoms = 1.0 + np.cos([a for a, _ in mu.atoms]) ** 2
     extensions = (
@@ -102,9 +114,12 @@ def test_array_points_match_one_point_calls_bitwise(family, request):
         (szego_interior, complex),
     )
     for extend, scalar in extensions:
-        batch = extend(mu, np.array(_POINTS))
-        single = np.array([extend(mu, z) for z in _POINTS])
-        assert batch.shape == (len(_POINTS),)
+        # entropy refuses points the grid does not resolve; its two means
+        # are poisson's and poisson_log_weight's
+        at = _POINTS if extend is entropy else points
+        batch = extend(mu, np.array(at))
+        single = np.array([extend(mu, z) for z in at])
+        assert batch.shape == (len(at),)
         assert np.array_equal(batch, single)
         assert isinstance(extend(mu, _POINTS[1]), scalar)
 
@@ -127,88 +142,57 @@ def test_weighted_poisson_guards(mixed_atom):
         weighted_poisson(mu, np.ones(mu.grid_size), 0.1)
 
 
-@pytest.mark.parametrize(
-    "family, route",
-    [
-        ("mixed_atom", "spectral"),
-        ("bs_half", "spectral"),
-        ("ell2_half", "direct"),
-        ("geronimus6", "direct"),
-    ],
-)
-def test_poisson_means_take_the_route_the_band_gates(
-    family, route, request, monkeypatch
-):
-    mu = request.getfixturevalue(family).measure
-    assert poisson_route(mu).split(",")[0] == route
-    other = "_direct_means" if route == "spectral" else "_spectral_means"
-
-    def refuse(*args):
-        raise AssertionError(f"{other} ran on {family}")
-
-    monkeypatch.setattr(measure, other, refuse)
-    points = np.array(_POINTS)
-    for extend in (poisson, poisson_log_weight, entropy, schur_eval, szego_interior):
-        extend(mu, points)
-
-
-@pytest.mark.parametrize("family", ["ell2_half", "geronimus6"])
-def test_direct_route_is_the_plain_kernel_bitwise(family, request):
-    mu = request.getfixturevalue(family).measure
-    points = mu.boundary_points
-    log_w = np.log(mu.weight)
-    masses = mu.atom_masses if mu.atoms else np.zeros(0)
-    for z in _POINTS:
-        z = complex(z)
-        kernel = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(points) * z) ** 2
-        atom_kernel = (1.0 - abs(z) ** 2) / np.abs(
-            1.0 - np.conj(mu.atom_points) * z
-        ) ** 2
-        p_mu = float(np.mean(mu.weight * kernel))
-        if mu.atoms:
-            p_mu += float(np.sum(masses * atom_kernel))
-        schwarz = np.mean(log_w * ((points + z) / (points - z)))
-        assert poisson(mu, z) == p_mu
-        assert poisson_log_weight(mu, z) == float(np.mean(log_w * kernel))
-        assert szego_interior(mu, z) == complex(np.exp(0.5 * schwarz))
-    xi0 = complex(np.exp(2.0j))
-    profile = entropy_profile(mu, xi0, (4, 64), 48)
-    rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
-    assert rows == entropy_profile_per_delta(mu, xi0, (4, 64), 48)
+def _worst(values, reference):
+    return np.max(np.abs(values - reference) / np.abs(reference))
 
 
 def test_spectral_route_sums_the_quadrature_to_roundoff():
     # At N(1 - |z|) = 8, the least-resolved points the entropy profile
     # uses, against a 40-digit sum of the same quadrature: the closed form
-    # keeps 1e-14, while the direct kernel's 1 - conj(xi) z loses
-    # log2(N/8) bits there and misses it on the same points.
+    # keeps 1e-14, where a kernel summed over the nodes loses log2(N/8)
+    # bits in 1 - conj(xi) z.
     mu = build_family({"name": "bernstein_szego", "r": 0.3}, 16384, 8).measure
-    assert poisson_route(mu).startswith("spectral")
     grid_size = mu.grid_size
     zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (3.0, 5.5)]
     exact = np.array(poisson_means_mp(mu, zs))
     p_w, p_log, outer = exact[:, 0].real, exact[:, 1].real, np.exp(0.5 * exact[:, 2])
-
-    def worst(values, reference):
-        return np.max(np.abs(values - reference) / np.abs(reference))
-
     points = np.array(zs)
-    assert worst(poisson(mu, points), p_w) < 1e-14
-    assert worst(poisson_log_weight(mu, points), p_log) < 1e-14
-    assert worst(szego_interior(mu, points), outer) < 1e-14
-    log_w = np.log(mu.weight)
-    direct = measure._direct_means(mu, zs, [mu.weight, log_w], measure._poisson_kernel)
-    direct_outer = np.exp(
-        0.5 * measure._direct_means(mu, zs, [log_w], measure._schwarz_kernel)[0]
-    )
-    assert worst(direct[0], p_w) > 1e-14
-    assert worst(direct[1], p_log) > 1e-14
-    assert worst(direct_outer, outer) > 1e-14
+    assert _worst(poisson(mu, points), p_w) < 1e-14
+    assert _worst(poisson_log_weight(mu, points), p_log) < 1e-14
+    assert _worst(szego_interior(mu, points), outer) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec", [{"name": "ell2", "c": 0.5, "p": 1.0}, {"name": "geronimus", "a": 0.6}]
+)
+def test_full_band_means_sum_the_quadrature_to_roundoff(spec):
+    # Both bands are the full N/2 + 1, at N(1 - |z|) = 8 and at |z| = 0.99,
+    # against the 40-digit grid sum (atoms left out, so P(w) is
+    # weighted_poisson with zero atom values).  geronimus's P(w) is bounded
+    # in absolute terms: over its gap w sits at the arc floor and the grid
+    # part of P(w) is about 1e-4, while the DFT of w carries errors of eps
+    # times max w in every coefficient; the atom term dominates P(mu) there.
+    mu = build_family(spec, 4096, 33).measure
+    grid_size = mu.grid_size
+    full = grid_size // 2 + 1
+    assert poisson_route(mu) == f"band {full}/{full} of N = {grid_size}"
+    zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (1.0, 3.0)]
+    zs.append(complex(0.99 * np.exp(1.0j)))
+    exact = np.array(poisson_means_mp(mu, zs))
+    p_w, p_log, outer = exact[:, 0].real, exact[:, 1].real, np.exp(0.5 * exact[:, 2])
+    points = np.array(zs)
+    grid_p_w = weighted_poisson(mu, np.ones(grid_size), points, np.zeros(len(mu.atoms)))
+    if mu.atoms:
+        assert np.max(np.abs(grid_p_w - p_w)) < 1e-15
+    else:
+        assert _worst(grid_p_w, p_w) < 1e-14
+    assert _worst(poisson_log_weight(mu, points), p_log) < 1e-14
+    assert _worst(szego_interior(mu, points), outer) < 1e-14
 
 
 def test_poisson_cache_keeps_no_node_sized_array(ell2_half):
     # the band records hold O(K) numbers, and none for a wide band: on a
-    # 65536-node ell2 measure (direct route) the calls leave less than one
+    # 65536-node ell2 measure (full bands) the calls leave less than one
     # float row behind
     mu = ell2_half.measure_on(65536)
     tracemalloc.start()

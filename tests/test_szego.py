@@ -103,11 +103,12 @@ def test_entropy_profile_needs_resolved_radii(bs_half):
         entropy_profile(bs_half.measure, 1.0 + 0j, (100_000,), 64)
 
 
-@pytest.mark.parametrize("family", ["bs_half", "mixed_atom"])
+@pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
 def test_entropy_profile_matches_per_delta_oracle(family, request):
-    # Both families take the spectral route, which sums the grid quadrature
-    # in closed form; the oracle's plain kernel loses up to log2(N/8) bits
-    # in 1 - conj(xi) z at resolved points.  So the two agree to N eps:
+    # The profile sums the grid quadrature in closed form, over narrow bands
+    # (bs_half, mixed_atom) and full ones (geronimus6, ell2_half); the
+    # oracle's plain kernel loses up to log2(N/8) bits in 1 - conj(xi) z at
+    # resolved points.  So the two agree to N eps:
     # relative to P_n, and to max(1, K_n) for K_n, a difference of two
     # extensions of size about 1 or more.
     mu = request.getfixturevalue(family).measure
@@ -127,8 +128,8 @@ def test_entropy_profile_matches_per_delta_oracle(family, request):
 )
 def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
     # one batch over the deltas of every n changes no bit against one
-    # _entropy_terms call per delta, on the spectral route (bs_half and the
-    # mixed families, one atom or three) and on the direct one (geronimus6)
+    # _entropy_terms call per delta, over narrow bands (bs_half and the
+    # mixed families, one atom or three) and the full one of geronimus6
     mu = request.getfixturevalue(family).measure
 
     def terms(z):
