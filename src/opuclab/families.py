@@ -46,7 +46,14 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FamilyValidationError, OutOfRange
-from .measure import CircleMeasure, build_measure, check_atoms, grid_angles, lebesgue
+from .measure import (
+    CircleMeasure,
+    build_measure,
+    check_atoms,
+    grid_angles,
+    lebesgue,
+    max_trusted_moment,
+)
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
 from .schur import BUILD_DIGIT_LOSS, SchurParameters, digit_loss
 
@@ -289,11 +296,22 @@ def _mixed_facts(
     def density(theta: float) -> float:
         return scale * base_density(theta)
 
-    safe_angles = tuple(
-        t
-        for t in (0.0, 1.0, np.pi)
-        if all(abs(np.exp(1j * t) - np.exp(1j * ta)) > 0.3 for ta, _ in pairs)
-    ) or (_widest_gap_midpoint([t for t, _ in pairs]),)
+    # an atom of mass m at chord d adds at most 4 m / (n d^2) to the Fejer
+    # mean of order n; an angle is certified at chord above 0.3 from every
+    # atom, and only where those tails at fejer_density_limit's top order
+    # stay within that check's 0.05 of the density
+    n_top = min(256, max_trusted_moment(mu.grid_size))
+
+    def clear_of_atoms(t: float) -> bool:
+        chords = [abs(np.exp(1j * t) - np.exp(1j * ta)) for ta, _ in pairs]
+        if min(chords, default=math.inf) <= 0.3:
+            return False
+        tail = sum(4.0 * m / (n_top * d * d) for d, (_, m) in zip(chords, pairs))
+        return tail <= 0.05 * density(t)
+
+    safe_angles = tuple(t for t in (0.0, 1.0, np.pi) if clear_of_atoms(t)) or (
+        _widest_gap_midpoint([t for t, _ in pairs]),
+    )
     return f"mixed({base_name};atoms=[{atom_bits}])", params, density, safe_angles
 
 

@@ -26,7 +26,10 @@ The grid means have one route, a closed form in the row's DFT band
 Applied and Computational Complex Analysis, Vol. 3, Ch. 13), exact for
 the grid quadrature at any band width K.  A point reads a term c_k z^k
 only while |z|^k >= ``_TERM_CUT``, so it costs O(min(K, log(cut) /
-log|z|)).  Bands of at most N/8 coefficients are cached on the measure;
+log|z|)).  The sum runs in numpy complex arithmetic, one power table per
+chunk of points and one product and reduce per block of exponents, so
+its last bits follow numpy's CPU dispatch (README, "Determinism").
+Bands of at most N/8 coefficients are cached on the measure;
 wider ones come from a transient FFT, and ``poisson_route`` reports the
 widths.  One kernel call over every (point, atom) pair gives the atom
 terms of the batch.
@@ -312,18 +315,16 @@ def _band(mu: CircleMeasure, row) -> np.ndarray:
     return band
 
 
-def _powers(z: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of z^0..z^(width - 1) at the points z, as
-    (points, width) arrays, by doubling: z^s..z^(2s - 1) is z^s times
-    z^0..z^(s - 1)."""
-    re, im = np.ones((len(z), width)), np.zeros((len(z), width))
-    sr, si, s = z.real[:, None], z.imag[:, None], 1
+def _powers(z: np.ndarray, width: int) -> np.ndarray:
+    """z^0..z^(width - 1) at the points z, as a (points, width) complex
+    array, by doubling: z^s..z^(2s - 1) is z^s times z^0..z^(s - 1)."""
+    table = np.ones((len(z), width), dtype=complex)
+    step, s = z[:, None], 1
     while s < width:
         n = min(s, width - s)
-        re[:, s : s + n] = re[:, :n] * sr - im[:, :n] * si
-        im[:, s : s + n] = re[:, :n] * si + im[:, :n] * sr
-        sr, si, s = sr * sr - si * si, 2.0 * sr * si, 2 * s
-    return re, im
+        np.multiply(table[:, :n], step, out=table[:, s : s + n])
+        step, s = step * step, 2 * s
+    return table
 
 
 def _grid_means(
@@ -336,10 +337,14 @@ def _grid_means(
     carries the aliasing, and the Poisson mean is the real part.  The
     nonzero c_k are c_0..c_{K-1} and c_{N-k} = conj(c_k), the Nyquist term
     counted once: one run of exponents, or two for K <= N/2.  S runs over
-    blocks of each run, and a point reads no term past its reach.  Every
-    product is real arithmetic, rounding once, and a block is one
+    blocks of each run, and a point reads no term past its reach.  A block
+    is one complex product of the coefficients with a power table and one
     ``np.add.reduce`` along a last axis of a length the bands fix, so a
-    point's value is the same in any batch.
+    point's value is the same in any batch.  The complex products round
+    as numpy's multiply loop does on the CPU at hand (README,
+    "Determinism"), and each takes operands of one ndim: numpy multiplies
+    a lone element whose operands differ in ndim without fusing, where a
+    batch would fuse.
     """
     points = np.array(zs, dtype=complex)
     grid_size = mu.grid_size
@@ -348,12 +353,11 @@ def _grid_means(
     runs = [(0, low), (top, grid_size)] if top > low else [(0, grid_size)]
     k = np.concatenate([np.arange(a, b) for a, b in runs])
     fold = np.minimum(k, grid_size - k)
-    coefficients = np.zeros((len(bands), len(k)), dtype=complex)
-    for row, band in zip(coefficients, bands):
+    coefficients = np.zeros((len(bands), 1, len(k)), dtype=complex)
+    for row, band in zip(coefficients[:, 0], bands):
         inside = fold < len(band)
         row[inside] = band[fold[inside]]
     np.conjugate(coefficients, out=coefficients, where=k > grid_size // 2)
-    cr, ci = coefficients.real[:, None], coefficients.imag[:, None]
     # (first exponent, first column, width) of each block; widths double
     # from _BLOCK / 8 up to _BLOCK along a run, so a point of short reach
     # reads a short block
@@ -372,36 +376,34 @@ def _grid_means(
     reach = np.minimum(np.floor(reach), grid_size - 1).astype(int) + 1
     order = np.argsort(-reach, kind="stable")
     z, reach = points[order], reach[order]
-    sums = np.zeros((2, len(bands), len(zs)))
+    sums = np.zeros((len(bands), len(zs)), dtype=complex)
     chunk = max(1, _WORK // max(w for _, _, w in blocks))
     for first in range(0, len(zs), chunk):
         ends = reach[first : first + chunk]
         widest = max(w for start, _, w in blocks if start < ends[0])
-        base_re, base_im = _powers(z[first : first + chunk], widest)
+        table = _powers(z[first : first + chunk], widest)
         counts = np.count_nonzero(ends > starts[:, None], axis=1)
         for (start, column, w), count in zip(blocks, counts):
             if count == 0:
                 break
-            pr, pi = base_re[:count, :w], base_im[:count, :w]
+            powers = table[None, :count, :w]
             if ends[count - 1] < start + w:
                 live = np.arange(start, start + w) < ends[:count, None]
-                pr, pi = pr * live, pi * live
-            cb_re, cb_im = cr[..., column : column + w], ci[..., column : column + w]
+                powers = np.where(live, powers, 0.0)
             # the block's sum over z^0..z^(w - 1), then times z^start
-            tr = np.add.reduce(cb_re * pr - cb_im * pi, axis=-1)
-            ti = np.add.reduce(cb_re * pi + cb_im * pr, axis=-1)
+            block = coefficients[..., column : column + w]
+            terms = np.add.reduce(block * powers, axis=-1)
             lanes = slice(first, first + count)
-            shift = np.power(z[lanes], start)
-            sums[0, :, lanes] += tr * shift.real - ti * shift.imag
-            sums[1, :, lanes] += tr * shift.imag + ti * shift.real
-    sr, si = sums[..., np.argsort(order)]
-    alias = 1.0 - np.power(points, grid_size)
+            sums[:, lanes] += terms * np.power(z[None, lanes], start)
+    sums = sums[:, np.argsort(order)]
+    alias = 1.0 - np.power(points[None], grid_size)
     size = alias.real * alias.real + alias.imag * alias.imag
     c0 = np.array([band[0] for band in bands])[:, None]
-    real = 2.0 * (sr * alias.real + si * alias.imag) / size - c0.real
+    scaled = 2.0 * (sums * np.conj(alias))
+    real = scaled.real / size - c0.real
     if kernel is _poisson_kernel:
         return real
-    return real + 1j * (2.0 * (si * alias.real - sr * alias.imag) / size - c0.imag)
+    return real + 1j * (scaled.imag / size - c0.imag)
 
 
 def _poisson_means(

@@ -464,17 +464,19 @@ def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     as complex128; raises PositivityLoss when the norm vanishes or a
     parameter reaches the escape threshold.
 
-    The steps run in five node-sized buffers allocated once per call: phi
-    and its next step (swapped each step), phi* (updated in place), z phi
-    and a product scratch.  The parameters are bitwise those of the form
-    that allocates fresh arrays every step: the same operations in the
-    same order, with ``np.sum`` (pairwise) for the inner products.
+    The weights are cast to the nodes' dtype once, as each complex-by-real
+    multiply would cast them on every step.  The steps run in four
+    node-sized buffers allocated once per call: phi, phi* (each updated in
+    place; phi is read only through z phi), z phi and a product scratch.
+    The parameters are bitwise those of the form that allocates fresh
+    arrays every step: the same operations in the same order, with
+    ``np.sum`` (pairwise) for the inner products.
     """
+    q = q.astype(xi.dtype)
     phi = np.ones_like(xi)
     phis = np.ones_like(xi)
     zphi = np.empty_like(xi)
     product = np.empty_like(xi)
-    phi_next = np.empty_like(xi)
     values = np.zeros(n_max, dtype=complex)
     for n in range(n_max):
         np.multiply(xi, phi, out=zphi)
@@ -490,9 +492,8 @@ def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
             )
         values[n] = complex(a)
         # phi <- z phi - conj(a) phi*,  phi* <- phi* - a z phi
-        np.subtract(zphi, np.multiply(np.conj(a), phis, out=product), out=phi_next)
+        np.subtract(zphi, np.multiply(np.conj(a), phis, out=product), out=phi)
         np.subtract(phis, np.multiply(a, zphi, out=product), out=phis)
-        phi, phi_next = phi_next, phi
     return values
 
 

@@ -289,6 +289,21 @@ def test_interior_checks_sample_where_the_grid_resolves(
     assert failed == []
 
 
+def test_mixed_certified_angles_keep_clear_of_a_heavy_atom():
+    # the atom lies at chord 0.348 from angle 1, where its Fejer tail at
+    # n = 256 is bounded by 0.211 of the density, past the check's 0.05;
+    # angles 0 and pi read 0.016 and 0.011 and stay certified
+    family = {
+        "name": "mixed",
+        "base": {"name": "lebesgue"},
+        "atoms": [{"angle": 1.35, "mass": 0.621}],
+    }
+    assert build_family(family, 8192, 0).test_angles == (0.0, np.pi)
+    cfg = _config(family=family, grid_size=8192, n_list=[1, 8, 256], seed=1)
+    failed = [(v.name, v.detail) for v in run_experiment(cfg).verdicts if v.failed]
+    assert failed == []
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

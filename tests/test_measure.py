@@ -16,6 +16,9 @@ from opuclab.errors import (
     OutOfRange,
 )
 from opuclab.measure import (
+    _grid_means,
+    _poisson_kernel,
+    _schwarz_kernel,
     build_measure,
     fejer_mean,
     lebesgue,
@@ -124,6 +127,36 @@ def test_array_points_match_one_point_calls_bitwise(family, request):
         assert isinstance(extend(mu, _POINTS[1]), scalar)
 
 
+def _synthetic_points(grid_size: int, count: int) -> list:
+    """Seeded points of reach from a few terms to all N, and the real-axis
+    points at N(1 - |z|) = 8."""
+    rng = np.random.default_rng(23)
+    edge = 1.0 - 8.0 / grid_size
+    radii = rng.uniform(0.02, edge, count)
+    angles = rng.uniform(0.0, 2.0 * np.pi, count)
+    return list(radii * np.exp(1j * angles)) + [edge, -edge, 0.3]
+
+
+@pytest.mark.parametrize("kernel", [_poisson_kernel, _schwarz_kernel])
+def test_grid_means_batch_matches_one_point_calls_over_every_tail_width(kernel):
+    # Bands of K = 1..65 coefficients put the runs 0..K-1 and N-K+1..N-1
+    # in blocks of every width from 1 to 64, and short reaches cut blocks;
+    # one wide band spans several block widths and chunks of points.  A
+    # lone point's complex products must round as a batch's do.
+    mu = lebesgue(4096)
+    rng = np.random.default_rng(24)
+    rows = rng.standard_normal((2, 1100)) + 1j * rng.standard_normal((2, 1100))
+    rows[:, 0] = rows[:, 0].real
+    few, many = _synthetic_points(mu.grid_size, 9), _synthetic_points(mu.grid_size, 37)
+    cases = [([rows[0, :k]], few) for k in range(1, 66, 2)]
+    cases += [([rows[0, :k], rows[1, : k // 2 + 1]], few) for k in range(2, 66, 2)]
+    cases.append(([rows[0], rows[1, :700]], many))
+    for bands, points in cases:
+        batch = _grid_means(mu, points, bands, kernel)
+        single = np.hstack([_grid_means(mu, [z], bands, kernel) for z in points])
+        assert np.array_equal(batch, single), len(bands[0])
+
+
 def test_array_points_are_checked_one_by_one(bs_half):
     with pytest.raises(BoundaryPoint):
         poisson(bs_half.measure, np.array([0.2, 1.0]))
@@ -162,21 +195,32 @@ def test_spectral_route_sums_the_quadrature_to_roundoff():
     assert _worst(szego_interior(mu, points), outer) < 1e-14
 
 
+_ELL2 = {"name": "ell2", "c": 0.5, "p": 1.0}
+_GERONIMUS = {"name": "geronimus", "a": 0.6}
+
+
 @pytest.mark.parametrize(
-    "spec", [{"name": "ell2", "c": 0.5, "p": 1.0}, {"name": "geronimus", "a": 0.6}]
+    "spec, angles",
+    [
+        pytest.param(_ELL2, (1.0, 3.0), id="spec0"),
+        pytest.param(_GERONIMUS, (1.0, 3.0), id="spec1"),
+        pytest.param(_ELL2, (0.0, np.pi), id="ell2-real-axis"),
+        pytest.param(_GERONIMUS, (0.0, np.pi), id="geronimus-real-axis"),
+    ],
 )
-def test_full_band_means_sum_the_quadrature_to_roundoff(spec):
+def test_full_band_means_sum_the_quadrature_to_roundoff(spec, angles):
     # Both bands are the full N/2 + 1, at N(1 - |z|) = 8 and at |z| = 0.99,
     # against the 40-digit grid sum (atoms left out, so P(w) is
     # weighted_poisson with zero atom values).  geronimus's P(w) is bounded
     # in absolute terms: over its gap w sits at the arc floor and the grid
     # part of P(w) is about 1e-4, while the DFT of w carries errors of eps
     # times max w in every coefficient; the atom term dominates P(mu) there.
+    # Angles 0 and pi are the real-axis rays the entropy profiles read.
     mu = build_family(spec, 4096, 33).measure
     grid_size = mu.grid_size
     full = grid_size // 2 + 1
     assert poisson_route(mu) == f"band {full}/{full} of N = {grid_size}"
-    zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (1.0, 3.0)]
+    zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in angles]
     zs.append(complex(0.99 * np.exp(1.0j)))
     exact = np.array(poisson_means_mp(mu, zs))
     p_w, p_log, outer = exact[:, 0].real, exact[:, 1].real, np.exp(0.5 * exact[:, 2])
