@@ -43,7 +43,13 @@ from .asymptotics import (
     summability_conditions,
 )
 from .config import ROUTE_DEPTH, SUITE_NAMES, ExperimentConfig
-from .families import FAMILIES, FamilyInstance, build_family
+from .families import (
+    FAMILIES,
+    FEJER_LIMIT_TOLERANCE,
+    FamilyInstance,
+    build_family,
+    fejer_top_order,
+)
 from .lcg import Lcg
 from .measure import (
     CircleMeasure,
@@ -69,6 +75,7 @@ from .opuc import (
 )
 from .scattering import (
     JostSolution,
+    boundary_values,
     jost_solutions,
     jost_step_defects,
 )
@@ -82,7 +89,7 @@ from .schur import (
     szego_formula_residuals,
     iterate_noise_horizon,
 )
-from .szego import entropy, szego_boundary, szego_interior
+from .szego import entropy, szego_interior
 
 _TREND_SLACK = 1e-12
 
@@ -246,10 +253,15 @@ class RunContext:
         pairs = jost_solutions(self.mu, self.params, xis, max(self.n_list))
         return dict(zip(angles, pairs))
 
+    @property
+    def read_angles(self) -> Tuple[float, ...]:
+        """Every boundary angle the run reads, certified then swept, once."""
+        return tuple(dict.fromkeys((*self.certified, *self.sweep_angles)))
+
     def jost(self, angle: float) -> Tuple[JostSolution, JostSolution]:
-        """The two solutions at the angle.  Every angle the run reads,
-        certified and swept, is solved in one batch; any other alone."""
-        read = tuple(dict.fromkeys((*self.certified, *self.sweep_angles)))
+        """The two solutions at the angle.  Every angle the run reads is
+        solved in one batch; any other alone."""
+        read = self.read_angles
         return self._jost_batch(read if angle in read else (angle,))[angle]
 
     @_cached
@@ -330,7 +342,7 @@ def _poisson_positivity(ctx: RunContext) -> Result:
 
 @check("mnt", "fejer_density_limit")
 def _fejer_density_limit(ctx: RunContext) -> Result:
-    n_top = min(256, max_trusted_moment(ctx.mu.grid_size))
+    n_top = fejer_top_order(ctx.mu.grid_size)
     n_values = [n for n in (16, 32, 64, 128, 256) if n <= n_top]
     worst_last = 0.0
     worst_uphill = -math.inf
@@ -348,7 +360,9 @@ def _fejer_density_limit(ctx: RunContext) -> Result:
         f"{worst_uphill:.3g}"
     )
     return _judged(
-        worst_last <= 0.05 or worst_uphill <= _TREND_SLACK, worst_last, detail
+        worst_last <= FEJER_LIMIT_TOLERANCE or worst_uphill <= _TREND_SLACK,
+        worst_last,
+        detail,
     )
 
 
@@ -454,8 +468,12 @@ _RADII = (0.95, 0.99, 0.999)
 @check("entropy", "radial_limit")
 def _radial_limit(ctx: RunContext) -> Result:
     mu = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
-    boundary = szego_boundary(mu)
-    snapped = [snap(mu.grid_size, complex(np.exp(1j * a))) for a in ctx.certified]
+    # D at every node the run reads, so that on the run's own grid the Jost
+    # solutions take no second boundary pass
+    read = {a: snap(mu.grid_size, complex(np.exp(1j * a))) for a in ctx.read_angles}
+    indices, nodes = map(np.array, zip(*read.values()))
+    boundary = dict(zip(indices.tolist(), boundary_values(mu, indices, nodes)[0]))
+    snapped = [read[a] for a in ctx.certified]
     points = [r * node for _, node in snapped for r in _RADII]
     interior = szego_interior(mu, points).reshape(len(snapped), len(_RADII))
     worst_last = 0.0

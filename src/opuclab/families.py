@@ -76,6 +76,16 @@ TAIL_MARGIN = 8
 # Angle of the geronimus family's point mass.
 GERONIMUS_ATOM_ANGLE = 0.0
 
+# The relative error the fejer_density_limit check accepts at its top Fejer
+# order (``fejer_top_order``); mixed families certify only the angles where
+# their atoms' Fejer tails stay within it.
+FEJER_LIMIT_TOLERANCE = 0.05
+
+
+def fejer_top_order(grid_size: int) -> int:
+    """The top Fejer order fejer_density_limit reads: 256, or N/8 below."""
+    return min(256, max_trusted_moment(grid_size))
+
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -299,15 +309,15 @@ def _mixed_facts(
     # an atom of mass m at chord d adds at most 4 m / (n d^2) to the Fejer
     # mean of order n; an angle is certified at chord above 0.3 from every
     # atom, and only where those tails at fejer_density_limit's top order
-    # stay within that check's 0.05 of the density
-    n_top = min(256, max_trusted_moment(mu.grid_size))
+    # stay within that check's tolerance of the density
+    n_top = fejer_top_order(mu.grid_size)
 
     def clear_of_atoms(t: float) -> bool:
         chords = [abs(np.exp(1j * t) - np.exp(1j * ta)) for ta, _ in pairs]
         if min(chords, default=math.inf) <= 0.3:
             return False
         tail = sum(4.0 * m / (n_top * d * d) for d, (_, m) in zip(chords, pairs))
-        return tail <= 0.05 * density(t)
+        return tail <= FEJER_LIMIT_TOLERANCE * density(t)
 
     safe_angles = tuple(t for t in (0.0, 1.0, np.pi) if clear_of_atoms(t)) or (
         _widest_gap_midpoint([t for t, _ in pairs]),

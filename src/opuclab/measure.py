@@ -29,8 +29,11 @@ only while |z|^k >= ``_TERM_CUT``, so it costs O(min(K, log(cut) /
 log|z|)).  The sum runs in numpy complex arithmetic, one power table per
 chunk of points and one product and reduce per block of exponents, so
 its last bits follow numpy's CPU dispatch (README, "Determinism").
-Bands of at most N/8 coefficients are cached on the measure;
-wider ones come from a transient FFT, and ``poisson_route`` reports the
+The bands of w and log w come from one FFT each, after which the measure
+keeps a band's width K and its first min(K, N/8) coefficients.  A call
+builds its coefficient table and blocks only up to the largest reach of
+its points, so its set-up is O(reach), not O(N); only a batch that reads
+a band past N/8 takes a transient FFT.  ``poisson_route`` reports the
 widths.  One kernel call over every (point, atom) pair gives the atom
 terms of the batch.
 
@@ -286,33 +289,37 @@ def _schwarz_kernel(points: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (points + z) / (points - z)
 
 
-def _band(mu: CircleMeasure, row) -> np.ndarray:
+def _band(row: np.ndarray) -> np.ndarray:
     """The band c_0..c_{K-1} of a real grid row's DFT, ``np.fft.rfft(row)
     / N``: K is one more than the last k <= N/2 with |c_k| above the FFT
     noise floor eps * max|row|, and c_{N-k} = conj(c_k) as the row is real.
-
-    A row is an array of N samples or the name of one of the measure's
-    own, "weight" or "log_weight".  The band of a named row is cached on
-    the measure when it has at most N/8 coefficients (log w needs an FFT
-    of its own); a wider band, or an array row's, comes from a transient
-    FFT on each call, so no record holds O(N) numbers.
     """
-    key = ("band", row) if isinstance(row, str) else None
-    if key in mu._spectrum_cache:
-        return mu._spectrum_cache[key]
-    if key is None:
-        samples = row
-    else:
-        samples = np.log(mu.weight) if row == "log_weight" else mu.weight
-    half = np.fft.rfft(samples) / len(samples)
-    floor = np.finfo(float).eps * np.max(np.abs(samples))
+    half = np.fft.rfft(row) / len(row)
+    floor = np.finfo(float).eps * np.max(np.abs(row))
     above = np.flatnonzero(np.abs(half) > floor)
-    band = half[: int(above[-1]) + 1 if above.size else 1]
-    if key is not None and len(band) <= max_trusted_moment(mu.grid_size):
-        band = band.copy()
-        band.flags.writeable = False
-        mu._spectrum_cache[key] = band
-    return band
+    return half[: int(above[-1]) + 1 if above.size else 1]
+
+
+def _row_samples(mu: CircleMeasure, name: str) -> np.ndarray:
+    return np.log(mu.weight) if name == "log_weight" else mu.weight
+
+
+def _band_record(mu: CircleMeasure, name: str) -> Tuple[int, np.ndarray]:
+    """(K, c_0..c_{min(K, N/8) - 1}) of the band of one of the measure's own
+    rows, "weight" or "log_weight", cached on the measure from one FFT.
+
+    The prefix is the whole band when K <= N/8; a batch that reads past a
+    shorter prefix takes the band from a transient FFT (``_grid_means``),
+    so no record holds more than N/8 numbers.
+    """
+    key = ("band", name)
+    record = mu._spectrum_cache.get(key)
+    if record is None:
+        band = _band(_row_samples(mu, name))
+        head = band[: max_trusted_moment(mu.grid_size)].copy()
+        head.flags.writeable = False
+        record = mu._spectrum_cache[key] = (len(band), head)
+    return record
 
 
 def _powers(z: np.ndarray, width: int) -> np.ndarray:
@@ -332,12 +339,16 @@ def _grid_means(
 ) -> np.ndarray:
     """Kernel grid means of real rows, given their bands, in closed form.
 
+    A band is the array c_0..c_{K-1} of a row, or the name of a measure's
+    own row, whose band ``_band_record`` holds.
+
     With c_k the DFT of a row, the grid mean of row * (xi + z)/(xi - z) is
     2 S(z) / (1 - z^N) - c_0 with S(z) = sum_{k<N} c_k z^k; 1/(1 - z^N)
     carries the aliasing, and the Poisson mean is the real part.  The
     nonzero c_k are c_0..c_{K-1} and c_{N-k} = conj(c_k), the Nyquist term
     counted once: one run of exponents, or two for K <= N/2.  S runs over
-    blocks of each run, and a point reads no term past its reach.  A block
+    blocks of each run, and a point reads no term past its reach; the
+    table of c_k stops at the last block the batch reads.  A block
     is one complex product of the coefficients with a power table and one
     ``np.add.reduce`` along a last axis of a length the bands fix, so a
     point's value is the same in any batch.  The complex products round
@@ -348,32 +359,41 @@ def _grid_means(
     """
     points = np.array(zs, dtype=complex)
     grid_size = mu.grid_size
-    low = max(len(band) for band in bands)
+    records = [
+        _band_record(mu, band) if isinstance(band, str) else (len(band), band)
+        for band in bands
+    ]
+    low = max(width for width, _ in records)
     top = grid_size - low + 1
     runs = [(0, low), (top, grid_size)] if top > low else [(0, grid_size)]
-    k = np.concatenate([np.arange(a, b) for a, b in runs])
-    fold = np.minimum(k, grid_size - k)
-    coefficients = np.zeros((len(bands), 1, len(k)), dtype=complex)
-    for row, band in zip(coefficients[:, 0], bands):
-        inside = fold < len(band)
-        row[inside] = band[fold[inside]]
-    np.conjugate(coefficients, out=coefficients, where=k > grid_size // 2)
-    # (first exponent, first column, width) of each block; widths double
-    # from _BLOCK / 8 up to _BLOCK along a run, so a point of short reach
-    # reads a short block
-    blocks, column = [], 0
-    for a, b in runs:
-        s = a
-        while s < b:
-            w = min(_BLOCK, max(_BLOCK // 8, s - a), b - s)
-            blocks.append((s, column, w))
-            s, column = s + w, column + w
-    starts = np.array([start for start, _, _ in blocks])
     # a point reads the terms with |z|^k >= _TERM_CUT, at most N of them;
     # sorted by reach, each block a chunk reads is read by a prefix of it
     with np.errstate(divide="ignore"):
         reach = np.log(_TERM_CUT) / np.log(np.abs(points))
     reach = np.minimum(np.floor(reach), grid_size - 1).astype(int) + 1
+    end = reach.max(initial=1)
+    # (first exponent, first column, width) of each block that starts
+    # below the batch's largest reach; widths double from _BLOCK / 8 up to
+    # _BLOCK along a run, so a point of short reach reads a short block
+    blocks, spans, column = [], [], 0
+    for a, b in runs:
+        s = a
+        while s < min(b, end):
+            w = min(_BLOCK, max(_BLOCK // 8, s - a), b - s)
+            blocks.append((s, column, w))
+            s, column = s + w, column + w
+        spans.append(np.arange(a, s))
+    k = np.concatenate(spans)
+    fold = np.minimum(k, grid_size - k)
+    coefficients = np.zeros((len(bands), 1, len(k)), dtype=complex)
+    for row, band, (width, head) in zip(coefficients[:, 0], bands, records):
+        if len(head) <= min(width - 1, fold.max()):
+            # the batch reads past a named row's cached prefix
+            head = _band(_row_samples(mu, band))
+        inside = fold < width
+        row[inside] = head[fold[inside]]
+    np.conjugate(coefficients, out=coefficients, where=k > grid_size // 2)
+    starts = np.array([start for start, _, _ in blocks])
     order = np.argsort(-reach, kind="stable")
     z, reach = points[order], reach[order]
     sums = np.zeros((len(bands), len(zs)), dtype=complex)
@@ -398,7 +418,7 @@ def _grid_means(
     sums = sums[:, np.argsort(order)]
     alias = 1.0 - np.power(points[None], grid_size)
     size = alias.real * alias.real + alias.imag * alias.imag
-    c0 = np.array([band[0] for band in bands])[:, None]
+    c0 = np.array([head[0] for _, head in records])[:, None]
     scaled = 2.0 * (sums * np.conj(alias))
     real = scaled.real / size - c0.real
     if kernel is _poisson_kernel:
@@ -414,7 +434,8 @@ def _poisson_means(
     ``rows`` holds (grid_row, atom_row) pairs: entry (i, j) of the result
     is the grid mean of grid_row * kernel(., zs[j]) plus, unless atom_row
     is None, the sum of atom_row * kernel(., zs[j]) over the atoms; a
-    grid_row is as for ``_band``.  The kernel is ``_poisson_kernel`` (real
+    grid_row is an array of N samples or the name of one of the measure's
+    own, "weight" or "log_weight".  The kernel is ``_poisson_kernel`` (real
     result) or ``_schwarz_kernel`` (complex result).
 
     The grid means come in closed form (``_grid_means``).  One kernel call
@@ -423,7 +444,7 @@ def _poisson_means(
     order and adds that sum to its grid mean, so its value is its
     one-point value.
     """
-    bands = [_band(mu, grid_row) for grid_row, _ in rows]
+    bands = [row if isinstance(row, str) else _band(row) for row, _ in rows]
     out = _grid_means(mu, zs, bands, kernel)
     atom_rows = [(i, row) for i, (_, row) in enumerate(rows) if row is not None]
     if atom_rows:
@@ -443,7 +464,7 @@ def poisson_route(mu: CircleMeasure) -> str:
     example "band 30/28 of N = 16384"; log w is left out for a measure
     outside the Szego class."""
     names = ("weight", "log_weight") if mu.is_szego else ("weight",)
-    widths = "/".join(str(len(_band(mu, name))) for name in names)
+    widths = "/".join(str(_band_record(mu, name)[0]) for name in names)
     return f"band {widths} of N = {mu.grid_size}"
 
 

@@ -513,5 +513,8 @@ def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
     """
     if n_max > N_MAX:
         raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")
+    if n_max == 0:
+        # a depth-0 build reads no parameters, so it forms no quadrature
+        return SchurParameters(np.zeros(0, dtype=complex))
     xi, q = mu.quadrature()
     return SchurParameters(_value_recursion(xi, q, n_max))

@@ -16,13 +16,16 @@ The scattering combinations
 
 solve the same one-step recursion as (phi_n, phi_n*) by construction, and
 for decaying parameters they track the free solutions (xi^n, 0) and (0, 1)
-in averaged norm.  ``jost_solutions`` reads D and F once per call, for
-any number of points; ``jost_step_defects`` checks all steps at once.
+in averaged norm.  ``boundary_values`` reads D and F at grid nodes from
+a record on the measure, which holds only the nodes read so far, so one
+boundary pass per grid serves every call that reads those nodes;
+``jost_step_defects`` checks all steps at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -31,6 +34,29 @@ from .measure import CircleMeasure, _as_boundary, snap
 from .opuc import dual_parameters, eval_grid_table
 from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
+
+
+def boundary_values(
+    mu: CircleMeasure, nodes: np.ndarray, xi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(D, F) at the grid nodes ``nodes`` (an index array), whose points
+    are xi, as two arrays.
+
+    The measure records the two values at each node read so far.  The
+    nodes not yet recorded take one boundary pass: ``szego_boundary`` and
+    the conjugate function of w over the grid, of which only their values
+    are kept.  Each value is elementwise, so it has the same bits whatever
+    else is read with it.
+    """
+    record = mu._spectrum_cache.setdefault("boundary", {})
+    missing = [i for i, j in enumerate(nodes.tolist()) if j not in record]
+    if missing:
+        j = nodes[missing]
+        f = _herglotz_at(mu, j, xi[missing])
+        d = szego_boundary(mu)[j]
+        record.update(zip(j.tolist(), zip(d.tolist(), f.tolist())))
+    d, f = np.array([record[j] for j in nodes.tolist()], dtype=complex).T
+    return d, f
 
 
 def _herglotz_at(mu: CircleMeasure, nodes, xi: np.ndarray) -> np.ndarray:
@@ -78,17 +104,18 @@ def jost_solutions(mu: CircleMeasure, params: SchurParameters, xi, n_max: int):
     data D and F and the polynomials are read.
 
     ``xi`` is one boundary point (returns the pair) or a 1-d array of them
-    (returns a list of pairs).  A call takes D and F once and one transfer
-    table per parameter set; each pair is bitwise its one-point call.  An
-    atom at any node raises OutOfRange for the whole call.
+    (returns a list of pairs).  A call reads D and F by
+    ``boundary_values`` and takes one transfer table per parameter set;
+    each pair is bitwise its one-point call.  An atom at any node raises
+    OutOfRange for the whole call.
     """
     points = [_as_boundary(v) for v in np.atleast_1d(xi)]
     j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
-    f = _herglotz_at(mu, j, nodes)
+    d, f = boundary_values(mu, j, nodes)
     if not np.isfinite(f).all():
         angle = np.angle(nodes[~np.isfinite(f)][0])
         raise OutOfRange(f"evaluation node at angle {angle:.6g} carries an atom")
-    d, f = szego_boundary(mu)[j, None, None], f[:, None, None]
+    d, f = d[:, None, None], f[:, None, None]
     phi, phis = eval_grid_table(params, nodes, n_max)
     psi, psis = eval_grid_table(dual_parameters(params), nodes, n_max)
     base = np.stack([psi.T, -psis.T], axis=-1)

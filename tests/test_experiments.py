@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opuclab import asymptotics, experiments, families, opuc, scattering, schur
+from opuclab import asymptotics, experiments, families, opuc, scattering, schur, szego
 from opuclab.asymptotics import (
     cmv_coefficients,
     csv_text,
@@ -552,6 +552,18 @@ def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
             assert np.array_equal(got.entries, want.entries), angle
     # reading the solutions again solves nothing
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("grid_size", [4096, 8192])
+def test_all_run_takes_one_boundary_pass_per_grid(spy, grid_size):
+    # radial_limit reads D on a grid of at least 8192 nodes, the Jost
+    # solutions D and F on the run's own; with test points off the
+    # certified angles, one pass per grid still serves every node
+    passes = spy(lambda mu: mu.grid_size, szego, "szego_boundary", scattering)
+    config = _config(experiment="all", grid_size=grid_size, test_points=[1.0, 2.5])
+    outcome = experiments.run_experiment(config)
+    assert {v.status for v in outcome.verdicts} == {"pass"}
+    assert sorted(passes) == sorted({grid_size, 8192})
 
 
 def test_jost_step_defects_run_once_per_solution(spy, bs_half):

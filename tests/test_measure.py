@@ -104,6 +104,9 @@ def _edge_points(grid_size: int, count: int = 8) -> list:
     "family", ["mixed_atom", "mixed_three_atoms", "geronimus6", "ell2_half"]
 )
 def test_array_points_match_one_point_calls_bitwise(family, request):
+    # ell2's bands are wider than N/8: alone, the points of _POINTS read
+    # the cached band prefixes, while a batch with the edge points reads
+    # the bands of a transient FFT
     mu = request.getfixturevalue(family).measure
     points = _POINTS + _edge_points(mu.grid_size)
     g = 1.0 + np.cos(mu.angles) ** 2
@@ -255,6 +258,32 @@ def test_poisson_cache_keeps_no_node_sized_array(ell2_half):
     ]
     assert cached and all(part.size < mu.grid_size for part in cached)
     assert kept < 8 * mu.grid_size, kept
+
+
+def test_short_reach_batches_read_the_cached_band_prefix(ell2_half, spy):
+    # Both bands of the 65536-node ell2 measure are wider than N/8, and
+    # their records keep c_0..c_{N/8 - 1}.  Points at |z| <= 0.9 read
+    # about 400 terms, so after a first call they take no FFT and no
+    # node-sized array; a point at |z| = 0.999 reads past the prefix and
+    # takes a transient FFT.
+    mu = ell2_half.measure_on(65536)
+    assert poisson_route(mu) == "band 26671/22626 of N = 65536"
+    points = np.array(_POINTS)
+    poisson(mu, points)
+    poisson_log_weight(mu, points)
+    ffts = spy(lambda *args, **kwargs: None, np.fft, "rfft")
+    tracemalloc.start()
+    try:
+        poisson(mu, points)
+        poisson_log_weight(mu, points)
+        szego_interior(mu, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ffts == []
+    assert peak < 8 * mu.grid_size, peak
+    poisson(mu, 0.999)
+    assert len(ffts) == 1
 
 
 def test_moments_of_bernstein_szego(bs_half):

@@ -228,6 +228,15 @@ def test_value_recursion_escape_survives_the_double_pass(spy):
     assert dtypes == [np.complex128]
 
 
+def test_depth_zero_extraction_forms_no_quadrature(spy, bs_half):
+    # a mixed family's builder runs its base builder at depth 0 for the
+    # base's name and density only
+    formed = spy(lambda mu: mu.grid_size, type(bs_half.measure), "quadrature")
+    params = verblunsky_from_measure(bs_half.measure, 0)
+    assert len(params) == 0 and params.values.dtype == complex
+    assert formed == []
+
+
 def _recursion_outcome(recursion, xi, q, n_max):
     """("values", their bytes) or ("raises", the message)."""
     try:
