@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, poisson, snap
-from .opuc import chi_sums, chi_sums_fft, eval_table
+from .opuc import chi_sums, chi_sums_fft, eval_grid_table, eval_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
 from .szego import entropy_profile
 
@@ -226,16 +226,25 @@ def summability_conditions(
     ]
 
 
-def cd_at_zero_residual(params: SchurParameters, xi: complex, n: int) -> float:
+def cd_at_zero_residual(params: SchurParameters, xi, n: int):
     """Worst mismatch of the kernel-at-zero identity for k = 1..n.
 
     Checks sum_{j<k} conj(phi_j(0)) phi_j(xi) against its two-term form
-    phi_k*(xi) conj(phi_k*(0)) - phi_k(xi) conj(phi_k(0)).
+    phi_k*(xi) conj(phi_k*(0)) - phi_k(xi) conj(phi_k(0)).  ``xi`` is one
+    boundary point (returns a float) or a 1-d array of them (returns a
+    list); one transfer table over z = 0 and the points gives every value,
+    so each residual is bitwise its one-point call.
     """
     if n < 1:
         raise OutOfRange("identity check requires n >= 1")
-    phi_x, phis_x = eval_table(params, xi, n)
-    phi_0, phis_0 = eval_table(params, 0.0, n)
-    direct = np.cumsum(np.conj(phi_0[:n]) * phi_x[:n])
-    two_term = phis_x[1:] * np.conj(phis_0[1:]) - phi_x[1:] * np.conj(phi_0[1:])
-    return float(np.max(np.abs(two_term - direct)))
+    zs = np.concatenate(([0.0], np.atleast_1d(xi))).astype(complex)
+    # one contiguous row of orders per point, so the products below take
+    # the same numpy loops as on a one-point table's column
+    phi, phis = (table.T.copy() for table in eval_grid_table(params, zs, n))
+    conj_0, conj_s0 = np.conj(phi[0]), np.conj(phis[0])
+    residuals = []
+    for phi_x, phis_x in zip(phi[1:], phis[1:]):
+        direct = np.cumsum(conj_0[:n] * phi_x[:n])
+        two_term = phis_x[1:] * conj_s0[1:] - phi_x[1:] * conj_0[1:]
+        residuals.append(float(np.max(np.abs(two_term - direct))))
+    return residuals[0] if np.ndim(xi) == 0 else residuals

@@ -71,6 +71,7 @@ from .opuc import (
     chi_table,
     dual_parameters,
     eval_grid_table,
+    gram_matrix,
     monic_from_moments,
 )
 from .scattering import (
@@ -671,9 +672,7 @@ def _szego_formula(ctx: RunContext) -> Result:
 @check("schur_identities", "gram_orthonormality")
 def _gram_orthonormality(ctx: RunContext) -> Result:
     m = min(16, ctx.depth)
-    nodes, weights = ctx.mu.quadrature()
-    phi_rows = eval_grid_table(ctx.params, nodes, m)[0]
-    gram = (phi_rows * weights) @ phi_rows.conj().T
+    gram = gram_matrix(ctx.params, *ctx.mu.quadrature(), m)
     residual = float(np.max(np.abs(gram - np.eye(m + 1))))
     return _within(
         residual,
@@ -814,10 +813,8 @@ def _constant_deviation_zero(ctx: RunContext) -> Result:
 @check("summability", "cd_at_zero_identity")
 def _cd_at_zero_identity(ctx: RunContext) -> Result:
     n_top = min(64, ctx.depth)
-    residual = max(
-        cd_at_zero_residual(ctx.params, complex(np.exp(1j * angle)), n_top)
-        for angle in ctx.certified
-    )
+    xis = np.array([complex(np.exp(1j * angle)) for angle in ctx.certified])
+    residual = max(cd_at_zero_residual(ctx.params, xis, n_top))
     return _within(
         residual,
         1e-9,

@@ -5,6 +5,9 @@ L^2(mu) instead of any recursion, plain quadrature sums instead of kernel
 algebra.
 Agreement between these and the package routines is evidence, not
 tautology, because no code is shared beyond the measure container.
+``gram_full_table`` forms the whole order-by-node table that
+``opuc.gram_matrix`` streams in chunks, the roundoff-level reference of
+the Gram check.
 The bitwise references (``value_recursion_fresh_arrays``,
 ``entropy_profile_per_delta``) instead restate a fast routine in its plain
 array form, to show that its buffers change no bit; the profile reference
@@ -264,6 +267,16 @@ def value_recursion_fresh_arrays(xi, q, n_max: int):
         values[n] = complex(a)
         phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
     return values
+
+
+def gram_full_table(params, nodes, weights, n_max: int) -> np.ndarray:
+    """The Gram matrix of phi_0..phi_{n_max} under the weighted nodes, from
+    the whole (n_max+1, len(nodes)) table at once: the reference of the
+    chunked sum in ``opuc.gram_matrix``."""
+    from opuclab.opuc import eval_grid_table
+
+    phi = eval_grid_table(params, nodes, n_max)[0]
+    return (phi * weights) @ phi.conj().T
 
 
 def cmv_coefficients_dense(

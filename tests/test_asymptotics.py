@@ -264,6 +264,16 @@ def test_cd_at_zero_residual(bs_half, geronimus6):
             assert cd_at_zero_residual(inst.params, complex(xi), 24) < 1e-9
 
 
+@pytest.mark.parametrize("family", ["mixed_atom", "geronimus6", "ell2_half"])
+def test_cd_at_zero_residual_batch_is_its_one_point_calls_bitwise(family, request):
+    params = request.getfixturevalue(family).params
+    xis = np.exp(1j * np.array([0.0, 1.7, 2.0, 4.4]))
+    for n in (1, 24, 64):
+        batch = cd_at_zero_residual(params, xis, n)
+        singles = [cd_at_zero_residual(params, complex(xi), n) for xi in xis]
+        assert np.array(batch).tobytes() == np.array(singles).tobytes()
+
+
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
 def test_sandwich_table_matches_its_per_n_form_bitwise(family, request):
     inst = request.getfixturevalue(family)

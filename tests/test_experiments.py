@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -190,7 +191,8 @@ def test_geronimus_refinement_skips():
 @pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
 def test_geronimus_passes_all_to_depth_64(a):
     # geronimus(0.9) has the thinnest margin of the builtins:
-    # gram_orthonormality reads about 8.8e-10 against its 1e-8 bound
+    # gram_orthonormality reads about 1.99e-9 on 4096 nodes against its
+    # 1e-8 bound
     cfg = _config(
         family={"name": "geronimus", "a": a}, experiment="all", n_list=[4, 16, 64]
     )
@@ -501,6 +503,38 @@ def test_sampled_checks_make_one_transfer_pass(spy, geronimus6, name, points):
     )
     assert status == "pass"
     assert passes == [points]
+
+
+def test_cd_at_zero_identity_makes_one_transfer_pass(spy, geronimus6):
+    # z = 0 and every certified angle in one table
+    passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")
+    ctx = experiments.RunContext(_config(seed=1), geronimus6)
+    status, _, _ = dict(CHECKS["summability"])["cd_at_zero_identity"](ctx)
+    assert status == "pass"
+    assert passes == [1 + len(ctx.certified)]
+
+
+def test_gram_check_memory_is_linear_in_the_grid():
+    # the check streams the quadrature in chunks of nodes, so its peak is
+    # the quadrature plus a chunk-sized table, not an order-by-node table
+    grid_size = 32768
+    cfg = _config(
+        family={"name": "ell2", "c": 0.5, "p": 1.0},
+        grid_size=grid_size,
+        n_list=[16, 64, 256],
+        experiment="all",
+    )
+    inst = build_family(cfg.family, grid_size, cfg.build_depth)
+    ctx = experiments.RunContext(cfg, inst)
+    check = dict(CHECKS["schur_identities"])["gram_orthonormality"]
+    tracemalloc.start()
+    try:
+        status, _, _ = check(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "pass"
+    assert peak < 200 * grid_size, peak
 
 
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])

@@ -31,6 +31,7 @@ from opuclab.schur import SchurParameters, schur_parameters_from_measure
 from oracles import (
     cd_kernel_bruteforce,
     cd_kernel_routes,
+    gram_full_table,
     gram_schmidt_verblunsky,
     monic_from_moments_mp,
     phi_at_node_mp,
@@ -455,6 +456,32 @@ def test_table_columns_are_one_point_tables_bitwise(
     deep_phi, deep_phis = eval_grid_table(params, zs, n + extra)
     assert _bits(deep_phi[: n + 1]) == _bits(phi)
     assert _bits(deep_phis[: n + 1]) == _bits(phis)
+
+
+@pytest.mark.parametrize("case", ["bs_half", "geronimus9", "mixed_atom", "ragged"])
+def test_streamed_gram_matches_full_table(request, case):
+    # the chunks change only the order of the Gram's sums; mixed_atom's atom
+    # sits in its last chunk, and 5000 nodes end in a ragged chunk
+    if case == "geronimus9":
+        inst = build_family({"name": "geronimus", "a": 0.9}, 4096, 65)
+    else:
+        inst = request.getfixturevalue("ell2_half" if case == "ragged" else case)
+    nodes, weights = inst.measure.quadrature()
+    if case == "ragged":
+        nodes, weights = nodes[:5000], weights[:5000]
+        assert len(nodes) % opuc._GRAM_CHUNK
+    streamed = opuc.gram_matrix(inst.params, nodes, weights, 16)
+    full = gram_full_table(inst.params, nodes, weights, 16)
+    assert np.max(np.abs(streamed - full)) < 1e-14
+
+
+def test_gram_within_one_chunk_is_the_full_table(bs_half):
+    nodes, weights = bs_half.measure.quadrature()
+    nodes, weights = nodes[:1000], weights[:1000]
+    assert np.array_equal(
+        opuc.gram_matrix(bs_half.params, nodes, weights, 16),
+        gram_full_table(bs_half.params, nodes, weights, 16),
+    )
 
 
 def test_phi_star_nonvanishing_inside(geronimus6):
