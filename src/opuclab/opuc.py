@@ -17,7 +17,8 @@ Extraction routes
   tame measures; coefficient growth makes it ill-conditioned when the
   parameters do not decay, so it follows the series cascade's precision
   rule (``schur._escalate``): past 4 digits of loss, or where the double
-  pass breaks down, it is redone in fixed point in Python integers.
+  pass breaks down, it is redone in fixed point, on lists of Python
+  integers (``schur.FixedLists``).
 * ``verblunsky_from_measure`` runs the same recursion on *values* at the
   nodes of ``CircleMeasure.quadrature()``, grid points and atoms alike
   (huge polynomial values are multiplied by tiny weights instead of
@@ -49,7 +50,6 @@ Christoffel-Darboux formulas on values read that way.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +58,11 @@ from .errors import OutOfRange, PositivityLoss
 from .measure import CircleMeasure, _as_boundary
 from .schur import (
     ESCAPE_THRESHOLD,
-    Fixed,
+    ComplexLists,
+    FixedLists,
     SchurParameters,
     _escalate,
     digit_loss,
-    fixed_bits,
 )
 
 # Depth cap of both parameter-extraction routes; desk scale.
@@ -255,21 +255,24 @@ def gram_matrix(
 ) -> np.ndarray:
     """sum_j weights[j] phi_k(nodes[j]) conj(phi_l(nodes[j])), k, l <= n_max.
 
-    Streamed over chunks of ``_GRAM_CHUNK`` nodes: each chunk runs the
-    transfer recursion on its own nodes into one (n_max+1, chunk) buffer
-    reused across chunks, and adds its block to the sum, so no
-    (n_max+1, len(nodes)) table is formed.  A chunk's rows are bitwise the
-    columns of ``eval_grid_table`` on all the nodes; only the order in
+    Streamed over chunks of ``_GRAM_CHUNK`` nodes, each a contiguous prefix
+    of one reused buffer (numpy's products on a strided block would take a
+    128 KiB buffer of their own), so no (n_max+1, len(nodes)) table is
+    formed; a remainder under 1/8 chunk, such as the atoms after a
+    power-of-two grid, joins the last chunk.  A chunk's rows are bitwise
+    the columns of ``eval_grid_table`` on all the nodes; only the order in
     which the nodes' terms are summed differs.
     """
+    starts = range(_GRAM_CHUNK, len(nodes) - _GRAM_CHUNK // 8, _GRAM_CHUNK)
+    bounds = [0, *starts, len(nodes)]
     gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    rows = np.empty((n_max + 1, min(len(nodes), _GRAM_CHUNK)), dtype=complex)
-    for start in range(0, len(nodes), _GRAM_CHUNK):
-        chunk = nodes[start : start + _GRAM_CHUNK]
-        block = rows[:, : len(chunk)]
-        for k, (phi, _) in enumerate(_transfer_steps(params, chunk, n_max)):
+    rows = np.empty((n_max + 1) * np.diff(bounds).max(), dtype=complex)
+    for start, stop in zip(bounds, bounds[1:]):
+        block = rows[: (n_max + 1) * (stop - start)].reshape(n_max + 1, -1)
+        steps = _transfer_steps(params, nodes[start:stop], n_max)
+        for k, (phi, _) in enumerate(steps):
             block[k] = phi
-        gram += (block * weights[start : start + len(chunk)]) @ block.conj().T
+        gram += (block * weights[start:stop]) @ block.conj().T
     return gram
 
 
@@ -402,26 +405,22 @@ def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarra
 # -----------------------------------------------------------------------------
 # Parameter extraction, route A: moment coefficients
 # -----------------------------------------------------------------------------
-def _monic_steps(moments: np.ndarray, n_max: int, number):
-    """The monic recursion on moments in the arithmetic of ``number``.
-
-    ``number`` converts a complex double: ``complex`` for the double pass,
-    a ``schur.Fixed`` constructor for the exact one.  Returns (MonicTable,
-    digit_loss, None), or (None, digit_loss, reason) at the first degree
-    whose norm is not positive or whose parameter reaches the escape
-    threshold, the loss summed up to there.
-    """
-    cbar = [number(x).conjugate() for x in moments]
-    cbar_next = cbar[1:]
-    zero = number(0.0)
-    phi = [number(1.0)]
-    phis = [number(1.0)]
+def _monic_steps(moments: np.ndarray, n_max: int, num):
+    """The monic recursion on moments in the arithmetic ``num``:
+    ``schur.ComplexLists`` for the double pass, ``schur.FixedLists`` for
+    the exact one.  Returns (MonicTable, digit_loss, None), or (None,
+    digit_loss, reason) at the first degree whose norm is not positive or
+    whose parameter reaches the escape threshold, the loss summed up to
+    there."""
+    cbar = num.conj_all(num.vector(moments))
+    cbar_next = num.cut(cbar, 1)
+    phi = phis = num.vector([1.0])
     norms = np.zeros(n_max + 1)
     a_out = np.zeros(n_max, dtype=complex)
     loss = 0.0
     for n in range(n_max + 1):
-        den = sum(map(operator.mul, phis, cbar), zero)
-        value = complex(den)
+        den = num.dot(phis, cbar)
+        value = num.value(den)
         if value.real <= 0.0 or abs(value.imag) > 1e-8 * max(value.real, 1.0):
             return None, loss, (
                 f"norm inner product {value!r} at degree {n}; "
@@ -430,9 +429,9 @@ def _monic_steps(moments: np.ndarray, n_max: int, number):
         norms[n] = value.real
         if n == n_max:
             break
-        conj_a = sum(map(operator.mul, phi, cbar_next), zero) / den
-        a = conj_a.conjugate()
-        a_out[n] = complex(a)
+        conj_a = num.div(num.dot(phi, cbar_next), den)
+        a = num.conj(conj_a)
+        a_out[n] = num.value(a)
         if abs(a_out[n]) >= ESCAPE_THRESHOLD:
             return None, loss, (
                 f"|a_{n}| = {abs(a_out[n]):.15g} at the escape threshold; "
@@ -440,10 +439,8 @@ def _monic_steps(moments: np.ndarray, n_max: int, number):
             )
         loss += digit_loss(abs(a_out[n]))
         # phi <- z phi - conj(a) phi*,  phi* <- phi* - a z phi
-        shifted = [zero, *phi]
-        phis.append(zero)
-        phi = [h - conj_a * x for h, x in zip(shifted, phis)]
-        phis = [x - a * h for h, x in zip(shifted, phis)]
+        shifted, phis = num.shift(phi), num.extend(phis)
+        phi, phis = num.sub_mul(shifted, conj_a, phis), num.sub_mul(phis, a, shifted)
     return MonicTable(norms, SchurParameters(a_out)), loss, None
 
 
@@ -453,8 +450,7 @@ def _monic_exact(moments: np.ndarray, n_max: int, dps: int):
     Returns (MonicTable, digit_loss); raises PositivityLoss where the
     recursion breaks down.
     """
-    bits = fixed_bits(dps)
-    table, loss, reason = _monic_steps(moments, n_max, lambda x: Fixed.of(x, bits))
+    table, loss, reason = _monic_steps(moments, n_max, FixedLists(dps))
     if reason is not None:
         raise PositivityLoss(reason)
     return table, loss
@@ -479,7 +475,7 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
     # fixed point, which alone decides whether to raise.  In double alone,
     # geronimus(0.6) has a depth-24 gap of 1.4e-8 to the series route (test
     # bound 1e-9) and a depth-64 norm_telescoping of 1.0e-9 (bound 1e-10).
-    table, loss, _ = _monic_steps(c, n_max, complex)
+    table, loss, _ = _monic_steps(c, n_max, ComplexLists)
     return _escalate(
         table, loss, table is not None, n_max, lambda dps: _monic_exact(c, n_max, dps)
     )

@@ -27,16 +27,19 @@ double precision after a few dozen steps.  Both O(n^2) extraction routes,
 this cascade and the moment recursion of ``opuc.monic_from_moments``,
 follow one rule (``_escalate``): run in double while summing the
 decimal-digit loss estimate; when the sum passes ``_SAFE_DIGIT_LOSS`` or
-the double pass escapes, redo the route in fixed point: ``Fixed`` numbers,
-Python integers with P fractional bits sized from the estimate.  The
-double inputs convert to them exactly down to 2^-P, and each result
-converts back to the nearest double.
+the double pass escapes, redo the route in fixed point, in Python integers
+with P fractional bits sized from the estimate.  Each route is written
+once over a small vector arithmetic: ``ComplexLists`` for the double pass,
+and ``FixedLists`` for the exact one, which holds a vector as two lists of
+integers, its real and imaginary parts.  The double inputs convert exactly
+down to 2^-P, and each result converts back to the nearest double.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -63,9 +66,9 @@ from .measure import (
 # Modulus at which a parameter is declared escaped (degenerate measure).
 ESCAPE_THRESHOLD = 1.0 - 1e-12
 
-# Extra moment orders requested beyond the parameter count: the cascade
-# consumes one order of truncation per step and the guard keeps the tail
-# honest.
+# Extra moment orders requested beyond the parameter count.  a_s depends
+# only on u[:s+1] and v[:s+1], so the cascade reads none of them; they stay
+# in the moment order that config validation holds within the trusted band.
 SERIES_GUARD = 8
 
 # Pointwise iterates divide by z; below this the series route must be used.
@@ -165,67 +168,78 @@ def fixed_bits(dps: int) -> int:
     return math.ceil(dps * math.log2(10.0)) + 8
 
 
-class Fixed:
-    """A complex number held as integer multiples of 2^-bits, re + i im.
+class ComplexLists:
+    """The double passes' arithmetic: a vector is a list of Python complex,
+    and each operation applies the scalar one element by element, in order,
+    so its bits are the scalar's.  ``shift`` is z x; ``sub_mul(x, a, y)`` is x - a y."""
 
-    The arithmetic of the exact passes: +, -, * and / floor to 2^-bits,
-    and ``conjugate``, ``abs`` and ``complex`` work as on a complex, so a
-    recursion written for complex numbers runs on it unchanged.
-    ``complex(x)`` is the complex double nearest x, since int / int rounds
-    correctly however large 2^bits is.
+    vector = staticmethod(lambda values: np.asarray(values, dtype=complex).tolist())
+    head = staticmethod(operator.itemgetter(0))
+    cut = staticmethod(lambda x, start, stop=None: x[start:stop])
+    shift = staticmethod(lambda x: [0j, *x])
+    extend = staticmethod(lambda x: [*x, 0j])
+    conj = staticmethod(complex.conjugate)
+    conj_all = staticmethod(lambda x: [p.conjugate() for p in x])
+    dot = staticmethod(lambda x, y: sum(map(operator.mul, x, y), 0j))
+    sub_mul = staticmethod(lambda x, a, y: [p - a * q for p, q in zip(x, y)])
+    div = staticmethod(operator.truediv)
+    value = staticmethod(complex)
+
+
+class FixedLists:
+    """The exact passes' arithmetic, in integer multiples of 2^-bits.
+
+    A vector is two lists of Python integers, its real and imaginary parts,
+    and a scalar two integers.  Each product floors to 2^-bits, as
+    (x*y - u*v) >> bits per part, and sums are exact.  ``value`` is the
+    complex double nearest a scalar: int / int rounds correctly.
     """
 
-    __slots__ = ("re", "im", "bits")
+    def __init__(self, dps: int):
+        self.bits = fixed_bits(dps)
 
-    def __init__(self, re: int, im: int, bits: int):
-        self.re, self.im, self.bits = re, im, bits
+    def vector(self, values):
+        # complex doubles, exact down to 2^-bits and floored below; each part
+        # is m / 2^e, so no double times 2^bits, which can overflow, is formed
+        parts = [], []
+        for value in np.asarray(values, dtype=complex).tolist():
+            for out, part in zip(parts, (value.real, value.imag)):
+                num, den = part.as_integer_ratio()
+                out.append((num << self.bits) // den)
+        return parts
 
-    @classmethod
-    def of(cls, value: complex, bits: int) -> "Fixed":
-        """A complex double, exact down to 2^-bits and floored below.
+    head = staticmethod(lambda x: (x[0][0], x[1][0]))
+    cut = staticmethod(lambda x, start, stop=None: (x[0][start:stop], x[1][start:stop]))
+    shift = staticmethod(lambda x: ([0, *x[0]], [0, *x[1]]))
+    extend = staticmethod(lambda x: ([*x[0], 0], [*x[1], 0]))
+    conj = staticmethod(lambda a: (a[0], -a[1]))
+    conj_all = staticmethod(lambda x: (x[0], [-p for p in x[1]]))
 
-        ``float.as_integer_ratio`` gives each part as m / 2^e, so no double
-        times 2^bits is formed: past 1023 bits that product would overflow.
-        """
-        value = complex(value)
-        parts = []
-        for part in (value.real, value.imag):
-            num, den = part.as_integer_ratio()
-            parts.append((num << bits) // den)
-        return cls(parts[0], parts[1], bits)
-
-    def __add__(self, other: "Fixed") -> "Fixed":
-        return Fixed(self.re + other.re, self.im + other.im, self.bits)
-
-    def __sub__(self, other: "Fixed") -> "Fixed":
-        return Fixed(self.re - other.re, self.im - other.im, self.bits)
-
-    def __mul__(self, other: "Fixed") -> "Fixed":
-        re, im, bits = self.re, self.im, self.bits
-        return Fixed(
-            (re * other.re - im * other.im) >> bits,
-            (re * other.im + im * other.re) >> bits,
-            bits,
+    def dot(self, x, y):
+        (xr, xi), (yr, yi), bits = x, y, self.bits
+        return (
+            sum([(p * r - q * s) >> bits for p, q, r, s in zip(xr, xi, yr, yi)]),
+            sum([(p * s + q * r) >> bits for p, q, r, s in zip(xr, xi, yr, yi)]),
         )
 
-    def __truediv__(self, other: "Fixed") -> "Fixed":
-        re, im, bits = self.re, self.im, self.bits
-        size = other.re * other.re + other.im * other.im
-        return Fixed(
-            ((re * other.re + im * other.im) << bits) // size,
-            ((im * other.re - re * other.im) << bits) // size,
-            bits,
+    def sub_mul(self, x, a, y):
+        (xr, xi), (ar, ai), (yr, yi), bits = x, a, y, self.bits
+        return (
+            [p - ((ar * r - ai * s) >> bits) for p, r, s in zip(xr, yr, yi)],
+            [p - ((ar * s + ai * r) >> bits) for p, r, s in zip(xi, yr, yi)],
         )
 
-    def conjugate(self) -> "Fixed":
-        return Fixed(self.re, -self.im, self.bits)
+    def div(self, p, q):
+        (pr, pi), (qr, qi), bits = p, q, self.bits
+        size = qr * qr + qi * qi
+        return (
+            ((pr * qr + pi * qi) << bits) // size,
+            ((pi * qr - pr * qi) << bits) // size,
+        )
 
-    def __complex__(self) -> complex:
+    def value(self, a):
         one = 1 << self.bits
-        return complex(self.re / one, self.im / one)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
+        return complex(a[0] / one, a[1] / one)
 
 
 def _escalate(double_result, loss: float, finished: bool, n_max: int, exact_pass):
@@ -256,28 +270,28 @@ def _escalate(double_result, loss: float, finished: bool, n_max: int, exact_pass
 # -----------------------------------------------------------------------------
 # Series cascade (parameter extraction)
 # -----------------------------------------------------------------------------
-def _cascade(u: list, v: list, n_max: int):
-    """Schur steps on f = u/v in place; returns (params, digit_loss, escape_step).
+def _cascade(u, v, n_max: int, num):
+    """Schur steps on f = u/v; returns (params, digit_loss, escape_step).
 
-    Runs unchanged on lists of complex or of ``Fixed``.  One step takes
-    a = u_0/v_0, then v <- v - conj(a) u and u <- (u - a v)/z, which is
-    O(len(u)) work; both lists lose their last entry.
+    Runs in the arithmetic ``num`` on u[:n_max] and v[:n_max] only, since
+    a_s reads u[:s+1] and v[:s+1].  One step takes a = u_0/v_0, then
+    v <- v - conj(a) u and u <- (u - a v)/z, dropping the last entry of
+    each, which no later step reads.
     """
+    u, v = num.vector(u[:n_max]), num.vector(v[:n_max])
     out = np.zeros(n_max, dtype=complex)
     loss = 0.0
     for step in range(n_max):
-        a = u[0] / v[0]
-        out[step] = complex(a)
-        mag = abs(a)
+        a = num.div(num.head(u), num.head(v))
+        out[step] = value = num.value(a)
+        mag = abs(value)
         if mag >= ESCAPE_THRESHOLD:
             return out, loss, step
         loss += digit_loss(mag)
-        ac = a.conjugate()
-        for k in range(len(u) - 1):
-            v[k] -= ac * u[k]
-            u[k] = u[k + 1] - a * v[k + 1]
-        u.pop()
-        v.pop()
+        u, v = (
+            num.sub_mul(num.cut(u, 1), a, num.cut(v, 1)),
+            num.sub_mul(v, num.conj(a), num.cut(u, 0, -1)),
+        )
     return out, loss, None
 
 
@@ -287,10 +301,7 @@ def _cascade_mp(u, v, n_max: int, dps: int):
     Keeps the name and signature that ``perfbench/layers.py`` wraps to
     read ``dps``.
     """
-    bits = fixed_bits(dps)
-    params, loss, step = _cascade(
-        [Fixed.of(x, bits) for x in u], [Fixed.of(x, bits) for x in v], n_max
-    )
+    params, loss, step = _cascade(u, v, n_max, FixedLists(dps))
     if step is not None:
         raise ParameterEscape(
             f"|a_{step}| = {abs(params[step]):.15g} at the escape threshold; "
@@ -302,13 +313,11 @@ def _cascade_mp(u, v, n_max: int, dps: int):
 def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
     """Extract a_0..a_{n_max-1} from the Taylor coefficients of f = u/v.
 
-    One coefficient of accuracy is consumed per step, so u and v must
-    carry at least n_max + 1 coefficients each; ask for SERIES_GUARD extra
-    moment orders when building them.  Escalates to fixed point when the
+    u and v must carry at least n_max + 1 coefficients each, though the
+    cascade reads only the first n_max.  Escalates to fixed point when the
     conditioning estimate says doubles are not enough (``_escalate``).
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.ndim != 1 or u.shape != v.shape:
         raise OutOfRange("u and v must be 1-d coefficient arrays of one length")
     if n_max < 0:
@@ -323,16 +332,11 @@ def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
     if abs(v[0]) < 1e-12:
         raise DivisionBlowup(f"denominator constant term {v[0]!r} too small")
 
-    params, loss, escape_step = _cascade(u.tolist(), v.tolist(), n_max)
-    return SchurParameters(
-        _escalate(
-            params,
-            loss,
-            escape_step is None,
-            n_max,
-            lambda dps: _cascade_mp(u, v, n_max, dps),
-        )
+    params, loss, step = _cascade(u, v, n_max, ComplexLists)
+    params = _escalate(
+        params, loss, step is None, n_max, lambda dps: _cascade_mp(u, v, n_max, dps)
     )
+    return SchurParameters(params)
 
 
 def schur_parameters_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:

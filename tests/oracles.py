@@ -21,7 +21,9 @@ and ``jost_step_defects_loop`` takes the recurrence defects one step at a
 time.
 ``cascade_mp`` and ``monic_from_moments_mp`` run the two O(n^2)
 extraction routes in mpmath floating point, the references of their
-fixed-point passes; ``geronimus_density_mp`` is the geronimus closed form
+fixed-point passes, and ``cascade_fixed`` and ``monic_fixed`` run them on
+``Fixed`` objects, one per number, the bitwise references of the integer
+lists those passes hold; ``geronimus_density_mp`` is the geronimus closed form
 at 40 digits, the reference of the array density.
 
 The last group states OPUC identities that no verdict checks (Simon,
@@ -236,6 +238,155 @@ def monic_from_moments_mp(c, n_max: int, dps: int = 60):
             phi = [x - conj_a * y for x, y in zip(shifted, phis)]
             phis = [y - a * x for x, y in zip(shifted, phis)]
     return np.array(params, dtype=complex), np.array(norms)
+
+
+class Fixed:
+    """A complex number held as integer multiples of 2^-bits, re + i im.
+
+    The reference arithmetic of the exact passes, one object per number:
+    +, -, * and / floor to 2^-bits, and ``conjugate``, ``abs`` and
+    ``complex`` work as on a complex, so a recursion written for complex
+    numbers runs on it unchanged.  ``complex(x)`` is the complex double
+    nearest x, since int / int rounds correctly however large 2^bits is.
+    """
+
+    __slots__ = ("re", "im", "bits")
+
+    def __init__(self, re: int, im: int, bits: int):
+        self.re, self.im, self.bits = re, im, bits
+
+    @classmethod
+    def of(cls, value: complex, bits: int) -> "Fixed":
+        """A complex double, exact down to 2^-bits and floored below."""
+        value = complex(value)
+        parts = []
+        for part in (value.real, value.imag):
+            num, den = part.as_integer_ratio()
+            parts.append((num << bits) // den)
+        return cls(parts[0], parts[1], bits)
+
+    def __add__(self, other: "Fixed") -> "Fixed":
+        return Fixed(self.re + other.re, self.im + other.im, self.bits)
+
+    def __sub__(self, other: "Fixed") -> "Fixed":
+        return Fixed(self.re - other.re, self.im - other.im, self.bits)
+
+    def __mul__(self, other: "Fixed") -> "Fixed":
+        re, im, bits = self.re, self.im, self.bits
+        return Fixed(
+            (re * other.re - im * other.im) >> bits,
+            (re * other.im + im * other.re) >> bits,
+            bits,
+        )
+
+    def __truediv__(self, other: "Fixed") -> "Fixed":
+        re, im, bits = self.re, self.im, self.bits
+        size = other.re * other.re + other.im * other.im
+        return Fixed(
+            ((re * other.re + im * other.im) << bits) // size,
+            ((im * other.re - re * other.im) << bits) // size,
+            bits,
+        )
+
+    def conjugate(self) -> "Fixed":
+        return Fixed(self.re, -self.im, self.bits)
+
+    def __complex__(self) -> complex:
+        one = 1 << self.bits
+        return complex(self.re / one, self.im / one)
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
+
+
+def cascade_fixed(u, v, n_max: int, dps: int):
+    """The Schur cascade on ``Fixed`` numbers: the reference of ``schur._cascade_mp``.
+
+    Converts and updates every coefficient, guard entries included, one
+    object per number; returns (params, digit loss) and raises
+    ParameterEscape with the same message.
+    """
+    from opuclab.errors import ParameterEscape
+    from opuclab.schur import ESCAPE_THRESHOLD, digit_loss, fixed_bits
+
+    bits = fixed_bits(dps)
+    u = [Fixed.of(x, bits) for x in u]
+    v = [Fixed.of(x, bits) for x in v]
+    out = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    for step in range(n_max):
+        a = u[0] / v[0]
+        out[step] = complex(a)
+        mag = abs(a)
+        if mag >= ESCAPE_THRESHOLD:
+            raise ParameterEscape(
+                f"|a_{step}| = {abs(out[step]):.15g} at the escape threshold; "
+                "measure is finitely supported or numerically degenerate"
+            )
+        loss += digit_loss(mag)
+        ac = a.conjugate()
+        for k in range(len(u) - 1):
+            v[k] -= ac * u[k]
+            u[k] = u[k + 1] - a * v[k + 1]
+        u.pop()
+        v.pop()
+    return out, loss
+
+
+def monic_fixed(moments, n_max: int, dps: int):
+    """The monic moment recursion on ``Fixed`` numbers: the reference of
+    ``opuc._monic_exact``, with the same returns, (MonicTable, digit loss),
+    and the same PositivityLoss messages."""
+    from opuclab.errors import PositivityLoss
+    from opuclab.opuc import MonicTable
+    from opuclab.schur import ESCAPE_THRESHOLD, SchurParameters, digit_loss, fixed_bits
+
+    bits = fixed_bits(dps)
+    cbar = [Fixed.of(x, bits).conjugate() for x in moments]
+    zero = Fixed.of(0.0, bits)
+    phi = [Fixed.of(1.0, bits)]
+    phis = [Fixed.of(1.0, bits)]
+    norms = np.zeros(n_max + 1)
+    a_out = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    for n in range(n_max + 1):
+        den = sum((x * y for x, y in zip(phis, cbar)), zero)
+        value = complex(den)
+        if value.real <= 0.0 or abs(value.imag) > 1e-8 * max(value.real, 1.0):
+            raise PositivityLoss(
+                f"norm inner product {value!r} at degree {n}; "
+                "moment sequence is not positive definite"
+            )
+        norms[n] = value.real
+        if n == n_max:
+            break
+        conj_a = sum((x * y for x, y in zip(phi, cbar[1:])), zero) / den
+        a = conj_a.conjugate()
+        a_out[n] = complex(a)
+        if abs(a_out[n]) >= ESCAPE_THRESHOLD:
+            raise PositivityLoss(
+                f"|a_{n}| = {abs(a_out[n]):.15g} at the escape threshold; "
+                "input appears finitely supported"
+            )
+        loss += digit_loss(abs(a_out[n]))
+        shifted = [zero, *phi]
+        phis.append(zero)
+        phi = [h - conj_a * x for h, x in zip(shifted, phis)]
+        phis = [x - a * h for h, x in zip(shifted, phis)]
+    return MonicTable(norms, SchurParameters(a_out)), loss
+
+
+def exact_pass_outcome(exact_pass, *args):
+    """What ``exact_pass(*args)`` gives, comparable bitwise: the bytes of
+    its parameters (and norms) with its digit loss, or the type and message
+    of the error it raises."""
+    try:
+        result, loss = exact_pass(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.tobytes(), loss
+    return result.params.values.tobytes(), result.norms_sq.tobytes(), loss
 
 
 def value_recursion_fresh_arrays(xi, q, n_max: int):

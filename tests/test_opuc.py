@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import opuclab
@@ -31,8 +31,10 @@ from opuclab.schur import SchurParameters, schur_parameters_from_measure
 from oracles import (
     cd_kernel_bruteforce,
     cd_kernel_routes,
+    exact_pass_outcome,
     gram_full_table,
     gram_schmidt_verblunsky,
+    monic_fixed,
     monic_from_moments_mp,
     phi_at_node_mp,
     value_recursion_fresh_arrays,
@@ -124,6 +126,38 @@ def test_moment_route_goes_exact_only_past_four_digits(
     passes = spy(lambda *call: call, opuc, "_monic_exact")
     monic_from_moments(c, 64)
     assert len(passes) == exact_passes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 6.3)), min_size=1, max_size=5
+    ),
+    spread=st.sampled_from([0.0, 1e-20, 1e-13, 1e-8, 1e-3, 0.5]),
+    c0_shift=st.sampled_from([0.0, 0.0, -1.5, 0.1j]),
+    n_max=st.integers(1, 9),
+    dps=st.integers(20, 90),
+)
+@example(atoms=[(1.0, 0.3)], spread=0.0, c0_shift=-1.5, n_max=3, dps=30)
+@example(atoms=[(1.0, 0.3), (0.5, 2.0)], spread=1e-13, c0_shift=0.0, n_max=4, dps=40)
+@example(atoms=[(1.0, 0.3), (0.5, 2.0)], spread=0.5, c0_shift=0.0, n_max=6, dps=330)
+def test_exact_moment_recursion_is_the_fixed_reference_bitwise(
+    atoms, spread, c0_shift, n_max, dps
+):
+    # parameters, norms and digit loss, or the PositivityLoss and its
+    # message (escape or a norm that is not positive), are those of the
+    # recursion on one Fixed object per number.  The moments are those of
+    # a few atoms plus ``spread`` of Lebesgue measure, so they lose
+    # positivity or escape near a finitely supported measure, and a shifted
+    # c_0 breaks positivity at degree 0.
+    masses, angles = np.array(atoms).T
+    masses *= (1.0 - spread) / masses.sum()
+    k = np.arange(n_max + 1)[:, None]
+    c = (masses * np.exp(-1j * k * angles)).sum(axis=1)
+    c[0] += spread + c0_shift
+    assert exact_pass_outcome(opuc._monic_exact, c, n_max, dps) == exact_pass_outcome(
+        monic_fixed, c, n_max, dps
+    )
 
 
 def test_extended_precision_only_where_it_buys_digits():
@@ -458,12 +492,24 @@ def test_table_columns_are_one_point_tables_bitwise(
     assert _bits(deep_phis[: n + 1]) == _bits(phis)
 
 
-@pytest.mark.parametrize("case", ["bs_half", "geronimus9", "mixed_atom", "ragged"])
+_THREE_ATOMS = {
+    "name": "mixed",
+    "base": {"name": "lebesgue"},
+    "atoms": [{"angle": t, "mass": 0.1} for t in (0.0, 1.0, math.pi)],
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["bs_half", "geronimus9", "mixed_atom", "ragged", "three_atoms"]
+)
 def test_streamed_gram_matches_full_table(request, case):
-    # the chunks change only the order of the Gram's sums; mixed_atom's atom
-    # sits in its last chunk, and 5000 nodes end in a ragged chunk
+    # the chunks change only the order of the Gram's sums; the atoms of
+    # mixed_atom and three_atoms join the grid's last chunk, and 5000 nodes
+    # end in a ragged chunk
     if case == "geronimus9":
         inst = build_family({"name": "geronimus", "a": 0.9}, 4096, 65)
+    elif case == "three_atoms":
+        inst = build_family(_THREE_ATOMS, 4096, 65)
     else:
         inst = request.getfixturevalue("ell2_half" if case == "ragged" else case)
     nodes, weights = inst.measure.quadrature()
@@ -473,6 +519,22 @@ def test_streamed_gram_matches_full_table(request, case):
     streamed = opuc.gram_matrix(inst.params, nodes, weights, 16)
     full = gram_full_table(inst.params, nodes, weights, 16)
     assert np.max(np.abs(streamed - full)) < 1e-14
+
+
+def test_gram_atoms_join_the_last_chunk(spy, ell2_half):
+    # a remainder of only atoms rides in the last grid chunk instead of
+    # taking a transfer pass of its own; a wider remainder keeps its chunk
+    sizes = spy(lambda params, zs, n_max: len(zs), opuc, "_transfer_steps")
+    inst = build_family(_THREE_ATOMS, 4096, 65)
+    opuc.gram_matrix(inst.params, *inst.measure.quadrature(), 16)
+    assert sizes == [2048, 2051]
+    nodes, weights = ell2_half.measure.quadrature()
+    sizes.clear()
+    opuc.gram_matrix(ell2_half.params, nodes[:5000], weights[:5000], 16)
+    assert sizes == [2048, 2048, 904]
+    sizes.clear()
+    opuc.gram_matrix(ell2_half.params, nodes, weights, 16)
+    assert sizes == [2048] * 8
 
 
 def test_gram_within_one_chunk_is_the_full_table(bs_half):

@@ -2,11 +2,12 @@
 
 import contextlib
 import math
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opuclab import schur
@@ -23,10 +24,12 @@ from opuclab.families import FAMILIES
 from opuclab.measure import CircleMeasure, moments
 from opuclab.schur import (
     SERIES_GUARD,
-    Fixed,
+    ComplexLists,
+    FixedLists,
     SchurParameters,
     _cascade,
     _cascade_mp,
+    _escalate,
     entropy_products,
     fixed_bits,
     iterate_noise_horizon,
@@ -37,7 +40,14 @@ from opuclab.schur import (
     szego_formula_residuals,
 )
 
-from oracles import cascade_mp, khrushchev_rhs, schur_iterate_eval
+from oracles import (
+    Fixed,
+    cascade_fixed,
+    cascade_mp,
+    exact_pass_outcome,
+    khrushchev_rhs,
+    schur_iterate_eval,
+)
 
 
 def test_schur_function_is_constant_for_bernstein_szego(bs_half):
@@ -88,7 +98,7 @@ def test_series_pair_guards():
 
 def test_cascade_precisions_agree(bs_half):
     c = moments(bs_half.measure, 64 + SERIES_GUARD)
-    double, _, escape_step = _cascade(c[1:].tolist(), c[:-1].tolist(), 64)
+    double, _, escape_step = _cascade(c[1:], c[:-1], 64, ComplexLists)
     extended, _ = _cascade_mp(c[1:], c[:-1], 64, 40)
     assert escape_step is None
     assert np.max(np.abs(double - extended)) < 1e-13
@@ -163,7 +173,7 @@ def test_escaped_double_pass_escalates_past_the_double_range():
     # fixed-point pass does not, at dps 25 + ceil(loss) + n_max, so 2^P
     # is beyond any double
     u, v = _series_of([0.95, 0.8, 0.95, 1.0 - 1.1e-12, 0.5], 300)
-    assert _cascade(u.tolist(), v.tolist(), 299)[2] == 3
+    assert _cascade(u, v, 299, ComplexLists)[2] == 3
     with _recorded_escalations() as calls:
         params = schur_parameters_from_series(u, v, 299)
     [(_, _, _, dps, exact)] = calls
@@ -172,10 +182,132 @@ def test_escaped_double_pass_escalates_past_the_double_range():
     assert np.array_equal(exact, cascade_mp(u, v, 299, dps)[0])
 
 
+def test_escalate_redoes_a_pass_short_of_spare_digits():
+    # the double pass escapes at step 3 having lost 4.1 digits, so the
+    # exact pass runs at 25 + 5 + n_max digits; it loses 17 of them, which
+    # leaves fewer than 21 spare, so it is redone once at 21 + 18 + 10
+    u, v = _series_of([0.95, 0.8, 0.95, 1.0 - 1.1e-12, 0.5], 6)
+    _, double_loss, escape_step = _cascade(u, v, 5, ComplexLists)
+    assert escape_step == 3
+    first = 25 + math.ceil(double_loss) + 5
+    exact_loss = _cascade_mp(u, v, 5, first)[1]
+    assert first < 21 + math.ceil(exact_loss)
+    with _recorded_escalations() as calls:
+        params = schur_parameters_from_series(u, v, 5)
+    assert [dps for _, _, _, dps, _ in calls] == [first, 31 + math.ceil(exact_loss)]
+    assert np.array_equal(params.values, calls[-1][4])
+
+
+def test_escalate_redoes_an_exact_pass_at_most_once():
+    # a pass whose loss always outruns its digits still runs only twice,
+    # and the second result stands
+    calls = []
+
+    def exact_pass(dps):
+        calls.append(dps)
+        return len(calls), float(dps)
+
+    assert _escalate(None, 5.0, True, 7, exact_pass) == 2
+    assert calls == [30, 61]
+    assert _escalate("double", 4.0, True, 7, exact_pass) == "double"
+    assert calls == [30, 61]
+
+
+@lru_cache(maxsize=None)
+def _geronimus_series():
+    c = moments(FAMILIES["geronimus"].measure(4096, 65, a=0.6), 64 + SERIES_GUARD)
+    return c[1:], c[:-1], 64
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    guard=st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False), min_size=16, max_size=16
+    )
+)
+@pytest.mark.parametrize("case", ["geronimus", "escape"])
+def test_cascade_reads_no_guard_coefficient(case, guard):
+    # a_s depends on u[:s+1] and v[:s+1] only: overwriting every coefficient
+    # past n_max moves no bit of either pass, escaped or not
+    if case == "geronimus":
+        u, v, n_max = _geronimus_series()
+    else:
+        u, v = _series_of([0.5, 0.9, 1.0 - 1e-13, 0.3], 12)
+        n_max = 4
+    changed_u, changed_v = u.copy(), v.copy()
+    changed_u[n_max:], changed_v[n_max:] = guard[:8], guard[8:]
+    for num in (ComplexLists, FixedLists(41)):
+        params, loss, step = _cascade(u, v, n_max, num)
+        changed = _cascade(changed_u, changed_v, n_max, num)
+        assert (params.tobytes(), loss, step) == (changed[0].tobytes(), *changed[1:])
+        assert step == (None if case == "geronimus" else 2)
+
+
+_PARAMETER = st.builds(
+    lambda r, t: r * complex(np.exp(1j * t)), st.floats(0.0, 0.999), st.floats(0.0, 6.3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.lists(_PARAMETER, min_size=1, max_size=12),
+    escape_at=st.one_of(st.none(), st.integers(0, 11)),
+    extra=st.integers(1, 8),
+    dps=st.integers(20, 90),
+)
+@example(params=[0.95, 0.8, 0.95, 0.5], escape_at=3, extra=1, dps=35)
+@example(params=[0.9j, 0.99, -0.9], escape_at=None, extra=3, dps=330)
+def test_exact_cascade_is_the_fixed_reference_bitwise(params, escape_at, extra, dps):
+    # parameters and digit loss, or the ParameterEscape and its message,
+    # are those of the cascade on one Fixed object per number, which also
+    # converts and updates every guard coefficient
+    if escape_at is not None:
+        params.insert(min(escape_at, len(params)), 1.0 - 1e-13)
+    n_max = len(params)
+    u, v = _series_of(params, n_max + extra)
+    assert exact_pass_outcome(_cascade_mp, u, v, n_max, dps) == exact_pass_outcome(
+        cascade_fixed, u, v, n_max, dps
+    )
+
+
+_SMALL_COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x=st.lists(_SMALL_COMPLEX, min_size=1, max_size=6),
+    y=st.lists(_SMALL_COMPLEX, min_size=1, max_size=6),
+    a=_SMALL_COMPLEX.filter(lambda z: abs(z) > 1e-3),
+    dps=st.integers(20, 330),
+)
+def test_fixed_lists_are_the_fixed_arithmetic_integer_for_integer(x, y, a, dps):
+    # each operation floors where Fixed floors, so the integers, not only
+    # the doubles they round to, are the reference's
+    num, bits = FixedLists(dps), fixed_bits(dps)
+    fx, fy, fa = ([Fixed.of(v, bits) for v in vs] for vs in (x, y, [a]))
+    fa = fa[0]
+
+    def ints(values):
+        return [v.re for v in values], [v.im for v in values]
+
+    vx, vy, va = num.vector(x), num.vector(y), num.head(num.vector([a]))
+    assert (vx, vy) == (ints(fx), ints(fy))
+    total = sum((p * q for p, q in zip(fx, fy)), Fixed(0, 0, bits))
+    assert num.dot(vx, vy) == (total.re, total.im)
+    assert num.sub_mul(vx, va, vy) == ints([p - fa * q for p, q in zip(fx, fy)])
+    assert num.conj_all(vx) == ints([p.conjugate() for p in fx])
+    quotient = num.div(num.head(vx), va)
+    assert quotient == ((fx[0] / fa).re, (fx[0] / fa).im)
+    assert num.value(quotient) == complex(fx[0] / fa)
+    assert num.shift(vx) == ints([Fixed(0, 0, bits), *fx])
+    assert num.extend(vx) == ints([*fx, Fixed(0, 0, bits)])
+
+
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 def test_fixed_point_holds_every_double_exactly(x):
     # 2^-1074 is the least double, so past 1074 bits no input is floored
-    assert complex(Fixed.of(x, fixed_bits(330))) == x
+    exact = FixedLists(330)
+    assert exact.value(exact.head(exact.vector([x]))) == x
 
 
 def test_szego_formula_exact_for_finite_parameter_families(leb, bs_half):
