@@ -32,7 +32,7 @@ from .errors import ConfigError, OpuclabError
 from .families import FAMILIES, check_number, check_spec
 from .measure import max_trusted_moment, snap
 from .opuc import N_MAX
-from .schur import SERIES_GUARD
+from .schur import ROUTE_DEPTH, SERIES_GUARD
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 EXPERIMENTS = SUITE_NAMES + ("all",)
@@ -40,10 +40,6 @@ EXPERIMENTS = SUITE_NAMES + ("all",)
 # Orders needed beyond max(n_list): kernel quotients use the (n+1)-st pair
 # and several checks are pinned at depth <= 32 regardless of the sweep.
 MIN_BUILD_DEPTH = 33
-
-# Depth of the schur_identities parameter routes (capped by the build
-# depth); the series cascade reads SERIES_GUARD moments beyond it.
-ROUTE_DEPTH = 64
 
 
 @dataclass(frozen=True)

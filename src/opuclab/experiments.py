@@ -42,7 +42,7 @@ from .asymptotics import (
     sandwich_table,
     summability_conditions,
 )
-from .config import ROUTE_DEPTH, SUITE_NAMES, ExperimentConfig
+from .config import SUITE_NAMES, ExperimentConfig
 from .families import (
     FAMILIES,
     FEJER_LIMIT_TOLERANCE,
@@ -81,6 +81,7 @@ from .scattering import (
     jost_step_defects,
 )
 from .schur import (
+    ROUTE_DEPTH,
     Z_MIN,
     _pointwise_iterates,
     entropy_products,

@@ -12,15 +12,19 @@ refinement checks run only the first, through
 Routes
 ------
 Measure-first families (lebesgue, bernstein_szego, geronimus, mixed) sample
-a closed-form weight and extract parameters from the grid.  Each closed form
-is stated once, as a numpy function of the angle: the sampler evaluates it
-over the whole grid in one array pass, and the density oracle at one angle.
-Parameter-first families (ell2) realize their truncation exactly: the
-measure with parameters (a_0..a_{K-1}, 0, 0, ...) has density
-1/|phi_K|^2, which is sampled without any series truncation error: one FFT
-of phi_K's K+1 coefficients gives its values at the grid nodes.  Every
-builder cross-validates its secondary representation against the primary
-one and raises FamilyValidationError on mismatch.
+a closed-form weight and extract parameters from the grid by the value
+recursion over its nodes (``opuc.verblunsky_from_measure``), which keeps
+them.  Each closed form is stated once, as a numpy function of the angle:
+the sampler evaluates it over the whole grid in one array pass, and the
+density oracle at one angle.  Parameter-first families (ell2) realize
+their truncation exactly: the measure with parameters
+(a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is sampled
+without any series truncation error: one FFT of phi_K's K+1 coefficients
+gives its values at the grid nodes.  Their cross-check is the series
+cascade on the grid moments (``schur.schur_parameters_from_measure``),
+whose parameters are compared with the stored ones and then dropped.
+Every builder cross-validates its secondary representation against the
+primary one and raises FamilyValidationError on mismatch.
 
 Records
 -------
@@ -55,7 +59,13 @@ from .measure import (
     max_trusted_moment,
 )
 from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
-from .schur import BUILD_DIGIT_LOSS, SchurParameters, digit_loss
+from .schur import (
+    BUILD_DIGIT_LOSS,
+    ROUTE_DEPTH,
+    SchurParameters,
+    digit_loss,
+    schur_parameters_from_measure,
+)
 
 # Parameter-first reconstruction needs the grid to resolve the rational
 # density 1/|phi_K|^2; empirically 56 nodes per parameter keeps the
@@ -248,10 +258,16 @@ def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasu
 
 
 def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
-    """a_n = c/(n+1)^p by exact truncation; the grid roundtrip reproduces them."""
+    """a_n = c/(n+1)^p by exact truncation; the grid roundtrip reproduces them.
+
+    The roundtrip is the series cascade on the grid moments at depth
+    min(ROUTE_DEPTH, n_max), the parameters the schur_identities routes
+    read.  It needs only c_0..c_{depth+SERIES_GUARD}, one cached FFT of the
+    weight, where the value recursion would sweep every node per order.
+    """
     params = _ell2_parameters(n_max, c, p)
-    depth = min(64, n_max)
-    back = verblunsky_from_measure(mu, depth)
+    depth = min(ROUTE_DEPTH, n_max)
+    back = schur_parameters_from_measure(mu, depth)
     gap = float(np.max(np.abs(back.values - params.values[:depth])))
     if gap > 1e-6:
         raise FamilyValidationError(

@@ -71,6 +71,12 @@ ESCAPE_THRESHOLD = 1.0 - 1e-12
 # in the moment order that config validation holds within the trusted band.
 SERIES_GUARD = 8
 
+# Depth of the parameter roundtrips read from the moments, capped by the
+# build depth: the ell2 build's cross-check and the schur_identities routes
+# run this cascade at min(ROUTE_DEPTH, depth), so both read one set of
+# parameters.
+ROUTE_DEPTH = 64
+
 # Pointwise iterates divide by z; below this the series route must be used.
 Z_MIN = 1e-3
 

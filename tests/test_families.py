@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuclab import families
 from opuclab.errors import FamilyValidationError, OutOfRange
@@ -12,8 +14,14 @@ from opuclab.families import (
     build_family,
     conditioning_horizon,
 )
-from opuclab.measure import grid_angles
-from opuclab.schur import SchurParameters
+from opuclab.measure import grid_angles, max_trusted_moment
+from opuclab.opuc import N_MAX, verblunsky_from_measure
+from opuclab.schur import (
+    ROUTE_DEPTH,
+    SERIES_GUARD,
+    SchurParameters,
+    schur_parameters_from_measure,
+)
 from oracles import geronimus_density_mp
 
 
@@ -153,6 +161,63 @@ def test_ell2_validation_refuses_past_three_digits():
     families.check_spec({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 257)
     with pytest.raises(FamilyValidationError, match="lose 3.13 digits"):
         families.check_spec({"name": "ell2", "c": 0.7, "p": 1.0}, 4096, 65)
+
+
+def test_ell2_roundtrip_runs_the_cascade_only(spy):
+    # the roundtrip reads the moments once, at depth min(ROUTE_DEPTH, 65),
+    # and never sweeps the grid nodes
+    cascade = spy(lambda mu, n_max: n_max, families, "schur_parameters_from_measure")
+    values = spy(lambda mu, n_max: n_max, families, "verblunsky_from_measure")
+    build_family({"name": "ell2", "c": 0.5, "p": 1.0}, 8192, 65)
+    assert cascade == [64]
+    assert values == []
+
+
+@pytest.mark.parametrize(
+    "c, p, depth, message",
+    [
+        # under-resolved Fourier tails on 4096 nodes: gaps 1.09e-3, 3.56e-6
+        # and 5.4e-7 against the 1e-6 bound
+        (0.617, 0.887, 33, "roundtrip off by 0.00109 at depth 33"),
+        (0.819, 1.218, 65, "roundtrip off by 3.56e-06 at depth 64"),
+        (0.778, 1.196, 65, None),
+    ],
+)
+def test_ell2_cascade_gap_is_the_value_recursion_gap(c, p, depth, message):
+    spec = {"name": "ell2", "c": c, "p": p}
+    if message is None:
+        build_family(spec, 4096, depth)
+    else:
+        with pytest.raises(FamilyValidationError, match=message):
+            build_family(spec, 4096, depth)
+    mu = families.FAMILIES["ell2"].measure(4096, depth, c=c, p=p)
+    d = min(ROUTE_DEPTH, depth)
+    exact = families._ell2_parameters(depth, c, p).values[:d]
+    gaps = [
+        np.max(np.abs(route(mu, d).values - exact))
+        for route in (schur_parameters_from_measure, verblunsky_from_measure)
+    ]
+    assert abs(gaps[0] - gaps[1]) <= 1e-14
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    c=st.floats(0.0, 1.2),
+    p=st.floats(0.0, 4.0),
+    depth=st.integers(0, N_MAX),
+    shift=st.integers(-2, 2),
+)
+def test_accepted_ell2_specs_keep_the_roundtrip_moments_trusted(c, p, depth, shift):
+    # min_grid = 56 (depth + 8) nodes gives N/8 >= 7 (depth + 8), so the
+    # build's cascade never meets AliasRisk on a spec validation accepts;
+    # the grids drawn sit around the floor, the tightest case
+    floor = families.FAMILIES["ell2"].min_grid(depth)
+    grid_size = 1 << max(8, (floor - 1).bit_length() + shift)
+    try:
+        families.check_spec({"name": "ell2", "c": c, "p": p}, grid_size, depth)
+    except (FamilyValidationError, OutOfRange):
+        return
+    assert min(ROUTE_DEPTH, depth) + SERIES_GUARD <= max_trusted_moment(grid_size)
 
 
 def test_descriptions_cover_builders():
