@@ -16,8 +16,8 @@ once and reads its rows by prefix, since a prefix of one pass is bitwise
 the shorter pass: the sandwich takes one entropy profile over every n and
 one transfer table at xi0 to the largest n, and the summability sweep one
 ``chi_table`` to the largest n and one Poisson call over its points
-(``summability_conditions``).  Rows serialize to CSV with a fixed header
-for downstream tooling.
+(``summability_conditions``).  The sweeps return plain rows, which
+``experiments`` writes to CSV.
 
 The CMV half: Fourier coefficients against the chi basis, partial-sum
 strong Cesaro deviation at a point, and the per-n boundedness condition
@@ -49,8 +49,6 @@ from .szego import entropy_profile
 # Rate-bound constant multiplying K_n^{1/4} in the sandwich upper half.
 SANDWICH_RATE_CONSTANT = 64.0
 
-CSV_HEADER = "n,cesaro,target,lower,upper,K_n,P_n,F_n"
-
 
 @dataclass(frozen=True)
 class SandwichRow:
@@ -71,42 +69,13 @@ class SandwichRow:
         return self.k_n <= 1.0
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Sandwich rows over an n sweep."""
-
-    rows: Tuple[SandwichRow, ...]
-
-    def to_csv(self) -> str:
-        return csv_text(
-            CSV_HEADER,
-            [
-                (r.n, r.cesaro, r.target, r.lower, r.upper, r.k_n, r.p_n, r.f_n)
-                for r in self.rows
-            ],
-        )
-
-
-def csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
-    """CSV with the given header line: ints as str, everything else .12g."""
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(v) if isinstance(v, int) else format(float(v), ".12g")
-                for v in row
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def sandwich_table(
     mu: CircleMeasure,
     params: SchurParameters,
     xi0: complex,
     n_list: Sequence[int],
     delta_grid_size: int = 64,
-) -> ConvergenceTable:
+) -> Tuple[SandwichRow, ...]:
     """Sandwich rows for every n in the sweep: the Cesaro mean against
     1/F_n and 1/P_n + 64 K_n^(1/4)/P_n.
 
@@ -120,20 +89,18 @@ def sandwich_table(
     phi, _ = eval_table(params, xi0, max(n_list, default=1) - 1)
     j, _ = snap(mu.grid_size, xi0)
     target = 1.0 / max(float(mu.weight[j]), 1e-300)
-    return ConvergenceTable(
-        tuple(
-            SandwichRow(
-                n=row.n,
-                cesaro=float(np.mean(np.abs(phi[: row.n]) ** 2)),
-                target=target,
-                lower=1.0 / row.f_n,
-                upper=(1.0 + SANDWICH_RATE_CONSTANT * row.k_n ** 0.25) / row.p_n,
-                k_n=row.k_n,
-                p_n=row.p_n,
-                f_n=row.f_n,
-            )
-            for row in profile.rows
+    return tuple(
+        SandwichRow(
+            n=row.n,
+            cesaro=float(np.mean(np.abs(phi[: row.n]) ** 2)),
+            target=target,
+            lower=1.0 / row.f_n,
+            upper=(1.0 + SANDWICH_RATE_CONSTANT * row.k_n ** 0.25) / row.p_n,
+            k_n=row.k_n,
+            p_n=row.p_n,
+            f_n=row.f_n,
         )
+        for row in profile
     )
 
 

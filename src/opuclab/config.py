@@ -32,7 +32,7 @@ from .errors import ConfigError, OpuclabError
 from .families import FAMILIES, check_number, check_spec
 from .measure import max_trusted_moment, snap
 from .opuc import N_MAX
-from .schur import ROUTE_DEPTH, SERIES_GUARD
+from .schur import ROUTE_DEPTH
 
 SUITE_NAMES = ("mnt", "entropy", "schur_identities", "summability", "scattering")
 EXPERIMENTS = SUITE_NAMES + ("all",)
@@ -62,6 +62,10 @@ class ExperimentConfig:
                 f"grid_size = {n!r} must be a power of two >= 256"
             )
 
+        if not isinstance(self.n_list, (list, tuple)):
+            raise ConfigError(
+                f"n_list = {self.n_list!r} must be a list of integers"
+            )
         n_list = tuple(self.n_list)
         if not n_list:
             raise ConfigError("n_list must be nonempty")
@@ -108,11 +112,11 @@ class ExperimentConfig:
                 f"experiment = {self.experiment!r}; choose from {EXPERIMENTS}"
             )
         if self.experiment in ("schur_identities", "all"):
-            order = min(ROUTE_DEPTH, self.build_depth) + SERIES_GUARD
+            order = min(ROUTE_DEPTH, self.build_depth)
             if order > max_trusted_moment(n):
                 raise ConfigError(
                     f"experiment {self.experiment!r} reads moments to order "
-                    f"{order} (route depth + SERIES_GUARD {SERIES_GUARD}), "
+                    f"{order}, its route depth min(ROUTE_DEPTH, build depth), "
                     f"beyond the trusted band grid_size/8 = "
                     f"{max_trusted_moment(n)}; raise grid_size"
                 )
@@ -180,12 +184,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for required in ("family", "n_list", "experiment"):
         if required not in data:
             raise ConfigError(f"config is missing {required!r}")
-    kwargs = dict(data)
-    if "n_list" in kwargs and isinstance(kwargs["n_list"], list):
-        kwargs["n_list"] = tuple(kwargs["n_list"])
-    if isinstance(kwargs.get("test_points"), list):
-        kwargs["test_points"] = tuple(kwargs["test_points"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**data)
 
 
 def load_config(path: str) -> ExperimentConfig:

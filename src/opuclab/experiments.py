@@ -28,16 +28,15 @@ import functools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .asymptotics import (
-    ConvergenceTable,
+    SandwichRow,
     cd_at_zero_residual,
     cmv_coefficients,
-    csv_text,
     partial_sum_deviation,
     sandwich_table,
     summability_conditions,
@@ -240,7 +239,7 @@ class RunContext:
         ]
 
     @_cached
-    def sandwich(self, angle: float) -> ConvergenceTable:
+    def sandwich(self, angle: float) -> Tuple[SandwichRow, ...]:
         return sandwich_table(
             self.mu,
             self.params,
@@ -396,7 +395,7 @@ def _cesaro_sandwich(ctx: RunContext) -> Result:
     judged = 0
     exempt = 0
     for angle in ctx.certified:
-        for row in ctx.sandwich(angle).rows:
+        for row in ctx.sandwich(angle):
             if not row.hypothesis_met:
                 exempt += 1
                 continue
@@ -421,7 +420,7 @@ def _fejer_lower_bound(ctx: RunContext) -> Result:
     worst = 0.0
     rows = 0
     for angle in ctx.certified:
-        for row in ctx.sandwich(angle).rows:
+        for row in ctx.sandwich(angle):
             rows += 1
             worst = max(worst, 1.0 / row.f_n - row.cesaro)
     return _within(
@@ -893,74 +892,88 @@ def suite_verdicts(ctx: RunContext, suite: str) -> List[Verdict]:
 # -----------------------------------------------------------------------------
 # CSV tables: one per suite per test point, n_list rows
 # -----------------------------------------------------------------------------
-def _mnt_table(ctx: RunContext, angle: float) -> str:
-    return ctx.sandwich(angle).to_csv()
+# The CSV table of each suite as (header, rows, per_point), registered by
+# the @table decorators below: rows(ctx, angle) builds the rows, and a
+# table that carries no boundary point (per_point False) is written once.
+TABLES: Dict[str, Tuple[str, Callable[[RunContext, float], list], bool]] = {}
 
 
-def _entropy_table(ctx: RunContext, angle: float) -> str:
-    return csv_text(
-        "n,K_n,P_n,F_n",
-        [(row.n, row.k_n, row.p_n, row.f_n) for row in ctx.sandwich(angle).rows],
-    )
+def table(suite: str, header: str, per_point: bool = True):
+    """Register the decorated row builder as the CSV table of ``suite``."""
+
+    def register(fn):
+        TABLES[suite] = (header, fn, per_point)
+        return fn
+
+    return register
 
 
-def _schur_table(ctx: RunContext, angle: float) -> str:
+@table("mnt", "n,cesaro,target,lower,upper,K_n,P_n,F_n")
+def _mnt_table(ctx: RunContext, angle: float):
+    return [astuple(row) for row in ctx.sandwich(angle)]
+
+
+@table("entropy", "n,K_n,P_n,F_n")
+def _entropy_table(ctx: RunContext, angle: float):
+    return [(row.n, row.k_n, row.p_n, row.f_n) for row in ctx.sandwich(angle)]
+
+
+@table("schur_identities", "n,szego_residual,route_gap", per_point=False)
+def _schur_table(ctx: RunContext, angle: float):
     stored, cascade, _ = ctx.routes()
     gaps = np.maximum.accumulate(np.abs(stored - cascade))
     route_gaps = gaps[np.minimum(ctx.n_list, len(gaps)) - 1].tolist()
     residuals = szego_formula_residuals(ctx.mu, ctx.params, ctx.n_list)
-    rows = list(zip(ctx.n_list, residuals, route_gaps))
-    return csv_text("n,szego_residual,route_gap", rows)
+    return list(zip(ctx.n_list, residuals, route_gaps))
 
 
-def _summability_table(ctx: RunContext, angle: float) -> str:
+@table("summability", "n,strong_cesaro,condition_lhs,condition_rhs")
+def _summability_table(ctx: RunContext, angle: float):
     _, coeffs = ctx.cmv()
     chi_vals = ctx.chi(angle)
     conditions = summability_conditions(
         ctx.mu, chi_vals, complex(np.exp(1j * angle)), ctx.n_list
     )
     f_at_xi0 = math.cos(angle)
-    rows = [
+    return [
         (n, partial_sum_deviation(coeffs[:n], chi_vals[:n], f_at_xi0), lhs, rhs)
         for n, (lhs, rhs) in zip(ctx.n_list, conditions)
     ]
-    return csv_text("n,strong_cesaro,condition_lhs,condition_rhs", rows)
 
 
-def _scattering_table(ctx: RunContext, angle: float) -> str:
+@table("scattering", "n,plus_deviation,minus_deviation,recurrence_residual")
+def _scattering_table(ctx: RunContext, angle: float):
     solutions = ctx.jost(angle)
     # the solution clipped to n + 1 entries has the first n step defects
     plus, minus = ctx.jost_defects(angle)
-    rows = [
+    return [
         (n, *[s.vanishing_mean(n) for s in solutions], max([0.0, *plus[:n], *minus[:n]]))
         for n in ctx.n_list
     ]
-    return csv_text("n,plus_deviation,minus_deviation,recurrence_residual", rows)
 
 
-_TABLE_BUILDERS: Dict[str, Callable[[RunContext, float], str]] = {
-    "mnt": _mnt_table,
-    "entropy": _entropy_table,
-    "schur_identities": _schur_table,
-    "summability": _summability_table,
-    "scattering": _scattering_table,
-}
-
-# The parameter-route table carries no boundary point, so one file suffices.
-_POINT_FREE_TABLES = ("schur_identities",)
+def csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
+    """CSV with the given header line: ints as str, everything else .12g."""
+    lines = [header]
+    for row in rows:
+        lines.append(
+            ",".join(
+                str(v) if isinstance(v, int) else format(float(v), ".12g")
+                for v in row
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def suite_tables(ctx: RunContext, suite: str) -> Dict[str, str]:
-    builder = _TABLE_BUILDERS[suite]
-    angles = (
-        ctx.sweep_angles[:1]
-        if suite in _POINT_FREE_TABLES
-        else ctx.sweep_angles
-    )
+    """The suite's CSV files by name: ``{suite}.csv`` for the first sweep
+    angle, ``{suite}_2.csv`` and on for the others."""
+    header, rows, per_point = TABLES[suite]
+    angles = ctx.sweep_angles if per_point else ctx.sweep_angles[:1]
     tables: Dict[str, str] = {}
     for k, angle in enumerate(angles):
         filename = f"{suite}.csv" if k == 0 else f"{suite}_{k + 1}.csv"
-        tables[filename] = builder(ctx, angle)
+        tables[filename] = csv_text(header, rows(ctx, angle))
     return tables
 
 

@@ -262,8 +262,8 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
 
     The roundtrip is the series cascade on the grid moments at depth
     min(ROUTE_DEPTH, n_max), the parameters the schur_identities routes
-    read.  It needs only c_0..c_{depth+SERIES_GUARD}, one cached FFT of the
-    weight, where the value recursion would sweep every node per order.
+    read.  It needs only c_0..c_depth, one cached FFT of the weight, where
+    the value recursion would sweep every node per order.
     """
     params = _ell2_parameters(n_max, c, p)
     depth = min(ROUTE_DEPTH, n_max)
@@ -538,7 +538,7 @@ def check_spec(spec, grid_size: int, depth: int, label: str = "family") -> dict:
         raise OutOfRange(f"{label} must be an object with a 'name' key")
     args = dict(spec)
     name = args.pop("name", None)
-    if name not in FAMILIES:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise OutOfRange(
             f"unknown family {name!r} in {label}; builtins: {sorted(FAMILIES)}"
         )

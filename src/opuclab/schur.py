@@ -14,10 +14,13 @@ v_j = c_j, so no series is ever divided: one step is
 
     a = u_0 / v_0,   v <- v - conj(a) u,   u <- (u - a v) / z,
 
-which costs O(len(u)) (Schur's algorithm in generator form).  The
-identity-verification route runs the same recursion pointwise.  The same
-a_n drive the orthogonal-polynomial recursion elsewhere; the equality of
-the two extraction routes is a tested invariant, not an assumption.
+which costs O(len(u)) (Schur's algorithm in generator form).  Step s reads
+u_s and v_s last, so a_0..a_{n-1} come from c_0..c_n alone, as in
+Geronimus' theorem (Simon, OPUC Part 1), and the route asks ``moments``
+for no more.  The identity-verification route runs the same recursion
+pointwise.  The same a_n drive the orthogonal-polynomial recursion
+elsewhere; the equality of the two extraction routes is a tested
+invariant, not an assumption.
 
 Precision policy
 ----------------
@@ -65,11 +68,6 @@ from .measure import (
 
 # Modulus at which a parameter is declared escaped (degenerate measure).
 ESCAPE_THRESHOLD = 1.0 - 1e-12
-
-# Extra moment orders requested beyond the parameter count.  a_s depends
-# only on u[:s+1] and v[:s+1], so the cascade reads none of them; they stay
-# in the moment order that config validation holds within the trusted band.
-SERIES_GUARD = 8
 
 # Depth of the parameter roundtrips read from the moments, capped by the
 # build depth: the ell2 build's cross-check and the schur_identities routes
@@ -319,18 +317,18 @@ def _cascade_mp(u, v, n_max: int, dps: int):
 def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
     """Extract a_0..a_{n_max-1} from the Taylor coefficients of f = u/v.
 
-    u and v must carry at least n_max + 1 coefficients each, though the
-    cascade reads only the first n_max.  Escalates to fixed point when the
-    conditioning estimate says doubles are not enough (``_escalate``).
+    u and v must carry at least n_max coefficients each, the ones the
+    cascade reads.  Escalates to fixed point when the conditioning estimate
+    says doubles are not enough (``_escalate``).
     """
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.ndim != 1 or u.shape != v.shape:
         raise OutOfRange("u and v must be 1-d coefficient arrays of one length")
     if n_max < 0:
         raise OutOfRange("n_max must be nonnegative")
-    if n_max >= len(u):
+    if n_max > len(u):
         raise OutOfRange(
-            f"n_max = {n_max} exceeds series order {len(u) - 1}; "
+            f"n_max = {n_max} exceeds the {len(u)} coefficients given; "
             "the cascade consumes one coefficient per step"
         )
     if n_max == 0:
@@ -346,8 +344,8 @@ def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
 
 
 def schur_parameters_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
-    """Moments c_0..c_{n_max+SERIES_GUARD} -> f = u/v -> Schur cascade."""
-    c = moments(mu, n_max + SERIES_GUARD)
+    """Moments c_0..c_{n_max} -> f = u/v -> Schur cascade."""
+    c = moments(mu, n_max)
     return schur_parameters_from_series(c[1:], c[:-1], n_max)
 
 

@@ -141,22 +141,13 @@ class ProfileRow:
     f_n: float
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
-    """Per-n records of (K_n, P_n, F_n) at xi0, plus the delta grid used."""
-
-    xi0: complex
-    rows: Tuple[ProfileRow, ...]
-    delta_grid: np.ndarray
-
-
 def entropy_profile(
     mu: CircleMeasure,
     xi0: complex,
     n_list: Sequence[int],
     delta_grid_size: int = 64,
-) -> EntropyProfile:
-    """Approximate (K_n, P_n, F_n) over a log-spaced delta grid.
+) -> Tuple[ProfileRow, ...]:
+    """Approximate (K_n, P_n, F_n) over a log-spaced delta grid, one row per n.
 
     For each n, z runs over (1 - delta/n) xi0 with delta in
     [1e-4, 1 - 1e-4]; K_n is the max of the entropy and P_n the min of the
@@ -195,4 +186,4 @@ def entropy_profile(
         k_n = np.max(np.maximum(values[part], 0.0))
         p_n = np.min(p_mu[part])
         rows.append(ProfileRow(n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
-    return EntropyProfile(xi0, tuple(rows), deltas)
+    return tuple(rows)

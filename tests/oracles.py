@@ -653,7 +653,7 @@ def sandwich_rows_per_n(mu: CircleMeasure, params, xi0, n_list, delta_grid_size)
     target = 1.0 / max(float(mu.weight[_nearest_grid_node(mu, xi0)]), 1e-300)
     rows = []
     for n in n_list:
-        prow = entropy_profile(mu, xi0, [n], delta_grid_size).rows[0]
+        (prow,) = entropy_profile(mu, xi0, [n], delta_grid_size)
         phi, _ = eval_table(params, xi0, n - 1)
         rows.append(
             SandwichRow(

@@ -166,12 +166,10 @@ def test_criterion_05_cd_kernel_routes(geronimus6, ell2_half):
 
 
 def test_criterion_06_cesaro_sandwich(bs_half, all_families):
-    table = sandwich_table(
-        bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256)
-    )
-    value = table.rows[-1].cesaro
+    rows = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
+    value = rows[-1].cesaro
     assert abs(value - 1.0 / 3.0) <= 5e-3
-    for row in table.rows:
+    for row in rows:
         exact = (1.0 + (row.n - 1) / 3.0) / row.n
         assert abs(row.cesaro - exact) <= 1e-10, row.n
         assert row.cesaro >= row.lower - 1e-12, row.n
@@ -180,7 +178,7 @@ def test_criterion_06_cesaro_sandwich(bs_half, all_families):
 
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32, 128)).rows:
+        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32, 128)):
             assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
     print(f"criterion 06 PASS  cesaro(256) = {value:.6f}")
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from opuclab.asymptotics import (
-    CSV_HEADER,
     cd_at_zero_residual,
     cmv_coefficients,
     partial_sum_deviation,
@@ -36,7 +35,7 @@ def test_cesaro_exact_partial_bernstein_szego(bs_half):
     # a_0 = 1/2, a_n = 0 afterwards gives |phi_k(1)|^2 = 1/3 for k >= 1,
     # so the running mean is (1 + (n - 1)/3)/n exactly
     mu, params = bs_half.measure, bs_half.params
-    for row in sandwich_table(mu, params, 1.0, (1, 4, 16, 64, 256)).rows:
+    for row in sandwich_table(mu, params, 1.0, (1, 4, 16, 64, 256)):
         want = (1.0 + (row.n - 1) / 3.0) / row.n
         assert abs(row.cesaro - want) < 1e-10, row.n
     with pytest.raises(OutOfRange):
@@ -45,25 +44,23 @@ def test_cesaro_exact_partial_bernstein_szego(bs_half):
 
 def test_sandwich_rows_bound_the_mean(bs_half, leb):
     for inst in (bs_half, leb):
-        table = sandwich_table(inst.measure, inst.params, 1.0, (4, 16, 64, 256))
-        for row in table.rows:
+        for row in sandwich_table(inst.measure, inst.params, 1.0, (4, 16, 64, 256)):
             assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
             if row.hypothesis_met:
                 assert row.cesaro <= row.upper + 1e-12, (inst.name, row.n)
-        assert table.to_csv().splitlines()[0] == CSV_HEADER
 
 
 def test_sandwich_lower_bound_every_family(all_families):
     # the lower rail 1/F_n needs no smallness hypothesis at all
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32)).rows:
+        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32)):
             assert row.cesaro >= row.lower - 1e-12, inst.name
             assert abs(row.lower * row.f_n - 1.0) < 1e-12
 
 
 def test_sandwich_target_is_reciprocal_density(bs_half):
-    row = sandwich_table(bs_half.measure, bs_half.params, 1.0, [16]).rows[0]
+    (row,) = sandwich_table(bs_half.measure, bs_half.params, 1.0, [16])
     assert abs(row.target - 1.0 / 3.0) < 1e-12
     assert abs(row.cesaro - (1.0 + 15.0 / 3.0) / 16.0) < 1e-10
 
@@ -282,14 +279,14 @@ def test_sandwich_table_matches_its_per_n_form_bitwise(family, request):
     for angle in (*inst.test_angles, 2.5):
         xi0 = complex(np.exp(1j * angle))
         want = sandwich_rows_per_n(mu, inst.params, xi0, n_list, 48)
-        table = sandwich_table(mu, inst.params, xi0, n_list, 48)
-        assert list(table.rows) == want, (family, angle)
-        assert sandwich_table(mu, inst.params, xi0, [16], 48).rows[0] == want[1]
+        rows = sandwich_table(mu, inst.params, xi0, n_list, 48)
+        assert list(rows) == want, (family, angle)
+        assert sandwich_table(mu, inst.params, xi0, [16], 48) == (want[1],)
 
 
 def test_sandwich_table_takes_one_profile_and_one_transfer_pass(spy, bs_half):
     profiles = spy(lambda *args: args, asymptotics, "entropy_profile")
     passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")
-    table = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
-    assert len(table.rows) == 4
+    rows = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
+    assert len(rows) == 4
     assert (len(profiles), len(passes)) == (1, 1)

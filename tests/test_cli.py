@@ -117,7 +117,8 @@ def test_verify_exits_one_on_a_failing_table(runner, tmp_path, monkeypatch):
     def broken(ctx, angle):
         raise ZeroDivisionError("table row")
 
-    monkeypatch.setitem(experiments._TABLE_BUILDERS, "mnt", broken)
+    header, _, per_point = experiments.TABLES["mnt"]
+    monkeypatch.setitem(experiments.TABLES, "mnt", (header, broken, per_point))
     cfg = _write_config(tmp_path / "cfg.json")
     result = runner.invoke(main, ["verify", "--config", cfg])
     assert result.exit_code == 1
@@ -142,10 +143,34 @@ def test_bad_config_exits_two(runner, tmp_path):
     [
         ({"test_points": 5}, "test_points = 5 must be a list"),
         ({"grid_size": 8192, "n_list": [512]}, "N_MAX"),
-        ({"grid_size": 256, "experiment": "schur_identities"}, "SERIES_GUARD"),
-        ({"grid_size": 256, "experiment": "all"}, "SERIES_GUARD"),
+        ({"grid_size": 256, "experiment": "schur_identities"}, "route depth"),
+        ({"grid_size": 256, "experiment": "all"}, "route depth"),
+        ({"n_list": None}, "n_list = None must be a list"),
+        ({"n_list": 5}, "n_list = 5 must be a list"),
+        ({"family": {"name": ["lebesgue"]}}, "unknown family ['lebesgue']"),
+        ({"family": {"name": {"lebesgue": 1}}}, "unknown family {'lebesgue': 1}"),
+        (
+            {
+                "family": {
+                    "name": "mixed",
+                    "base": {"name": ["lebesgue"]},
+                    "atoms": [{"angle": 2.0, "mass": 0.2}],
+                }
+            },
+            "unknown family ['lebesgue'] in family.base",
+        ),
     ],
-    ids=["test_points", "n_max", "schur_identities_256", "all_256"],
+    ids=[
+        "test_points",
+        "n_max",
+        "schur_identities_256",
+        "all_256",
+        "n_list_null",
+        "n_list_number",
+        "name_list",
+        "name_object",
+        "mixed_base_name_list",
+    ],
 )
 def test_configs_that_cannot_run_exit_two(runner, tmp_path, overrides, reason):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)

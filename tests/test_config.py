@@ -96,7 +96,7 @@ def test_minimal_config_accepts_defaults():
         {"test_points": 1.5},
         # passes grid_size/16, but build depth 513 exceeds opuc.N_MAX
         {"grid_size": 8192, "n_list": [512]},
-        # the parameter routes read moment order 33 + SERIES_GUARD > 256/8
+        # the parameter routes read moment order min(64, 33) = 33 > 256/8
         {"grid_size": 256, "experiment": "schur_identities"},
         {"grid_size": 256, "experiment": "all"},
     ],

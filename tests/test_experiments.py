@@ -11,7 +11,6 @@ import pytest
 from opuclab import asymptotics, experiments, families, opuc, scattering, schur, szego
 from opuclab.asymptotics import (
     cmv_coefficients,
-    csv_text,
     partial_sum_deviation,
     summability_conditions,
 )
@@ -20,6 +19,7 @@ from opuclab.errors import ConfigError, FamilyValidationError, PositivityLoss
 from opuclab.experiments import (
     CHECKS,
     SUITE_NAMES,
+    csv_text,
     run_experiment,
     write_outputs,
 )
@@ -89,7 +89,8 @@ def test_a_failing_table_is_a_verdict(monkeypatch):
     def broken(ctx, angle):
         raise ZeroDivisionError("table row")
 
-    monkeypatch.setitem(experiments._TABLE_BUILDERS, "mnt", broken)
+    header, _, per_point = experiments.TABLES["mnt"]
+    monkeypatch.setitem(experiments.TABLES, "mnt", (header, broken, per_point))
     outcome = run_experiment(_config())
     assert outcome.failed
     verdict = outcome.verdicts[-1]
@@ -538,11 +539,10 @@ def test_gram_check_memory_is_linear_in_the_grid():
 
 
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
-def test_scattering_table_matches_its_per_n_form_bitwise(family, request, monkeypatch):
+def test_scattering_table_matches_its_per_n_form_bitwise(family, request):
     inst = request.getfixturevalue(family)
     ctx = experiments.RunContext(_config(n_list=[4, 16, 64, 200]), inst)
     # the rows as the table hands them to the CSV writer, before formatting
-    monkeypatch.setattr(experiments, "csv_text", lambda header, rows: rows)
     for angle in (*inst.test_angles, 2.5):
         want = scattering_rows_per_n(
             inst.measure, inst.params, complex(np.exp(1j * angle)), ctx.n_list

@@ -18,7 +18,6 @@ from opuclab.measure import grid_angles, max_trusted_moment
 from opuclab.opuc import N_MAX, verblunsky_from_measure
 from opuclab.schur import (
     ROUTE_DEPTH,
-    SERIES_GUARD,
     SchurParameters,
     schur_parameters_from_measure,
 )
@@ -208,16 +207,17 @@ def test_ell2_cascade_gap_is_the_value_recursion_gap(c, p, depth, message):
     shift=st.integers(-2, 2),
 )
 def test_accepted_ell2_specs_keep_the_roundtrip_moments_trusted(c, p, depth, shift):
-    # min_grid = 56 (depth + 8) nodes gives N/8 >= 7 (depth + 8), so the
-    # build's cascade never meets AliasRisk on a spec validation accepts;
-    # the grids drawn sit around the floor, the tightest case
+    # the build's cascade reads c_0..c_d at d = min(ROUTE_DEPTH, depth), and
+    # min_grid = 56 (depth + 8) nodes gives N/8 >= 7 (depth + 8) > d, so it
+    # never meets AliasRisk on a spec validation accepts; the grids drawn
+    # sit around the floor, the tightest case
     floor = families.FAMILIES["ell2"].min_grid(depth)
     grid_size = 1 << max(8, (floor - 1).bit_length() + shift)
     try:
         families.check_spec({"name": "ell2", "c": c, "p": p}, grid_size, depth)
     except (FamilyValidationError, OutOfRange):
         return
-    assert min(ROUTE_DEPTH, depth) + SERIES_GUARD <= max_trusted_moment(grid_size)
+    assert min(ROUTE_DEPTH, depth) <= max_trusted_moment(grid_size)
 
 
 def test_descriptions_cover_builders():

@@ -23,7 +23,6 @@ from opuclab.errors import (
 from opuclab.families import FAMILIES
 from opuclab.measure import CircleMeasure, moments
 from opuclab.schur import (
-    SERIES_GUARD,
     ComplexLists,
     FixedLists,
     SchurParameters,
@@ -88,16 +87,28 @@ def test_series_pair_reads_the_moments():
 
 def test_series_pair_guards():
     c = 0.5 ** np.arange(6)
+    # n_max steps read n_max coefficients of u and of v, and no more
+    assert len(schur_parameters_from_series(c[1:], c[:-1], 5)) == 5
     with pytest.raises(OutOfRange):
-        schur_parameters_from_series(c[1:], c[:-1], 5)  # order is 4
+        schur_parameters_from_series(c[1:], c[:-1], 6)  # 5 coefficients
     with pytest.raises(OutOfRange):
         schur_parameters_from_series(c[1:], c[:-2], 2)
     with pytest.raises(DivisionBlowup):
         schur_parameters_from_series(c[1:], np.zeros(5), 2)
 
 
+def test_measure_route_reads_moments_to_its_depth_only(spy, geronimus6):
+    # a_0..a_{d-1} need c_0..c_d alone (Geronimus' theorem), so the route
+    # asks for exactly that many moments
+    orders = spy(lambda mu, k_max: k_max, schur, "moments")
+    for d in (1, 16, 64):
+        params = schur_parameters_from_measure(geronimus6.measure, d)
+        assert len(params) == d
+    assert orders == [1, 16, 64]
+
+
 def test_cascade_precisions_agree(bs_half):
-    c = moments(bs_half.measure, 64 + SERIES_GUARD)
+    c = moments(bs_half.measure, 64)
     double, _, escape_step = _cascade(c[1:], c[:-1], 64, ComplexLists)
     extended, _ = _cascade_mp(c[1:], c[:-1], 64, 40)
     assert escape_step is None
@@ -159,7 +170,7 @@ def test_escalated_cascade_matches_mpmath_on_slow_decay(c, p, theta):
     # imaginary part of e^{i pi k}) can round to a neighbouring double,
     # though both are within about 1e-21 of exact; these phases keep both
     # parts of every parameter far from roundoff size.
-    k = np.arange(48 + SERIES_GUARD)
+    k = np.arange(48)
     u, v = _series_of(c * np.exp(1j * theta * k) / (k + 1.0) ** p, len(k) + 1)
     with _recorded_escalations() as calls:
         schur_parameters_from_series(u, v, 48)
@@ -215,7 +226,8 @@ def test_escalate_redoes_an_exact_pass_at_most_once():
 
 @lru_cache(maxsize=None)
 def _geronimus_series():
-    c = moments(FAMILIES["geronimus"].measure(4096, 65, a=0.6), 64 + SERIES_GUARD)
+    # eight coefficients past the 64 the cascade reads, for the test to overwrite
+    c = moments(FAMILIES["geronimus"].measure(4096, 65, a=0.6), 64 + 8)
     return c[1:], c[:-1], 64
 
 

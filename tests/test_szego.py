@@ -88,14 +88,14 @@ def test_jensen_gap_equals_entropy(geronimus6):
 
 def test_entropy_profile_rows(bs_half):
     profile = entropy_profile(bs_half.measure, 1.0 + 0j, (4, 16, 64), 64)
-    assert [row.n for row in profile.rows] == [4, 16, 64]
-    for row in profile.rows:
+    assert [row.n for row in profile] == [4, 16, 64]
+    for row in profile:
         assert row.k_n >= -1e-12
         assert row.p_n > 0.0
         assert row.f_n > 0.0
     # entropy at the shrinking points fades as the approach resolves the
     # smooth density
-    assert profile.rows[-1].k_n <= profile.rows[0].k_n + 1e-12
+    assert profile[-1].k_n <= profile[0].k_n + 1e-12
 
 
 def test_entropy_profile_needs_resolved_radii(bs_half):
@@ -117,7 +117,7 @@ def test_entropy_profile_matches_per_delta_oracle(family, request):
         xi0 = complex(np.exp(1j * angle))
         profile = entropy_profile(mu, xi0, (4, 16, 64, 256), 96)
         oracle = entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96)
-        for row, (n, k_n, p_n, f_n) in zip(profile.rows, oracle, strict=True):
+        for row, (n, k_n, p_n, f_n) in zip(profile, oracle, strict=True):
             assert (row.n, row.f_n) == (n, f_n)
             assert abs(row.p_n - p_n) <= tol * p_n
             assert abs(row.k_n - k_n) <= tol * max(1.0, k_n)
@@ -139,7 +139,7 @@ def test_entropy_profile_is_per_delta_entropy_terms_bitwise(family, request):
     for angle in (0.0, 2.0, np.pi):
         xi0 = complex(np.exp(1j * angle))
         profile = entropy_profile(mu, xi0, (4, 16, 64, 256), 96)
-        rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile.rows]
+        rows = [(r.n, r.k_n, r.p_n, r.f_n) for r in profile]
         oracle = entropy_profile_per_delta(mu, xi0, (4, 16, 64, 256), 96, terms)
         assert rows == oracle
 
@@ -148,7 +148,7 @@ def test_entropy_profile_makes_one_poisson_pass(spy, mixed_three_atoms):
     # every row reads its slice of one batch of points over all n
     batches = spy(lambda mu, zs, *rest: len(zs), szego, "_poisson_means")
     profile = entropy_profile(mixed_three_atoms.measure, np.exp(2.5j), (4, 16, 64), 32)
-    assert [row.n for row in profile.rows] == [4, 16, 64]
+    assert [row.n for row in profile] == [4, 16, 64]
     assert len(batches) == 1
 
 
