@@ -11,13 +11,15 @@ for every finite n by scale-localized extension extrema,
 
 where the upper half needs the entropy hypothesis K_n <= 1 and the lower
 half is a pure variational fact (the normalized Fejer polynomial competes
-in the Christoffel minimum) and needs nothing.  Every sweep evaluates
-once and reads its rows by prefix, since a prefix of one pass is bitwise
-the shorter pass: the sandwich takes one entropy profile over every n and
-one transfer table at xi0 to the largest n, and the summability sweep one
-``chi_table`` to the largest n and one Poisson call over its points
-(``summability_conditions``).  The sweeps return plain rows, which
-``experiments`` writes to CSV.
+in the Christoffel minimum) and needs nothing.  Every sweep reads its
+rows by prefix from values at xi0 to the largest n, since a prefix of one
+pass is bitwise the shorter pass.  Those values come from the run's one
+transfer table over every boundary point it reads (``experiments``,
+``RunContext.boundary_table``), whose columns are bitwise one-point
+passes: the sandwich reads phi_k there plus one entropy profile over
+every n (``sandwich_rows``), and the summability sweep reads chi_k there
+plus one Poisson call over its points (``summability_conditions``).  The
+sweeps return plain rows, which ``experiments`` writes to CSV.
 
 The CMV half: Fourier coefficients against the chi basis, partial-sum
 strong Cesaro deviation at a point, and the per-n boundedness condition
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, poisson, snap
-from .opuc import chi_sums, chi_sums_fft, eval_grid_table, eval_table
+from .opuc import chi_sums, chi_sums_fft, eval_grid_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
 from .szego import entropy_profile
 
@@ -69,9 +71,9 @@ class SandwichRow:
         return self.k_n <= 1.0
 
 
-def sandwich_table(
+def sandwich_rows(
     mu: CircleMeasure,
-    params: SchurParameters,
+    phi: np.ndarray,
     xi0: complex,
     n_list: Sequence[int],
     delta_grid_size: int = 64,
@@ -79,14 +81,15 @@ def sandwich_table(
     """Sandwich rows for every n in the sweep: the Cesaro mean against
     1/F_n and 1/P_n + 64 K_n^(1/4)/P_n.
 
-    One ``entropy_profile`` over n_list gives (K_n, P_n, F_n), and one
-    transfer table to order max(n_list) - 1 gives every Cesaro mean.  The
-    target column records 1/w at the grid node ``snap`` picks for xi0, a
-    diagnostic only; nothing is asserted against it.
+    ``phi`` holds phi_0(xi0)..phi_m(xi0), m >= max(n_list) - 1, as one
+    contiguous array (a column of the run's boundary table); each Cesaro
+    mean reads a prefix of it, and one ``entropy_profile`` over n_list
+    gives (K_n, P_n, F_n).  The target column records 1/w at the grid node
+    ``snap`` picks for xi0, a diagnostic only; nothing is asserted against
+    it.
     """
     xi0 = _as_boundary(xi0)
     profile = entropy_profile(mu, xi0, n_list, delta_grid_size)
-    phi, _ = eval_table(params, xi0, max(n_list, default=1) - 1)
     j, _ = snap(mu.grid_size, xi0)
     target = 1.0 / max(float(mu.weight[j]), 1e-300)
     return tuple(
@@ -179,7 +182,7 @@ def summability_conditions(
     """Per-n boundedness pairs behind strong Cesaro summability.
 
     At each n of the sweep, lhs = (1/n) sum_{k<=n} |chi_k(xi0)|^2, read off
-    ``chi_vals = chi_table(params, xi0, max(n_list))`` by prefix, and
+    ``chi_vals``, chi_0(xi0)..chi_m(xi0) with m >= max(n_list), by prefix, and
     rhs_unit = 1/P(mu, (1 - 1/n) xi0), all from one ``poisson`` call; the
     empirical constant of a sweep is the sup of lhs/rhs_unit.
     """

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, OpuclabError
-from .families import FAMILIES, check_number, check_spec
+from .families import FAMILIES, REFINEMENT_TOLERANCE, check_number, check_spec
 from .measure import max_trusted_moment, snap
 from .opuc import N_MAX
 from .schur import ROUTE_DEPTH
@@ -111,6 +111,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment = {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        if self.experiment in ("mnt", "all"):
+            change = FAMILIES[family["name"]].refinement_change(family, n)
+            if change > REFINEMENT_TOLERANCE:
+                raise ConfigError(
+                    f"{family['name']} needs a finer grid than {n} nodes for "
+                    f"experiment {self.experiment!r}: its Poisson means move "
+                    f"by {change:.3g} when the grid doubles, and "
+                    f"quadrature_refinement accepts {REFINEMENT_TOLERANCE:g}; "
+                    "raise grid_size"
+                )
         if self.experiment in ("schur_identities", "all"):
             order = min(ROUTE_DEPTH, self.build_depth)
             if order > max_trusted_moment(n):

@@ -20,6 +20,13 @@ capped by what the grid and the built parameter depth support.  The CSV
 tables, by contrast, sweep the configured n_list at the configured test
 points.  Randomized sweeps draw from the seeded generator in
 :mod:`opuclab.lcg`, so identical configs reproduce identical output.
+
+A :class:`RunContext` holds what several checks and tables read, each
+computed once per run in ``ctx._memo``.  The polynomials at the boundary
+come from one transfer table over every point the run reads
+(``RunContext.boundary_table``): the sandwich rows, the CMV values chi
+and the Jost solutions take their columns, since a column is bitwise the
+one-point pass.
 """
 
 from __future__ import annotations
@@ -38,13 +45,15 @@ from .asymptotics import (
     cd_at_zero_residual,
     cmv_coefficients,
     partial_sum_deviation,
-    sandwich_table,
+    sandwich_rows,
     summability_conditions,
 )
 from .config import SUITE_NAMES, ExperimentConfig
 from .families import (
     FAMILIES,
     FEJER_LIMIT_TOLERANCE,
+    REFINEMENT_PROBES,
+    REFINEMENT_TOLERANCE,
     FamilyInstance,
     build_family,
     fejer_top_order,
@@ -67,7 +76,7 @@ from .opuc import (
     PolynomialPair,
     cd_laurent,
     cd_quotient,
-    chi_table,
+    chi_grid_table,
     dual_parameters,
     eval_grid_table,
     gram_matrix,
@@ -76,6 +85,7 @@ from .opuc import (
 from .scattering import (
     JostSolution,
     boundary_values,
+    jost_pairs,
     jost_solutions,
     jost_step_defects,
 )
@@ -194,6 +204,15 @@ def _cached(method):
 
 
 class RunContext:
+    """One built family and a run's config, plus the values its checks and
+    tables share, each computed once (``_cached``).
+
+    Every boundary angle the run reads (``read_angles``: the certified
+    ones, then the swept test points) is evaluated in one transfer pass,
+    ``boundary_table``, at its point and at its grid node; ``sandwich``,
+    ``chi`` and ``jost`` read their columns by prefix.
+    """
+
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
         self.config = config
         self.instance = instance
@@ -238,43 +257,81 @@ class RunContext:
             for _ in range(count)
         ]
 
+    @property
+    def read_angles(self) -> Tuple[float, ...]:
+        """Every boundary angle the run reads, certified then swept, once."""
+        return tuple(dict.fromkeys((*self.certified, *self.sweep_angles)))
+
+    def boundary_point(self, angle: float) -> complex:
+        """e^{i angle} scaled to modulus 1, as every boundary reader scales
+        it: the point where the run reads phi and chi."""
+        return _as_boundary(np.exp(1j * angle))
+
+    @_cached
+    def boundary_table(self) -> Tuple[Dict[complex, int], np.ndarray, np.ndarray]:
+        """phi_k and phi*_k, k <= max(n_list), at every boundary point the
+        run reads, from one transfer pass: ``boundary_point`` of each read
+        angle and the grid node ``snap`` picks for it, once each by value.
+        Returns the column of each point and the two (n+1, points) tables;
+        a column is bitwise the one-point pass at its point."""
+        points = []
+        for angle in self.read_angles:
+            xi = self.boundary_point(angle)
+            points += [xi, snap(self.mu.grid_size, xi)[1]]
+        points = list(dict.fromkeys(points))
+        phi, phis = eval_grid_table(self.params, np.array(points), max(self.n_list))
+        return {z: j for j, z in enumerate(points)}, phi, phis
+
+    def _column(self, table: np.ndarray, angle: float) -> np.ndarray:
+        """The column of ``table`` at the angle's boundary point, copied to
+        one contiguous row, so that numpy runs the loops a one-point table's
+        column takes."""
+        column, _, _ = self.boundary_table()
+        return table[:, column[self.boundary_point(angle)]].copy()
+
     @_cached
     def sandwich(self, angle: float) -> Tuple[SandwichRow, ...]:
-        return sandwich_table(
+        _, phi, _ = self.boundary_table()
+        return sandwich_rows(
             self.mu,
-            self.params,
+            self._column(phi, angle),
             complex(np.exp(1j * angle)),
             self.n_list,
             self.config.delta_grid_size,
         )
 
     @_cached
-    def _jost_batch(self, angles: Tuple[float, ...]) -> dict:
-        xis = np.array([complex(np.exp(1j * angle)) for angle in angles])
-        pairs = jost_solutions(self.mu, self.params, xis, max(self.n_list))
+    def _chi_table(self) -> np.ndarray:
+        column, phi, phis = self.boundary_table()
+        return chi_grid_table(phi, phis, np.array(list(column)))
+
+    def chi(self, angle: float) -> np.ndarray:
+        """chi_0..chi_{max(n_list)} at the angle, read by prefix like ``cmv``."""
+        return self._column(self._chi_table(), angle)
+
+    @_cached
+    def _jost(self) -> dict:
+        """Both solutions at the grid node of every angle the run reads, with
+        phi and phi* from the boundary table."""
+        column, phi, phis = self.boundary_table()
+        angles = self.read_angles
+        j, nodes = map(
+            np.array,
+            zip(*(snap(self.mu.grid_size, self.boundary_point(a)) for a in angles)),
+        )
+        cols = [column[node] for node in nodes.tolist()]
+        pairs = jost_pairs(self.mu, self.params, j, nodes, phi[:, cols], phis[:, cols])
         return dict(zip(angles, pairs))
 
-    @property
-    def read_angles(self) -> Tuple[float, ...]:
-        """Every boundary angle the run reads, certified then swept, once."""
-        return tuple(dict.fromkeys((*self.certified, *self.sweep_angles)))
-
     def jost(self, angle: float) -> Tuple[JostSolution, JostSolution]:
-        """The two solutions at the angle.  Every angle the run reads is
-        solved in one batch; any other alone."""
-        read = self.read_angles
-        return self._jost_batch(read if angle in read else (angle,))[angle]
+        """The two solutions at a read angle."""
+        return self._jost()[angle]
 
     @_cached
     def jost_defects(self, angle: float) -> Tuple[np.ndarray, np.ndarray]:
         """Per-step recurrence defects of the two ``jost(angle)`` solutions,
         as ``solution_space_closure`` and the scattering table read them."""
         return tuple(jost_step_defects(self.params, sol) for sol in self.jost(angle))
-
-    @_cached
-    def chi(self, angle: float) -> np.ndarray:
-        """chi_0..chi_{max(n_list)} at the angle, read by prefix like ``cmv``."""
-        return chi_table(self.params, complex(np.exp(1j * angle)), max(self.n_list))
 
     @_cached
     def rebuilt(self, grid_size: int) -> CircleMeasure:
@@ -347,8 +404,8 @@ def _fejer_density_limit(ctx: RunContext) -> Result:
     n_values = [n for n in (16, 32, 64, 128, 256) if n <= n_top]
     worst_last = 0.0
     worst_uphill = -math.inf
-    for angle in ctx.certified:
-        target = ctx.instance.density_at(angle)
+    targets = ctx.instance.density_at(np.array(ctx.certified)).tolist()
+    for angle, target in zip(ctx.certified, targets):
         xi0 = complex(np.exp(1j * angle))
         rels = [
             abs(fejer_mean(ctx.mu, xi0, n) - target) / target for n in n_values
@@ -367,9 +424,6 @@ def _fejer_density_limit(ctx: RunContext) -> Result:
     )
 
 
-_REFINEMENT_PROBES = (0.3, 0.5j, -0.7, 0.6 + 0.54j, -0.21 - 0.78j, 0.9)
-
-
 @check("mnt", "quadrature_refinement")
 def _quadrature_refinement(ctx: RunContext) -> Result:
     if ctx.family.refinement_skip:
@@ -377,15 +431,15 @@ def _quadrature_refinement(ctx: RunContext) -> Result:
     fine = ctx.rebuilt(2 * ctx.mu.grid_size)
     residual = np.max(
         np.abs(
-            poisson(ctx.mu, _REFINEMENT_PROBES)
-            - poisson(fine, _REFINEMENT_PROBES)
+            poisson(ctx.mu, REFINEMENT_PROBES)
+            - poisson(fine, REFINEMENT_PROBES)
         )
     )
     return _within(
         residual,
-        1e-10,
+        REFINEMENT_TOLERANCE,
         f"max poisson change under grid doubling to {2 * ctx.mu.grid_size} "
-        f"over {len(_REFINEMENT_PROBES)} probes with |z| <= 0.9",
+        f"over {len(REFINEMENT_PROBES)} probes with |z| <= 0.9",
     )
 
 

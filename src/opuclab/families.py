@@ -3,7 +3,8 @@
 Each family is built in two steps.  Its record's ``measure`` samples the
 measure on a grid; its ``builder`` extracts the parameters from that
 measure, certifies them, and returns the family's name, parameters, a
-closed-form density callable for oracle checks, and boundary angles
+closed-form density callable for oracle checks (at an angle or an array
+of them, so a check reads all its angles in one call), and boundary angles
 certified as continuity points of the density (safe for density-recovery
 sweeps).  :func:`build_family` runs both steps into one FamilyInstance;
 refinement checks run only the first, through
@@ -16,11 +17,12 @@ a closed-form weight and extract parameters from the grid by the value
 recursion over its nodes (``opuc.verblunsky_from_measure``), which keeps
 them.  Each closed form is stated once, as a numpy function of the angle:
 the sampler evaluates it over the whole grid in one array pass, and the
-density oracle at one angle.  Parameter-first families (ell2) realize
-their truncation exactly: the measure with parameters
+density oracle over the angles it is asked for.  Parameter-first families
+(ell2) realize their truncation exactly: the measure with parameters
 (a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is sampled
 without any series truncation error: one FFT of phi_K's K+1 coefficients
-gives its values at the grid nodes.  Their cross-check is the series
+gives its values at the grid nodes, and the density oracle takes one
+transfer pass over its angles.  Their cross-check is the series
 cascade on the grid moments (``schur.schur_parameters_from_measure``),
 whose parameters are compared with the stored ones and then dropped.
 Every builder cross-validates its secondary representation against the
@@ -58,7 +60,7 @@ from .measure import (
     lebesgue,
     max_trusted_moment,
 )
-from .opuc import eval_pair, verblunsky_from_measure, weight_from_parameters
+from .opuc import _run_transfer, verblunsky_from_measure, weight_from_parameters
 from .schur import (
     BUILD_DIGIT_LOSS,
     ROUTE_DEPTH,
@@ -92,6 +94,17 @@ GERONIMUS_ATOM_ANGLE = 0.0
 FEJER_LIMIT_TOLERANCE = 0.05
 
 
+# The points where the quadrature_refinement check compares Poisson means
+# on the grid and on the doubled grid, and the largest change it accepts;
+# validation refuses a run of that check on a family whose
+# ``refinement_change`` passes it.
+REFINEMENT_PROBES = (0.3, 0.5j, -0.7, 0.6 + 0.54j, -0.21 - 0.78j, 0.9)
+REFINEMENT_TOLERANCE = 1e-10
+
+# The largest |a_0 - r| a bernstein_szego build accepts.
+BS_A0_TOLERANCE = 1e-9
+
+
 def fejer_top_order(grid_size: int) -> int:
     """The top Fejer order fejer_density_limit reads: 256, or N/8 below."""
     return min(256, max_trusted_moment(grid_size))
@@ -105,7 +118,8 @@ class FamilyInstance:
     spec: dict
     measure: CircleMeasure
     params: SchurParameters
-    density_at: Callable[[float], float]
+    # The closed-form density at an angle or an array of them.
+    density_at: Callable[..., np.ndarray]
     test_angles: Tuple[float, ...]
     # The n_max the builder was called with.  len(params) can exceed it
     # (ell2 stores its truncation tail), so refinements must not derive the
@@ -127,7 +141,7 @@ class FamilyInstance:
 
 
 # What a builder certifies: name, parameters, density, certified angles.
-Facts = Tuple[str, SchurParameters, Callable[[float], float], Tuple[float, ...]]
+Facts = Tuple[str, SchurParameters, Callable[..., np.ndarray], Tuple[float, ...]]
 
 
 def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
@@ -158,12 +172,59 @@ def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
         raise FamilyValidationError(
             f"lebesgue extraction returned |a| up to {worst:.3g}"
         )
-    return "lebesgue", params, lambda theta: 1.0, (0.0, 2.0)
+    return "lebesgue", params, lambda theta: np.ones(np.shape(theta))[()], (0.0, 2.0)
 
 
 def bernstein_szego_density(r: float, theta):
     """(1 - r^2)/|1 - r e^{i theta}|^2 at an angle or an array of them."""
     return (1.0 - r * r) / np.abs(1.0 - r * np.exp(1j * theta)) ** 2
+
+
+def bernstein_szego_grid_errors(r: float, grid_size: int) -> Tuple[float, float]:
+    """How far sampling on N = grid_size nodes moves what a run checks of
+    bernstein_szego(r): (|a_0 - r|, the largest change of the Poisson
+    means at ``REFINEMENT_PROBES`` when the grid doubles).
+
+    The sampled kernel's grid moments, normalized, are
+    m_k = (r^k + r^(N-k)) / (1 + r^N) for 0 <= k < N.  So a_0 = m_1 lies
+    r^(N-1) (1 - r^2) / (1 + r^N) above r, and doubling the grid lowers
+    m_k by r^N (1 - r^N) (r^-k - r^k) / ((1 + r^N)(1 + r^2N)), which the
+    mean at z weighs by 2 Re z^k: at most 2 rho^k, rho the largest probe
+    modulus.  The orders k >= N weigh rho^N or less and are left out, and
+    the sum over k < N is two geometric sums.
+    """
+    n = grid_size
+    r_n = r**n
+    gap = r ** (n - 1) * (1.0 - r * r) / (1.0 + r_n)
+    rho = max(abs(z) for z in REFINEMENT_PROBES)
+    low, high = sorted((r, rho))
+    # sum_k r^(N-k) rho^k and sum_k r^(N+k) rho^k over 0 < k < N
+    near = high**n * _power_sum(low / high, n - 1)
+    far = r_n * _power_sum(r * rho, n - 1)
+    scale = 2.0 * (1.0 - r_n) / ((1.0 + r_n) * (1.0 + r_n * r_n))
+    return gap, scale * (near - far)
+
+
+def _power_sum(x: float, m: int) -> float:
+    """x + x^2 + ... + x^m for 0 <= x <= 1."""
+    if x in (0.0, 1.0):
+        return x * m
+    log_x = math.log(x)
+    return x * math.expm1(m * log_x) / math.expm1(log_x)
+
+
+def _check_radius(value, label: str, grid_size: int) -> float:
+    """r in [0, 1), and close enough to 0 that sampling on the grid moves
+    a_0 by no more than the build accepts."""
+    r = _interval("r", 0.0, 1.0).check(value, label, grid_size)
+    gap, _ = bernstein_szego_grid_errors(r, grid_size)
+    if gap > BS_A0_TOLERANCE:
+        raise FamilyValidationError(
+            f"{label} = {r!r} needs a finer grid than {grid_size} nodes: "
+            f"sampling moves a_0 by {gap:.3g}, and the build accepts "
+            f"{BS_A0_TOLERANCE:g}; raise grid_size"
+        )
+    return r
 
 
 def _bernstein_szego_measure(grid_size: int, depth: int, r: float) -> CircleMeasure:
@@ -179,7 +240,7 @@ def _bernstein_szego_facts(mu: CircleMeasure, n_max: int, r: float) -> Facts:
     params = verblunsky_from_measure(mu, n_max)
     gap = abs(complex(params.values[0]) - r) if n_max else 0.0
     tail = float(np.max(np.abs(params.values[1:]))) if n_max > 1 else 0.0
-    if gap > 1e-9 or tail > 1e-8:
+    if gap > BS_A0_TOLERANCE or tail > 1e-8:
         raise FamilyValidationError(
             f"bernstein_szego({r}) extraction off closed form: "
             f"|a_0 - r| = {gap:.3g}, tail max = {tail:.3g}"
@@ -274,9 +335,14 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
             f"ell2({c},{p}) roundtrip off by {gap:.3g} at depth {depth}"
         )
 
-    def density(theta: float) -> float:
-        phi = eval_pair(params, np.exp(1j * theta), len(params)).phi
-        return 1.0 / abs(phi) ** 2
+    def density(theta):
+        # one transfer pass over every angle; each value as the scalar
+        # 1/|phi_K|^2, since numpy's complex modulus can round it otherwise
+        zs = np.exp(1j * np.atleast_1d(theta))
+        phi, _ = _run_transfer(params, zs, len(params), keep_all=False)
+        return np.array([1.0 / abs(value) ** 2 for value in phi.tolist()]).reshape(
+            np.shape(theta)
+        )[()]
 
     return f"ell2(c={c:g},p={p:g})", params, density, (0.0, np.pi)
 
@@ -300,6 +366,14 @@ def _mixed_measure(
     return build_measure(scale * weight, atoms=pairs)
 
 
+def _mixed_refinement(spec: dict, grid_size: int) -> float:
+    """The base's change under grid doubling, scaled as its weight is; the
+    atoms' terms do not depend on the grid."""
+    base = spec["base"]
+    scale = 1.0 - sum(atom["mass"] for atom in spec["atoms"])
+    return scale * FAMILIES[base["name"]].refinement_change(base, grid_size)
+
+
 def _mixed_facts(
     mu: CircleMeasure, n_max: int, base: dict, atoms: Sequence[dict]
 ) -> Facts:
@@ -319,7 +393,7 @@ def _mixed_facts(
     scale = 1.0 - sum(m for _, m in pairs)
     atom_bits = ",".join(f"({t:g},{m:g})" for t, m in pairs)
 
-    def density(theta: float) -> float:
+    def density(theta):
         return scale * base_density(theta)
 
     # an atom of mass m at chord d adds at most 4 m / (n d^2) to the Fejer
@@ -371,7 +445,11 @@ class Family:
     depth.  ``finite_parameters`` marks families whose
     parameters vanish after the first few, so product and sum identities
     close exactly; ``refinement_skip``, when set, says why doubling the
-    grid moves the family's quadrature beyond roundoff.  ``atom_angles(spec)``
+    grid moves the family's quadrature beyond roundoff, and otherwise
+    ``refinement_change(spec, grid_size)`` is the change of the Poisson
+    means at ``REFINEMENT_PROBES`` under that doubling as a closed form
+    predicts it (0 where none does), which validation holds to
+    ``REFINEMENT_TOLERANCE`` for the runs that check it.  ``atom_angles(spec)``
     gives the angles of the point masses a valid spec builds.
     """
 
@@ -385,6 +463,7 @@ class Family:
     min_grid: Callable[[int], int] = lambda depth: 0
     finite_parameters: bool = False
     refinement_skip: str = ""
+    refinement_change: Callable[[dict, int], float] = lambda spec, grid_size: 0.0
     atom_angles: Callable[[dict], Tuple[float, ...]] = lambda spec: ()
 
     @property
@@ -475,9 +554,12 @@ FAMILIES: Dict[str, Family] = {
             "density (1-r^2)/|1-r xi|^2, one parameter",
             _bernstein_szego_measure,
             _bernstein_szego_facts,
-            (_interval("r", 0.0, 1.0),),
+            (Arg("r", "r in [0, 1), r^N small enough for the grid", _check_radius),),
             mixed_base=True,
             finite_parameters=True,
+            refinement_change=lambda spec, grid_size: bernstein_szego_grid_errors(
+                spec["r"], grid_size
+            )[1],
         ),
         Family(
             "geronimus",
@@ -519,6 +601,7 @@ FAMILIES["mixed"] = Family(
             _check_atoms,
         ),
     ),
+    refinement_change=_mixed_refinement,
     atom_angles=lambda spec: tuple(atom["angle"] for atom in spec["atoms"]),
 )
 

@@ -43,7 +43,9 @@ over an array of points; ``gram_matrix`` streams the quadrature nodes
 through it in chunks, so no order-by-node table is held.  A column of
 ``eval_grid_table`` is bitwise the one-point table at that point, so
 checks that sample many points draw them all first and read every value
-from one table; ``cd_quotient`` and ``cd_laurent`` close the
+from one table, and a run reads every boundary point it touches from
+one (``experiments.RunContext.boundary_table``), chi through
+``chi_grid_table``; ``cd_quotient`` and ``cd_laurent`` close the
 Christoffel-Darboux formulas on values read that way.
 """
 
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, PositivityLoss
-from .measure import CircleMeasure, _as_boundary
+from .measure import CircleMeasure, _aligned_empty
 from .schur import (
     ESCAPE_THRESHOLD,
     ComplexLists,
@@ -181,18 +183,6 @@ def _run_transfer(params: SchurParameters, zs: np.ndarray, n_max: int, keep_all:
     return phi, phis
 
 
-def eval_pair(params: SchurParameters, z: complex, n: int) -> PolynomialPair:
-    """(phi_n(z), phi_n*(z)) by n transfer-matrix applications."""
-    phi, phis = _run_transfer(params, np.array([complex(z)]), n, keep_all=False)
-    return PolynomialPair(n, complex(phi[0]), complex(phis[0]), complex(z))
-
-
-def eval_table(params: SchurParameters, z: complex, n_max: int):
-    """All orders 0..n_max at one point; returns (phi, phi_star) arrays."""
-    tab, tabs = _run_transfer(params, np.array([complex(z)]), n_max, keep_all=True)
-    return tab[:, 0], tabs[:, 0]
-
-
 def eval_grid_table(params: SchurParameters, zs: np.ndarray, n_max: int):
     """All orders 0..n_max over an array of points; (n_max+1, len) tables."""
     return _run_transfer(params, zs, n_max, keep_all=True)
@@ -201,34 +191,40 @@ def eval_grid_table(params: SchurParameters, zs: np.ndarray, n_max: int):
 # -----------------------------------------------------------------------------
 # CMV basis
 # -----------------------------------------------------------------------------
-def _chi_rows(params: SchurParameters, xis: np.ndarray, n_max: int):
-    """Yield chi_k over boundary points for k = 0..n_max.
+def _chi_value(k: int, phase, phi, phis):
+    """chi_k from (phi_k, phi*_k) and the phase conj(xi)^(k // 2):
+    chi_{2h} = conj(xi)^h phi*_{2h}, chi_{2h+1} = conj(xi)^h phi_{2h+1}."""
+    return phase * (phi if k % 2 else phis)
 
-    chi_{2k} = conj(xi)^k phi*_{2k}, chi_{2k+1} = conj(xi)^k phi_{2k+1}; the
-    phase conj(xi)^k is a running product.
-    """
+
+def _chi_phased(rows, xis: np.ndarray):
+    """Yield chi_k over boundary points from the rows (phi_k, phi*_k),
+    k = 0, 1, ..., with the phase conj(xi)^(k // 2) as a running product."""
     step = np.conj(np.asarray(xis, dtype=complex))
     phase = np.ones_like(step)
-    for k, (phi, phis) in enumerate(_transfer_steps(params, xis, n_max)):
-        if k % 2:
-            yield phase * phi
-        else:
-            if k:
-                phase = phase * step
-            yield phase * phis
+    for k, (phi, phis) in enumerate(rows):
+        if k and not k % 2:
+            phase = phase * step
+        yield _chi_value(k, phase, phi, phis)
+
+
+def _chi_rows(params: SchurParameters, xis: np.ndarray, n_max: int):
+    """Yield chi_k over boundary points for k = 0..n_max, streamed from one
+    transfer pass."""
+    return _chi_phased(_transfer_steps(params, xis, n_max), xis)
+
+
+def chi_grid_table(phi: np.ndarray, phis: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """chi_k over boundary points from (phi, phi*) tables of
+    ``eval_grid_table`` at those points, the same shape; column j is
+    bitwise the one-point stream of ``_chi_rows`` at xis[j]."""
+    return np.array(list(_chi_phased(zip(phi, phis), xis)))
 
 
 def _chi_from_pair(pair: PolynomialPair) -> complex:
     """chi_n(xi) from (phi_n(xi), phi*_n(xi)), n = pair.n, xi = pair.z."""
     pref = np.conj(pair.z) ** (pair.n // 2)
-    return complex(pref * (pair.phi_star if pair.n % 2 == 0 else pair.phi))
-
-
-def chi_table(params: SchurParameters, xi: complex, n_max: int) -> np.ndarray:
-    """chi_0(xi) .. chi_{n_max}(xi) at one boundary point."""
-    xi = _as_boundary(xi)
-    rows = _chi_rows(params, np.array([xi]), n_max)
-    return np.array([row[0] for row in rows], dtype=complex)
+    return complex(_chi_value(pair.n, pref, pair.phi, pair.phi_star))
 
 
 def chi_sums(
@@ -492,23 +488,26 @@ def _value_recursion(xi: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     parameter reaches the escape threshold.
 
     The weights are cast to the nodes' dtype once, as each complex-by-real
-    multiply would cast them on every step.  The steps run in four
-    node-sized buffers allocated once per call: phi, phi* (each updated in
-    place; phi is read only through z phi), z phi and a product scratch.
-    The parameters are bitwise those of the form that allocates fresh
-    arrays every step: the same operations in the same order, with
-    ``np.sum`` (pairwise) for the inner products.
+    multiply would cast them on every step.  The cast and the steps run in
+    five node-sized buffers allocated once per call, each on an
+    ``_ALIGN``-byte boundary (``measure._aligned_empty``): the cast weights,
+    phi, phi* (each updated in place; phi is read only through z phi),
+    z phi and a product scratch.  The parameters are bitwise those of the
+    form that allocates fresh arrays every step: the same operations in the
+    same order, with ``np.add.reduce`` (pairwise, as ``np.sum`` is) for the
+    inner products.
     """
-    q = q.astype(xi.dtype)
-    phi = np.ones_like(xi)
-    phis = np.ones_like(xi)
-    zphi = np.empty_like(xi)
-    product = np.empty_like(xi)
+    q_cast, phi, phis, zphi, product = (
+        _aligned_empty(len(xi), xi.dtype) for _ in range(5)
+    )
+    q_cast[...] = q
+    phi[...] = 1
+    phis[...] = 1
     values = np.zeros(n_max, dtype=complex)
     for n in range(n_max):
         np.multiply(xi, phi, out=zphi)
-        num = np.sum(np.multiply(zphi, q, out=product))
-        den = np.sum(np.multiply(phis, q, out=product))
+        num = np.add.reduce(np.multiply(zphi, q_cast, out=product))
+        den = np.add.reduce(np.multiply(phis, q_cast, out=product))
         if abs(den) < 1e-300:
             raise PositivityLoss(f"vanishing norm inner product at degree {n}")
         a = np.conj(num / den)

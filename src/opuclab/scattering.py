@@ -18,7 +18,11 @@ solve the same one-step recursion as (phi_n, phi_n*) by construction, and
 for decaying parameters they track the free solutions (xi^n, 0) and (0, 1)
 in averaged norm.  ``boundary_values`` reads D and F at grid nodes from
 a record on the measure, which holds only the nodes read so far, so one
-boundary pass per grid serves every call that reads those nodes;
+boundary pass per grid serves every call that reads those nodes.
+``jost_pairs`` takes phi_k and phi*_k at the nodes from a transfer table
+the caller already holds (a run reads them from its one table over every
+boundary point, ``experiments.RunContext.boundary_table``) and runs only
+the dual parameters' pass; ``jost_solutions`` makes both passes itself.
 ``jost_step_defects`` checks all steps at once.
 """
 
@@ -104,29 +108,47 @@ def jost_solutions(mu: CircleMeasure, params: SchurParameters, xi, n_max: int):
     data D and F and the polynomials are read.
 
     ``xi`` is one boundary point (returns the pair) or a 1-d array of them
-    (returns a list of pairs).  A call reads D and F by
-    ``boundary_values`` and takes one transfer table per parameter set;
-    each pair is bitwise its one-point call.  An atom at any node raises
-    OutOfRange for the whole call.
+    (returns a list of pairs).  One transfer table over the nodes gives
+    phi_k and phi*_k, and ``jost_pairs`` the rest; each pair is bitwise its
+    one-point call.
     """
     points = [_as_boundary(v) for v in np.atleast_1d(xi)]
     j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
+    pairs = jost_pairs(mu, params, j, nodes, *eval_grid_table(params, nodes, n_max))
+    return pairs[0] if np.ndim(xi) == 0 else pairs
+
+
+def jost_pairs(
+    mu: CircleMeasure,
+    params: SchurParameters,
+    j: np.ndarray,
+    nodes: np.ndarray,
+    phi: np.ndarray,
+    phis: np.ndarray,
+):
+    """Both scattering solutions at each grid node j (whose points are
+    ``nodes``) to order n, from (n+1, len(nodes)) tables of phi_k and
+    phi*_k there, as a list of pairs.
+
+    D and F come from ``boundary_values``, and the dual polynomials from a
+    transfer pass of their own.  Any column of ``eval_grid_table`` serves as
+    a column of phi, since it is bitwise the one-point pass.  An atom at any
+    node raises OutOfRange for the whole call.
+    """
     d, f = boundary_values(mu, j, nodes)
     if not np.isfinite(f).all():
         angle = np.angle(nodes[~np.isfinite(f)][0])
         raise OutOfRange(f"evaluation node at angle {angle:.6g} carries an atom")
     d, f = d[:, None, None], f[:, None, None]
-    phi, phis = eval_grid_table(params, nodes, n_max)
-    psi, psis = eval_grid_table(dual_parameters(params), nodes, n_max)
+    psi, psis = eval_grid_table(dual_parameters(params), nodes, len(phi) - 1)
     base = np.stack([psi.T, -psis.T], axis=-1)
     poly = np.stack([phi.T, phis.T], axis=-1)
     plus = 0.5 / d * (base + f * poly)
     minus = -0.5 / np.conj(d) * (base - np.conj(f) * poly)
-    pairs = [
+    return [
         (JostSolution(node, "+", p), JostSolution(node, "-", m))
         for node, p, m in zip(nodes.tolist(), plus, minus)
     ]
-    return pairs[0] if np.ndim(xi) == 0 else pairs
 
 
 def _scalar_product(a, b) -> np.ndarray:

@@ -8,6 +8,10 @@ tautology, because no code is shared beyond the measure container.
 ``gram_full_table`` forms the whole order-by-node table that
 ``opuc.gram_matrix`` streams in chunks, the roundoff-level reference of
 the Gram check.
+The one-point references (``eval_pair``, ``eval_table``, ``chi_table``,
+``sandwich_table``) take one transfer pass per point, where a run reads
+every boundary point from one table; a column of that table is bitwise
+their value.
 The bitwise references (``value_recursion_fresh_arrays``,
 ``entropy_profile_per_delta``) instead restate a fast routine in its plain
 array form, to show that its buffers change no bit; the profile reference
@@ -42,6 +46,65 @@ import math
 import numpy as np
 
 from opuclab.measure import CircleMeasure
+
+
+# -----------------------------------------------------------------------------
+# One-point references: one transfer pass per boundary or disk point
+# -----------------------------------------------------------------------------
+def eval_pair(params, z: complex, n: int):
+    """(phi_n(z), phi_n*(z)) as an ``opuc.PolynomialPair``, by n transfer
+    steps at the one point z."""
+    from opuclab.opuc import PolynomialPair, _run_transfer
+
+    phi, phis = _run_transfer(params, np.array([complex(z)]), n, keep_all=False)
+    return PolynomialPair(n, complex(phi[0]), complex(phis[0]), complex(z))
+
+
+def eval_table(params, z: complex, n_max: int):
+    """All orders 0..n_max at one point; returns (phi, phi_star) arrays."""
+    from opuclab.opuc import _run_transfer
+
+    tab, tabs = _run_transfer(params, np.array([complex(z)]), n_max, keep_all=True)
+    return tab[:, 0], tabs[:, 0]
+
+
+def chi_table(params, xi: complex, n_max: int) -> np.ndarray:
+    """chi_0(xi) .. chi_{n_max}(xi) at one boundary point, streamed from a
+    one-point transfer pass: the reference of the run's boundary table."""
+    from opuclab.measure import _as_boundary
+    from opuclab.opuc import _chi_rows
+
+    xi = _as_boundary(xi)
+    rows = _chi_rows(params, np.array([xi]), n_max)
+    return np.array([row[0] for row in rows], dtype=complex)
+
+
+def sandwich_table(mu: CircleMeasure, params, xi0, n_list, delta_grid_size=64):
+    """Sandwich rows with one entropy profile over n_list and one transfer
+    table at xi0 to order max(n_list) - 1: the one-point reference of
+    ``asymptotics.sandwich_rows`` on a boundary-table column."""
+    from opuclab.asymptotics import SANDWICH_RATE_CONSTANT, SandwichRow
+    from opuclab.measure import _as_boundary, snap
+    from opuclab.szego import entropy_profile
+
+    xi0 = _as_boundary(xi0)
+    profile = entropy_profile(mu, xi0, n_list, delta_grid_size)
+    phi, _ = eval_table(params, xi0, max(n_list, default=1) - 1)
+    j, _ = snap(mu.grid_size, xi0)
+    target = 1.0 / max(float(mu.weight[j]), 1e-300)
+    return tuple(
+        SandwichRow(
+            n=row.n,
+            cesaro=float(np.mean(np.abs(phi[: row.n]) ** 2)),
+            target=target,
+            lower=1.0 / row.f_n,
+            upper=(1.0 + SANDWICH_RATE_CONSTANT * row.k_n ** 0.25) / row.p_n,
+            k_n=row.k_n,
+            p_n=row.p_n,
+            f_n=row.f_n,
+        )
+        for row in profile
+    )
 
 
 def measure_inner(mu: CircleMeasure, f_grid, f_atoms, g_grid, g_atoms) -> complex:
@@ -109,7 +172,7 @@ def cd_kernel_routes(params, xi: complex, z: complex, n: int):
     from 0.
     """
     from opuclab.measure import _as_boundary
-    from opuclab.opuc import cd_laurent, cd_quotient, eval_pair, eval_table
+    from opuclab.opuc import cd_laurent, cd_quotient
 
     pxi, _ = eval_table(params, xi, n)
     pz, _ = eval_table(params, z, n)
@@ -126,8 +189,6 @@ def cd_kernel_bruteforce(params, xi: complex, z: complex, n: int) -> complex:
     The conjugate sits on the first argument, matching the quotient form's
     denominator 1 - conj(xi) z.
     """
-    from opuclab.opuc import eval_pair
-
     return complex(
         sum(
             np.conj(eval_pair(params, xi, k).phi) * eval_pair(params, z, k).phi
@@ -583,8 +644,6 @@ def poisson_means_mp(mu: CircleMeasure, zs, dps: int = 40):
 def phi_star_zero_free_per_point(ctx):
     """``experiments._phi_star_zero_free`` with one transfer pass per point."""
     from opuclab.experiments import _judged
-    from opuclab.opuc import eval_table
-
     rng = ctx.rng(33)
     n_top = min(32, ctx.depth)
     low = math.inf
@@ -642,11 +701,10 @@ def _nearest_grid_node(mu: CircleMeasure, xi: complex) -> int:
 
 
 def sandwich_rows_per_n(mu: CircleMeasure, params, xi0, n_list, delta_grid_size):
-    """``asymptotics.sandwich_table`` rows with one profile and one transfer
+    """``sandwich_table`` rows with one profile and one transfer
     table per n, and the target read at the nearest grid point."""
     from opuclab.asymptotics import SANDWICH_RATE_CONSTANT, SandwichRow
     from opuclab.measure import _as_boundary
-    from opuclab.opuc import eval_table
     from opuclab.szego import entropy_profile
 
     xi0 = _as_boundary(xi0)
@@ -698,7 +756,7 @@ def scattering_rows_per_n(mu: CircleMeasure, params, xi, n_list):
     ``boundary_points[j]``, and each n re-runs the recurrence residual on
     the solutions clipped to n + 1 entries.
     """
-    from opuclab.opuc import dual_parameters, eval_table
+    from opuclab.opuc import dual_parameters
     from opuclab.scattering import JostSolution
     from opuclab.szego import szego_boundary
 
@@ -753,8 +811,6 @@ def khrushchev_rhs(params, z: complex, f_value: complex, n: int) -> float:
     against the measure, whose quadrature the tests compare it with.
     """
     from opuclab.errors import DivisionBlowup, OutOfRange
-    from opuclab.opuc import eval_pair
-
     z = complex(z)
     if abs(z) >= 1.0 - 1e-12:
         raise OutOfRange(f"|z| = {abs(z):.12g} must be interior")
@@ -824,7 +880,6 @@ def szego_recovery_deviation(mu: CircleMeasure, params, xi: complex, n: int) -> 
     """
     from opuclab.errors import OutOfRange
     from opuclab.measure import _as_boundary, snap
-    from opuclab.opuc import eval_table
     from opuclab.szego import szego_boundary
 
     mu.require_szego()

@@ -13,14 +13,15 @@ from opuclab.asymptotics import (
     cd_at_zero_residual,
     cmv_coefficients,
     partial_sum_deviation,
-    sandwich_table,
+    sandwich_rows,
     summability_conditions,
 )
 from opuclab.config import config_from_dict
 from opuclab.experiments import run_experiment, write_outputs
 from opuclab.lcg import Lcg
 from opuclab.measure import moment, weighted_poisson
-from opuclab.opuc import chi_table, eval_grid_table, eval_pair, monic_from_moments
+from opuclab.measure import _as_boundary
+from opuclab.opuc import chi_grid_table, eval_grid_table, monic_from_moments
 from opuclab.scattering import jost_solutions, jost_step_defects
 from opuclab.schur import (
     entropy_products,
@@ -40,6 +41,18 @@ from oracles import (
     khrushchev_rhs,
     szego_recovery_deviation,
 )
+
+
+def _sandwich(inst, xi0, n_list):
+    """Sandwich rows at xi0, reading phi from a one-column transfer table."""
+    phi, _ = eval_grid_table(inst.params, np.array([_as_boundary(xi0)]), max(n_list))
+    return sandwich_rows(inst.measure, phi[:, 0].copy(), xi0, n_list)
+
+
+def _chi(params, xi0, n_max):
+    """chi_0(xi0)..chi_{n_max}(xi0) from a one-column transfer table."""
+    xi = np.array([_as_boundary(xi0)])
+    return chi_grid_table(*eval_grid_table(params, xi, n_max), xi)[:, 0].copy()
 
 
 def _both_routes(mu, depth):
@@ -129,10 +142,8 @@ def test_criterion_04_khrushchev_formula(all_families):
         for inst in all_families:
             mu, params = inst.measure, inst.params
             _, phis_grid = eval_grid_table(params, mu.boundary_points, n)
-            g_atoms = [
-                abs(eval_pair(params, complex(np.exp(1j * a)), n).phi_star) ** 2
-                for a, _ in mu.atoms
-            ]
+            _, phis_atoms = eval_grid_table(params, mu.atom_points, n)
+            g_atoms = (np.abs(phis_atoms[n]) ** 2).tolist()
             lhs = weighted_poisson(
                 mu, np.abs(phis_grid[n]) ** 2, z, g_atoms or None
             )
@@ -166,7 +177,7 @@ def test_criterion_05_cd_kernel_routes(geronimus6, ell2_half):
 
 
 def test_criterion_06_cesaro_sandwich(bs_half, all_families):
-    rows = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
+    rows = _sandwich(bs_half, 1.0, (4, 16, 64, 256))
     value = rows[-1].cesaro
     assert abs(value - 1.0 / 3.0) <= 5e-3
     for row in rows:
@@ -178,7 +189,7 @@ def test_criterion_06_cesaro_sandwich(bs_half, all_families):
 
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32, 128)):
+        for row in _sandwich(inst, xi0, (4, 32, 128)):
             assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
     print(f"criterion 06 PASS  cesaro(256) = {value:.6f}")
 
@@ -192,7 +203,7 @@ def test_criterion_07_strong_cesaro(leb, bs_half):
         coeffs = cmv_coefficients(
             mu, inst.params, np.stack([np.cos(angles), np.ones(mu.grid_size)]), 255
         )
-        chi_vals = chi_table(inst.params, 1.0, 255)
+        chi_vals = _chi(inst.params, 1.0, 255)
         devs = [
             partial_sum_deviation(coeffs[0, :n], chi_vals[:n], 1.0)
             for n in (32, 64, 128, 256)
@@ -215,7 +226,7 @@ def test_criterion_08_summability_constant(leb, bs_half, mixed_atom):
         ratios = [
             lhs / rhs_unit
             for lhs, rhs_unit in summability_conditions(
-                inst.measure, chi_table(inst.params, xi0, 256), xi0, (4, 16, 64, 256)
+                inst.measure, _chi(inst.params, xi0, 256), xi0, (4, 16, 64, 256)
             )
         ]
         constants[inst.kind] = max(ratios)

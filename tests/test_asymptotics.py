@@ -9,19 +9,29 @@ from opuclab.asymptotics import (
     cd_at_zero_residual,
     cmv_coefficients,
     partial_sum_deviation,
-    sandwich_table,
+    sandwich_rows,
     summability_conditions,
 )
-from opuclab import asymptotics, opuc
+from opuclab import asymptotics, experiments, opuc
+from opuclab.config import config_from_dict
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
-from opuclab.opuc import chi_sums, chi_sums_fft, chi_table, eval_grid_table
+from opuclab.measure import _as_boundary
+from opuclab.opuc import chi_sums, chi_sums_fft, eval_grid_table
 from oracles import (
+    chi_table,
     cmv_coefficients_dense,
     cmv_coefficients_mp,
     sandwich_rows_per_n,
+    sandwich_table,
     szego_recovery_deviation,
 )
+
+
+def _sandwich(mu, params, xi0, n_list, delta_grid_size=64):
+    """``sandwich_rows`` on phi from a one-column transfer table at xi0."""
+    phi, _ = eval_grid_table(params, np.array([_as_boundary(xi0)]), max(n_list))
+    return sandwich_rows(mu, phi[:, 0].copy(), xi0, n_list, delta_grid_size)
 
 
 def _cos_samples(mu):
@@ -35,16 +45,16 @@ def test_cesaro_exact_partial_bernstein_szego(bs_half):
     # a_0 = 1/2, a_n = 0 afterwards gives |phi_k(1)|^2 = 1/3 for k >= 1,
     # so the running mean is (1 + (n - 1)/3)/n exactly
     mu, params = bs_half.measure, bs_half.params
-    for row in sandwich_table(mu, params, 1.0, (1, 4, 16, 64, 256)):
+    for row in _sandwich(mu, params, 1.0, (1, 4, 16, 64, 256)):
         want = (1.0 + (row.n - 1) / 3.0) / row.n
         assert abs(row.cesaro - want) < 1e-10, row.n
     with pytest.raises(OutOfRange):
-        sandwich_table(mu, params, 1.0, [0])
+        _sandwich(mu, params, 1.0, [0])
 
 
 def test_sandwich_rows_bound_the_mean(bs_half, leb):
     for inst in (bs_half, leb):
-        for row in sandwich_table(inst.measure, inst.params, 1.0, (4, 16, 64, 256)):
+        for row in _sandwich(inst.measure, inst.params, 1.0, (4, 16, 64, 256)):
             assert row.cesaro >= row.lower - 1e-12, (inst.name, row.n)
             if row.hypothesis_met:
                 assert row.cesaro <= row.upper + 1e-12, (inst.name, row.n)
@@ -54,13 +64,13 @@ def test_sandwich_lower_bound_every_family(all_families):
     # the lower rail 1/F_n needs no smallness hypothesis at all
     for inst in all_families:
         xi0 = complex(np.exp(1j * inst.test_angles[0]))
-        for row in sandwich_table(inst.measure, inst.params, xi0, (4, 32)):
+        for row in _sandwich(inst.measure, inst.params, xi0, (4, 32)):
             assert row.cesaro >= row.lower - 1e-12, inst.name
             assert abs(row.lower * row.f_n - 1.0) < 1e-12
 
 
 def test_sandwich_target_is_reciprocal_density(bs_half):
-    (row,) = sandwich_table(bs_half.measure, bs_half.params, 1.0, [16])
+    (row,) = _sandwich(bs_half.measure, bs_half.params, 1.0, [16])
     assert abs(row.target - 1.0 / 3.0) < 1e-12
     assert abs(row.cesaro - (1.0 + 15.0 / 3.0) / 16.0) < 1e-10
 
@@ -273,20 +283,35 @@ def test_cd_at_zero_residual_batch_is_its_one_point_calls_bitwise(family, reques
 
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
 def test_sandwich_table_matches_its_per_n_form_bitwise(family, request):
+    # the run's rows, read off its one boundary table, and the one-point
+    # reference both equal one profile and one transfer pass per n
     inst = request.getfixturevalue(family)
     mu = inst.measure
     n_list = (4, 16, 64, 256)
-    for angle in (*inst.test_angles, 2.5):
+    ctx = experiments.RunContext(
+        config_from_dict({
+            "family": {"name": "bernstein_szego", "r": 0.5},
+            "n_list": list(n_list),
+            "experiment": "mnt",
+            "test_points": [2.5],
+            "delta_grid_size": 48,
+        }),
+        inst,
+    )
+    for angle in ctx.read_angles:
         xi0 = complex(np.exp(1j * angle))
         want = sandwich_rows_per_n(mu, inst.params, xi0, n_list, 48)
-        rows = sandwich_table(mu, inst.params, xi0, n_list, 48)
-        assert list(rows) == want, (family, angle)
-        assert sandwich_table(mu, inst.params, xi0, [16], 48) == (want[1],)
+        assert list(ctx.sandwich(angle)) == want, (family, angle)
+        assert list(sandwich_table(mu, inst.params, xi0, n_list, 48)) == want
+        phi = ctx._column(ctx.boundary_table()[1], angle)
+        assert sandwich_rows(mu, phi, xi0, [16], 48) == (want[1],)
 
 
-def test_sandwich_table_takes_one_profile_and_one_transfer_pass(spy, bs_half):
+def test_sandwich_rows_take_one_profile_and_no_transfer_pass(spy, bs_half):
+    # the Cesaro means read the phi column they are handed
+    phi, _ = eval_grid_table(bs_half.params, np.array([1.0 + 0j]), 256)
     profiles = spy(lambda *args: args, asymptotics, "entropy_profile")
     passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")
-    rows = sandwich_table(bs_half.measure, bs_half.params, 1.0, (4, 16, 64, 256))
+    rows = sandwich_rows(bs_half.measure, phi[:, 0].copy(), 1.0, (4, 16, 64, 256))
     assert len(rows) == 4
-    assert (len(profiles), len(passes)) == (1, 1)
+    assert (len(profiles), len(passes)) == (1, 0)

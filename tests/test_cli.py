@@ -159,6 +159,26 @@ def test_bad_config_exits_two(runner, tmp_path):
             },
             "unknown family ['lebesgue'] in family.base",
         ),
+        # sampling on 4096 nodes moves a_0 by 3.27e-5 past the build's bound
+        (
+            {
+                "family": {"name": "bernstein_szego", "r": 0.999},
+                "experiment": "entropy",
+            },
+            "family.r = 0.999 needs a finer grid than 4096 nodes",
+        ),
+        # the build holds, but grid doubling moves the Poisson means by 2.2e-9
+        (
+            {
+                "family": {
+                    "name": "mixed",
+                    "base": {"name": "bernstein_szego", "r": 0.995},
+                    "atoms": [{"angle": 2.0, "mass": 0.2}],
+                },
+                "experiment": "mnt",
+            },
+            "mixed needs a finer grid than 4096 nodes for experiment 'mnt'",
+        ),
     ],
     ids=[
         "test_points",
@@ -170,6 +190,8 @@ def test_bad_config_exits_two(runner, tmp_path):
         "name_list",
         "name_object",
         "mixed_base_name_list",
+        "bernstein_szego_a0_gap",
+        "mixed_base_refinement",
     ],
 )
 def test_configs_that_cannot_run_exit_two(runner, tmp_path, overrides, reason):

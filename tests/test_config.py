@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from opuclab import opuc
+from opuclab import opuc, run_experiment
 from opuclab.config import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -13,7 +14,14 @@ from opuclab.config import (
     load_config,
 )
 from opuclab.errors import ConfigError
-from opuclab.families import FAMILIES, build_family
+from opuclab.families import (
+    FAMILIES,
+    REFINEMENT_PROBES,
+    REFINEMENT_TOLERANCE,
+    bernstein_szego_grid_errors,
+    build_family,
+)
+from opuclab.measure import poisson
 
 GOOD = {
     "family": {"name": "bernstein_szego", "r": 0.5},
@@ -235,3 +243,64 @@ def test_load_config(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+
+
+def _threshold_radius(grid_size: int) -> float:
+    """The radius where the closed-form refinement change meets its bound,
+    by bisection."""
+    low, high = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (low + high)
+        _, change = bernstein_szego_grid_errors(mid, grid_size)
+        low, high = (low, mid) if change > REFINEMENT_TOLERANCE else (mid, high)
+    return low
+
+
+def _refinement_change(spec: dict, grid_size: int) -> float:
+    """The change quadrature_refinement reads, on measures sampled without
+    validation."""
+    family = FAMILIES[spec["name"]]
+    args = {k: v for k, v in spec.items() if k != "name"}
+    coarse, fine = (family.measure(n, 0, **args) for n in (grid_size, 2 * grid_size))
+    return float(
+        np.max(np.abs(poisson(coarse, REFINEMENT_PROBES) - poisson(fine, REFINEMENT_PROBES)))
+    )
+
+
+@pytest.mark.parametrize("as_base", [False, True], ids=["standalone", "mixed_base"])
+@pytest.mark.parametrize("grid_size", [1024, 4096, 8192])
+def test_bernstein_szego_refused_where_the_grid_cannot_hold_it(grid_size, as_base):
+    # r^N half and twice its value at the threshold: the change under grid
+    # doubling scales with r^N, so one side passes and the other fails
+    edge = _threshold_radius(grid_size)
+    below, above = (edge * factor ** (1.0 / grid_size) for factor in (0.5, 2.0))
+
+    def spec(r):
+        base = {"name": "bernstein_szego", "r": r}
+        if not as_base:
+            return base
+        return {"name": "mixed", "base": base, "atoms": [{"angle": 2.0, "mass": 0.2}]}
+
+    cfg = config_from_dict(
+        _variant(family=spec(below), grid_size=grid_size, n_list=[4, 16])
+    )
+    outcome = run_experiment(cfg)
+    statuses = {v.name: v.status for v in outcome.verdicts}
+    assert statuses["quadrature_refinement"] == "pass"
+    assert not outcome.failed, [v for v in outcome.verdicts if v.failed]
+    assert _refinement_change(spec(below), grid_size) <= REFINEMENT_TOLERANCE
+
+    with pytest.raises(ConfigError, match="needs a finer grid"):
+        config_from_dict(_variant(family=spec(above), grid_size=grid_size))
+    assert _refinement_change(spec(above), grid_size) > REFINEMENT_TOLERANCE
+
+
+def test_bernstein_szego_grid_errors_predict_the_build_gap():
+    # the sampled a_0 lies r^(N-1) (1 - r^2) / (1 + r^N) above r: the gaps
+    # validation used to let through on 4096 nodes
+    for r, gap in ((0.997, 2.72e-8), (0.998, 1.1e-6), (0.999, 3.27e-5)):
+        predicted, _ = bernstein_szego_grid_errors(r, 4096)
+        assert f"{predicted:.3g}" == f"{gap:.3g}", r
+        mu = FAMILIES["bernstein_szego"].measure(4096, 0, r=r)
+        built = opuc.verblunsky_from_measure(mu, 1).values[0]
+        assert abs(abs(built - r) - predicted) < 1e-3 * predicted

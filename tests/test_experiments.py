@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import astuple
 import tracemalloc
 import warnings
 
@@ -28,7 +29,9 @@ from opuclab.measure import CircleMeasure
 
 from oracles import (
     cd_three_route_per_point,
+    chi_table,
     phi_star_zero_free_per_point,
+    sandwich_table,
     scattering_rows_per_n,
 )
 
@@ -381,11 +384,11 @@ def test_summability_table_matches_the_public_functions():
                 n,
                 partial_sum_deviation(
                     cmv_coefficients(mu, inst.params, samples, n - 1, atom_values),
-                    opuc.chi_table(inst.params, xi0, n - 1),
+                    chi_table(inst.params, xi0, n - 1),
                     math.cos(angle),
                 ),
                 *summability_conditions(
-                    mu, opuc.chi_table(inst.params, xi0, n), xi0, [n]
+                    mu, chi_table(inst.params, xi0, n), xi0, [n]
                 )[0],
             )
             for n in cfg.n_list
@@ -394,10 +397,12 @@ def test_summability_table_matches_the_public_functions():
         assert outcome.tables[filename] == want
 
 
-def test_summability_run_makes_one_chi_table_per_test_point(spy):
-    # the partial sums and the condition's lhs read prefixes of one table
-    # per point, and one Poisson call per swept point gives every rhs
-    tables = spy(lambda params, xi, n_max: n_max, experiments, "chi_table")
+def test_summability_run_reads_chi_from_the_boundary_table(spy):
+    # the partial sums and the condition's lhs read prefixes of one chi
+    # table over every read point, with no streamed pass of their own, and
+    # one Poisson call per swept point gives every rhs
+    tables = spy(lambda phi, phis, xis: phi.shape, experiments, "chi_grid_table")
+    streams = spy(lambda params, xis, n_max: n_max, opuc, "_chi_rows")
     rhs_batches = spy(lambda mu, z: np.size(z), asymptotics, "poisson")
     cfg = _config(
         family=MIXED,
@@ -407,8 +412,8 @@ def test_summability_run_makes_one_chi_table_per_test_point(spy):
     )
     outcome = run_experiment(cfg)
     assert not outcome.failed
-    angles = {*cfg.test_points, *outcome.report["family"]["certified_angles"]}
-    assert tables == [200] * len(angles)
+    assert len(tables) == 1 and tables[0][0] == 201
+    assert streams == []
     assert rhs_batches == [len(cfg.n_list)] * len(cfg.test_points)
 
 
@@ -515,6 +520,81 @@ def test_cd_at_zero_identity_makes_one_transfer_pass(spy, geronimus6):
     assert passes == [1 + len(ctx.certified)]
 
 
+def test_mixed_mnt_run_makes_one_boundary_pass(spy):
+    # every sandwich, at the certified angles and the swept points alike,
+    # reads the one table over the points the run reads
+    passes = spy(lambda params, zs, n_max, keep_all: (len(zs), n_max), opuc, "_run_transfer")
+    cfg = _config(family=MIXED, n_list=[4, 16, 64, 256], test_points=[0.5, 2.5])
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    certified = outcome.report["family"]["certified_angles"]
+    assert len(passes) == 1
+    points, n_max = passes[0]
+    assert n_max == 256
+    # each angle's point and its grid node, once each; 0 and pi are nodes
+    assert len(certified) + 2 < points <= 2 * (len(certified) + 2)
+
+
+def test_ell2_run_makes_one_density_pass_and_no_chi_stream(spy):
+    passes = spy(
+        lambda params, zs, n_max, keep_all: (len(params), n_max, keep_all),
+        opuc,
+        "_run_transfer",
+        families,
+    )
+    streams = spy(lambda params, xis, n_max: n_max, opuc, "_chi_rows")
+    cfg = _config(
+        family={"name": "ell2", "c": 0.5, "p": 1.0},
+        grid_size=8192,
+        n_list=[4, 16, 64],
+        experiment="all",
+    )
+    outcome = run_experiment(cfg)
+    assert not outcome.failed
+    # the density oracle evaluates phi_K, K = len(params), keeping no table
+    density = [p for p in passes if p[1] == p[0] and not p[2]]
+    assert len(density) == 1
+    assert streams == []
+    # boundary table, dual Jost table, the dual_involution rebuild (two),
+    # phi_star_zero_free, cd_three_route, cd_at_zero_identity and density
+    assert len(passes) == 8
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family", ["leb", "bs_half", "geronimus6", "ell2_half", "mixed_atom"]
+)
+def test_boundary_table_readers_match_one_point_oracles_bitwise(family, request):
+    # test points off the grid (0.5, 2.5) join the certified angles; the
+    # one on node 37 and the certified 0 and pi are their own grid nodes,
+    # so the table holds each of those once
+    inst = request.getfixturevalue(family)
+    mu = inst.measure
+    on_node = 2.0 * np.pi * 37 / mu.grid_size
+    n_list = (4, 16, 64)
+    cfg = _config(n_list=list(n_list), test_points=[0.5, 2.5, on_node])
+    ctx = experiments.RunContext(cfg, inst)
+    columns, phi, _ = ctx.boundary_table()
+    assert len(columns) == len(phi[0]) < 2 * len(ctx.read_angles)
+    for angle in ctx.read_angles:
+        raw = complex(np.exp(1j * angle))
+        want = sandwich_table(mu, inst.params, raw, n_list, cfg.delta_grid_size)
+        got = ctx.sandwich(angle)
+        assert _bits([astuple(r) for r in got]) == _bits([astuple(r) for r in want])
+        assert _bits(ctx.chi(angle)) == _bits(chi_table(inst.params, raw, max(n_list)))
+        for mine, own in zip(
+            ctx.jost(angle), scattering.jost_solutions(mu, inst.params, raw, max(n_list))
+        ):
+            assert _bits(mine.entries) == _bits(own.entries), (family, angle)
+    # the density oracle reads every certified angle in one call
+    certified = np.array(ctx.certified)
+    one_call = ctx.instance.density_at(certified)
+    assert _bits(one_call) == _bits([inst.density_at(t) for t in ctx.certified])
+
+
 def test_gram_check_memory_is_linear_in_the_grid():
     # the check streams the quadrature in chunks of nodes, so its peak is
     # the quadrature plus a chunk-sized table, not an order-by-node table
@@ -541,7 +621,9 @@ def test_gram_check_memory_is_linear_in_the_grid():
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
 def test_scattering_table_matches_its_per_n_form_bitwise(family, request):
     inst = request.getfixturevalue(family)
-    ctx = experiments.RunContext(_config(n_list=[4, 16, 64, 200]), inst)
+    ctx = experiments.RunContext(
+        _config(n_list=[4, 16, 64, 200], test_points=[2.5]), inst
+    )
     # the rows as the table hands them to the CSV writer, before formatting
     for angle in (*inst.test_angles, 2.5):
         want = scattering_rows_per_n(
@@ -557,35 +639,43 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(spy, bs_half):
         experiments,
         "jost_solutions",
     )
+    batches = spy(
+        lambda mu, params, j, nodes, phi, phis: (len(nodes), len(phi) - 1),
+        experiments,
+        "jost_pairs",
+    )
     ctx = experiments.RunContext(
         _config(experiment="scattering", n_list=[4, 16, 128]), bs_half
     )
     verdicts = experiments.suite_verdicts(ctx, "scattering")
     assert {v.name: v.status for v in verdicts}["dual_involution"] == "pass"
-    # one batched call over the certified angles to max(n_list), and the
-    # involution's own one-point call to min(64, max(n_list))
-    assert sorted(solved) == [(1, 64), (len(bs_half.test_angles), 128)]
+    # one batch over the certified angles to max(n_list) from the boundary
+    # table, and the involution's own one-point call to min(64, max(n_list))
+    assert batches == [(len(bs_half.test_angles), 128)]
+    assert solved == [(1, 64)]
 
 
 def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
     # test points off the certified set join the certified angles in one
-    # batched solve; dual_involution makes the only other call
+    # batch on the boundary table; dual_involution makes the only call of
+    # its own
     points = [1.0, 2.5]
     solve = experiments.jost_solutions
     calls = spy(lambda *args: np.size(args[2]), experiments, "jost_solutions")
+    batches = spy(lambda *args: len(args[3]), experiments, "jost_pairs")
     ctx = experiments.RunContext(
         _config(experiment="scattering", test_points=points), bs_half
     )
     assert not set(points) & set(bs_half.test_angles)
     experiments.suite_verdicts(ctx, "scattering")
     experiments.suite_tables(ctx, "scattering")
-    assert calls == [len(bs_half.test_angles) + len(points), 1]
+    assert (batches, calls) == ([len(bs_half.test_angles) + len(points)], [1])
     for angle in (*bs_half.test_angles, *points):
         alone = solve(bs_half.measure, bs_half.params, np.exp(1j * angle), 16)
         for got, want in zip(ctx.jost(angle), alone):
             assert np.array_equal(got.entries, want.entries), angle
     # reading the solutions again solves nothing
-    assert len(calls) == 2
+    assert (len(batches), len(calls)) == (1, 1)
 
 
 @pytest.mark.parametrize("grid_size", [4096, 8192])

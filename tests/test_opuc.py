@@ -17,11 +17,9 @@ from opuclab.measure import _as_boundary, build_measure, moment, moments
 from opuclab.opuc import (
     _chi_from_pair,
     cd_quotient,
-    chi_table,
+    chi_grid_table,
     dual_parameters,
     eval_grid_table,
-    eval_pair,
-    eval_table,
     monic_from_moments,
     verblunsky_from_measure,
     weight_from_parameters,
@@ -31,6 +29,9 @@ from opuclab.schur import SchurParameters, schur_parameters_from_measure
 from oracles import (
     cd_kernel_bruteforce,
     cd_kernel_routes,
+    chi_table,
+    eval_pair,
+    eval_table,
     exact_pass_outcome,
     gram_full_table,
     gram_schmidt_verblunsky,
@@ -332,6 +333,41 @@ def test_value_recursion_matches_fresh_array_form_bitwise(
     assert fast == fresh
 
 
+def _placed(values: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of values whose data starts ``offset`` bytes past a 64-byte
+    boundary."""
+    raw = np.empty(values.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + values.nbytes].view(values.dtype)
+    out[...] = values
+    return out
+
+
+@pytest.mark.parametrize("offset", [0, 16, 32, 48])
+def test_value_recursion_runs_on_aligned_buffers_at_any_input_offset(
+    monkeypatch, mixed_atom, offset
+):
+    # numpy places node-sized arrays 16 bytes apart at random, and the
+    # recursion's speed follows that placement; its bits must not
+    xi, q = mixed_atom.measure.quadrature()
+    assert xi.ctypes.data % 64 == 0 and q.ctypes.data % 64 == 0
+    made = []
+
+    def record(n, dtype):
+        made.append(opuc_aligned(n, dtype))
+        return made[-1]
+
+    opuc_aligned = opuc._aligned_empty
+    monkeypatch.setattr(opuc, "_aligned_empty", record)
+    placed = _placed(xi, offset), _placed(q, offset)
+    assert placed[0].ctypes.data % 64 == offset
+    fast = opuc._value_recursion(*placed, 65)
+    assert fast.tobytes() == value_recursion_fresh_arrays(xi, q, 65).tobytes()
+    # the cast weights, phi, phi*, z phi and the product scratch
+    assert len(made) == 5
+    assert all(len(b) == len(xi) and b.ctypes.data % 64 == 0 for b in made)
+
+
 def test_atom_insertion_route(mixed_atom):
     direct = verblunsky_from_measure(mixed_atom.measure, 24)
     cascade = schur_parameters_from_measure(mixed_atom.measure, 24)
@@ -393,6 +429,29 @@ def test_cmv_basis_interleaves_polynomials(bs_half):
     # chi_0 is the constant 1; chi_1 is phi_1
     assert abs(values[0] - 1.0) < 1e-12
     assert abs(values[1] - eval_pair(bs_half.params, xi, 1).phi) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["ell2_half", "geronimus6", "mixed_atom"]),
+    angles=st.lists(
+        st.floats(min_value=0.0, max_value=2.0 * math.pi), min_size=1, max_size=8
+    ),
+    n=st.integers(min_value=0, max_value=33),
+)
+def test_chi_grid_table_columns_are_one_point_streams_bitwise(
+    ell2_half, geronimus6, mixed_atom, family, angles, n
+):
+    # a run reads chi at every boundary point from one table
+    params = {
+        "ell2_half": ell2_half,
+        "geronimus6": geronimus6,
+        "mixed_atom": mixed_atom,
+    }[family].params
+    xis = np.array([_as_boundary(complex(np.exp(1j * t))) for t in angles])
+    chi = chi_grid_table(*eval_grid_table(params, xis, n), xis)
+    for j, xi in enumerate(xis):
+        assert _bits(chi[:, j]) == _bits(chi_table(params, complex(xi), n))
 
 
 def test_weight_reconstruction_matches_density(bs_half):
