@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, poisson, snap
-from .opuc import chi_sums, chi_sums_fft, eval_grid_table
+from .opuc import cd_quotient, chi_sums, chi_sums_fft, eval_grid_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
 from .szego import entropy_profile
 
@@ -199,11 +199,11 @@ def summability_conditions(
 def cd_at_zero_residual(params: SchurParameters, xi, n: int):
     """Worst mismatch of the kernel-at-zero identity for k = 1..n.
 
-    Checks sum_{j<k} conj(phi_j(0)) phi_j(xi) against its two-term form
-    phi_k*(xi) conj(phi_k*(0)) - phi_k(xi) conj(phi_k(0)).  ``xi`` is one
-    boundary point (returns a float) or a 1-d array of them (returns a
-    list); one transfer table over z = 0 and the points gives every value,
-    so each residual is bitwise its one-point call.
+    Checks sum_{j<k} conj(phi_j(0)) phi_j(xi) against its two-term form,
+    ``opuc.cd_quotient`` with 0 in place of xi, where the denominator is 1.
+    ``xi`` is one boundary point (returns a float) or a 1-d array of them
+    (returns a list); one transfer table over z = 0 and the points gives
+    every value, so each residual is bitwise its one-point call.
     """
     if n < 1:
         raise OutOfRange("identity check requires n >= 1")
@@ -211,10 +211,9 @@ def cd_at_zero_residual(params: SchurParameters, xi, n: int):
     # one contiguous row of orders per point, so the products below take
     # the same numpy loops as on a one-point table's column
     phi, phis = (table.T.copy() for table in eval_grid_table(params, zs, n))
-    conj_0, conj_s0 = np.conj(phi[0]), np.conj(phis[0])
     residuals = []
-    for phi_x, phis_x in zip(phi[1:], phis[1:]):
-        direct = np.cumsum(conj_0[:n] * phi_x[:n])
-        two_term = phis_x[1:] * conj_s0[1:] - phi_x[1:] * conj_0[1:]
+    for z, phi_x, phis_x in zip(zs[1:], phi[1:], phis[1:]):
+        direct = np.cumsum(np.conj(phi[0, :n]) * phi_x[:n])
+        two_term = cd_quotient(0.0, z, phi[0, 1:], phis[0, 1:], phi_x[1:], phis_x[1:])
         residuals.append(float(np.max(np.abs(two_term - direct))))
     return residuals[0] if np.ndim(xi) == 0 else residuals

@@ -26,7 +26,9 @@ computed once per run in ``ctx._memo``.  The polynomials at the boundary
 come from one transfer table over every point the run reads
 (``RunContext.boundary_table``): the sandwich rows, the CMV values chi
 and the Jost solutions take their columns, since a column is bitwise the
-one-point pass.
+one-point pass.  The context is also the one holder of the grid nodes
+its angles snap to and of D and F there (``RunContext.nodes`` and
+``boundary_data``), one boundary pass per grid.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .measure import (
 )
 from .opuc import (
     MonicTable,
-    PolynomialPair,
     cd_laurent,
     cd_quotient,
     chi_grid_table,
@@ -82,13 +83,7 @@ from .opuc import (
     gram_matrix,
     monic_from_moments,
 )
-from .scattering import (
-    JostSolution,
-    boundary_values,
-    jost_pairs,
-    jost_solutions,
-    jost_step_defects,
-)
+from .scattering import JostSolution, boundary_values, jost_pairs, jost_step_defects
 from .schur import (
     ROUTE_DEPTH,
     Z_MIN,
@@ -210,7 +205,9 @@ class RunContext:
     Every boundary angle the run reads (``read_angles``: the certified
     ones, then the swept test points) is evaluated in one transfer pass,
     ``boundary_table``, at its point and at its grid node; ``sandwich``,
-    ``chi`` and ``jost`` read their columns by prefix.
+    ``chi`` and ``jost`` read their columns by prefix.  ``nodes`` holds
+    the angles' grid nodes on a grid size and ``boundary_data`` D and F
+    there, which the Jost solutions and the radial limit of D read.
     """
 
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
@@ -268,17 +265,29 @@ class RunContext:
         return _as_boundary(np.exp(1j * angle))
 
     @_cached
+    def nodes(self, grid_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The grid node ``snap`` picks on ``grid_size`` nodes for the
+        ``boundary_point`` of each read angle, as an index array and a
+        point array in ``read_angles`` order."""
+        snapped = (snap(grid_size, self.boundary_point(a)) for a in self.read_angles)
+        return tuple(map(np.array, zip(*snapped)))
+
+    @_cached
+    def boundary_data(self, grid_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """D and F at ``nodes(grid_size)`` of the family's measure on that
+        grid, from one boundary pass."""
+        return boundary_values(self.rebuilt(grid_size), *self.nodes(grid_size))
+
+    @_cached
     def boundary_table(self) -> Tuple[Dict[complex, int], np.ndarray, np.ndarray]:
         """phi_k and phi*_k, k <= max(n_list), at every boundary point the
         run reads, from one transfer pass: ``boundary_point`` of each read
-        angle and the grid node ``snap`` picks for it, once each by value.
-        Returns the column of each point and the two (n+1, points) tables;
-        a column is bitwise the one-point pass at its point."""
-        points = []
-        for angle in self.read_angles:
-            xi = self.boundary_point(angle)
-            points += [xi, snap(self.mu.grid_size, xi)[1]]
-        points = list(dict.fromkeys(points))
+        angle and its grid node (``nodes``), once each by value.  Returns
+        the column of each point and the two (n+1, points) tables; a
+        column is bitwise the one-point pass at its point."""
+        _, nodes = self.nodes(self.mu.grid_size)
+        pairs = zip(map(self.boundary_point, self.read_angles), nodes.tolist())
+        points = list(dict.fromkeys(z for pair in pairs for z in pair))
         phi, phis = eval_grid_table(self.params, np.array(points), max(self.n_list))
         return {z: j for j, z in enumerate(points)}, phi, phis
 
@@ -314,14 +323,11 @@ class RunContext:
         """Both solutions at the grid node of every angle the run reads, with
         phi and phi* from the boundary table."""
         column, phi, phis = self.boundary_table()
-        angles = self.read_angles
-        j, nodes = map(
-            np.array,
-            zip(*(snap(self.mu.grid_size, self.boundary_point(a)) for a in angles)),
-        )
+        _, nodes = self.nodes(self.mu.grid_size)
         cols = [column[node] for node in nodes.tolist()]
-        pairs = jost_pairs(self.mu, self.params, j, nodes, phi[:, cols], phis[:, cols])
-        return dict(zip(angles, pairs))
+        d, f = self.boundary_data(self.mu.grid_size)
+        pairs = jost_pairs(self.params, nodes, phi[:, cols], phis[:, cols], d, f)
+        return dict(zip(self.read_angles, pairs))
 
     def jost(self, angle: float) -> Tuple[JostSolution, JostSolution]:
         """The two solutions at a read angle."""
@@ -523,18 +529,17 @@ _RADII = (0.95, 0.99, 0.999)
 @check("entropy", "radial_limit")
 def _radial_limit(ctx: RunContext) -> Result:
     mu = ctx.rebuilt(max(_RADIAL_GRID, ctx.mu.grid_size))
-    # D at every node the run reads, so that on the run's own grid the Jost
-    # solutions take no second boundary pass
-    read = {a: snap(mu.grid_size, complex(np.exp(1j * a))) for a in ctx.read_angles}
-    indices, nodes = map(np.array, zip(*read.values()))
-    boundary = dict(zip(indices.tolist(), boundary_values(mu, indices, nodes)[0]))
-    snapped = [read[a] for a in ctx.certified]
-    points = [r * node for _, node in snapped for r in _RADII]
-    interior = szego_interior(mu, points).reshape(len(snapped), len(_RADII))
+    # D at every node the run reads, which on the run's own grid the Jost
+    # solutions read too
+    certified = [ctx.read_angles.index(a) for a in ctx.certified]
+    nodes = ctx.nodes(mu.grid_size)[1][certified]
+    boundary, _ = ctx.boundary_data(mu.grid_size)
+    points = [r * node for node in nodes.tolist() for r in _RADII]
+    interior = szego_interior(mu, points).reshape(len(nodes), len(_RADII))
     worst_last = 0.0
     worst_uphill = -math.inf
-    for (j, _), values in zip(snapped, interior):
-        devs = [abs(value - boundary[j]) for value in values.tolist()]
+    for d_value, values in zip(boundary[certified], interior):
+        devs = [abs(value - d_value) for value in values.tolist()]
         worst_last = max(worst_last, devs[-1])
         worst_uphill = max(worst_uphill, _nonincreasing_violation(devs))
     detail = (
@@ -767,28 +772,27 @@ def _cd_three_route(ctx: RunContext) -> Result:
         draws.append((xi, z, 1 + rng.next_raw() % n_top))
     # Columns 4p..4p+3 hold pair p's xi and z, then xi/|xi| and z/|z|,
     # where the Laurent form evaluates chi.
-    points = [
-        w for xi, z, _ in draws for w in (xi, z, _as_boundary(xi), _as_boundary(z))
-    ]
-    phi, phis = eval_grid_table(ctx.params, np.array(points), n_top + 1)
-
-    def pair(column: int, n: int) -> PolynomialPair:
-        return PolynomialPair(
-            n, complex(phi[n, column]), complex(phis[n, column]), points[column]
-        )
-
+    points = np.array(
+        [w for xi, z, _ in draws for w in (xi, z, _as_boundary(xi), _as_boundary(z))]
+    )
+    phi, phis = eval_grid_table(ctx.params, points, n_top + 1)
+    chi = chi_grid_table(phi, phis, points)
+    # order n + 1 of each pair p in its columns 4p + k, k = 0..3
+    ns = np.array([n for _, _, n in draws])
+    at = [(ns + 1, 4 * np.arange(len(draws)) + k) for k in range(4)]
+    x, z, bx, bz = (points[columns] for _, columns in at)
+    quotient = cd_quotient(x, z, phi[at[0]], phis[at[0]], phi[at[1]], phis[at[1]])
+    laurent = cd_laurent(ns, bx, bz, chi[at[2]], chi[at[3]])
     worst = 0.0
     for p, (xi, z, n) in enumerate(draws):
         j = 4 * p
         direct = complex(np.sum(np.conj(phi[: n + 1, j]) * phi[: n + 1, j + 1]))
-        quotient = cd_quotient(pair(j, n + 1), pair(j + 1, n + 1))
-        laurent = cd_laurent(pair(j + 2, n + 1), pair(j + 3, n + 1))
         prefactor = (xi * np.conj(z)) ** (n // 2)
         scale = max(1.0, abs(direct))
         worst = max(
             worst,
-            abs(direct - quotient) / scale,
-            abs(prefactor * direct - laurent) / scale,
+            abs(direct - complex(quotient[p])) / scale,
+            abs(prefactor * direct - complex(laurent[p])) / scale,
         )
     return _within(
         worst,
@@ -867,7 +871,7 @@ def _constant_deviation_zero(ctx: RunContext) -> Result:
 @check("summability", "cd_at_zero_identity")
 def _cd_at_zero_identity(ctx: RunContext) -> Result:
     n_top = min(64, ctx.depth)
-    xis = np.array([complex(np.exp(1j * angle)) for angle in ctx.certified])
+    xis = np.array([ctx.boundary_point(angle) for angle in ctx.certified])
     residual = max(cd_at_zero_residual(ctx.params, xis, n_top))
     return _within(
         residual,
@@ -923,7 +927,11 @@ def _dual_involution(ctx: RunContext) -> Result:
     angle = ctx.certified[0]
     twice = dual_parameters(dual_parameters(ctx.params))
     n_top = min(64, max(ctx.n_list))
-    rebuilt = jost_solutions(ctx.mu, twice, complex(np.exp(1j * angle)), n_top)
+    # the angle's node, D and F, as jost(angle) reads them
+    at = [ctx.read_angles.index(angle)]
+    node = ctx.nodes(ctx.mu.grid_size)[1][at]
+    d, f = (values[at] for values in ctx.boundary_data(ctx.mu.grid_size))
+    (rebuilt,) = jost_pairs(twice, node, *eval_grid_table(twice, node, n_top), d, f)
     # the solutions to n_top are the first n_top + 1 entries of jost(angle)
     residual = max(
         float(np.max(np.abs(a.entries[: n_top + 1] - b.entries)))

@@ -3,8 +3,8 @@
 Each family is built in two steps.  Its record's ``measure`` samples the
 measure on a grid; its ``builder`` extracts the parameters from that
 measure, certifies them, and returns the family's name, parameters, a
-closed-form density callable for oracle checks (at an angle or an array
-of them, so a check reads all its angles in one call), and boundary angles
+closed-form density for oracle checks (an array function of the angle,
+which a run reads once, over its certified angles), and boundary angles
 certified as continuity points of the density (safe for density-recovery
 sweeps).  :func:`build_family` runs both steps into one FamilyInstance;
 refinement checks run only the first, through
@@ -112,13 +112,17 @@ def fejer_top_order(grid_size: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """One built family: measure, parameters, and its certified facts."""
+    """One built family: measure, parameters, and its certified facts.
+
+    ``density_at`` is the closed-form density as an array function of the
+    angle: a run reads it once, over its certified angles, and at those
+    angles an array call holds the bits of one-angle calls.
+    """
 
     name: str
     spec: dict
     measure: CircleMeasure
     params: SchurParameters
-    # The closed-form density at an angle or an array of them.
     density_at: Callable[..., np.ndarray]
     test_angles: Tuple[float, ...]
     # The n_max the builder was called with.  len(params) can exceed it
@@ -336,13 +340,10 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
         )
 
     def density(theta):
-        # one transfer pass over every angle; each value as the scalar
-        # 1/|phi_K|^2, since numpy's complex modulus can round it otherwise
+        # one transfer pass over every angle
         zs = np.exp(1j * np.atleast_1d(theta))
         phi, _ = _run_transfer(params, zs, len(params), keep_all=False)
-        return np.array([1.0 / abs(value) ** 2 for value in phi.tolist()]).reshape(
-            np.shape(theta)
-        )[()]
+        return (1.0 / np.abs(phi) ** 2).reshape(np.shape(theta))[()]
 
     return f"ell2(c={c:g},p={p:g})", params, density, (0.0, np.pi)
 
@@ -402,16 +403,18 @@ def _mixed_facts(
     # stay within that check's tolerance of the density
     n_top = fejer_top_order(mu.grid_size)
 
-    def clear_of_atoms(t: float) -> bool:
+    def clear_of_atoms(t: float, w: float) -> bool:
         chords = [abs(np.exp(1j * t) - np.exp(1j * ta)) for ta, _ in pairs]
         if min(chords, default=math.inf) <= 0.3:
             return False
         tail = sum(4.0 * m / (n_top * d * d) for d, (_, m) in zip(chords, pairs))
-        return tail <= FEJER_LIMIT_TOLERANCE * density(t)
+        return tail <= FEJER_LIMIT_TOLERANCE * w
 
-    safe_angles = tuple(t for t in (0.0, 1.0, np.pi) if clear_of_atoms(t)) or (
-        _widest_gap_midpoint([t for t, _ in pairs]),
-    )
+    candidates = (0.0, 1.0, np.pi)
+    weights = density(np.array(candidates)).tolist()
+    safe_angles = tuple(
+        t for t, w in zip(candidates, weights) if clear_of_atoms(t, w)
+    ) or (_widest_gap_midpoint([t for t, _ in pairs]),)
     return f"mixed({base_name};atoms=[{atom_bits}])", params, density, safe_angles
 
 

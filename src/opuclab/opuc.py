@@ -44,9 +44,12 @@ through it in chunks, so no order-by-node table is held.  A column of
 ``eval_grid_table`` is bitwise the one-point table at that point, so
 checks that sample many points draw them all first and read every value
 from one table, and a run reads every boundary point it touches from
-one (``experiments.RunContext.boundary_table``), chi through
-``chi_grid_table``; ``cd_quotient`` and ``cd_laurent`` close the
-Christoffel-Darboux formulas on values read that way.
+one (``experiments.RunContext.boundary_table``).  ``_chi_phased`` states
+the chi rule once, for a table (``chi_grid_table``) and a streamed pass
+(``_chi_rows``) alike.  The Christoffel-Darboux two-term forms,
+``cd_quotient`` and ``cd_laurent``, act elementwise on arrays of table
+values; the kernel at the origin (``asymptotics.cd_at_zero_residual``)
+is ``cd_quotient`` at xi = 0.
 """
 
 from __future__ import annotations
@@ -79,16 +82,6 @@ _MODULUS_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max
 # 27.5 MB for the whole table; 2048 keeps the check below the 4.6 MB of the
 # run's next largest stage (``cesaro_sandwich``).
 _GRAM_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class PolynomialPair:
-    """Values (phi_n(z), phi_n*(z)) at one point."""
-
-    n: int
-    phi: complex
-    phi_star: complex
-    z: complex
 
 
 @dataclass(frozen=True)
@@ -191,21 +184,16 @@ def eval_grid_table(params: SchurParameters, zs: np.ndarray, n_max: int):
 # -----------------------------------------------------------------------------
 # CMV basis
 # -----------------------------------------------------------------------------
-def _chi_value(k: int, phase, phi, phis):
-    """chi_k from (phi_k, phi*_k) and the phase conj(xi)^(k // 2):
-    chi_{2h} = conj(xi)^h phi*_{2h}, chi_{2h+1} = conj(xi)^h phi_{2h+1}."""
-    return phase * (phi if k % 2 else phis)
-
-
 def _chi_phased(rows, xis: np.ndarray):
     """Yield chi_k over boundary points from the rows (phi_k, phi*_k),
-    k = 0, 1, ..., with the phase conj(xi)^(k // 2) as a running product."""
+    k = 0, 1, ...: chi_{2h} = conj(xi)^h phi*_{2h} and chi_{2h+1} =
+    conj(xi)^h phi_{2h+1}, with the phase conj(xi)^h as a running product."""
     step = np.conj(np.asarray(xis, dtype=complex))
     phase = np.ones_like(step)
     for k, (phi, phis) in enumerate(rows):
         if k and not k % 2:
             phase = phase * step
-        yield _chi_value(k, phase, phi, phis)
+        yield phase * (phi if k % 2 else phis)
 
 
 def _chi_rows(params: SchurParameters, xis: np.ndarray, n_max: int):
@@ -219,12 +207,6 @@ def chi_grid_table(phi: np.ndarray, phis: np.ndarray, xis: np.ndarray) -> np.nda
     ``eval_grid_table`` at those points, the same shape; column j is
     bitwise the one-point stream of ``_chi_rows`` at xis[j]."""
     return np.array(list(_chi_phased(zip(phi, phis), xis)))
-
-
-def _chi_from_pair(pair: PolynomialPair) -> complex:
-    """chi_n(xi) from (phi_n(xi), phi*_n(xi)), n = pair.n, xi = pair.z."""
-    pref = np.conj(pair.z) ** (pair.n // 2)
-    return complex(_chi_value(pair.n, pref, pair.phi, pair.phi_star))
 
 
 def chi_sums(
@@ -321,25 +303,25 @@ def chi_sums_fft(
 # -----------------------------------------------------------------------------
 # Christoffel-Darboux kernels
 # -----------------------------------------------------------------------------
-def cd_quotient(px: PolynomialPair, pz: PolynomialPair) -> complex:
+def cd_quotient(xi, z, phi_xi, phis_xi, phi_z, phis_z):
     """Polynomial-space kernel sum_{k<=n} conj(phi_k(xi)) phi_k(z) as
 
         (phi*_{n+1}(z) conj(phi*_{n+1}(xi)) - phi_{n+1}(z) conj(phi_{n+1}(xi)))
         / (1 - conj(xi) z)
 
-    from the order-(n+1) pairs ``px`` at xi and ``pz`` at z.  No diagonal
-    fallback: the caller keeps 1 - conj(xi) z away from 0.
+    elementwise over arrays of table values: phi_{n+1} and phi*_{n+1} at
+    xi and at z.  No diagonal fallback: the caller keeps 1 - conj(xi) z
+    away from 0.
     """
-    den = 1.0 - np.conj(px.z) * pz.z
-    num = pz.phi_star * np.conj(px.phi_star) - pz.phi * np.conj(px.phi)
-    return complex(num / den)
+    num = phis_z * np.conj(phis_xi) - phi_z * np.conj(phi_xi)
+    return num / (1.0 - np.conj(xi) * z)
 
 
-def cd_laurent(px: PolynomialPair, pz: PolynomialPair) -> complex:
+def cd_laurent(n, xi, z, chi_xi, chi_z):
     """Laurent-space kernel sum_{k<=n} conj(chi_k(xi)) chi_k(z), |xi|=|z|=1.
 
-    Two-term form with a parity split, from the order-(n+1) pairs ``px``
-    at xi and ``pz`` at z:
+    Two-term form with a parity split, elementwise over arrays of orders n
+    and of chi_{n+1} at xi and at z (``chi_grid_table`` values):
 
         n even: (z conj(chi_{n+1}(z) xi) chi_{n+1}(xi)
                  - chi_{n+1}(z) conj(chi_{n+1}(xi))) / (1 - conj(xi) z)
@@ -349,15 +331,9 @@ def cd_laurent(px: PolynomialPair, pz: PolynomialPair) -> complex:
     It equals (xi conj(z))^floor(n/2) times the polynomial kernel there.
     No diagonal fallback: the caller keeps 1 - conj(xi) z away from 0.
     """
-    n, xi, z = px.n - 1, px.z, pz.z
-    den = 1.0 - np.conj(xi) * z
-    cx = _chi_from_pair(px)
-    cz = _chi_from_pair(pz)
-    if n % 2 == 0:
-        num = z * np.conj(cz * xi) * cx - cz * np.conj(cx)
-    else:
-        num = z * cz * np.conj(xi * cx) - z * np.conj(cz * xi) * cx
-    return complex(num / den)
+    even = z * np.conj(chi_z * xi) * chi_xi - chi_z * np.conj(chi_xi)
+    odd = z * chi_z * np.conj(xi * chi_xi) - z * np.conj(chi_z * xi) * chi_xi
+    return np.where(np.asarray(n) % 2 == 0, even, odd) / (1.0 - np.conj(xi) * z)
 
 
 # -----------------------------------------------------------------------------

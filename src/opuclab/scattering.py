@@ -16,14 +16,14 @@ The scattering combinations
 
 solve the same one-step recursion as (phi_n, phi_n*) by construction, and
 for decaying parameters they track the free solutions (xi^n, 0) and (0, 1)
-in averaged norm.  ``boundary_values`` reads D and F at grid nodes from
-a record on the measure, which holds only the nodes read so far, so one
-boundary pass per grid serves every call that reads those nodes.
-``jost_pairs`` takes phi_k and phi*_k at the nodes from a transfer table
-the caller already holds (a run reads them from its one table over every
-boundary point, ``experiments.RunContext.boundary_table``) and runs only
-the dual parameters' pass; ``jost_solutions`` makes both passes itself.
-``jost_step_defects`` checks all steps at once.
+in averaged norm.  ``boundary_values`` reads D and F at grid nodes in
+one boundary pass and keeps nothing; a run holds its nodes and their
+values (``experiments.RunContext.nodes`` and ``boundary_data``), one pass
+per grid.  ``jost_pairs`` takes D and F at the nodes and phi_k and phi*_k
+there from a transfer table the caller already holds (a run reads them
+from its one table over every boundary point,
+``experiments.RunContext.boundary_table``), and runs only the dual
+parameters' pass.  ``jost_step_defects`` checks all steps at once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import OutOfRange
-from .measure import CircleMeasure, _as_boundary, snap
+from .measure import CircleMeasure
 from .opuc import dual_parameters, eval_grid_table
 from .schur import SchurParameters
 from .szego import harmonic_conjugate, szego_boundary
@@ -44,23 +44,11 @@ def boundary_values(
     mu: CircleMeasure, nodes: np.ndarray, xi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(D, F) at the grid nodes ``nodes`` (an index array), whose points
-    are xi, as two arrays.
-
-    The measure records the two values at each node read so far.  The
-    nodes not yet recorded take one boundary pass: ``szego_boundary`` and
-    the conjugate function of w over the grid, of which only their values
-    are kept.  Each value is elementwise, so it has the same bits whatever
-    else is read with it.
+    are xi, as two arrays, from one boundary pass: ``szego_boundary`` and
+    the conjugate function of w over the grid.  Each value is elementwise,
+    so it has the same bits whatever else is read with it.
     """
-    record = mu._spectrum_cache.setdefault("boundary", {})
-    missing = [i for i, j in enumerate(nodes.tolist()) if j not in record]
-    if missing:
-        j = nodes[missing]
-        f = _herglotz_at(mu, j, xi[missing])
-        d = szego_boundary(mu)[j]
-        record.update(zip(j.tolist(), zip(d.tolist(), f.tolist())))
-    d, f = np.array([record[j] for j in nodes.tolist()], dtype=complex).T
-    return d, f
+    return szego_boundary(mu)[nodes], _herglotz_at(mu, nodes, xi)
 
 
 def _herglotz_at(mu: CircleMeasure, nodes, xi: np.ndarray) -> np.ndarray:
@@ -103,39 +91,23 @@ class JostSolution:
         return float(np.mean(np.abs(self.entries[:n, int(self.side == "+")])))
 
 
-def jost_solutions(mu: CircleMeasure, params: SchurParameters, xi, n_max: int):
-    """Both scattering solutions at the grid node nearest xi, where the grid
-    data D and F and the polynomials are read.
-
-    ``xi`` is one boundary point (returns the pair) or a 1-d array of them
-    (returns a list of pairs).  One transfer table over the nodes gives
-    phi_k and phi*_k, and ``jost_pairs`` the rest; each pair is bitwise its
-    one-point call.
-    """
-    points = [_as_boundary(v) for v in np.atleast_1d(xi)]
-    j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
-    pairs = jost_pairs(mu, params, j, nodes, *eval_grid_table(params, nodes, n_max))
-    return pairs[0] if np.ndim(xi) == 0 else pairs
-
-
 def jost_pairs(
-    mu: CircleMeasure,
     params: SchurParameters,
-    j: np.ndarray,
     nodes: np.ndarray,
     phi: np.ndarray,
     phis: np.ndarray,
+    d: np.ndarray,
+    f: np.ndarray,
 ):
-    """Both scattering solutions at each grid node j (whose points are
-    ``nodes``) to order n, from (n+1, len(nodes)) tables of phi_k and
-    phi*_k there, as a list of pairs.
+    """Both scattering solutions at each grid point of ``nodes`` to order
+    n, from (n+1, len(nodes)) tables of phi_k and phi*_k there and from D
+    and F there (``boundary_values``), as a list of pairs.
 
-    D and F come from ``boundary_values``, and the dual polynomials from a
-    transfer pass of their own.  Any column of ``eval_grid_table`` serves as
-    a column of phi, since it is bitwise the one-point pass.  An atom at any
-    node raises OutOfRange for the whole call.
+    The dual polynomials come from a transfer pass of their own.  Any
+    column of ``eval_grid_table`` serves as a column of phi, since it is
+    bitwise the one-point pass.  An atom at any node (a non-finite F)
+    raises OutOfRange for the whole call.
     """
-    d, f = boundary_values(mu, j, nodes)
     if not np.isfinite(f).all():
         angle = np.angle(nodes[~np.isfinite(f)][0])
         raise OutOfRange(f"evaluation node at angle {angle:.6g} carries an atom")

@@ -9,9 +9,9 @@ tautology, because no code is shared beyond the measure container.
 ``opuc.gram_matrix`` streams in chunks, the roundoff-level reference of
 the Gram check.
 The one-point references (``eval_pair``, ``eval_table``, ``chi_table``,
-``sandwich_table``) take one transfer pass per point, where a run reads
-every boundary point from one table; a column of that table is bitwise
-their value.
+``sandwich_table``, ``jost_solutions``) take one transfer pass per point,
+where a run reads every boundary point from one table; a column of that
+table is bitwise their value.
 The bitwise references (``value_recursion_fresh_arrays``,
 ``entropy_profile_per_delta``) instead restate a fast routine in its plain
 array form, to show that its buffers change no bit; the profile reference
@@ -42,6 +42,7 @@ Cesaro recovery of 1/D by reflected polynomials
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +52,20 @@ from opuclab.measure import CircleMeasure
 # -----------------------------------------------------------------------------
 # One-point references: one transfer pass per boundary or disk point
 # -----------------------------------------------------------------------------
-def eval_pair(params, z: complex, n: int):
-    """(phi_n(z), phi_n*(z)) as an ``opuc.PolynomialPair``, by n transfer
-    steps at the one point z."""
-    from opuclab.opuc import PolynomialPair, _run_transfer
+@dataclass(frozen=True)
+class PolynomialPair:
+    """Values (phi_n(z), phi_n*(z)) at one point."""
+
+    phi: complex
+    phi_star: complex
+
+
+def eval_pair(params, z: complex, n: int) -> PolynomialPair:
+    """(phi_n(z), phi_n*(z)) by n transfer steps at the one point z."""
+    from opuclab.opuc import _run_transfer
 
     phi, phis = _run_transfer(params, np.array([complex(z)]), n, keep_all=False)
-    return PolynomialPair(n, complex(phi[0]), complex(phis[0]), complex(z))
+    return PolynomialPair(complex(phi[0]), complex(phis[0]))
 
 
 def eval_table(params, z: complex, n_max: int):
@@ -77,6 +85,30 @@ def chi_table(params, xi: complex, n_max: int) -> np.ndarray:
     xi = _as_boundary(xi)
     rows = _chi_rows(params, np.array([xi]), n_max)
     return np.array([row[0] for row in rows], dtype=complex)
+
+
+def jost_solutions(mu: CircleMeasure, params, xi, n_max: int):
+    """Both scattering solutions at the grid node nearest xi, where the grid
+    data D and F and the polynomials are read: the one-point reference of
+    a run's Jost batch (``experiments.RunContext.jost``).
+
+    ``xi`` is one boundary point (returns the pair) or a 1-d array of them
+    (returns a list of pairs), from one ``scattering.boundary_values`` pass
+    and one transfer table over the nodes.
+    """
+    from opuclab.measure import _as_boundary, snap
+    from opuclab.opuc import eval_grid_table
+    from opuclab.scattering import boundary_values, jost_pairs
+
+    points = [_as_boundary(v) for v in np.atleast_1d(xi)]
+    j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
+    pairs = jost_pairs(
+        params,
+        nodes,
+        *eval_grid_table(params, nodes, n_max),
+        *boundary_values(mu, j, nodes),
+    )
+    return pairs[0] if np.ndim(xi) == 0 else pairs
 
 
 def sandwich_table(mu: CircleMeasure, params, xi0, n_list, delta_grid_size=64):
@@ -166,21 +198,25 @@ def cd_kernel_routes(params, xi: complex, z: complex, n: int):
     n at boundary points (xi, z) by its three routes, one point at a time.
 
     direct sums conj(phi_k(xi)) phi_k(z) over two one-point tables;
-    quotient is ``opuc.cd_quotient`` on the order-(n+1) pairs at xi and z,
-    and laurent ``opuc.cd_laurent`` on those at xi/|xi| and z/|z|.  Neither
-    form has a diagonal fallback, so the caller keeps 1 - conj(xi) z away
-    from 0.
+    quotient is ``opuc.cd_quotient`` on the order-(n+1) values at xi and
+    z, and laurent ``opuc.cd_laurent`` on chi_{n+1} at xi/|xi| and z/|z|
+    (``chi_table``).  Both forms get one-element arrays, which numpy
+    rounds as it rounds an element of a batch.  Neither form has a
+    diagonal fallback, so the caller keeps 1 - conj(xi) z away from 0.
     """
     from opuclab.measure import _as_boundary
     from opuclab.opuc import cd_laurent, cd_quotient
 
-    pxi, _ = eval_table(params, xi, n)
-    pz, _ = eval_table(params, z, n)
-    direct = complex(np.sum(np.conj(pxi) * pz))
-    quotient = cd_quotient(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
-    xi, z = _as_boundary(xi), _as_boundary(z)
-    laurent = cd_laurent(eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
-    return direct, quotient, laurent
+    pxi, sxi = eval_table(params, xi, n + 1)
+    pz, sz = eval_table(params, z, n + 1)
+    direct = complex(np.sum(np.conj(pxi[: n + 1]) * pz[: n + 1]))
+    top = slice(n + 1, n + 2)
+    # chi_table evaluates at xi/|xi| and z/|z| itself
+    chi_xi, chi_z = (chi_table(params, w, n + 1)[top] for w in (xi, z))
+    xi, z, bxi, bz = (np.array([w]) for w in (xi, z, _as_boundary(xi), _as_boundary(z)))
+    quotient = cd_quotient(xi, z, pxi[top], sxi[top], pz[top], sz[top])
+    laurent = cd_laurent(np.array([n]), bxi, bz, chi_xi, chi_z)
+    return direct, complex(quotient[0]), complex(laurent[0])
 
 
 def cd_kernel_bruteforce(params, xi: complex, z: complex, n: int) -> complex:

@@ -22,7 +22,7 @@ from opuclab.lcg import Lcg
 from opuclab.measure import moment, weighted_poisson
 from opuclab.measure import _as_boundary
 from opuclab.opuc import chi_grid_table, eval_grid_table, monic_from_moments
-from opuclab.scattering import jost_solutions, jost_step_defects
+from opuclab.scattering import jost_step_defects
 from opuclab.schur import (
     entropy_products,
     iterate_noise_horizon,
@@ -38,6 +38,7 @@ from oracles import (
     cd_kernel_routes,
     duality_identity_residual,
     gram_schmidt_verblunsky,
+    jost_solutions,
     khrushchev_rhs,
     szego_recovery_deviation,
 )

@@ -30,6 +30,7 @@ from opuclab.measure import CircleMeasure
 from oracles import (
     cd_three_route_per_point,
     chi_table,
+    jost_solutions,
     phi_star_zero_free_per_point,
     sandwich_table,
     scattering_rows_per_n,
@@ -586,7 +587,7 @@ def test_boundary_table_readers_match_one_point_oracles_bitwise(family, request)
         assert _bits([astuple(r) for r in got]) == _bits([astuple(r) for r in want])
         assert _bits(ctx.chi(angle)) == _bits(chi_table(inst.params, raw, max(n_list)))
         for mine, own in zip(
-            ctx.jost(angle), scattering.jost_solutions(mu, inst.params, raw, max(n_list))
+            ctx.jost(angle), jost_solutions(mu, inst.params, raw, max(n_list))
         ):
             assert _bits(mine.entries) == _bits(own.entries), (family, angle)
     # the density oracle reads every certified angle in one call
@@ -634,48 +635,48 @@ def test_scattering_table_matches_its_per_n_form_bitwise(family, request):
 
 def test_dual_involution_solves_only_the_twice_negated_parameters(spy, bs_half):
     # the original solutions are a prefix of the run's own jost(angle)
-    solved = spy(
-        lambda mu, params, xi, n_max: (np.size(xi), n_max),
-        experiments,
-        "jost_solutions",
-    )
     batches = spy(
-        lambda mu, params, j, nodes, phi, phis: (len(nodes), len(phi) - 1),
+        lambda params, nodes, phi, phis, d, f: (
+            params is bs_half.params,
+            len(nodes),
+            len(phi) - 1,
+        ),
         experiments,
         "jost_pairs",
     )
+    passes = spy(lambda mu, nodes, xi: len(nodes), experiments, "boundary_values")
     ctx = experiments.RunContext(
         _config(experiment="scattering", n_list=[4, 16, 128]), bs_half
     )
     verdicts = experiments.suite_verdicts(ctx, "scattering")
     assert {v.name: v.status for v in verdicts}["dual_involution"] == "pass"
     # one batch over the certified angles to max(n_list) from the boundary
-    # table, and the involution's own one-point call to min(64, max(n_list))
-    assert batches == [(len(bs_half.test_angles), 128)]
-    assert solved == [(1, 64)]
+    # table, and the involution's own one-point batch of the twice-negated
+    # parameters to min(64, max(n_list)); both read the run's D and F
+    angles = len(bs_half.test_angles)
+    assert batches == [(True, angles, 128), (False, 1, 64)]
+    assert passes == [angles]
 
 
 def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
     # test points off the certified set join the certified angles in one
-    # batch on the boundary table; dual_involution makes the only call of
-    # its own
+    # batch on the boundary table; dual_involution makes the only batch of
+    # its own, at one point
     points = [1.0, 2.5]
-    solve = experiments.jost_solutions
-    calls = spy(lambda *args: np.size(args[2]), experiments, "jost_solutions")
-    batches = spy(lambda *args: len(args[3]), experiments, "jost_pairs")
+    batches = spy(lambda *args: len(args[1]), experiments, "jost_pairs")
     ctx = experiments.RunContext(
         _config(experiment="scattering", test_points=points), bs_half
     )
     assert not set(points) & set(bs_half.test_angles)
     experiments.suite_verdicts(ctx, "scattering")
     experiments.suite_tables(ctx, "scattering")
-    assert (batches, calls) == ([len(bs_half.test_angles) + len(points)], [1])
+    assert batches == [len(bs_half.test_angles) + len(points), 1]
     for angle in (*bs_half.test_angles, *points):
-        alone = solve(bs_half.measure, bs_half.params, np.exp(1j * angle), 16)
+        alone = jost_solutions(bs_half.measure, bs_half.params, np.exp(1j * angle), 16)
         for got, want in zip(ctx.jost(angle), alone):
             assert np.array_equal(got.entries, want.entries), angle
     # reading the solutions again solves nothing
-    assert (len(batches), len(calls)) == (1, 1)
+    assert len(batches) == 2
 
 
 @pytest.mark.parametrize("grid_size", [4096, 8192])
@@ -688,6 +689,40 @@ def test_all_run_takes_one_boundary_pass_per_grid(spy, grid_size):
     outcome = experiments.run_experiment(config)
     assert {v.status for v in outcome.verdicts} == {"pass"}
     assert sorted(passes) == sorted({grid_size, 8192})
+
+
+@pytest.mark.parametrize(
+    "family, grid_size, n_list, grids",
+    [
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, [16, 64, 256], [32768]),
+        ({"name": "geronimus", "a": 0.6}, 4096, [4, 16, 64], [4096, 8192]),
+    ],
+    ids=["ell2", "geronimus"],
+)
+def test_all_run_holds_its_boundary_data(spy, family, grid_size, n_list, grids):
+    # D and F at the read nodes live on the run (RunContext.boundary_data):
+    # the radial limit (on at least 8192 nodes), the Jost batch and
+    # dual_involution read one boundary pass per grid, and no measure keeps
+    # a per-node record of them
+    passes = spy(
+        lambda mu, nodes, xi: mu.grid_size, scattering, "boundary_values", experiments
+    )
+    cfg = _config(family=family, grid_size=grid_size, n_list=n_list, experiment="all")
+    inst = build_family(cfg.family, grid_size, cfg.build_depth)
+    ctx = experiments.RunContext(cfg, inst)
+    for suite in SUITE_NAMES:
+        verdicts = experiments.suite_verdicts(ctx, suite)
+        assert not any(v.failed for v in verdicts), verdicts
+        experiments.suite_tables(ctx, suite)
+    assert sorted(passes) == grids
+    measures = [v for v in ctx._memo.values() if isinstance(v, CircleMeasure)]
+    records = [
+        key
+        for mu in (ctx.mu, *measures)
+        for key, value in mu._spectrum_cache.items()
+        if isinstance(value, dict)
+    ]
+    assert records == []
 
 
 def test_jost_step_defects_run_once_per_solution(spy, bs_half):

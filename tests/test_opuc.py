@@ -15,7 +15,6 @@ from opuclab.errors import OutOfRange, PositivityLoss
 from opuclab.families import FAMILIES, build_family
 from opuclab.measure import _as_boundary, build_measure, moment, moments
 from opuclab.opuc import (
-    _chi_from_pair,
     cd_quotient,
     chi_grid_table,
     dual_parameters,
@@ -400,8 +399,8 @@ def test_cd_kernel_routes_interior(geronimus6):
         pxi, _ = eval_table(params, xi, n)
         pz, _ = eval_table(params, z, n)
         assert abs(complex(np.sum(np.conj(pxi) * pz)) - direct) < 1e-9
-        pairs = (eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1))
-        quotient = cd_quotient(*pairs)
+        pxi, pz = eval_pair(params, xi, n + 1), eval_pair(params, z, n + 1)
+        quotient = cd_quotient(xi, z, pxi.phi, pxi.phi_star, pz.phi, pz.phi_star)
         assert abs(quotient - direct) < 1e-8
 
 
@@ -424,8 +423,11 @@ def test_cd_kernel_routes_boundary(mixed_atom):
 def test_cmv_basis_interleaves_polynomials(bs_half):
     xi = complex(np.exp(0.9j))
     values = chi_table(bs_half.params, xi, 9)
+    # chi_{2h} = conj(xi)^h phi*_{2h}, chi_{2h+1} = conj(xi)^h phi_{2h+1}
     for j in range(10):
-        assert abs(_chi_from_pair(eval_pair(bs_half.params, xi, j)) - values[j]) < 1e-12
+        pair = eval_pair(bs_half.params, xi, j)
+        chi = np.conj(xi) ** (j // 2) * (pair.phi if j % 2 else pair.phi_star)
+        assert abs(chi - values[j]) < 1e-12
     # chi_0 is the constant 1; chi_1 is phi_1
     assert abs(values[0] - 1.0) < 1e-12
     assert abs(values[1] - eval_pair(bs_half.params, xi, 1).phi) < 1e-12

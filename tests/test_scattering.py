@@ -7,12 +7,13 @@ from opuclab.errors import OutOfRange
 from opuclab.families import build_family
 from opuclab.measure import CircleMeasure
 from opuclab.opuc import dual_parameters
-from opuclab.scattering import jost_solutions, jost_step_defects
+from opuclab.scattering import jost_step_defects
 
 from oracles import (
     averaged_jost_deviation,
     duality_identity_residual,
     herglotz_boundary,
+    jost_solutions,
     jost_step_defects_loop,
     jost_target,
 )
