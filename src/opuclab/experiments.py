@@ -27,8 +27,9 @@ come from one transfer table over every point the run reads
 (``RunContext.boundary_table``): the sandwich rows, the CMV values chi
 and the Jost solutions take their columns, since a column is bitwise the
 one-point pass.  The context is also the one holder of the grid nodes
-its angles snap to and of D and F there (``RunContext.nodes`` and
-``boundary_data``), one boundary pass per grid.
+its angles snap to and of D and F there (``RunContext.nodes``,
+``outer_values`` and ``herglotz_values``): D by one boundary pass per grid,
+F only on the run's own grid, where the Jost solutions read it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .families import (
     FEJER_LIMIT_TOLERANCE,
     REFINEMENT_PROBES,
     REFINEMENT_TOLERANCE,
+    SERIES_CASCADE,
     FamilyInstance,
     build_family,
     fejer_top_order,
@@ -82,8 +84,9 @@ from .opuc import (
     eval_grid_table,
     gram_matrix,
     monic_from_moments,
+    verblunsky_from_measure,
 )
-from .scattering import JostSolution, boundary_values, jost_pairs, jost_step_defects
+from .scattering import JostSolution, _herglotz_at, jost_pairs, jost_step_defects
 from .schur import (
     ROUTE_DEPTH,
     Z_MIN,
@@ -95,7 +98,7 @@ from .schur import (
     szego_formula_residuals,
     iterate_noise_horizon,
 )
-from .szego import entropy, szego_interior
+from .szego import entropy, szego_boundary, szego_interior
 
 _TREND_SLACK = 1e-12
 
@@ -206,8 +209,9 @@ class RunContext:
     ones, then the swept test points) is evaluated in one transfer pass,
     ``boundary_table``, at its point and at its grid node; ``sandwich``,
     ``chi`` and ``jost`` read their columns by prefix.  ``nodes`` holds
-    the angles' grid nodes on a grid size and ``boundary_data`` D and F
-    there, which the Jost solutions and the radial limit of D read.
+    the angles' grid nodes on a grid size, ``outer_values`` D there, which
+    the radial limit and the Jost solutions read, and ``herglotz_values``
+    F on the run's own grid, which only the Jost solutions read.
     """
 
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
@@ -273,10 +277,18 @@ class RunContext:
         return tuple(map(np.array, zip(*snapped)))
 
     @_cached
-    def boundary_data(self, grid_size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """D and F at ``nodes(grid_size)`` of the family's measure on that
-        grid, from one boundary pass."""
-        return boundary_values(self.rebuilt(grid_size), *self.nodes(grid_size))
+    def outer_values(self, grid_size: int) -> np.ndarray:
+        """D at ``nodes(grid_size)`` of the family's measure on that grid,
+        from one boundary pass: the radial limit reads it on at least 8192
+        nodes, the Jost solutions on the run's own grid."""
+        indices, _ = self.nodes(grid_size)
+        return szego_boundary(self.rebuilt(grid_size))[indices]
+
+    @_cached
+    def herglotz_values(self) -> np.ndarray:
+        """F at ``nodes`` of the run's own grid, the one grid where it is
+        read (by the Jost solutions)."""
+        return _herglotz_at(self.mu, *self.nodes(self.mu.grid_size))
 
     @_cached
     def boundary_table(self) -> Tuple[Dict[complex, int], np.ndarray, np.ndarray]:
@@ -325,7 +337,7 @@ class RunContext:
         column, phi, phis = self.boundary_table()
         _, nodes = self.nodes(self.mu.grid_size)
         cols = [column[node] for node in nodes.tolist()]
-        d, f = self.boundary_data(self.mu.grid_size)
+        d, f = self.outer_values(self.mu.grid_size), self.herglotz_values()
         pairs = jost_pairs(self.params, nodes, phi[:, cols], phis[:, cols], d, f)
         return dict(zip(self.read_angles, pairs))
 
@@ -349,11 +361,19 @@ class RunContext:
     def routes(self):
         """(stored, cascade, levinson): the parameters to depth
         min(ROUTE_DEPTH, depth) as the builder stored them, by the
-        power-series cascade from the measure, and by the moment recursion."""
+        power-series cascade from the measure, and by the moment recursion.
+
+        Where the build took the series cascade, its stored prefix is this
+        cascade's own bits, so the value recursion to that depth stands in
+        for it and the three routes stay independent."""
         d = min(ROUTE_DEPTH, self.depth)
+        if self.instance.route == SERIES_CASCADE:
+            stored = verblunsky_from_measure(self.mu, d).values
+        else:
+            stored = self.params.values[:d]
         cascade = schur_parameters_from_measure(self.mu, d).values
         levinson = self.moment_table().params.values
-        return (self.params.values[:d], cascade, levinson)
+        return (stored, cascade, levinson)
 
     @_cached
     def moment_table(self) -> MonicTable:
@@ -533,7 +553,7 @@ def _radial_limit(ctx: RunContext) -> Result:
     # solutions read too
     certified = [ctx.read_angles.index(a) for a in ctx.certified]
     nodes = ctx.nodes(mu.grid_size)[1][certified]
-    boundary, _ = ctx.boundary_data(mu.grid_size)
+    boundary = ctx.outer_values(mu.grid_size)
     points = [r * node for node in nodes.tolist() for r in _RADII]
     interior = szego_interior(mu, points).reshape(len(nodes), len(_RADII))
     worst_last = 0.0
@@ -685,7 +705,8 @@ def _two_route_equality(ctx: RunContext) -> Result:
         residual,
         1e-6,
         f"construction roundtrip, depth {len(cascade)}: the parameters "
-        "the builder stored vs re-extraction from the measure it built; "
+        "the builder stored (the value recursion's where it took the series "
+        "cascade) vs re-extraction from the measure it built; "
         "discretization of the density enters here, so the bar is the "
         "roundtrip tolerance rather than the route-agreement one",
     )
@@ -930,7 +951,7 @@ def _dual_involution(ctx: RunContext) -> Result:
     # the angle's node, D and F, as jost(angle) reads them
     at = [ctx.read_angles.index(angle)]
     node = ctx.nodes(ctx.mu.grid_size)[1][at]
-    d, f = (values[at] for values in ctx.boundary_data(ctx.mu.grid_size))
+    d, f = ctx.outer_values(ctx.mu.grid_size)[at], ctx.herglotz_values()[at]
     (rebuilt,) = jost_pairs(twice, node, *eval_grid_table(twice, node, n_top), d, f)
     # the solutions to n_top are the first n_top + 1 entries of jost(angle)
     residual = max(

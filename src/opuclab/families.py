@@ -13,11 +13,16 @@ refinement checks run only the first, through
 Routes
 ------
 Measure-first families (lebesgue, bernstein_szego, geronimus, mixed) sample
-a closed-form weight and extract parameters from the grid by the value
-recursion over its nodes (``opuc.verblunsky_from_measure``), which keeps
-them.  Each closed form is stated once, as a numpy function of the angle:
-the sampler evaluates it over the whole grid in one array pass, and the
-density oracle over the angles it is asked for.  Parameter-first families
+a closed-form weight and extract their parameters from the grid by one build
+rule (:func:`measured_parameters`): the series cascade's double pass on the
+measure's cached moments, where it reads no moment past
+``max_trusted_moment`` and loses at most 4 digits (``schur._SAFE_DIGIT_LOSS``,
+the loss at which the cascade trusts a double pass); otherwise the value
+recursion over every node (``opuc.verblunsky_from_measure``).  geronimus
+takes the value recursion directly, since its double cascade loses far more
+than 4 digits.  Each closed form is stated once, as a numpy function of the
+angle: the sampler evaluates it over the whole grid in one array pass, and
+the density oracle over the angles it is asked for.  Parameter-first families
 (ell2) realize their truncation exactly: the measure with parameters
 (a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is sampled
 without any series truncation error: one FFT of phi_K's K+1 coefficients
@@ -26,14 +31,17 @@ transfer pass over its angles.  Their cross-check is the series
 cascade on the grid moments (``schur.schur_parameters_from_measure``),
 whose parameters are compared with the stored ones and then dropped.
 Every builder cross-validates its secondary representation against the
-primary one and raises FamilyValidationError on mismatch.
+primary one and raises FamilyValidationError on mismatch, and each build
+records the route that reached its parameters (``FamilyInstance.route``:
+``SERIES_CASCADE``, ``VALUE_RECURSION`` or ``PARAMETER_FIRST``), which
+report.json prints as ``family.route``.
 
 Records
 -------
 ``FAMILIES`` holds one :class:`Family` record per builtin: its arguments
-with their ranges, description, sampler and builder, route, whether it
-can be the base of a ``mixed`` family, and its grid floor as a function
-of build depth.  :func:`check_spec` validates a spec against its record;
+with their ranges, description, sampler and builder, whether it can be
+the base of a ``mixed`` family, and its grid floor as a function of build
+depth.  :func:`check_spec` validates a spec against its record;
 ``build_family`` and config validation both call it, so the two cannot
 disagree.
 
@@ -59,13 +67,17 @@ from .measure import (
     grid_angles,
     lebesgue,
     max_trusted_moment,
+    moments,
 )
 from .opuc import _run_transfer, verblunsky_from_measure, weight_from_parameters
 from .schur import (
     BUILD_DIGIT_LOSS,
     ROUTE_DEPTH,
+    ComplexLists,
     SchurParameters,
+    _cascade,
     digit_loss,
+    double_pass_stands,
     schur_parameters_from_measure,
 )
 
@@ -84,6 +96,12 @@ ARC_FLOOR = 1e-9
 # Extra parameters beyond the requested depth for parameter-first families,
 # so tail-sensitive identities see an exact cutoff.
 TAIL_MARGIN = 8
+
+# The routes a build takes to its parameters, as FamilyInstance.route and
+# report.json's family.route name them (see Routes).
+SERIES_CASCADE = "series-cascade"
+VALUE_RECURSION = "value-recursion"
+PARAMETER_FIRST = "parameter-first"
 
 # Angle of the geronimus family's point mass.
 GERONIMUS_ATOM_ANGLE = 0.0
@@ -123,6 +141,9 @@ class FamilyInstance:
     spec: dict
     measure: CircleMeasure
     params: SchurParameters
+    # SERIES_CASCADE, VALUE_RECURSION or PARAMETER_FIRST: how the build
+    # reached ``params``
+    route: str
     density_at: Callable[..., np.ndarray]
     test_angles: Tuple[float, ...]
     # The n_max the builder was called with.  len(params) can exceed it
@@ -134,18 +155,35 @@ class FamilyInstance:
     def kind(self) -> str:
         return self.spec["name"]
 
-    @property
-    def route(self) -> str:
-        return FAMILIES[self.kind].route
-
     def measure_on(self, grid_size: int) -> CircleMeasure:
         """This family's measure on another grid, sampled only (no extraction)."""
         family, args = _record(self.spec)
         return family.measure(grid_size, self.build_depth, **args)
 
 
-# What a builder certifies: name, parameters, density, certified angles.
-Facts = Tuple[str, SchurParameters, Callable[..., np.ndarray], Tuple[float, ...]]
+# What a builder certifies: name, parameters, the route that reached them,
+# density, certified angles.
+Facts = Tuple[str, SchurParameters, str, Callable[..., np.ndarray], Tuple[float, ...]]
+
+
+def measured_parameters(mu: CircleMeasure, n_max: int) -> Tuple[SchurParameters, str]:
+    """The build rule of the measure-first families: a_0..a_{n_max-1} of
+    ``mu`` and the route that gave them.
+
+    The series cascade's double pass on the measure's cached moments
+    c_0..c_{n_max}, O(n_max^2) after one FFT, where it reads no moment past
+    ``max_trusted_moment`` and finishes within the digit loss at which
+    ``schur._escalate`` trusts a double pass (``double_pass_stands``);
+    otherwise the value recursion over every quadrature node,
+    O(n_max N).  A pass that fails the gate is dropped, never redone in
+    fixed point: the value recursion is the route for those measures.
+    """
+    if n_max <= max_trusted_moment(mu.grid_size):
+        c = moments(mu, n_max)
+        values, loss, escaped = _cascade(c[1:], c[:-1], n_max, ComplexLists)
+        if double_pass_stands(loss, escaped is None):
+            return SchurParameters(values), SERIES_CASCADE
+    return verblunsky_from_measure(mu, n_max), VALUE_RECURSION
 
 
 def conditioning_horizon(params: SchurParameters, cap: int = 64) -> int:
@@ -170,13 +208,17 @@ def _lebesgue_measure(grid_size: int, depth: int) -> CircleMeasure:
 
 def _lebesgue_facts(mu: CircleMeasure, n_max: int) -> Facts:
     """Normalized arc length: unit weight, zero parameters."""
-    params = verblunsky_from_measure(mu, n_max)
+    params, route = measured_parameters(mu, n_max)
     worst = float(np.max(np.abs(params.values))) if n_max else 0.0
     if worst > 1e-10:
         raise FamilyValidationError(
             f"lebesgue extraction returned |a| up to {worst:.3g}"
         )
-    return "lebesgue", params, lambda theta: np.ones(np.shape(theta))[()], (0.0, 2.0)
+
+    def density(theta):
+        return np.ones(np.shape(theta))[()]
+
+    return "lebesgue", params, route, density, (0.0, 2.0)
 
 
 def bernstein_szego_density(r: float, theta):
@@ -241,7 +283,7 @@ def _bernstein_szego_measure(grid_size: int, depth: int, r: float) -> CircleMeas
 
 def _bernstein_szego_facts(mu: CircleMeasure, n_max: int, r: float) -> Facts:
     """Density (1 - r^2)/|1 - r xi|^2; parameters (r, 0, 0, ...)."""
-    params = verblunsky_from_measure(mu, n_max)
+    params, route = measured_parameters(mu, n_max)
     gap = abs(complex(params.values[0]) - r) if n_max else 0.0
     tail = float(np.max(np.abs(params.values[1:]))) if n_max > 1 else 0.0
     if gap > BS_A0_TOLERANCE or tail > 1e-8:
@@ -250,7 +292,7 @@ def _bernstein_szego_facts(mu: CircleMeasure, n_max: int, r: float) -> Facts:
             f"|a_0 - r| = {gap:.3g}, tail max = {tail:.3g}"
         )
     density = partial(bernstein_szego_density, r)
-    return f"bernstein_szego(r={r:g})", params, density, (0.0, np.pi)
+    return f"bernstein_szego(r={r:g})", params, route, density, (0.0, np.pi)
 
 
 def _geronimus_schur_value(a: float, z):
@@ -291,6 +333,7 @@ def _geronimus_measure(grid_size: int, depth: int, a: float) -> CircleMeasure:
 
 def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
     """Constant parameters a_n = a: extracted, cross-checked against a."""
+    # the family the value recursion is for: its double cascade rarely holds 4 digits
     params = verblunsky_from_measure(mu, n_max)
     depth = min(conditioning_horizon(params, n_max), 16, n_max)
     # The sampled arc density carries edge-singularity aliasing ~N^(-3/2),
@@ -303,7 +346,8 @@ def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
             f"geronimus({a}) extraction off the constant by {gap:.3g} "
             f"within depth {depth} (allowed {drift_tol:.3g})"
         )
-    return f"geronimus(a={a:g})", params, partial(geronimus_density, a), (np.pi,)
+    density = partial(geronimus_density, a)
+    return f"geronimus(a={a:g})", params, VALUE_RECURSION, density, (np.pi,)
 
 
 def _ell2_parameters(depth: int, c: float, p: float) -> SchurParameters:
@@ -345,7 +389,7 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
         phi, _ = _run_transfer(params, zs, len(params), keep_all=False)
         return (1.0 / np.abs(phi) ** 2).reshape(np.shape(theta))[()]
 
-    return f"ell2(c={c:g},p={p:g})", params, density, (0.0, np.pi)
+    return f"ell2(c={c:g},p={p:g})", params, PARAMETER_FIRST, density, (0.0, np.pi)
 
 
 def _widest_gap_midpoint(angles: Sequence[float]) -> float:
@@ -388,8 +432,8 @@ def _mixed_facts(
     # at depth 0 a builder extracts and checks nothing, so the base's name
     # and density do not depend on the measure it is handed: the mixed one
     # serves, and the base is not sampled a second time
-    base_name, _, base_density, _ = family.builder(mu, 0, **args)
-    params = verblunsky_from_measure(mu, n_max)
+    base_name, _, _, base_density, _ = family.builder(mu, 0, **args)
+    params, route = measured_parameters(mu, n_max)
     pairs = tuple((atom["angle"], atom["mass"]) for atom in atoms)
     scale = 1.0 - sum(m for _, m in pairs)
     atom_bits = ",".join(f"({t:g},{m:g})" for t, m in pairs)
@@ -415,7 +459,8 @@ def _mixed_facts(
     safe_angles = tuple(
         t for t, w in zip(candidates, weights) if clear_of_atoms(t, w)
     ) or (_widest_gap_midpoint([t for t, _ in pairs]),)
-    return f"mixed({base_name};atoms=[{atom_bits}])", params, density, safe_angles
+    name = f"mixed({base_name};atoms=[{atom_bits}])"
+    return name, params, route, density, safe_angles
 
 
 # -----------------------------------------------------------------------------
@@ -443,7 +488,10 @@ class Family:
     from that measure and returns the family's :data:`Facts`.  A
     parameter-first family (see Routes) sets ``parameters(depth, **args)``,
     the parameters its measure is sampled from; validation refuses it when
-    they lose more than ``schur.BUILD_DIGIT_LOSS`` digits.  ``min_grid(depth)``
+    they lose more than ``schur.BUILD_DIGIT_LOSS`` digits.  A measure-first
+    family leaves it unset, and its builder extracts by the one build rule
+    (see Routes): the double series cascade where it holds 4 digits, else
+    the value recursion, which geronimus takes directly.  ``min_grid(depth)``
     is the smallest grid on which the family builds at that parameter
     depth.  ``finite_parameters`` marks families whose
     parameters vanish after the first few, so product and sum identities
@@ -468,11 +516,6 @@ class Family:
     refinement_skip: str = ""
     refinement_change: Callable[[dict, int], float] = lambda spec, grid_size: 0.0
     atom_angles: Callable[[dict], Tuple[float, ...]] = lambda spec: ()
-
-    @property
-    def route(self) -> str:
-        """The primary representation: "parameter-first" or "measure-first"."""
-        return "measure-first" if self.parameters is None else "parameter-first"
 
     @property
     def summary(self) -> str:
@@ -663,7 +706,7 @@ def build_family(spec: dict, grid_size: int, n_max: int) -> FamilyInstance:
     spec = check_spec(spec, grid_size, n_max)
     family, args = _record(spec)
     mu = family.measure(grid_size, n_max, **args)
-    name, params, density_at, test_angles = family.builder(mu, n_max, **args)
+    name, params, route, density_at, test_angles = family.builder(mu, n_max, **args)
     return FamilyInstance(
-        name, spec, mu, params, density_at, test_angles, build_depth=n_max
+        name, spec, mu, params, route, density_at, test_angles, build_depth=n_max
     )

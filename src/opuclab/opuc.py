@@ -512,6 +512,13 @@ def verblunsky_from_measure(mu: CircleMeasure, n_max: int) -> SchurParameters:
     thinnest margin among the builtins, geronimus(0.9) on 8192 nodes, reads
     ``gram_orthonormality`` 6.7e-9 against its 1e-8 bound (README,
     "Precision", for the 36-config sweep).
+
+    It builds the measures the series cascade's double pass cannot: the
+    build rule (``families.measured_parameters``) takes that pass where it
+    reads moments within N/8 and loses at most 4 digits, and this
+    recursion otherwise, and geronimus always.  A run whose family took
+    the cascade calls it at the route depth instead, as the route that
+    ``two_route_equality`` holds the cascade to.
     """
     if n_max > N_MAX:
         raise OutOfRange(f"n_max = {n_max} beyond the table cap {N_MAX}")

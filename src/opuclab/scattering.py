@@ -16,12 +16,12 @@ The scattering combinations
 
 solve the same one-step recursion as (phi_n, phi_n*) by construction, and
 for decaying parameters they track the free solutions (xi^n, 0) and (0, 1)
-in averaged norm.  ``boundary_values`` reads D and F at grid nodes in
-one boundary pass and keeps nothing; a run holds its nodes and their
-values (``experiments.RunContext.nodes`` and ``boundary_data``), one pass
-per grid.  ``jost_pairs`` takes D and F at the nodes and phi_k and phi*_k
-there from a transfer table the caller already holds (a run reads them
-from its one table over every boundary point,
+in averaged norm.  ``_herglotz_at`` reads F at grid nodes and keeps
+nothing; a run holds its nodes and D and F there
+(``experiments.RunContext.nodes``, ``outer_values`` and
+``herglotz_values``).  ``jost_pairs`` takes D and F at the nodes and
+phi_k and phi*_k there from a transfer table the caller already holds (a
+run reads them from its one table over every boundary point,
 ``experiments.RunContext.boundary_table``), and runs only the dual
 parameters' pass.  ``jost_step_defects`` checks all steps at once.
 """
@@ -29,7 +29,6 @@ parameters' pass.  ``jost_step_defects`` checks all steps at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -37,18 +36,7 @@ from .errors import OutOfRange
 from .measure import CircleMeasure
 from .opuc import dual_parameters, eval_grid_table
 from .schur import SchurParameters
-from .szego import harmonic_conjugate, szego_boundary
-
-
-def boundary_values(
-    mu: CircleMeasure, nodes: np.ndarray, xi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(D, F) at the grid nodes ``nodes`` (an index array), whose points
-    are xi, as two arrays, from one boundary pass: ``szego_boundary`` and
-    the conjugate function of w over the grid.  Each value is elementwise,
-    so it has the same bits whatever else is read with it.
-    """
-    return szego_boundary(mu)[nodes], _herglotz_at(mu, nodes, xi)
+from .szego import harmonic_conjugate
 
 
 def _herglotz_at(mu: CircleMeasure, nodes, xi: np.ndarray) -> np.ndarray:
@@ -101,7 +89,8 @@ def jost_pairs(
 ):
     """Both scattering solutions at each grid point of ``nodes`` to order
     n, from (n+1, len(nodes)) tables of phi_k and phi*_k there and from D
-    and F there (``boundary_values``), as a list of pairs.
+    and F there (``szego.szego_boundary`` and ``_herglotz_at``), as a list
+    of pairs.
 
     The dual polynomials come from a transfer pass of their own.  Any
     column of ``eval_grid_table`` serves as a column of phi, since it is

@@ -246,18 +246,24 @@ class FixedLists:
         return complex(a[0] / one, a[1] / one)
 
 
+def double_pass_stands(loss: float, finished: bool) -> bool:
+    """The trust rule of the double passes: one that finished with a
+    digit-loss sum within ``_SAFE_DIGIT_LOSS`` stands."""
+    return finished and loss <= _SAFE_DIGIT_LOSS
+
+
 def _escalate(double_result, loss: float, finished: bool, n_max: int, exact_pass):
     """The precision rule of the series cascade and the moment recursion.
 
     ``double_result`` and its digit-loss sum ``loss`` come from the route's
     double pass, which escaped or lost positivity unless ``finished``.  A
-    finished pass within ``_SAFE_DIGIT_LOSS`` stands.  Otherwise
+    pass that ``double_pass_stands`` stands.  Otherwise
     ``exact_pass(dps)`` redoes the route in fixed point and returns (result,
     its digit loss), with dps = 25 + ceil(loss), plus n_max of headroom when
     the double pass never finished.  When the exact pass's own loss leaves
     fewer than 21 spare digits, it is redone once with 10 more than that.
     """
-    if finished and loss <= _SAFE_DIGIT_LOSS:
+    if double_pass_stands(loss, finished):
         return double_result
     dps = 25 + math.ceil(loss)
     if not finished:

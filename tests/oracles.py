@@ -93,12 +93,13 @@ def jost_solutions(mu: CircleMeasure, params, xi, n_max: int):
     a run's Jost batch (``experiments.RunContext.jost``).
 
     ``xi`` is one boundary point (returns the pair) or a 1-d array of them
-    (returns a list of pairs), from one ``scattering.boundary_values`` pass
-    and one transfer table over the nodes.
+    (returns a list of pairs), from one boundary pass each of D and F and
+    one transfer table over the nodes.
     """
     from opuclab.measure import _as_boundary, snap
     from opuclab.opuc import eval_grid_table
-    from opuclab.scattering import boundary_values, jost_pairs
+    from opuclab.scattering import _herglotz_at, jost_pairs
+    from opuclab.szego import szego_boundary
 
     points = [_as_boundary(v) for v in np.atleast_1d(xi)]
     j, nodes = map(np.array, zip(*(snap(mu.grid_size, v) for v in points)))
@@ -106,7 +107,8 @@ def jost_solutions(mu: CircleMeasure, params, xi, n_max: int):
         params,
         nodes,
         *eval_grid_table(params, nodes, n_max),
-        *boundary_values(mu, j, nodes),
+        szego_boundary(mu)[j],
+        _herglotz_at(mu, j, nodes),
     )
     return pairs[0] if np.ndim(xi) == 0 else pairs
 

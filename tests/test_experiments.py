@@ -78,6 +78,7 @@ def test_mnt_run_passes_and_orders_verdicts():
     assert all(v.status == "pass" for v in outcome.verdicts)
     assert outcome.report["summary"] == {"pass": 5, "fail": 0, "skip": 0}
     assert outcome.report["family"]["kind"] == "bernstein_szego"
+    assert outcome.report["family"]["route"] == families.SERIES_CASCADE
     assert outcome.report["schema"] == 1
 
 
@@ -448,17 +449,37 @@ def test_schur_checks_make_one_iterate_pass_per_point(spy, geronimus6, name, pas
 )
 def test_refinement_checks_extract_no_parameters(spy, overrides, refinement):
     # quadrature_refinement (2N grid) and radial_limit (8192 grid) read a
-    # measure only, so a run extracts exactly what its family build does
-    calls = spy(
-        lambda mu, n_max: mu.grid_size, families, "verblunsky_from_measure"
-    )
+    # measure only, so a run extracts exactly what its family build does:
+    # the build rule's extraction for mixed, the value recursion geronimus
+    # takes directly
+    calls = [
+        spy(lambda mu, n_max: (mu.grid_size, n_max), families, name)
+        for name in ("measured_parameters", "verblunsky_from_measure")
+    ]
     cfg = _config(**overrides)
     build_family(cfg.family, cfg.grid_size, cfg.build_depth)
-    built = list(calls)
-    calls.clear()
+    built = [list(record) for record in calls]
+    assert any(built)
+    for record in calls:
+        record.clear()
     outcome = run_experiment(cfg)
     assert {v.name: v.status for v in outcome.verdicts}[refinement] == "pass"
-    assert calls == built
+    assert [list(record) for record in calls] == built
+
+
+@pytest.mark.parametrize("family", [{"name": "bernstein_szego", "r": 0.5}, MIXED])
+def test_cascade_built_runs_keep_three_routes(spy, family):
+    # the build took the series cascade, whose prefix is the route cascade's
+    # own bits, so the value recursion at the route depth stands in for the
+    # stored parameters: two_route_equality compares two routes, not one
+    values = spy(lambda mu, n_max: n_max, experiments, "verblunsky_from_measure")
+    cfg = _config(family=family, n_list=[4, 16, 64], experiment="all")
+    outcome = run_experiment(cfg)
+    assert outcome.report["family"]["route"] == families.SERIES_CASCADE
+    assert values == [min(schur.ROUTE_DEPTH, cfg.build_depth)]
+    verdict = {v.name: v for v in outcome.verdicts}["two_route_equality"]
+    assert verdict.status == "pass"
+    assert 0.0 < verdict.residual < 1e-13
 
 
 def test_no_residual_is_negative_zero():
@@ -644,7 +665,8 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(spy, bs_half):
         experiments,
         "jost_pairs",
     )
-    passes = spy(lambda mu, nodes, xi: len(nodes), experiments, "boundary_values")
+    d_passes = spy(lambda mu: mu.grid_size, experiments, "szego_boundary")
+    f_passes = spy(lambda mu, nodes, xi: len(nodes), experiments, "_herglotz_at")
     ctx = experiments.RunContext(
         _config(experiment="scattering", n_list=[4, 16, 128]), bs_half
     )
@@ -655,7 +677,8 @@ def test_dual_involution_solves_only_the_twice_negated_parameters(spy, bs_half):
     # parameters to min(64, max(n_list)); both read the run's D and F
     angles = len(bs_half.test_angles)
     assert batches == [(True, angles, 128), (False, 1, 64)]
-    assert passes == [angles]
+    assert d_passes == [bs_half.measure.grid_size]
+    assert f_passes == [angles]
 
 
 def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
@@ -683,12 +706,17 @@ def test_scattering_run_solves_its_angles_in_one_call(spy, bs_half):
 def test_all_run_takes_one_boundary_pass_per_grid(spy, grid_size):
     # radial_limit reads D on a grid of at least 8192 nodes, the Jost
     # solutions D and F on the run's own; with test points off the
-    # certified angles, one pass per grid still serves every node
-    passes = spy(lambda mu: mu.grid_size, szego, "szego_boundary", scattering)
+    # certified angles, one pass per grid still serves every node, and F
+    # is formed on the run's own grid only
+    passes = spy(lambda mu: mu.grid_size, szego, "szego_boundary", experiments)
+    f_passes = spy(
+        lambda mu, nodes, xi: mu.grid_size, scattering, "_herglotz_at", experiments
+    )
     config = _config(experiment="all", grid_size=grid_size, test_points=[1.0, 2.5])
     outcome = experiments.run_experiment(config)
     assert {v.status for v in outcome.verdicts} == {"pass"}
     assert sorted(passes) == sorted({grid_size, 8192})
+    assert f_passes == [grid_size]
 
 
 @pytest.mark.parametrize(
@@ -700,12 +728,14 @@ def test_all_run_takes_one_boundary_pass_per_grid(spy, grid_size):
     ids=["ell2", "geronimus"],
 )
 def test_all_run_holds_its_boundary_data(spy, family, grid_size, n_list, grids):
-    # D and F at the read nodes live on the run (RunContext.boundary_data):
-    # the radial limit (on at least 8192 nodes), the Jost batch and
-    # dual_involution read one boundary pass per grid, and no measure keeps
-    # a per-node record of them
-    passes = spy(
-        lambda mu, nodes, xi: mu.grid_size, scattering, "boundary_values", experiments
+    # D and F at the read nodes live on the run (RunContext.outer_values
+    # and herglotz_values): the radial limit (on at least 8192 nodes), the
+    # Jost batch and dual_involution read one D pass per grid and one F
+    # pass on the run's own grid, and no measure keeps a per-node record
+    # of them
+    passes = spy(lambda mu: mu.grid_size, szego, "szego_boundary", experiments)
+    f_passes = spy(
+        lambda mu, nodes, xi: mu.grid_size, scattering, "_herglotz_at", experiments
     )
     cfg = _config(family=family, grid_size=grid_size, n_list=n_list, experiment="all")
     inst = build_family(cfg.family, grid_size, cfg.build_depth)
@@ -715,6 +745,7 @@ def test_all_run_holds_its_boundary_data(spy, family, grid_size, n_list, grids):
         assert not any(v.failed for v in verdicts), verdicts
         experiments.suite_tables(ctx, suite)
     assert sorted(passes) == grids
+    assert f_passes == [grid_size]
     measures = [v for v in ctx._memo.values() if isinstance(v, CircleMeasure)]
     records = [
         key

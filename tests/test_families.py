@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuclab import families
+from opuclab import families, measure, schur
 from opuclab.errors import FamilyValidationError, OutOfRange
 from opuclab.families import (
     FAMILY_DESCRIPTIONS,
+    PARAMETER_FIRST,
+    SERIES_CASCADE,
+    VALUE_RECURSION,
     build_family,
     conditioning_horizon,
 )
-from opuclab.measure import grid_angles, max_trusted_moment
+from opuclab.measure import grid_angles, max_trusted_moment, moments
 from opuclab.opuc import N_MAX, verblunsky_from_measure
 from opuclab.schur import (
+    _SAFE_DIGIT_LOSS,
     ROUTE_DEPTH,
+    ComplexLists,
     SchurParameters,
+    _cascade,
     schur_parameters_from_measure,
 )
 from oracles import geronimus_density_mp
@@ -63,6 +69,7 @@ def test_ell2_parameters_decay(ell2_half):
     assert np.max(np.abs(values - expected)) < 1e-15
     assert ell2_half.build_depth == 256
     assert len(values) > 256  # truncation tail is stored beyond the depth
+    assert ell2_half.route == PARAMETER_FIRST
 
 
 def test_mixed_family_carries_atom(mixed_atom):
@@ -218,6 +225,97 @@ def test_accepted_ell2_specs_keep_the_roundtrip_moments_trusted(c, p, depth, shi
     except (FamilyValidationError, OutOfRange):
         return
     assert min(ROUTE_DEPTH, depth) <= max_trusted_moment(grid_size)
+
+
+LEBESGUE_THREE_ATOMS = {
+    "name": "mixed",
+    "base": {"name": "lebesgue"},
+    "atoms": [
+        {"angle": 0.5, "mass": 0.1},
+        {"angle": 2.2, "mass": 0.15},
+        {"angle": 4.4, "mass": 0.05},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size, depth",
+    [
+        ({"name": "lebesgue"}, 512, 33),
+        ({"name": "lebesgue"}, 8192, 257),
+        ({"name": "bernstein_szego", "r": 0.5}, 4096, 257),
+        ({"name": "bernstein_szego", "r": 0.9}, 2048, 129),
+        (LEBESGUE_THREE_ATOMS, 1024, 65),
+        (
+            {
+                "name": "mixed",
+                "base": {"name": "bernstein_szego", "r": 0.3},
+                "atoms": [{"angle": 2.0, "mass": 0.2}],
+            },
+            16384,
+            257,
+        ),
+    ],
+    ids=["leb512", "leb8192", "bs_half", "bs_0.9", "mixed_three", "mixed_workload"],
+)
+def test_cascade_builds_hold_the_value_route(spy, spec, grid_size, depth):
+    # a double cascade within 4 digits stands as the build's parameters,
+    # within 1e-13 of the value recursion over every node, and sweeps no node
+    values = spy(lambda mu, n_max: n_max, families, "verblunsky_from_measure")
+    inst = build_family(spec, grid_size, depth)
+    assert inst.route == SERIES_CASCADE
+    assert values == []
+    want = verblunsky_from_measure(inst.measure, depth).values
+    assert np.max(np.abs(inst.params.values - want)) <= 1e-13
+
+
+def test_heavy_atom_mixed_build_falls_back_to_the_value_route(spy):
+    # a mass of 0.7 holds |a_n| near 1/(n + 1.4): the double cascade loses
+    # more than 4 digits by depth 257, so the build drops that pass and
+    # takes the value recursion, never the fixed-point cascade
+    spec = {
+        "name": "mixed",
+        "base": {"name": "lebesgue"},
+        "atoms": [{"angle": 2.0, "mass": 0.7}],
+    }
+    exact = spy(lambda *args: args[-1], schur, "_cascade_mp")
+    inst = build_family(spec, 4096, 257)
+    c = moments(inst.measure, 257)
+    _, loss, escaped = _cascade(c[1:], c[:-1], 257, ComplexLists)
+    assert escaped is None and loss > _SAFE_DIGIT_LOSS
+    assert inst.route == VALUE_RECURSION
+    assert exact == []
+    want = verblunsky_from_measure(inst.measure, 257).values
+    assert np.array_equal(inst.params.values, want)
+
+
+def test_geronimus_build_reads_no_moments(spy):
+    # geronimus takes the value recursion directly: its double cascade
+    # would lose far more than 4 digits and be thrown away
+    read = spy(lambda mu, k_max: k_max, measure, "moments", families)
+    passes = spy(lambda *args: args[2], schur, "_cascade", families)
+    inst = build_family({"name": "geronimus", "a": 0.6}, 4096, 65)
+    assert inst.route == VALUE_RECURSION
+    assert read == [] and passes == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"name": "lebesgue"}, {"name": "bernstein_szego", "r": 0.3}, LEBESGUE_THREE_ATOMS],
+    ids=["lebesgue", "bs", "mixed"],
+)
+def test_builds_past_the_trusted_band_take_the_value_route(spy, spec):
+    # the cascade at depth 33 on 256 nodes would read c_33, past N/8 = 32:
+    # the build asks for no moment past the band, so it meets no AliasRisk,
+    # and sweeps the nodes instead
+    read = spy(lambda mu, k_max: k_max, measure, "moments", families)
+    inst = build_family(spec, 256, 33)
+    assert 33 > max_trusted_moment(256)
+    assert inst.route == VALUE_RECURSION
+    assert max(read, default=0) <= max_trusted_moment(256)
+    assert np.array_equal(
+        inst.params.values, verblunsky_from_measure(inst.measure, 33).values
+    )
 
 
 def test_descriptions_cover_builders():
