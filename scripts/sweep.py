@@ -1,9 +1,9 @@
 """Seeded sweep over the config space: which accepted configs fail, and where.
 
-Draws configs from ``random.Random(seed)``, validates each as ``opuclab
-run`` does (a config error is a refusal, exit 2 there), runs the accepted
-ones and prints the failed-of-accepted table by family and grid size, the
-builds by route, and each failing verdict with its residual::
+Draws ``DRAWS`` configs from ``random.Random(SEED)``, validates each as
+``opuclab run`` does (a config error is a refusal, exit 2 there), runs the
+accepted ones and prints the failed-of-accepted table by family and grid
+size, the builds by route, and each failing verdict with its residual::
 
     python scripts/sweep.py                      # seed 7, 500 draws
     python scripts/sweep.py --json sweep.json    # also one record per draw
@@ -13,7 +13,7 @@ two runs (say on a parent and a change) diff line by line, and the lines
 holding ``"status"`` compare the draws' outcomes alone.
 
 Every random number is one ``rng.random()`` call, taken in this order per
-draw, so a seed gives the same configs in every session:
+draw, so the sweep draws the same configs in every session:
 
 1. the family, uniformly from lebesgue, bernstein_szego, geronimus, ell2
    and mixed;
@@ -46,6 +46,8 @@ from opuclab.errors import ConfigError
 
 FAMILY_NAMES = ("lebesgue", "bernstein_szego", "geronimus", "ell2", "mixed")
 GRID_SIZES = (512, 1024, 2048, 4096, 8192)
+SEED = 7
+DRAWS = 500
 TEST_POINT_SHARE = 0.3
 
 
@@ -182,24 +184,22 @@ def report(records: list) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--draws", type=int, default=500)
     parser.add_argument("--json", dest="json_path", help="write one record per draw")
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
-    configs = [draw(rng) for _ in range(args.draws)]
+    rng = random.Random(SEED)
+    configs = [draw(rng) for _ in range(DRAWS)]
     started = time.perf_counter()
     records = [run(config) for config in configs]
     seconds = time.perf_counter() - started
-    # wall time goes to stderr, so that two runs of one seed print the same
+    # wall time goes to stderr, so that two runs print the same
     print(f"{seconds:.1f} s", file=sys.stderr)
-    print(f"sweep: seed {args.seed}, {args.draws} draws")
+    print(f"sweep: seed {SEED}, {DRAWS} draws")
     report(records)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(
-                {"seed": args.seed, "draws": records}, handle, indent=1, sort_keys=True
+                {"seed": SEED, "draws": records}, handle, indent=1, sort_keys=True
             )
             handle.write("\n")
     return 0

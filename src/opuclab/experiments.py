@@ -1124,7 +1124,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             }
     counts = {s: sum(v.status == s for v in verdicts) for s in ("pass", "fail", "skip")}
     report = {
-        "schema": 1,
+        "schema": 2,
         "config": config.echo(),
         "family": family_meta,
         "suites": suite_report,

@@ -79,7 +79,7 @@ def test_mnt_run_passes_and_orders_verdicts():
     assert outcome.report["summary"] == {"pass": 5, "fail": 0, "skip": 0}
     assert outcome.report["family"]["kind"] == "bernstein_szego"
     assert outcome.report["family"]["route"] == families.SERIES_CASCADE
-    assert outcome.report["schema"] == 1
+    assert outcome.report["schema"] == 2
 
 
 def test_tables_follow_the_sweep_points():
