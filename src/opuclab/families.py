@@ -73,7 +73,7 @@ from .opuc import _run_transfer, verblunsky_from_measure, weight_from_parameters
 from .schur import (
     BUILD_DIGIT_LOSS,
     ROUTE_DEPTH,
-    ComplexLists,
+    FloatBlock,
     SchurParameters,
     _cascade,
     digit_loss,
@@ -180,7 +180,7 @@ def measured_parameters(mu: CircleMeasure, n_max: int) -> Tuple[SchurParameters,
     """
     if n_max <= max_trusted_moment(mu.grid_size):
         c = moments(mu, n_max)
-        values, loss, escaped = _cascade(c[1:], c[:-1], n_max, ComplexLists)
+        values, loss, escaped = _cascade(c[1:], c[:-1], n_max, FloatBlock)
         if double_pass_stands(loss, escaped is None):
             return SchurParameters(values), SERIES_CASCADE
     return verblunsky_from_measure(mu, n_max), VALUE_RECURSION

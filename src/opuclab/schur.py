@@ -32,10 +32,21 @@ follow one rule (``_escalate``): run in double while summing the
 decimal-digit loss estimate; when the sum passes ``_SAFE_DIGIT_LOSS`` or
 the double pass escapes, redo the route in fixed point, in Python integers
 with P fractional bits sized from the estimate.  Each route is written
-once over a small vector arithmetic: ``ComplexLists`` for the double pass,
-and ``FixedLists`` for the exact one, which holds a vector as two lists of
-integers, its real and imaginary parts.  The double inputs convert exactly
-down to 2^-P, and each result converts back to the nearest double.
+once over a small arithmetic, one for its double pass and one for its
+exact pass:
+
+- the cascade's double pass, ``FloatBlock``, holds u and v as one float64
+  array and takes a Schur step in float64 multiply, add and subtract
+  alone, so each product and sum rounds once, as the scalar formulas
+  ar*qr - ai*qi and ar*qi + ai*qr read;
+- the moment recursion's double pass, ``ComplexLists``, holds a vector as
+  a list of Python complex;
+- both exact passes, ``FixedLists``, hold a vector as two lists of
+  integers, its real and imaginary parts.  The double inputs convert
+  exactly down to 2^-P, and each result converts back to the nearest
+  double.
+
+In every double pass a parameter is one Python complex division.
 """
 
 from __future__ import annotations
@@ -173,12 +184,12 @@ def fixed_bits(dps: int) -> int:
 
 
 class ComplexLists:
-    """The double passes' arithmetic: a vector is a list of Python complex,
-    and each operation applies the scalar one element by element, in order,
-    so its bits are the scalar's.  ``shift`` is z x; ``sub_mul(x, a, y)`` is x - a y."""
+    """The moment recursion's double arithmetic: a vector is a list of Python
+    complex, and each operation applies the scalar one element by element,
+    in order, so its bits are the scalar's.  ``shift`` is z x;
+    ``sub_mul(x, a, y)`` is x - a y."""
 
     vector = staticmethod(lambda values: np.asarray(values, dtype=complex).tolist())
-    head = staticmethod(operator.itemgetter(0))
     cut = staticmethod(lambda x, start, stop=None: x[start:stop])
     shift = staticmethod(lambda x: [0j, *x])
     extend = staticmethod(lambda x: [*x, 0j])
@@ -233,6 +244,20 @@ class FixedLists:
             [p - ((ar * s + ai * r) >> bits) for p, r, s in zip(xi, yr, yi)],
         )
 
+    def pair(self, u, v):
+        return self.vector(u), self.vector(v)
+
+    def parameter(self, pair):
+        a = self.div(self.head(pair[0]), self.head(pair[1]))
+        return a, self.value(a)
+
+    def schur_step(self, pair, a):
+        u, v = pair
+        return (
+            self.sub_mul(self.cut(u, 1), a, self.cut(v, 1)),
+            self.sub_mul(v, self.conj(a), self.cut(u, 0, -1)),
+        )
+
     def div(self, p, q):
         (pr, pi), (qr, qi), bits = p, q, self.bits
         size = qr * qr + qi * qi
@@ -244,6 +269,74 @@ class FixedLists:
     def value(self, a):
         one = 1 << self.bits
         return complex(a[0] / one, a[1] / one)
+
+
+class FloatBlock:
+    """The series cascade's double arithmetic: u, and v reversed, as one
+    float64 block z of shape (2 rows, 2 parts, m), the long axis last.
+
+    ``schur_step`` takes u <- u[1:] - a v[1:] and v <- v[:-1] - conj(a) u[:-1]
+    in four ufunc calls of float64 multiply, add and subtract.  One view
+    y = z[::-1, :, -2::-1], rows swapped and columns reversed, holds v[1:]
+    and u[:-1] reversed beside z[:, :, 1:], which holds u[1:] and v[:-1]
+    reversed; y[:, ::-1] swaps its parts.  Each product and sum rounds
+    once, as ar*qr - ai*qi and ar*qi + ai*qr (for conj(a), ar*qr + ai*qi
+    and ar*qi - ai*qr) read, so no bit follows numpy's complex-multiply
+    dispatch.  A parameter is one Python complex division, as in the
+    other passes.
+
+    The pass keeps the width m and two blocks, ``_block_views``: each step
+    reads one and writes the other through a view whose row 1 sits one
+    column to the right, so u_0 stays in column 0 and v_0 in column m - 1,
+    every view is made once per pass, and no array is allocated per step.
+    Past its live length a row holds stale values, which no live entry
+    reads.
+    """
+
+    @staticmethod
+    def pair(u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)[::-1]
+        read, write = _block_views(len(u)), _block_views(len(u))
+        read[0][...] = [[u.real, u.imag], [v.real, v.imag]]
+        scratch = np.empty((2, 2, 2, max(len(u) - 1, 0)))
+        return read, write, *scratch
+
+    @staticmethod
+    def parameter(block):
+        z = block[0][0]
+        a = complex(z.item(0, 0, 0), z.item(0, 1, 0)) / complex(
+            z.item(1, 0, -1), z.item(1, 1, -1)
+        )
+        return a, a
+
+    @staticmethod
+    def schur_step(block, a):
+        # block: the views of the block read, and of the one written, as
+        # _block_views gives them, then two scratch arrays; the written
+        # block is read next
+        (_, rest, y, y_swapped, _), write, products, cross = block
+        np.multiply(y, a.real, out=products)
+        np.multiply(y_swapped, _CROSS_SIGNS * a.imag, out=cross)
+        np.add(products, cross, out=products)
+        np.subtract(rest, products, out=write[4])
+        return write, block[0], products, cross
+
+
+# The sign of ai in each part of a step's cross terms, y[:, ::-1] times it:
+# row 0 is u's update, times a, and row 1 is v's, times conj(a).
+_CROSS_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])
+
+
+def _block_views(m: int):
+    """One block of ``FloatBlock`` over a flat buffer, as the views a step
+    reads, (z, z[:, :, 1:], y, y[:, ::-1]), and the one it writes: the
+    first m - 1 columns with row 1 one column to the right, since its
+    rows sit 2m + 1 entries apart."""
+    flat = np.zeros(4 * m + 2)
+    z = flat[: 4 * m].reshape(2, 2, m)
+    y = z[::-1, :, -2::-1]
+    shifted = flat.reshape(2, 2 * m + 1)[:, : 2 * m].reshape(2, 2, m)[:, :, : m - 1]
+    return z, z[:, :, 1:], y, y[:, ::-1], shifted
 
 
 def double_pass_stands(loss: float, finished: bool) -> bool:
@@ -283,25 +376,26 @@ def _escalate(double_result, loss: float, finished: bool, n_max: int, exact_pass
 def _cascade(u, v, n_max: int, num):
     """Schur steps on f = u/v; returns (params, digit_loss, escape_step).
 
-    Runs in the arithmetic ``num`` on u[:n_max] and v[:n_max] only, since
-    a_s reads u[:s+1] and v[:s+1].  One step takes a = u_0/v_0, then
-    v <- v - conj(a) u and u <- (u - a v)/z, dropping the last entry of
-    each, which no later step reads.
+    Runs in the arithmetic ``num``, ``FloatBlock`` or ``FixedLists``, on
+    u[:n_max] and v[:n_max] only, since a_s reads u[:s+1] and v[:s+1].
+    One step takes a = u_0/v_0 (``num.parameter``, which also gives a as
+    a complex double), then ``num.schur_step`` takes v <- v - conj(a) u and
+    u <- (u - a v)/z, dropping the last entry of each, which no later step
+    reads.  As in Python complex arithmetic, a double that overflows
+    becomes inf without a warning.
     """
-    u, v = num.vector(u[:n_max]), num.vector(v[:n_max])
+    pair = num.pair(u[:n_max], v[:n_max])
     out = np.zeros(n_max, dtype=complex)
     loss = 0.0
-    for step in range(n_max):
-        a = num.div(num.head(u), num.head(v))
-        out[step] = value = num.value(a)
-        mag = abs(value)
-        if mag >= ESCAPE_THRESHOLD:
-            return out, loss, step
-        loss += digit_loss(mag)
-        u, v = (
-            num.sub_mul(num.cut(u, 1), a, num.cut(v, 1)),
-            num.sub_mul(v, num.conj(a), num.cut(u, 0, -1)),
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_max):
+            a, value = num.parameter(pair)
+            out[step] = value
+            mag = abs(value)
+            if mag >= ESCAPE_THRESHOLD:
+                return out, loss, step
+            loss += digit_loss(mag)
+            pair = num.schur_step(pair, a)
     return out, loss, None
 
 
@@ -323,8 +417,8 @@ def _cascade_mp(u, v, n_max: int, dps: int):
 def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
     """Extract a_0..a_{n_max-1} from the Taylor coefficients of f = u/v.
 
-    u and v must carry at least n_max coefficients each, the ones the
-    cascade reads.  Escalates to fixed point when the conditioning estimate
+    u and v must be finite and carry at least n_max coefficients each, the
+    ones the cascade reads.  Escalates to fixed point when the conditioning estimate
     says doubles are not enough (``_escalate``).
     """
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
@@ -337,12 +431,14 @@ def schur_parameters_from_series(u, v, n_max: int) -> SchurParameters:
             f"n_max = {n_max} exceeds the {len(u)} coefficients given; "
             "the cascade consumes one coefficient per step"
         )
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise OutOfRange("u and v must hold finite coefficients")
     if n_max == 0:
         return SchurParameters(np.zeros(0, dtype=complex))
     if abs(v[0]) < 1e-12:
         raise DivisionBlowup(f"denominator constant term {v[0]!r} too small")
 
-    params, loss, step = _cascade(u, v, n_max, ComplexLists)
+    params, loss, step = _cascade(u, v, n_max, FloatBlock)
     params = _escalate(
         params, loss, step is None, n_max, lambda dps: _cascade_mp(u, v, n_max, dps)
     )

@@ -23,6 +23,9 @@ evaluating all the points in one table changes no bit, and
 tables with one evaluation per n, boundary data read off the whole grid,
 and ``jost_step_defects_loop`` takes the recurrence defects one step at a
 time.
+``cascade_floats`` restates the series cascade's double pass with one
+Python float operation per rounding, the bitwise reference of its float
+array form.
 ``cascade_mp`` and ``monic_from_moments_mp`` run the two O(n^2)
 extraction routes in mpmath floating point, the references of their
 fixed-point passes, and ``cascade_fixed`` and ``monic_fixed`` run them on
@@ -272,6 +275,47 @@ def geronimus_density_mp(a: float, node: int, grid_size: int, dps: int = 40) -> 
         if den < mpmath.mpf(10) ** (-dps // 2):
             return 0.0
         return float(max((1 - abs(f) ** 2) / den, 0))
+
+
+def cascade_floats(u, v, n_max: int):
+    """The series cascade's double pass, one Python float operation per
+    rounding: the bitwise reference of ``schur._cascade`` on
+    ``schur.FloatBlock``.
+
+    Each coefficient is a pair of floats, and a step takes
+    u <- u[1:] - a v[1:] as pr - (ar*qr - ai*qi), pi - (ar*qi + ai*qr), and
+    v <- v[:-1] - conj(a) u[:-1] as pr - (ar*qr + ai*qi), pi - (ar*qi - ai*qr).
+    No product is a Python complex one, which a C compiler may contract
+    into fused multiply-adds.  The parameter a = u_0/v_0 is the pass's own
+    scalar: one Python complex division.  Returns (params, digit loss,
+    escape step or None).
+    """
+    from opuclab.schur import ESCAPE_THRESHOLD, digit_loss
+
+    u, v = (
+        [(x.real, x.imag) for x in np.asarray(w[:n_max], dtype=complex).tolist()]
+        for w in (u, v)
+    )
+    out = np.zeros(n_max, dtype=complex)
+    loss = 0.0
+    for step in range(n_max):
+        out[step] = a = complex(*u[0]) / complex(*v[0])
+        mag = abs(a)
+        if mag >= ESCAPE_THRESHOLD:
+            return out, loss, step
+        loss += digit_loss(mag)
+        ar, ai = a.real, a.imag
+        u, v = (
+            [
+                (pr - (ar * qr - ai * qi), pi - (ar * qi + ai * qr))
+                for (pr, pi), (qr, qi) in zip(u[1:], v[1:])
+            ],
+            [
+                (pr - (ar * qr + ai * qi), pi - (ar * qi - ai * qr))
+                for (pr, pi), (qr, qi) in zip(v[:-1], u[:-1])
+            ],
+        )
+    return out, loss, None
 
 
 def cascade_mp(u, v, n_max: int, dps: int):

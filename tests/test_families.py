@@ -22,7 +22,7 @@ from opuclab.opuc import N_MAX, verblunsky_from_measure
 from opuclab.schur import (
     _SAFE_DIGIT_LOSS,
     ROUTE_DEPTH,
-    ComplexLists,
+    FloatBlock,
     SchurParameters,
     _cascade,
     schur_parameters_from_measure,
@@ -281,7 +281,7 @@ def test_heavy_atom_mixed_build_falls_back_to_the_value_route(spy):
     exact = spy(lambda *args: args[-1], schur, "_cascade_mp")
     inst = build_family(spec, 4096, 257)
     c = moments(inst.measure, 257)
-    _, loss, escaped = _cascade(c[1:], c[:-1], 257, ComplexLists)
+    _, loss, escaped = _cascade(c[1:], c[:-1], 257, FloatBlock)
     assert escaped is None and loss > _SAFE_DIGIT_LOSS
     assert inst.route == VALUE_RECURSION
     assert exact == []

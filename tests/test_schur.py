@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import struct
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -20,11 +22,11 @@ from opuclab.errors import (
     OutOfRange,
     ParameterEscape,
 )
-from opuclab.families import FAMILIES
+from opuclab.families import FAMILIES, build_family
 from opuclab.measure import CircleMeasure, moments
 from opuclab.schur import (
-    ComplexLists,
     FixedLists,
+    FloatBlock,
     SchurParameters,
     _cascade,
     _cascade_mp,
@@ -42,6 +44,7 @@ from opuclab.schur import (
 from oracles import (
     Fixed,
     cascade_fixed,
+    cascade_floats,
     cascade_mp,
     exact_pass_outcome,
     khrushchev_rhs,
@@ -97,6 +100,18 @@ def test_series_pair_guards():
         schur_parameters_from_series(c[1:], np.zeros(5), 2)
 
 
+def test_series_pair_refuses_non_finite_coefficients():
+    # a NaN or an inf would pass through the double pass and then fail to
+    # convert to fixed point; it is refused before either pass runs
+    c = 0.5 ** np.arange(6)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.1, np.nan)):
+        for which in (0, 1):
+            pair = [c[1:].astype(complex), c[:-1].astype(complex)]
+            pair[which][2] = bad
+            with pytest.raises(OutOfRange):
+                schur_parameters_from_series(*pair, 4)
+
+
 def test_measure_route_reads_moments_to_its_depth_only(spy, geronimus6):
     # a_0..a_{d-1} need c_0..c_d alone (Geronimus' theorem), so the route
     # asks for exactly that many moments
@@ -109,7 +124,7 @@ def test_measure_route_reads_moments_to_its_depth_only(spy, geronimus6):
 
 def test_cascade_precisions_agree(bs_half):
     c = moments(bs_half.measure, 64)
-    double, _, escape_step = _cascade(c[1:], c[:-1], 64, ComplexLists)
+    double, _, escape_step = _cascade(c[1:], c[:-1], 64, FloatBlock)
     extended, _ = _cascade_mp(c[1:], c[:-1], 64, 40)
     assert escape_step is None
     assert np.max(np.abs(double - extended)) < 1e-13
@@ -184,7 +199,7 @@ def test_escaped_double_pass_escalates_past_the_double_range():
     # fixed-point pass does not, at dps 25 + ceil(loss) + n_max, so 2^P
     # is beyond any double
     u, v = _series_of([0.95, 0.8, 0.95, 1.0 - 1.1e-12, 0.5], 300)
-    assert _cascade(u, v, 299, ComplexLists)[2] == 3
+    assert _cascade(u, v, 299, FloatBlock)[2] == 3
     with _recorded_escalations() as calls:
         params = schur_parameters_from_series(u, v, 299)
     [(_, _, _, dps, exact)] = calls
@@ -198,7 +213,7 @@ def test_escalate_redoes_a_pass_short_of_spare_digits():
     # exact pass runs at 25 + 5 + n_max digits; it loses 17 of them, which
     # leaves fewer than 21 spare, so it is redone once at 21 + 18 + 10
     u, v = _series_of([0.95, 0.8, 0.95, 1.0 - 1.1e-12, 0.5], 6)
-    _, double_loss, escape_step = _cascade(u, v, 5, ComplexLists)
+    _, double_loss, escape_step = _cascade(u, v, 5, FloatBlock)
     assert escape_step == 3
     first = 25 + math.ceil(double_loss) + 5
     exact_loss = _cascade_mp(u, v, 5, first)[1]
@@ -248,11 +263,84 @@ def test_cascade_reads_no_guard_coefficient(case, guard):
         n_max = 4
     changed_u, changed_v = u.copy(), v.copy()
     changed_u[n_max:], changed_v[n_max:] = guard[:8], guard[8:]
-    for num in (ComplexLists, FixedLists(41)):
+    for num in (FloatBlock, FixedLists(41)):
         params, loss, step = _cascade(u, v, n_max, num)
         changed = _cascade(changed_u, changed_v, n_max, num)
         assert (params.tobytes(), loss, step) == (changed[0].tobytes(), *changed[1:])
         assert step == (None if case == "geronimus" else 2)
+
+
+def _double_pass_bits(double_pass, u, v, n_max):
+    """(parameter bytes, digit-loss bytes, escape step) of a double pass, or
+    the type and message of the arithmetic error it raises."""
+    try:
+        params, loss, step = double_pass(u, v, n_max)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return params.tobytes(), struct.pack("<d", loss), step
+
+
+def _float_block_pass(u, v, n_max):
+    return _cascade(u, v, n_max, FloatBlock)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    length=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    decay=st.floats(0.0, 2.0),
+    escape_at=st.one_of(st.none(), st.integers(0, 299)),
+    huge=st.integers(0, 3),
+)
+def test_double_pass_is_the_float_reference_bitwise(
+    length, seed, decay, escape_at, huge
+):
+    # parameters, digit-loss sum and escape step are bitwise those of one
+    # Python float operation per rounding: on the series of random
+    # parameters |a_k| <= 0.95 / (k + 1)^decay, one of them at the escape
+    # threshold, and with entries near +-1.5e308 whose products overflow
+    # before the escape test fires, silently, as Python floats do
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(0.0, 0.95, length) / (np.arange(length) + 1.0) ** decay
+    params = params * np.exp(2j * np.pi * rng.random(length))
+    if escape_at is not None and length:
+        params[escape_at % length] = (1.0 - 1e-13) * np.exp(2j * np.pi * rng.random())
+    u, v = _series_of(params, length + 1)
+    for _ in range(huge if length > 1 else 0):
+        series, k = (u, v)[rng.integers(2)], rng.integers(1, length)
+        series[k] = complex(*rng.choice([-1.5e308, 1.5e308, 1.0], 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _double_pass_bits(_float_block_pass, u, v, length)
+    assert got == _double_pass_bits(cascade_floats, u, v, length)
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size",
+    [
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 32768),
+        (
+            {
+                "name": "mixed",
+                "base": {"name": "bernstein_szego", "r": 0.3},
+                "atoms": [{"angle": 2.0, "mass": 0.2}],
+            },
+            16384,
+        ),
+        ({"name": "geronimus", "a": 0.6}, 4096),
+        ({"name": "bernstein_szego", "r": 0.5}, 4096),
+        ({"name": "lebesgue"}, 4096),
+    ],
+    ids=["ell2", "mixed", "geronimus", "bs", "lebesgue"],
+)
+def test_double_pass_is_the_float_reference_on_family_moments(spec, grid_size):
+    # the benchmark workloads' measures and two more, at depth 257: the
+    # double pass the builds and the routes take is the reference's, bit
+    # for bit, whether it stands (mixed, bs, lebesgue) or not (geronimus)
+    c = moments(build_family(spec, grid_size, 257).measure, 257)
+    assert _double_pass_bits(
+        _float_block_pass, c[1:], c[:-1], 257
+    ) == _double_pass_bits(cascade_floats, c[1:], c[:-1], 257)
 
 
 _PARAMETER = st.builds(
