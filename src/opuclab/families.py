@@ -340,7 +340,7 @@ def _geronimus_facts(mu: CircleMeasure, n_max: int, a: float) -> Facts:
     # so the grid measure's true parameters sit about there off the ideal
     # constant; the tolerance tracks that, not extractor accuracy.
     drift_tol = 50.0 * mu.grid_size ** -1.5
-    gap = float(np.max(np.abs(params.values[:depth] - a)))
+    gap = float(np.max(np.abs(params.values[:depth] - a))) if depth else 0.0
     if gap > drift_tol:
         raise FamilyValidationError(
             f"geronimus({a}) extraction off the constant by {gap:.3g} "
@@ -377,7 +377,7 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
     params = _ell2_parameters(n_max, c, p)
     depth = min(ROUTE_DEPTH, n_max)
     back = schur_parameters_from_measure(mu, depth)
-    gap = float(np.max(np.abs(back.values - params.values[:depth])))
+    gap = float(np.max(np.abs(back.values - params.values[:depth]))) if depth else 0.0
     if gap > 1e-6:
         raise FamilyValidationError(
             f"ell2({c},{p}) roundtrip off by {gap:.3g} at depth {depth}"

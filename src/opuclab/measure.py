@@ -88,23 +88,6 @@ _TERM_CUT = 1e-18
 _BLOCK = 512
 _WORK = 16384
 
-# Byte boundary of the quadrature's node-sized arrays and the value
-# recursion's buffers.  numpy's allocator starts them 16, 32 or 48 bytes
-# past one as the heap happens to fall; with every buffer there, the
-# recursion over mixed-mnt-quadrature's 16385 nodes at depth 257 takes
-# 23.7 to 27.6 ms instead of 21.6 ms aligned (min of 8 calls, shared
-# 2-core x86-64 with AVX-512), with the same bits at every offset.
-_ALIGN = 64
-
-
-def _aligned_empty(n: int, dtype) -> np.ndarray:
-    """An uninitialized array of n elements whose data starts on an
-    ``_ALIGN``-byte boundary."""
-    dtype = np.dtype(dtype)
-    raw = np.empty(n * dtype.itemsize + _ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % _ALIGN
-    return raw[start : start + n * dtype.itemsize].view(dtype)
-
 
 def _as_boundary(xi0: complex) -> complex:
     xi0 = complex(xi0)
@@ -170,17 +153,10 @@ class CircleMeasure:
         """(nodes, weights) with integral of f dmu = sum of weights * f(nodes).
 
         The grid points with weights w_j / N, then the atom points with
-        their masses; computed on each call, like ``boundary_points``, into
-        arrays that start on an ``_ALIGN``-byte boundary.
+        their masses; computed on each call, like ``boundary_points``.
         """
-        size = self.grid_size + len(self.atoms)
-        nodes = np.concatenate(
-            [self.boundary_points, self.atom_points], out=_aligned_empty(size, complex)
-        )
-        weights = np.concatenate(
-            [self.weight / self.grid_size, self.atom_masses],
-            out=_aligned_empty(size, float),
-        )
+        nodes = np.concatenate([self.boundary_points, self.atom_points])
+        weights = np.concatenate([self.weight / self.grid_size, self.atom_masses])
         return nodes, weights
 
     @property

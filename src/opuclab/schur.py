@@ -391,7 +391,10 @@ def _cascade(u, v, n_max: int, num):
         for step in range(n_max):
             a, value = num.parameter(pair)
             out[step] = value
-            mag = abs(value)
+            try:
+                mag = abs(value)
+            except OverflowError:  # |a| past the double range: an escape
+                mag = math.inf
             if mag >= ESCAPE_THRESHOLD:
                 return out, loss, step
             loss += digit_loss(mag)

@@ -300,7 +300,10 @@ def cascade_floats(u, v, n_max: int):
     loss = 0.0
     for step in range(n_max):
         out[step] = a = complex(*u[0]) / complex(*v[0])
-        mag = abs(a)
+        try:
+            mag = abs(a)
+        except OverflowError:
+            mag = math.inf
         if mag >= ESCAPE_THRESHOLD:
             return out, loss, step
         loss += digit_loss(mag)

@@ -137,6 +137,12 @@ def test_bad_config_exits_two(runner, tmp_path):
     )
     assert result.exit_code == 2
 
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([CONFIG]), encoding="utf-8")
+    result = runner.invoke(main, ["verify", "--config", str(listed)])
+    assert result.exit_code == 2
+    assert "config must be a JSON object" in result.output
+
 
 @pytest.mark.parametrize(
     "overrides, reason",

@@ -223,6 +223,12 @@ def test_echo_roundtrips_through_the_validator():
     json.dumps(echoed)  # must already be JSON-ready
 
 
+@pytest.mark.parametrize("data", [[GOOD], "mnt", 4, None])
+def test_config_must_be_an_object(data):
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_dict(data)
+
+
 def test_constructor_accepts_keyword_form():
     cfg = ExperimentConfig(
         family={"name": "lebesgue"}, n_list=(4,), experiment="all"

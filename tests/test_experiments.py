@@ -105,6 +105,39 @@ def test_a_failing_table_is_a_verdict(monkeypatch):
     assert outcome.report["suites"]["mnt"]["tables"] == []
 
 
+def test_a_raising_check_is_a_verdict(monkeypatch):
+    # verdicts never crash the run: a check that raises fails with the
+    # exception as its detail, and every other check still reports
+    def broken(ctx):
+        raise ZeroDivisionError("check body")
+
+    checks = [
+        (name, broken if name == "fejer_density_limit" else run)
+        for name, run in CHECKS["mnt"]
+    ]
+    monkeypatch.setitem(CHECKS, "mnt", checks)
+    outcome = run_experiment(_config())
+    assert [(v.name, v.status) for v in outcome.verdicts] == [
+        ("poisson_positivity", "pass"),
+        ("fejer_density_limit", "fail"),
+        ("quadrature_refinement", "pass"),
+        ("cesaro_sandwich", "pass"),
+        ("fejer_lower_bound", "pass"),
+    ]
+    failed = outcome.verdicts[1]
+    assert (failed.residual, failed.detail) == (None, "ZeroDivisionError: check body")
+    assert outcome.report["summary"] == {"pass": 4, "fail": 1, "skip": 0}
+
+
+def test_averaged_decay_trend_skips_a_single_order():
+    # n_list [1] leaves one order, so there is no doubling step to compare
+    outcome = run_experiment(_config(experiment="scattering", n_list=[1]))
+    by_name = {v.name: v for v in outcome.verdicts}
+    verdict = by_name["averaged_decay_trend"]
+    assert (verdict.status, verdict.residual) == ("skip", None)
+    assert verdict.detail == "max configured n = 1 leaves no room for doubling steps"
+
+
 def test_mixed_atoms_on_the_default_angles_pass_scattering():
     # atoms near 0, 1 and pi leave no default angle free; the certified
     # angle is then the midpoint of the widest gap between atoms

@@ -118,6 +118,27 @@ def test_geronimus_builds_on_every_grid(a, grid_size):
     build_family({"name": "geronimus", "a": a}, grid_size, 17)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "lebesgue"},
+        {"name": "bernstein_szego", "r": 0.5},
+        {"name": "geronimus", "a": 0.6},
+        {"name": "ell2", "c": 0.5, "p": 1.0},
+        {
+            "name": "mixed",
+            "base": {"name": "bernstein_szego", "r": 0.3},
+            "atoms": [{"angle": 2.0, "mass": 0.2}],
+        },
+    ],
+    ids=lambda spec: spec["name"],
+)
+def test_every_family_builds_at_depth_zero(spec):
+    # a depth-0 build checks no parameter against its closed form
+    inst = build_family(spec, 4096, 0)
+    assert inst.measure.grid_size == 4096
+
+
 @pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
 def test_geronimus_density_matches_mpmath(a):
     # the one array pass over the grid against the closed form at 40 digits

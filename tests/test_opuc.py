@@ -265,11 +265,14 @@ def test_value_recursion_escape_survives_the_double_pass(spy):
 
 def test_depth_zero_extraction_forms_no_quadrature(spy, bs_half):
     # a mixed family's builder runs its base builder at depth 0 for the
-    # base's name and density only
+    # base's name and density only, and the build rule's cascade holds
+    # there, so building the mixed-mnt-quadrature spec reaches no value
+    # route; called at depth 0, the route runs no step
     formed = spy(lambda mu: mu.grid_size, type(bs_half.measure), "quadrature")
+    build_family(_MIXED_ATOM, 16384, 257)
+    assert formed == []
     params = verblunsky_from_measure(bs_half.measure, 0)
     assert len(params) == 0 and params.values.dtype == complex
-    assert formed == []
 
 
 def _recursion_outcome(recursion, xi, q, n_max):
@@ -344,27 +347,15 @@ def _placed(values: np.ndarray, offset: int) -> np.ndarray:
 
 @pytest.mark.parametrize("offset", [0, 16, 32, 48])
 def test_value_recursion_runs_on_aligned_buffers_at_any_input_offset(
-    monkeypatch, mixed_atom, offset
+    mixed_atom, offset
 ):
-    # numpy places node-sized arrays 16 bytes apart at random, and the
-    # recursion's speed follows that placement; its bits must not
+    # numpy places node-sized arrays 16 bytes apart as the heap falls, and
+    # the recursion's buffers follow; its bits must not
     xi, q = mixed_atom.measure.quadrature()
-    assert xi.ctypes.data % 64 == 0 and q.ctypes.data % 64 == 0
-    made = []
-
-    def record(n, dtype):
-        made.append(opuc_aligned(n, dtype))
-        return made[-1]
-
-    opuc_aligned = opuc._aligned_empty
-    monkeypatch.setattr(opuc, "_aligned_empty", record)
     placed = _placed(xi, offset), _placed(q, offset)
     assert placed[0].ctypes.data % 64 == offset
     fast = opuc._value_recursion(*placed, 65)
     assert fast.tobytes() == value_recursion_fresh_arrays(xi, q, 65).tobytes()
-    # the cast weights, phi, phi*, z phi and the product scratch
-    assert len(made) == 5
-    assert all(len(b) == len(xi) and b.ctypes.data % 64 == 0 for b in made)
 
 
 def test_atom_insertion_route(mixed_atom):

@@ -80,6 +80,28 @@ def test_cascade_escape_on_unimodular_start():
         schur_parameters_from_series(u, v, 3)
 
 
+@pytest.mark.parametrize(
+    "first",
+    [complex(re, im) for re in (-1.5e308, 1.5e308) for im in (-1.5e308, 1.5e308)]
+    + [1.7e308],
+)
+def test_cascade_escape_of_a_parameter_near_the_double_range(first):
+    # |a_0| overflows to inf, which is past the threshold: the escape test
+    # reads it as an escape, with no OverflowError and no warning
+    u, v = np.array([first, 0]), np.array([1 + 0j, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterEscape, match=r"\|a_0\|"):
+            schur_parameters_from_series(u, v, 1)
+
+
+def test_schur_parameters_refuse_escape_and_non_sequences():
+    with pytest.raises(ParameterEscape, match=r"\|a_2\| = 1 "):
+        SchurParameters(np.array([0.5, 0.1j, 1.0, 0.2]))
+    with pytest.raises(OutOfRange, match="1-d"):
+        SchurParameters(np.zeros((2, 2)))
+
+
 def test_series_pair_reads_the_moments():
     # moments (1/2)^k of bernstein_szego(1/2): u = c[1:], v = c[:-1] is
     # f = 1/2, whose parameters are 1/2, 0, 0, ...
