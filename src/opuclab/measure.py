@@ -108,6 +108,9 @@ class CircleMeasure:
         N nonnegative density samples w(e^{i theta_j}).
     atoms : tuple of (angle, mass)
         Point masses at pairwise distinct angles in [0, 2 pi).
+
+    Construction refuses a negative sample (NegativeInput), atoms that
+    ``check_atoms`` refuses, and a total mass that is not 1 (NonNormalizable).
     """
 
     grid_size: int
@@ -121,13 +124,17 @@ class CircleMeasure:
             raise GridMismatch(
                 f"weight has {w.shape} samples, grid_size is {self.grid_size}"
             )
+        if np.any(w < 0):
+            raise NegativeInput(f"negative density sample (min {w.min():g})")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "atoms", check_atoms(self.atoms))
         total = self.total_mass
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:  # a NaN sample too
             raise NonNormalizable(
-                f"total mass {total!r} is not 1 (construct via build_measure)"
+                f"total mass {total!r} is not 1; build_measure(..., "
+                "normalize=True) rescales a finite positive one"
             )
 
     # -- derived data ---------------------------------------------------------
@@ -211,24 +218,23 @@ def build_measure(
     atoms: Sequence[Tuple[float, float]] = (),
     normalize: bool = False,
 ) -> CircleMeasure:
-    """Validate and assemble a :class:`CircleMeasure`.
+    """Assemble a :class:`CircleMeasure`, which validates samples and atoms.
 
     With ``normalize`` set, weight and masses are scaled by a common factor
     so the total mass is 1; otherwise the input must already be normalized.
+    A total that is not finite and positive is left unscaled, for
+    ``CircleMeasure`` to refuse.
     """
     w = np.asarray(weight_samples, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise NonNormalizable("weight_samples must be a nonempty 1-d sequence")
-    if np.any(w < 0):
-        raise NegativeInput(f"negative density sample (min {w.min():g})")
-    atom_list = check_atoms(atoms)
-    total = w.mean() + sum(m for _, m in atom_list)
-    if total <= 0 or not np.isfinite(total):
-        raise NonNormalizable("measure carries no finite positive mass")
+    atoms = tuple(atoms)
     if normalize:
-        w = w / total
-        atom_list = tuple((a, m / total) for a, m in atom_list)
-    return CircleMeasure(len(w), w, atom_list)
+        total = w.mean() + sum(float(m) for _, m in atoms)
+        if 0.0 < total < np.inf:
+            w = w / total
+            atoms = tuple((a, float(m) / total) for a, m in atoms)
+    return CircleMeasure(len(w), w, atoms)
 
 
 def lebesgue(grid_size: int = 4096) -> CircleMeasure:

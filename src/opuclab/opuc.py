@@ -442,6 +442,8 @@ def monic_from_moments(moments: np.ndarray, n_max: int) -> MonicTable:
         raise OutOfRange(
             f"{len(c)} moments cannot support n_max = {n_max} (need n_max + 1)"
         )
+    if not np.isfinite(c).all():
+        raise OutOfRange("moments must be finite")
     # The recursion loses a digit per few steps on slowly decaying
     # parameters, so past the cascade's digit-loss gate it is redone in
     # fixed point, which alone decides whether to raise.  In double alone,

@@ -36,9 +36,9 @@ once over a small arithmetic, one for its double pass and one for its
 exact pass:
 
 - the cascade's double pass, ``FloatBlock``, holds u and v as one float64
-  array and takes a Schur step in float64 multiply, add and subtract
-  alone, so each product and sum rounds once, as the scalar formulas
-  ar*qr - ai*qi and ar*qi + ai*qr read;
+  array and makes each Schur step's shorter array in float64 multiply,
+  add and subtract alone, so each product and sum rounds once, as the
+  scalar formulas ar*qr - ai*qi and ar*qi + ai*qr read;
 - the moment recursion's double pass, ``ComplexLists``, holds a vector as
   a list of Python complex;
 - both exact passes, ``FixedLists``, hold a vector as two lists of
@@ -115,6 +115,8 @@ class SchurParameters:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 1:
             raise OutOfRange("parameter values must form a 1-d sequence")
+        if not np.isfinite(v).all():
+            raise OutOfRange("parameter values must be finite")
         if len(v) and np.abs(v).max() >= ESCAPE_THRESHOLD:
             worst = int(np.abs(v).argmax())
             raise ParameterEscape(
@@ -273,70 +275,41 @@ class FixedLists:
 
 class FloatBlock:
     """The series cascade's double arithmetic: u, and v reversed, as one
-    float64 block z of shape (2 rows, 2 parts, m), the long axis last.
+    float64 block z of shape (2 rows, 2 parts, m), the long axis last, so
+    u_0 sits in column 0 and v_0 in column m - 1.
 
-    ``schur_step`` takes u <- u[1:] - a v[1:] and v <- v[:-1] - conj(a) u[:-1]
-    in four ufunc calls of float64 multiply, add and subtract.  One view
-    y = z[::-1, :, -2::-1], rows swapped and columns reversed, holds v[1:]
-    and u[:-1] reversed beside z[:, :, 1:], which holds u[1:] and v[:-1]
-    reversed; y[:, ::-1] swaps its parts.  Each product and sum rounds
-    once, as ar*qr - ai*qi and ar*qi + ai*qr (for conj(a), ar*qr + ai*qi
-    and ar*qi - ai*qr) read, so no bit follows numpy's complex-multiply
-    dispatch.  A parameter is one Python complex division, as in the
-    other passes.
-
-    The pass keeps the width m and two blocks, ``_block_views``: each step
-    reads one and writes the other through a view whose row 1 sits one
-    column to the right, so u_0 stays in column 0 and v_0 in column m - 1,
-    every view is made once per pass, and no array is allocated per step.
-    Past its live length a row holds stale values, which no live entry
-    reads.
+    ``schur_step`` returns a fresh block of width m - 1 holding
+    u[1:] - a v[1:] and v[:-1] - conj(a) u[:-1] in four ufunc calls of
+    float64 multiply, add and subtract.  The view y = z[::-1, :, -2::-1],
+    rows swapped and columns reversed, holds v[1:] and u[:-1] reversed
+    beside z[:, :, 1:], which holds u[1:] and v[:-1] reversed; y[:, ::-1]
+    swaps its parts.  Each product and sum rounds once, as ar*qr - ai*qi
+    and ar*qi + ai*qr (for conj(a), ar*qr + ai*qi and ar*qi - ai*qr) read,
+    so no bit follows numpy's complex-multiply dispatch.  A parameter is
+    one Python complex division, as in the other passes.
     """
 
     @staticmethod
     def pair(u, v):
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)[::-1]
-        read, write = _block_views(len(u)), _block_views(len(u))
-        read[0][...] = [[u.real, u.imag], [v.real, v.imag]]
-        scratch = np.empty((2, 2, 2, max(len(u) - 1, 0)))
-        return read, write, *scratch
+        return np.array([[u.real, u.imag], [v.real, v.imag]])
 
     @staticmethod
-    def parameter(block):
-        z = block[0][0]
+    def parameter(z):
         a = complex(z.item(0, 0, 0), z.item(0, 1, 0)) / complex(
             z.item(1, 0, -1), z.item(1, 1, -1)
         )
         return a, a
 
     @staticmethod
-    def schur_step(block, a):
-        # block: the views of the block read, and of the one written, as
-        # _block_views gives them, then two scratch arrays; the written
-        # block is read next
-        (_, rest, y, y_swapped, _), write, products, cross = block
-        np.multiply(y, a.real, out=products)
-        np.multiply(y_swapped, _CROSS_SIGNS * a.imag, out=cross)
-        np.add(products, cross, out=products)
-        np.subtract(rest, products, out=write[4])
-        return write, block[0], products, cross
+    def schur_step(z, a):
+        y = z[::-1, :, -2::-1]
+        return z[:, :, 1:] - (y * a.real + y[:, ::-1] * (_CROSS_SIGNS * a.imag))
 
 
 # The sign of ai in each part of a step's cross terms, y[:, ::-1] times it:
 # row 0 is u's update, times a, and row 1 is v's, times conj(a).
 _CROSS_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])
-
-
-def _block_views(m: int):
-    """One block of ``FloatBlock`` over a flat buffer, as the views a step
-    reads, (z, z[:, :, 1:], y, y[:, ::-1]), and the one it writes: the
-    first m - 1 columns with row 1 one column to the right, since its
-    rows sit 2m + 1 entries apart."""
-    flat = np.zeros(4 * m + 2)
-    z = flat[: 4 * m].reshape(2, 2, m)
-    y = z[::-1, :, -2::-1]
-    shifted = flat.reshape(2, 2 * m + 1)[:, : 2 * m].reshape(2, 2, m)[:, :, : m - 1]
-    return z, z[:, :, 1:], y, y[:, ::-1], shifted
 
 
 def double_pass_stands(loss: float, finished: bool) -> bool:
@@ -382,7 +355,9 @@ def _cascade(u, v, n_max: int, num):
     a complex double), then ``num.schur_step`` takes v <- v - conj(a) u and
     u <- (u - a v)/z, dropping the last entry of each, which no later step
     reads.  As in Python complex arithmetic, a double that overflows
-    becomes inf without a warning.
+    becomes inf without a warning.  A NaN parameter, which Python's complex
+    division can give on entries near the double range, counts as escaped,
+    so the exact pass decides.
     """
     pair = num.pair(u[:n_max], v[:n_max])
     out = np.zeros(n_max, dtype=complex)
@@ -395,7 +370,7 @@ def _cascade(u, v, n_max: int, num):
                 mag = abs(value)
             except OverflowError:  # |a| past the double range: an escape
                 mag = math.inf
-            if mag >= ESCAPE_THRESHOLD:
+            if not mag < ESCAPE_THRESHOLD:
                 return out, loss, step
             loss += digit_loss(mag)
             pair = num.schur_step(pair, a)

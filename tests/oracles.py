@@ -304,7 +304,7 @@ def cascade_floats(u, v, n_max: int):
             mag = abs(a)
         except OverflowError:
             mag = math.inf
-        if mag >= ESCAPE_THRESHOLD:
+        if not mag < ESCAPE_THRESHOLD:  # NaN is an escape too
             return out, loss, step
         loss += digit_loss(mag)
         ar, ai = a.real, a.imag

@@ -1,5 +1,6 @@
 """Measure container, Poisson extensions, moments, Fejer means."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,11 @@ from opuclab.errors import (
     GridMismatch,
     InvalidAtoms,
     NegativeInput,
+    NonNormalizable,
     OutOfRange,
 )
 from opuclab.measure import (
+    CircleMeasure,
     _grid_means,
     _poisson_kernel,
     _schwarz_kernel,
@@ -334,6 +337,29 @@ def test_build_measure_validation():
         build_measure(np.ones(8), atoms=[(7.0, 0.1)])
     with pytest.raises(InvalidAtoms):
         build_measure(np.ones(8), atoms=[(1.0, 0.1), (1.0, 0.2)])
+
+
+@pytest.mark.parametrize(
+    "weight, atoms, error",
+    [
+        ([1.0, math.nan, 1.0, 1.0], (), NonNormalizable),
+        ([-1.0, 3.0], (), NegativeInput),
+        (np.full(4, 0.9), ((7.0, 0.1),), InvalidAtoms),
+        (np.ones(4), ((1.0, 0.0),), NegativeInput),
+        (np.full(4, 0.7), ((1.0, 0.1), (1.0, 0.2)), InvalidAtoms),
+    ],
+    ids=["nan-sample", "negative-sample", "angle-7", "zero-mass", "same-angle"],
+)
+def test_circle_measure_refuses_what_build_measure_refuses(weight, atoms, error):
+    # the checks live in CircleMeasure, so constructing one directly, and
+    # through build_measure with and without rescaling, refuses alike
+    for make in (
+        lambda: CircleMeasure(len(weight), np.asarray(weight), atoms),
+        lambda: build_measure(weight, atoms),
+        lambda: build_measure(weight, atoms, normalize=True),
+    ):
+        with pytest.raises(error):
+            make()
 
 
 def test_build_measure_normalize_rescales():

@@ -90,6 +90,14 @@ def test_monic_needs_enough_moments():
         monic_from_moments(np.array([1.0, 0.1]), 4)
 
 
+@pytest.mark.parametrize("moments", [[1.0, math.nan, 0.1], [1.0, math.inf]])
+def test_monic_refuses_non_finite_moments(moments):
+    # refused up front, as the series cascade refuses a non-finite u or v,
+    # before a NaN digit-loss sum reaches the precision rule
+    with pytest.raises(OutOfRange, match="finite"):
+        monic_from_moments(np.array(moments, dtype=complex), len(moments) - 1)
+
+
 def test_extraction_routes_agree(all_families):
     for inst in all_families:
         d = 24

@@ -81,18 +81,29 @@ def test_cascade_escape_on_unimodular_start():
 
 
 @pytest.mark.parametrize(
-    "first",
-    [complex(re, im) for re in (-1.5e308, 1.5e308) for im in (-1.5e308, 1.5e308)]
-    + [1.7e308],
+    "u, v, n_max",
+    [
+        pytest.param([first, 0], [1, 0], 1, id=repr(first))
+        for first in [
+            complex(re, im) for re in (-1.5e308, 1.5e308) for im in (-1.5e308, 1.5e308)
+        ]
+        + [1.7e308]
+    ]
+    + [
+        pytest.param(
+            [1.5e308 + 1.5e308j, 0.5], [1.5e308 - 1.5e308j, 0.1], 2, id="nan-division"
+        )
+    ],
 )
-def test_cascade_escape_of_a_parameter_near_the_double_range(first):
-    # |a_0| overflows to inf, which is past the threshold: the escape test
-    # reads it as an escape, with no OverflowError and no warning
-    u, v = np.array([first, 0]), np.array([1 + 0j, 0])
+def test_cascade_escape_of_a_parameter_near_the_double_range(u, v, n_max):
+    # |a_0| overflows to inf, or the division to NaN (the last case, whose
+    # a_0 is i), and either is past the threshold: the escape test reads it
+    # as an escape, with no OverflowError, ValueError or warning, and the
+    # exact pass finds |a_0| = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterEscape, match=r"\|a_0\|"):
-            schur_parameters_from_series(u, v, 1)
+            schur_parameters_from_series(np.array(u), np.array(v), n_max)
 
 
 def test_schur_parameters_refuse_escape_and_non_sequences():
@@ -100,6 +111,9 @@ def test_schur_parameters_refuse_escape_and_non_sequences():
         SchurParameters(np.array([0.5, 0.1j, 1.0, 0.2]))
     with pytest.raises(OutOfRange, match="1-d"):
         SchurParameters(np.zeros((2, 2)))
+    for value in (math.nan, complex(0.5, math.nan), math.inf):
+        with pytest.raises(OutOfRange, match="finite"):
+            SchurParameters(np.array([0.5, value]))
 
 
 def test_series_pair_reads_the_moments():
