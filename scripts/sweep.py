@@ -12,6 +12,12 @@ The JSON holds one record per draw, in draw order, with sorted keys, so
 two runs (say on a parent and a change) diff line by line, and the lines
 holding ``"status"`` compare the draws' outcomes alone.
 
+After the draws it runs ``FIXED_CASES``, hand-picked configs that the
+draws rarely reach, and prints them in a section of their own; in the
+JSON they are the list ``fixed_cases``, each record marked
+``"fixed": true``, so the draws' records and table read as without them.
+Neither section gates: the script exits 0 whatever fails.
+
 Every random number is one ``rng.random()`` call, taken in this order per
 draw, so the sweep draws the same configs in every session:
 
@@ -49,6 +55,52 @@ GRID_SIZES = (512, 1024, 2048, 4096, 8192)
 SEED = 7
 DRAWS = 500
 TEST_POINT_SHARE = 0.3
+
+# ell2 configs on both sides of grid resolution, the Fourier tail of the
+# sampled w over N/4..N/2 running from 0.14 down to 1.9e-14, each as
+# (c, p, grid_size, n_list): n_list [8, 32] builds to depth 33 and
+# [16, 64] to depth 65
+_ELL2_ROWS = [
+    (0.617, 0.887, 4096, [8, 32]),
+    (0.819, 1.218, 4096, [16, 64]),
+    (0.778, 1.196, 4096, [16, 64]),
+    (0.5, 1.0, 4096, [16, 64]),
+    (0.542, 0.863, 8192, [8, 32]),
+    (0.505, 0.931, 4096, [8, 32]),
+    (0.32, 0.66, 8192, [8, 32]),
+    (0.32, 0.66, 16384, [8, 32]),
+    (0.5, 1.0, 8192, [16, 64]),
+    (0.6, 1.5, 4096, [16, 64]),
+]
+FIXED_CASES = [
+    {
+        "family": {"name": "ell2", "c": c, "p": p},
+        "grid_size": grid_size,
+        "n_list": n_list,
+        "experiment": "all",
+        "seed": 1,
+    }
+    for c, p, grid_size, n_list in _ELL2_ROWS
+] + [
+    # accepted by validation, though the build misses its constant by
+    # 2.4e-4 against 1.9e-4
+    {
+        "family": {"name": "geronimus", "a": 1e-6},
+        "grid_size": 4096,
+        "n_list": [4, 16],
+        "experiment": "mnt",
+        "seed": 1,
+    },
+    # accepted by validation; its Schur sum bound has read 1.02e-10
+    # against 1e-10
+    {
+        "family": {"name": "bernstein_szego", "r": 0.996},
+        "grid_size": 8192,
+        "n_list": [4, 16],
+        "experiment": "entropy",
+        "seed": 1,
+    },
+]
 
 
 def _pick(rng: random.Random, options):
@@ -172,14 +224,35 @@ def report(records: list) -> None:
         if r["status"] != "fail":
             continue
         config = r["config"]
-        verdicts = ", ".join(
-            f"{v['name']} {v['residual']:.3g}" if v["residual"] is not None else v["name"]
-            for v in r["failed"]
-        )
         print(
             f"  #{index} {_label(config)} N={config['grid_size']} "
-            f"n_list={config['n_list']}: {verdicts}"
+            f"n_list={config['n_list']}: {_failures(r)}"
         )
+
+
+def _failures(record: dict) -> str:
+    return ", ".join(
+        f"{v['name']} {v['residual']:.3g}" if v["residual"] is not None else v["name"]
+        for v in record["failed"]
+    )
+
+
+def report_fixed(records: list) -> None:
+    failing = sum(r["status"] == "fail" for r in records)
+    print()
+    print(f"fixed cases: {len(records)} configs, {failing} failed")
+    for r in records:
+        config = r["config"]
+        head = (
+            f"  {_label(config)} N={config['grid_size']} n_list={config['n_list']} "
+            f"{config['experiment']}: {r['status']}"
+        )
+        if r["status"] == "refused":
+            print(f"{head}: {r['reason']}")
+        else:
+            route = f" ({r['route']})" if r["route"] else ""
+            failures = f": {_failures(r)}" if r["failed"] else ""
+            print(f"{head}{route}{failures}")
 
 
 def main() -> int:
@@ -191,15 +264,20 @@ def main() -> int:
     configs = [draw(rng) for _ in range(DRAWS)]
     started = time.perf_counter()
     records = [run(config) for config in configs]
+    fixed = [{**run(config), "fixed": True} for config in FIXED_CASES]
     seconds = time.perf_counter() - started
     # wall time goes to stderr, so that two runs print the same
     print(f"{seconds:.1f} s", file=sys.stderr)
     print(f"sweep: seed {SEED}, {DRAWS} draws")
     report(records)
+    report_fixed(fixed)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(
-                {"seed": SEED, "draws": records}, handle, indent=1, sort_keys=True
+                {"seed": SEED, "draws": records, "fixed_cases": fixed},
+                handle,
+                indent=1,
+                sort_keys=True,
             )
             handle.write("\n")
     return 0

@@ -77,10 +77,12 @@ N_MAX = 512
 _MODULUS_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
 
 # Nodes per chunk of ``gram_matrix``.  The Gram check on the 32769
-# quadrature nodes of ell2(0.5, 1) at order 16 peaks at 1.7, 2.5 and 4.3 MB
+# quadrature nodes of ell2(0.5, 1) at order 16 peaks at 1.5, 2.1 and 3.4 MB
 # of traced allocations with chunks of 1024, 2048 and 4096 nodes, against
 # 27.5 MB for the whole table; 2048 keeps the check below the 4.6 MB of the
-# run's next largest stage (``cesaro_sandwich``).
+# run's next largest stage (``cesaro_sandwich``).  At 4096, the 4097
+# quadrature nodes of geronimus(0.6) on 4096 grid nodes would be one chunk
+# of two 1.1 MB buffers, and that check's peak would go from 1.45 to 2.7 MB.
 _GRAM_CHUNK = 2048
 
 
@@ -233,24 +235,31 @@ def gram_matrix(
 ) -> np.ndarray:
     """sum_j weights[j] phi_k(nodes[j]) conj(phi_l(nodes[j])), k, l <= n_max.
 
-    Streamed over chunks of ``_GRAM_CHUNK`` nodes, each a contiguous prefix
-    of one reused buffer (numpy's products on a strided block would take a
-    128 KiB buffer of their own), so no (n_max+1, len(nodes)) table is
-    formed; a remainder under 1/8 chunk, such as the atoms after a
-    power-of-two grid, joins the last chunk.  A chunk's rows are bitwise
+    Streamed over chunks of ``_GRAM_CHUNK`` nodes in two reused buffers,
+    one for a chunk's rows (conjugated in place once weighted) and one for
+    the rows times the weights, each chunk a contiguous prefix (numpy's
+    products on a strided block would take a 128 KiB buffer of their own),
+    so neither a (n_max+1, len(nodes)) table nor a node-sized temporary per
+    chunk is formed; a remainder under 1/8 chunk, such as the atoms after
+    a power-of-two grid, joins the last chunk.  A chunk's rows are bitwise
     the columns of ``eval_grid_table`` on all the nodes; only the order in
     which the nodes' terms are summed differs.
     """
     starts = range(_GRAM_CHUNK, len(nodes) - _GRAM_CHUNK // 8, _GRAM_CHUNK)
     bounds = [0, *starts, len(nodes)]
     gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    rows = np.empty((n_max + 1) * np.diff(bounds).max(), dtype=complex)
+    widest = np.diff(bounds).max()
+    rows, scaled_rows = np.empty((2, (n_max + 1) * widest), dtype=complex)
     for start, stop in zip(bounds, bounds[1:]):
-        block = rows[: (n_max + 1) * (stop - start)].reshape(n_max + 1, -1)
+        size = (n_max + 1) * (stop - start)
+        block = rows[:size].reshape(n_max + 1, -1)
+        scaled = scaled_rows[:size].reshape(n_max + 1, -1)
         steps = _transfer_steps(params, nodes[start:stop], n_max)
         for k, (phi, _) in enumerate(steps):
             block[k] = phi
-        gram += (block * weights[start:stop]) @ block.conj().T
+        np.multiply(block, weights[start:stop], out=scaled)
+        np.conjugate(block, out=block)
+        gram += scaled @ block.T
     return gram
 
 

@@ -203,13 +203,25 @@ class ComplexLists:
     value = staticmethod(complex)
 
 
+def _nearest_double(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded; past the double range it
+    rounds to +-inf, as a double operation would, where Python's int
+    division raises OverflowError."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 class FixedLists:
     """The exact passes' arithmetic, in integer multiples of 2^-bits.
 
     A vector is two lists of Python integers, its real and imaginary parts,
     and a scalar two integers.  Each product floors to 2^-bits, as
     (x*y - u*v) >> bits per part, and sums are exact.  ``value`` is the
-    complex double nearest a scalar: int / int rounds correctly.
+    complex double nearest a scalar: int / int rounds correctly, and a part
+    past the double range becomes +-inf, so an exact pass escapes where
+    its double pass did.
     """
 
     def __init__(self, dps: int):
@@ -270,7 +282,7 @@ class FixedLists:
 
     def value(self, a):
         one = 1 << self.bits
-        return complex(a[0] / one, a[1] / one)
+        return complex(_nearest_double(a[0], one), _nearest_double(a[1], one))
 
 
 class FloatBlock:

@@ -393,7 +393,8 @@ class Fixed:
     +, -, * and / floor to 2^-bits, and ``conjugate``, ``abs`` and
     ``complex`` work as on a complex, so a recursion written for complex
     numbers runs on it unchanged.  ``complex(x)`` is the complex double
-    nearest x, since int / int rounds correctly however large 2^bits is.
+    nearest x, since int / int rounds correctly however large 2^bits is,
+    with a part past the double range read as +-inf.
     """
 
     __slots__ = ("re", "im", "bits")
@@ -439,7 +440,13 @@ class Fixed:
 
     def __complex__(self) -> complex:
         one = 1 << self.bits
-        return complex(self.re / one, self.im / one)
+        parts = []
+        for part in (self.re, self.im):
+            try:
+                parts.append(part / one)
+            except OverflowError:  # past the double range: +-inf, as IEEE rounds
+                parts.append(math.inf if part > 0 else -math.inf)
+        return complex(*parts)
 
     def __abs__(self) -> float:
         return abs(complex(self))

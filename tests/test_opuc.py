@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,17 @@ def test_monic_refuses_non_finite_moments(moments):
     # before a NaN digit-loss sum reaches the precision rule
     with pytest.raises(OutOfRange, match="finite"):
         monic_from_moments(np.array(moments, dtype=complex), len(moments) - 1)
+
+
+def test_exact_moment_recursion_rounds_a_parameter_past_the_double_range():
+    # a_1 lies past the double range, so the exact pass rounds it to inf,
+    # as the double pass does, and reads that as an escape
+    c = np.array([1, 0.5, 1.5e308 + 1.5e308j, 0.1])
+    with pytest.raises(PositivityLoss, match=r"\|a_1\| = inf "):
+        monic_from_moments(c, 3)
+    outcome = exact_pass_outcome(opuc._monic_exact, c, 3, 30)
+    assert outcome == exact_pass_outcome(monic_fixed, c, 3, 30)
+    assert outcome[0] is PositivityLoss
 
 
 def test_extraction_routes_agree(all_families):
@@ -604,6 +616,25 @@ def test_gram_within_one_chunk_is_the_full_table(bs_half):
         opuc.gram_matrix(bs_half.params, nodes, weights, 16),
         gram_full_table(bs_half.params, nodes, weights, 16),
     )
+
+
+def test_gram_chunks_take_two_reused_buffers(geronimus6):
+    # each chunk's rows and their weighted copy go into two buffers
+    # allocated once, so the pass peaks at those two chunk arrays plus the
+    # transfer recursion's few live rows, with no node-sized temporary per
+    # chunk, and the nodes and weights it reads are left as they were
+    nodes, weights = geronimus6.measure.quadrature()
+    assert len(nodes) == 4097  # chunks of 2048 and 2049 nodes
+    before = nodes.tobytes(), weights.tobytes()
+    chunk_array = 17 * 2049 * 16
+    tracemalloc.start()
+    try:
+        opuc.gram_matrix(geronimus6.params, nodes, weights, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * chunk_array, peak / chunk_array
+    assert (nodes.tobytes(), weights.tobytes()) == before
 
 
 def test_phi_star_nonvanishing_inside(geronimus6):

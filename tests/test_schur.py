@@ -106,6 +106,19 @@ def test_cascade_escape_of_a_parameter_near_the_double_range(u, v, n_max):
             schur_parameters_from_series(np.array(u), np.array(v), n_max)
 
 
+@pytest.mark.parametrize("first", [1e308, -1e308 + 1e300j, 1e300 - 1e308j])
+def test_exact_cascade_rounds_a_parameter_past_the_double_range(first):
+    # a_0 = 2 * first has a part past the double range: the exact pass
+    # rounds it to +-inf, as a double division would, and ends in the
+    # escape its double pass found
+    u, v = np.array([first, 0]), np.array([0.5 + 0j, 0])
+    with pytest.raises(ParameterEscape, match=r"\|a_0\| = inf "):
+        schur_parameters_from_series(u, v, 1)
+    outcome = exact_pass_outcome(_cascade_mp, u, v, 1, 30)
+    assert outcome == exact_pass_outcome(cascade_fixed, u, v, 1, 30)
+    assert outcome[0] is ParameterEscape
+
+
 def test_schur_parameters_refuse_escape_and_non_sequences():
     with pytest.raises(ParameterEscape, match=r"\|a_2\| = 1 "):
         SchurParameters(np.array([0.5, 0.1j, 1.0, 0.2]))
