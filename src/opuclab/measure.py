@@ -26,9 +26,10 @@ The grid means have one route, a closed form in the row's DFT band
 Applied and Computational Complex Analysis, Vol. 3, Ch. 13), exact for
 the grid quadrature at any band width K.  A point reads a term c_k z^k
 only while |z|^k >= ``_TERM_CUT``, so it costs O(min(K, log(cut) /
-log|z|)).  The sum runs in numpy complex arithmetic, one power table per
-chunk of points and one product and reduce per block of exponents, so
-its last bits follow numpy's CPU dispatch (README, "Determinism").
+log|z|)).  The sum takes one power table per chunk of points and one
+BLAS dot per row, point and block of at most ``_BLOCK`` exponents, so its
+last bits follow the BLAS build's dot kernel and, through the power
+table, numpy's CPU dispatch (README, "Determinism").
 The bands of w and log w come from one FFT each, after which the measure
 keeps a band's width K and its first min(K, N/8) coefficients.  A call
 builds its coefficient table and blocks only up to the largest reach of
@@ -47,6 +48,8 @@ the point bitwise ``boundary_points[j]``, without the other N - 1 nodes.
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -82,11 +85,23 @@ _NORMALIZATION_TOL = 1e-12
 # A point reads the term c_k z^k of a closed-form grid mean only while
 # |z|^k is at least this, so it costs O(min(K, log(cut) / log|z|)) for a
 # band of K coefficients: about 4100 terms at |z| = 0.99.  The sum runs
-# over blocks of at most _BLOCK exponents, for chunks of points that hold
-# at most _WORK terms of a row.
+# over blocks of at most _BLOCK exponents, one BLAS dot each, for chunks
+# of points that hold at most _WORK terms of a row.  Blocks stay at 512
+# or fewer: a dot's SIMD lane sums and the doubling error of its power
+# table grow with its width.  With _BLOCK = 4096, 5 of 120 seeded points
+# at N(1 - |z|) = 8 on ell2 and geronimus at N = 4096 read errors above
+# 1e-14 against the 40-digit quadrature (4 on the x86-64-v2 path), and 1
+# (0) at 512 (BENCH_poisson_dots.json).  A dot this short does not thread.
 _TERM_CUT = 1e-18
 _BLOCK = 512
 _WORK = 16384
+
+# 0.._BLOCK - 1 with the pair 2m, 2m + 1 swapped wherever m has an odd
+# number of set bits (the Thue-Morse sequence): along any power-of-two
+# stride, the parities of these exponents come in runs of at most two.
+_PAIR_ORDER = np.arange(_BLOCK) ^ np.repeat(
+    [bin(m).count("1") % 2 for m in range(_BLOCK // 2)], 2
+)
 
 
 def _as_boundary(xi0: complex) -> complex:
@@ -266,6 +281,8 @@ def snap(grid_size: int, xi: complex) -> Tuple[int, complex]:
 # -----------------------------------------------------------------------------
 def _check_interior(z: complex) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise OutOfRange(f"interior point z = {z!r} is not finite")
     if abs(z) >= 1.0 - BOUNDARY_EXCLUSION:
         raise BoundaryPoint(f"|z| = {abs(z):.12g} too close to the boundary")
     return z
@@ -352,16 +369,28 @@ def _grid_means(
     2 S(z) / (1 - z^N) - c_0 with S(z) = sum_{k<N} c_k z^k; 1/(1 - z^N)
     carries the aliasing, and the Poisson mean is the real part.  The
     nonzero c_k are c_0..c_{K-1} and c_{N-k} = conj(c_k), the Nyquist term
-    counted once: one run of exponents, or two for K <= N/2.  S runs over
-    blocks of each run, and a point reads no term past its reach; the
-    table of c_k stops at the last block the batch reads.  A block
-    is one complex product of the coefficients with a power table and one
-    ``np.add.reduce`` along a last axis of a length the bands fix, so a
-    point's value is the same in any batch.  The complex products round
-    as numpy's multiply loop does on the CPU at hand (README,
-    "Determinism"), and each takes operands of one ndim: numpy multiplies
-    a lone element whose operands differ in ndim without fusing, where a
-    batch would fuse.
+    counted once: one run of exponents, or two where the runs of c_k and
+    c_{N-k} do not meet, each padded to an even length with a zero
+    coefficient.  S' = S - c_0 runs over blocks of each run, and a point
+    reads no term past its reach; the table of c_k stops at the last block
+    the batch reads.  The mean is then c_0 + 2 S' + 2 S z^N / (1 - z^N), so
+    where c_0 and 2 S' cancel, no rounding of their size comes before
+    their one subtraction.
+
+    A block's sum is one BLAS dot per row and point (``np.vecdot``) of its
+    coefficients with z^0..z^(w - 1), of a width w the bands fix, and each
+    point adds its blocks from its last to its first, scaled by z^start.
+    Every dot, product and sum of a point is its own, so its value is the
+    same in any batch.  A dot kernel sums in SIMD lanes, each taking every
+    2nd, 4th or 8th term; along a real-axis ray the terms alternate in
+    sign, so such a lane would sum terms of one sign and the lanes would
+    then cancel.  Each block therefore holds its exponents in
+    ``_PAIR_ORDER``.  The dots' last bits follow the BLAS build's kernel
+    (README, "Determinism"); the complex products of the power table and
+    the scaling round as numpy's multiply loop does on the CPU at hand,
+    and each takes operands of one ndim: numpy multiplies a lone element
+    whose operands differ in ndim without fusing, where a batch would
+    fuse.
     """
     points = np.array(zs, dtype=complex)
     grid_size = mu.grid_size
@@ -370,7 +399,8 @@ def _grid_means(
         for band in bands
     ]
     low = max(width for width, _ in records)
-    top = grid_size - low + 1
+    low += low % 2
+    top = grid_size - low
     runs = [(0, low), (top, grid_size)] if top > low else [(0, grid_size)]
     # a point reads the terms with |z|^k >= _TERM_CUT, at most N of them;
     # sorted by reach, each block a chunk reads is read by a prefix of it
@@ -381,15 +411,15 @@ def _grid_means(
     # (first exponent, first column, width) of each block that starts
     # below the batch's largest reach; widths double from _BLOCK / 8 up to
     # _BLOCK along a run, so a point of short reach reads a short block
-    blocks, spans, column = [], [], 0
+    blocks, exponents, column = [], [], 0
     for a, b in runs:
         s = a
         while s < min(b, end):
             w = min(_BLOCK, max(_BLOCK // 8, s - a), b - s)
             blocks.append((s, column, w))
+            exponents.append(s + _PAIR_ORDER[:w])
             s, column = s + w, column + w
-        spans.append(np.arange(a, s))
-    k = np.concatenate(spans)
+    k = np.concatenate(exponents)
     fold = np.minimum(k, grid_size - k)
     coefficients = np.zeros((len(bands), 1, len(k)), dtype=complex)
     for row, band, (width, head) in zip(coefficients[:, 0], bands, records):
@@ -398,7 +428,10 @@ def _grid_means(
             head = _band(_row_samples(mu, band))
         inside = fold < width
         row[inside] = head[fold[inside]]
-    np.conjugate(coefficients, out=coefficients, where=k > grid_size // 2)
+    # vecdot conjugates its first operand, so the table holds conj(c_k);
+    # column 0 is k = 0, whose c_0 is added last
+    np.conjugate(coefficients, out=coefficients, where=k <= grid_size // 2)
+    coefficients[..., 0] = 0.0
     starts = np.array([start for start, _, _ in blocks])
     order = np.argsort(-reach, kind="stable")
     z, reach = points[order], reach[order]
@@ -408,28 +441,31 @@ def _grid_means(
         ends = reach[first : first + chunk]
         widest = max(w for start, _, w in blocks if start < ends[0])
         table = _powers(z[first : first + chunk], widest)
+        # np.take keeps rows contiguous, where table[:, order] would not:
+        # OpenBLAS sums a strided vector in another order
+        table = np.take(table, _PAIR_ORDER[:widest], axis=1)
         counts = np.count_nonzero(ends > starts[:, None], axis=1)
-        for (start, column, w), count in zip(blocks, counts):
-            if count == 0:
-                break
+        read = np.count_nonzero(counts)
+        shifts = np.power(z[None, first : first + chunk], starts[:read, None])
+        for (start, column, w), count, shift in zip(
+            blocks[read - 1 :: -1], counts[read - 1 :: -1], shifts[::-1]
+        ):
             powers = table[None, :count, :w]
             if ends[count - 1] < start + w:
-                live = np.arange(start, start + w) < ends[:count, None]
+                live = start + _PAIR_ORDER[:w] < ends[:count, None]
                 powers = np.where(live, powers, 0.0)
-            # the block's sum over z^0..z^(w - 1), then times z^start
             block = coefficients[..., column : column + w]
-            terms = np.add.reduce(block * powers, axis=-1)
-            lanes = slice(first, first + count)
-            sums[:, lanes] += terms * np.power(z[None, lanes], start)
+            terms = np.vecdot(block, powers)
+            sums[:, first : first + count] += terms * shift[None, :count]
     sums = sums[:, np.argsort(order)]
-    alias = 1.0 - np.power(points[None], grid_size)
-    size = alias.real * alias.real + alias.imag * alias.imag
     c0 = np.array([head[0] for _, head in records])[:, None]
-    scaled = 2.0 * (sums * np.conj(alias))
-    real = scaled.real / size - c0.real
-    if kernel is _poisson_kernel:
-        return real
-    return real + 1j * (scaled.imag / size - c0.imag)
+    power = np.power(points[None], grid_size)
+    alias = 1.0 - power
+    size = alias.real * alias.real + alias.imag * alias.imag
+    ratio = power * np.conj(alias)
+    ratio = ratio.real / size + 1j * (ratio.imag / size)
+    means = (c0 + 2.0 * sums) + 2.0 * ((c0 + sums) * ratio)
+    return means.real.copy() if kernel is _poisson_kernel else means
 
 
 def _poisson_means(
@@ -535,10 +571,22 @@ def max_trusted_moment(grid_size: int) -> int:
     return grid_size // 8
 
 
+def _order(n, least: int, name: str) -> int:
+    """The order n as an int, or OutOfRange when it is not an integer of
+    at least ``least``; ``name`` names it in the message."""
+    try:
+        order = operator.index(n)
+    except TypeError:
+        raise OutOfRange(f"{name} {n!r} is not an integer") from None
+    if order < least:
+        raise OutOfRange(f"{name} {order} must be >= {least}")
+    return order
+
+
 def moments(mu: CircleMeasure, k_max: int) -> np.ndarray:
-    """Trigonometric moments c_0..c_{k_max}, c_k = integral of conj(xi)^k dmu."""
-    if k_max < 0:
-        raise OutOfRange("moment order must be >= 0; use conj for negative k")
+    """Trigonometric moments c_0..c_{k_max}, c_k = integral of conj(xi)^k dmu;
+    conj(c_k) is the moment of order -k."""
+    k_max = _order(k_max, 0, "moment order")
     if k_max > max_trusted_moment(mu.grid_size):
         raise AliasRisk(
             f"moment order {k_max} beyond trusted band N/8 = "
@@ -564,8 +612,7 @@ def fejer_mean(mu: CircleMeasure, xi0: complex, n: int) -> float:
     sum_{|d|<n} (1 - |d|/n) xi0^d c_d.  Strictly positive for n >= 1.
     """
     xi0 = _as_boundary(xi0)
-    if n < 1:
-        raise OutOfRange("Fejer mean order requires n >= 1")
+    n = _order(n, 1, "Fejer mean order")
     c = moments(mu, n - 1).tolist()
     value = 1.0
     for d in range(1, n):

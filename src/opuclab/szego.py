@@ -43,6 +43,7 @@ from .measure import (
     _as_boundary,
     _interior_points,
     _one_or_many,
+    _order,
     _poisson_means,
     _schwarz_kernel,
     fejer_mean,
@@ -162,11 +163,10 @@ def entropy_profile(
     if delta_grid_size < 2:
         raise OutOfRange("delta_grid_size must be at least 2")
     deltas = np.geomspace(_DELTA_MIN, 1.0 - _DELTA_MIN, delta_grid_size)
+    n_list = [_order(n, 1, "profile order n") for n in n_list]
     zs = []
     ends = []
     for n in n_list:
-        if n < 1:
-            raise OutOfRange(f"profile order n = {n} must be >= 1")
         trusted = deltas / n >= _MIN_RESOLVED / mu.grid_size
         if not trusted.any():
             raise OutOfRange(

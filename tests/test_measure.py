@@ -18,6 +18,9 @@ from opuclab.errors import (
     OutOfRange,
 )
 from opuclab.measure import (
+    _BLOCK,
+    _PAIR_ORDER,
+    _WORK,
     CircleMeasure,
     _grid_means,
     _poisson_kernel,
@@ -27,14 +30,16 @@ from opuclab.measure import (
     lebesgue,
     max_trusted_moment,
     moment,
+    moments,
     poisson,
     poisson_log_weight,
     poisson_route,
     snap,
     weighted_poisson,
 )
+from opuclab import measure
 from opuclab.families import build_family
-from opuclab.schur import schur_eval
+from opuclab.schur import schur_eval, schur_parameters_from_measure
 from opuclab.szego import entropy, entropy_profile, szego_interior
 
 from oracles import entropy_profile_per_delta, poisson_kernel_direct, poisson_means_mp
@@ -145,10 +150,11 @@ def _synthetic_points(grid_size: int, count: int) -> list:
 
 @pytest.mark.parametrize("kernel", [_poisson_kernel, _schwarz_kernel])
 def test_grid_means_batch_matches_one_point_calls_over_every_tail_width(kernel):
-    # Bands of K = 1..65 coefficients put the runs 0..K-1 and N-K+1..N-1
-    # in blocks of every width from 1 to 64, and short reaches cut blocks;
-    # one wide band spans several block widths and chunks of points.  A
-    # lone point's complex products must round as a batch's do.
+    # Bands of K = 1..65 coefficients put the runs 0..K-1 and N-K+1..N-1,
+    # each padded to an even length, in blocks of every even width from 2
+    # to 64, and short reaches cut blocks; one wide band spans several
+    # block widths and chunks of points.  A lone point's dots and complex
+    # products must round as a batch's do.
     mu = lebesgue(4096)
     rng = np.random.default_rng(24)
     rows = rng.standard_normal((2, 1100)) + 1j * rng.standard_normal((2, 1100))
@@ -163,11 +169,91 @@ def test_grid_means_batch_matches_one_point_calls_over_every_tail_width(kernel):
         assert np.array_equal(batch, single), len(bands[0])
 
 
+@pytest.mark.parametrize("kernel", [_poisson_kernel, _schwarz_kernel])
+def test_grid_means_points_are_independent_of_their_batch(kernel, spy):
+    # 40 points on a full-band measure: 32 that read past 1000 terms, half
+    # on the ray at angle pi and half on rays of their own, then 8 that
+    # stop inside the block of exponents 256..511.  Sorted by reach, the
+    # batch fills two chunks of _WORK // _BLOCK = 32 points whose power
+    # tables are 512 and 256 wide.
+    mu = build_family(_GERONIMUS, 4096, 33).measure
+    grid_size = mu.grid_size
+    rng = np.random.default_rng(36)
+    long_radii = 1.0 - rng.uniform(8.0, 160.0, 32) / grid_size
+    angles = np.concatenate([np.full(16, np.pi), rng.uniform(0.0, 2.0 * np.pi, 24)])
+    radii = np.concatenate([long_radii, rng.uniform(0.88, 0.91, 8)])
+    points = list(radii * np.exp(1j * angles))
+    bands = ["weight", "log_weight"]
+    single = np.hstack([_grid_means(mu, [z], bands, kernel) for z in points])
+    widths = spy(lambda z, width: (len(z), width), measure, "_powers")
+    orders = [np.arange(40), np.arange(40)[::-1]]
+    orders += [rng.permutation(40) for _ in range(3)]
+    for order in orders:
+        batch = _grid_means(mu, [points[i] for i in order], bands, kernel)
+        assert np.array_equal(batch, single[:, order])
+    assert _WORK // _BLOCK == 32
+    assert widths == [(32, 512), (8, 256)] * len(orders)
+    # the same points beside other companions: the second chunk now holds
+    # points that read every exponent
+    radii = 1.0 - rng.uniform(8.0, 160.0, 20) / grid_size
+    others = list(radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20)))
+    mixed = _grid_means(mu, others + points[::2], bands, kernel)
+    assert np.array_equal(mixed[:, 20:], single[:, ::2])
+
+
+def test_pair_order_alternates_parity_along_every_power_of_two_stride():
+    # a dot kernel's SIMD lane takes every 2^s-th term of a block; along a
+    # real-axis ray the sign of c_k z^k follows the parity of k
+    assert sorted(_PAIR_ORDER) == list(range(_BLOCK))
+    for stride in 2 ** np.arange(9):
+        for lane in range(stride):
+            parity = _PAIR_ORDER[lane::stride] % 2
+            runs = np.diff(np.flatnonzero(np.diff(np.r_[-1, parity, -1])))
+            assert runs.max() <= 2, (stride, lane)
+
+
 def test_array_points_are_checked_one_by_one(bs_half):
     with pytest.raises(BoundaryPoint):
         poisson(bs_half.measure, np.array([0.2, 1.0]))
     with pytest.raises(OutOfRange):
         poisson(bs_half.measure, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "z", [complex("nan"), complex(0.1, float("nan")), complex("inf")]
+)
+@pytest.mark.parametrize(
+    "extend", [poisson, poisson_log_weight, entropy, szego_interior]
+)
+def test_non_finite_interior_points_are_refused(bs_half, extend, z):
+    # a NaN passes the boundary distance test, abs(nan) >= 1 being False
+    with pytest.raises(OutOfRange, match="not finite"):
+        extend(bs_half.measure, z)
+    with pytest.raises(OutOfRange, match="not finite"):
+        extend(bs_half.measure, np.array([0.2, z]))
+
+
+@pytest.mark.parametrize("order", [1.5, float("nan"), "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu, n: moment(mu, n),
+        lambda mu, n: moments(mu, n),
+        lambda mu, n: fejer_mean(mu, 1.0, n),
+        lambda mu, n: schur_parameters_from_measure(mu, n),
+        lambda mu, n: entropy_profile(mu, 1.0, [4, n]),
+    ],
+    ids=[
+        "moment",
+        "moments",
+        "fejer_mean",
+        "schur_parameters_from_measure",
+        "entropy_profile",
+    ],
+)
+def test_non_integer_orders_are_refused(bs_half, call, order):
+    with pytest.raises(OutOfRange, match="not an integer"):
+        call(bs_half.measure, order)
 
 
 def test_weighted_poisson_guards(mixed_atom):
