@@ -328,18 +328,19 @@ def _row_samples(mu: CircleMeasure, name: str) -> np.ndarray:
 
 
 def _band_record(mu: CircleMeasure, name: str) -> Tuple[int, np.ndarray]:
-    """(K, c_0..c_{min(K, N/8) - 1}) of the band of one of the measure's own
-    rows, "weight" or "log_weight", cached on the measure from one FFT.
+    """(K, c_0..c_{min(K, M) - 1}) of the band of one of the measure's own
+    rows, "weight" or "log_weight", cached on the measure from one FFT,
+    with M = max(1, N/8) so that the prefix holds c_0 at any N.
 
-    The prefix is the whole band when K <= N/8; a batch that reads past a
+    The prefix is the whole band when K <= M; a batch that reads past a
     shorter prefix takes the band from a transient FFT (``_grid_means``),
-    so no record holds more than N/8 numbers.
+    so no record holds more than M numbers.
     """
     key = ("band", name)
     record = mu._spectrum_cache.get(key)
     if record is None:
         band = _band(_row_samples(mu, name))
-        head = band[: max_trusted_moment(mu.grid_size)].copy()
+        head = band[: max(1, max_trusted_moment(mu.grid_size))].copy()
         head.flags.writeable = False
         record = mu._spectrum_cache[key] = (len(band), head)
     return record
@@ -371,11 +372,11 @@ def _grid_means(
     nonzero c_k are c_0..c_{K-1} and c_{N-k} = conj(c_k), the Nyquist term
     counted once: one run of exponents, or two where the runs of c_k and
     c_{N-k} do not meet, each padded to an even length with a zero
-    coefficient.  S' = S - c_0 runs over blocks of each run, and a point
-    reads no term past its reach; the table of c_k stops at the last block
-    the batch reads.  The mean is then c_0 + 2 S' + 2 S z^N / (1 - z^N), so
-    where c_0 and 2 S' cancel, no rounding of their size comes before
-    their one subtraction.
+    coefficient (for odd N, the one run with k = N).  S' = S - c_0 runs
+    over blocks of each run, and a point reads no term past its reach; the
+    table of c_k stops at the last block the batch reads.  The mean is
+    then c_0 + 2 S' + 2 S z^N / (1 - z^N), so where c_0 and 2 S' cancel,
+    no rounding of their size comes before their one subtraction.
 
     A block's sum is one BLAS dot per row and point (``np.vecdot``) of its
     coefficients with z^0..z^(w - 1), of a width w the bands fix, and each
@@ -401,7 +402,8 @@ def _grid_means(
     low = max(width for width, _ in records)
     low += low % 2
     top = grid_size - low
-    runs = [(0, low), (top, grid_size)] if top > low else [(0, grid_size)]
+    whole = grid_size + grid_size % 2
+    runs = [(0, low), (top, grid_size)] if top > low else [(0, whole)]
     # a point reads the terms with |z|^k >= _TERM_CUT, at most N of them;
     # sorted by reach, each block a chunk reads is read by a prefix of it
     with np.errstate(divide="ignore"):
@@ -426,7 +428,7 @@ def _grid_means(
         if len(head) <= min(width - 1, fold.max()):
             # the batch reads past a named row's cached prefix
             head = _band(_row_samples(mu, band))
-        inside = fold < width
+        inside = (fold < width) & (k < grid_size)
         row[inside] = head[fold[inside]]
     # vecdot conjugates its first operand, so the table holds conj(c_k);
     # column 0 is k = 0, whose c_0 is added last

@@ -326,6 +326,43 @@ def test_full_band_means_sum_the_quadrature_to_roundoff(spec, angles):
     assert _worst(szego_interior(mu, points), outer) < 1e-14
 
 
+@pytest.mark.parametrize("grid_size", [3, 5, 9])
+def test_lebesgue_grid_means_at_odd_grid_sizes(grid_size):
+    # the grid mean of the constant row is Re (1 + z^N) / (1 - z^N)
+    mu = lebesgue(grid_size)
+    points = np.array([0.5, 0.3j, -0.7 + 0.2j])
+    power = points**grid_size
+    exact = ((1.0 + power) / (1.0 - power)).real
+    assert np.max(np.abs(poisson(mu, points) - exact)) < 1e-15
+    assert np.max(np.abs(poisson_log_weight(mu, points))) < 1e-15
+
+
+@pytest.mark.parametrize("band", ["full", "narrow"])
+def test_odd_grid_means_sum_the_quadrature_to_roundoff(band):
+    # At odd N the one run of exponents k = 0..N - 1 is padded with a zero
+    # term at k = N, and the two runs of a narrow band start the second at
+    # an odd exponent.  A random weight has the full band (N + 1)/2; a
+    # Bernstein-Szego weight a band of a few dozen.  The points at N(1 -
+    # |z|) = 8 read every exponent of the full band.
+    grid_size = 4099
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    if band == "full":
+        rng = np.random.default_rng(7)
+        weight = np.exp(0.5 * rng.standard_normal(grid_size))
+    else:
+        weight = 0.75 / np.abs(1.0 - 0.5 * np.exp(1j * theta)) ** 2
+    mu = build_measure(weight, normalize=True)
+    if band == "full":
+        full = grid_size // 2 + 1
+        assert poisson_route(mu) == f"band {full}/{full} of N = {grid_size}"
+    zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (0.0, 3.0, np.pi)]
+    zs.append(complex(0.99 * np.exp(1.0j)))
+    exact = np.array(poisson_means_mp(mu, zs))
+    points = np.array(zs)
+    assert _worst(poisson(mu, points), exact[:, 0].real) < 1e-14
+    assert np.max(np.abs(poisson_log_weight(mu, points) - exact[:, 1].real)) < 1e-14
+
+
 def test_poisson_cache_keeps_no_node_sized_array(ell2_half):
     # the band records hold O(K) numbers, and none for a wide band: on a
     # 65536-node ell2 measure (full bands) the calls leave less than one
