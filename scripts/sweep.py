@@ -7,10 +7,21 @@ size, the builds by route, and each failing verdict with its residual::
 
     python scripts/sweep.py                      # seed 7, 500 draws
     python scripts/sweep.py --json sweep.json    # also one record per draw
+    python scripts/sweep.py --record             # write the status record
+    python scripts/sweep.py --check              # exit 1 on a worse config
 
 The JSON holds one record per draw, in draw order, with sorted keys, so
 two runs (say on a parent and a change) diff line by line, and the lines
 holding ``"status"`` compare the draws' outcomes alone.
+
+The status record (``--record``; ``STATUS_RECORD`` is the committed one,
+taken under ``NPY_DISABLE_CPU_FEATURES=X86_V3``, the x86-64-v2 path every
+x86-64 machine can take) holds one line per draw and fixed case: its
+label, its status and the sorted names of its failing verdicts, with no
+residuals.  ``--check`` reruns the sweep against it and exits 1 when a
+config's status worsened (pass, then refused, then fail) or its set of
+failing verdicts grew; a config that improved is printed, and the record
+is then rewritten with ``--record`` so that the improvement holds.
 
 After the draws it runs ``FIXED_CASES``, hand-picked configs that the
 draws rarely reach, and prints them in a section of their own; in the
@@ -46,6 +57,7 @@ import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 from opuclab import config_from_dict, run_experiment
 from opuclab.errors import ConfigError
@@ -55,6 +67,9 @@ GRID_SIZES = (512, 1024, 2048, 4096, 8192)
 SEED = 7
 DRAWS = 500
 TEST_POINT_SHARE = 0.3
+STATUS_RECORD = Path(__file__).with_name("sweep_status.json")
+# statuses from best to worst, for the status record's check
+STATUS_ORDER = ("pass", "refused", "fail")
 
 # ell2 configs on both sides of grid resolution, the Fourier tail of the
 # sampled w over N/4..N/2 running from 0.14 down to 1.9e-14, each as
@@ -255,9 +270,72 @@ def report_fixed(records: list) -> None:
             print(f"{head}{route}{failures}")
 
 
+def statuses(records: list, fixed: list) -> list:
+    """One status entry per draw and fixed case, in sweep order: a label
+    that names the config, its status and its failing verdicts."""
+    labelled = [(f"#{i}", r) for i, r in enumerate(records)]
+    labelled += [(f"fixed #{i}", r) for i, r in enumerate(fixed)]
+    return [
+        {
+            "config": (
+                f"{index} {_label(r['config'])} N={r['config']['grid_size']} "
+                f"n_list={r['config']['n_list']} {r['config']['experiment']}"
+            ),
+            "status": r["status"],
+            "failed": sorted(v["name"] for v in r.get("failed", ())),
+        }
+        for index, r in labelled
+    ]
+
+
+def write_statuses(path, entries: list) -> None:
+    """The status record, one config per line, so that a change to it
+    diffs by config."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{{"seed": {SEED}, "draws": {DRAWS}, "configs": [\n')
+        handle.write(",\n".join(json.dumps(entry, sort_keys=True) for entry in entries))
+        handle.write("\n]}\n")
+
+
+def check_statuses(path, entries: list) -> bool:
+    """Print each config that is worse or better than the status record;
+    True when none is worse."""
+    with open(path, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    if [e["config"] for e in recorded["configs"]] != [e["config"] for e in entries]:
+        print(f"{Path(path).name} records other configs than this sweep draws")
+        return False
+    worse, better = [], []
+    for old, new in zip(recorded["configs"], entries):
+        rank = STATUS_ORDER.index(new["status"]) - STATUS_ORDER.index(old["status"])
+        grown = set(new["failed"]) - set(old["failed"])
+        change = (
+            f"  {new['config']}: {old['status']} {old['failed']} -> "
+            f"{new['status']} {new['failed']}"
+        )
+        if rank > 0 or grown:
+            worse.append(change)
+        elif old != new:
+            better.append(change)
+    print()
+    print(f"status record {Path(path).name}: {len(worse)} worse, {len(better)} better")
+    for title, changes in (("worse", worse), ("better; rewrite the record", better)):
+        if changes:
+            print(f"{title}:")
+            print("\n".join(changes))
+    return not worse
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", dest="json_path", help="write one record per draw")
+    for flag, action in (("--record", "write"), ("--check", "compare with")):
+        parser.add_argument(
+            flag,
+            nargs="?",
+            const=STATUS_RECORD,
+            help=f"{action} the status record (default {STATUS_RECORD.name})",
+        )
     args = parser.parse_args()
 
     rng = random.Random(SEED)
@@ -280,6 +358,11 @@ def main() -> int:
                 sort_keys=True,
             )
             handle.write("\n")
+    entries = statuses(records, fixed)
+    if args.record:
+        write_statuses(args.record, entries)
+    if args.check and not check_statuses(args.check, entries):
+        return 1
     return 0
 
 

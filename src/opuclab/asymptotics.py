@@ -43,7 +43,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import GridMismatch, OutOfRange
-from .measure import CircleMeasure, _as_boundary, poisson, snap
+from .measure import CircleMeasure, _as_boundary, _order, poisson, snap
 from .opuc import cd_quotient, chi_sums, chi_sums_fft, eval_grid_table
 from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
 from .szego import entropy_profile
@@ -187,8 +187,7 @@ def summability_conditions(
     empirical constant of a sweep is the sup of lhs/rhs_unit.
     """
     xi0 = _as_boundary(xi0)
-    if min(n_list) < 1:
-        raise OutOfRange("condition order requires n >= 1")
+    n_list = [_order(n, 1, "condition order n") for n in n_list]
     p_mu = poisson(mu, np.array([(1.0 - 1.0 / n) * xi0 for n in n_list]))
     return [
         (float(np.sum(np.abs(chi_vals[: n + 1]) ** 2) / n), 1.0 / float(p))

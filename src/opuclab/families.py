@@ -15,7 +15,7 @@ Routes
 Measure-first families (lebesgue, bernstein_szego, geronimus, mixed) sample
 a closed-form weight and extract their parameters from the grid by one build
 rule (:func:`measured_parameters`): the series cascade's double pass on the
-measure's cached moments, where it reads no moment past
+moments from the weight's band record, where it reads no moment past
 ``max_trusted_moment`` and loses at most 4 digits (``schur._SAFE_DIGIT_LOSS``,
 the loss at which the cascade trusts a double pass); otherwise the value
 recursion over every node (``opuc.verblunsky_from_measure``).  geronimus
@@ -62,6 +62,7 @@ import numpy as np
 from .errors import FamilyValidationError, OutOfRange
 from .measure import (
     CircleMeasure,
+    _order,
     build_measure,
     check_atoms,
     grid_angles,
@@ -170,7 +171,7 @@ def measured_parameters(mu: CircleMeasure, n_max: int) -> Tuple[SchurParameters,
     """The build rule of the measure-first families: a_0..a_{n_max-1} of
     ``mu`` and the route that gave them.
 
-    The series cascade's double pass on the measure's cached moments
+    The series cascade's double pass on the measure's moments
     c_0..c_{n_max}, O(n_max^2) after one FFT, where it reads no moment past
     ``max_trusted_moment`` and finishes within the digit loss at which
     ``schur._escalate`` trusts a double pass (``double_pass_stands``);
@@ -371,7 +372,7 @@ def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
 
     The roundtrip is the series cascade on the grid moments at depth
     min(ROUTE_DEPTH, n_max), the parameters the schur_identities routes
-    read.  It needs only c_0..c_depth, one cached FFT of the weight, where
+    read.  It needs only c_0..c_depth, from the weight's band record, where
     the value recursion would sweep every node per order.
     """
     params = _ell2_parameters(n_max, c, p)
@@ -703,6 +704,8 @@ def _record(spec: dict) -> Tuple[Family, dict]:
 
 def build_family(spec: dict, grid_size: int, n_max: int) -> FamilyInstance:
     """Build a family from its config dictionary ({"name": ..., args...})."""
+    grid_size = _order(grid_size, 1, "grid_size")
+    n_max = _order(n_max, 0, "build depth")
     spec = check_spec(spec, grid_size, n_max)
     family, args = _record(spec)
     mu = family.measure(grid_size, n_max, **args)

@@ -31,12 +31,13 @@ BLAS dot per row, point and block of at most ``_BLOCK`` exponents, so its
 last bits follow the BLAS build's dot kernel and, through the power
 table, numpy's CPU dispatch (README, "Determinism").
 The bands of w and log w come from one FFT each, after which the measure
-keeps a band's width K and its first min(K, N/8) coefficients.  A call
-builds its coefficient table and blocks only up to the largest reach of
-its points, so its set-up is O(reach), not O(N); only a batch that reads
-a band past N/8 takes a transient FFT.  ``poisson_route`` reports the
-widths.  One kernel call over every (point, atom) pair gives the atom
-terms of the batch.
+keeps a band's width K and its first min(K, N/8 + 1) coefficients: each
+row's one Fourier record, which ``moments`` and the grid mean of log w
+read too.  A call builds its coefficient table and blocks only up to the
+largest reach of its points, so its set-up is O(reach), not O(N); only a
+batch that reads a band past N/8 takes a transient FFT.  ``poisson_route``
+reports the widths.  One kernel call over every (point, atom) pair gives
+the atom terms of the batch.
 
 Grid
 ----
@@ -49,6 +50,7 @@ the point bitwise ``boundary_points[j]``, without the other N - 1 nodes.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -104,11 +106,23 @@ _PAIR_ORDER = np.arange(_BLOCK) ^ np.repeat(
 )
 
 
+def _point(z, name: str) -> Tuple[complex, float]:
+    """(z, |z|) with |z| as ``abs`` rounds it, inf where that overflows, or
+    OutOfRange when z is not finite; ``name`` names z in the message."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise OutOfRange(f"{name} = {z!r} is not finite")
+    try:
+        return z, abs(z)
+    except OverflowError:
+        return z, math.inf
+
+
 def _as_boundary(xi0: complex) -> complex:
-    xi0 = complex(xi0)
-    if abs(abs(xi0) - 1.0) > _BOUNDARY_TOL:
-        raise NotOnBoundary(f"|xi0| = {abs(xi0):.6g}, expected a unimodular point")
-    return xi0 / abs(xi0)
+    xi0, size = _point(xi0, "boundary point xi0")
+    if abs(size - 1.0) > _BOUNDARY_TOL:
+        raise NotOnBoundary(f"|xi0| = {size:.6g}, expected a unimodular point")
+    return xi0 / size
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,7 @@ class CircleMeasure:
     _spectrum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_size", _order(self.grid_size, 1, "grid_size"))
         w = np.asarray(self.weight, dtype=float)
         if w.ndim != 1 or len(w) != self.grid_size:
             raise GridMismatch(
@@ -183,7 +198,7 @@ class CircleMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weight.mean() + sum(m for _, m in self.atoms))
+        return _total(self.weight, [m for _, m in self.atoms])
 
     @property
     def is_szego(self) -> bool:
@@ -197,17 +212,11 @@ class CircleMeasure:
                 "Szego-dependent operation refused"
             )
 
-    def _spectrum(self) -> np.ndarray:
-        """Cached DFT of the weight samples, scaled so entry k is the grid
-        quadrature of w(theta) e^{-ik theta}, for the orders k <= N/8 that
-        ``moments`` trusts; the rest is not kept."""
-        spec = self._spectrum_cache.get("fft")
-        if spec is None:
-            spec = np.fft.fft(self.weight) / self.grid_size
-            spec = spec[: max_trusted_moment(self.grid_size) + 1].copy()
-            spec.flags.writeable = False
-            self._spectrum_cache["fft"] = spec
-        return spec
+
+def _total(weight: np.ndarray, masses: Sequence[float]) -> float:
+    """Grid mean of the weight plus the masses, unwarned past double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weight.mean()) + sum(masses)
 
 
 def check_atoms(
@@ -245,7 +254,7 @@ def build_measure(
         raise NonNormalizable("weight_samples must be a nonempty 1-d sequence")
     atoms = tuple(atoms)
     if normalize:
-        total = w.mean() + sum(float(m) for _, m in atoms)
+        total = _total(w, [float(m) for _, m in atoms])
         if 0.0 < total < np.inf:
             w = w / total
             atoms = tuple((a, float(m) / total) for a, m in atoms)
@@ -254,6 +263,7 @@ def build_measure(
 
 def lebesgue(grid_size: int = 4096) -> CircleMeasure:
     """Normalized Lebesgue measure on the circle."""
+    grid_size = _order(grid_size, 1, "grid_size")
     return CircleMeasure(grid_size, np.ones(grid_size))
 
 
@@ -280,11 +290,9 @@ def snap(grid_size: int, xi: complex) -> Tuple[int, complex]:
 # Poisson extensions
 # -----------------------------------------------------------------------------
 def _check_interior(z: complex) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise OutOfRange(f"interior point z = {z!r} is not finite")
-    if abs(z) >= 1.0 - BOUNDARY_EXCLUSION:
-        raise BoundaryPoint(f"|z| = {abs(z):.12g} too close to the boundary")
+    z, size = _point(z, "interior point z")
+    if size >= 1.0 - BOUNDARY_EXCLUSION:
+        raise BoundaryPoint(f"|z| = {size:.12g} too close to the boundary")
     return z
 
 
@@ -328,19 +336,20 @@ def _row_samples(mu: CircleMeasure, name: str) -> np.ndarray:
 
 
 def _band_record(mu: CircleMeasure, name: str) -> Tuple[int, np.ndarray]:
-    """(K, c_0..c_{min(K, M) - 1}) of the band of one of the measure's own
-    rows, "weight" or "log_weight", cached on the measure from one FFT,
-    with M = max(1, N/8) so that the prefix holds c_0 at any N.
+    """(K, c_0..c_{min(K, N/8 + 1) - 1}) of the band of one of the measure's
+    own rows, "weight" or "log_weight": the row's one Fourier record, cached
+    on the measure from one FFT, which ``moments`` and the Szego formula's
+    grid mean of log w read too.
 
-    The prefix is the whole band when K <= M; a batch that reads past a
-    shorter prefix takes the band from a transient FFT (``_grid_means``),
-    so no record holds more than M numbers.
+    A batch that reads past a shorter prefix takes the band from a
+    transient FFT (``_grid_means``), so no record holds more than N/8 + 1
+    numbers.
     """
     key = ("band", name)
     record = mu._spectrum_cache.get(key)
     if record is None:
         band = _band(_row_samples(mu, name))
-        head = band[: max(1, max_trusted_moment(mu.grid_size))].copy()
+        head = band[: max_trusted_moment(mu.grid_size) + 1].copy()
         head.flags.writeable = False
         record = mu._spectrum_cache[key] = (len(band), head)
     return record
@@ -561,8 +570,11 @@ def weighted_poisson(
                 f"{len(mu.atoms)} atom values expected, got shape {ga.shape}"
             )
         atom_row = mu.atom_masses * ga
-    rows = [(g * mu.weight, atom_row)]
-    return _one_or_many(z, _poisson_means(mu, zs, rows)[0])
+    with np.errstate(over="ignore"):
+        grid_row = g * mu.weight
+    if not np.isfinite(np.r_[grid_row, () if atom_row is None else atom_row]).all():
+        raise OutOfRange("g dmu is not finite: a g value is NaN, inf or too large")
+    return _one_or_many(z, _poisson_means(mu, zs, [(grid_row, atom_row)])[0])
 
 
 # -----------------------------------------------------------------------------
@@ -574,12 +586,14 @@ def max_trusted_moment(grid_size: int) -> int:
 
 
 def _order(n, least: int, name: str) -> int:
-    """The order n as an int, or OutOfRange when it is not an integer of
-    at least ``least``; ``name`` names it in the message."""
+    """The order or size n as an int, or OutOfRange when it is a bool or not
+    an integer of at least ``least``; ``name`` names it in the message."""
     try:
         order = operator.index(n)
     except TypeError:
-        raise OutOfRange(f"{name} {n!r} is not an integer") from None
+        order = None
+    if order is None or isinstance(n, bool):
+        raise OutOfRange(f"{name} {n!r} is not an integer")
     if order < least:
         raise OutOfRange(f"{name} {order} must be >= {least}")
     return order
@@ -587,14 +601,17 @@ def _order(n, least: int, name: str) -> int:
 
 def moments(mu: CircleMeasure, k_max: int) -> np.ndarray:
     """Trigonometric moments c_0..c_{k_max}, c_k = integral of conj(xi)^k dmu;
-    conj(c_k) is the moment of order -k."""
+    conj(c_k) is the moment of order -k.  The grid part reads w's band
+    record, so it is 0 from the band width K on, under eps * max w."""
     k_max = _order(k_max, 0, "moment order")
     if k_max > max_trusted_moment(mu.grid_size):
         raise AliasRisk(
             f"moment order {k_max} beyond trusted band N/8 = "
             f"{max_trusted_moment(mu.grid_size)}; enlarge grid_size"
         )
-    values = mu._spectrum()[: k_max + 1].copy()
+    head = _band_record(mu, "weight")[1][: k_max + 1]
+    values = np.zeros(k_max + 1, dtype=complex)
+    values[: len(head)] = head
     k = np.arange(k_max + 1)
     for angle, mass in mu.atoms:
         values += mass * np.exp(-1j * k * angle)

@@ -69,6 +69,7 @@ from .errors import (
 )
 from .measure import (
     CircleMeasure,
+    _band_record,
     _interior_points,
     _one_or_many,
     _poisson_means,
@@ -490,7 +491,7 @@ def szego_formula_residuals(
     """
     mu.require_szego()
     params.require_depth(max(n_list))
-    lhs = float(np.mean(np.log(mu.weight)))
+    lhs = float(_band_record(mu, "log_weight")[1][0].real)
     terms = np.log1p(-np.abs(params.values[: max(n_list)]) ** 2)
     return [abs(lhs - float(np.sum(terms[:n]))) for n in n_list]
 

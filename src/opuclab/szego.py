@@ -160,8 +160,7 @@ def entropy_profile(
     """
     mu.require_szego()
     xi0 = _as_boundary(xi0)
-    if delta_grid_size < 2:
-        raise OutOfRange("delta_grid_size must be at least 2")
+    delta_grid_size = _order(delta_grid_size, 2, "delta_grid_size")
     deltas = np.geomspace(_DELTA_MIN, 1.0 - _DELTA_MIN, delta_grid_size)
     n_list = [_order(n, 1, "profile order n") for n in n_list]
     zs = []

@@ -38,8 +38,13 @@ from opuclab.measure import (
     weighted_poisson,
 )
 from opuclab import measure
+from opuclab.asymptotics import sandwich_rows, summability_conditions
 from opuclab.families import build_family
-from opuclab.schur import schur_eval, schur_parameters_from_measure
+from opuclab.schur import (
+    schur_eval,
+    schur_parameters_from_measure,
+    szego_formula_residuals,
+)
 from opuclab.szego import entropy, entropy_profile, szego_interior
 
 from oracles import entropy_profile_per_delta, poisson_kernel_direct, poisson_means_mp
@@ -233,7 +238,58 @@ def test_non_finite_interior_points_are_refused(bs_half, extend, z):
         extend(bs_half.measure, np.array([0.2, z]))
 
 
-@pytest.mark.parametrize("order", [1.5, float("nan"), "2"])
+@pytest.mark.parametrize(
+    "xi0", [complex("nan"), complex(1.0, float("nan")), complex("inf")]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu, xi0: fejer_mean(mu, xi0, 4),
+        lambda mu, xi0: entropy_profile(mu, xi0, [4]),
+        lambda mu, xi0: sandwich_rows(mu, np.ones(4, dtype=complex), xi0, [4]),
+        lambda mu, xi0: summability_conditions(
+            mu, np.ones(5, dtype=complex), xi0, [4]
+        ),
+    ],
+    ids=["fejer_mean", "entropy_profile", "sandwich_rows", "summability_conditions"],
+)
+def test_non_finite_boundary_points_are_refused(bs_half, call, xi0):
+    # a NaN passes the unimodularity test, abs(abs(nan) - 1) > tol being
+    # False; the refusal names the boundary point, not a later interior one
+    with pytest.raises(OutOfRange, match="boundary point xi0 = .* is not finite"):
+        call(bs_half.measure, xi0)
+
+
+@pytest.mark.parametrize("size", [0, -1, 1.5, float("nan"), True])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lebesgue,
+        lambda size: CircleMeasure(size, []),
+        lambda size: build_family({"name": "lebesgue"}, size, 33),
+    ],
+    ids=["lebesgue", "CircleMeasure", "build_family"],
+)
+def test_grid_sizes_that_are_not_positive_integers_are_refused(build, size):
+    # before any array is sampled: 0 used to warn "Mean of empty slice",
+    # -1 and 1.5 to raise numpy's ValueError and TypeError
+    with pytest.raises(OutOfRange, match="grid_size"):
+        build(size)
+
+
+@pytest.mark.parametrize("depth", [-1, 1.5, float("nan"), True])
+def test_build_depths_that_are_not_integers_are_refused(depth):
+    with pytest.raises(OutOfRange, match="build depth"):
+        build_family({"name": "lebesgue"}, 512, depth)
+
+
+@pytest.mark.parametrize("size", [1, 2.5, float("nan"), True])
+def test_delta_grid_sizes_below_two_or_not_integers_are_refused(bs_half, size):
+    with pytest.raises(OutOfRange, match="delta_grid_size"):
+        entropy_profile(bs_half.measure, 1.0, [4], size)
+
+
+@pytest.mark.parametrize("order", [1.5, float("nan"), "2", True])
 @pytest.mark.parametrize(
     "call",
     [
@@ -242,6 +298,7 @@ def test_non_finite_interior_points_are_refused(bs_half, extend, z):
         lambda mu, n: fejer_mean(mu, 1.0, n),
         lambda mu, n: schur_parameters_from_measure(mu, n),
         lambda mu, n: entropy_profile(mu, 1.0, [4, n]),
+        lambda mu, n: summability_conditions(mu, np.ones(8, dtype=complex), 1.0, [n]),
     ],
     ids=[
         "moment",
@@ -249,6 +306,7 @@ def test_non_finite_interior_points_are_refused(bs_half, extend, z):
         "fejer_mean",
         "schur_parameters_from_measure",
         "entropy_profile",
+        "summability_conditions",
     ],
 )
 def test_non_integer_orders_are_refused(bs_half, call, order):
@@ -386,9 +444,32 @@ def test_poisson_cache_keeps_no_node_sized_array(ell2_half):
     assert kept < 8 * mu.grid_size, kept
 
 
+def test_each_measure_row_takes_one_fft(spy):
+    # the build's moments, a Poisson mean and the Szego formula's grid mean
+    # of log w all read the rows' band records: one FFT of w, one of log w
+    read = lambda row, *args, **kwargs: np.array(row)  # noqa: E731
+    ffts = spy(read, np.fft, "fft")
+    rffts = spy(read, np.fft, "rfft")
+    inst = build_family({"name": "bernstein_szego", "r": 0.5}, 512, 16)
+    mu = inst.measure
+    c = moments(mu, max_trusted_moment(mu.grid_size))
+    poisson(mu, 0.3)
+    szego_formula_residuals(mu, inst.params, [4, 16])
+    rows = ffts + rffts
+    assert ffts == [] and len(rows) == 2, len(rows)
+    assert np.array_equal(rows[0], mu.weight)
+    assert np.array_equal(rows[1], np.log(mu.weight))
+    # past the band width the moments read 0, where every coefficient of
+    # the full DFT lies under the noise floor eps * max w
+    full = np.fft.fft(mu.weight)[: len(c)] / mu.grid_size
+    width = measure._band_record(mu, "weight")[0]
+    assert 0 < width < len(c) and np.all(c[width:] == 0.0)
+    assert np.max(np.abs(c - full)) <= np.finfo(float).eps * np.max(mu.weight)
+
+
 def test_short_reach_batches_read_the_cached_band_prefix(ell2_half, spy):
     # Both bands of the 65536-node ell2 measure are wider than N/8, and
-    # their records keep c_0..c_{N/8 - 1}.  Points at |z| <= 0.9 read
+    # their records keep c_0..c_{N/8}.  Points at |z| <= 0.9 read
     # about 400 terms, so after a first call they take no FFT and no
     # node-sized array; a point at |z| = 0.999 reads past the prefix and
     # takes a transient FFT.
