@@ -10,6 +10,11 @@ size, the builds by route, and each failing verdict with its residual::
     python scripts/sweep.py --record             # write the status record
     python scripts/sweep.py --check              # exit 1 on a worse config
 
+A failed verdict whose detail starts with the name of a Python builtin
+exception (``ValueError: ...``) is a crash the package let through
+rather than a refusal or a missed bound, so both sections count those
+apart from the rest.
+
 The JSON holds one record per draw, in draw order, with sorted keys, so
 two runs (say on a parent and a change) diff line by line, and the lines
 holding ``"status"`` compare the draws' outcomes alone.
@@ -51,6 +56,7 @@ Every config runs experiment ``all`` with seed 1.
 from __future__ import annotations
 
 import argparse
+import builtins
 import json
 import math
 import random
@@ -70,6 +76,13 @@ TEST_POINT_SHARE = 0.3
 STATUS_RECORD = Path(__file__).with_name("sweep_status.json")
 # statuses from best to worst, for the status record's check
 STATUS_ORDER = ("pass", "refused", "fail")
+# names of Python's builtin exceptions, which a failed verdict's detail
+# starts with when a check raised one of them
+BUILTIN_EXCEPTIONS = frozenset(
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+)
 
 # ell2 configs on both sides of grid resolution, the Fourier tail of the
 # sampled w over N/4..N/2 running from 0.14 down to 1.9e-14, each as
@@ -234,6 +247,8 @@ def report(records: list) -> None:
     for name, count in sorted(names.items()):
         print(f"  {name:<28} {count}")
     print()
+    _report_raises(records, "#")
+    print()
     print("failing configs")
     for index, r in enumerate(records):
         if r["status"] != "fail":
@@ -243,6 +258,20 @@ def report(records: list) -> None:
             f"  #{index} {_label(config)} N={config['grid_size']} "
             f"n_list={config['n_list']}: {_failures(r)}"
         )
+
+
+def _report_raises(records: list, mark: str) -> None:
+    """Count, then list, the failed verdicts whose detail starts with a
+    builtin exception's name; ``mark`` heads each record's index."""
+    raised = [
+        (index, v)
+        for index, r in enumerate(records)
+        for v in r.get("failed", ())
+        if v["detail"].split(":", 1)[0] in BUILTIN_EXCEPTIONS
+    ]
+    print(f"failed verdicts raising a builtin exception: {len(raised)}")
+    for index, v in raised:
+        print(f"  {mark}{index} {v['name']}: {v['detail']}")
 
 
 def _failures(record: dict) -> str:
@@ -256,6 +285,7 @@ def report_fixed(records: list) -> None:
     failing = sum(r["status"] == "fail" for r in records)
     print()
     print(f"fixed cases: {len(records)} configs, {failing} failed")
+    _report_raises(records, "fixed #")
     for r in records:
         config = r["config"]
         head = (

@@ -26,7 +26,7 @@ strong Cesaro deviation at a point, and the per-n boundedness condition
 that drives it.
 
 The coefficients take one of two routes, gated by the parameters' digit
-loss (see ``cmv_coefficients``): one FFT of f w per function and the
+loss (``opuc.coefficient_route``): one FFT of f w per function and the
 Taylor coefficients of phi_k (``opuc.chi_sums_fft``), or one streamed
 pass of the transfer recursion over the nodes (``opuc.chi_sums``), where
 each chi_k row is formed, contracted against f w and dropped.  Neither
@@ -44,8 +44,14 @@ import numpy as np
 
 from .errors import GridMismatch, OutOfRange
 from .measure import CircleMeasure, _as_boundary, _order, poisson, snap
-from .opuc import cd_quotient, chi_sums, chi_sums_fft, eval_grid_table
-from .schur import _SAFE_DIGIT_LOSS, SchurParameters, digit_loss
+from .opuc import (
+    cd_quotient,
+    chi_sums,
+    chi_sums_fft,
+    coefficient_route,
+    eval_grid_table,
+)
+from .schur import SchurParameters
 from .szego import entropy_profile
 
 # Rate-bound constant multiplying K_n^{1/4} in the sandwich upper half.
@@ -124,17 +130,12 @@ def cmv_coefficients(
     the A atoms.  Returns shape (n_max+1,) or (m, n_max+1).  The sums run
     over the nodes of ``mu.quadrature()`` by one of two routes:
 
-    * while the digit loss of a_0..a_{n_max-1} (``schur.digit_loss``
-      summed) stays within the Schur cascade's ``_SAFE_DIGIT_LOSS``, in
+    * where ``opuc.coefficient_route`` holds for a_0..a_{n_max-1}, in
       coefficient space: one FFT per function and a dot product per order
       with the Taylor coefficients of phi_k (``opuc.chi_sums_fft``),
       O(n^2 + N log N);
     * otherwise in one streamed pass of the transfer recursion over the
-      nodes (``opuc.chi_sums``), O(nN).  The coefficients of phi_k cancel
-      where its values do not: for f = Re xi on geronimus(0.6), 4096
-      nodes, n = 64 (15.2 digits), the coefficient route is off a 40-digit
-      sum of the same quadrature by 7.0e-12 and the streamed one by
-      1.1e-16.
+      nodes (``opuc.chi_sums``), O(nN).
 
     Memory is O(N) on both routes.
     """
@@ -151,8 +152,7 @@ def cmv_coefficients(
                 f"{len(mu.atoms)} atom values expected per function, "
                 f"got shape {fa.shape}"
             )
-    loss = sum(digit_loss(abs(a)) for a in params.values[:n_max])
-    if loss <= _SAFE_DIGIT_LOSS:
+    if coefficient_route(params, n_max)[0]:
         return chi_sums_fft(
             params,
             f * (mu.weight / mu.grid_size),

@@ -80,8 +80,10 @@ from .opuc import (
     cd_laurent,
     cd_quotient,
     chi_grid_table,
+    coefficient_route,
     dual_parameters,
     eval_grid_table,
+    gram_from_moments,
     gram_matrix,
     monic_from_moments,
     verblunsky_from_measure,
@@ -751,13 +753,22 @@ def _szego_formula(ctx: RunContext) -> Result:
 
 @check("schur_identities", "gram_orthonormality")
 def _gram_orthonormality(ctx: RunContext) -> Result:
+    # from the moments where they are exact and the coefficient route
+    # holds, else streamed over the quadrature nodes
     m = min(16, ctx.depth)
-    gram = gram_matrix(ctx.params, *ctx.mu.quadrature(), m)
+    holds, loss = coefficient_route(ctx.params, m)
+    if holds and m <= max_trusted_moment(ctx.mu.grid_size):
+        gram = gram_from_moments(ctx.params, moments(ctx.mu, m), m)
+        route = f"coefficient space, digit loss {loss:.2f}"
+    else:
+        nodes, weights = ctx.mu.quadrature()
+        gram = gram_matrix(ctx.params, nodes, weights, m)
+        route = f"streamed over {len(nodes)} nodes, digit loss {loss:.2f}"
     residual = float(np.max(np.abs(gram - np.eye(m + 1))))
     return _within(
         residual,
         1e-8,
-        f"max |Gram - I| for phi_0..phi_{m} under quadrature plus atoms",
+        f"max |Gram - I| for phi_0..phi_{m} under quadrature plus atoms, {route}",
     )
 
 

@@ -157,7 +157,9 @@ class FamilyInstance:
         return self.spec["name"]
 
     def measure_on(self, grid_size: int) -> CircleMeasure:
-        """This family's measure on another grid, sampled only (no extraction)."""
+        """This family's measure on another grid, sampled only (no extraction);
+        OutOfRange when ``grid_size`` is not a positive integer."""
+        grid_size = _order(grid_size, 1, "grid_size")
         family, args = _record(self.spec)
         return family.measure(grid_size, self.build_depth, **args)
 

@@ -569,6 +569,8 @@ def weighted_poisson(
             raise GridMismatch(
                 f"{len(mu.atoms)} atom values expected, got shape {ga.shape}"
             )
+        if np.any(ga < 0):
+            raise NegativeInput("weighted_poisson requires g >= 0 at the atoms")
         atom_row = mu.atom_masses * ga
     with np.errstate(over="ignore"):
         grid_row = g * mu.weight

@@ -93,16 +93,18 @@ def harmonic_conjugate(samples: np.ndarray) -> np.ndarray:
     """Grid samples of the conjugate function, mean zero.
 
     Fourier multiplier -i sign(k), with the unpaired Nyquist mode dropped
-    for even grids.
+    for even grids.  The samples are real, so one real FFT pair carries
+    it: -i on the modes k = 1..ceil(N/2) - 1, whose conjugates at -k take
+    +i, with k = 0 and the even-N Nyquist mode zeroed.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    s_hat = np.fft.fft(samples)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    multiplier = -1j * np.sign(k)
+    s_hat = np.fft.rfft(samples)
+    s_hat *= -1j
+    s_hat[0] = 0.0
     if n % 2 == 0:
-        multiplier[n // 2] = 0.0
-    return np.fft.ifft(multiplier * s_hat).real
+        s_hat[-1] = 0.0
+    return np.fft.irfft(s_hat, n)
 
 
 def _entropy_terms(mu: CircleMeasure, zs: list) -> Tuple[np.ndarray, np.ndarray]:

@@ -650,9 +650,47 @@ def test_boundary_table_readers_match_one_point_oracles_bitwise(family, request)
     assert _bits(one_call) == _bits([inst.density_at(t) for t in ctx.certified])
 
 
+@pytest.mark.parametrize(
+    "family, grid_size, route",
+    [
+        # 1.52 digits of loss over 16 parameters, moments within N/8
+        (
+            {"name": "ell2", "c": 0.5, "p": 1.0},
+            32768,
+            "coefficient space, digit loss 1.52",
+        ),
+        # 9.62 digits: past the gate
+        (
+            {"name": "geronimus", "a": 0.6},
+            4096,
+            "streamed over 4097 nodes, digit loss 9.62",
+        ),
+    ],
+    ids=["ell2", "geronimus"],
+)
+def test_gram_check_takes_the_gated_route(spy, family, grid_size, route):
+    cfg = _config(
+        family=family, grid_size=grid_size, n_list=[16, 64, 256], experiment="all"
+    )
+    inst = build_family(cfg.family, grid_size, cfg.build_depth)
+    ctx = experiments.RunContext(cfg, inst)
+    nodes = len(inst.measure.quadrature()[0])
+    sizes = spy(lambda params, zs, n_max: len(zs), opuc, "_transfer_steps")
+    streamed = spy(lambda *args: len(args[1]), experiments, "gram_matrix")
+    status, _, detail = dict(CHECKS["schur_identities"])["gram_orthonormality"](ctx)
+    assert status == "pass"
+    assert detail.endswith(route)
+    if route.startswith("coefficient"):
+        # no transfer pass at all, over the nodes or a chunk of them
+        assert sizes == [] and streamed == []
+    else:
+        assert streamed == [nodes]
+
+
 def test_gram_check_memory_is_linear_in_the_grid():
-    # the check streams the quadrature in chunks of nodes, so its peak is
-    # the quadrature plus a chunk-sized table, not an order-by-node table
+    # the check reads the moments on this config; on the streamed route
+    # gram_matrix holds a chunk-sized table (test_opuc), so neither route
+    # forms an order-by-node table
     grid_size = 32768
     cfg = _config(
         family={"name": "ell2", "c": 0.5, "p": 1.0},

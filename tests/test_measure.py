@@ -267,12 +267,16 @@ def test_non_finite_boundary_points_are_refused(bs_half, call, xi0):
         lebesgue,
         lambda size: CircleMeasure(size, []),
         lambda size: build_family({"name": "lebesgue"}, size, 33),
+        lambda size: build_family(
+            {"name": "bernstein_szego", "r": 0.5}, 512, 8
+        ).measure_on(size),
     ],
-    ids=["lebesgue", "CircleMeasure", "build_family"],
+    ids=["lebesgue", "CircleMeasure", "build_family", "measure_on"],
 )
 def test_grid_sizes_that_are_not_positive_integers_are_refused(build, size):
     # before any array is sampled: 0 used to warn "Mean of empty slice",
-    # -1 and 1.5 to raise numpy's ValueError and TypeError
+    # -1 and 1.5 to raise numpy's ValueError and TypeError, and measure_on
+    # sampled 1.5 as a 2-node grid
     with pytest.raises(OutOfRange, match="grid_size"):
         build(size)
 
@@ -320,6 +324,9 @@ def test_weighted_poisson_guards(mixed_atom):
         weighted_poisson(mu, np.ones(7), 0.1)
     with pytest.raises(NegativeInput):
         weighted_poisson(mu, -np.ones(mu.grid_size), 0.1)
+    with pytest.raises(NegativeInput, match="atoms"):
+        # a negative atom value signs the measure as a negative grid g would
+        weighted_poisson(mu, np.ones(mu.grid_size), 0.3, [-1.0])
     with pytest.raises(GridMismatch):
         # atom values required when the measure has atoms
         weighted_poisson(mu, np.ones(mu.grid_size), 0.1)

@@ -593,6 +593,20 @@ def test_streamed_gram_matches_full_table(request, case):
     assert np.max(np.abs(streamed - full)) < 1e-14
 
 
+@pytest.mark.parametrize("case", ["bs_half", "mixed_atom", "three_atoms", "ell2_half"])
+def test_gram_from_moments_matches_full_table(request, case):
+    # P T P^H over the Taylor coefficients and the Toeplitz moments, atoms
+    # included, is the quadrature's Gram matrix up to rounding
+    if case == "three_atoms":
+        inst = build_family(_THREE_ATOMS, 4096, 65)
+    else:
+        inst = request.getfixturevalue(case)
+    mu = inst.measure
+    got = opuc.gram_from_moments(inst.params, moments(mu, 16), 16)
+    want = gram_full_table(inst.params, *mu.quadrature(), 16)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
 def test_gram_atoms_join_the_last_chunk(spy, ell2_half):
     # a remainder of only atoms rides in the last grid chunk instead of
     # taking a transfer pass of its own; a wider remainder keeps its chunk
