@@ -9,6 +9,7 @@ size, the builds by route, and each failing verdict with its residual::
     python scripts/sweep.py --json sweep.json    # also one record per draw
     python scripts/sweep.py --record             # write the status record
     python scripts/sweep.py --check              # exit 1 on a worse config
+    python scripts/sweep.py --compare-paths      # against the other dispatch path
 
 A failed verdict whose detail starts with the name of a Python builtin
 exception (``ValueError: ...``) is a crash the package let through
@@ -27,6 +28,13 @@ residuals.  ``--check`` reruns the sweep against it and exits 1 when a
 config's status worsened (pass, then refused, then fail) or its set of
 failing verdicts grew; a config that improved is printed, and the record
 is then rewritten with ``--record`` so that the improvement holds.
+
+``--compare-paths`` reruns the sweep in a subprocess on the other numpy
+dispatch path: with ``NPY_DISABLE_CPU_FEATURES=X86_V3`` set when this
+process runs without it, and unset when it runs with it (on x86-64 the
+flag takes numpy's complex multiply off its fused x86-64-v3 kernels).
+It prints the draws and fixed cases whose status or set of failing
+verdicts differs between the two paths, and does not gate.
 
 After the draws it runs ``FIXED_CASES``, hand-picked configs that the
 draws rarely reach, and prints them in a section of their own; in the
@@ -59,8 +67,11 @@ import argparse
 import builtins
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -76,6 +87,9 @@ TEST_POINT_SHARE = 0.3
 STATUS_RECORD = Path(__file__).with_name("sweep_status.json")
 # statuses from best to worst, for the status record's check
 STATUS_ORDER = ("pass", "refused", "fail")
+# the environment variable and value that move numpy off its x86-64-v3
+# kernels, for --compare-paths
+PATH_FLAG = ("NPY_DISABLE_CPU_FEATURES", "X86_V3")
 # names of Python's builtin exceptions, which a failed verdict's detail
 # starts with when a check raised one of them
 BUILTIN_EXCEPTIONS = frozenset(
@@ -356,6 +370,64 @@ def check_statuses(path, entries: list) -> bool:
     return not worse
 
 
+def path_changes(here: list, there: list) -> tuple:
+    """(status changes, failing-set changes): one line per config whose
+    status, or else whose set of failing verdicts, differs between two
+    lists of ``statuses`` entries of one sweep."""
+    if [e["config"] for e in here] != [e["config"] for e in there]:
+        raise ValueError("the two sweeps drew other configs")
+    status, failing = [], []
+    for a, b in zip(here, there):
+        change = (
+            f"  {a['config']}: {a['status']} {a['failed']} -> "
+            f"{b['status']} {b['failed']}"
+        )
+        if a["status"] != b["status"]:
+            status.append(change)
+        elif a["failed"] != b["failed"]:
+            failing.append(change)
+    return status, failing
+
+
+def other_path_statuses() -> tuple:
+    """(name, entries): the other dispatch path and the ``statuses`` of
+    this sweep rerun on it in a subprocess."""
+    name, value = PATH_FLAG
+    env = dict(os.environ)
+    if env.get(name) == value:
+        del env[name]
+        label = f"{name} unset"
+    else:
+        env[name] = value
+        label = f"{name}={value}"
+    warnings = [f"-W{option}" for option in sys.warnoptions]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        subprocess.run(
+            [sys.executable, *warnings, __file__, "--json", str(path)],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    return label, statuses(data["draws"], data["fixed_cases"])
+
+
+def report_paths(label: str, here: list, there: list) -> None:
+    status, failing = path_changes(here, there)
+    print()
+    print(
+        f"other dispatch path ({label}): {len(status)} status changes, "
+        f"{len(failing)} failing-set changes"
+    )
+    for title, changes in (("status", status), ("failing set", failing)):
+        if changes:
+            print(f"{title}, this path -> the other:")
+            print("\n".join(changes))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", dest="json_path", help="write one record per draw")
@@ -366,6 +438,11 @@ def main() -> int:
             const=STATUS_RECORD,
             help=f"{action} the status record (default {STATUS_RECORD.name})",
         )
+    parser.add_argument(
+        "--compare-paths",
+        action="store_true",
+        help="rerun on the other dispatch path and print the configs that differ",
+    )
     args = parser.parse_args()
 
     rng = random.Random(SEED)
@@ -391,6 +468,9 @@ def main() -> int:
     entries = statuses(records, fixed)
     if args.record:
         write_statuses(args.record, entries)
+    if args.compare_paths:
+        label, there = other_path_statuses()
+        report_paths(label, entries, there)
     if args.check and not check_statuses(args.check, entries):
         return 1
     return 0

@@ -27,9 +27,12 @@ the density oracle over the angles it is asked for.  Parameter-first families
 (a_0..a_{K-1}, 0, 0, ...) has density 1/|phi_K|^2, which is sampled
 without any series truncation error: one FFT of phi_K's K+1 coefficients
 gives its values at the grid nodes, and the density oracle takes one
-transfer pass over its angles.  Their cross-check is the series
-cascade on the grid moments (``schur.schur_parameters_from_measure``),
-whose parameters are compared with the stored ones and then dropped.
+transfer pass over its angles.  The build computes those coefficients
+once and the instance keeps them (``FamilyInstance.coefficients``), so
+:meth:`FamilyInstance.measure_on` samples them with no further pass.
+Their cross-check is the series cascade on the grid moments
+(``schur.schur_parameters_from_measure``), whose parameters are compared
+with the stored ones and then dropped.
 Every builder cross-validates its secondary representation against the
 primary one and raises FamilyValidationError on mismatch, and each build
 records the route that reached its parameters (``FamilyInstance.route``:
@@ -70,7 +73,12 @@ from .measure import (
     max_trusted_moment,
     moments,
 )
-from .opuc import _run_transfer, verblunsky_from_measure, weight_from_parameters
+from .opuc import (
+    _run_transfer,
+    density_from_coefficients,
+    phi_coefficients,
+    verblunsky_from_measure,
+)
 from .schur import (
     BUILD_DIGIT_LOSS,
     ROUTE_DEPTH,
@@ -151,15 +159,22 @@ class FamilyInstance:
     # (ell2 stores its truncation tail), so refinements must not derive the
     # depth from the parameter count or the family itself would change.
     build_depth: int
+    # A parameter-first family's phi_K coefficients, read-only, from the
+    # build's one coefficient pass; None for a measure-first family.
+    coefficients: Optional[np.ndarray] = None
 
     @property
     def kind(self) -> str:
         return self.spec["name"]
 
     def measure_on(self, grid_size: int) -> CircleMeasure:
-        """This family's measure on another grid, sampled only (no extraction);
-        OutOfRange when ``grid_size`` is not a positive integer."""
+        """This family's measure on another grid, sampled only (no extraction;
+        a parameter-first family samples its kept ``coefficients``, with no
+        coefficient pass); OutOfRange when ``grid_size`` is not a positive
+        integer."""
         grid_size = _order(grid_size, 1, "grid_size")
+        if self.coefficients is not None:
+            return _rational_measure(self.coefficients, grid_size)
         family, args = _record(self.spec)
         return family.measure(grid_size, self.build_depth, **args)
 
@@ -359,14 +374,21 @@ def _ell2_parameters(depth: int, c: float, p: float) -> SchurParameters:
     return SchurParameters(values.astype(complex))
 
 
-def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasure:
-    """The measure of the cut sequence: density 1/|phi_K|^2, sampled exactly."""
-    weight = weight_from_parameters(_ell2_parameters(depth, c, p), grid_size)
+def _rational_measure(coefficients: np.ndarray, grid_size: int) -> CircleMeasure:
+    """The measure of density 1/|phi_K|^2 on the grid, from phi_K's Taylor
+    coefficients: the measure of the parameters (a_0..a_{K-1}, 0, 0, ...)."""
+    weight = density_from_coefficients(coefficients, grid_size)
     # The rational density has geometric Fourier decay set by its slowest
     # zero; for slowly decaying parameters the grid mean misses exact unit
     # mass by ~1e-9.  Parameters are scale-invariant, so renormalizing is
     # exact for the roundtrip.
     return build_measure(weight, normalize=True)
+
+
+def _ell2_measure(grid_size: int, depth: int, c: float, p: float) -> CircleMeasure:
+    """The measure of the cut sequence: density 1/|phi_K|^2, sampled exactly."""
+    coefficients = phi_coefficients(_ell2_parameters(depth, c, p))
+    return _rational_measure(coefficients, grid_size)
 
 
 def _ell2_facts(mu: CircleMeasure, n_max: int, c: float, p: float) -> Facts:
@@ -710,8 +732,22 @@ def build_family(spec: dict, grid_size: int, n_max: int) -> FamilyInstance:
     n_max = _order(n_max, 0, "build depth")
     spec = check_spec(spec, grid_size, n_max)
     family, args = _record(spec)
-    mu = family.measure(grid_size, n_max, **args)
+    if family.parameters is None:
+        coefficients = None
+        mu = family.measure(grid_size, n_max, **args)
+    else:
+        # the build's one coefficient pass; measure_on samples its result
+        coefficients = phi_coefficients(family.parameters(n_max, **args))
+        mu = _rational_measure(coefficients, grid_size)
     name, params, route, density_at, test_angles = family.builder(mu, n_max, **args)
     return FamilyInstance(
-        name, spec, mu, params, route, density_at, test_angles, build_depth=n_max
+        name,
+        spec,
+        mu,
+        params,
+        route,
+        density_at,
+        test_angles,
+        build_depth=n_max,
+        coefficients=coefficients,
     )

@@ -28,13 +28,16 @@ Extraction routes
 Coefficient space
 -----------------
 ``_coefficient_steps`` runs the transfer recursion above on the Taylor
-coefficients of phi_k (multiplying by z shifts them one place).  On the
+coefficients of phi_k (multiplying by z shifts them one place), one
+stacked update of the row pair per step in two reused buffers.  On the
 N-th roots of unity one length-N FFT then stands in for k steps at every
 node, O(k^2 + N log N) instead of O(kN), at a relative error of about
 10^(digit loss) * eps, the conditioning of phi_k's coefficients:
 
-* ``weight_from_parameters`` samples 1/|phi_K|^2, the reconstruction route
-  of parameter-first families;
+* ``phi_coefficients`` keeps phi_K's coefficients and
+  ``density_from_coefficients`` samples 1/|phi_K|^2 from them, the
+  reconstruction route of parameter-first families; a build keeps the
+  coefficients, so sampling on another grid runs no pass;
 * ``chi_sums_fft`` integrates functions against the CMV basis;
 * ``gram_from_moments`` forms the Gram matrix of phi_0..phi_m from the
   moments c_0..c_m alone, O(m^3) whatever N.
@@ -138,33 +141,87 @@ def _coefficient_steps(params: SchurParameters, n_max: int):
 
     The transfer recursion on coefficients: multiplying by z shifts them
     one place.  Each array holds n_max + 1 coefficients, zero past degree
-    k, and is fresh at every step.  Raises PositivityLoss at the first
-    order k whose coefficients reach modulus sqrt(max double), before any
-    of them can overflow.
+    k.  A step is one stacked update of the row pair, rows = (X - [conj
+    a_k; a_k] X[::-1]) / rho_k with X = (z phi_k, phi*_k), written into
+    the other of two buffers, so a yielded row stays valid only until the
+    next step: a caller that keeps rows copies them.  The values are
+    bitwise those of one fresh array per product and row.
+
+    Raises PositivityLoss at the first order k whose coefficients reach
+    modulus sqrt(max double), before any of them can overflow.  A step
+    grows the largest modulus by at most (1 + |a_k|) / rho_k (phi* holds
+    the same moduli, reversed), so the maximum is read only from the
+    order where the product of those factors, summed as logarithms,
+    reaches half that modulus; the factor 2 covers the rounding of the
+    rows and of the sum.
     """
     params.require_depth(n_max)
-    a = params.values
-    inv_rho = 1.0 / params.rho
-    phi = np.zeros(n_max + 1, dtype=complex)
-    phi[0] = 1.0
-    phis = phi.copy()
-    yield phi, phis
+    a = params.values[:n_max]
+    rho = params.rho[:n_max]
+    inv_rho = 1.0 / rho
+    mixes = np.stack([np.conj(a), a], axis=1)[:, :, None]
+    log_growth = np.cumsum(np.log1p(np.abs(a)) - np.log(rho))
+    checked_from = int(np.searchsorted(log_growth, math.log(_MODULUS_RANGE[1] / 2.0)))
+    # each buffer holds 0, phi_k and phi*_k; X reads z phi_k from the
+    # leading zero on (phi_k has degree k < n_max, so nothing is shifted
+    # out) and the rows are written one place on
+    buffers = np.zeros((2, 2 * n_max + 4), dtype=complex)
+    xs = [buf.reshape(2, n_max + 2)[:, : n_max + 1] for buf in buffers]
+    rows = [buf[1 : 2 * n_max + 3].reshape(2, n_max + 1) for buf in buffers]
+    rows[0][:, 0] = 1.0
+    yield rows[0]
     for k in range(n_max):
-        # z phi_k; phi_k has degree k < n_max, so nothing is shifted out
-        zphi = np.concatenate(([0.0], phi[:-1]))
-        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
-            phis - a[k] * zphi
-        ) * inv_rho[k]
-        # phi* holds the same moduli, reversed; a step grows them by at
-        # most 2 / rho < 2e6 (|a| < ESCAPE_THRESHOLD), so below this bound
-        # the next step and an FFT of them stay finite
-        top = np.abs(phi).max()
-        if not top < _MODULUS_RANGE[1]:
-            raise PositivityLoss(
-                f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
-                "its square leaves the finite double range"
-            )
-        yield phi, phis
+        x, new = xs[k % 2], rows[(k + 1) % 2]
+        np.multiply(mixes[k], x[::-1], out=new)
+        np.subtract(x, new, out=new)
+        np.multiply(new, inv_rho[k], out=new)
+        if k >= checked_from:
+            top = np.abs(new[0]).max()
+            if not top < _MODULUS_RANGE[1]:
+                raise PositivityLoss(
+                    f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
+                    "its square leaves the finite double range"
+                )
+        yield new
+
+
+def phi_coefficients(params: SchurParameters) -> np.ndarray:
+    """The K+1 Taylor coefficients of phi_K, K = len(params), as one
+    read-only array: the transfer recursion on coefficients
+    (``_coefficient_steps``), whose PositivityLoss it raises."""
+    for phi, _ in _coefficient_steps(params, len(params)):
+        pass  # phi ends as phi_K
+    coefficients = phi.copy()
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def density_from_coefficients(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
+    """1/|phi_K|^2 at the N-th roots of unity, N = grid_size, from phi_K's
+    K+1 Taylor coefficients (``phi_coefficients``).
+
+    Such a polynomial is phi_K of the parameters (a_0..a_{K-1}, 0, 0, ...),
+    whose measure has this rational density; sampling it is the
+    reconstruction route for parameter-first families.  One length-N FFT
+    of the coefficients gives phi_K at the nodes.  Past degree N-1 they
+    fold onto degree k mod N first, which is exact on the grid because
+    xi^N = 1 there.  Raises PositivityLoss at a node where |phi_K|^2
+    underflows to 0 or overflows, so that 1/|phi_K|^2 would not be a
+    positive double.
+    """
+    k_cut = len(coefficients) - 1
+    if k_cut >= grid_size:
+        folded = np.pad(coefficients, (0, -len(coefficients) % grid_size))
+        coefficients = folded.reshape(-1, grid_size).sum(axis=0)
+    modulus = np.abs(grid_size * np.fft.ifft(coefficients, grid_size))
+    in_range = (modulus > _MODULUS_RANGE[0]) & (modulus < _MODULUS_RANGE[1])
+    if not np.all(in_range):
+        node = int(np.argmin(in_range))
+        raise PositivityLoss(
+            f"|phi_{k_cut}| = {modulus[node]:.3g} at grid node {node} of "
+            f"{grid_size}: the density 1/|phi_K|^2 is not a positive double there"
+        )
+    return 1.0 / modulus**2
 
 
 def coefficient_route(params: SchurParameters, n_max: int) -> Tuple[bool, float]:
@@ -297,7 +354,9 @@ def gram_from_moments(params: SchurParameters, c: np.ndarray, n_max: int) -> np.
     up to rounding, which grows with the digit loss as the coefficients
     cancel (``coefficient_route``).
     """
-    coeffs = np.array([phi for phi, _ in _coefficient_steps(params, n_max)])
+    coeffs = np.empty((n_max + 1, n_max + 1), dtype=complex)
+    for k, (phi, _) in enumerate(_coefficient_steps(params, n_max)):
+        coeffs[k] = phi
     lags = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     toeplitz = np.where(lags <= 0, c[np.abs(lags)], np.conj(c[np.abs(lags)]))
     return coeffs @ toeplitz @ coeffs.conj().T
@@ -391,36 +450,6 @@ def cd_laurent(n, xi, z, chi_xi, chi_z):
 def dual_parameters(params: SchurParameters) -> SchurParameters:
     """Parameters of the dual measure (Schur function negated): {-a_n}."""
     return SchurParameters(-params.values)
-
-
-def weight_from_parameters(params: SchurParameters, grid_size: int) -> np.ndarray:
-    """Density grid of the measure with parameters (a_0..a_{K-1}, 0, 0, ...).
-
-    Such a truncation has the rational density 1/|phi_K|^2; sampling it is
-    the reconstruction route for parameter-first families.
-
-    The K+1 Taylor coefficients of phi_K come from ``_coefficient_steps``,
-    and one length-N FFT of them gives phi_K at the N-th roots of unity.
-    Coefficients past degree N-1 fold onto degree k mod N, which is exact
-    on the grid because xi^N = 1 there.  Raises PositivityLoss at a node
-    where |phi_K|^2 underflows to 0 or overflows, so that 1/|phi_K|^2
-    would not be a positive double, and wherever ``_coefficient_steps``
-    does.
-    """
-    k_cut = len(params)
-    for phi, _ in _coefficient_steps(params, k_cut):
-        pass  # phi ends as phi_K
-    folded = np.pad(phi, (0, -len(phi) % grid_size))
-    coeffs = folded.reshape(-1, grid_size).sum(axis=0)
-    modulus = np.abs(grid_size * np.fft.ifft(coeffs))
-    in_range = (modulus > _MODULUS_RANGE[0]) & (modulus < _MODULUS_RANGE[1])
-    if not np.all(in_range):
-        node = int(np.argmin(in_range))
-        raise PositivityLoss(
-            f"|phi_{k_cut}| = {modulus[node]:.3g} at grid node {node} of "
-            f"{grid_size}: the density 1/|phi_K|^2 is not a positive double there"
-        )
-    return 1.0 / modulus**2
 
 
 # -----------------------------------------------------------------------------

@@ -13,9 +13,11 @@ The one-point references (``eval_pair``, ``eval_table``, ``chi_table``,
 where a run reads every boundary point from one table; a column of that
 table is bitwise their value.
 The bitwise references (``value_recursion_fresh_arrays``,
-``entropy_profile_per_delta``) instead restate a fast routine in its plain
-array form, to show that its buffers change no bit; the profile reference
-is also the roundoff-level oracle of the spectral Poisson route.  In the
+``coefficient_steps_fresh``, ``entropy_profile_per_delta``) instead
+restate a fast routine in its plain array form, to show that its buffers
+change no bit; the profile reference is also the roundoff-level oracle of
+the spectral Poisson route.  ``weight_from_parameters`` chains the ell2
+build's two sampling steps for tests that start from parameters.  In the
 same way ``phi_star_zero_free_per_point`` and ``cd_three_route_per_point``
 restate two sampled checks with one transfer pass per point, to show that
 evaluating all the points in one table changes no bit, and
@@ -571,6 +573,49 @@ def value_recursion_fresh_arrays(xi, q, n_max: int):
         values[n] = complex(a)
         phi, phis = zphi - np.conj(a) * phis, phis - a * zphi
     return values
+
+
+def coefficient_steps_fresh(params, n_max: int):
+    """The coefficient recursion with fresh arrays at every step.
+
+    The reference form of ``opuc._coefficient_steps``: the same operations
+    in the same order, but z phi, every product and every new phi, phi* is
+    a new array, and the largest coefficient modulus is read at every
+    step, so a buffer reused too early or a growth bound that skips an
+    order shows as a bitwise difference or a moved PositivityLoss.  Same
+    yields and raises; each yielded row may be kept.
+    """
+    from opuclab.errors import PositivityLoss
+    from opuclab.opuc import _MODULUS_RANGE
+
+    params.require_depth(n_max)
+    a = params.values
+    inv_rho = 1.0 / params.rho
+    phi = np.zeros(n_max + 1, dtype=complex)
+    phi[0] = 1.0
+    phis = phi.copy()
+    yield phi, phis
+    for k in range(n_max):
+        zphi = np.concatenate(([0.0], phi[:-1]))
+        phi, phis = (zphi - np.conj(a[k]) * phis) * inv_rho[k], (
+            phis - a[k] * zphi
+        ) * inv_rho[k]
+        top = np.abs(phi).max()
+        if not top < _MODULUS_RANGE[1]:
+            raise PositivityLoss(
+                f"phi_{k + 1} has a coefficient of modulus {top:.3g}: "
+                "its square leaves the finite double range"
+            )
+        yield phi, phis
+
+
+def weight_from_parameters(params, grid_size: int) -> np.ndarray:
+    """1/|phi_K|^2 on the N-th roots of unity for the parameters
+    (a_0..a_{K-1}, 0, 0, ...): the build's two steps, phi_K's coefficients
+    and their sampled density, in one call."""
+    from opuclab.opuc import density_from_coefficients, phi_coefficients
+
+    return density_from_coefficients(phi_coefficients(params), grid_size)
 
 
 def gram_full_table(params, nodes, weights, n_max: int) -> np.ndarray:

@@ -197,11 +197,10 @@ def _refused_and_quiet(c, p, message):
         _config(
             family={"name": "ell2", "c": c, "p": p}, grid_size=32768, n_list=[256]
         )
-    params = families.FAMILIES["ell2"].parameters(257, c=c, p=p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(PositivityLoss, match=message):
-            opuc.weight_from_parameters(params, 32768)
+            families.FAMILIES["ell2"].measure(32768, 257, c=c, p=p)
     assert caught == []
 
 
@@ -613,6 +612,28 @@ def test_ell2_run_makes_one_density_pass_and_no_chi_stream(spy):
     # boundary table, dual Jost table, the dual_involution rebuild (two),
     # phi_star_zero_free, cd_three_route, cd_at_zero_identity and density
     assert len(passes) == 8
+
+
+def test_ell2_run_makes_one_coefficient_pass_per_reader(spy):
+    # the build, the Gram check and the CMV sums each run the coefficient
+    # recursion once; the 2N grid of quadrature_refinement, which is also
+    # radial_limit's 8192-node grid here, samples the phi_K coefficients
+    # the build kept
+    passes = spy(lambda params, n_max: n_max, opuc, "_coefficient_steps")
+    spec = {"name": "ell2", "c": 0.5, "p": 1.0}
+    cfg = _config(family=spec, n_list=[4, 16, 64], experiment="all")
+    outcome = run_experiment(cfg)
+    statuses = {v.name: v.status for v in outcome.verdicts}
+    assert statuses["quadrature_refinement"] != "skip"
+    assert statuses["radial_limit"] != "skip"
+    depth = cfg.build_depth
+    assert passes == [depth + families.TAIL_MARGIN, 16, max(cfg.n_list)]
+    passes.clear()
+    inst = build_family(spec, 4096, depth)
+    fine = inst.measure_on(8192)
+    assert passes == [depth + families.TAIL_MARGIN]
+    built = build_family(spec, 8192, depth).measure
+    assert fine.weight.tobytes() == built.weight.tobytes()
 
 
 def _bits(values) -> bytes:

@@ -22,7 +22,6 @@ from opuclab.opuc import (
     eval_grid_table,
     monic_from_moments,
     verblunsky_from_measure,
-    weight_from_parameters,
 )
 from opuclab.schur import SchurParameters, schur_parameters_from_measure
 
@@ -30,6 +29,7 @@ from oracles import (
     cd_kernel_bruteforce,
     cd_kernel_routes,
     chi_table,
+    coefficient_steps_fresh,
     eval_pair,
     eval_table,
     exact_pass_outcome,
@@ -39,6 +39,7 @@ from oracles import (
     monic_from_moments_mp,
     phi_at_node_mp,
     value_recursion_fresh_arrays,
+    weight_from_parameters,
 )
 
 
@@ -465,6 +466,106 @@ def test_chi_grid_table_columns_are_one_point_streams_bitwise(
     chi = chi_grid_table(*eval_grid_table(params, xis, n), xis)
     for j, xi in enumerate(xis):
         assert _bits(chi[:, j]) == _bits(chi_table(params, complex(xi), n))
+
+
+def _coefficient_outcome(steps):
+    """The bytes of every row pair a coefficient pass yields, then the
+    message of the PositivityLoss that ends it, if one does."""
+    out = []
+    try:
+        for phi, phis in steps:
+            out.append((phi.tobytes(), phis.tobytes()))
+    except PositivityLoss as err:
+        out.append(str(err))
+    return out
+
+
+def _seeded_parameters(seed: int, size: int, top: float) -> SchurParameters:
+    """``size`` parameters of modulus uniform in [0, top) and uniform phase."""
+    rng = np.random.default_rng(seed)
+    return SchurParameters(
+        top * rng.uniform(size=size) * np.exp(2j * np.pi * rng.uniform(size=size))
+    )
+
+
+# ell2(0.5, 1) at depth 257: K = 265 parameters, the ell2-cmv-deep build
+_ELL2_HALF_CUT = FAMILIES["ell2"].parameters(257, c=0.5, p=1.0)
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_coefficient_steps_are_the_fresh_array_form_bitwise(seed):
+    # two reused buffers and one stacked update per step change no bit of
+    # any row: ell2(0.5, 1) at K = 265, and 20 seeded sequences with |a|
+    # up to 0.95, at their full depth and at n_max 0, 1 and 2
+    if seed is None:
+        params = _ELL2_HALF_CUT
+    else:
+        params = _seeded_parameters(seed, 2 + 15 * seed, 0.95)
+    for n_max in sorted({0, 1, 2, len(params)}):
+        got = _coefficient_outcome(opuc._coefficient_steps(params, n_max))
+        assert got == _coefficient_outcome(coefficient_steps_fresh(params, n_max))
+
+
+def _phase_parameters(size: int) -> SchurParameters:
+    """|a_k| = 0.95 at seeded random phases: the growth bound of the
+    coefficient pass passes half of sqrt(max double) near order 193, and
+    the coefficients reach sqrt(max double) only at order 281."""
+    rng = np.random.default_rng(5)
+    return SchurParameters(0.95 * np.exp(2j * np.pi * rng.uniform(size=400)[:size]))
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # ell2(0.9, 0.3) at depth 257 keeps its coefficients in range (its
+        # density underflows instead); ell2(0.9999999, 0.001) does not
+        (FAMILIES["ell2"].parameters(257, c=0.9, p=0.3), None),
+        (FAMILIES["ell2"].parameters(257, c=0.9999999, p=0.001), "phi_113 has"),
+        (_phase_parameters(250), None),
+        (_phase_parameters(400), "phi_281 has"),
+    ],
+    ids=["ell2-0.9-0.3", "ell2-0.9999999-0.001", "bound-only", "bound-then-rows"],
+)
+def test_positivity_loss_fires_at_the_fresh_form_order(params, message):
+    # the pass reads the largest modulus only once the growth bound nears
+    # sqrt(max double), and still raises at the order, with the message,
+    # of the form that reads it at every step
+    got = _coefficient_outcome(opuc._coefficient_steps(params, len(params)))
+    assert got == _coefficient_outcome(coefficient_steps_fresh(params, len(params)))
+    if message is None:
+        assert not isinstance(got[-1], str)
+    else:
+        assert got[-1].startswith(message)
+
+
+def test_phase_parameters_cross_the_growth_bound_first():
+    # the premise of the "bound-only" case: its bound passes the order
+    # from which the pass reads the maximum, its coefficients never do
+    params = _phase_parameters(250)
+    log_bound = np.cumsum(np.log1p(np.abs(params.values)) - np.log(params.rho))
+    assert log_bound[-1] > math.log(opuc._MODULUS_RANGE[1] / 2.0)
+    top = max(np.abs(phi).max() for phi, _ in coefficient_steps_fresh(params, 250))
+    assert top < opuc._MODULUS_RANGE[1] / 1e3
+
+
+def test_phi_coefficients_are_the_last_row_read_only():
+    coefficients = opuc.phi_coefficients(_ELL2_HALF_CUT)
+    for phi, _ in coefficient_steps_fresh(_ELL2_HALF_CUT, 265):
+        pass
+    assert coefficients.tobytes() == phi.tobytes()
+    assert not coefficients.flags.writeable
+
+
+@pytest.mark.parametrize("grid_size", [64, 265, 266, 4096])
+def test_density_is_the_padded_fold_bitwise(grid_size):
+    # one FFT of length N pads the K+1 = 266 coefficients itself, and only
+    # K+1 > N folds them first: the values of the padded, folded copy
+    coefficients = opuc.phi_coefficients(_ELL2_HALF_CUT)
+    folded = np.pad(coefficients, (0, -len(coefficients) % grid_size))
+    folded = folded.reshape(-1, grid_size).sum(axis=0)
+    want = 1.0 / np.abs(grid_size * np.fft.ifft(folded)) ** 2
+    got = opuc.density_from_coefficients(coefficients, grid_size)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_weight_reconstruction_matches_density(bs_half):
