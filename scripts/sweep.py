@@ -341,26 +341,31 @@ def write_statuses(path, entries: list) -> None:
         handle.write("\n]}\n")
 
 
+def config_changes(old: list, new: list) -> list:
+    """(old entry, new entry, line) for each config whose entry differs
+    between two lists of ``statuses`` entries of one sweep; ValueError
+    when the two lists name other configs."""
+    if [e["config"] for e in old] != [e["config"] for e in new]:
+        raise ValueError("the two sweeps drew other configs")
+    line = "  {0[config]}: {0[status]} {0[failed]} -> {1[status]} {1[failed]}"
+    return [(a, b, line.format(a, b)) for a, b in zip(old, new) if a != b]
+
+
 def check_statuses(path, entries: list) -> bool:
     """Print each config that is worse or better than the status record;
     True when none is worse."""
     with open(path, encoding="utf-8") as handle:
         recorded = json.load(handle)
-    if [e["config"] for e in recorded["configs"]] != [e["config"] for e in entries]:
+    try:
+        changes = config_changes(recorded["configs"], entries)
+    except ValueError:
         print(f"{Path(path).name} records other configs than this sweep draws")
         return False
     worse, better = [], []
-    for old, new in zip(recorded["configs"], entries):
+    for old, new, change in changes:
         rank = STATUS_ORDER.index(new["status"]) - STATUS_ORDER.index(old["status"])
         grown = set(new["failed"]) - set(old["failed"])
-        change = (
-            f"  {new['config']}: {old['status']} {old['failed']} -> "
-            f"{new['status']} {new['failed']}"
-        )
-        if rank > 0 or grown:
-            worse.append(change)
-        elif old != new:
-            better.append(change)
+        (worse if rank > 0 or grown else better).append(change)
     print()
     print(f"status record {Path(path).name}: {len(worse)} worse, {len(better)} better")
     for title, changes in (("worse", worse), ("better; rewrite the record", better)):
@@ -374,18 +379,9 @@ def path_changes(here: list, there: list) -> tuple:
     """(status changes, failing-set changes): one line per config whose
     status, or else whose set of failing verdicts, differs between two
     lists of ``statuses`` entries of one sweep."""
-    if [e["config"] for e in here] != [e["config"] for e in there]:
-        raise ValueError("the two sweeps drew other configs")
-    status, failing = [], []
-    for a, b in zip(here, there):
-        change = (
-            f"  {a['config']}: {a['status']} {a['failed']} -> "
-            f"{b['status']} {b['failed']}"
-        )
-        if a["status"] != b["status"]:
-            status.append(change)
-        elif a["failed"] != b["failed"]:
-            failing.append(change)
+    changes = config_changes(here, there)
+    status = [change for a, b, change in changes if a["status"] != b["status"]]
+    failing = [change for a, b, change in changes if a["status"] == b["status"]]
     return status, failing
 
 

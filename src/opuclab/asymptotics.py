@@ -21,18 +21,11 @@ every n (``sandwich_rows``), and the summability sweep reads chi_k there
 plus one Poisson call over its points (``summability_conditions``).  The
 sweeps return plain rows, which ``experiments`` writes to CSV.
 
-The CMV half: Fourier coefficients against the chi basis, partial-sum
-strong Cesaro deviation at a point, and the per-n boundedness condition
-that drives it.
-
-The coefficients take one of two routes, gated by the parameters' digit
-loss (``opuc.coefficient_route``): one FFT of f w per function and the
-Taylor coefficients of phi_k (``opuc.chi_sums_fft``), or one streamed
-pass of the transfer recursion over the nodes (``opuc.chi_sums``), where
-each chi_k row is formed, contracted against f w and dropped.  Neither
-forms an (n+1) x N table, so memory is O(N) in the grid size.  The
-coefficients depend on neither the test point nor n, so a caller computes
-them once at its largest order.
+The CMV half: partial-sum strong Cesaro deviation at a point, and the
+per-n boundedness condition that drives it.  Both read the Fourier
+coefficients against the chi basis by prefix; those come from
+``opuc.cmv_sums``, for f = 1 and f = Re xi, which depend on neither the
+test point nor n, so a caller computes them once at its largest order.
 """
 
 from __future__ import annotations
@@ -42,15 +35,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import GridMismatch, OutOfRange
+from .errors import OutOfRange
 from .measure import CircleMeasure, _as_boundary, _order, poisson, snap
-from .opuc import (
-    cd_quotient,
-    chi_sums,
-    chi_sums_fft,
-    coefficient_route,
-    eval_grid_table,
-)
+from .opuc import cd_quotient, eval_grid_table
 from .schur import SchurParameters
 from .szego import entropy_profile
 
@@ -116,54 +103,6 @@ def sandwich_rows(
 # -----------------------------------------------------------------------------
 # CMV Fourier analysis
 # -----------------------------------------------------------------------------
-def cmv_coefficients(
-    mu: CircleMeasure,
-    params: SchurParameters,
-    f_samples: np.ndarray,
-    n_max: int,
-    f_atom_values: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fourier coefficients c_j = integral of f conj(chi_j) dmu, j <= n_max.
-
-    ``f_samples`` is one function on the grid, shape (N,), or a stack of
-    them, shape (m, N); ``f_atom_values`` then has shape (A,) or (m, A) for
-    the A atoms.  Returns shape (n_max+1,) or (m, n_max+1).  The sums run
-    over the nodes of ``mu.quadrature()`` by one of two routes:
-
-    * where ``opuc.coefficient_route`` holds for a_0..a_{n_max-1}, in
-      coefficient space: one FFT per function and a dot product per order
-      with the Taylor coefficients of phi_k (``opuc.chi_sums_fft``),
-      O(n^2 + N log N);
-    * otherwise in one streamed pass of the transfer recursion over the
-      nodes (``opuc.chi_sums``), O(nN).
-
-    Memory is O(N) on both routes.
-    """
-    f = np.asarray(f_samples, dtype=complex)
-    if f.ndim not in (1, 2) or f.shape[-1:] != mu.weight.shape:
-        raise GridMismatch(f"f has shape {f.shape}, grid expects {mu.weight.shape}")
-    fa = np.zeros(f.shape[:-1] + (0,), dtype=complex)
-    if mu.atoms:
-        if f_atom_values is None:
-            raise GridMismatch("measure has atoms; f values at atoms required")
-        fa = np.asarray(f_atom_values, dtype=complex)
-        if fa.shape != f.shape[:-1] + (len(mu.atoms),):
-            raise GridMismatch(
-                f"{len(mu.atoms)} atom values expected per function, "
-                f"got shape {fa.shape}"
-            )
-    if coefficient_route(params, n_max)[0]:
-        return chi_sums_fft(
-            params,
-            f * (mu.weight / mu.grid_size),
-            mu.atom_points,
-            fa * mu.atom_masses,
-            n_max,
-        )
-    nodes, weights = mu.quadrature()
-    return chi_sums(params, nodes, np.concatenate([f, fa], axis=-1) * weights, n_max)
-
-
 def partial_sum_deviation(
     coeffs: np.ndarray, chi_vals: np.ndarray, f_at_xi0: complex
 ) -> float:

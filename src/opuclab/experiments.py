@@ -46,7 +46,6 @@ import numpy as np
 from .asymptotics import (
     SandwichRow,
     cd_at_zero_residual,
-    cmv_coefficients,
     partial_sum_deviation,
     sandwich_rows,
     summability_conditions,
@@ -80,11 +79,10 @@ from .opuc import (
     cd_laurent,
     cd_quotient,
     chi_grid_table,
-    coefficient_route,
+    cmv_sums,
     dual_parameters,
     eval_grid_table,
-    gram_from_moments,
-    gram_matrix,
+    gram,
     monic_from_moments,
     verblunsky_from_measure,
 )
@@ -387,16 +385,10 @@ class RunContext:
     @_cached
     def cmv(self) -> Tuple[np.ndarray, np.ndarray]:
         """CMV coefficients c_0..c_{cmv_top} of f = 1 and of f = Re xi, from
-        one ``cmv_coefficients`` call, which summability checks and tables
-        read by prefix."""
-        mu = self.mu
-        f = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
-        atom_values = (
-            np.array([[1.0, math.cos(t)] for t, _ in mu.atoms]).T
-            if mu.atoms
-            else None
-        )
-        return tuple(cmv_coefficients(mu, self.params, f, self.cmv_top, atom_values))
+        one ``opuc.cmv_sums`` call, which summability checks and tables
+        read by prefix: on its moment route no array of the grid's size
+        is formed."""
+        return tuple(cmv_sums(self.mu, self.params, self.cmv_top))
 
     def horizon(self, z: complex) -> int:
         """Safe pointwise-iterate depth at z, capped by the build depth."""
@@ -753,18 +745,9 @@ def _szego_formula(ctx: RunContext) -> Result:
 
 @check("schur_identities", "gram_orthonormality")
 def _gram_orthonormality(ctx: RunContext) -> Result:
-    # from the moments where they are exact and the coefficient route
-    # holds, else streamed over the quadrature nodes
     m = min(16, ctx.depth)
-    holds, loss = coefficient_route(ctx.params, m)
-    if holds and m <= max_trusted_moment(ctx.mu.grid_size):
-        gram = gram_from_moments(ctx.params, moments(ctx.mu, m), m)
-        route = f"coefficient space, digit loss {loss:.2f}"
-    else:
-        nodes, weights = ctx.mu.quadrature()
-        gram = gram_matrix(ctx.params, nodes, weights, m)
-        route = f"streamed over {len(nodes)} nodes, digit loss {loss:.2f}"
-    residual = float(np.max(np.abs(gram - np.eye(m + 1))))
+    matrix, route = gram(ctx.mu, ctx.params, m)
+    residual = float(np.max(np.abs(matrix - np.eye(m + 1))))
     return _within(
         residual,
         1e-8,

@@ -29,26 +29,27 @@ Coefficient space
 -----------------
 ``_coefficient_steps`` runs the transfer recursion above on the Taylor
 coefficients of phi_k (multiplying by z shifts them one place), one
-stacked update of the row pair per step in two reused buffers.  On the
-N-th roots of unity one length-N FFT then stands in for k steps at every
-node, O(k^2 + N log N) instead of O(kN), at a relative error of about
-10^(digit loss) * eps, the conditioning of phi_k's coefficients:
+stacked update of the row pair per step in two reused buffers, at a
+relative error of about 10^(digit loss) * eps, the conditioning of
+phi_k's coefficients.  ``phi_coefficients`` keeps phi_K's coefficients
+and ``density_from_coefficients`` samples 1/|phi_K|^2 from them by one
+length-N FFT, the reconstruction route of parameter-first families; a
+build keeps the coefficients, so sampling on another grid runs no pass.
 
-* ``phi_coefficients`` keeps phi_K's coefficients and
-  ``density_from_coefficients`` samples 1/|phi_K|^2 from them, the
-  reconstruction route of parameter-first families; a build keeps the
-  coefficients, so sampling on another grid runs no pass;
-* ``chi_sums_fft`` integrates functions against the CMV basis;
-* ``gram_from_moments`` forms the Gram matrix of phi_0..phi_m from the
-  moments c_0..c_m alone, O(m^3) whatever N.
-
-The last two sit behind one gate, ``coefficient_route``: the digit loss
-of the parameters they read stays within ``schur._SAFE_DIGIT_LOSS``.
+Integrals against mu follow one rule: coefficient space reads the
+measure's moments (``measure.moments``, atoms included), node space
+streams ``mu.quadrature()``.  Two dispatchers, ``gram`` (the Gram matrix
+of phi_0..phi_m) and ``cmv_sums`` (the CMV coefficients of 1 and Re xi),
+take coefficient space where one gate, ``coefficient_route``, holds: the
+parameters' digit loss stays within ``schur._SAFE_DIGIT_LOSS`` and every
+moment read within ``measure.max_trusted_moment``.  There
+``gram_from_moments`` and ``chi_sums_from_moments`` cost O(m^3) and
+O(n^2) whatever N; past it ``gram_matrix`` and ``chi_sums`` stream the
+nodes through the transfer recursion, ``gram_matrix`` in chunks, so no
+order-by-node table is held.
 
 Everything else evaluates polynomials by the transfer recursion, one pass
-over an array of points; past the gate, ``gram_matrix`` streams the
-quadrature nodes through it in chunks, so no order-by-node table is
-held.  A column of
+over an array of points.  A column of
 ``eval_grid_table`` is bitwise the one-point table at that point, so
 checks that sample many points draw them all first and read every value
 from one table, and a run reads every boundary point it touches from
@@ -69,7 +70,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import OutOfRange, PositivityLoss
-from .measure import CircleMeasure
+from .measure import CircleMeasure, max_trusted_moment, moments
 from .schur import (
     _SAFE_DIGIT_LOSS,
     ESCAPE_THRESHOLD,
@@ -224,19 +225,25 @@ def density_from_coefficients(coefficients: np.ndarray, grid_size: int) -> np.nd
     return 1.0 / modulus**2
 
 
-def coefficient_route(params: SchurParameters, n_max: int) -> Tuple[bool, float]:
-    """(holds, loss): the gate of the coefficient-space sums.
+def coefficient_route(
+    mu: CircleMeasure, params: SchurParameters, n_max: int, order: int
+) -> Tuple[bool, float]:
+    """(holds, loss): the one gate of the coefficient-space sums, which
+    read a_0..a_{n_max-1} and the moments c_0..c_order of mu.
 
-    ``loss`` is the digit loss of a_0..a_{n_max-1} (``schur.digit_loss``
+    ``loss`` is the digit loss of those parameters (``schur.digit_loss``
     summed), about log10 of the growth of phi_k's Taylor coefficients over
-    its values, and the sums over those coefficients hold while it stays
-    within the Schur cascade's ``_SAFE_DIGIT_LOSS``.  Past it they cancel
+    its values.  The sums hold while it stays within the Schur cascade's
+    ``_SAFE_DIGIT_LOSS`` and ``order`` within ``max_trusted_moment(N)``,
+    past which ``moments`` raises AliasRisk.  Past the loss they cancel
     where the values do not: for f = Re xi on geronimus(0.6), 4096 nodes,
-    n = 64 (15.2 digits), ``chi_sums_fft`` is off a 40-digit sum of the
-    same quadrature by 7.0e-12 and the streamed ``chi_sums`` by 1.1e-16.
+    n = 64 (15.2 digits), ``chi_sums_from_moments`` is off a 40-digit sum
+    of the same quadrature by 7.1e-12 and the streamed ``chi_sums`` by
+    1.1e-16.
     """
     loss = sum(digit_loss(abs(a)) for a in params.values[:n_max])
-    return loss <= _SAFE_DIGIT_LOSS, loss
+    holds = loss <= _SAFE_DIGIT_LOSS and order <= max_trusted_moment(mu.grid_size)
+    return holds, loss
 
 
 def _run_transfer(params: SchurParameters, zs: np.ndarray, n_max: int, keep_all: bool):
@@ -362,50 +369,64 @@ def gram_from_moments(params: SchurParameters, c: np.ndarray, n_max: int) -> np.
     return coeffs @ toeplitz @ coeffs.conj().T
 
 
-def chi_sums_fft(
-    params: SchurParameters,
-    grid_values: np.ndarray,
-    atom_points: np.ndarray,
-    atom_values: np.ndarray,
-    n_max: int,
-) -> np.ndarray:
-    """``chi_sums`` over the N-th roots of unity and a few atoms, by FFT.
+def gram(mu: CircleMeasure, params: SchurParameters, m: int) -> Tuple[np.ndarray, str]:
+    """The Gram matrix of phi_0..phi_m under mu, quadrature plus atoms, and
+    the route that formed it: from the moments c_0..c_m
+    (``gram_from_moments``) where ``coefficient_route`` holds, else
+    streamed over ``mu.quadrature()`` (``gram_matrix``)."""
+    holds, loss = coefficient_route(mu, params, m, m)
+    if holds:
+        route = f"coefficient space, digit loss {loss:.2f}"
+        return gram_from_moments(params, moments(mu, m), m), route
+    nodes, weights = mu.quadrature()
+    route = f"streamed over {len(nodes)} nodes, digit loss {loss:.2f}"
+    return gram_matrix(params, nodes, weights, m), route
 
-    ``grid_values[..., j]`` sits at exp(2 pi i j / N) and
-    ``atom_values[..., a]`` at ``atom_points[a]``.  On the circle
-    chi_k = z^-h phi*_k (k even) or z^-h phi_k (k odd), h = k // 2, so
-    with p_k the Taylor coefficients of that polynomial and
-    F_m = sum_j values_j conj(xi_j)^m the k-th sum is
-    sum_i conj(p_{k,i}) F_{i-h}.  On the grid F_m is entry m mod N of one
-    length-N FFT of the values, exact because xi^N = 1 there; the atoms
-    add their terms pointwise.  O(n_max^2 + N log N) instead of the
-    O(n_max N) of ``chi_sums``, but the coefficients of phi_k cancel in
-    the sum, so its error grows with the parameters' digit loss (see
-    ``coefficient_route`` for the gate).  Each function gets
-    its own FFT, spectrum and dot products, so stacking functions does
-    not change their sums, and a deeper n_max does not change the
-    shallower ones.
+
+def chi_sums_from_moments(
+    params: SchurParameters, c: np.ndarray, n_max: int
+) -> np.ndarray:
+    """<1, chi_k> and <Re xi, chi_k>, k = 0..n_max, as a (2, n_max + 1)
+    array, from the moments c_0..c_{n_max - n_max // 2 + 1} of mu.
+
+    On the circle chi_k = xi^-h phi*_k (k even) or xi^-h phi_k (k odd),
+    h = k // 2, so with p_k the Taylor coefficients of that polynomial
+    (``_coefficient_steps``) and F_m = integral of f conj(xi)^m dmu the
+    k-th sum is sum_i conj(p_{k,i}) F_{i-h}.  For f = 1, F_m = c_m, with
+    c_{-m} = conj(c_m); for f = Re xi, F_m = (c_{m-1} + c_{m+1}) / 2.
+    O(n_max^2) after the moments, whatever N; each sum reads only its own
+    order's coefficients, so a deeper n_max does not change the shallower
+    sums.  The coefficients of phi_k cancel in the sum, so its error grows
+    with the parameters' digit loss (``coefficient_route``).
     """
-    grid_values = np.asarray(grid_values, dtype=complex)
-    grid_size = grid_values.shape[-1]
-    funcs = grid_values.reshape(-1, grid_size)
-    atom_funcs = np.asarray(atom_values, dtype=complex).reshape(len(funcs), -1)
-    # F_m for m = -low .. n_max - low, the exponents i - h that occur
     low = n_max // 2
-    exponents = np.arange(-low, n_max - low + 1)
-    atom_powers = [np.conj(x) ** exponents for x in atom_points]
-    spectra = []
-    for g, g_atoms in zip(funcs, atom_funcs):
-        spectrum = np.fft.fft(g)[exponents % grid_size]
-        for powers, v in zip(atom_powers, g_atoms):
-            spectrum += v * powers
-        spectra.append(spectrum)
-    out = np.empty((len(funcs), n_max + 1), dtype=complex)
+    # c_m for m = -low - 1 .. n_max - low + 1
+    lags = np.arange(-low - 1, n_max - low + 2)
+    c_m = np.where(lags < 0, np.conj(c[np.abs(lags)]), c[np.abs(lags)])
+    spectra = (c_m[1:-1], (c_m[:-2] + c_m[2:]) / 2)
+    out = np.empty((2, n_max + 1), dtype=complex)
     for k, (phi, phis) in enumerate(_coefficient_steps(params, n_max)):
         coeffs = np.conj((phi if k % 2 else phis)[: k + 1])
         start = low - k // 2
         out[:, k] = [coeffs @ s[start : start + k + 1] for s in spectra]
-    return out.reshape(grid_values.shape[:-1] + (n_max + 1,))
+    return out
+
+
+def cmv_sums(mu: CircleMeasure, params: SchurParameters, n_max: int) -> np.ndarray:
+    """CMV coefficients <f, chi_k> = integral of f conj(chi_k) dmu of f = 1
+    (row 0) and f = Re xi (row 1), k = 0..n_max, under mu, quadrature plus
+    atoms: from the moments (``chi_sums_from_moments``) where
+    ``coefficient_route`` holds, else in one streamed pass over
+    ``mu.quadrature()`` (``chi_sums``).  Past the measure's band record
+    (``measure.moments``), the first route forms no array of the grid's
+    size."""
+    order = n_max - n_max // 2 + 1  # |i - k // 2| + 1 at most, i <= k <= n_max
+    if coefficient_route(mu, params, n_max, order)[0]:
+        return chi_sums_from_moments(params, moments(mu, order), n_max)
+    nodes, weights = mu.quadrature()
+    cosines = np.concatenate([np.cos(mu.angles), [math.cos(t) for t, _ in mu.atoms]])
+    values = np.stack([np.ones(len(nodes)), cosines]) * weights
+    return chi_sums(params, nodes, values, n_max)
 
 
 # -----------------------------------------------------------------------------

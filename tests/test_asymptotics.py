@@ -7,7 +7,6 @@ import pytest
 
 from opuclab.asymptotics import (
     cd_at_zero_residual,
-    cmv_coefficients,
     partial_sum_deviation,
     sandwich_rows,
     summability_conditions,
@@ -16,8 +15,8 @@ from opuclab import asymptotics, experiments, opuc
 from opuclab.config import config_from_dict
 from opuclab.errors import OutOfRange
 from opuclab.families import build_family
-from opuclab.measure import _as_boundary
-from opuclab.opuc import chi_sums, chi_sums_fft, eval_grid_table
+from opuclab.measure import _as_boundary, moments
+from opuclab.opuc import chi_sums, chi_sums_from_moments, cmv_sums, eval_grid_table
 from oracles import (
     chi_table,
     cmv_coefficients_dense,
@@ -77,19 +76,14 @@ def test_sandwich_target_is_reciprocal_density(bs_half):
 
 def test_strong_cesaro_constant_function_is_exact(leb, bs_half):
     for inst in (leb, bs_half):
-        mu = inst.measure
-        ones = np.ones(mu.grid_size, dtype=complex)
-        atom_ones = np.ones(len(mu.atoms), dtype=complex)
-        coeffs = cmv_coefficients(mu, inst.params, ones, 63, atom_ones)
+        coeffs = cmv_sums(inst.measure, inst.params, 63)[0]
         dev = partial_sum_deviation(coeffs, chi_table(inst.params, 1.0, 63), 1.0)
         assert dev < 1e-12, inst.name
 
 
 def test_strong_cesaro_decreases_for_smooth_data(leb, bs_half):
     for inst in (leb, bs_half):
-        mu = inst.measure
-        grid, atoms = _cos_samples(mu)
-        coeffs = cmv_coefficients(mu, inst.params, grid, 255, atoms)
+        coeffs = cmv_sums(inst.measure, inst.params, 255)[1]
         chi_vals = chi_table(inst.params, 1.0, 255)
         devs = [
             partial_sum_deviation(coeffs[:n], chi_vals[:n], 1.0)
@@ -101,8 +95,7 @@ def test_strong_cesaro_decreases_for_smooth_data(leb, bs_half):
 
 def test_cmv_bessel_inequality(mixed_atom):
     mu = mixed_atom.measure
-    grid, atoms = _cos_samples(mu)
-    coeffs = cmv_coefficients(mu, mixed_atom.params, grid, 128, atoms)
+    coeffs = cmv_sums(mu, mixed_atom.params, 128)[1]
     angles = 2.0 * np.pi * np.arange(mu.grid_size) / mu.grid_size
     norm_sq = float(np.mean(mu.weight * np.cos(angles) ** 2))
     norm_sq += sum(m * np.cos(a) ** 2 for a, m in mu.atoms)
@@ -112,6 +105,14 @@ def test_cmv_bessel_inequality(mixed_atom):
         m * np.cos(a) for a, m in mu.atoms
     )
     assert abs(coeffs[0] - want0) < 1e-12
+
+
+def _streamed(mu, params, values, atom_values, n_max):
+    """``chi_sums`` of general functions over ``mu.quadrature()``."""
+    nodes, weights = mu.quadrature()
+    return chi_sums(
+        params, nodes, np.concatenate([values, atom_values], axis=-1) * weights, n_max
+    )
 
 
 @pytest.mark.parametrize("n_max", [64, 200])  # a shallow and a deep order
@@ -130,23 +131,34 @@ def test_streamed_cmv_coefficients_match_dense_table(
         want = cmv_coefficients_dense(
             mu, inst.params, stacked, n_max, stacked_atoms
         )
-        got = cmv_coefficients(mu, inst.params, stacked, n_max, stacked_atoms)
+        got = _streamed(mu, inst.params, stacked, stacked_atoms, n_max)
         assert got.shape == (2, n_max + 1)
         assert np.max(np.abs(got - want)) < 1e-13, inst.name
-        single = cmv_coefficients(mu, inst.params, wave, n_max, wave_atoms)
+        single = _streamed(mu, inst.params, wave, wave_atoms, n_max)
         assert single.shape == (n_max + 1,)
         assert np.max(np.abs(single - want[1])) < 1e-13, inst.name
         # a function's coefficients do not depend on what it is stacked with
         assert np.array_equal(single, got[1]), inst.name
+        # the run's sums of 1 and Re xi, on whichever route the gate picks
+        ones = np.ones_like(grid), np.ones_like(atoms)
+        dense = cmv_coefficients_dense(
+            mu, inst.params, np.stack([ones[0], grid]), n_max, np.stack([ones[1], atoms])
+        )
+        sums = cmv_sums(mu, inst.params, n_max)
+        assert np.max(np.abs(sums - dense)) < 1e-13, inst.name
 
 
 def test_deeper_passes_extend_shallower_ones_bitwise(geronimus6, mixed_atom):
-    # RunContext.cmv() computes once at the deepest order and slices
+    # RunContext.cmv() computes once at the deepest order and slices; the
+    # geronimus sums are streamed and the mixed ones read the moments
     for inst in (geronimus6, mixed_atom):
         mu = inst.measure
+        deep = cmv_sums(mu, inst.params, 200)
+        shallow = cmv_sums(mu, inst.params, 64)
+        assert np.array_equal(deep[:, :65], shallow), inst.name
         grid, atoms = _cos_samples(mu)
-        deep = cmv_coefficients(mu, inst.params, grid, 200, atoms)
-        shallow = cmv_coefficients(mu, inst.params, grid, 64, atoms)
+        deep = _streamed(mu, inst.params, grid, atoms, 200)
+        shallow = _streamed(mu, inst.params, grid, atoms, 64)
         assert np.array_equal(deep[:65], shallow), inst.name
         for deep_tab, tab in zip(
             eval_grid_table(inst.params, mu.boundary_points, 200),
@@ -159,10 +171,9 @@ def test_cmv_coefficients_memory_is_linear_in_the_grid():
     # a table of every order over this grid takes about 800 MB
     inst = build_family({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 256)
     mu = inst.measure
-    stacked = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
     tracemalloc.start()
     try:
-        cmv_coefficients(mu, inst.params, stacked, 256)
+        cmv_sums(mu, inst.params, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,7 +181,7 @@ def test_cmv_coefficients_memory_is_linear_in_the_grid():
 
 
 def test_streamed_coefficient_pass_memory_is_linear_in_the_grid():
-    # the route behind the digit-loss gate, on the grid and order above
+    # the route behind the gate, on the grid and order above
     inst = build_family({"name": "ell2", "c": 0.5, "p": 1.0}, 32768, 256)
     mu = inst.measure
     stacked = np.stack([np.ones(mu.grid_size), np.cos(mu.angles)])
@@ -184,23 +195,40 @@ def test_streamed_coefficient_pass_memory_is_linear_in_the_grid():
     assert peak < 32e6, peak
 
 
-# Grids small enough for the pure-Python oracle (about 0.2 s a case); ell2
-# needs 56 nodes per parameter.  The route is the one cmv_coefficients
-# takes: geronimus(0.6) loses 11.6 digits over these 32 parameters.
+def test_sums_past_the_trusted_band_are_streamed(spy):
+    # order 64 reads moments to order 33, past N/8 = 32 on 256 nodes, where
+    # ``moments`` raises AliasRisk; the gate streams the nodes instead, and
+    # order 62, which reads to order 32, stays in coefficient space
+    inst = build_family({"name": "lebesgue"}, 256, 64)
+    mu = inst.measure
+    streamed = spy(lambda params, xis, values, n_max: n_max, opuc, "chi_sums")
+    sums = cmv_sums(mu, inst.params, 64)
+    assert streamed == [64]
+    grid, atoms = _cos_samples(mu)
+    both = np.stack([np.ones_like(grid), grid]), np.stack([atoms, atoms])
+    assert np.array_equal(sums, _streamed(mu, inst.params, *both, 64))
+    assert cmv_sums(mu, inst.params, 62).shape == (2, 63)
+    assert streamed == [64]
+
+
+# Grids small enough for the pure-Python oracle (about 1 s a case); ell2
+# needs 56 nodes per parameter, and order 32 reads moments to order 17,
+# within N/8 on 256 nodes.  The route is the one cmv_sums takes:
+# geronimus(0.6) loses 12.8 digits over these 32 parameters.
 _ORACLE_CASES = [
-    ({"name": "lebesgue"}, 128, 32, "fft"),
-    ({"name": "bernstein_szego", "r": 0.5}, 128, 32, "fft"),
-    ({"name": "geronimus", "a": 0.6}, 128, 32, "streamed"),
-    ({"name": "ell2", "c": 0.5, "p": 1.0}, 1024, 8, "fft"),
+    ({"name": "lebesgue"}, 256, 32, "moments"),
+    ({"name": "bernstein_szego", "r": 0.5}, 256, 32, "moments"),
+    ({"name": "geronimus", "a": 0.6}, 256, 32, "streamed"),
+    ({"name": "ell2", "c": 0.5, "p": 1.0}, 1024, 8, "moments"),
     (
         {
             "name": "mixed",
             "base": {"name": "bernstein_szego", "r": 0.3},
             "atoms": [{"angle": 2.0, "mass": 0.2}],
         },
-        128,
+        256,
         32,
-        "fft",
+        "moments",
     ),
 ]
 
@@ -213,29 +241,27 @@ _ORACLE_CASES = [
 def test_coefficient_routes_match_a_40_digit_sum(spec, grid_size, n_max, route):
     inst = build_family(spec, grid_size, n_max)
     mu = inst.measure
-    f = np.cos(mu.angles) + 1j * np.sin(3.0 * mu.angles)
-    fa = np.array([np.cos(t) + 1j * np.sin(3.0 * t) for t, _ in mu.atoms])
-    want = cmv_coefficients_mp(mu, inst.params, f, n_max, fa)
-    nodes, weights = mu.quadrature()
-    streamed = chi_sums(
-        inst.params, nodes, np.concatenate([f, fa]) * weights, n_max
+    grid, atoms = _cos_samples(mu)
+    ones = np.ones(len(grid)), np.ones(len(atoms))
+    want = np.array([
+        cmv_coefficients_mp(mu, inst.params, f, n_max, fa)
+        for f, fa in (ones, (grid, atoms))
+    ])
+    streamed = _streamed(
+        mu, inst.params, np.stack([ones[0], grid]), np.stack([ones[1], atoms]), n_max
     )
-    fft = chi_sums_fft(
-        inst.params,
-        f * (mu.weight / mu.grid_size),
-        mu.atom_points,
-        fa * mu.atom_masses,
-        n_max,
+    from_moments = chi_sums_from_moments(
+        inst.params, moments(mu, n_max - n_max // 2 + 1), n_max
     )
     assert np.max(np.abs(streamed - want)) < 1e-14, inst.name
-    got = cmv_coefficients(mu, inst.params, f, n_max, fa)
-    if route == "fft":
-        assert np.max(np.abs(fft - want)) < 1e-14, inst.name
-        assert np.array_equal(got, fft), inst.name
+    got = cmv_sums(mu, inst.params, n_max)
+    if route == "moments":
+        assert np.max(np.abs(from_moments - want)) < 1e-14, inst.name
+        assert np.array_equal(got, from_moments), inst.name
     else:
         # the gate is needed: phi_k's coefficients cancel where its values
         # do not, so the coefficient route loses what the parameters lose
-        assert np.max(np.abs(fft - want)) > 1e-13, inst.name
+        assert np.max(np.abs(from_moments - want)) > 1e-13, inst.name
         assert np.array_equal(got, streamed), inst.name
 
 

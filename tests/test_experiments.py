@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from opuclab import asymptotics, experiments, families, opuc, scattering, schur, szego
-from opuclab.asymptotics import (
-    cmv_coefficients,
-    partial_sum_deviation,
-    summability_conditions,
-)
+from opuclab.asymptotics import partial_sum_deviation, summability_conditions
 from opuclab.config import config_from_dict
 from opuclab.errors import ConfigError, FamilyValidationError, PositivityLoss
 from opuclab.experiments import (
@@ -25,7 +21,7 @@ from opuclab.experiments import (
     write_outputs,
 )
 from opuclab.families import build_family
-from opuclab.measure import CircleMeasure
+from opuclab.measure import CircleMeasure, moments
 
 from oracles import (
     cd_three_route_per_point,
@@ -255,7 +251,7 @@ def test_verdict_to_json_shape():
 
 
 def test_summability_run_makes_one_coefficient_pass(spy):
-    orders = spy(lambda *args: args[3], experiments, "cmv_coefficients")
+    orders = spy(lambda mu, params, n_max: n_max, experiments, "cmv_sums")
     cfg = _config(
         family=MIXED,
         experiment="summability",
@@ -271,8 +267,8 @@ def test_summability_run_makes_one_coefficient_pass(spy):
 @pytest.mark.parametrize(
     "family, grid_size, route",
     [
-        (MIXED, 4096, "chi_sums_fft"),
-        ({"name": "ell2", "c": 0.5, "p": 1.0}, 16384, "chi_sums_fft"),
+        (MIXED, 4096, "chi_sums_from_moments"),
+        ({"name": "ell2", "c": 0.5, "p": 1.0}, 16384, "chi_sums_from_moments"),
         # 13.5 digits of loss over 64 parameters: past the gate
         ({"name": "geronimus", "a": 0.6}, 4096, "chi_sums"),
     ],
@@ -284,7 +280,7 @@ def test_summability_run_takes_the_gated_route(
     taken = []
 
     def recorded(name):
-        run = getattr(asymptotics, name)
+        run = getattr(opuc, name)
 
         def wrapper(*args):
             taken.append(name)
@@ -292,8 +288,8 @@ def test_summability_run_takes_the_gated_route(
 
         return wrapper
 
-    for name in ("chi_sums", "chi_sums_fft"):
-        monkeypatch.setattr(asymptotics, name, recorded(name))
+    for name in ("chi_sums", "chi_sums_from_moments"):
+        monkeypatch.setattr(opuc, name, recorded(name))
     cfg = _config(
         family=family,
         grid_size=grid_size,
@@ -409,15 +405,13 @@ def test_summability_table_matches_the_public_functions():
     outcome = run_experiment(cfg)
     inst = build_family(cfg.family, cfg.grid_size, cfg.build_depth)
     mu = inst.measure
-    samples = np.cos(mu.angles)
-    atom_values = np.array([math.cos(t) for t, _ in mu.atoms])
     for filename, angle in (("summability.csv", 0.0), ("summability_2.csv", 2.5)):
         xi0 = complex(np.exp(1j * angle))
         rows = [
             (
                 n,
                 partial_sum_deviation(
-                    cmv_coefficients(mu, inst.params, samples, n - 1, atom_values),
+                    opuc.cmv_sums(mu, inst.params, n - 1)[1],
                     chi_table(inst.params, xi0, n - 1),
                     math.cos(angle),
                 ),
@@ -697,7 +691,7 @@ def test_gram_check_takes_the_gated_route(spy, family, grid_size, route):
     ctx = experiments.RunContext(cfg, inst)
     nodes = len(inst.measure.quadrature()[0])
     sizes = spy(lambda params, zs, n_max: len(zs), opuc, "_transfer_steps")
-    streamed = spy(lambda *args: len(args[1]), experiments, "gram_matrix")
+    streamed = spy(lambda *args: len(args[1]), opuc, "gram_matrix")
     status, _, detail = dict(CHECKS["schur_identities"])["gram_orthonormality"](ctx)
     assert status == "pass"
     assert detail.endswith(route)
@@ -730,6 +724,45 @@ def test_gram_check_memory_is_linear_in_the_grid():
         tracemalloc.stop()
     assert status == "pass"
     assert peak < 200 * grid_size, peak
+
+
+_FFTS = ("fft", "ifft", "rfft", "irfft")
+
+
+def _ell2_context(grid_size):
+    """An ell2(0.5, 1) run context on ``grid_size`` nodes whose CMV sums
+    run to order 256, with the weight's band record already taken."""
+    cfg = _config(
+        family={"name": "ell2", "c": 0.5, "p": 1.0},
+        grid_size=grid_size,
+        n_list=[16, 64, 256],
+        experiment="summability",
+    )
+    inst = build_family(cfg.family, grid_size, cfg.build_depth)
+    ctx = experiments.RunContext(cfg, inst)
+    moments(ctx.mu, 0)
+    return ctx
+
+
+def test_cmv_sums_read_the_moments_without_an_fft(spy):
+    ctx = _ell2_context(16384)
+    calls = [spy(lambda *args, **kw: args, np.fft, name) for name in _FFTS]
+    ones, cosines = ctx.cmv()
+    assert calls == [[]] * len(_FFTS)
+    assert len(ones) == len(cosines) == ctx.cmv_top + 1 == 257
+
+
+def test_cmv_sums_memory_is_independent_of_the_grid():
+    # the moment route forms no array of the grid's size: 16 bytes a node
+    # would be 0.5 MB here
+    ctx = _ell2_context(32768)
+    tracemalloc.start()
+    try:
+        ctx.cmv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
 
 
 @pytest.mark.parametrize("family", ["bs_half", "mixed_atom", "geronimus6", "ell2_half"])
