@@ -33,11 +33,13 @@ table, numpy's CPU dispatch (README, "Determinism").
 The bands of w and log w come from one FFT each, after which the measure
 keeps a band's width K and its first min(K, N/8 + 1) coefficients: each
 row's one Fourier record, which ``moments`` and the grid mean of log w
-read too.  A call builds its coefficient table and blocks only up to the
-largest reach of its points, so its set-up is O(reach), not O(N); only a
-batch that reads a band past N/8 takes a transient FFT.  ``poisson_route``
-reports the widths.  One kernel call over every (point, atom) pair gives
-the atom terms of the batch.
+read too.  A call lays out blocks only up to the largest reach of its
+points and reads each block's coefficients from the band when its dots
+run, so it holds one block's coefficients at a time (and the few blocks
+that cross N/2 or an edge of the band), not a table over every exponent
+it reads; only a batch that reads a band past N/8 takes a transient FFT.
+``poisson_route`` reports the widths.  One kernel call over every (point,
+atom) pair gives the atom terms of the batch.
 
 Grid
 ----
@@ -192,9 +194,19 @@ class CircleMeasure:
         The grid points with weights w_j / N, then the atom points with
         their masses; computed on each call, like ``boundary_points``.
         """
-        nodes = np.concatenate([self.boundary_points, self.atom_points])
-        weights = np.concatenate([self.weight / self.grid_size, self.atom_masses])
-        return nodes, weights
+        nodes, weights = zip(*self.quadrature_chunks(self.grid_size))
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    def quadrature_chunks(self, size: int):
+        """``quadrature()`` in pieces: (nodes, weights) of at most ``size``
+        grid nodes at a time, then the atoms, each node and weight bitwise
+        as there; a pass over chunks forms no array of the grid's size."""
+        for start in range(0, self.grid_size, size):
+            stop = min(start + size, self.grid_size)
+            angles = grid_angles(self.grid_size, np.arange(start, stop))
+            yield np.exp(1j * angles), self.weight[start:stop] / self.grid_size
+        if self.atoms:
+            yield self.atom_points, self.atom_masses
 
     @property
     def total_mass(self) -> float:
@@ -367,6 +379,52 @@ def _powers(z: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
+def _block_sources(heads, blocks, grid_size: int) -> list:
+    """For each block (start, w) and each row's (K, band): (source, flip),
+    from which the block's dot operands are ``source[_PAIR_ORDER[:w]]``,
+    conjugated when flip is set.  The operands are conj(c_k) for the
+    exponents k = start + _PAIR_ORDER[:w], with k = 0 and every k past the
+    band read as 0.
+
+    A block inside the band reads one slice of it: c_k for k <= N/2, to be
+    conjugated, or c_{N-k} read backwards above N/2, since c_k =
+    conj(c_{N-k}).  A block wholly past the band reads zeros.  Only a block
+    that crosses N/2 or an edge of the band, or holds k = 0, is put
+    together here, in exponent order, its zeros below N/2 conjugated with
+    the rest; every other source is a view.
+    """
+    zeros = np.zeros(max(w for _, w in blocks), dtype=complex)
+    sources = []
+    for start, w in blocks:
+        # offsets below lower have k <= N/2, and below last k < N (odd N)
+        lower = min(max(grid_size // 2 + 1 - start, 0), w)
+        last = min(w, grid_size - start)
+        row_sources = []
+        for width, head in heads:
+            inside = max(min(lower, width - start), 0)
+            # offsets first..last - 1 above N/2 have N - k < K
+            first = min(max(lower, grid_size - width + 1 - start), last)
+            if start > 0 and inside == w:
+                source = head[start : start + w], True
+            elif first == 0 and last == w:
+                source = head[grid_size - start : grid_size - start - w : -1], False
+            elif inside == 0 and first == last and lower in (0, w):
+                source = zeros[:w], lower > 0
+            else:
+                natural = np.zeros(w, dtype=complex)
+                natural[:inside] = head[start : start + inside]
+                np.conjugate(natural[:lower], out=natural[:lower])
+                natural[first:last] = head[
+                    grid_size - start - first : grid_size - start - last : -1
+                ]
+                if start == 0:
+                    natural[0] = 0.0
+                source = natural, False
+            row_sources.append(source)
+        sources.append(row_sources)
+    return sources
+
+
 def _grid_means(
     mu: CircleMeasure, zs: list, bands: Sequence[np.ndarray], kernel
 ) -> np.ndarray:
@@ -382,8 +440,11 @@ def _grid_means(
     counted once: one run of exponents, or two where the runs of c_k and
     c_{N-k} do not meet, each padded to an even length with a zero
     coefficient (for odd N, the one run with k = N).  S' = S - c_0 runs
-    over blocks of each run, and a point reads no term past its reach; the
-    table of c_k stops at the last block the batch reads.  The mean is
+    over blocks of each run, and a point reads no term past its reach.
+    Each block's coefficients are gathered from the band when its dots
+    run (``_block_sources``), so a call holds one block's at a time,
+    besides the few that cross N/2 or an edge of the band, not a table
+    over every exponent the batch reads.  The mean is
     then c_0 + 2 S' + 2 S z^N / (1 - z^N), so where c_0 and 2 S' cancel,
     no rounding of their size comes before their one subtraction.
 
@@ -419,38 +480,38 @@ def _grid_means(
         reach = np.log(_TERM_CUT) / np.log(np.abs(points))
     reach = np.minimum(np.floor(reach), grid_size - 1).astype(int) + 1
     end = reach.max(initial=1)
-    # (first exponent, first column, width) of each block that starts
-    # below the batch's largest reach; widths double from _BLOCK / 8 up to
-    # _BLOCK along a run, so a point of short reach reads a short block
-    blocks, exponents, column = [], [], 0
+    # (first exponent, width) of each block that starts below the batch's
+    # largest reach; widths double from _BLOCK / 8 up to _BLOCK along a
+    # run, so a point of short reach reads a short block
+    blocks = []
     for a, b in runs:
         s = a
         while s < min(b, end):
             w = min(_BLOCK, max(_BLOCK // 8, s - a), b - s)
-            blocks.append((s, column, w))
-            exponents.append(s + _PAIR_ORDER[:w])
-            s, column = s + w, column + w
-    k = np.concatenate(exponents)
-    fold = np.minimum(k, grid_size - k)
-    coefficients = np.zeros((len(bands), 1, len(k)), dtype=complex)
-    for row, band, (width, head) in zip(coefficients[:, 0], bands, records):
-        if len(head) <= min(width - 1, fold.max()):
+            blocks.append((s, w))
+            s += w
+    # the largest min(k, N - k) of an exponent the batch reads
+    half = grid_size // 2
+    deepest = max(
+        min(s + w - 1, half) if s <= half else grid_size - s for s, w in blocks
+    )
+    heads = []
+    for band, (width, head) in zip(bands, records):
+        if len(head) <= min(width - 1, deepest):
             # the batch reads past a named row's cached prefix
             head = _band(_row_samples(mu, band))
-        inside = (fold < width) & (k < grid_size)
-        row[inside] = head[fold[inside]]
-    # vecdot conjugates its first operand, so the table holds conj(c_k);
-    # column 0 is k = 0, whose c_0 is added last
-    np.conjugate(coefficients, out=coefficients, where=k <= grid_size // 2)
-    coefficients[..., 0] = 0.0
-    starts = np.array([start for start, _, _ in blocks])
+        heads.append((width, head))
+    sources = _block_sources(heads, blocks, grid_size)
+    longest = max(w for _, w in blocks)
+    coefficients = np.empty((len(bands), 1, longest), dtype=complex)
+    starts = np.array([start for start, _ in blocks])
     order = np.argsort(-reach, kind="stable")
     z, reach = points[order], reach[order]
     sums = np.zeros((len(bands), len(zs)), dtype=complex)
-    chunk = max(1, _WORK // max(w for _, _, w in blocks))
+    chunk = max(1, _WORK // longest)
     for first in range(0, len(zs), chunk):
         ends = reach[first : first + chunk]
-        widest = max(w for start, _, w in blocks if start < ends[0])
+        widest = max(w for start, w in blocks if start < ends[0])
         table = _powers(z[first : first + chunk], widest)
         # np.take keeps rows contiguous, where table[:, order] would not:
         # OpenBLAS sums a strided vector in another order
@@ -458,14 +519,24 @@ def _grid_means(
         counts = np.count_nonzero(ends > starts[:, None], axis=1)
         read = np.count_nonzero(counts)
         shifts = np.power(z[None, first : first + chunk], starts[:read, None])
-        for (start, column, w), count, shift in zip(
-            blocks[read - 1 :: -1], counts[read - 1 :: -1], shifts[::-1]
+        for (start, w), count, shift, row_sources in zip(
+            blocks[read - 1 :: -1],
+            counts[read - 1 :: -1],
+            shifts[::-1],
+            sources[read - 1 :: -1],
         ):
             powers = table[None, :count, :w]
             if ends[count - 1] < start + w:
                 live = start + _PAIR_ORDER[:w] < ends[:count, None]
                 powers = np.where(live, powers, 0.0)
-            block = coefficients[..., column : column + w]
+            # the block's coefficients, gathered as its dots run
+            block = coefficients[..., :w]
+            pair_order = _PAIR_ORDER[:w]
+            for row, (source, flip) in zip(block[:, 0], row_sources):
+                if flip:
+                    np.conjugate(source[pair_order], out=row)
+                else:
+                    source.take(pair_order, out=row, mode="clip")
             terms = np.vecdot(block, powers)
             sums[:, first : first + count] += terms * shift[None, :count]
     sums = sums[:, np.argsort(order)]

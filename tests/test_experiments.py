@@ -559,6 +559,23 @@ def test_sampled_checks_make_one_transfer_pass(spy, geronimus6, name, points):
     assert passes == [points]
 
 
+def test_moment_hermitian_is_a_route_independent_of_the_moments(
+    mixed_atom, monkeypatch
+):
+    # The atom at angle 2 makes the moments complex, so moments that come
+    # back conjugated differ from the direct integrals over the quadrature
+    # nodes; the check must not read those integrals from the moments
+    check = dict(CHECKS["schur_identities"])["moment_hermitian"]
+    assert np.max(np.abs(moments(mixed_atom.measure, 32).imag)) > 0.1
+    status, _, _ = check(experiments.RunContext(_config(seed=1), mixed_atom))
+    assert status == "pass"
+    monkeypatch.setattr(
+        experiments, "moments", lambda mu, k_max: np.conj(moments(mu, k_max))
+    )
+    status, residual, _ = check(experiments.RunContext(_config(seed=1), mixed_atom))
+    assert status == "fail" and residual > 0.1
+
+
 def test_cd_at_zero_identity_makes_one_transfer_pass(spy, geronimus6):
     # z = 0 and every certified angle in one table
     passes = spy(lambda params, zs, n_max, keep_all: len(zs), opuc, "_run_transfer")

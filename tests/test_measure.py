@@ -500,10 +500,54 @@ def test_short_reach_batches_read_the_cached_band_prefix(ell2_half, spy):
     assert len(ffts) == 1
 
 
+@pytest.mark.parametrize(
+    "extension", [poisson, poisson_log_weight, szego_interior], ids=lambda f: f.__name__
+)
+def test_long_reach_batches_hold_no_node_sized_table(ell2_half, extension):
+    # 40 points at |z| = 0.999 read about 41400 terms of the full bands of
+    # the 65536-node ell2 measure: past the cached prefix, so each call
+    # takes a transient FFT of its row.  Past that FFT, a call may hold a
+    # chunk's power table, its copy in pair order and a masked block of
+    # it, at most _WORK terms each, and per row the gathered block and the
+    # few blocks that cross N/2 or an edge of the band, at most _BLOCK
+    # terms each; nothing that grows with N or with the reach.
+    mu = ell2_half.measure_on(65536)
+    grid_size = mu.grid_size
+    points = 0.999 * np.exp(1j * np.linspace(0.1, 6.2, 40))
+    extension(mu, points)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        extension(mu, points)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the FFT: the row's samples (log w is formed for the call), the rfft
+    # of N/2 + 1 terms and its copy scaled by 1/N
+    samples = 0 if extension is poisson else 8 * grid_size
+    band_fft = samples + 2 * 16 * (grid_size // 2 + 1)
+    # complex terms: three chunk tables, and eight blocks for the gathered
+    # one, the shared zeros and the blocks put together at the edges
+    layer = 16 * (3 * _WORK + 8 * _BLOCK)
+    assert peak - band_fft < layer, (peak, band_fft, layer)
+
+
 def test_moments_of_bernstein_szego(bs_half):
     # Schur function is the constant 1/2, so c_k = (1/2)^k
     for k in range(8):
         assert abs(moment(bs_half.measure, k) - 0.5**k) < 1e-12
+
+
+@pytest.mark.parametrize("size", [1000, 2048, 8192])
+def test_quadrature_chunks_are_the_quadrature_bitwise(mixed_atom, size):
+    nodes, weights = mixed_atom.measure.quadrature()
+    chunks = list(mixed_atom.measure.quadrature_chunks(size))
+    assert [len(part) for part, _ in chunks[:-1]] == [
+        min(size, 4096 - start) for start in range(0, 4096, size)
+    ]
+    assert len(chunks[-1][0]) == len(mixed_atom.measure.atoms)
+    for want, got in zip((nodes, weights), zip(*chunks)):
+        assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 def test_moment_is_conjugate_of_direct_integral(mixed_atom):
