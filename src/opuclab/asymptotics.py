@@ -17,9 +17,11 @@ pass is bitwise the shorter pass.  Those values come from the run's one
 transfer table over every boundary point it reads (``experiments``,
 ``RunContext.boundary_table``), whose columns are bitwise one-point
 passes: the sandwich reads phi_k there plus one entropy profile over
-every n (``sandwich_rows``), and the summability sweep reads chi_k there
-plus one Poisson call over its points (``summability_conditions``).  The
-sweeps return plain rows, which ``experiments`` writes to CSV.
+every n (``sandwich_rows``), or its point's rows of one profile over
+every angle of the run (``profile_sandwich``), and the summability sweep
+reads chi_k there plus one Poisson call over its points
+(``summability_conditions``).  The sweeps return plain rows, which
+``experiments`` writes to CSV.
 
 The CMV half: partial-sum strong Cesaro deviation at a point, and the
 per-n boundedness condition that drives it.  Both read the Fourier
@@ -75,14 +77,25 @@ def sandwich_rows(
     1/F_n and 1/P_n + 64 K_n^(1/4)/P_n.
 
     ``phi`` holds phi_0(xi0)..phi_m(xi0), m >= max(n_list) - 1, as one
-    contiguous array (a column of the run's boundary table); each Cesaro
-    mean reads a prefix of it, and one ``entropy_profile`` over n_list
-    gives (K_n, P_n, F_n).  The target column records 1/w at the grid node
-    ``snap`` picks for xi0, a diagnostic only; nothing is asserted against
-    it.
+    contiguous array (a column of the run's boundary table); one
+    ``entropy_profile`` over n_list gives (K_n, P_n, F_n), and
+    ``profile_sandwich`` the rows.
     """
     xi0 = _as_boundary(xi0)
     profile = entropy_profile(mu, xi0, n_list, delta_grid_size)
+    return profile_sandwich(mu, phi, xi0, profile)
+
+
+def profile_sandwich(
+    mu: CircleMeasure, phi: np.ndarray, xi0: complex, profile
+) -> Tuple[SandwichRow, ...]:
+    """Sandwich rows at the boundary point xi0 from its ``entropy_profile``
+    rows, for a caller that takes the profiles of several points in one
+    batch (``experiments.RunContext``).  Each Cesaro mean reads a prefix
+    of ``phi``, as in ``sandwich_rows``.  The target column records 1/w at
+    the grid node ``snap`` picks for xi0, a diagnostic only; nothing is
+    asserted against it.
+    """
     j, _ = snap(mu.grid_size, xi0)
     target = 1.0 / max(float(mu.weight[j]), 1e-300)
     return tuple(

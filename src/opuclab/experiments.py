@@ -26,10 +26,12 @@ computed once per run in ``ctx._memo``.  The polynomials at the boundary
 come from one transfer table over every point the run reads
 (``RunContext.boundary_table``): the sandwich rows, the CMV values chi
 and the Jost solutions take their columns, since a column is bitwise the
-one-point pass.  The context is also the one holder of the grid nodes
-its angles snap to and of D and F there (``RunContext.nodes``,
-``outer_values`` and ``herglotz_values``): D by one boundary pass per grid,
-F only on the run's own grid, where the Jost solutions read it.
+one-point pass.  Likewise the sandwich rows of every angle read their
+entropy profiles from one ``entropy_profile`` batch
+(``RunContext._profiles``).  The context is also the one holder of the
+grid nodes its angles snap to and of D and F there (``RunContext.nodes``,
+``outer_values`` and ``herglotz_values``): D by one boundary pass per
+grid, F only on the run's own grid, where the Jost solutions read it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .asymptotics import (
     SandwichRow,
     cd_at_zero_residual,
     partial_sum_deviation,
+    profile_sandwich,
     sandwich_rows,
     summability_conditions,
 )
@@ -98,7 +101,7 @@ from .schur import (
     szego_formula_residuals,
     iterate_noise_horizon,
 )
-from .szego import entropy, szego_boundary, szego_interior
+from .szego import entropy, entropy_profile, szego_boundary, szego_interior
 
 _TREND_SLACK = 1e-12
 
@@ -208,10 +211,12 @@ class RunContext:
     Every boundary angle the run reads (``read_angles``: the certified
     ones, then the swept test points) is evaluated in one transfer pass,
     ``boundary_table``, at its point and at its grid node; ``sandwich``,
-    ``chi`` and ``jost`` read their columns by prefix.  ``nodes`` holds
-    the angles' grid nodes on a grid size, ``outer_values`` D there, which
-    the radial limit and the Jost solutions read, and ``herglotz_values``
-    F on the run's own grid, which only the Jost solutions read.
+    ``chi`` and ``jost`` read their columns by prefix, and ``sandwich``
+    reads its entropy profile from one batch over them, ``_profiles``.
+    ``nodes`` holds the angles' grid nodes on a grid size,
+    ``outer_values`` D there, which the radial limit and the Jost
+    solutions read, and ``herglotz_values`` F on the run's own grid, which
+    only the Jost solutions read.
     """
 
     def __init__(self, config: ExperimentConfig, instance: FamilyInstance):
@@ -311,15 +316,36 @@ class RunContext:
         return table[:, column[self.boundary_point(angle)]].copy()
 
     @_cached
+    def _profiles(self) -> Dict[float, tuple]:
+        """The entropy profile rows of every read angle, from one
+        ``entropy_profile`` batch over their boundary points, by angle; each
+        is bitwise its one-point rows.  Empty when the batch raises, since
+        its error may belong to any one angle: each ``sandwich`` then takes
+        its angle's own one-point profile, which raises that angle's error."""
+        points = [self.boundary_point(angle) for angle in self.read_angles]
+        try:
+            profiles = entropy_profile(
+                self.mu, np.array(points), self.n_list, self.config.delta_grid_size
+            )
+        except Exception:  # a check or table fails only on its own angles
+            return {}
+        return dict(zip(self.read_angles, profiles))
+
+    @_cached
     def sandwich(self, angle: float) -> Tuple[SandwichRow, ...]:
         _, phi, _ = self.boundary_table()
-        return sandwich_rows(
-            self.mu,
-            self._column(phi, angle),
-            complex(np.exp(1j * angle)),
-            self.n_list,
-            self.config.delta_grid_size,
-        )
+        column = self._column(phi, angle)
+        profile = self._profiles().get(angle)
+        if profile is None:
+            # the angle's own profile, or its own error
+            return sandwich_rows(
+                self.mu,
+                column,
+                complex(np.exp(1j * angle)),
+                self.n_list,
+                self.config.delta_grid_size,
+            )
+        return profile_sandwich(self.mu, column, self.boundary_point(angle), profile)
 
     @_cached
     def _chi_table(self) -> np.ndarray:

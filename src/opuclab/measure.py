@@ -24,12 +24,14 @@ the atom terms, over a batch of points at a time (``_poisson_means``).
 The grid means have one route, a closed form in the row's DFT band
 (``_grid_means``; Trefethen and Weideman, SIAM Review 2014; Henrici,
 Applied and Computational Complex Analysis, Vol. 3, Ch. 13), exact for
-the grid quadrature at any band width K.  A point reads a term c_k z^k
-only while |z|^k >= ``_TERM_CUT``, so it costs O(min(K, log(cut) /
-log|z|)).  The sum takes one power table per chunk of points and one
-BLAS dot per row, point and block of at most ``_BLOCK`` exponents, so its
-last bits follow the BLAS build's dot kernel and, through the power
-table, numpy's CPU dispatch (README, "Determinism").
+the grid quadrature at any band width K.  A point reads every block of
+at most ``_BLOCK`` exponents that starts while |z|^k >= ``_TERM_CUT``, so
+it costs O(min(K, log(cut) / log|z|)).  The sum takes one power table per
+chunk of points, one BLAS dot per row, point and block, and adds a
+point's blocks by Horner's rule, the factor z^w of a block of width w
+read off the table's squarings.  Its last bits follow the BLAS build's
+dot kernel and, through the power table and the Horner products, numpy's
+CPU dispatch (README, "Determinism").
 The bands of w and log w come from one FFT each, after which the measure
 keeps a band's width K and its first min(K, N/8 + 1) coefficients: each
 row's one Fourier record, which ``moments`` and the grid mean of log w
@@ -37,7 +39,8 @@ read too.  A call lays out blocks only up to the largest reach of its
 points and reads each block's coefficients from the band when its dots
 run, so it holds one block's coefficients at a time (and the few blocks
 that cross N/2 or an edge of the band), not a table over every exponent
-it reads; only a batch that reads a band past N/8 takes a transient FFT.
+it reads, and frees a chunk's power tables before it forms the next
+chunk's; only a batch that reads a band past N/8 takes a transient FFT.
 ``poisson_route`` reports the widths.  One kernel call over every (point,
 atom) pair gives the atom terms of the batch.
 
@@ -86,7 +89,7 @@ _BOUNDARY_TOL = 1e-9
 
 _NORMALIZATION_TOL = 1e-12
 
-# A point reads the term c_k z^k of a closed-form grid mean only while
+# A point reads the blocks of a closed-form grid mean that start while
 # |z|^k is at least this, so it costs O(min(K, log(cut) / log|z|)) for a
 # band of K coefficients: about 4100 terms at |z| = 0.99.  The sum runs
 # over blocks of at most _BLOCK exponents, one BLAS dot each, for chunks
@@ -368,12 +371,13 @@ def _band_record(mu: CircleMeasure, name: str) -> Tuple[int, np.ndarray]:
 
 
 def _powers(z: np.ndarray, width: int) -> np.ndarray:
-    """z^0..z^(width - 1) at the points z, as a (points, width) complex
-    array, by doubling: z^s..z^(2s - 1) is z^s times z^0..z^(s - 1)."""
-    table = np.ones((len(z), width), dtype=complex)
+    """z^0..z^width at the points z, as a (points, width + 1) complex
+    array, by doubling: z^s..z^(2s - 1) is z^s times z^0..z^(s - 1), and
+    a power of two z^s is the squaring's own value."""
+    table = np.ones((len(z), width + 1), dtype=complex)
     step, s = z[:, None], 1
-    while s < width:
-        n = min(s, width - s)
+    while s <= width:
+        n = min(s, width + 1 - s)
         np.multiply(table[:, :n], step, out=table[:, s : s + n])
         step, s = step * step, 2 * s
     return table
@@ -440,28 +444,35 @@ def _grid_means(
     counted once: one run of exponents, or two where the runs of c_k and
     c_{N-k} do not meet, each padded to an even length with a zero
     coefficient (for odd N, the one run with k = N).  S' = S - c_0 runs
-    over blocks of each run, and a point reads no term past its reach.
-    Each block's coefficients are gathered from the band when its dots
-    run (``_block_sources``), so a call holds one block's at a time,
-    besides the few that cross N/2 or an edge of the band, not a table
-    over every exponent the batch reads.  The mean is
-    then c_0 + 2 S' + 2 S z^N / (1 - z^N), so where c_0 and 2 S' cancel,
-    no rounding of their size comes before their one subtraction.
+    over blocks of each run, and a point reads every block that starts
+    below its reach: the terms of its last block past the reach lie under
+    ``_TERM_CUT``.  Each block's coefficients are gathered from the band
+    when its dots run (``_block_sources``), so a call holds one block's at
+    a time, besides the few that cross N/2 or an edge of the band, not a
+    table over every exponent the batch reads.  The mean is then c_0 +
+    2 S' + 2 S z^N / (1 - z^N), so where c_0 and 2 S' cancel, no rounding
+    of their size comes before their one subtraction.
 
-    A block's sum is one BLAS dot per row and point (``np.vecdot``) of its
-    coefficients with z^0..z^(w - 1), of a width w the bands fix, and each
-    point adds its blocks from its last to its first, scaled by z^start.
-    Every dot, product and sum of a point is its own, so its value is the
-    same in any batch.  A dot kernel sums in SIMD lanes, each taking every
-    2nd, 4th or 8th term; along a real-axis ray the terms alternate in
-    sign, so such a lane would sum terms of one sign and the lanes would
-    then cancel.  Each block therefore holds its exponents in
-    ``_PAIR_ORDER``.  The dots' last bits follow the BLAS build's kernel
-    (README, "Determinism"); the complex products of the power table and
-    the scaling round as numpy's multiply loop does on the CPU at hand,
-    and each takes operands of one ndim: numpy multiplies a lone element
-    whose operands differ in ndim without fusing, where a batch would
-    fuse.
+    A block's sum D is one BLAS dot per row and point (``np.vecdot``) of
+    its coefficients with z^0..z^(w - 1), of a width w the bands fix.  A
+    point adds its blocks by Horner's rule, from its last block to its
+    first: acc <- D + z^step acc, where step is the distance to the next
+    block's start.  Within a run that is the block's width, 64 to 512, and
+    z^w is a column of the chunk's power table (``_powers``, whose powers
+    of two are its squarings); across the gap between two runs it is one
+    ``np.power`` per chunk.  A chunk's tables are freed before the next
+    chunk forms its own.  Every dot, product and sum of a point is its
+    own, so its value is the same in any batch.  A dot kernel sums in SIMD
+    lanes, each taking every 2nd, 4th or 8th term; along a real-axis ray
+    the terms alternate in sign, so such a lane would sum terms of one
+    sign and the lanes would then cancel.  Each block therefore holds its
+    exponents in ``_PAIR_ORDER``.  The dots' last bits follow the BLAS
+    build's kernel (README, "Determinism"); the complex products of the
+    power table and of Horner's rule round as numpy's multiply loop does
+    on the CPU at hand.  Each takes operands of one ndim, and none is
+    taken in place: numpy multiplies a lone element whose operands differ
+    in ndim, or that it writes in place, without fusing, where a batch
+    would fuse.
     """
     points = np.array(zs, dtype=complex)
     grid_size = mu.grid_size
@@ -474,8 +485,9 @@ def _grid_means(
     top = grid_size - low
     whole = grid_size + grid_size % 2
     runs = [(0, low), (top, grid_size)] if top > low else [(0, whole)]
-    # a point reads the terms with |z|^k >= _TERM_CUT, at most N of them;
-    # sorted by reach, each block a chunk reads is read by a prefix of it
+    # a point reads the blocks that start at a k with |z|^k >= _TERM_CUT,
+    # at most N exponents; sorted by reach, each block a chunk reads is
+    # read by a prefix of it
     with np.errstate(divide="ignore"):
         reach = np.log(_TERM_CUT) / np.log(np.abs(points))
     reach = np.minimum(np.floor(reach), grid_size - 1).astype(int) + 1
@@ -499,46 +511,55 @@ def _grid_means(
     for band, (width, head) in zip(bands, records):
         if len(head) <= min(width - 1, deepest):
             # the batch reads past a named row's cached prefix
-            head = _band(_row_samples(mu, band))
+            head = np.fft.rfft(_row_samples(mu, band))[:width] / grid_size
         heads.append((width, head))
     sources = _block_sources(heads, blocks, grid_size)
     longest = max(w for _, w in blocks)
     coefficients = np.empty((len(bands), 1, longest), dtype=complex)
-    starts = np.array([start for start, _ in blocks])
+    starts, widths = np.array(blocks).T
+    # Horner's factor of each block but the last is z^(next start - start):
+    # within a run that is z^w, a column of the power table; across the
+    # gap between two runs it is one np.power per chunk
+    steps = np.diff(starts)
+    crossing = steps != widths[:-1]
+    columns = np.where(crossing, 0, steps)
     order = np.argsort(-reach, kind="stable")
     z, reach = points[order], reach[order]
     sums = np.zeros((len(bands), len(zs)), dtype=complex)
     chunk = max(1, _WORK // longest)
     for first in range(0, len(zs), chunk):
+        at = z[first : first + chunk]
         ends = reach[first : first + chunk]
-        widest = max(w for start, w in blocks if start < ends[0])
-        table = _powers(z[first : first + chunk], widest)
+        counts = np.count_nonzero(ends > starts[:, None], axis=1)
+        read = np.count_nonzero(counts)
+        widest = widths[:read].max()
+        table = _powers(at, widest)
+        factors = table[:, columns[: read - 1]].T.copy()
+        for b in np.flatnonzero(crossing[: read - 1]):
+            factors[b] = np.power(at, steps[b])
         # np.take keeps rows contiguous, where table[:, order] would not:
         # OpenBLAS sums a strided vector in another order
         table = np.take(table, _PAIR_ORDER[:widest], axis=1)
-        counts = np.count_nonzero(ends > starts[:, None], axis=1)
-        read = np.count_nonzero(counts)
-        shifts = np.power(z[None, first : first + chunk], starts[:read, None])
-        for (start, w), count, shift, row_sources in zip(
-            blocks[read - 1 :: -1],
-            counts[read - 1 :: -1],
-            shifts[::-1],
-            sources[read - 1 :: -1],
-        ):
-            powers = table[None, :count, :w]
-            if ends[count - 1] < start + w:
-                live = start + _PAIR_ORDER[:w] < ends[:count, None]
-                powers = np.where(live, powers, 0.0)
+        acc = sums[:, first : first + chunk]
+        for b in range(read - 1, -1, -1):
+            w, count = widths[b], counts[b]
             # the block's coefficients, gathered as its dots run
             block = coefficients[..., :w]
             pair_order = _PAIR_ORDER[:w]
-            for row, (source, flip) in zip(block[:, 0], row_sources):
+            for row, (source, flip) in zip(block[:, 0], sources[b]):
                 if flip:
                     np.conjugate(source[pair_order], out=row)
                 else:
                     source.take(pair_order, out=row, mode="clip")
-            terms = np.vecdot(block, powers)
-            sums[:, first : first + count] += terms * shift[None, :count]
+            terms = np.vecdot(block, table[None, :count, :w])
+            if b < read - 1:
+                # the points that read block b + 1 carry its sum this far,
+                # not in place, which numpy would not fuse for one point
+                carried = counts[b + 1]
+                acc[:, :carried] = acc[:, :carried] * factors[None, b, :carried]
+            acc[:, :count] += terms
+        # the next chunk's tables are not formed beside these
+        del table, factors
     sums = sums[:, np.argsort(order)]
     c0 = np.array([head[0] for _, head in records])[:, None]
     power = np.power(points[None], grid_size)

@@ -146,27 +146,34 @@ class ProfileRow:
 
 def entropy_profile(
     mu: CircleMeasure,
-    xi0: complex,
+    xi0,
     n_list: Sequence[int],
     delta_grid_size: int = 64,
-) -> Tuple[ProfileRow, ...]:
+) -> Tuple[ProfileRow, ...] | Tuple[Tuple[ProfileRow, ...], ...]:
     """Approximate (K_n, P_n, F_n) over a log-spaced delta grid, one row per n.
 
     For each n, z runs over (1 - delta/n) xi0 with delta in
     [1e-4, 1 - 1e-4]; K_n is the max of the entropy and P_n the min of the
     Poisson extension over the deltas the grid actually resolves
     (N * delta / n >= 8).  Small negative entropy excursions at
-    barely-resolved points are clipped to zero.  Every n is checked
-    first; then one ``_entropy_terms`` call over the points of all n gives
-    both extensions, and row n reads its own slice.
+    barely-resolved points are clipped to zero.
+
+    ``xi0`` is one boundary point (returns its rows) or a 1-d array of
+    them (returns a tuple of each point's rows).  Every point and n is
+    checked first; then one ``_entropy_terms`` call over the points of all
+    of them gives both extensions, and the rows of each point and n read
+    their own slice, so each point's rows are bitwise its one-point rows.
+    A point's rows are formed in order, each after its own entropy check,
+    and the first point that fails raises its one-point error.
     """
     mu.require_szego()
-    xi0 = _as_boundary(xi0)
+    if np.ndim(xi0) > 1:
+        raise OutOfRange("boundary points must be one point or a 1-d array")
+    xis = [_as_boundary(xi) for xi in (xi0 if np.ndim(xi0) else [xi0])]
     delta_grid_size = _order(delta_grid_size, 2, "delta_grid_size")
     deltas = np.geomspace(_DELTA_MIN, 1.0 - _DELTA_MIN, delta_grid_size)
     n_list = [_order(n, 1, "profile order n") for n in n_list]
-    zs = []
-    ends = []
+    scales = []
     for n in n_list:
         trusted = deltas / n >= _MIN_RESOLVED / mu.grid_size
         if not trusted.any():
@@ -174,17 +181,26 @@ def entropy_profile(
                 f"no resolved delta for n = {n} at grid_size {mu.grid_size}; "
                 "enlarge the grid"
             )
-        zs += _interior_points((1.0 - deltas[trusted] / n) * xi0)
-        ends.append(len(zs))
+        scales.append(1.0 - deltas[trusted] / n)
+    zs = []
+    ends = []
+    for xi in xis:
+        for scale in scales:
+            zs += _interior_points(scale * xi)
+            ends.append(len(zs))
     p_mu, values = _entropy_terms(mu, zs)
-    rows = []
-    for n, part in zip(n_list, np.split(np.arange(len(zs)), ends[:-1])):
-        low = part[values[part] < -_PROFILE_ROUNDOFF]
-        if low.size:
-            raise EntropyNegative(
-                f"entropy {values[low[0]]:.6g} at resolved z = {zs[low[0]]!r}"
-            )
-        k_n = np.max(np.maximum(values[part], 0.0))
-        p_n = np.min(p_mu[part])
-        rows.append(ProfileRow(n, float(k_n), float(p_n), fejer_mean(mu, xi0, n)))
-    return tuple(rows)
+    parts = iter(np.split(np.arange(len(zs)), ends[:-1]))
+    profiles = []
+    for xi in xis:
+        rows = []
+        for n, part in zip(n_list, parts):
+            low = part[values[part] < -_PROFILE_ROUNDOFF]
+            if low.size:
+                raise EntropyNegative(
+                    f"entropy {values[low[0]]:.6g} at resolved z = {zs[low[0]]!r}"
+                )
+            k_n = np.max(np.maximum(values[part], 0.0))
+            p_n = np.min(p_mu[part])
+            rows.append(ProfileRow(n, float(k_n), float(p_n), fejer_mean(mu, xi, n)))
+        profiles.append(tuple(rows))
+    return profiles[0] if np.ndim(xi0) == 0 else tuple(profiles)

@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 
 from opuclab import asymptotics, experiments, families, opuc, scattering, schur, szego
-from opuclab.asymptotics import partial_sum_deviation, summability_conditions
+from opuclab.asymptotics import (
+    partial_sum_deviation,
+    sandwich_rows,
+    summability_conditions,
+)
 from opuclab.config import config_from_dict
-from opuclab.errors import ConfigError, FamilyValidationError, PositivityLoss
+from opuclab.errors import (
+    ConfigError,
+    EntropyNegative,
+    FamilyValidationError,
+    PositivityLoss,
+)
 from opuclab.experiments import (
     CHECKS,
     SUITE_NAMES,
@@ -680,6 +689,77 @@ def test_boundary_table_readers_match_one_point_oracles_bitwise(family, request)
     certified = np.array(ctx.certified)
     one_call = ctx.instance.density_at(certified)
     assert _bits(one_call) == _bits([inst.density_at(t) for t in ctx.certified])
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size, certified",
+    [(MIXED, 4096, 3), ({"name": "ell2", "c": 0.5, "p": 1.0}, 8192, 2)],
+    ids=["mixed", "ell2"],
+)
+def test_sandwich_rows_read_one_entropy_profile_batch(spy, spec, grid_size, certified):
+    # the certified angles and two swept ones take their profile rows from
+    # one entropy_profile call over their boundary points, and each angle's
+    # rows, and its sandwich rows, are its one-angle call's bitwise
+    cfg = _config(
+        family=spec, grid_size=grid_size, n_list=[4, 16, 64], test_points=[0.5, 2.5]
+    )
+    inst = build_family(spec, grid_size, cfg.build_depth)
+    mu = inst.measure
+    ctx = experiments.RunContext(cfg, inst)
+    assert len(ctx.certified) == certified
+    calls = spy(
+        lambda mu, xi0, *args: np.size(xi0),
+        szego,
+        "entropy_profile",
+        experiments,
+        asymptotics,
+    )
+    verdicts = experiments.suite_verdicts(ctx, "mnt")
+    experiments.suite_tables(ctx, "mnt")
+    assert all(v.status == "pass" for v in verdicts), verdicts
+    assert calls == [certified + 2]
+    for angle in ctx.read_angles:
+        xi0 = ctx.boundary_point(angle)
+        alone = szego.entropy_profile(mu, xi0, cfg.n_list, cfg.delta_grid_size)
+        assert _bits([astuple(r) for r in ctx._profiles()[angle]]) == _bits(
+            [astuple(r) for r in alone]
+        )
+        column = ctx._column(ctx.boundary_table()[1], angle)
+        raw = complex(np.exp(1j * angle))
+        want = sandwich_rows(mu, column, raw, cfg.n_list, cfg.delta_grid_size)
+        got = ctx.sandwich(angle)
+        assert _bits([astuple(r) for r in got]) == _bits([astuple(r) for r in want])
+
+
+def test_a_swept_angle_whose_profile_raises_fails_only_its_table(monkeypatch):
+    # _entropy_terms reads a negative entropy at every point on the ray of
+    # the swept angle 2.5, so the run's one profile batch raises there; the
+    # checks, which read the certified angles only, keep their verdicts, and
+    # the mnt table fails with that angle's one-point error, as when each
+    # angle took its own profile
+    bad = 2.5
+    cfg = _config(family=MIXED, n_list=[4, 16, 64], test_points=[0.5, bad])
+    clean = run_experiment(cfg)
+    assert not clean.failed
+    terms = szego._entropy_terms
+
+    def negative_on_the_ray(mu, zs):
+        p_mu, values = terms(mu, zs)
+        return p_mu, np.where(np.isclose(np.angle(zs), bad), -1.0, values)
+
+    monkeypatch.setattr(szego, "_entropy_terms", negative_on_the_ray)
+    outcome = run_experiment(cfg)
+    inst = build_family(MIXED, cfg.grid_size, cfg.build_depth)
+    xi0 = experiments.RunContext(cfg, inst).boundary_point(bad)
+    with pytest.raises(EntropyNegative) as raised:
+        szego.entropy_profile(inst.measure, xi0, cfg.n_list, cfg.delta_grid_size)
+    assert [v for v in outcome.verdicts if v.name != "mnt_tables"] == list(
+        clean.verdicts
+    )
+    table = outcome.verdicts[-1]
+    assert (table.name, table.status) == ("mnt_tables", "fail")
+    assert table.detail == f"EntropyNegative: {raised.value}"
+    assert outcome.tables == {}
 
 
 @pytest.mark.parametrize(

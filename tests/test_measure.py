@@ -408,7 +408,10 @@ def test_odd_grid_means_sum_the_quadrature_to_roundoff(band):
     # term at k = N, and the two runs of a narrow band start the second at
     # an odd exponent.  A random weight has the full band (N + 1)/2; a
     # Bernstein-Szego weight a band of a few dozen.  The points at N(1 -
-    # |z|) = 8 read every exponent of the full band.
+    # |z|) = 6, 8 and 12 read every block of the full band, so each runs
+    # the longest Horner chain, eleven factors z^w from the power
+    # table's squarings; on the real-axis ray at pi the terms alternate in
+    # sign.
     grid_size = 4099
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     if band == "full":
@@ -421,6 +424,11 @@ def test_odd_grid_means_sum_the_quadrature_to_roundoff(band):
         full = grid_size // 2 + 1
         assert poisson_route(mu) == f"band {full}/{full} of N = {grid_size}"
     zs = [complex((1.0 - 8.0 / grid_size) * np.exp(1j * a)) for a in (0.0, 3.0, np.pi)]
+    zs += [
+        complex((1.0 - t / grid_size) * np.exp(1j * a))
+        for a in (3.0, np.pi)
+        for t in (6.0, 12.0)
+    ]
     zs.append(complex(0.99 * np.exp(1.0j)))
     exact = np.array(poisson_means_mp(mu, zs))
     points = np.array(zs)
@@ -507,10 +515,10 @@ def test_long_reach_batches_hold_no_node_sized_table(ell2_half, extension):
     # 40 points at |z| = 0.999 read about 41400 terms of the full bands of
     # the 65536-node ell2 measure: past the cached prefix, so each call
     # takes a transient FFT of its row.  Past that FFT, a call may hold a
-    # chunk's power table, its copy in pair order and a masked block of
-    # it, at most _WORK terms each, and per row the gathered block and the
-    # few blocks that cross N/2 or an edge of the band, at most _BLOCK
-    # terms each; nothing that grows with N or with the reach.
+    # chunk's power table and its copy in pair order, about _WORK terms
+    # each, the previous chunk's freed first, and per row the gathered
+    # block and the few blocks that cross N/2 or an edge of the band, at
+    # most _BLOCK terms each; nothing that grows with N or with the reach.
     mu = ell2_half.measure_on(65536)
     grid_size = mu.grid_size
     points = 0.999 * np.exp(1j * np.linspace(0.1, 6.2, 40))
@@ -523,11 +531,12 @@ def test_long_reach_batches_hold_no_node_sized_table(ell2_half, extension):
     finally:
         tracemalloc.stop()
     # the FFT: the row's samples (log w is formed for the call), the rfft
-    # of N/2 + 1 terms and its copy scaled by 1/N
+    # of N/2 + 1 terms and its band of at most as many scaled by 1/N
     samples = 0 if extension is poisson else 8 * grid_size
     band_fft = samples + 2 * 16 * (grid_size // 2 + 1)
-    # complex terms: three chunk tables, and eight blocks for the gathered
-    # one, the shared zeros and the blocks put together at the edges
+    # complex terms: three chunk tables (a call holds two and the chunk's
+    # Horner factors), and eight blocks for the gathered one, the shared
+    # zeros and the blocks put together at the edges
     layer = 16 * (3 * _WORK + 8 * _BLOCK)
     assert peak - band_fft < layer, (peak, band_fft, layer)
 

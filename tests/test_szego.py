@@ -1,6 +1,7 @@
 """Outer function, entropy, and the boundary profile."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ def test_entropy_profile_rows(bs_half):
     # entropy at the shrinking points fades as the approach resolves the
     # smooth density
     assert profile[-1].k_n <= profile[0].k_n + 1e-12
+
+
+def _bits(rows) -> bytes:
+    return np.array([astuple(row) for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("family", ["mixed_atom", "geronimus6"])
+def test_entropy_profile_takes_an_array_of_boundary_points(family, request):
+    # one batch over the points of every boundary point and n; each
+    # point's rows are its one-point rows bitwise
+    mu = request.getfixturevalue(family).measure
+    points = np.exp(1j * np.array([0.0, 2.0, np.pi]))
+    profiles = entropy_profile(mu, points, (4, 16, 64), 32)
+    assert len(profiles) == len(points)
+    for xi0, rows in zip(points, profiles):
+        alone = entropy_profile(mu, xi0, (4, 16, 64), 32)
+        assert _bits(rows) == _bits(alone)
+    assert entropy_profile(mu, points[:0], (4,), 32) == ()
+    with pytest.raises(OutOfRange):
+        entropy_profile(mu, points.reshape(1, 3), (4,), 32)
 
 
 def test_entropy_profile_needs_resolved_radii(bs_half):
